@@ -37,7 +37,9 @@ class Progress:
         self.cached = 0
         self.task_seconds = 0.0
         self._started = time.monotonic()
-        self._last_report = 0.0
+        # -inf, not 0.0: monotonic() may itself be below min_interval on a
+        # freshly booted host, and the first report must always fire.
+        self._last_report = float("-inf")
         self._reported_done = -1  # `done` value of the last printed line
 
     # -- accounting ------------------------------------------------------

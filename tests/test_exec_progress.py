@@ -74,6 +74,20 @@ class TestStreamOutput:
         assert len(lines) == 2
         assert "2/3 tasks" in lines[1]
 
+    def test_first_report_fires_on_a_freshly_booted_host(self, monkeypatch):
+        # time.monotonic() counts from boot on Linux: with uptime below
+        # min_interval the first report used to be rate-limited away.
+        ticks = iter(x * 0.25 for x in range(1, 100))
+        monkeypatch.setattr(
+            "repro.exec.progress.time.monotonic", lambda: next(ticks)
+        )
+        stream = io.StringIO()
+        progress = Progress(total=3, stream=stream, min_interval=3600.0)
+        progress.task_done()
+        progress.task_done()
+        lines = stream.getvalue().splitlines()
+        assert len(lines) == 1 and "1/3 tasks" in lines[0]
+
     def test_completing_task_always_reports(self):
         # done == total bypasses the rate limit.
         stream = io.StringIO()
