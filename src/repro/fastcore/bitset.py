@@ -4,8 +4,11 @@ The array engine keeps every membership set — groups, item holders,
 destination sets, hit sets — as a little word array (``(n + 63) // 64``
 ``uint64`` words), so unions, intersections and subset tests are a
 handful of SIMD ops regardless of ``n``.  ``numpy >= 2.0`` gives us a
-native popcount (``np.bitwise_count``); conversions to index arrays go
-through ``np.unpackbits`` on the byte view.
+native popcount (``np.bitwise_count``).  Set algebra never sorts: an
+index array becomes a mask by a bool scatter + ``np.packbits``, a mask
+becomes (sorted) indices through ``np.unpackbits`` on the byte view, and
+``test_bits`` / ``to_flags`` answer for a ``(rows, words)`` stack of sets
+in one gather.
 
 All helpers are pure functions over plain arrays; the module imports
 numpy eagerly and is only loaded behind :func:`repro.fastcore.require_numpy`.
@@ -20,6 +23,7 @@ __all__ = [
     "empty",
     "full",
     "from_indices",
+    "to_flags",
     "to_indices",
     "popcount",
     "test_bits",
@@ -53,20 +57,26 @@ def full(n: int) -> np.ndarray:
 
 
 def from_indices(indices, n: int) -> np.ndarray:
-    """Pack an index array into a bitset."""
-    bits = empty(n)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size:
-        np.bitwise_or.at(
-            bits, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64)
-        )
-    return bits
+    """Pack an index array (any order, duplicates allowed) into a bitset.
+
+    A bool scatter followed by ``np.packbits``: linear in ``len(indices)
+    + n`` with no sort, hash or ``ufunc.at`` — this is how every index
+    array in the round loop becomes a mask.
+    """
+    flags = np.zeros(n_words(n) * _WORD_BITS, dtype=np.bool_)
+    flags[np.asarray(indices, dtype=np.int64)] = True
+    return np.packbits(flags, bitorder="little").view(np.uint64)
+
+
+def to_flags(bits: np.ndarray) -> np.ndarray:
+    """Unpack a bitset — or a ``(rows, words)`` stack of them — into 0/1
+    bytes along the last axis (``64 * words`` of them, tail bits zero)."""
+    return np.unpackbits(bits.view(np.uint8), axis=-1, bitorder="little")
 
 
 def to_indices(bits: np.ndarray, n: int) -> np.ndarray:
     """Unpack a bitset into a sorted int64 index array."""
-    flat = np.unpackbits(bits.view(np.uint8), bitorder="little")[:n]
-    return np.flatnonzero(flat).astype(np.int64)
+    return np.flatnonzero(to_flags(bits)[:n]).astype(np.int64)
 
 
 def popcount(bits: np.ndarray) -> int:
@@ -75,9 +85,14 @@ def popcount(bits: np.ndarray) -> int:
 
 
 def test_bits(bits: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Boolean membership of each index in the bitset."""
+    """Boolean membership of each index in the bitset.
+
+    ``bits`` may be one bitset or a ``(rows, words)`` stack of them, in
+    which case the result has a leading ``rows`` axis: one gather answers
+    the question for every set at once.
+    """
     idx = np.asarray(indices, dtype=np.int64)
-    return (bits[idx >> 6] >> (idx & 63).astype(np.uint64)) & np.uint64(1) != 0
+    return (bits[..., idx >> 6] >> (idx & 63).astype(np.uint64)) & np.uint64(1) != 0
 
 
 def union_into(target: np.ndarray, source: np.ndarray) -> np.ndarray:

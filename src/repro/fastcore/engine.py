@@ -53,6 +53,7 @@ from repro.sim.rng import derive_seed
 
 from repro.fastcore import bitset
 from repro.fastcore.kernels import (
+    gd_hit_batch,
     merge_shares,
     sample_rows,
     sample_targets_excluding_self,
@@ -107,11 +108,13 @@ class FastConfidentialityAuditor:
             Violation(kind=kind, rid=rid, pid=pid, round_no=round_no, detail=detail)
         )
 
-    def record_plaintext(self, round_no: int, state: "_RumorState", pid: int) -> None:
-        """A full-rumor delivery landed at ``pid``; outsiders are leaks."""
-        if not bitset.test_bits(state.allowed, np.asarray([pid]))[0]:
+    def record_plaintext(
+        self, round_no: int, state: "_RumorState", targets: np.ndarray
+    ) -> None:
+        """Full-rumor deliveries landed at ``targets``; outsiders are leaks."""
+        for pid in targets[~bitset.test_bits(state.allowed, targets)]:
             self._record(
-                "plaintext", state.rid, pid, round_no,
+                "plaintext", state.rid, int(pid), round_no,
                 "plaintext delivered outside D + {src}",
             )
 
@@ -406,8 +409,8 @@ class ArrayEngine:
         self._size = 0
         self._by_service: Dict[str, int] = {}
         # Deliveries staged for the end-of-round effects pass:
-        # [(channel key or None, item, new-holder indices)].
-        self._spread_deliveries: List[Tuple[Optional[Tuple[int, int, int]], _Item, np.ndarray]] = []
+        # [(item, new-holder bitset)].
+        self._spread_deliveries: List[Tuple[_Item, np.ndarray]] = []
         self._reassembly_dirty: List[Tuple[_RumorState, int]] = []
 
     # ------------------------------------------------------------------
@@ -497,8 +500,8 @@ class ArrayEngine:
     def _deliver_plaintext(
         self, round_no: int, state: _RumorState, targets: np.ndarray, path: str
     ) -> None:
+        self.auditor.record_plaintext(round_no, state, targets)
         for pid in targets:
-            self.auditor.record_plaintext(round_no, state, int(pid))
             self.record_delivery(
                 int(pid), round_no, state.rid, state.rumor.data, path
             )
@@ -783,54 +786,48 @@ class ArrayEngine:
             if not live:
                 continue
             fanout = instance.gd_fanout[key]
-            # Per-rumor target pools.  First iteration: the full destination
-            # set — each sender knows only its own self-hit, which the
-            # in-pool/out-of-pool split removes.  Later iterations: senders
-            # have absorbed the census, so subtract the block's hit union
-            # (a documented approximation of per-process hit knowledge).
-            pools: List[np.ndarray] = []
-            pool_idx: List[np.ndarray] = []
-            senders_union = bitset.empty(self.n)
-            for state, partials in live:
-                if first_iteration:
-                    pool = state.dest_mask.copy()
-                else:
-                    pool = bitset.andnot(state.dest_mask, block.hits[state])
-                pools.append(pool)
-                pool_idx.append(bitset.to_indices(pool, self.n))
-                bitset.union_into(senders_union, partials)
-            senders = bitset.to_indices(senders_union, self.n)
+            states = [state for state, _partials in live]
+            partials = np.stack([partials for _state, partials in live])
+            senders = bitset.to_indices(
+                np.bitwise_or.reduce(partials, axis=0), self.n
+            )
             if not len(senders):
                 continue
+            # Per-rumor target pools, one (rumors, words) matrix per key.
+            # First iteration: the full destination set — each sender knows
+            # only its own self-hit, which the in-pool/out-of-pool split
+            # removes.  Later iterations: senders have absorbed the census,
+            # so subtract the block's hit union (a documented approximation
+            # of per-process hit knowledge).
+            pools = np.stack([state.dest_mask for state in states])
+            if not first_iteration:
+                pools &= ~np.stack([block.hits[state] for state in states])
+            pool_bits = bitset.to_flags(pools)
             # Equivalence classes by which rumors each sender holds: all
             # senders in a class share the same target pool (minus self).
+            holds = bitset.test_bits(partials, senders)
             membership = np.zeros(len(senders), dtype=np.int64)
-            holds = []
-            for j, (state, partials) in enumerate(live):
-                row = bitset.test_bits(partials, senders)
-                holds.append(row)
+            for j, row in enumerate(holds):
                 membership |= row.astype(np.int64) << j
             for signature in np.unique(membership):
-                rows = membership == signature
-                class_senders = senders[rows]
+                class_senders = senders[membership == signature]
                 in_class = [j for j in range(len(live)) if (signature >> j) & 1]
                 if not in_class:
                     continue
-                union_pool = pools[in_class[0]].copy()
-                for j in in_class[1:]:
-                    bitset.union_into(union_pool, pools[j])
+                class_pools = pools[in_class]
+                union_pool = np.bitwise_or.reduce(class_pools, axis=0)
                 union_idx = bitset.to_indices(union_pool, self.n)
                 if not len(union_idx):
                     continue
                 self._gd_send_class(
-                    round_no, key, block, class_senders, union_idx, union_pool,
-                    [live[j] for j in in_class], [pool_idx[j] for j in in_class],
-                    fanout,
+                    key, block, class_senders, union_idx, union_pool,
+                    [states[j] for j in in_class], class_pools,
+                    pool_bits[in_class], fanout,
                 )
 
     def _gd_send_class(
-        self, round_no, key, block, class_senders, union_idx, union_pool,
-        class_rumors, class_pool_idx, fanout,
+        self, key, block, class_senders, union_idx, union_pool,
+        class_states, class_pools, class_pool_bits, fanout,
     ) -> None:
         pool_size = len(union_idx)
         inside = bitset.test_bits(union_pool, class_senders)
@@ -860,22 +857,18 @@ class ArrayEngine:
             target_blocks.append(targets)
         if not count:
             return
-        size = 0
         flat = np.concatenate([t.ravel() for t in target_blocks])
-        for (state, _partials), p_idx in zip(class_rumors, class_pool_idx):
-            if not len(p_idx):
-                continue
-            appropriate = np.isin(flat, p_idx)
-            size += int(appropriate.sum())
-            new_hits_idx = np.unique(flat[appropriate])
-            if len(new_hits_idx):
-                new_mask = bitset.from_indices(new_hits_idx, self.n)
-                bitset.union_into(block.hits[state], new_mask)
-                got = state.got.setdefault(key, bitset.empty(self.n))
-                bitset.union_into(got, new_mask)
-                bitset.union_into(state.audit_holders(key), new_mask)
-                self._reassembly_dirty.append((state, key[0]))
-        self._tally(ServiceTags.GROUP_DISTRIBUTION, count, max(count, size))
+        appropriate, hits = gd_hit_batch(class_pools, class_pool_bits, flat, self.n)
+        for j in np.flatnonzero(hits.any(axis=1)):
+            state, new_mask = class_states[j], hits[j]
+            bitset.union_into(block.hits[state], new_mask)
+            got = state.got.setdefault(key, bitset.empty(self.n))
+            bitset.union_into(got, new_mask)
+            bitset.union_into(state.audit_holders(key), new_mask)
+            self._reassembly_dirty.append((state, key[0]))
+        self._tally(
+            ServiceTags.GROUP_DISTRIBUTION, count, max(count, int(appropriate.sum()))
+        )
 
     def _gd_census(self, round_no: int, instance: _Instance) -> None:
         for key in sorted(instance.gd_blocks):
@@ -949,16 +942,19 @@ class ArrayEngine:
 
     def _merge_dshare(self, item: _Item, new_holders: np.ndarray) -> None:
         key, content = item.content
-        for state, hits in content:
+        sources = np.fromiter(
+            (state.src for state, _hits in content), np.int64, len(content)
+        )
+        for i in np.flatnonzero(bitset.test_bits(new_holders, sources)):
+            state, hits = content[i]
             if state.confirmed or state.retired:
                 continue
-            if bitset.test_bits(new_holders, np.asarray([state.src]))[0]:
-                known = state.src_known.get(key)
-                if known is None:
-                    state.src_known[key] = hits.copy()
-                else:
-                    bitset.union_into(known, hits)
-                state.confirm_dirty = True
+            known = state.src_known.get(key)
+            if known is None:
+                state.src_known[key] = hits.copy()
+            else:
+                bitset.union_into(known, hits)
+            state.confirm_dirty = True
 
     # ------------------------------------------------------------------
     # Gossip spreading
@@ -982,16 +978,15 @@ class ArrayEngine:
         ]
         if not live or channel.k <= 0:
             return
-        senders_union = live[0].holders.copy()
-        for item in live[1:]:
-            bitset.union_into(senders_union, item.holders)
-        senders = bitset.to_indices(senders_union, self.n)
+        holders = np.stack([item.holders for item in live])
+        senders = bitset.to_indices(np.bitwise_or.reduce(holders, axis=0), self.n)
         m = len(senders)
         if not m:
             return
         count = m * channel.k
-        size = channel.k * sum(
-            item.weight * bitset.popcount(item.holders) for item in live
+        weights = np.fromiter((item.weight for item in live), np.int64, len(live))
+        size = channel.k * int(
+            weights @ np.bitwise_count(holders).sum(axis=1, dtype=np.int64)
         )
         self._tally(channel.service, count, size)
         if channel.all_to_all:
@@ -1001,17 +996,16 @@ class ArrayEngine:
         targets = sample_targets_excluding_self(
             self._rng_gossip, channel.scope_idx, channel.pos_of[senders], channel.k
         )
-        for item in live:
-            hold_rows = bitset.test_bits(item.holders, senders)
-            if not np.any(hold_rows):
-                continue
-            flat = targets[hold_rows].ravel()
-            self._audit_spread_borders(item, senders[hold_rows], targets[hold_rows])
-            fresh = np.unique(flat)
-            fresh = fresh[~bitset.test_bits(item.holders, fresh)]
-            if len(fresh):
-                bitset.union_into(item.holders, bitset.from_indices(fresh, self.n))
-                self._spread_deliveries.append((None, item, fresh))
+        # (items, senders): who broadcasts what this round, in one gather.
+        sending = bitset.test_bits(holders, senders)
+        self._audit_spread_borders(live, sending, senders, targets)
+        for item, rows in zip(live, sending):
+            fresh = bitset.andnot(
+                bitset.from_indices(targets[rows].ravel(), self.n), item.holders
+            )
+            if fresh.any():
+                bitset.union_into(item.holders, fresh)
+                self._spread_deliveries.append((item, fresh))
 
     def _spread_all_to_all(self, channel: _Channel, item: _Item) -> None:
         holding = bitset.popcount(item.holders)
@@ -1025,22 +1019,34 @@ class ArrayEngine:
                 self.auditor.add_border(
                     allowed_holding * (channel.size - allowed_in)
                 )
-        fresh_mask = bitset.andnot(channel.scope_mask, item.holders)
-        fresh = bitset.to_indices(fresh_mask, self.n)
-        if len(fresh):
-            bitset.union_into(item.holders, fresh_mask)
-            self._spread_deliveries.append((None, item, fresh))
+        fresh = bitset.andnot(channel.scope_mask, item.holders)
+        if fresh.any():
+            bitset.union_into(item.holders, fresh)
+            self._spread_deliveries.append((item, fresh))
 
-    def _audit_spread_borders(self, item, senders, targets) -> None:
-        if item.kind not in (FRAG, PXSHARE):
-            return
-        states = [item.content] if item.kind is FRAG else item.content
-        for state in states:
-            rows = bitset.test_bits(state.allowed, senders)
-            if not np.any(rows):
+    def _audit_spread_borders(self, live, sending, senders, targets) -> None:
+        """Tally this channel-round's fragment-bearing sends that leave a
+        rumor's allowed set: one row per (item, rumor) it carries."""
+        item_rows: List[int] = []
+        allowed: List[np.ndarray] = []
+        for i, item in enumerate(live):
+            if item.kind is FRAG:
+                states = (item.content,)
+            elif item.kind is PXSHARE:
+                states = item.content
+            else:
                 continue
-            outside = (~bitset.test_bits(state.allowed, targets[rows].ravel())).sum()
-            self.auditor.add_border(int(outside))
+            for state in states:
+                item_rows.append(i)
+                allowed.append(state.allowed)
+        if not item_rows:
+            return
+        allowed_bits = bitset.to_flags(np.stack(allowed))
+        # A border message runs from a holder inside the allowed set to a
+        # target outside it; gather the allowed flag of those sends only.
+        row, col = np.nonzero(sending[item_rows] & (allowed_bits[:, senders] != 0))
+        inside = allowed_bits[row[:, None], targets[col]]
+        self.auditor.add_border(inside.size - np.count_nonzero(inside))
 
     def _delivery_effects(self, round_no, new_frag_items) -> None:
         """Apply end-of-round delivery callbacks for spread + fresh items."""
@@ -1052,27 +1058,24 @@ class ArrayEngine:
                 self.instances[dline], (partition, group), item.content,
                 item.holders,
             )
-        for _key, item, fresh in self._spread_deliveries:
+        for item, fresh in self._spread_deliveries:
             if item.kind is FRAG:
                 state = item.content
                 dline, partition, group = item.key
-                mask = bitset.from_indices(fresh, self.n)
                 self._frag_arrival(
-                    self.instances[dline], (partition, group), state, mask
+                    self.instances[dline], (partition, group), state, fresh
                 )
-                bitset.union_into(state.audit_holders((partition, group)), mask)
+                bitset.union_into(state.audit_holders((partition, group)), fresh)
             elif item.kind is PXSHARE:
-                mask = bitset.from_indices(fresh, self.n)
                 _dline, partition, group = item.key
                 for state in item.content:
                     # Receivers' partial-rumor buffers; handed up at block
                     # end via item.holders, so only the audit set updates.
                     bitset.union_into(
-                        state.audit_holders((partition, group)), mask
+                        state.audit_holders((partition, group)), fresh
                     )
             elif item.kind is DSHARE:
-                mask = bitset.from_indices(fresh, self.n)
-                self._merge_dshare(item, mask)
+                self._merge_dshare(item, fresh)
         self._spread_deliveries = []
 
     def _frag_arrival(self, instance, key, state, mask) -> None:

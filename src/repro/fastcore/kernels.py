@@ -1,6 +1,6 @@
-"""Array kernels: batched XOR splitting and fanout sampling.
+"""Array kernels: batched XOR splitting, fanout sampling and GD hits.
 
-These are the three inner loops of the array engine, factored out so the
+These are the inner loops of the array engine, factored out so the
 ``repro.perf`` microbench registry can pin their cost:
 
 * :func:`split_shares` — XOR secret-split one payload into ``(P, G)``
@@ -9,18 +9,24 @@ These are the three inner loops of the array engine, factored out so the
 * :func:`sample_rows` — per-sender distinct fanout sampling as one
   argpartition over a random matrix (small pools), with a
   with-replacement fast path for large pools where collisions are
-  negligible and only the *count* of sends is observable.
+  negligible and only the *count* of sends is observable;
+* :func:`gd_hit_batch` — one sender class's GroupDistribution draws
+  scored against every rumor's target pool at once (a target histogram
+  and a target mask; no sort, no per-rumor ``isin``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.fastcore import bitset
+
 __all__ = [
     "split_shares",
     "merge_shares",
     "sample_rows",
     "sample_targets_excluding_self",
+    "gd_hit_batch",
 ]
 
 # Pools at or below this size get exact distinct-per-row sampling (the
@@ -97,3 +103,18 @@ def sample_targets_excluding_self(
     draws = rng.integers(0, m - 1, size=(rows, k))
     draws += draws >= sender_pos[:, None]
     return scope[draws]
+
+
+def gd_hit_batch(pools: np.ndarray, pool_bits: np.ndarray, flat: np.ndarray, n: int):
+    """Score one batch of GroupDistribution draws against ``R`` rumor pools.
+
+    ``pools`` is the ``(R, words)`` stack of the rumors' target-pool
+    bitsets and ``pool_bits`` the same sets unpacked to ``(R, 64 * words)``
+    0/1 bytes; ``flat`` holds the drawn target pids (repeats allowed, any
+    order).  Returns ``(appropriate, hits)``: ``appropriate[r]`` counts the
+    draws that landed in pool ``r`` (with multiplicity — each is a
+    fragment-bearing message) and ``hits[r]`` is the bitset of distinct
+    pids of pool ``r`` that were drawn.
+    """
+    histogram = np.bincount(flat, minlength=pool_bits.shape[1])
+    return pool_bits @ histogram, pools & bitset.from_indices(flat, n)

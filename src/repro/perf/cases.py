@@ -365,6 +365,8 @@ register_case(
 _BITSET_ROUNDS = 64
 _SPLIT_ROUNDS = 32
 _FANOUT_ROUNDS = 32
+_SCATTER_ROUNDS = 64
+_GD_HIT_ROUNDS = 32
 
 
 def _setup_fastcore_bitset_membership() -> Operation:
@@ -426,6 +428,53 @@ def _setup_fastcore_fanout_sampling() -> Operation:
     return op
 
 
+def _setup_fastcore_scatter_mask() -> Operation:
+    import numpy as np
+
+    from repro.fastcore import bitset
+
+    n = 4096
+    rng = np.random.default_rng(17)
+    # One spread step's worth of draws: 2048 senders x fanout 22, with the
+    # repeats a real target matrix has.
+    draws = rng.integers(0, n, size=2048 * 22)
+    holders = bitset.from_indices(rng.choice(n, size=n // 2, replace=False), n)
+
+    def op() -> object:
+        total = 0
+        for _ in range(_SCATTER_ROUNDS):
+            fresh = bitset.andnot(bitset.from_indices(draws, n), holders)
+            total += len(bitset.to_indices(fresh, n))
+        return total
+
+    return op
+
+
+def _setup_fastcore_gd_hit_batch() -> Operation:
+    import numpy as np
+
+    from repro.fastcore import bitset
+    from repro.fastcore.kernels import gd_hit_batch
+
+    n, rumors = 256, 96
+    rng = np.random.default_rng(19)
+    pools = np.stack(
+        [bitset.from_indices(rng.choice(n, size=32, replace=False), n)
+         for _ in range(rumors)]
+    )
+    pool_bits = bitset.to_flags(pools)
+    flat = rng.integers(0, n, size=16 * 8)  # 16 class senders x fanout 8
+
+    def op() -> object:
+        total = 0
+        for _ in range(_GD_HIT_ROUNDS):
+            appropriate, hits = gd_hit_batch(pools, pool_bits, flat, n)
+            total += int(appropriate.sum()) + bitset.popcount(hits)
+        return total
+
+    return op
+
+
 def _register_fastcore_cases() -> None:
     from repro.fastcore import numpy_available
 
@@ -459,6 +508,26 @@ def _register_fastcore_cases() -> None:
             "{} rounds)".format(_FANOUT_ROUNDS),
             setup=_setup_fastcore_fanout_sampling,
             ops=_FANOUT_ROUNDS * 256,
+            tags=("fastcore", "micro"),
+        )
+    )
+    register_case(
+        PerfCase(
+            key="fastcore_scatter_mask",
+            title="fastcore index->mask scatter (45k draws into n=4096 x "
+            "{} rounds)".format(_SCATTER_ROUNDS),
+            setup=_setup_fastcore_scatter_mask,
+            ops=_SCATTER_ROUNDS,
+            tags=("fastcore", "micro"),
+        )
+    )
+    register_case(
+        PerfCase(
+            key="fastcore_gd_hit_batch",
+            title="fastcore GD hit batch (96 rumors x 128 draws, n=256 x "
+            "{} classes)".format(_GD_HIT_ROUNDS),
+            setup=_setup_fastcore_gd_hit_batch,
+            ops=_GD_HIT_ROUNDS,
             tags=("fastcore", "micro"),
         )
     )

@@ -8,9 +8,12 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from hypothesis import given, strategies as st
+
 from repro.fastcore import bitset
 from repro.fastcore.kernels import (
     _EXACT_POOL_LIMIT,
+    gd_hit_batch,
     merge_shares,
     sample_rows,
     sample_targets_excluding_self,
@@ -56,6 +59,66 @@ class TestBitset:
         out = bitset.union_into(target, bitset.from_indices([2], n))
         assert out is target
         assert list(bitset.to_indices(target, n)) == [1, 2]
+
+    def test_test_bits_over_a_stack_of_sets(self):
+        n = 130
+        stack = np.stack(
+            [bitset.from_indices([0, 64, 129], n), bitset.from_indices([1, 64], n)]
+        )
+        got = bitset.test_bits(stack, np.array([0, 1, 64, 129]))
+        assert got.tolist() == [[True, False, True, True], [False, True, True, False]]
+        flags = bitset.to_flags(stack)
+        assert flags.shape == (2, 192)
+        assert np.flatnonzero(flags[1]).tolist() == [1, 64]
+
+
+@st.composite
+def _universe_and_indices(draw):
+    n = draw(st.integers(min_value=1, max_value=300))
+    indices = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=400))
+    return n, indices
+
+
+class TestFromIndicesProperties:
+    """``from_indices`` is a scatter: order, repeats and container type of
+    its input must not matter, for any ``n`` (multiple of 64 or not)."""
+
+    @given(_universe_and_indices())
+    def test_roundtrip_is_the_sorted_distinct_set(self, case):
+        n, indices = case
+        bits = bitset.from_indices(indices, n)
+        assert bits.dtype == np.uint64 and bits.shape == (bitset.n_words(n),)
+        assert bitset.to_indices(bits, n).tolist() == sorted(set(indices))
+        assert bitset.popcount(bits) == len(set(indices))
+
+    @given(_universe_and_indices())
+    def test_list_and_ndarray_inputs_agree(self, case):
+        n, indices = case
+        from_list = bitset.from_indices(indices, n)
+        for dtype in (np.int64, np.int32):
+            from_array = bitset.from_indices(np.asarray(indices, dtype=dtype), n)
+            assert np.array_equal(from_list, from_array)
+        matrix = np.asarray(indices + indices, dtype=np.int64).reshape(2, -1)
+        assert np.array_equal(from_list, bitset.from_indices(matrix.ravel(), n))
+
+    @given(_universe_and_indices())
+    def test_membership_agrees_with_python_sets(self, case):
+        n, indices = case
+        bits = bitset.from_indices(indices, n)
+        probes = np.arange(n)
+        assert bitset.test_bits(bits, probes).tolist() == [
+            p in set(indices) for p in range(n)
+        ]
+
+    def test_empty_input(self):
+        for n in (1, 64, 65):
+            for empty in ([], np.empty(0, dtype=np.int64)):
+                bits = bitset.from_indices(empty, n)
+                assert bits.shape == (bitset.n_words(n),) and not bits.any()
+
+    def test_out_of_universe_index_is_rejected(self):
+        with pytest.raises(IndexError):
+            bitset.from_indices([128], 128)
 
 
 class TestSplitShares:
@@ -119,6 +182,33 @@ class TestSampling:
             assert max(row.tolist()) < m
 
 
+@st.composite
+def _gd_batch(draw):
+    n = draw(st.integers(min_value=2, max_value=200))
+    pid = st.integers(min_value=0, max_value=n - 1)
+    pools = draw(st.lists(st.lists(pid, max_size=40), min_size=1, max_size=12))
+    flat = draw(st.lists(pid, max_size=120))
+    return n, pools, flat
+
+
+class TestGdHitBatch:
+    @given(_gd_batch())
+    def test_matches_the_per_rumor_isin_unique_formulation(self, case):
+        n, pools, flat = case
+        flat = np.asarray(flat, dtype=np.int64)
+        stacked = np.stack([bitset.from_indices(pool, n) for pool in pools])
+        appropriate, hits = gd_hit_batch(stacked, bitset.to_flags(stacked), flat, n)
+        assert appropriate.shape == (len(pools),)
+        for r, pool in enumerate(pools):
+            # The reference the engine used before the batch kernel: one
+            # isin + unique per rumor over the class's draws.
+            in_pool = np.isin(flat, np.asarray(sorted(set(pool)), dtype=np.int64))
+            assert int(appropriate[r]) == int(in_pool.sum())
+            assert np.array_equal(
+                bitset.to_indices(hits[r], n), np.unique(flat[in_pool])
+            )
+
+
 class TestPerfRegistry:
     def test_fastcore_cases_registered_with_numpy(self):
         from repro.perf import case_keys, get_case
@@ -128,6 +218,8 @@ class TestPerfRegistry:
             "fastcore_bitset_membership",
             "fastcore_fragment_xor",
             "fastcore_fanout_sampling",
+            "fastcore_scatter_mask",
+            "fastcore_gd_hit_batch",
         ):
             assert key in keys
             case = get_case(key)
