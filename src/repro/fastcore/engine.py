@@ -805,15 +805,19 @@ class ArrayEngine:
             pool_bits = bitset.to_flags(pools)
             # Equivalence classes by which rumors each sender holds: all
             # senders in a class share the same target pool (minus self).
+            # A sender's signature is its column of ``holds`` packed to
+            # bytes, most significant first, so the lexicographic row sort
+            # visits classes in the numeric order of the bit pattern —
+            # whatever the number of live rumors.
             holds = bitset.test_bits(partials, senders)
-            membership = np.zeros(len(senders), dtype=np.int64)
-            for j, row in enumerate(holds):
-                membership |= row.astype(np.int64) << j
-            for signature in np.unique(membership):
-                class_senders = senders[membership == signature]
-                in_class = [j for j in range(len(live)) if (signature >> j) & 1]
-                if not in_class:
-                    continue
+            signature = np.packbits(holds, axis=0, bitorder="little")[::-1].T
+            _classes, first, class_of = np.unique(
+                signature, axis=0, return_index=True, return_inverse=True
+            )
+            class_of = class_of.reshape(-1)
+            for c, representative in enumerate(first):
+                class_senders = senders[class_of == c]
+                in_class = np.flatnonzero(holds[:, representative])
                 class_pools = pools[in_class]
                 union_pool = np.bitwise_or.reduce(class_pools, axis=0)
                 union_idx = bitset.to_indices(union_pool, self.n)

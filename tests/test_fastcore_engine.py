@@ -14,7 +14,8 @@ pytest.importorskip("numpy")
 
 from repro.core.config import CongosParams
 from repro.exec.tasks import RunSpec
-from repro.fastcore.engine import UnsupportedScenario
+from repro.fastcore import bitset
+from repro.fastcore.engine import ArrayEngine, UnsupportedScenario
 from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import steady_scenario
 from repro.obs.instrument import Telemetry
@@ -65,6 +66,56 @@ class TestArrayRun:
         result = run_scenario(_cell(), engine="array")
         assert result.scenario.engine == "array"
         assert result.qod.satisfied
+
+
+class TestGdSenderClasses:
+    """GroupDistribution sends by sender class — the set of rumors a sender
+    holds.  The class signature was one int64, so a block with more than
+    63 live rumors gave rumors #64+ to exactly the holders of rumor #63."""
+
+    def _crowded(self):
+        # 9 injections per round across a whole 16-round block: ~100 rumors
+        # share each GD block at n=64, and the ones injected in the block's
+        # last rounds (still spreading, so held by only part of the group)
+        # sit past position 63.
+        return steady_scenario(
+            n=64, rounds=120, seed=0, deadline=64, rate=9, period=1,
+            params=CongosParams.lean(), name="fastcore-gd-classes",
+        )
+
+    def test_a_class_sends_exactly_the_rumors_its_senders_hold(self, monkeypatch):
+        original = ArrayEngine._gd_send_class
+        most_live = [0]
+
+        def checked(engine, key, block, class_senders, union_idx, union_pool,
+                    class_states, *rest):
+            live = [
+                (state, partials) for state, partials in block.rumors
+                if engine.round <= state.expiry
+            ]
+            most_live[0] = max(most_live[0], len(live))
+            sent = set(map(id, class_states))
+            for state, partials in live:
+                holding = bitset.test_bits(partials, class_senders)
+                # block.hits[state] only grows from classes that send it.
+                assert holding.all() if id(state) in sent else not holding.any()
+            return original(
+                engine, key, block, class_senders, union_idx, union_pool,
+                class_states, *rest
+            )
+
+        monkeypatch.setattr(ArrayEngine, "_gd_send_class", checked)
+        result = run_congos_scenario(_array(self._crowded()))
+        assert most_live[0] >= 70
+        assert result.qod.satisfied and result.confidentiality.is_clean()
+
+    def test_crowded_block_delivers_the_object_engines_pairs(self):
+        scenario = self._crowded()
+        reference = run_congos_scenario(scenario)
+        candidate = run_congos_scenario(_array(scenario))
+        assert set(candidate.delivery.deliveries) == set(
+            reference.delivery.deliveries
+        )
 
 
 class TestScope:

@@ -150,9 +150,11 @@ def test_e15_soak_payload_digest():
 
 # The array engine draws from its own numpy streams, so its digests pin
 # the array round loop itself: a speed change there that moves an rng call,
-# a message count or a delivery round flips one of these.  Pinned at commit
-# 953e1b1 (before the dense-mask set algebra); the steady cell has a few
-# rumors in flight at n=256, the open cell dozens per GroupDistribution block.
+# a message count or a delivery round flips one of these.  The steady cell
+# (a few rumors in flight at n=256) was pinned at commit 953e1b1, before the
+# dense-mask set algebra; the open cell (more than 63 rumors per
+# GroupDistribution block) was re-pinned with the sender-class signature
+# fix, which changed who sends what in such blocks — af2218e8... before it.
 
 
 def test_array_steady_digest():
@@ -188,5 +190,5 @@ def test_array_open_digest():
     )
     assert (
         run_digest(spec)
-        == "af2218e8dfb9f07f84f88ccd0e9c60e3f9b4c9b49f07fb5d1b8eb9fe6da308a4"
+        == "8794d98b5a6cfa7dd91c3e123fe7fcd1d74ef3ce7417d1a95f98209dcf997fa0"
     )
