@@ -814,7 +814,7 @@ class ArrayEngine:
             _classes, first, class_of = np.unique(
                 signature, axis=0, return_index=True, return_inverse=True
             )
-            class_of = class_of.reshape(-1)
+            class_of = class_of.reshape(-1)  # (senders, 1) on numpy 2.0.0
             for c, representative in enumerate(first):
                 class_senders = senders[class_of == c]
                 in_class = np.flatnonzero(holds[:, representative])
@@ -862,7 +862,7 @@ class ArrayEngine:
         if not count:
             return
         flat = np.concatenate([t.ravel() for t in target_blocks])
-        appropriate, hits = gd_hit_batch(class_pools, class_pool_bits, flat, self.n)
+        appropriate, hits = gd_hit_batch(class_pools, class_pool_bits, flat)
         for j in np.flatnonzero(hits.any(axis=1)):
             state, new_mask = class_states[j], hits[j]
             bitset.union_into(block.hits[state], new_mask)

@@ -105,7 +105,7 @@ def sample_targets_excluding_self(
     return scope[draws]
 
 
-def gd_hit_batch(pools: np.ndarray, pool_bits: np.ndarray, flat: np.ndarray, n: int):
+def gd_hit_batch(pools: np.ndarray, pool_bits: np.ndarray, flat: np.ndarray):
     """Score one batch of GroupDistribution draws against ``R`` rumor pools.
 
     ``pools`` is the ``(R, words)`` stack of the rumors' target-pool
@@ -116,5 +116,6 @@ def gd_hit_batch(pools: np.ndarray, pool_bits: np.ndarray, flat: np.ndarray, n: 
     fragment-bearing message) and ``hits[r]`` is the bitset of distinct
     pids of pool ``r`` that were drawn.
     """
-    histogram = np.bincount(flat, minlength=pool_bits.shape[1])
-    return pool_bits @ histogram, pools & bitset.from_indices(flat, n)
+    universe = pool_bits.shape[1]
+    histogram = np.bincount(flat, minlength=universe)
+    return pool_bits @ histogram, pools & bitset.from_indices(flat, universe)

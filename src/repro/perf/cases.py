@@ -468,7 +468,7 @@ def _setup_fastcore_gd_hit_batch() -> Operation:
     def op() -> object:
         total = 0
         for _ in range(_GD_HIT_ROUNDS):
-            appropriate, hits = gd_hit_batch(pools, pool_bits, flat, n)
+            appropriate, hits = gd_hit_batch(pools, pool_bits, flat)
             total += int(appropriate.sum()) + bitset.popcount(hits)
         return total
 

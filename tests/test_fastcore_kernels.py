@@ -98,8 +98,6 @@ class TestFromIndicesProperties:
         for dtype in (np.int64, np.int32):
             from_array = bitset.from_indices(np.asarray(indices, dtype=dtype), n)
             assert np.array_equal(from_list, from_array)
-        matrix = np.asarray(indices + indices, dtype=np.int64).reshape(2, -1)
-        assert np.array_equal(from_list, bitset.from_indices(matrix.ravel(), n))
 
     @given(_universe_and_indices())
     def test_membership_agrees_with_python_sets(self, case):
@@ -197,7 +195,7 @@ class TestGdHitBatch:
         n, pools, flat = case
         flat = np.asarray(flat, dtype=np.int64)
         stacked = np.stack([bitset.from_indices(pool, n) for pool in pools])
-        appropriate, hits = gd_hit_batch(stacked, bitset.to_flags(stacked), flat, n)
+        appropriate, hits = gd_hit_batch(stacked, bitset.to_flags(stacked), flat)
         assert appropriate.shape == (len(pools),)
         for r, pool in enumerate(pools):
             # The reference the engine used before the batch kernel: one

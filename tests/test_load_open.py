@@ -355,8 +355,11 @@ class TestOpenDeterminism:
         assert strip(serial) == strip(pooled)
 
     def test_sharded_backend_matches_inproc(self):
+        # n=8, not 16: the sharded backend costs ~1.4 ms per routed message,
+        # and the arrival/admission stream (what this test is about) is just
+        # as busy — rate 2 against a budget of 1/round keeps a queue.
         scenario = open_scenario(
-            n=16, rounds=160, seed=3, rate=2.0, params=CongosParams.lean()
+            n=8, rounds=160, seed=3, rate=2.0, params=CongosParams.lean()
         )
         inproc = run_congos_scenario(scenario)
         sharded = run_congos_scenario(
