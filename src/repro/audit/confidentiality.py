@@ -27,11 +27,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.adversary.collusion import CoalitionStrategy, min_cover_size
 from repro.core.confidential_gossip import DirectAck
-from repro.gossip.rumor import Rumor, RumorId
+from repro.gossip.rumor import ItemBatch, Rumor, RumorId
 from repro.sim.engine import SimObserver
 from repro.sim.messages import Message, reveals_of
 
@@ -41,6 +43,15 @@ __all__ = [
     "ConfidentialityAuditor",
     "shed_rumor_leaks",
 ]
+
+
+# (borders, revealing) — see ConfidentialityAuditor._digest_batch.
+_BatchDigest = Tuple[Tuple[Tuple[RumorId, FrozenSet[int]], ...], ItemBatch]
+
+_ITEM_ATOMS = attrgetter("atoms")
+# The digest of a batch in which no item reveals anything: the common case,
+# shared so that it costs no allocation.
+_NOTHING_TO_AUDIT: _BatchDigest = ((), ItemBatch(()))
 
 
 def shed_rumor_leaks(result) -> List[str]:
@@ -128,28 +139,19 @@ class ConfidentialityAuditor(SimObserver):
         self.border_messages: Dict[RumorId, int] = defaultdict(int)
         self.total_border_messages = 0
         self._allowed_cache: Dict[RumorId, FrozenSet[int]] = {}
-        # Gossip items are immutable and re-broadcast many times; cache, per
-        # uid, the item's atoms plus the deduped rids of its fragment atoms
-        # (what border accounting needs per delivery), and remember which
-        # items each process has already absorbed.  Items that reveal no
-        # atoms at all (hitSet shares, confirmations — the bulk of gossip
-        # volume) can never affect the audit: their uids go in an inert set
-        # checked with a single lookup per delivery.
-        self._item_atoms: Dict[Tuple, Tuple[Tuple[Tuple, ...], Tuple]] = {}
-        self._inert_uids: Set[Tuple] = set()
+        # uids of the atom-bearing gossip items each process has absorbed.
         self._seen_items: Dict[int, Set[Tuple]] = defaultdict(set)
         # A sender reuses one payload tuple for its whole fanout, so each
         # batch is delivered many times per round.  Digest the batch once
-        # per payload object into (border frag rids, absorbable items) and
-        # reuse it for every delivery that round.  Keyed by id(), with the
-        # payload stored alongside its digest: the reference pins the
-        # object for the round (an id can otherwise be reused the moment
-        # its owner is collected — e.g. wire-decoded batches with no
-        # engine keeping them alive) and the identity check on lookup
-        # rejects any stale entry.  Cleared on round change.
-        self._batch_cache: Dict[
-            int, Tuple[Tuple, Optional[Tuple[Tuple, Tuple]]]
-        ] = {}
+        # per payload object (see _digest_batch) and reuse the digest for
+        # every delivery that round.  Keyed by id(), with the payload
+        # stored alongside its digest: the reference pins the object for
+        # the round (an id can otherwise be reused the moment its owner is
+        # collected — e.g. wire-decoded batches with no engine keeping
+        # them alive) and the identity check on lookup rejects any stale
+        # entry.  Cleared on round change.  This is the only batch-level
+        # cache; an item's atoms live on the GossipItem itself.
+        self._batch_cache: Dict[int, Tuple[Tuple, Optional[_BatchDigest]]] = {}
         self._batch_cache_round: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -165,8 +167,8 @@ class ConfidentialityAuditor(SimObserver):
         self.plaintext_holders[rumor.rid].add(pid)
 
     def on_deliver(self, round_no: int, message: Message) -> None:
+        src = message.src
         dst = message.dst
-        crossed_border: Set[RumorId] = set()
         payload = message.payload
         if isinstance(payload, DirectAck):
             # Fall through to normal absorption afterwards: a leaky ack's
@@ -175,82 +177,73 @@ class ConfidentialityAuditor(SimObserver):
         if isinstance(payload, tuple):
             # A gossip batch.  Digest it once per payload object per round
             # (see _digest_batch), then do only per-destination work here.
-            src = message.src
             if round_no != self._batch_cache_round:
                 self._batch_cache.clear()
                 self._batch_cache_round = round_no
-            cache = self._batch_cache
-            key = id(payload)
-            cached = cache.get(key)
+            cached = self._batch_cache.get(id(payload))
             if cached is not None and cached[0] is payload:
-                entry = cached[1]
+                digest = cached[1]
             else:
-                entry = self._digest_batch(payload)
-                cache[key] = (payload, entry)
-            if entry is None:
-                # Batch contains non-item entries; take the generic path.
-                self._absorb_atoms(
-                    round_no, src, dst, reveals_of(payload), crossed_border
-                )
-            else:
-                frag_rids, atom_items = entry
+                digest = self._digest_batch(payload)
+                self._batch_cache[id(payload)] = (payload, digest)
+            if digest is not None:
+                borders, revealing = digest
                 # Border copies are counted per message even for repeats
                 # (Theorem 12 counts message copies, not novel fragments).
-                is_border = self._is_border
-                for rid in frag_rids:
-                    if is_border(rid, src, dst):
-                        crossed_border.add(rid)
+                for rid, allowed in borders:
+                    if src in allowed and dst not in allowed:
+                        self.border_messages[rid] += 1
+                        self.total_border_messages += 1
                 seen = self._seen_items[dst]
-                for uid, atoms in atom_items:
-                    if uid not in seen:
-                        seen.add(uid)
-                        self._absorb_atoms(round_no, src, dst, atoms, None)
-        else:
-            self._absorb_atoms(
-                round_no, message.src, dst, message.reveals(), crossed_border
-            )
+                uids = revealing.uids
+                if not uids <= seen:
+                    # ``fresh`` iterates in hash order; select() puts the
+                    # absorbs back in batch order.
+                    fresh = uids - seen
+                    seen |= fresh
+                    for item in revealing.select(fresh):
+                        self._absorb_atoms(round_no, src, dst, item.atoms, None)
+                return
+            # Batch contains non-item entries; take the generic path.
+        crossed_border: Set[RumorId] = set()
+        self._absorb_atoms(round_no, src, dst, message.reveals(), crossed_border)
         for rid in crossed_border:
             self.border_messages[rid] += 1
             self.total_border_messages += 1
 
-    def _digest_batch(
-        self, payload: Tuple
-    ) -> Optional[Tuple[Tuple, Tuple]]:
+    def _digest_batch(self, payload: Tuple) -> Optional[_BatchDigest]:
         """Destination-independent digest of one gossip batch.
 
-        Returns ``(frag_rids, atom_items)``: the deduped rids of all
-        fragment atoms in the batch (for per-message border accounting) and
-        the ``(uid, atoms)`` pairs of items that reveal anything (for
-        per-destination absorption).  Returns ``None`` when the batch holds
-        entries without a uid — callers then walk the payload generically.
+        Returns ``(borders, revealing)``:
+
+        * ``borders`` — for per-message border accounting, the deduped
+          rids of all fragment atoms in the batch, each with its allowed
+          set resolved here, once, instead of once per delivery;
+        * ``revealing`` — the items that reveal anything, as an
+          :class:`ItemBatch` of their own (hitSet shares, confirmations —
+          the bulk of gossip volume — reveal nothing and can never affect
+          the audit).  A delivery to a process that absorbed them all is
+          one subset test on its uid set; otherwise ``select`` yields the
+          rest in batch order.
+
+        Atoms are read off the item objects in one C pass, so an atom-less
+        item costs no Python-level work and no uid hash.  Returns ``None``
+        when the batch holds entries that are not gossip items — callers
+        then walk the payload generically.
         """
-        item_info = self._item_atoms
-        inert = self._inert_uids
-        frag_rids: Dict = {}
-        atom_items: List[Tuple[Tuple, Tuple[Tuple, ...]]] = []
-        for item in payload:
-            uid = getattr(item, "uid", None)
-            if uid is None:
-                return None
-            if uid in inert:
-                continue
-            info = item_info.get(uid)
-            if info is None:
-                atoms = tuple(reveals_of(item))
-                if not atoms:
-                    inert.add(uid)
-                    continue
-                info = (
-                    atoms,
-                    tuple(
-                        dict.fromkeys(a[1] for a in atoms if a[0] == "fragment")
-                    ),
-                )
-                item_info[uid] = info
-            atom_items.append((uid, info[0]))
-            for rid in info[1]:
-                frag_rids[rid] = None
-        return tuple(frag_rids), tuple(atom_items)
+        try:
+            atoms_of = list(map(_ITEM_ATOMS, payload))
+        except AttributeError:
+            return None
+        if not any(atoms_of):
+            return _NOTHING_TO_AUDIT
+        frag_rids: Dict[RumorId, None] = {}
+        for atoms in filter(None, atoms_of):
+            for atom in atoms:
+                if atom[0] == "fragment":
+                    frag_rids[atom[1]] = None
+        borders = tuple((rid, self.allowed_set(rid)) for rid in frag_rids)
+        return borders, ItemBatch(compress(payload, atoms_of))
 
     def _absorb_atoms(
         self,

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.gossip.epidemic import default_fanout
 from repro.gossip.expander import ShiftExpander
 from repro.gossip.filter import GroupFilter
-from repro.gossip.rumor import GossipItem
+from repro.gossip.rumor import GossipItem, ItemBatch
 from repro.gossip.service import SubService
 from repro.obs.instrument import NULL_TELEMETRY
 from repro.sim.messages import Message, ServiceTags
@@ -40,14 +41,8 @@ __all__ = ["ContinuousGossip"]
 DeliverCallback = Callable[[int, GossipItem], None]
 
 
-# Sentinel "no active item" expiry: larger than any real round number.
-_NO_EXPIRY = 2 ** 63
-
-
-def _backoff_due(age: int, horizon: int) -> bool:
-    """True at exponentially spaced ages past the resend horizon."""
-    offset = age - horizon
-    return offset >= 1 and (offset & (offset - 1)) == 0
+# Sentinel for "no item": larger than any real round number.
+_NEVER = 2 ** 63
 
 
 class ContinuousGossip(SubService):
@@ -109,18 +104,33 @@ class ContinuousGossip(SubService):
 
         self._active: Dict[Tuple, GossipItem] = {}
         # The subset of _active still within the resend horizon, in the
-        # same insertion order.  Items leave exactly once (on aging out or
-        # expiry), so the per-round send scan touches only items actually
-        # being re-broadcast instead of every silent-but-unexpired item.
-        # With resend_backoff the silent tail wakes up again, so that path
-        # filters _active directly.
+        # same insertion order.  A round's batch is this dict as it stands:
+        # its values are the payload and frozenset(dict) — a C copy that
+        # reuses the stored hashes — is the payload's uid set.  Items leave
+        # exactly once (on aging out or expiry).
         self._broadcast: Dict[Tuple, GossipItem] = {}
+        # That batch, kept while _broadcast does not change: between two
+        # waves of new items a saturated process resends the very same
+        # object round after round (every batch built is three containers
+        # the cyclic GC has to walk).
+        self._standing: Optional[ItemBatch] = None
+        # Lower bound on the oldest ``born`` in _broadcast: the aging-out
+        # scan runs only in rounds where it can find something.
+        self._min_born: int = _NEVER
+        # id(item) -> arrival index, for every active item.  Needed only to
+        # put a woken item (see _wake) back between its neighbours; keyed
+        # by identity so that merge never hashes a uid.  _active pins the
+        # items, so an id cannot be reused while its entry lives.
+        self._arrival: Dict[int, int] = {}
+        self._arrivals = 0
+        # resend_backoff only: round -> aged-out items to send again then.
+        self._wake: Dict[int, List[GossipItem]] = {}
         self._seen: set = set()
         self._pending_delivery: List[GossipItem] = []
         self._inject_seq = 0
         # Earliest expiry among active items; lets _expire() skip the sweep
         # in rounds where nothing can have expired (the common case).
-        self._min_expiry: int = _NO_EXPIRY
+        self._min_expiry: int = _NEVER
         # Target-selection caches (the scope is immutable).
         self._peers: List[int] = sorted(self.filter.scope - {pid})
         self._fanout: int = default_fanout(len(self.filter.scope), fanout_scale)
@@ -173,10 +183,7 @@ class ContinuousGossip(SubService):
             born=round_no,
         )
         self._seen.add(uid)
-        self._active[uid] = item
-        self._broadcast[uid] = item
-        if item.expiry < self._min_expiry:
-            self._min_expiry = item.expiry
+        self._activate(item)
         if self.telemetry.enabled:
             self.telemetry.metrics.counter(
                 "gossip.injected", service=self.service
@@ -206,46 +213,47 @@ class ContinuousGossip(SubService):
         self._expire(round_no)
         if not self._active:
             return []
-        horizon = self.resend_horizon
-        if self.resend_backoff:
-            items = tuple(
-                item
-                for item in self._active.values()
-                if round_no - item.born <= horizon
-                or _backoff_due(round_no - item.born, horizon)
-            )
-        else:
-            broadcast = self._broadcast
-            cutoff = round_no - horizon
-            stale = [
-                uid for uid, item in broadcast.items() if item.born < cutoff
-            ]
-            for uid in stale:
-                del broadcast[uid]
-            items = tuple(broadcast.values())
+        batch = self._batch(round_no)
         messages: List[Message] = []
         targets: List[int] = []
-        if items:
+        if batch:
             targets = self._choose_targets(round_no)
+            size = len(batch)
             for target in targets:
-                messages.append(self.make_message(target, items, size=len(items)))
+                messages.append(self.make_message(target, batch, size=size))
         if self.reliable:
             messages.extend(self._flush_expiring(round_no, set(targets)))
         return self.filter.apply(messages)
 
     def on_message(self, round_no: int, message: Message) -> None:
-        payload = message.payload
-        if not isinstance(payload, tuple):
-            raise TypeError(
-                "gossip channel {!r} received non-batch payload".format(self.channel)
-            )
-        # Inlined seen-check: batches are dominated by already-seen items
-        # once the epidemic saturates, so skip the _absorb call for them.
+        batch = message.payload
+        if type(batch) is not ItemBatch:
+            if not isinstance(batch, tuple):
+                raise TypeError(
+                    "gossip channel {!r} received non-batch payload".format(
+                        self.channel
+                    )
+                )
+            # A plain tuple (the reliable-mode expiry flush, a test): same
+            # path, deriving its own uids.
+            batch = ItemBatch(batch)
+        # Batches are dominated by already-seen items once the epidemic
+        # saturates: rule the whole batch out, or find what is new in it,
+        # with set algebra on stored hashes.  ``fresh`` is a set, so its
+        # order is hash-seed dependent; select() restores batch order.
         seen = self._seen
-        absorb = self._absorb
-        for item in payload:
-            if item.uid not in seen:
-                absorb(round_no, item)
+        uids = batch.uids
+        if uids <= seen:
+            return
+        fresh = uids - seen
+        seen |= fresh
+        pid = self.pid
+        for item in batch.select(fresh):
+            if round_no > item.expiry:
+                continue
+            self._activate(item)
+            if pid in item.dest:
+                self._pending_delivery.append(item)
 
     def end_round(self, round_no: int) -> None:
         pending, self._pending_delivery = self._pending_delivery, []
@@ -292,19 +300,77 @@ class ContinuousGossip(SubService):
                 flushes.append(self.make_message(dst, batch, size=1))
         return flushes
 
-    def _absorb(self, round_no: int, item: GossipItem) -> None:
-        if item.uid in self._seen:
-            return
-        self._seen.add(item.uid)
-        expiry = item.expiry
-        if round_no > expiry:
-            return
-        self._active[item.uid] = item
-        self._broadcast[item.uid] = item
-        if expiry < self._min_expiry:
-            self._min_expiry = expiry
-        if self.pid in item.dest:
-            self._pending_delivery.append(item)
+    def _activate(self, item: GossipItem) -> None:
+        """Start (re)broadcasting an item whose uid was just marked seen."""
+        uid = item.uid
+        self._active[uid] = item
+        self._broadcast[uid] = item
+        self._standing = None
+        self._arrival[id(item)] = self._arrivals
+        self._arrivals += 1
+        if item.born < self._min_born:
+            self._min_born = item.born
+        if item.expiry < self._min_expiry:
+            self._min_expiry = item.expiry
+
+    def _batch(self, round_no: int) -> ItemBatch:
+        """This round's payload, in arrival order: every active item within
+        the resend horizon plus, under ``resend_backoff``, the aged-out
+        items whose wake-up falls on this round."""
+        if self._min_born < round_no - self.resend_horizon:
+            self._age_out(round_no)
+        batch = self._standing
+        if batch is None:
+            broadcast = self._broadcast
+            batch = self._standing = ItemBatch(
+                broadcast.values(), frozenset(broadcast)
+            )
+        due = self._wake_due(round_no) if self._wake else ()
+        if not due:
+            return batch
+        arrival = self._arrival
+        return ItemBatch(
+            sorted(chain(batch, due), key=lambda item: arrival[id(item)]),
+            batch.uids.union(item.uid for item in due),
+        )
+
+    def _age_out(self, round_no: int) -> None:
+        """Drop items past the resend horizon from the broadcast set."""
+        broadcast = self._broadcast
+        cutoff = round_no - self.resend_horizon
+        stale = [uid for uid, item in broadcast.items() if item.born < cutoff]
+        if stale:
+            self._standing = None
+        for uid in stale:
+            item = broadcast.pop(uid)
+            if self.resend_backoff:
+                self._sleep(item, round_no)
+        self._min_born = min(
+            (item.born for item in broadcast.values()), default=_NEVER
+        )
+
+    def _sleep(self, item: GossipItem, not_before: int) -> None:
+        """Schedule an aged-out item's next backoff send: the first round
+        >= ``not_before`` whose age past the horizon is a power of two
+        (horizon+1, +2, +4, ...).  Past its expiry the item just stays
+        silent."""
+        base = item.born + self.resend_horizon
+        offset = max(1, not_before - base)
+        wake = base + (1 << (offset - 1).bit_length())
+        if wake <= item.expiry:
+            self._wake.setdefault(wake, []).append(item)
+
+    def _wake_due(self, round_no: int) -> List[GossipItem]:
+        """Pop the items due this round and schedule their next wake-up."""
+        wake = self._wake
+        for missed in [r for r in wake if r < round_no]:
+            # send_phase was not called that round; no catching up.
+            for item in wake.pop(missed):
+                self._sleep(item, round_no)
+        due = wake.pop(round_no, [])
+        for item in due:
+            self._sleep(item, round_no + 1)
+        return due
 
     def _expire(self, round_no: int) -> None:
         if round_no <= self._min_expiry:
@@ -313,8 +379,9 @@ class ContinuousGossip(SubService):
         broadcast = self._broadcast
         dead = [uid for uid, item in active.items() if item.expiry < round_no]
         for uid in dead:
-            del active[uid]
-            broadcast.pop(uid, None)
-        self._min_expiry = (
-            min(item.expiry for item in active.values()) if active else _NO_EXPIRY
+            del self._arrival[id(active.pop(uid))]
+            if broadcast.pop(uid, None) is not None:
+                self._standing = None
+        self._min_expiry = min(
+            (item.expiry for item in active.values()), default=_NEVER
         )

@@ -11,11 +11,13 @@ round and destination scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, Optional, Tuple
+from functools import cached_property
+from operator import attrgetter
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.sim.messages import KnowledgeAtom, plaintext_atom, reveals_of
 
-__all__ = ["RumorId", "Rumor", "GossipItem", "make_rumor"]
+__all__ = ["RumorId", "Rumor", "GossipItem", "ItemBatch", "make_rumor"]
 
 
 @dataclass(frozen=True, order=True)
@@ -132,5 +134,76 @@ class GossipItem:
         """A gossip item reveals whatever its payload reveals."""
         return reveals_of(self.payload)
 
+    @cached_property
+    def atoms(self) -> Tuple[KnowledgeAtom, ...]:
+        """``tuple(self.reveals())``, resolved on first read.
+
+        An item is immutable and re-broadcast for many rounds, and the
+        audit reads its atoms on every one of them; a process that never
+        audits (a shard worker) never pays.  Not a dataclass field, so
+        equality, ``repr`` and the wire codec never see it
+        (``cached_property`` writes the instance dict directly, which a
+        frozen dataclass allows).
+        """
+        return tuple(reveals_of(self.payload))
+
     def expired(self, round_no: int) -> bool:
         return round_no > self.expiry
+
+
+_ITEM_UID = attrgetter("uid")
+
+
+class ItemBatch(tuple):
+    """The items one sender pushes in one round, with their uid set.
+
+    A sender hands the *same* batch object to its whole fanout, and once
+    the epidemic saturates nearly every item in it is one the receiver
+    already has.  The batch is therefore the unit of work on the receive
+    path: ``uids`` lets a receiver rule the whole batch out with one C
+    subset test and find what is new with one set difference, and
+    :meth:`select` turns that difference back into items in batch order —
+    so no per-item Python work is spent on items already known.
+
+    It is a plain ``tuple`` to everything else (the auditor, the wire
+    codec, ``reveals_of``).  The codec writes it as a plain tuple and
+    rebuilds it on decode; a payload that does arrive as a plain tuple (a
+    test, the reliable-mode expiry flush) is wrapped by the receiver and
+    goes down the same path, deriving ``uids`` itself.
+
+    Set iteration order depends on ``PYTHONHASHSEED`` (uids contain
+    ``str``): ``uids`` and anything derived from it may be used for
+    membership and set algebra only.  Order always comes from the tuple.
+    """
+
+    # A tuple subclass cannot declare non-empty __slots__; ``uids`` and the
+    # lazily built position index live in the instance dict.
+
+    uids: FrozenSet[Tuple]
+
+    def __new__(
+        cls, items: Iterable[GossipItem], uids: Optional[FrozenSet[Tuple]] = None
+    ) -> "ItemBatch":
+        self = super().__new__(cls, items)
+        # A sender already holds the set (its broadcast dict's keys, hashes
+        # included) and passes it in; anyone else's batch derives it here.
+        self.uids = frozenset(map(_ITEM_UID, self)) if uids is None else uids
+        return self
+
+    @cached_property
+    def _positions(self) -> Dict[Tuple, int]:
+        """uid -> index of its first occurrence; built once per batch, and
+        only if some receiver finds something new in it."""
+        positions: Dict[Tuple, int] = {}
+        for index, item in enumerate(self):
+            positions.setdefault(item.uid, index)
+        return positions
+
+    def select(self, uids: Iterable[Tuple]) -> List[GossipItem]:
+        """The items with these uids (first occurrence each), in batch order.
+
+        Hashes only the uids asked for, and sorts their positions: the
+        order of the argument (a set, typically) never reaches the result.
+        """
+        positions = self._positions
+        return [self[index] for index in sorted(map(positions.__getitem__, uids))]

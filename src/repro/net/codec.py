@@ -25,7 +25,11 @@ identity: a gossip fanout of one payload tuple to thirty recipients
 writes the payload once, and *decoding shares a single payload object*
 across the reconstructed messages.  That preserves both wire size and
 the ``id(payload)``-keyed per-round batch cache in
-:class:`repro.audit.confidentiality.ConfidentialityAuditor`.
+:class:`repro.audit.confidentiality.ConfidentialityAuditor`.  A gossip
+batch (:class:`~repro.gossip.rumor.ItemBatch`) is written as the plain
+tuple it subclasses — same tag, same bytes — and a decoded message
+payload that is a tuple of gossip items comes back as an ``ItemBatch``,
+so its receivers share one uid set as they do in-process.
 
 Frames (:func:`encode_frame`) carry a magic + version header so a peer
 speaking a different wire version fails loudly instead of misparsing.
@@ -44,7 +48,7 @@ from repro.core.group_distribution import (
 )
 from repro.core.proxy import ProxyAck, ProxyRequest, ProxyShare
 from repro.core.splitting import Fragment
-from repro.gossip.rumor import GossipItem, Rumor, RumorId
+from repro.gossip.rumor import GossipItem, ItemBatch, Rumor, RumorId
 from repro.sim.messages import Message
 
 __all__ = [
@@ -234,6 +238,12 @@ def _encode(value: Any, out: bytearray) -> None:
     else:
         entry = _TYPE_TAGS.get(kind)
         if entry is None:
+            if kind is ItemBatch:
+                # A gossip batch is its items: the uid set it carries
+                # in-process is derived data, so it travels (and decodes)
+                # as the plain tuple it subclasses.
+                _encode(tuple(value), out)
+                return
             raise CodecError(
                 "refusing to serialize unregistered type {!r}; register it "
                 "in repro.net.codec.WIRE_TYPES if it is a legitimate "
@@ -371,6 +381,11 @@ def decode_tagged_messages(
     payloads: List[Any] = []
     for _ in range(count):
         payload, pos = _decode(data, pos)
+        if type(payload) is tuple and set(map(type, payload)) == {GossipItem}:
+            # A gossip batch gets its uid set back here, once per payload
+            # object — the messages below share it — instead of once per
+            # delivery at every receiver.
+            payload = ItemBatch(payload)
         payloads.append(payload)
     count, pos = _read_uvarint(data, pos)
     entries: List[Tuple[Tuple[int, ...], Message]] = []

@@ -46,6 +46,7 @@ the in-process run, by induction over rounds.
 from __future__ import annotations
 
 import hashlib
+import sys
 import time
 import traceback
 from typing import Dict, List, Optional, Set, Tuple
@@ -61,7 +62,7 @@ from repro.net.codec import (
     encode_frame,
     encode_tagged_messages,
 )
-from repro.net.transport import get_transport
+from repro.net.transport import TransportClosed, get_transport
 from repro.obs.instrument import Telemetry
 from repro.obs.sink import SequenceSink
 from repro.sim.messages import Message
@@ -414,14 +415,21 @@ def worker_main(config: Dict[str, object]) -> None:
                         )
                     )
         except Exception:
-            connection.send(
-                encode_frame(
-                    "error",
-                    {
-                        "worker": int(config.get("worker", -1)),  # type: ignore[arg-type]
-                        "traceback": traceback.format_exc(),
-                    },
-                )
+            wid = int(config.get("worker", -1))  # type: ignore[arg-type]
+            report = encode_frame(
+                "error", {"worker": wid, "traceback": traceback.format_exc()}
             )
+            try:
+                connection.send(report)
+            except TransportClosed:
+                # The coordinator tears the whole pool down when one worker
+                # fails, so a surviving worker's own failure (usually just
+                # its recv hitting the closed socket) has nobody left to
+                # report to.  Say so in one line, not a chained traceback.
+                print(
+                    "repro.net worker {}: coordinator connection closed, "
+                    "exiting".format(wid),
+                    file=sys.stderr,
+                )
     finally:
         connection.close()

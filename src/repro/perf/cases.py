@@ -196,6 +196,99 @@ def _setup_continuous_round() -> Operation:
     return op
 
 
+_FANOUT_RECEIVERS = 8
+_FANOUT_ROUNDS_PER_OP = 16
+_FANOUT_STANDING_ITEMS = 75
+
+
+def _setup_gossip_receive_saturated() -> Operation:
+    # The steady state of a saturated epidemic: every round each of 8
+    # receivers is handed the sender's ~76-item batch (one object for the
+    # whole fanout) and already has all of it — except, every fourth
+    # round, one newly born item (on the ledger's steady_object about one
+    # gossip message in five brings anything new).  continuous_round above
+    # feeds a single receiver; this is the fan-out shape the per-batch
+    # receive path is built for.
+    from repro.sim.messages import Message
+
+    sender = _make_gossip(0)
+    receivers = [_make_gossip(pid) for pid in range(1, _FANOUT_RECEIVERS + 1)]
+    for i in range(_FANOUT_STANDING_ITEMS):
+        sender.inject(0, payload=("blob", i), deadline=48, dest=range(32))
+    warm = sender.send_phase(0)[0]
+    for receiver in receivers:
+        receiver.on_message(0, warm)
+        receiver.end_round(0)
+
+    def op() -> object:
+        absorbed = 0
+        for round_no in range(1, _FANOUT_ROUNDS_PER_OP + 1):
+            if round_no % 4 == 1:
+                sender.inject(
+                    round_no, payload=("new", round_no), deadline=4,
+                    dest=range(32),
+                )
+            first = sender.send_phase(round_no)[0]
+            for receiver in receivers:
+                receiver.on_message(
+                    round_no,
+                    Message(
+                        0, receiver.pid, first.service, first.payload,
+                        first.size, first.channel,
+                    ),
+                )
+                receiver.end_round(round_no)
+            absorbed += len(first.payload)
+        return absorbed
+
+    return op
+
+
+def _setup_audit_batch_fanout() -> Operation:
+    # The same shape seen by the auditor: a ~76-item batch, mostly
+    # atom-less shares plus the fragments of two rumors, delivered to 8
+    # destinations per round as one payload object.
+    from repro.audit.confidentiality import ConfidentialityAuditor
+    from repro.core.splitting import split_rumor
+    from repro.gossip.rumor import GossipItem, Rumor, RumorId
+    from repro.sim.messages import Message, ServiceTags
+
+    everyone = frozenset(range(32))
+    rumors = [
+        Rumor(RumorId(src, 0), b"perf-secret-bytes", 64, frozenset({1, 2, 3}))
+        for src in (0, 9)
+    ]
+    standing = [
+        GossipItem(frag.uid, rumor.rid.src, frag, 100, everyone)
+        for rumor in rumors
+        for partition in range(2)
+        for frag in split_rumor(rumor, partition, 2, random.Random(5), 64, 100)
+    ]
+    standing += [
+        GossipItem(("perf/gd", "share", i, 0), i % 32, ("hits", i), 100, everyone)
+        for i in range(_FANOUT_STANDING_ITEMS - len(standing))
+    ]
+
+    def op() -> object:
+        auditor = ConfidentialityAuditor(num_partitions=2, num_groups=2)
+        for rumor in rumors:
+            auditor.on_inject(0, rumor.rid.src, rumor)
+        for round_no in range(1, _FANOUT_ROUNDS_PER_OP + 1):
+            newcomer = GossipItem(
+                ("perf/gd", "share", 0, round_no), 0, ("hits", round_no),
+                100, everyone,
+            )
+            batch = (*standing, newcomer)
+            for dst in range(1, _FANOUT_RECEIVERS + 1):
+                auditor.on_deliver(
+                    round_no,
+                    Message(0, dst, ServiceTags.GROUP_GOSSIP, batch, len(batch)),
+                )
+        return auditor.total_border_messages
+
+    return op
+
+
 def _setup_audit_deliver() -> Operation:
     from repro.audit.confidentiality import ConfidentialityAuditor
     from repro.gossip.rumor import GossipItem
@@ -325,6 +418,30 @@ register_case(
         setup=_setup_continuous_round,
         ops=11,
         tags=("gossip", "micro"),
+    )
+)
+register_case(
+    PerfCase(
+        key="gossip_receive_saturated",
+        title="ContinuousGossip.on_message, saturated (76-item batch x "
+        "{} receivers x {} rounds)".format(
+            _FANOUT_RECEIVERS, _FANOUT_ROUNDS_PER_OP
+        ),
+        setup=_setup_gossip_receive_saturated,
+        ops=_FANOUT_RECEIVERS * _FANOUT_ROUNDS_PER_OP,
+        tags=("gossip", "micro"),
+    )
+)
+register_case(
+    PerfCase(
+        key="audit_batch_fanout",
+        title="ConfidentialityAuditor.on_deliver, one batch fanned out "
+        "(76 items x {} dsts x {} rounds)".format(
+            _FANOUT_RECEIVERS, _FANOUT_ROUNDS_PER_OP
+        ),
+        setup=_setup_audit_batch_fanout,
+        ops=_FANOUT_RECEIVERS * _FANOUT_ROUNDS_PER_OP,
+        tags=("audit", "micro"),
     )
 )
 register_case(

@@ -1,14 +1,16 @@
 """Tests for repro.audit.confidentiality: the knowledge auditor."""
 
 import random
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.adversary.collusion import GreedyCoalition
 from repro.audit.confidentiality import ConfidentialityAuditor
 from repro.core.splitting import split_rumor
-from repro.gossip.rumor import GossipItem
-from repro.sim.messages import ServiceTags
+from repro.gossip.rumor import GossipItem, ItemBatch
+from repro.sim.messages import ServiceTags, reveals_of
 
 from conftest import mk_message, mk_rumor
 
@@ -223,3 +225,123 @@ class TestSummary:
         auditor = make_auditor()
         summary = auditor.summary()
         assert set(summary) == {"rumors", "violations", "border_messages"}
+
+
+# ----------------------------------------------------------------------
+# Batch digest vs. the per-item reference
+# ----------------------------------------------------------------------
+
+
+class PerItemAuditor(ConfidentialityAuditor):
+    """The reference: a gossip batch audited one item at a time.
+
+    Only ``on_deliver``'s batch handling is re-implemented; the verdict
+    logic (``_absorb_atoms``, ``_is_border``) is the auditor's own, so any
+    disagreement is the batch digest's doing.
+    """
+
+    def __init__(self, num_partitions, num_groups):
+        super().__init__(num_partitions, num_groups)
+        self.absorbed = defaultdict(set)
+
+    def on_deliver(self, round_no, message):
+        src, dst = message.src, message.dst
+        crossed = []
+        for item in message.payload:
+            atoms = tuple(reveals_of(item))
+            for atom in atoms:
+                if (
+                    atom[0] == "fragment"
+                    and atom[1] not in crossed
+                    and self._is_border(atom[1], src, dst)
+                ):
+                    crossed.append(atom[1])
+            if atoms and item.uid not in self.absorbed[dst]:
+                self.absorbed[dst].add(item.uid)
+                self._absorb_atoms(round_no, src, dst, atoms, None)
+        for rid in crossed:
+            self.border_messages[rid] += 1
+            self.total_border_messages += 1
+
+
+def audit_state(auditor):
+    return {
+        "knowledge": {p: a for p, a in auditor.knowledge.items() if a},
+        "fragment_holders": {
+            k: h for k, h in auditor.fragment_holders.items() if h
+        },
+        "plaintext_holders": dict(auditor.plaintext_holders),
+        "border_messages": dict(auditor.border_messages),
+        "total_border_messages": auditor.total_border_messages,
+        "violations": auditor.violations,
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_batch_digest_matches_per_item_reference(data):
+    draw = data.draw
+    n, partitions, groups = 6, 2, 2
+    # Two rumors; pid 5 is in neither destination set and is no source,
+    # so there is always an outsider to leak to.
+    rumors = [
+        mk_rumor(src=0, seq=0, dest=draw(st.sets(st.integers(1, 4), min_size=1))),
+        mk_rumor(src=1, seq=1, dest=draw(st.sets(st.integers(2, 4), min_size=1))),
+    ]
+    pool = []
+    for rumor in rumors:
+        for partition in range(partitions):
+            for frag in fragments_for(rumor, partition, groups):
+                pool.append(GossipItem(
+                    uid=frag.uid, origin=rumor.rid.src, payload=frag,
+                    expiry=50, dest=frozenset(range(n)),
+                ))
+    for index in range(6):
+        pool.append(GossipItem(
+            uid=("gd/64/0", "share", index), origin=index % n,
+            payload=("hitset", index), expiry=50, dest=frozenset(range(n)),
+        ))
+    leak = GossipItem(
+        uid=("leak", rumors[0].rid), origin=0, payload=rumors[0],
+        expiry=50, dest=frozenset(range(n)),
+    )
+    pool.append(leak)
+
+    batched = ConfidentialityAuditor(partitions, groups)
+    reference = PerItemAuditor(partitions, groups)
+    in_flight = []
+
+    def deliver(round_no, src, dst, payload):
+        message = mk_message(
+            src=src, dst=dst, service=ServiceTags.GROUP_GOSSIP, payload=payload
+        )
+        batched.on_deliver(round_no, message)
+        reference.on_deliver(round_no, message)
+
+    for round_no in range(draw(st.integers(1, 6), label="rounds")):
+        if round_no < len(rumors):  # injections open a round, as in the engine
+            for auditor in (batched, reference):
+                auditor.on_inject(
+                    round_no, rumors[round_no].rid.src, rumors[round_no]
+                )
+        for _ in range(draw(st.integers(0, 4))):
+            if in_flight and draw(st.booleans()):
+                src, payload = draw(st.sampled_from(in_flight))  # late copy
+            else:
+                chosen = draw(st.lists(st.sampled_from(pool), max_size=16))
+                payload = draw(st.sampled_from([tuple, ItemBatch]))(chosen)
+                src = draw(st.integers(0, n - 1))
+                in_flight.append((src, payload))
+            # One payload object, fanned out (possibly twice to one pid).
+            for dst in draw(st.lists(st.integers(0, n - 1), max_size=5)):
+                deliver(round_no, src, dst, payload)
+        assert audit_state(batched) == audit_state(reference)
+
+    # The planted leak: the auditor must still bite, on both paths alike.
+    deliver(7, 0, 5, ItemBatch(pool))
+    assert audit_state(batched) == audit_state(reference)
+    assert not batched.is_clean()
+    assert any(
+        v.kind == "plaintext" and v.pid == 5 and v.rid == rumors[0].rid
+        for v in batched.violations
+    )

@@ -1,11 +1,13 @@
 """Tests for the graceful-degradation knobs: defaults reproduce the
 paper-exact behavior bit for bit, hardened mode stays correct and clean."""
 
+import random
+
 import pytest
 
 from repro.core.config import CongosParams
 from repro.core.confidential_gossip import CachedRumor
-from repro.gossip.continuous import _backoff_due
+from repro.gossip.continuous import ContinuousGossip
 from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import chaos_scenario, steady_scenario
 
@@ -64,13 +66,27 @@ class TestEarlyFallback:
 
 
 class TestResendBackoff:
+    @staticmethod
+    def sending_ages(horizon, last_age, **kwargs):
+        """Ages at which a lone item injected in round 0 is (re)sent."""
+        gossip = ContinuousGossip(
+            pid=0, n=4, channel="t/backoff", scope=range(4),
+            rng=random.Random(0), resend_horizon=horizon, **kwargs,
+        )
+        gossip.inject(0, payload="p", deadline=last_age, dest=range(4))
+        return [
+            age for age in range(1, last_age + 1) if gossip.send_phase(age)
+        ]
+
     def test_power_of_two_offsets_past_horizon(self):
-        horizon = 8
-        due = [age for age in range(9, 40) if _backoff_due(age, horizon)]
-        assert due == [9, 10, 12, 16, 24, 40][: len(due)]
+        ages = self.sending_ages(8, 40, resend_backoff=True)
+        assert [age for age in ages if age > 8] == [9, 10, 12, 16, 24, 40]
 
     def test_never_due_within_horizon(self):
-        assert not any(_backoff_due(age, 8) for age in range(0, 9))
+        # Within the horizon backoff changes nothing: every round sends,
+        # with or without it; past it only backoff sends at all.
+        assert self.sending_ages(8, 8, resend_backoff=True) == list(range(1, 9))
+        assert self.sending_ages(8, 40) == list(range(1, 9))
 
 
 class TestDefaultPathBitIdentity:

@@ -7,8 +7,12 @@ tests in ``test_golden_digests.py`` pin the composition).
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
+import repro
 from repro.audit.confidentiality import ConfidentialityAuditor
 from repro.gossip.continuous import ContinuousGossip
 from repro.gossip.epidemic import _POOL_CACHE, choose_push_targets
@@ -337,6 +341,8 @@ class TestAuditorBatchCache:
         assert list(auditor._batch_cache) == [id(payload)]
 
     def test_atomless_items_become_inert(self):
+        # Items that reveal nothing (hitSet shares, confirmations) must
+        # never touch the audit state, however often they are delivered.
         items = tuple(
             GossipItem(
                 uid=("inert", i),
@@ -348,6 +354,87 @@ class TestAuditorBatchCache:
             for i in range(3)
         )
         auditor = ConfidentialityAuditor(num_partitions=4, num_groups=2)
-        self._deliver_all(auditor, items, dsts=[1, 2], rounds=[0])
-        assert {item.uid for item in items} <= auditor._inert_uids
-        assert auditor.knowledge.get(1, set()) == set()
+        self._deliver_all(auditor, items, dsts=[1, 2], rounds=[0, 1])
+        assert not any(auditor.knowledge.values())
+        assert not auditor.fragment_holders
+        assert auditor.total_border_messages == 0
+        assert auditor.violations == []
+        # ... and do not hide the atom-bearing items that share their batch.
+        mixed = items + frag_items(2)
+        self._deliver_all(auditor, mixed, dsts=[1], rounds=[2])
+        assert auditor.knowledge[1] == {
+            fragment_atom("r0", 0, 0), fragment_atom("r0", 1, 0)
+        }
+        assert not auditor.knowledge.get(2)
+
+
+# ----------------------------------------------------------------------
+# Hash-seed independence
+# ----------------------------------------------------------------------
+
+_DIGEST_SCRIPT = """
+import hashlib
+from repro import api
+from repro.exec.results import RunRecord
+from repro.exec.tasks import canonical_json
+from repro.sim.engine import SimObserver
+
+
+class WireOrder(SimObserver):
+    # Every delivered message with its batch's uids *in batch order*: the
+    # run record alone is too coarse to notice two items swapping places.
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def on_deliver(self, round_no, message):
+        payload = message.payload
+        uids = (
+            [repr(item.uid) for item in payload]
+            if isinstance(payload, tuple) else type(payload).__name__
+        )
+        self.sha.update(repr(
+            (round_no, message.src, message.dst, message.channel, uids)
+        ).encode("utf-8"))
+
+
+cells = [
+    ("steady", dict(rate=1, period=4)),
+    ("chaos", dict(drop=0.15, delay=0.1, duplicate=0.02, churn=0.01,
+                   hardened=True)),
+]
+for name, kwargs in cells:
+    wire = WireOrder()
+    result = api.run_scenario(
+        name, seed=4, n=16, rounds=160, deadline=64, observers=[wire], **kwargs
+    )
+    record = RunRecord.from_result(result).without_profile()
+    print(hashlib.sha256(
+        canonical_json(record.to_dict()).encode("utf-8")).hexdigest(),
+        wire.sha.hexdigest())
+"""
+
+
+class TestHashSeedIndependence:
+    def test_payload_digests_do_not_depend_on_pythonhashseed(self):
+        """Gossip receive and the audit do set algebra on uid sets whose
+        iteration order follows the interpreter's str hash seed.  That
+        order must stay inside the sets: a steady cell and a hardened
+        chaos cell (default parameters, so items age past the resend
+        horizon and backoff wake-ups fire) must produce the same record
+        digest and the same delivered stream, batch order included, under
+        two seeds."""
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [os.path.dirname(os.path.dirname(repro.__file__))]
+                + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", _DIGEST_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout.split())
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1]

@@ -13,7 +13,7 @@ from repro.core.group_distribution import (
 )
 from repro.core.proxy import ProxyAck, ProxyRequest, ProxyShare
 from repro.core.splitting import Fragment
-from repro.gossip.rumor import GossipItem, Rumor, RumorId
+from repro.gossip.rumor import GossipItem, ItemBatch, Rumor, RumorId
 from repro.net.codec import (
     WIRE_TYPES,
     WIRE_VERSION,
@@ -238,6 +238,41 @@ def test_batch_interning_shares_one_payload_object():
     first = decoded[0][1].payload
     assert all(entry[1].payload is first for entry in decoded)
     assert first == payload
+
+
+def test_item_batch_travels_as_the_tuple_it_is():
+    # An in-process gossip batch carries its uid set; that is derived data
+    # and must not change a byte on the wire.  A tuple subclass the codec
+    # does not know stays refused.
+    items = tuple(
+        GossipItem(("gg/64/0", "share", pid, 7), pid, ("hits", pid), 20,
+                   frozenset({1, 2}), 7)
+        for pid in range(3)
+    )
+    batch = ItemBatch(items)
+    assert batch.uids == {item.uid for item in items}  # derived before encoding
+    assert encode_value(batch) == encode_value(items)
+    message = Message(0, 1, "group_gossip", batch, len(batch), "gg/64/0")
+    assert encode_message(message) == encode_message(
+        Message(0, 1, "group_gossip", items, len(items), "gg/64/0")
+    )
+    assert type(decode_value(encode_value(batch))) is tuple
+    # As a message payload it comes back as a batch again, one object for
+    # the whole fanout, with its uid set rebuilt from the decoded items.
+    entries = decode_tagged_messages(encode_tagged_messages(
+        [((0, seq), Message(0, dst, "group_gossip", batch, 3, "gg/64/0"))
+         for seq, dst in enumerate((1, 2))]
+    ))
+    decoded = entries[0][1].payload
+    assert type(decoded) is ItemBatch and decoded == batch
+    assert decoded.uids == batch.uids
+    assert entries[1][1].payload is decoded
+
+    class OtherTuple(tuple):
+        pass
+
+    with pytest.raises(CodecError, match="unregistered type"):
+        encode_value(OtherTuple(items))
 
 
 def test_frame_round_trip_and_version_check():

@@ -271,3 +271,30 @@ def test_runspec_backend_excluded_from_default_key():
     assert RunSpec.from_dict(sharded.to_dict()) == sharded
     assert sharded.to_scenario().backend == "sharded"
     assert base.to_scenario().backend == "inproc"
+
+
+def test_worker_survives_reporting_to_a_closed_coordinator(monkeypatch, capsys):
+    """A worker whose coordinator is already gone cannot deliver its error
+    frame; it must exit with one stderr line, not a chained traceback."""
+    import socket
+
+    from repro.net import worker as worker_module
+    from repro.net.transport import TcpConnection, Transport
+
+    class GoneCoordinator(Transport):
+        def connect(self, address):
+            ours, theirs = socket.socketpair()
+            theirs.close()
+            connection = TcpConnection(ours)
+            connection.close()  # every send/recv now raises TransportClosed
+            return connection
+
+    monkeypatch.setattr(
+        worker_module, "get_transport", lambda name, timeout=None: GoneCoordinator()
+    )
+    # The config is incomplete on purpose: building the ShardWorker fails,
+    # which is what sends the worker down its error-reporting path.
+    worker_module.worker_main({"transport": "tcp", "address": None, "worker": 3})
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "worker 3" in err and "Traceback" not in err

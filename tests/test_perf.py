@@ -47,6 +47,10 @@ class TestRegistry:
         assert keys == sorted(keys)
         assert "e6_steady_small" in keys
         assert "network_route" in keys
+        # The fan-out shaped gossip/audit cases the ledger's object-engine
+        # work is read against.
+        assert "gossip_receive_saturated" in keys
+        assert "audit_batch_fanout" in keys
 
     def test_get_case_unknown_key_raises(self):
         with pytest.raises(KeyError, match="unknown perf case"):

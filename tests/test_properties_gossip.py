@@ -11,6 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.gossip.continuous import ContinuousGossip
+from repro.gossip.rumor import GossipItem, ItemBatch
+from repro.sim.messages import Message, ServiceTags
 
 
 class MiniHarness:
@@ -146,3 +148,165 @@ def test_concurrent_items_all_delivered(scope_size, item_count, seed):
     harness.run(15)
     for pid in range(scope_size):
         assert harness.delivered[pid] >= set(uids)
+
+
+# ----------------------------------------------------------------------
+# Batch set algebra vs. the per-item reference
+# ----------------------------------------------------------------------
+#
+# ContinuousGossip receives with set algebra on a batch's uid set and
+# sends from a maintained broadcast dict plus a backoff wake-up schedule.
+# ReferenceGossip is the per-item implementation that replaced: a stateless
+# send rule evaluated over every active item and a seen-check per received
+# item.  The two must agree on everything a peer or the protocol can see.
+
+PID = 0
+SCOPE = range(4)
+
+
+def backoff_due(age, horizon):
+    """Exponentially spaced ages past the resend horizon: +1, +2, +4, ..."""
+    offset = age - horizon
+    return offset >= 1 and (offset & (offset - 1)) == 0
+
+
+class ReferenceGossip:
+    def __init__(self, horizon, backoff):
+        self.horizon = horizon
+        self.backoff = backoff
+        self.active = {}
+        self.seen = set()
+        self.pending = []
+        self.delivered = []
+
+    def inject(self, round_no, item):
+        self.seen.add(item.uid)
+        self.active[item.uid] = item
+        if PID in item.dest:
+            self.delivered.append((round_no, item.uid))
+
+    def send(self, round_no):
+        for uid in [u for u, i in self.active.items() if i.expiry < round_no]:
+            del self.active[uid]
+        return tuple(
+            item
+            for item in self.active.values()
+            if round_no - item.born <= self.horizon
+            or (self.backoff and backoff_due(round_no - item.born, self.horizon))
+        )
+
+    def within_horizon(self, round_no):
+        return [
+            uid
+            for uid, item in self.active.items()
+            if round_no - item.born <= self.horizon
+        ]
+
+    def on_message(self, round_no, payload):
+        for item in payload:
+            if item.uid in self.seen:
+                continue
+            self.seen.add(item.uid)
+            if round_no > item.expiry:
+                continue
+            self.active[item.uid] = item
+            if PID in item.dest:
+                self.pending.append(item)
+
+    def end_round(self, round_no):
+        self.delivered.extend((round_no, item.uid) for item in self.pending)
+        self.pending = []
+
+
+def pool_items(draw, count):
+    """Items other processes might push at PID: str+int uids (so set order
+    depends on the hash seed), born before or during the run, some already
+    expired when they first arrive, some not addressed to PID."""
+    items = []
+    for index in range(count):
+        born = draw(st.integers(min_value=0, max_value=10))
+        items.append(
+            GossipItem(
+                uid=("prop/{}".format(index % 3), "share", index),
+                origin=1 + index % 3,
+                payload=("blob", index),
+                expiry=born + draw(st.integers(min_value=0, max_value=24)),
+                dest=frozenset(draw(st.sets(st.sampled_from(list(SCOPE))))),
+                born=born,
+            )
+        )
+    return items
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_batch_paths_match_per_item_reference(data):
+    draw = data.draw
+    horizon = draw(st.integers(min_value=1, max_value=5), label="horizon")
+    backoff = draw(st.booleans(), label="backoff")
+    pool = pool_items(draw, draw(st.integers(min_value=1, max_value=12)))
+    delivered = []
+    gossip = ContinuousGossip(
+        pid=PID, n=len(SCOPE), channel="prop", scope=SCOPE,
+        rng=random.Random(0), resend_horizon=horizon, resend_backoff=backoff,
+        deliver=lambda round_no, item: delivered.append((round_no, item.uid)),
+    )
+    reference = ReferenceGossip(horizon, backoff)
+    in_flight = []  # payload objects a chaos plane could deliver again
+
+    round_no = 0
+    for _ in range(draw(st.integers(min_value=1, max_value=30), label="rounds")):
+        # Mostly consecutive rounds, as the engine drives them; sometimes a
+        # gap, as unit tests do.
+        round_no += draw(st.sampled_from([1, 1, 1, 1, 2, 5]))
+
+        if draw(st.booleans()):
+            item = gossip.inject(
+                round_no,
+                ("own", round_no),
+                deadline=draw(st.integers(min_value=1, max_value=24)),
+                dest=draw(st.sets(st.sampled_from(list(SCOPE)))),
+            )
+            reference.inject(round_no, item)
+
+        expected = reference.send(round_no)
+        messages = gossip.send_phase(round_no)
+        if expected:
+            batch = messages[0].payload
+            assert all(message.payload is batch for message in messages)
+            assert len(batch) == len(expected)
+            assert all(a is b for a, b in zip(batch, expected))
+            assert batch.uids == {item.uid for item in expected}
+            assert sorted(m.dst for m in messages) == [1, 2, 3]
+        else:
+            assert messages == []
+        assert list(gossip._active) == list(reference.active)
+        assert list(gossip._broadcast) == reference.within_horizon(round_no)
+
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            if in_flight and draw(st.booleans()):
+                # A duplicated or delayed copy: the same object, again.
+                payload = draw(st.sampled_from(in_flight))
+            else:
+                chosen = draw(
+                    st.lists(st.sampled_from(pool), max_size=2 * len(pool))
+                )
+                wrap = draw(st.sampled_from([tuple, ItemBatch]))
+                payload = wrap(chosen)  # duplicates and any order allowed
+                in_flight.append(payload)
+            gossip.on_message(
+                round_no,
+                Message(1, PID, ServiceTags.GROUP_GOSSIP, payload, channel="prop"),
+            )
+            reference.on_message(round_no, payload)
+        gossip.end_round(round_no)
+        reference.end_round(round_no)
+
+        assert delivered == reference.delivered
+        assert list(gossip._active) == list(reference.active)
+        for item in pool:
+            assert gossip.knows(item.uid) == (item.uid in reference.seen)
