@@ -39,7 +39,14 @@ from repro.exec.results import RunRecord
 from repro.exec.tasks import RunSpec
 from repro.harness.scenarios import ScenarioBuilder
 
-__all__ = ["CellResult", "SweepResult", "sweep_congos", "sweep_specs", "grid"]
+__all__ = [
+    "CellResult",
+    "SweepResult",
+    "delivery_rate",
+    "sweep_congos",
+    "sweep_specs",
+    "grid",
+]
 
 
 def grid(**axes: Sequence) -> List[Dict[str, object]]:
@@ -51,6 +58,32 @@ def grid(**axes: Sequence) -> List[Dict[str, object]]:
     names = sorted(axes)
     combos = itertools.product(*(axes[name] for name in names))
     return [dict(zip(names, combo)) for combo in combos]
+
+
+def delivery_rate(admissible: int, missed: int) -> Optional[float]:
+    """Share of admissible pairs served on time, ``None`` if there were none."""
+    return round((admissible - missed) / admissible, 6) if admissible else None
+
+
+def _fault_totals(runs: Iterable[RunRecord]) -> Dict[str, int]:
+    totals: Dict[str, int] = {}
+    for run in runs:
+        for kind, count in run.faults.items():
+            totals[kind] = totals.get(kind, 0) + count
+    return {kind: totals[kind] for kind in sorted(totals)}
+
+
+def _fault_totals_by_stage(runs: Iterable[RunRecord]) -> Dict[str, Dict[str, int]]:
+    totals: Dict[str, Dict[str, int]] = {}
+    for run in runs:
+        for stage, kinds in run.faults_by_stage.items():
+            bucket = totals.setdefault(stage, {})
+            for kind, count in kinds.items():
+                bucket[kind] = bucket.get(kind, 0) + count
+    return {
+        stage: {kind: kinds[kind] for kind in sorted(kinds)}
+        for stage, kinds in sorted(totals.items())
+    }
 
 
 @dataclass
@@ -94,6 +127,23 @@ class CellResult:
             latencies.extend(run.latencies)
         return summarize(latencies) if latencies else None
 
+    def admissible_pairs(self) -> int:
+        return sum(run.admissible_pairs for run in self.runs)
+
+    def missed(self) -> int:
+        return sum(run.missed for run in self.runs)
+
+    def delivery_rate(self) -> Optional[float]:
+        return delivery_rate(self.admissible_pairs(), self.missed())
+
+    def fault_totals(self) -> Dict[str, int]:
+        """Injected faults per kind, summed over the replicates."""
+        return _fault_totals(self.runs)
+
+    def fault_totals_by_stage(self) -> Dict[str, Dict[str, int]]:
+        """The same counts split by pipeline stage (proxy/gd/gossip/direct)."""
+        return _fault_totals_by_stage(self.runs)
+
 
 @dataclass
 class SweepResult:
@@ -106,6 +156,16 @@ class SweepResult:
 
     def all_clean(self) -> bool:
         return all(cell.all_clean() for cell in self.cells)
+
+    def runs(self) -> List[RunRecord]:
+        """Every record of the sweep, cell by cell."""
+        return [run for cell in self.cells for run in cell.runs]
+
+    def fault_totals(self) -> Dict[str, int]:
+        return _fault_totals(self.runs())
+
+    def fault_totals_by_stage(self) -> Dict[str, Dict[str, int]]:
+        return _fault_totals_by_stage(self.runs())
 
     def series(
         self, x_axis: str, metric: Callable[[CellResult], float]

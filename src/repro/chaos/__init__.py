@@ -10,8 +10,8 @@ production-like loss, delay, duplication, reordering and partitions.
 * :mod:`repro.chaos.plane` — :class:`ChaosFaultPlane`, the network hook.
 * :mod:`repro.chaos.soak` — fault-matrix sweeps and the E15 payload.
 * :mod:`repro.chaos.direct` — direct-send reliability matrix (E16).
-* :mod:`repro.chaos.targeted` — budgeted rumor-aware fault policies and
-  the E19 targeted-vs-oblivious matrix.
+* :mod:`repro.chaos.targeted` — budgeted rumor-aware fault policies.
+* :mod:`repro.chaos.targeted_soak` — the E19 targeted-vs-oblivious matrix.
 """
 
 from repro.chaos.plane import ChaosFaultPlane, FaultEvent, FaultPlane, pipeline_stage

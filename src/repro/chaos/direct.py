@@ -15,18 +15,19 @@ layer may add redundancy, never knowledge; its acks carry rumor ids and
 acker pids only), and like E15 everything is deterministic: fault
 schedules are seed-keyed, the sweep runs on the exec pool bit-identically
 at any ``jobs``, and :func:`direct_payload` excludes wall-clock fields.
+:data:`DIRECT_SOAK` declares the matrix for the experiment runner (the
+``direct-soak`` command).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+import argparse
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.sweeps import SweepResult, grid, sweep_congos
-from repro.chaos.soak import _sum_faults, _sum_faults_by_stage
-from repro.exec.cache import ResultCache
-from repro.exec.progress import Progress
+from repro.analysis.sweeps import SweepResult, delivery_rate, grid
+from repro.harness.experiment import Experiment, Table, columns, pick
 
-__all__ = ["BENCH_NAME", "direct_cells", "run_direct_soak", "direct_payload"]
+__all__ = ["BENCH_NAME", "DIRECT_SOAK", "direct_cells", "direct_payload"]
 
 BENCH_NAME = "e16_direct_matrix"
 
@@ -38,30 +39,8 @@ def direct_cells(
     return grid(drop=list(drop), hardened=[bool(flag) for flag in hardened])
 
 
-def run_direct_soak(
-    cells: Iterable[Mapping[str, object]],
-    seeds: Sequence[int] = (0, 1),
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    resume: bool = True,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    progress: Optional[Progress] = None,
-    **fixed: object,
-) -> SweepResult:
-    """Sweep the ``direct`` builder over the matrix on the exec pool."""
-    return sweep_congos(
-        "direct",
-        cells,
-        seeds=seeds,
-        jobs=jobs,
-        cache=cache,
-        resume=resume,
-        timeout=timeout,
-        retries=retries,
-        progress=progress,
-        **fixed,
-    )
+def _mode(cell: Mapping[str, object]) -> str:
+    return "hardened" if cell.get("hardened") else "default"
 
 
 def direct_payload(
@@ -78,46 +57,89 @@ def direct_payload(
     cells: List[Dict[str, object]] = []
     by_mode: Dict[str, List[int]] = {}
     for cell in sweep.cells:
-        admissible = sum(run.admissible_pairs for run in cell.runs)
-        missed = sum(run.missed for run in cell.runs)
-        direct_pairs = sum(
-            run.paths.get("direct", 0) for run in cell.runs
-        )
-        mode = "hardened" if cell.cell.get("hardened") else "default"
-        totals = by_mode.setdefault(mode, [0, 0])
-        totals[0] += admissible
-        totals[1] += missed
+        totals = by_mode.setdefault(_mode(cell.cell), [0, 0])
+        totals[0] += cell.admissible_pairs()
+        totals[1] += cell.missed()
         cells.append(
             {
                 "cell": dict(cell.cell),
                 "seeds": cell.seeds,
-                "faults": _sum_faults(cell.runs),
-                "faults_by_stage": _sum_faults_by_stage(cell.runs),
-                "admissible_pairs": admissible,
-                "missed": missed,
-                "direct_pairs": direct_pairs,
-                "delivery_rate": (
-                    round((admissible - missed) / admissible, 6)
-                    if admissible
-                    else None
+                "faults": cell.fault_totals(),
+                "faults_by_stage": cell.fault_totals_by_stage(),
+                "admissible_pairs": cell.admissible_pairs(),
+                "missed": cell.missed(),
+                "direct_pairs": sum(
+                    run.paths.get("direct", 0) for run in cell.runs
                 ),
+                "delivery_rate": cell.delivery_rate(),
                 "qod_satisfied": cell.all_satisfied(),
                 "clean": cell.all_clean(),
                 "peak": cell.peak_summary().as_dict(),
             }
         )
-    all_runs = [run for cell in sweep.cells for run in cell.runs]
     return {
+        "fixed": dict(fixed or {}),
         "cells": cells,
         "all_clean": sweep.all_clean(),
         "delivery_by_mode": {
-            mode: (
-                round((admissible - missed) / admissible, 6)
-                if admissible
-                else None
-            )
+            mode: delivery_rate(admissible, missed)
             for mode, (admissible, missed) in sorted(by_mode.items())
         },
-        "total_faults": _sum_faults(all_runs),
-        "total_faults_by_stage": _sum_faults_by_stage(all_runs),
+        "total_faults": sweep.fault_totals(),
+        "total_faults_by_stage": sweep.fault_totals_by_stage(),
     }
+
+
+def _flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-n", type=int, default=16, help="process count")
+    parser.add_argument("--rounds", type=int, default=200)
+    parser.add_argument(
+        "--deadline",
+        type=int,
+        default=32,
+        help="rumor deadline; must stay at or below "
+        "direct_send_threshold=48 so only the direct-send path runs",
+    )
+    parser.add_argument(
+        "--drop",
+        type=float,
+        nargs="+",
+        default=[0.0, 0.1, 0.3],
+        metavar="P",
+        help="drop-probability axis of the matrix",
+    )
+    parser.add_argument(
+        "--delay", type=float, default=0.0, help="delay probability (fixed)"
+    )
+    parser.add_argument("--max-delay", type=int, default=4)
+    parser.add_argument("--duplicate", type=float, default=0.0)
+    parser.add_argument("--reorder", type=float, default=0.0)
+
+
+DIRECT_SOAK = Experiment(
+    command="direct-soak",
+    help="sweep the direct-send path over a drop x hardened matrix (E16)",
+    bench=BENCH_NAME,
+    txt="direct_soak",
+    builder="direct",
+    flags=_flags,
+    cells=lambda args: direct_cells(args.drop),
+    fixed=lambda args: pick(
+        args, "n", "rounds", "deadline", "delay", "max_delay", "duplicate",
+        "reorder",
+    ),
+    payload=direct_payload,
+    tables=(
+        Table(
+            "direct soak ({cells} cells x {seeds} seeds)",
+            columns(
+                ("drop", "cell.drop"),
+                ("mode", lambda entry: _mode(entry["cell"])),
+                ("faults", lambda entry: sum(entry["faults"].values())),
+                ("delivery", "delivery_rate"),
+                ("qod", "qod_satisfied"),
+                ("clean", "clean"),
+            ),
+        ),
+    ),
+)

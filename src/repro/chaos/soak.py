@@ -13,22 +13,33 @@ Everything here is deterministic: the fault schedule is keyed on each
 run's scenario seed (see :class:`~repro.chaos.schedule.FaultSchedule`),
 the sweep runs on the :mod:`repro.exec` pool whose records are
 bit-identical at any ``jobs`` setting, and :func:`soak_payload` excludes
-wall-clock/profiling fields — the CLI attaches those separately, mirroring
-the ``sweep_payload`` / ``profile`` split in :mod:`repro.exec.bench_io`.
-The artifact is ``BENCH_e15_chaos_matrix.json``.
+wall-clock/profiling fields — the experiment runner attaches those
+separately.  :data:`CHAOS_SOAK` declares the matrix for
+:func:`repro.harness.experiment.run_experiment` (the ``chaos-soak``
+command); the artifact is ``BENCH_e15_chaos_matrix.json``.
 """
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import fields as dataclass_fields
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.sweeps import SweepResult, grid, sweep_congos
+from repro.analysis.sweeps import SweepResult, grid
 from repro.chaos.spec import FaultSpec
-from repro.exec.cache import ResultCache
-from repro.exec.progress import Progress
+from repro.chaos.targeted import policy_names
+from repro.harness.experiment import Experiment, Table, columns, pick
+from repro.harness.runner import run_congos_scenario
+from repro.harness.scenarios import get_builder
+from repro.obs import JsonlSink, RumorTimeline, Telemetry
 
-__all__ = ["BENCH_NAME", "chaos_cells", "run_soak", "soak_payload"]
+__all__ = [
+    "BENCH_NAME",
+    "CHAOS_SOAK",
+    "cell_spec",
+    "chaos_cells",
+    "soak_payload",
+]
 
 BENCH_NAME = "e15_chaos_matrix"
 
@@ -55,60 +66,6 @@ def cell_spec(
     return FaultSpec(**merged)  # type: ignore[arg-type]
 
 
-def run_soak(
-    cells: Iterable[Mapping[str, object]],
-    seeds: Sequence[int] = (0, 1),
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    resume: bool = True,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    progress: Optional[Progress] = None,
-    builder: str = "chaos",
-    **fixed: object,
-) -> SweepResult:
-    """Sweep a chaos-family builder over the matrix on the exec pool.
-
-    ``builder`` defaults to the oblivious ``chaos`` scenario;
-    ``chaos-soak --policy`` passes ``"targeted"`` to layer a budgeted
-    rumor-aware policy (:mod:`repro.chaos.targeted`) over the same
-    drop x delay matrix.
-    """
-    return sweep_congos(
-        builder,
-        cells,
-        seeds=seeds,
-        jobs=jobs,
-        cache=cache,
-        resume=resume,
-        timeout=timeout,
-        retries=retries,
-        progress=progress,
-        **fixed,
-    )
-
-
-def _sum_faults(runs) -> Dict[str, int]:
-    totals: Dict[str, int] = {}
-    for run in runs:
-        for kind, count in run.faults.items():
-            totals[kind] = totals.get(kind, 0) + count
-    return {kind: totals[kind] for kind in sorted(totals)}
-
-
-def _sum_faults_by_stage(runs) -> Dict[str, Dict[str, int]]:
-    totals: Dict[str, Dict[str, int]] = {}
-    for run in runs:
-        for stage, kinds in run.faults_by_stage.items():
-            bucket = totals.setdefault(stage, {})
-            for kind, count in kinds.items():
-                bucket[kind] = bucket.get(kind, 0) + count
-    return {
-        stage: {kind: kinds[kind] for kind in sorted(kinds)}
-        for stage, kinds in sorted(totals.items())
-    }
-
-
 def soak_payload(
     sweep: SweepResult, fixed: Optional[Mapping[str, object]] = None
 ) -> Dict[str, object]:
@@ -119,35 +76,201 @@ def soak_payload(
     """
     cells: List[Dict[str, object]] = []
     for cell in sweep.cells:
-        spec = cell_spec(cell.cell, fixed)
-        admissible = sum(run.admissible_pairs for run in cell.runs)
-        missed = sum(run.missed for run in cell.runs)
-        peak = cell.peak_summary()
         cells.append(
             {
                 "cell": dict(cell.cell),
-                "intensity": spec.intensity(),
+                "intensity": cell_spec(cell.cell, fixed).intensity(),
                 "seeds": cell.seeds,
-                "faults": _sum_faults(cell.runs),
-                "faults_by_stage": _sum_faults_by_stage(cell.runs),
-                "admissible_pairs": admissible,
-                "missed": missed,
-                "delivery_rate": (
-                    round((admissible - missed) / admissible, 6)
-                    if admissible
-                    else None
-                ),
+                "faults": cell.fault_totals(),
+                "faults_by_stage": cell.fault_totals_by_stage(),
+                "admissible_pairs": cell.admissible_pairs(),
+                "missed": cell.missed(),
+                "delivery_rate": cell.delivery_rate(),
                 "qod_satisfied": cell.all_satisfied(),
                 "fallback_rate": round(cell.fallback_rate(), 6),
                 "clean": cell.all_clean(),
-                "peak": peak.as_dict(),
+                "peak": cell.peak_summary().as_dict(),
             }
         )
-    all_runs = [run for cell in sweep.cells for run in cell.runs]
     return {
         "cells": cells,
         "all_clean": sweep.all_clean(),
         "all_satisfied": sweep.all_satisfied(),
-        "total_faults": _sum_faults(all_runs),
-        "total_faults_by_stage": _sum_faults_by_stage(all_runs),
+        "total_faults": sweep.fault_totals(),
+        "total_faults_by_stage": sweep.fault_totals_by_stage(),
     }
+
+
+def _flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-n", type=int, default=16, help="process count")
+    parser.add_argument("--rounds", type=int, default=200)
+    parser.add_argument(
+        "--deadline",
+        type=int,
+        default=None,
+        help="rumor deadline (default 64, or the --policy's own): above "
+        "direct_send_threshold=48 exercises the full CONGOS pipeline; at or "
+        "below it rumors take the direct-send path, which the hardened "
+        "ack/retransmit/k-copy knobs protect (see the direct-soak command)",
+    )
+    parser.add_argument(
+        "--drop",
+        type=float,
+        nargs="+",
+        default=[0.0, 0.05, 0.15],
+        metavar="P",
+        help="drop-probability axis of the matrix",
+    )
+    parser.add_argument(
+        "--delay",
+        type=float,
+        nargs="+",
+        default=[0.0, 0.1],
+        metavar="P",
+        help="delay-probability axis of the matrix",
+    )
+    parser.add_argument("--max-delay", type=int, default=4)
+    parser.add_argument("--duplicate", type=float, default=0.0)
+    parser.add_argument("--reorder", type=float, default=0.0)
+    parser.add_argument("--partition-period", type=int, default=0)
+    parser.add_argument("--partition-width", type=int, default=0)
+    parser.add_argument(
+        "--churn",
+        type=float,
+        default=0.0,
+        help="per-round crash probability of a composed CRRI adversary",
+    )
+    parser.add_argument(
+        "--hardened",
+        action="store_true",
+        help="run with the graceful-degradation knobs (CongosParams.hardened)",
+    )
+    parser.add_argument(
+        "--trace",
+        default=None,
+        metavar="FILE",
+        help="re-run the highest-intensity cell with telemetry to this JSONL",
+    )
+    parser.add_argument(
+        "--policy",
+        default=None,
+        choices=policy_names(),
+        help="layer a budgeted rumor-aware policy over every cell "
+        "(routes through the 'targeted' builder; see targeted-soak for "
+        "the full E19 matrix)",
+    )
+    parser.add_argument(
+        "--per-round",
+        type=int,
+        default=4,
+        help="targeted budget per destination per round (--policy only)",
+    )
+    parser.add_argument(
+        "--total",
+        type=int,
+        default=64,
+        help="targeted budget per destination per run (--policy only)",
+    )
+    parser.add_argument(
+        "--blind",
+        action="store_true",
+        help="rumor-blind variant of --policy (matched-budget baseline)",
+    )
+
+
+def _fixed(args: argparse.Namespace) -> Dict[str, object]:
+    fixed = pick(
+        args, "n", "rounds", "deadline", "max_delay", "duplicate", "reorder",
+        "partition_period", "partition_width", "churn", "hardened",
+    )
+    if args.policy is not None:
+        # Same intensity matrix, with a budgeted rumor-aware policy
+        # layered over every cell's oblivious spec.
+        fixed.update(pick(args, "policy", "per_round", "total", "blind"))
+    if args.deadline is None:
+        if args.policy is None:
+            fixed["deadline"] = 64
+        else:
+            # The targeted builder picks its own default per policy.
+            del fixed["deadline"]
+    return fixed
+
+
+def _trace_worst_cell(
+    args: argparse.Namespace, payload: Dict[str, object], sweep: SweepResult
+) -> None:
+    """``--trace FILE``: re-run the highest-intensity cell in-process with
+    full telemetry, so the timelines show which fault broke a delivery."""
+    if not args.trace:
+        return
+    fixed = payload["fixed"]
+    worst = max(
+        sweep.cells,
+        key=lambda cell: (
+            cell_spec(cell.cell, fixed).intensity(),
+            sorted(cell.cell.items()),
+        ),
+    )
+    timeline = RumorTimeline()
+    with JsonlSink(path=args.trace) as sink:
+        telemetry = Telemetry(sinks=[sink])
+        telemetry.subscribe(timeline)
+        scenario = get_builder(payload["scenario"])(seed=0, **fixed, **worst.cell)
+        run_congos_scenario(
+            scenario, observers=[timeline], telemetry=telemetry
+        )
+        timeline.export(sink)
+        emitted = sink.emitted
+    print(
+        "trace of worst cell {}: {} events -> {}".format(
+            worst.cell, emitted, args.trace
+        )
+    )
+    lifecycles = timeline.lifecycles()
+    faulted = [record for record in lifecycles if record.faults]
+    target = faulted[0] if faulted else (lifecycles[0] if lifecycles else None)
+    if target is not None:
+        print()
+        print(
+            "timeline of rumor {} ({} faults hit its messages)".format(
+                target.rid, len(target.faults)
+            )
+        )
+        for line in timeline.replay(target.rid):
+            print("  " + line)
+
+
+CHAOS_SOAK = Experiment(
+    command="chaos-soak",
+    help="sweep a fault-intensity matrix with fail-fast invariants",
+    bench=BENCH_NAME,
+    txt="chaos_soak",
+    builder=lambda args: "chaos" if args.policy is None else "targeted",
+    flags=_flags,
+    cells=lambda args: chaos_cells(args.drop, args.delay),
+    fixed=_fixed,
+    payload=lambda sweep, fixed: dict(
+        soak_payload(sweep, fixed), fixed=dict(fixed)
+    ),
+    tables=(
+        Table(
+            lambda args, cells: "chaos soak ({} cells x {} seeds{}{})".format(
+                cells,
+                args.seeds,
+                ", hardened" if args.hardened else "",
+                ", policy " + args.policy if args.policy else "",
+            ),
+            columns(
+                ("drop", "cell.drop"),
+                ("delay", "cell.delay"),
+                ("intensity", "intensity"),
+                ("faults", lambda entry: sum(entry["faults"].values())),
+                ("delivery", "delivery_rate"),
+                ("fallback", "fallback_rate"),
+                ("qod", "qod_satisfied"),
+                ("clean", "clean"),
+            ),
+        ),
+    ),
+    epilogue=_trace_worst_cell,
+)

@@ -34,7 +34,8 @@ composing with the oblivious plane:
 ``blind=True`` switches a policy into its rumor-blind variant: the same
 stage/window shape and the same ledger, but every live rumor is a
 target.  That is the matched-budget *oblivious* baseline the E19 matrix
-compares against — same spend, only the concentration differs.
+(:mod:`repro.chaos.targeted_soak`) compares against — same spend, only
+the concentration differs.
 """
 
 from __future__ import annotations
@@ -64,10 +65,6 @@ __all__ = [
     "POLICIES",
     "policy_names",
     "get_policy",
-    "BENCH_NAME",
-    "targeted_cells",
-    "run_targeted_soak",
-    "targeted_payload",
 ]
 
 
@@ -597,202 +594,3 @@ class TargetedFaultPlane(ChaosFaultPlane):
             )
         self.ledger.merge(data["budget"])  # type: ignore[arg-type]
 
-
-# ----------------------------------------------------------------------
-# E19: the targeted worst-case matrix
-# ----------------------------------------------------------------------
-#
-# Sweeps policy x budget x n over the "targeted" scenario builder on the
-# exec pool, with each targeted cell paired against its rumor-blind
-# variant at the *same* ledger (the matched-budget oblivious baseline)
-# and the hardened preset on a separate axis.  The payload follows the
-# E15/E16 split: deterministic portion here, wall-clock profile attached
-# by the CLI.
-
-BENCH_NAME = "e19_targeted_matrix"
-
-
-def targeted_cells(
-    policies: Sequence[str],
-    budgets: Sequence[Tuple[int, int]],
-    ns: Sequence[int],
-    hardened: Sequence[bool] = (False, True),
-    blind: Sequence[bool] = (False, True),
-) -> List[Dict[str, object]]:
-    """The E19 matrix: policy x (per_round, total) x n x preset x blind."""
-    # Lazy: analysis.sweeps imports the scenario registry, which imports
-    # this module for TargetedSpec — only the E19 entry points need it.
-    from repro.analysis.sweeps import grid
-
-    cells: List[Dict[str, object]] = []
-    for per_round, total in budgets:
-        cells.extend(
-            grid(
-                policy=list(policies),
-                per_round=[int(per_round)],
-                total=[int(total)],
-                n=[int(n) for n in ns],
-                hardened=[bool(flag) for flag in hardened],
-                blind=[bool(flag) for flag in blind],
-            )
-        )
-    return cells
-
-
-def run_targeted_soak(
-    cells,
-    seeds: Sequence[int] = (0, 1),
-    jobs: int = 1,
-    cache=None,
-    resume: bool = True,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    progress=None,
-    **fixed: object,
-):
-    """Sweep the ``targeted`` builder over the matrix on the exec pool."""
-    from repro.analysis.sweeps import sweep_congos
-
-    return sweep_congos(
-        "targeted",
-        cells,
-        seeds=seeds,
-        jobs=jobs,
-        cache=cache,
-        resume=resume,
-        timeout=timeout,
-        retries=retries,
-        progress=progress,
-        **fixed,
-    )
-
-
-def _ledger_ok(record) -> bool:
-    """Exact budget accounting for one run: spent == events, caps held."""
-    targeted = record.targeted
-    if not targeted:
-        return False
-    budget = targeted["budget"]
-    spent_events = sum(targeted["counts"].values())
-    return (
-        budget["spent"] == spent_events
-        and sum(budget["by_kind"].values()) == budget["spent"]
-        and budget["max_round_spend"] <= budget["per_round"]
-        and budget["max_dst_spend"] <= budget["total"]
-    )
-
-
-def targeted_payload(
-    sweep, fixed: Optional[Mapping[str, object]] = None
-) -> Dict[str, object]:
-    """The deterministic portion of the E19 artifact.
-
-    Per cell: fault totals, the merged budget ledger with its exact-
-    accounting verdict, tracked-rumor delivery, and the usual QoD /
-    confidentiality / fallback numbers.  ``comparisons`` pairs every
-    targeted cell with its blind twin at the same (policy, budget, n,
-    preset) — the matched-budget oblivious baseline — reporting the
-    delivery and fallback-rate deltas the tentpole claim rests on.
-    """
-    from repro.chaos.soak import _sum_faults, _sum_faults_by_stage
-
-    cells: List[Dict[str, object]] = []
-    by_key: Dict[Tuple, Dict[bool, Dict[str, object]]] = {}
-    all_ledgers_ok = True
-    for cell in sweep.cells:
-        admissible = sum(run.admissible_pairs for run in cell.runs)
-        missed = sum(run.missed for run in cell.runs)
-        spent = sum(
-            run.targeted.get("budget", {}).get("spent", 0) for run in cell.runs
-        )
-        denied = sum(
-            run.targeted.get("budget", {}).get("denied", 0)
-            for run in cell.runs
-        )
-        tracked_admissible = sum(
-            run.targeted.get("tracked_admissible", 0) for run in cell.runs
-        )
-        tracked_missed = sum(
-            run.targeted.get("tracked_missed", 0) for run in cell.runs
-        )
-        ledger_ok = all(_ledger_ok(run) for run in cell.runs)
-        all_ledgers_ok = all_ledgers_ok and ledger_ok
-        delivery = (
-            round((admissible - missed) / admissible, 6) if admissible else None
-        )
-        tracked_delivery = (
-            round((tracked_admissible - tracked_missed) / tracked_admissible, 6)
-            if tracked_admissible
-            else None
-        )
-        entry = {
-            "cell": dict(cell.cell),
-            "seeds": cell.seeds,
-            "faults": _sum_faults(cell.runs),
-            "faults_by_stage": _sum_faults_by_stage(cell.runs),
-            "budget_spent": spent,
-            "budget_denied": denied,
-            "ledger_ok": ledger_ok,
-            "admissible_pairs": admissible,
-            "missed": missed,
-            "delivery_rate": delivery,
-            "tracked_admissible": tracked_admissible,
-            "tracked_missed": tracked_missed,
-            "tracked_delivery_rate": tracked_delivery,
-            "qod_satisfied": cell.all_satisfied(),
-            "fallback_rate": round(cell.fallback_rate(), 6),
-            "clean": cell.all_clean(),
-            "peak": cell.peak_summary().as_dict(),
-        }
-        cells.append(entry)
-        key = tuple(
-            cell.cell.get(axis)
-            for axis in ("policy", "per_round", "total", "n", "hardened")
-        )
-        by_key.setdefault(key, {})[bool(cell.cell.get("blind"))] = entry
-
-    comparisons: List[Dict[str, object]] = []
-    for key in sorted(by_key, key=str):
-        pair = by_key[key]
-        if True not in pair or False not in pair:
-            continue
-        targeted, oblivious = pair[False], pair[True]
-        policy, per_round, total, n, hardened = key
-        t_rate = targeted["delivery_rate"]
-        o_rate = oblivious["delivery_rate"]
-        comparisons.append(
-            {
-                "policy": policy,
-                "per_round": per_round,
-                "total": total,
-                "n": n,
-                "hardened": hardened,
-                "targeted_delivery": t_rate,
-                "oblivious_delivery": o_rate,
-                "delivery_delta": (
-                    round(t_rate - o_rate, 6)
-                    if t_rate is not None and o_rate is not None
-                    else None
-                ),
-                "targeted_tracked_delivery": targeted[
-                    "tracked_delivery_rate"
-                ],
-                "targeted_spent": targeted["budget_spent"],
-                "oblivious_spent": oblivious["budget_spent"],
-                "targeted_fallback_rate": targeted["fallback_rate"],
-                "oblivious_fallback_rate": oblivious["fallback_rate"],
-            }
-        )
-
-    all_runs = [run for cell in sweep.cells for run in cell.runs]
-    return {
-        "cells": cells,
-        "comparisons": comparisons,
-        "all_clean": sweep.all_clean(),
-        "all_ledgers_ok": all_ledgers_ok,
-        "total_faults": _sum_faults(all_runs),
-        "total_faults_by_stage": _sum_faults_by_stage(all_runs),
-        "total_budget_spent": sum(
-            run.targeted.get("budget", {}).get("spent", 0) for run in all_runs
-        ),
-    }

@@ -16,6 +16,13 @@ from typing import Dict, Mapping, Optional, Tuple
 
 __all__ = ["RunRecord"]
 
+# Dict-valued fields: copied on load, defaulting to empty so records
+# cached before a field existed still load.
+_DICT_FIELDS = ("by_service", "paths", "violations", "faults", "targeted", "load")
+# Left out of the dict form while empty: payloads (and golden digests) of
+# runs without a targeted plane / an open workload predate the sections.
+_ABSENT_WHEN_EMPTY = ("targeted", "load")
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -165,28 +172,19 @@ class RunRecord:
     def to_dict(self) -> Dict[str, object]:
         data = asdict(self)
         data["latencies"] = list(self.latencies)
-        # Absent unless a targeted plane ran: pre-targeted payloads (and
-        # their golden digests) are byte-identical.
-        if not data["targeted"]:
-            del data["targeted"]
-        # Same contract for the open-workload section.
-        if not data["load"]:
-            del data["load"]
+        for name in _ABSENT_WHEN_EMPTY:
+            if not data[name]:
+                del data[name]
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RunRecord":
         payload = dict(data)
         payload["latencies"] = tuple(payload.get("latencies", ()))
-        payload["by_service"] = dict(payload.get("by_service", {}))
-        payload["paths"] = dict(payload.get("paths", {}))
-        payload["violations"] = dict(payload.get("violations", {}))
-        payload["faults"] = dict(payload.get("faults", {}))
+        for name in _DICT_FIELDS:
+            payload[name] = dict(payload.get(name, {}))
         payload["faults_by_stage"] = {
             stage: dict(kinds)
             for stage, kinds in dict(payload.get("faults_by_stage", {})).items()
         }
-        # Defaults keep pre-targeted / pre-load cached records loading.
-        payload["targeted"] = dict(payload.get("targeted", {}))
-        payload["load"] = dict(payload.get("load", {}))
         return cls(**payload)

@@ -20,6 +20,17 @@ from repro.core.config import CongosParams
 
 __all__ = ["RunSpec", "execute_spec", "canonical_json"]
 
+# ``(gate field, its default, fields emitted while the gate is off it)``.
+# At the default they stay out of the content key, the dict form and the
+# scenario override, so a spec keeps the key (cache entries, golden
+# digests) it had before the field existed.  ``backend`` ("inproc" |
+# "sharded", identical audited results) carries the sharded-net options;
+# ``engine`` is the round kernel ("object" | "array").
+_OPTIONAL = (
+    ("backend", "inproc", ("backend", "net")),
+    ("engine", "object", ("engine",)),
+)
+
 
 def _canonical(value: object) -> object:
     """Reduce a kwarg value to a JSON-stable canonical form."""
@@ -56,16 +67,8 @@ class RunSpec:
     seed: int
     kwargs: Dict[str, object] = field(default_factory=dict)
     params: Optional[Dict[str, object]] = None
-    # Execution backend ("inproc" | "sharded") and sharded-net options.
-    # Both backends produce identical audited results, so the default
-    # backend is deliberately EXCLUDED from the content key: a spec keeps
-    # its pre-sharding key (and its cache entries) unless a non-default
-    # backend is requested explicitly.
     backend: str = "inproc"
     net: Optional[Dict[str, object]] = None
-    # Round kernel ("object" | "array").  Like ``backend``, the default
-    # engine is EXCLUDED from the content key, so object-engine specs keep
-    # their pre-fastcore keys (and golden digests) byte-identical.
     engine: str = "object"
 
     @classmethod
@@ -104,6 +107,15 @@ class RunSpec:
             engine=engine,
         )
 
+    def _optional(self) -> Dict[str, object]:
+        """The optional fields this spec holds off their defaults."""
+        return {
+            name: getattr(self, name)
+            for gate, default, names in _OPTIONAL
+            if getattr(self, gate) != default
+            for name in names
+        }
+
     @property
     def key(self) -> str:
         """Stable content hash identifying this run."""
@@ -112,12 +124,8 @@ class RunSpec:
             "seed": self.seed,
             "kwargs": self.kwargs,
             "params": self.params,
+            **self._optional(),
         }
-        if self.backend != "inproc":
-            payload["backend"] = self.backend
-            payload["net"] = self.net
-        if self.engine != "object":
-            payload["engine"] = self.engine
         digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
         return digest.hexdigest()
 
@@ -138,27 +146,17 @@ class RunSpec:
         if params is not None:
             kwargs["params"] = params
         scenario = builder(seed=self.seed, **kwargs)
-        if self.backend != "inproc":
-            scenario = dataclasses.replace(
-                scenario, backend=self.backend, net=self.net
-            )
-        if self.engine != "object":
-            scenario = dataclasses.replace(scenario, engine=self.engine)
-        return scenario
+        overrides = self._optional()
+        return dataclasses.replace(scenario, **overrides) if overrides else scenario
 
     def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
+        return {
             "builder": self.builder,
             "seed": self.seed,
             "kwargs": dict(self.kwargs),
             "params": dict(self.params) if self.params is not None else None,
+            **self._optional(),
         }
-        if self.backend != "inproc":
-            data["backend"] = self.backend
-            data["net"] = dict(self.net) if self.net is not None else None
-        if self.engine != "object":
-            data["engine"] = self.engine
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RunSpec":
@@ -167,9 +165,12 @@ class RunSpec:
             seed=int(data["seed"]),  # type: ignore[arg-type]
             kwargs=dict(data.get("kwargs") or {}),
             params=dict(data["params"]) if data.get("params") else None,
-            backend=str(data.get("backend", "inproc")),
-            net=dict(data["net"]) if data.get("net") else None,
-            engine=str(data.get("engine", "object")),
+            **{
+                name: data[name]
+                for _, _, names in _OPTIONAL
+                for name in names
+                if data.get(name) is not None
+            },
         )
 
 

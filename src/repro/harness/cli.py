@@ -1,62 +1,71 @@
 """Command-line launcher: ``python -m repro.harness.cli <command>``.
 
-Commands
---------
+Single runs
+-----------
 ``run``
     Run an audited CONGOS scenario (optionally replicated across seeds,
     in parallel with ``--jobs``) and print its summary.  ``--metrics``
     appends a telemetry-registry dump.
-``sweep``
-    Run a scenario family over an ``n`` × ``deadline`` grid on the exec
-    pool, with a resumable on-disk result cache and machine-readable
-    artifacts (``--jobs``, ``--resume``, ``--out``, ``--metrics``).
 ``trace``
     Run one scenario with full telemetry and stream every event —
     rumor lifecycle stages, proxy crossings, GD fan-out — to a JSONL
     file, then print per-rumor timelines (``--rumor`` replays one).
-``profile-sweep``
-    Run a sweep with exec-pool profiling and print the per-task
-    wall-clock / worker-pid / cache-hit breakdown.
-``chaos-soak``
-    Sweep the chaos scenario over a drop × delay fault-intensity matrix
-    on the exec pool (confidentiality monitored fail-fast in every run),
-    write ``BENCH_e15_chaos_matrix.json`` under ``--out``, and with
-    ``--trace FILE`` re-run the worst cell with full telemetry so the
-    rumor timelines show which injected fault broke a delivery.
-``direct-soak``
-    Sweep the short-deadline ``direct`` scenario over a drop ×
-    default/hardened matrix (E16): the direct-send path in isolation,
-    with and without the ack/retransmit/k-copy reliability layer.
-    Writes ``BENCH_e16_direct_matrix.json`` under ``--out``.
-``targeted-soak``
-    Sweep the budgeted rumor-aware adversaries (E19): policy × budget ×
-    n × preset, every targeted cell paired with its rumor-blind twin at
-    the same budget (the matched-budget oblivious baseline).  Writes
-    ``BENCH_e19_targeted_matrix.json`` under ``--out``; exits nonzero on
-    any confidentiality violation or budget-ledger mismatch.
-``load-soak``
-    Sweep the open-workload ``open`` scenario over an arrival-rate ×
-    n × preset (× arrival process) matrix (E20): seeded arrival streams
-    behind a bounded admission queue, with per-cell SLO metrics
-    (delivery-latency p50/p99/p999, shed/fallback rates) and the
-    saturation knee per (n, process, preset) series.  Writes
-    ``BENCH_e20_open_workload.json`` under ``--out``; exits nonzero on
-    any confidentiality violation or shed-rumor leak.
-``perf``
-    The performance benches (see DESIGN.md Section 8): ``perf micro``
-    runs the stable-keyed microbenchmark suite (optionally with
-    cProfile hotspot attribution), ``perf scaling`` times the canonical
-    steady run across system sizes and writes
-    ``BENCH_e17_engine_scaling.json`` with speedups against the pinned
-    pre-optimization baseline, and ``perf chaos-scaling`` re-runs the
-    chaos drop axis at larger ``n`` (ROADMAP item 2) and writes
-    ``BENCH_e17b_chaos_scaling.json`` with the QoD-cliff placement.
-``net``
-    The sharded multi-process backend (see DESIGN.md Section 9):
-    ``net verify`` runs one scenario on both backends and asserts the
-    payload digests are bit-identical, and ``net bench`` times the
-    in-process engine against the sharded one across system sizes and
-    writes ``BENCH_e18_sharded_scaling.json``.
+
+Experiments
+-----------
+Each is one :class:`~repro.harness.experiment.Experiment` declaration
+(:data:`EXPERIMENTS`) run by the one
+:func:`~repro.harness.experiment.run_experiment`: a cell grid x
+``--seeds`` on the exec pool (``--jobs``), a resumable result cache,
+``<name>.txt`` and ``BENCH_<name>.json`` under ``--out`` (``--resume``
+reuses its cache), ``--json`` instead of the table, and one set of exit
+codes — 0 verdict holds, 1 it does not or a fail-fast invariant tripped,
+2 usage, 130 interrupted (rerun with ``--resume``).
+
+``sweep`` / ``profile-sweep``
+    Any scenario family over an ``n`` x ``deadline`` grid; ``sweep``
+    prints the aggregate table (``--metrics`` adds a registry dump),
+    ``profile-sweep`` the per-task wall-clock / worker-pid / cache-hit
+    breakdown.  Verdict: QoD satisfied and confidentiality clean.
+``chaos-soak`` (E15, ``repro.chaos.soak``)
+    The chaos scenario over a drop x delay fault-intensity matrix;
+    ``--trace FILE`` re-runs the worst cell with full telemetry so the
+    rumor timelines show which injected fault broke a delivery, and
+    ``--policy`` layers a targeted policy over the same matrix.
+``direct-soak`` (E16, ``repro.chaos.direct``)
+    The short-deadline direct-send path over a drop x default/hardened
+    matrix: with and without the ack/retransmit/k-copy layer.
+``targeted-soak`` (E19, ``repro.chaos.targeted_soak``)
+    Budgeted rumor-aware adversaries: policy x budget x n x preset, each
+    cell paired with its rumor-blind twin at the same budget.  Verdict
+    also fails on a budget-ledger mismatch.
+``load-soak`` (E20, ``repro.load.soak``)
+    The open workload over an arrival-rate x n x preset (x process)
+    matrix, with per-cell SLO metrics and the saturation knee per
+    series.  Verdict also fails on a shed-rumor leak.
+``perf chaos-scaling`` (E17b, ``repro.perf.scaling``)
+    The E15 matrix with ``n`` as one more grid axis, and where the QoD
+    cliff sits per ``n``.
+
+The soaks' verdict is confidentiality alone: QoD misses under faults are
+what they measure.
+
+Timed in-process benches
+------------------------
+``perf micro`` / ``perf scaling`` (E17)
+    The stable-keyed microbenchmark suite (optionally with cProfile
+    hotspot attribution), and the canonical steady run timed across
+    system sizes into ``BENCH_e17_engine_scaling.json`` (DESIGN.md
+    Section 8).  They time single runs in this process, so they are not
+    grid experiments.
+``net verify`` / ``net bench`` (E18)
+    The sharded multi-process backend (DESIGN.md Section 9): one
+    scenario on both backends with bit-identical payload digests
+    asserted, and in-process vs sharded wall-clock across system sizes
+    into ``BENCH_e18_sharded_scaling.json``.
+
+Inspection
+----------
 ``scenarios``
     List the registered scenario builders and their keyword arguments.
 ``partitions``
@@ -69,12 +78,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
-import os
 import sys
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional
 
 from repro.analysis.bounds import (
     collusion_lower_bound,
@@ -82,46 +91,27 @@ from repro.analysis.bounds import (
     congos_upper_bound,
     strong_confidentiality_lower_bound,
 )
-from repro.analysis.sweeps import grid, sweep_congos
-from repro.audit.failfast import InvariantViolation
-from repro.chaos.direct import (
-    BENCH_NAME as DIRECT_BENCH_NAME,
-    direct_cells,
-    direct_payload,
-    run_direct_soak,
-)
-from repro.chaos.soak import (
-    BENCH_NAME as CHAOS_BENCH_NAME,
-    cell_spec,
-    chaos_cells,
-    run_soak,
-    soak_payload,
-)
-from repro.chaos.targeted import (
-    BENCH_NAME as TARGETED_BENCH_NAME,
-    policy_names,
-    run_targeted_soak,
-    targeted_cells,
-    targeted_payload,
-)
+from repro.analysis.sweeps import SweepResult, grid
+from repro.chaos.direct import DIRECT_SOAK
+from repro.chaos.soak import CHAOS_SOAK
+from repro.chaos.targeted_soak import TARGETED_SOAK
 from repro.core.config import CongosParams
 from repro.core.congos import build_partition_set
-from repro.exec.bench_io import profile_payload, sweep_payload, write_bench_json
-from repro.exec.cache import ResultCache
+from repro.exec.bench_io import sweep_payload, write_bench_json
 from repro.exec.pool import run_specs
 from repro.exec.progress import Progress
 from repro.exec.results import RunRecord
 from repro.exec.tasks import RunSpec, canonical_json
-from repro.harness.report import format_kv, format_table
+from repro.harness.experiment import (
+    Experiment,
+    Table,
+    add_shared_flags,
+    run_experiment,
+)
+from repro.harness.report import dash, format_kv, format_table
 from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import BUILDERS
-from repro.load.arrivals import PROCESSES as ARRIVAL_PROCESSES
-from repro.load.soak import (
-    BENCH_NAME as LOAD_BENCH_NAME,
-    load_cells,
-    load_payload,
-    run_load_soak,
-)
+from repro.load.soak import LOAD_SOAK
 from repro.net.bench import (
     E18_BENCH_NAME,
     run_sharded_scaling,
@@ -129,13 +119,10 @@ from repro.net.bench import (
 )
 from repro.obs import JsonlSink, MetricsRegistry, RumorTimeline, Telemetry
 from repro.perf import (
-    E17B_BENCH_NAME,
+    CHAOS_SCALING,
     E17_BENCH_NAME,
-    case_keys,
-    chaos_scaling_payload,
     engine_scaling_payload,
     get_case,
-    run_chaos_scaling,
     run_engine_scaling,
     run_suite,
     suite_payload,
@@ -205,58 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         "engine (statistical parity, needs the repro[fast] extra)",
     )
 
-    sweep = sub.add_parser(
-        "sweep", help="run a scenario grid on the parallel exec pool"
-    )
-    sweep.add_argument("scenario", choices=sorted(SCENARIOS))
-    sweep.add_argument(
-        "-n",
-        type=int,
-        nargs="+",
-        default=[16],
-        metavar="N",
-        help="process-count axis of the grid",
-    )
-    sweep.add_argument(
-        "--deadline",
-        type=int,
-        nargs="+",
-        default=[128],
-        metavar="D",
-        help="deadline axis of the grid",
-    )
-    sweep.add_argument("--rounds", type=int, default=400)
-    sweep.add_argument(
-        "--seeds", type=int, default=2, help="seed replicates per cell"
-    )
-    sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="worker processes (0 = cpu count, 1 = serial)",
-    )
-    sweep.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="artifact directory: result cache, TXT table, BENCH JSON",
-    )
-    sweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse cached cells under --out instead of re-running them",
-    )
-    sweep.add_argument("--tau", type=int, default=1)
-    sweep.add_argument(
-        "--lean", action="store_true", help="use CongosParams.lean()"
-    )
-    sweep.add_argument("--json", action="store_true", help="emit JSON payload")
-    sweep.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print a registry dump aggregated from the run records",
-    )
-
     trace = sub.add_parser(
         "trace", help="run one scenario with full telemetry, stream JSONL"
     )
@@ -306,384 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
         "repro[net] extra installed)",
     )
 
-    profile = sub.add_parser(
-        "profile-sweep",
-        help="run a sweep and print the per-task wall-clock breakdown",
-    )
-    profile.add_argument("scenario", choices=sorted(SCENARIOS))
-    profile.add_argument(
-        "-n", type=int, nargs="+", default=[16], metavar="N"
-    )
-    profile.add_argument(
-        "--deadline", type=int, nargs="+", default=[128], metavar="D"
-    )
-    profile.add_argument("--rounds", type=int, default=400)
-    profile.add_argument(
-        "--seeds", type=int, default=2, help="seed replicates per cell"
-    )
-    profile.add_argument(
-        "--jobs", type=int, default=0, help="worker processes (0 = cpu count)"
-    )
-    profile.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="artifact directory: result cache + BENCH profile JSON",
-    )
-    profile.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse cached cells under --out instead of re-running them",
-    )
-    profile.add_argument("--tau", type=int, default=1)
-    profile.add_argument(
-        "--lean", action="store_true", help="use CongosParams.lean()"
-    )
-    profile.add_argument("--json", action="store_true", help="emit JSON payload")
-
-    soak = sub.add_parser(
-        "chaos-soak",
-        help="sweep a fault-intensity matrix with fail-fast invariants",
-    )
-    soak.add_argument("-n", type=int, default=16, help="process count")
-    soak.add_argument("--rounds", type=int, default=200)
-    soak.add_argument(
-        "--deadline",
-        type=int,
-        default=64,
-        help="rumor deadline: above direct_send_threshold=48 exercises "
-        "the full CONGOS pipeline; at or below it rumors take the "
-        "direct-send path, which the hardened ack/retransmit/k-copy "
-        "knobs protect (see the direct-soak command)",
-    )
-    soak.add_argument(
-        "--drop",
-        type=float,
-        nargs="+",
-        default=[0.0, 0.05, 0.15],
-        metavar="P",
-        help="drop-probability axis of the matrix",
-    )
-    soak.add_argument(
-        "--delay",
-        type=float,
-        nargs="+",
-        default=[0.0, 0.1],
-        metavar="P",
-        help="delay-probability axis of the matrix",
-    )
-    soak.add_argument("--max-delay", type=int, default=4, dest="max_delay")
-    soak.add_argument("--duplicate", type=float, default=0.0)
-    soak.add_argument("--reorder", type=float, default=0.0)
-    soak.add_argument(
-        "--partition-period", type=int, default=0, dest="partition_period"
-    )
-    soak.add_argument(
-        "--partition-width", type=int, default=0, dest="partition_width"
-    )
-    soak.add_argument(
-        "--churn",
-        type=float,
-        default=0.0,
-        help="per-round crash probability of a composed CRRI adversary",
-    )
-    soak.add_argument(
-        "--hardened",
-        action="store_true",
-        help="run with the graceful-degradation knobs (CongosParams.hardened)",
-    )
-    soak.add_argument(
-        "--seeds", type=int, default=2, help="seed replicates per cell"
-    )
-    soak.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="worker processes (0 = cpu count, 1 = serial)",
-    )
-    soak.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="artifact directory: result cache, TXT table, BENCH E15 JSON",
-    )
-    soak.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse cached cells under --out instead of re-running them",
-    )
-    soak.add_argument("--json", action="store_true", help="emit JSON payload")
-    soak.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="re-run the highest-intensity cell with telemetry to this JSONL",
-    )
-    soak.add_argument(
-        "--policy",
-        default=None,
-        choices=policy_names(),
-        help="layer a budgeted rumor-aware policy over every cell "
-        "(routes through the 'targeted' builder; see targeted-soak for "
-        "the full E19 matrix)",
-    )
-    soak.add_argument(
-        "--per-round",
-        type=int,
-        default=4,
-        dest="per_round",
-        help="targeted budget per destination per round (--policy only)",
-    )
-    soak.add_argument(
-        "--total",
-        type=int,
-        default=64,
-        help="targeted budget per destination per run (--policy only)",
-    )
-    soak.add_argument(
-        "--blind",
-        action="store_true",
-        help="rumor-blind variant of --policy (matched-budget baseline)",
-    )
-
-    targeted = sub.add_parser(
-        "targeted-soak",
-        help="sweep the budgeted rumor-aware adversary matrix (E19)",
-    )
-    targeted.add_argument("-n", type=int, nargs="+", default=[64], metavar="N")
-    # 96 rounds fits the full injection window for deadline 64 (inject
-    # in [24, 28), last expiry 92) while keeping the concurrent-rumor
-    # population — the dominant cost at n=256 — small.
-    targeted.add_argument("--rounds", type=int, default=96)
-    targeted.add_argument(
-        "--policies",
-        nargs="+",
-        default=None,
-        choices=policy_names(),
-        metavar="POLICY",
-        help="policies to sweep (default: all registered)",
-    )
-    targeted.add_argument(
-        "--budgets",
-        nargs="+",
-        default=["4:64", "8:128"],
-        metavar="PER_ROUND:TOTAL",
-        help="per-destination budget pairs, e.g. 4:64 8:128",
-    )
-    targeted.add_argument(
-        "--kind",
-        default="drop",
-        choices=["drop", "delay"],
-        help="what a spent budget unit does",
-    )
-    targeted.add_argument(
-        "--window",
-        type=int,
-        default=8,
-        help="deadline-chaser grace rounds after injection",
-    )
-    targeted.add_argument(
-        "--drop",
-        type=float,
-        default=0.0,
-        help="background oblivious drop probability composed under the "
-        "targeted layer",
-    )
-    targeted.add_argument(
-        "--presets",
-        nargs="+",
-        default=["default", "hardened"],
-        choices=["default", "hardened"],
-        help="CongosParams presets to sweep",
-    )
-    targeted.add_argument(
-        "--aware-only",
-        action="store_true",
-        dest="aware_only",
-        help="skip the rumor-blind matched-budget baseline cells",
-    )
-    targeted.add_argument(
-        "--seeds", type=int, default=2, help="seed replicates per cell"
-    )
-    targeted.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="worker processes (0 = cpu count, 1 = serial)",
-    )
-    targeted.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="artifact directory: result cache, TXT table, BENCH E19 JSON",
-    )
-    targeted.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse cached cells under --out instead of re-running them",
-    )
-    targeted.add_argument(
-        "--json", action="store_true", help="emit JSON payload"
-    )
-
-    load = sub.add_parser(
-        "load-soak",
-        help="sweep the open workload over an arrival-rate x n x preset "
-        "matrix (E20)",
-    )
-    load.add_argument("-n", type=int, nargs="+", default=[64], metavar="N")
-    # 200 rounds leaves a 50-round arrival window for deadline 64 with
-    # the default wait cap (32): warmup 50, arrivals [50, 100), queue
-    # drain by 132, last expiry 196.
-    load.add_argument("--rounds", type=int, default=200)
-    load.add_argument(
-        "--rates",
-        type=float,
-        nargs="+",
-        default=[1.0, 2.0, 4.0, 8.0],
-        metavar="RATE",
-        help="peak mean arrivals per round (the swept load axis)",
-    )
-    load.add_argument(
-        "--processes",
-        nargs="+",
-        default=["poisson"],
-        choices=list(ARRIVAL_PROCESSES),
-        metavar="PROCESS",
-        help="arrival processes to sweep (poisson/bursty/diurnal)",
-    )
-    load.add_argument(
-        "--presets",
-        nargs="+",
-        default=["default"],
-        choices=CongosParams.preset_names(),
-        help="CongosParams presets to sweep",
-    )
-    load.add_argument(
-        "--engines",
-        nargs="+",
-        default=["object"],
-        choices=("object", "array"),
-        metavar="ENGINE",
-        help="round kernels to sweep (array needs the repro[fast] extra)",
-    )
-    load.add_argument(
-        "--deadline",
-        type=int,
-        default=64,
-        help="rumor deadline (above direct_send_threshold=48 exercises "
-        "the full pipeline)",
-    )
-    load.add_argument(
-        "--dest-size", type=int, default=3, dest="dest_size",
-        help="destination-set size per rumor",
-    )
-    load.add_argument(
-        "--zipf-groups",
-        type=int,
-        default=0,
-        dest="zipf_groups",
-        help="hotspot destination blocks (0 = uniform destinations)",
-    )
-    load.add_argument(
-        "--zipf-s", type=float, default=1.1, dest="zipf_s",
-        help="Zipf exponent over the hotspot blocks",
-    )
-    load.add_argument(
-        "--queue-cap",
-        type=int,
-        default=256,
-        dest="queue_cap",
-        help="admission queue bound (arrivals beyond it are shed)",
-    )
-    load.add_argument(
-        "--max-wait",
-        type=int,
-        default=None,
-        dest="max_wait",
-        help="shed queued arrivals waiting longer than this "
-        "(default: half the deadline)",
-    )
-    load.add_argument(
-        "--per-round",
-        type=int,
-        default=None,
-        dest="per_round",
-        help="per-round injection budget "
-        "(default: CongosParams.injection_budget(n))",
-    )
-    load.add_argument(
-        "--seeds", type=int, default=2, help="seed replicates per cell"
-    )
-    load.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="worker processes (0 = cpu count, 1 = serial)",
-    )
-    load.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="artifact directory: result cache, TXT table, BENCH E20 JSON",
-    )
-    load.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse cached cells under --out instead of re-running them",
-    )
-    load.add_argument(
-        "--json", action="store_true", help="emit JSON payload"
-    )
-
-    direct = sub.add_parser(
-        "direct-soak",
-        help="sweep the direct-send path over a drop x hardened matrix (E16)",
-    )
-    direct.add_argument("-n", type=int, default=16, help="process count")
-    direct.add_argument("--rounds", type=int, default=200)
-    direct.add_argument(
-        "--deadline",
-        type=int,
-        default=32,
-        help="rumor deadline; must stay at or below "
-        "direct_send_threshold=48 so only the direct-send path runs",
-    )
-    direct.add_argument(
-        "--drop",
-        type=float,
-        nargs="+",
-        default=[0.0, 0.1, 0.3],
-        metavar="P",
-        help="drop-probability axis of the matrix",
-    )
-    direct.add_argument(
-        "--delay", type=float, default=0.0, help="delay probability (fixed)"
-    )
-    direct.add_argument("--max-delay", type=int, default=4, dest="max_delay")
-    direct.add_argument("--duplicate", type=float, default=0.0)
-    direct.add_argument("--reorder", type=float, default=0.0)
-    direct.add_argument(
-        "--seeds", type=int, default=2, help="seed replicates per cell"
-    )
-    direct.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="worker processes (0 = cpu count, 1 = serial)",
-    )
-    direct.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="artifact directory: result cache, TXT table, BENCH E16 JSON",
-    )
-    direct.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse cached cells under --out instead of re-running them",
-    )
-    direct.add_argument("--json", action="store_true", help="emit JSON payload")
+    for experiment in EXPERIMENTS:
+        if experiment.flags is not None:
+            experiment_parser = sub.add_parser(
+                experiment.command, help=experiment.help
+            )
+            experiment.flags(experiment_parser)
+            add_shared_flags(experiment_parser)
 
     perf = sub.add_parser(
         "perf",
@@ -749,27 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P",
         help="chaos-scaling: delay-probability axis",
     )
-    perf.add_argument(
-        "--seeds", type=int, default=2, help="chaos-scaling: seed replicates"
-    )
-    perf.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="chaos-scaling: worker processes (0 = cpu count, 1 = serial)",
-    )
-    perf.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="artifact directory for the BENCH JSON (scaling suites)",
-    )
-    perf.add_argument(
-        "--resume",
-        action="store_true",
-        help="chaos-scaling: reuse cached cells under --out",
-    )
-    perf.add_argument("--json", action="store_true", help="emit JSON payload")
+    # chaos-scaling is a grid experiment; scaling reads --out/--json too.
+    add_shared_flags(perf)
 
     net = sub.add_parser(
         "net",
@@ -872,6 +417,192 @@ def _registry_from_records(records) -> MetricsRegistry:
     return registry
 
 
+def _params(args: argparse.Namespace) -> CongosParams:
+    if args.lean:
+        return CongosParams.lean(tau=args.tau)
+    if args.tau > 1:
+        return CongosParams(tau=args.tau)
+    return CongosParams()
+
+
+# ----------------------------------------------------------------------
+# The two generic experiments: any scenario family over n x deadline.
+# ----------------------------------------------------------------------
+
+
+def _grid_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("scenario", choices=sorted(SCENARIOS))
+    parser.add_argument(
+        "-n",
+        type=int,
+        nargs="+",
+        default=[16],
+        metavar="N",
+        help="process-count axis of the grid",
+    )
+    parser.add_argument(
+        "--deadline",
+        type=int,
+        nargs="+",
+        default=[128],
+        metavar="D",
+        help="deadline axis of the grid",
+    )
+    parser.add_argument("--rounds", type=int, default=400)
+    parser.add_argument("--tau", type=int, default=1)
+    parser.add_argument(
+        "--lean", action="store_true", help="use CongosParams.lean()"
+    )
+
+
+def _sweep_flags(parser: argparse.ArgumentParser) -> None:
+    _grid_flags(parser)
+    parser.add_argument(
+        "--metrics",
+        action="store_true",
+        help="print a registry dump aggregated from the run records",
+    )
+
+
+def _grid_cells(args: argparse.Namespace) -> List[Dict[str, object]]:
+    axis = "dmax" if args.scenario == "theorem1" else "deadline"
+    return grid(**{"n": args.n, axis: args.deadline})
+
+
+def _grid_fixed(args: argparse.Namespace) -> Dict[str, object]:
+    fixed: Dict[str, object] = {"rounds": args.rounds, "params": _params(args)}
+    if args.scenario == "collusion":
+        fixed["tau"] = args.tau
+    return fixed
+
+
+def _grid_verdict(sweep: SweepResult, payload: Dict[str, object]) -> bool:
+    return sweep.all_satisfied() and sweep.all_clean()
+
+
+def _print_sweep_metrics(
+    args: argparse.Namespace, payload: Dict[str, object], sweep: SweepResult
+) -> None:
+    if args.metrics and not args.json:
+        records = sweep.runs()
+        print()
+        print("Telemetry registry (aggregated from {} records)".format(
+            len(records)
+        ))
+        print(_registry_from_records(records).render())
+
+
+SWEEP = Experiment(
+    command="sweep",
+    help="run a scenario grid on the parallel exec pool",
+    bench="{scenario}_sweep",
+    txt="{scenario}_sweep",
+    builder="{scenario}",
+    flags=_sweep_flags,
+    cells=_grid_cells,
+    fixed=_grid_fixed,
+    payload=lambda sweep, fixed: sweep_payload(sweep),
+    verdict=_grid_verdict,
+    tables=(
+        Table(
+            "sweep {scenario} ({cells} cells x {seeds} seeds)",
+            lambda payload, sweep: (sweep.table_headers(), sweep.table_rows()),
+        ),
+    ),
+    epilogue=_print_sweep_metrics,
+)
+
+
+def _profile_rows(payload: Dict[str, object], sweep: SweepResult):
+    axis_names = sorted(sweep.cells[0].cell)
+    rows = [
+        [
+            *[cell.cell[key] for key in axis_names],
+            record.seed,
+            round(record.wall_time, 3),
+            dash(record.worker_pid),
+            "yes" if record.cache_hit else "no",
+        ]
+        for cell in sweep.cells
+        for record in cell.runs
+    ]
+    return [*axis_names, "seed", "wall s", "worker pid", "cached"], rows
+
+
+def _profile_extras(
+    args: argparse.Namespace, payload: Dict[str, object]
+) -> Dict[str, object]:
+    elapsed = payload["elapsed_seconds"]
+    busy = payload["profile"]["task_seconds_total"]
+    return {
+        "jobs": args.jobs,
+        "speedup": round(busy / elapsed, 2) if elapsed > 0 else 0.0,
+    }
+
+
+def _print_pool_profile(
+    args: argparse.Namespace, payload: Dict[str, object], sweep: SweepResult
+) -> None:
+    if args.json:
+        return
+    profile = payload["profile"]
+    print()
+    print(
+        format_kv(
+            [
+                ("tasks", profile["tasks"]),
+                ("executed", profile["executed"]),
+                ("cache hits", profile["cache_hits"]),
+                ("workers", profile["workers"]),
+                ("task seconds (total)", profile["task_seconds_total"]),
+                ("task seconds (mean)", profile["task_seconds_mean"]),
+                ("task seconds (max)", profile["task_seconds_max"]),
+                ("elapsed seconds", payload["elapsed_seconds"]),
+                ("parallel speedup", payload["speedup"]),
+            ],
+            title="Exec-pool profile",
+        )
+    )
+
+
+PROFILE_SWEEP = Experiment(
+    command="profile-sweep",
+    help="run a sweep and print the per-task wall-clock breakdown",
+    bench="{scenario}_profile",
+    txt="{scenario}_profile",
+    builder="{scenario}",
+    flags=_grid_flags,
+    cells=_grid_cells,
+    fixed=_grid_fixed,
+    # All timing: nothing about a profile is deterministic.
+    payload=lambda sweep, fixed: {},
+    extras=_profile_extras,
+    verdict=_grid_verdict,
+    tables=(
+        Table(
+            lambda args, cells: "profile-sweep {} ({} tasks)".format(
+                args.scenario, cells * args.seeds
+            ),
+            _profile_rows,
+        ),
+    ),
+    epilogue=_print_pool_profile,
+)
+
+# Every grid experiment the CLI runs.  One with ``flags`` gets its own
+# subcommand (plus the shared flags); ``perf chaos-scaling`` rides the
+# hand-built ``perf`` parser next to the in-process benches.
+EXPERIMENTS = (
+    SWEEP,
+    PROFILE_SWEEP,
+    CHAOS_SOAK,
+    DIRECT_SOAK,
+    TARGETED_SOAK,
+    LOAD_SOAK,
+    CHAOS_SCALING,
+)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     params = CongosParams(tau=args.tau) if args.tau > 1 else CongosParams()
     kwargs = _scenario_kwargs(args)
@@ -968,94 +699,8 @@ def _run_multi_seed(
     return 0 if ok else 1
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.resume and not args.out:
-        print("--resume needs --out (the cache lives there)", file=sys.stderr)
-        return 2
-    axis = "dmax" if args.scenario == "theorem1" else "deadline"
-    cells = grid(**{"n": args.n, axis: args.deadline})
-    if args.lean:
-        params = CongosParams.lean(tau=args.tau)
-    elif args.tau > 1:
-        params = CongosParams(tau=args.tau)
-    else:
-        params = CongosParams()
-    fixed: Dict[str, object] = {"rounds": args.rounds, "params": params}
-    if args.scenario == "collusion":
-        fixed["tau"] = args.tau
-    cache = None
-    if args.out:
-        cache = ResultCache(os.path.join(args.out, "cache"))
-    total = len(cells) * args.seeds
-    progress = Progress.for_tty(total, label="sweep {}".format(args.scenario))
-    try:
-        result = sweep_congos(
-            args.scenario,
-            cells,
-            seeds=range(args.seeds),
-            jobs=args.jobs,
-            cache=cache,
-            resume=args.resume,
-            progress=progress,
-            **fixed,
-        )
-    except KeyboardInterrupt:
-        print(
-            "\ninterrupted after {} of {} tasks{}".format(
-                progress.done,
-                total,
-                " — rerun with --resume to continue" if args.out else "",
-            ),
-            file=sys.stderr,
-        )
-        return 130
-    progress.finish()
-    table = format_table(
-        result.table_headers(),
-        result.table_rows(),
-        title="sweep {} ({} cells x {} seeds)".format(
-            args.scenario, len(cells), args.seeds
-        ),
-    )
-    flat_records = [record for cell in result.cells for record in cell.runs]
-    payload = sweep_payload(result)
-    payload["scenario"] = args.scenario
-    payload["seeds"] = args.seeds
-    payload["elapsed_seconds"] = round(progress.elapsed(), 3)
-    payload["executed_tasks"] = progress.executed
-    payload["cached_tasks"] = progress.cached
-    payload["profile"] = profile_payload(flat_records)
-    if args.json:
-        print(json.dumps(payload, indent=2, default=str))
-    else:
-        print(table)
-        if args.metrics:
-            print()
-            print("Telemetry registry (aggregated from {} records)".format(
-                len(flat_records)
-            ))
-            print(_registry_from_records(flat_records).render())
-    if args.out:
-        name = "{}_sweep".format(args.scenario)
-        with open(
-            os.path.join(args.out, "{}.txt".format(name)), "w", encoding="utf-8"
-        ) as handle:
-            handle.write(table + "\n")
-        artifact = write_bench_json(name, payload, results_dir=args.out)
-        print("artifacts: {}".format(artifact), file=sys.stderr)
-    return 0 if result.all_satisfied() and result.all_clean() else 1
-
-
-def _trace_params(args: argparse.Namespace) -> CongosParams:
-    if args.lean:
-        return CongosParams.lean(tau=args.tau)
-    if args.tau > 1:
-        return CongosParams(tau=args.tau)
-    return CongosParams()
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
-    params = _trace_params(args)
+    params = _params(args)
     kwargs = _scenario_kwargs(args)
     builder = SCENARIOS[args.scenario]
     scenario = builder(seed=args.seed, params=params, **kwargs)
@@ -1085,8 +730,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
             len(rec.dest),
             rec.fragments,
             rec.delivered_count,
-            rec.confirmed_round if rec.confirmed_round is not None else "-",
-            rec.fallback_round if rec.fallback_round is not None else "-",
+            dash(rec.confirmed_round),
+            dash(rec.fallback_round),
             (max(rec.latencies()) if rec.latencies() else "-"),
         ]
         for rec in lifecycles
@@ -1126,683 +771,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_profile_sweep(args: argparse.Namespace) -> int:
-    if args.resume and not args.out:
-        print("--resume needs --out (the cache lives there)", file=sys.stderr)
-        return 2
-    axis = "dmax" if args.scenario == "theorem1" else "deadline"
-    cells = grid(**{"n": args.n, axis: args.deadline})
-    if args.lean:
-        params = CongosParams.lean(tau=args.tau)
-    elif args.tau > 1:
-        params = CongosParams(tau=args.tau)
-    else:
-        params = CongosParams()
-    fixed: Dict[str, object] = {"rounds": args.rounds, "params": params}
-    if args.scenario == "collusion":
-        fixed["tau"] = args.tau
-    cache = None
-    if args.out:
-        cache = ResultCache(os.path.join(args.out, "cache"))
-    total = len(cells) * args.seeds
-    progress = Progress.for_tty(
-        total, label="profile {}".format(args.scenario)
-    )
-    result = sweep_congos(
-        args.scenario,
-        cells,
-        seeds=range(args.seeds),
-        jobs=args.jobs,
-        cache=cache,
-        resume=args.resume,
-        progress=progress,
-        **fixed,
-    )
-    progress.finish()
-    axis_names = sorted(result.cells[0].cell) if result.cells else []
-    rows = []
-    flat_records = []
-    for cell in result.cells:
-        for record in cell.runs:
-            flat_records.append(record)
-            rows.append(
-                [
-                    *[cell.cell[key] for key in axis_names],
-                    record.seed,
-                    round(record.wall_time, 3),
-                    record.worker_pid if record.worker_pid is not None else "-",
-                    "yes" if record.cache_hit else "no",
-                ]
-            )
-    profile = profile_payload(flat_records)
-    elapsed = progress.elapsed()
-    speedup = (
-        profile["task_seconds_total"] / elapsed if elapsed > 0 else 0.0
-    )
-    payload: Dict[str, object] = {
-        "scenario": args.scenario,
-        "seeds": args.seeds,
-        "jobs": args.jobs,
-        "elapsed_seconds": round(elapsed, 3),
-        "speedup": round(speedup, 2),
-        "profile": profile,
-    }
-    if args.json:
-        print(json.dumps(payload, indent=2, default=str))
-    else:
-        print(
-            format_table(
-                [*axis_names, "seed", "wall s", "worker pid", "cached"],
-                rows,
-                title="profile-sweep {} ({} tasks)".format(
-                    args.scenario, len(rows)
-                ),
-            )
-        )
-        print()
-        print(
-            format_kv(
-                [
-                    ("tasks", profile["tasks"]),
-                    ("executed", profile["executed"]),
-                    ("cache hits", profile["cache_hits"]),
-                    ("workers", profile["workers"]),
-                    ("task seconds (total)", profile["task_seconds_total"]),
-                    ("task seconds (mean)", profile["task_seconds_mean"]),
-                    ("task seconds (max)", profile["task_seconds_max"]),
-                    ("elapsed seconds", round(elapsed, 3)),
-                    ("parallel speedup", round(speedup, 2)),
-                ],
-                title="Exec-pool profile",
-            )
-        )
-    if args.out:
-        name = "{}_profile".format(args.scenario)
-        artifact = write_bench_json(name, payload, results_dir=args.out)
-        print("artifacts: {}".format(artifact), file=sys.stderr)
-    return 0 if result.all_satisfied() and result.all_clean() else 1
-
-
-def cmd_chaos_soak(args: argparse.Namespace) -> int:
-    if args.resume and not args.out:
-        print("--resume needs --out (the cache lives there)", file=sys.stderr)
-        return 2
-    cells = chaos_cells(args.drop, args.delay)
-    fixed: Dict[str, object] = {
-        "n": args.n,
-        "rounds": args.rounds,
-        "deadline": args.deadline,
-        "max_delay": args.max_delay,
-        "duplicate": args.duplicate,
-        "reorder": args.reorder,
-        "partition_period": args.partition_period,
-        "partition_width": args.partition_width,
-        "churn": args.churn,
-        "hardened": args.hardened,
-    }
-    builder = "chaos"
-    if args.policy is not None:
-        # Same intensity matrix, with a budgeted rumor-aware policy
-        # layered over every cell's oblivious spec.
-        builder = "targeted"
-        fixed.update(
-            policy=args.policy,
-            per_round=args.per_round,
-            total=args.total,
-            blind=args.blind,
-        )
-        # The targeted builder picks its own deadline default per policy.
-        if args.deadline == 64:
-            del fixed["deadline"]
-    cache = None
-    if args.out:
-        cache = ResultCache(os.path.join(args.out, "cache"))
-    total = len(cells) * args.seeds
-    progress = Progress.for_tty(total, label="chaos soak")
-    try:
-        result = run_soak(
-            cells,
-            seeds=range(args.seeds),
-            jobs=args.jobs,
-            cache=cache,
-            resume=args.resume,
-            progress=progress,
-            builder=builder,
-            **fixed,
-        )
-    except InvariantViolation as violation:
-        # A worker's FailFastMonitor tripped: loss must degrade delivery,
-        # never confidentiality — this is the soak's red alert.
-        print("\nINVARIANT VIOLATION: {}".format(violation), file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        print(
-            "\ninterrupted after {} of {} tasks{}".format(
-                progress.done,
-                total,
-                " — rerun with --resume to continue" if args.out else "",
-            ),
-            file=sys.stderr,
-        )
-        return 130
-    progress.finish()
-    payload = soak_payload(result, fixed)
-    payload["scenario"] = builder
-    payload["seeds"] = args.seeds
-    payload["fixed"] = dict(fixed)
-    # Nondeterministic timing lives under one key so artifact comparisons
-    # can drop it (and "created") and assert the rest byte-identical.
-    flat_records = [record for cell in result.cells for record in cell.runs]
-    payload["profile"] = profile_payload(flat_records)
-    payload["profile"]["elapsed_seconds"] = round(progress.elapsed(), 3)
-    rows: List[List[object]] = []
-    for entry in payload["cells"]:
-        faults = entry["faults"]
-        rows.append(
-            [
-                entry["cell"]["drop"],
-                entry["cell"]["delay"],
-                entry["intensity"],
-                sum(faults.values()),
-                entry["delivery_rate"]
-                if entry["delivery_rate"] is not None
-                else "-",
-                entry["fallback_rate"],
-                entry["qod_satisfied"],
-                entry["clean"],
-            ]
-        )
-    table = format_table(
-        [
-            "drop",
-            "delay",
-            "intensity",
-            "faults",
-            "delivery",
-            "fallback",
-            "qod",
-            "clean",
-        ],
-        rows,
-        title="chaos soak ({} cells x {} seeds{}{})".format(
-            len(cells),
-            args.seeds,
-            ", hardened" if args.hardened else "",
-            ", policy " + args.policy if args.policy else "",
-        ),
-    )
-    if args.json:
-        print(json.dumps(payload, indent=2, default=str))
-    else:
-        print(table)
-    if args.out:
-        with open(
-            os.path.join(args.out, "chaos_soak.txt"), "w", encoding="utf-8"
-        ) as handle:
-            handle.write(table + "\n")
-        artifact = write_bench_json(
-            CHAOS_BENCH_NAME, payload, results_dir=args.out
-        )
-        print("artifacts: {}".format(artifact), file=sys.stderr)
-    if args.trace:
-        _trace_worst_cell(args, result, fixed, builder)
-    return 0 if result.all_clean() else 1
-
-
-def _trace_worst_cell(
-    args: argparse.Namespace,
-    result,
-    fixed: Dict[str, object],
-    builder: str = "chaos",
-) -> None:
-    """Re-run the highest-intensity cell in-process with full telemetry."""
-    worst = max(
-        result.cells,
-        key=lambda cell: (
-            cell_spec(cell.cell, fixed).intensity(),
-            sorted(cell.cell.items()),
-        ),
-    )
-    timeline = RumorTimeline()
-    with JsonlSink(path=args.trace) as sink:
-        telemetry = Telemetry(sinks=[sink])
-        telemetry.subscribe(timeline)
-        scenario = SCENARIOS[builder](seed=0, **fixed, **worst.cell)
-        run_congos_scenario(
-            scenario, observers=[timeline], telemetry=telemetry
-        )
-        timeline.export(sink)
-        emitted = sink.emitted
-    print(
-        "trace of worst cell {}: {} events -> {}".format(
-            worst.cell, emitted, args.trace
-        )
-    )
-    lifecycles = timeline.lifecycles()
-    faulted = [record for record in lifecycles if record.faults]
-    target = faulted[0] if faulted else (lifecycles[0] if lifecycles else None)
-    if target is not None:
-        print()
-        print(
-            "timeline of rumor {} ({} faults hit its messages)".format(
-                target.rid, len(target.faults)
-            )
-        )
-        for line in timeline.replay(target.rid):
-            print("  " + line)
-
-
-def cmd_direct_soak(args: argparse.Namespace) -> int:
-    if args.resume and not args.out:
-        print("--resume needs --out (the cache lives there)", file=sys.stderr)
-        return 2
-    cells = direct_cells(args.drop)
-    fixed: Dict[str, object] = {
-        "n": args.n,
-        "rounds": args.rounds,
-        "deadline": args.deadline,
-        "delay": args.delay,
-        "max_delay": args.max_delay,
-        "duplicate": args.duplicate,
-        "reorder": args.reorder,
-    }
-    cache = None
-    if args.out:
-        cache = ResultCache(os.path.join(args.out, "cache"))
-    total = len(cells) * args.seeds
-    progress = Progress.for_tty(total, label="direct soak")
-    try:
-        result = run_direct_soak(
-            cells,
-            seeds=range(args.seeds),
-            jobs=args.jobs,
-            cache=cache,
-            resume=args.resume,
-            progress=progress,
-            **fixed,
-        )
-    except InvariantViolation as violation:
-        # Red alert: the reliability layer added redundancy AND knowledge.
-        print("\nINVARIANT VIOLATION: {}".format(violation), file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        print(
-            "\ninterrupted after {} of {} tasks{}".format(
-                progress.done,
-                total,
-                " — rerun with --resume to continue" if args.out else "",
-            ),
-            file=sys.stderr,
-        )
-        return 130
-    progress.finish()
-    payload = direct_payload(result, fixed)
-    payload["scenario"] = "direct"
-    payload["seeds"] = args.seeds
-    payload["fixed"] = dict(fixed)
-    flat_records = [record for cell in result.cells for record in cell.runs]
-    payload["profile"] = profile_payload(flat_records)
-    payload["profile"]["elapsed_seconds"] = round(progress.elapsed(), 3)
-    rows: List[List[object]] = []
-    for entry in payload["cells"]:
-        faults = entry["faults"]
-        rows.append(
-            [
-                entry["cell"]["drop"],
-                "hardened" if entry["cell"]["hardened"] else "default",
-                sum(faults.values()),
-                entry["delivery_rate"]
-                if entry["delivery_rate"] is not None
-                else "-",
-                entry["qod_satisfied"],
-                entry["clean"],
-            ]
-        )
-    table = format_table(
-        ["drop", "mode", "faults", "delivery", "qod", "clean"],
-        rows,
-        title="direct soak ({} cells x {} seeds)".format(
-            len(cells), args.seeds
-        ),
-    )
-    if args.json:
-        print(json.dumps(payload, indent=2, default=str))
-    else:
-        print(table)
-    if args.out:
-        with open(
-            os.path.join(args.out, "direct_soak.txt"), "w", encoding="utf-8"
-        ) as handle:
-            handle.write(table + "\n")
-        artifact = write_bench_json(
-            DIRECT_BENCH_NAME, payload, results_dir=args.out
-        )
-        print("artifacts: {}".format(artifact), file=sys.stderr)
-    return 0 if result.all_clean() else 1
-
-
-def _parse_budgets(specs: List[str]) -> List[tuple]:
-    budgets = []
-    for spec in specs:
-        try:
-            per_round, total = spec.split(":", 1)
-            budgets.append((int(per_round), int(total)))
-        except ValueError:
-            raise SystemExit(
-                "bad --budgets entry {!r}: expected PER_ROUND:TOTAL, "
-                "e.g. 4:64".format(spec)
-            )
-    return budgets
-
-
-def cmd_targeted_soak(args: argparse.Namespace) -> int:
-    if args.resume and not args.out:
-        print("--resume needs --out (the cache lives there)", file=sys.stderr)
-        return 2
-    policies = args.policies if args.policies else policy_names()
-    budgets = _parse_budgets(args.budgets)
-    hardened = [preset == "hardened" for preset in args.presets]
-    blind = (False,) if args.aware_only else (False, True)
-    cells = targeted_cells(
-        policies, budgets, args.n, hardened=hardened, blind=blind
-    )
-    fixed: Dict[str, object] = {
-        "rounds": args.rounds,
-        "kind": args.kind,
-        "window": args.window,
-        "drop": args.drop,
-    }
-    cache = None
-    if args.out:
-        cache = ResultCache(os.path.join(args.out, "cache"))
-    total = len(cells) * args.seeds
-    progress = Progress.for_tty(total, label="targeted soak")
-    try:
-        result = run_targeted_soak(
-            cells,
-            seeds=range(args.seeds),
-            jobs=args.jobs,
-            cache=cache,
-            resume=args.resume,
-            progress=progress,
-            **fixed,
-        )
-    except InvariantViolation as violation:
-        # Red alert: a *targeted* adversary must still never learn z.
-        print("\nINVARIANT VIOLATION: {}".format(violation), file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        print(
-            "\ninterrupted after {} of {} tasks{}".format(
-                progress.done,
-                total,
-                " — rerun with --resume to continue" if args.out else "",
-            ),
-            file=sys.stderr,
-        )
-        return 130
-    progress.finish()
-    payload = targeted_payload(result, fixed)
-    payload["scenario"] = "targeted"
-    payload["seeds"] = args.seeds
-    payload["fixed"] = dict(fixed)
-    payload["policies"] = list(policies)
-    payload["budgets"] = ["{}:{}".format(*pair) for pair in budgets]
-    flat_records = [record for cell in result.cells for record in cell.runs]
-    payload["profile"] = profile_payload(flat_records)
-    payload["profile"]["elapsed_seconds"] = round(progress.elapsed(), 3)
-    rows: List[List[object]] = []
-    for entry in payload["cells"]:
-        cell = entry["cell"]
-        rows.append(
-            [
-                cell["policy"],
-                "{}:{}".format(cell["per_round"], cell["total"]),
-                cell["n"],
-                "hardened" if cell["hardened"] else "default",
-                "blind" if cell["blind"] else "aware",
-                entry["budget_spent"],
-                "ok" if entry["ledger_ok"] else "MISMATCH",
-                entry["delivery_rate"]
-                if entry["delivery_rate"] is not None
-                else "-",
-                entry["tracked_delivery_rate"]
-                if entry["tracked_delivery_rate"] is not None
-                else "-",
-                entry["fallback_rate"],
-                entry["clean"],
-            ]
-        )
-    table = format_table(
-        [
-            "policy",
-            "budget",
-            "n",
-            "preset",
-            "mode",
-            "spent",
-            "ledger",
-            "delivery",
-            "tracked",
-            "fallback",
-            "clean",
-        ],
-        rows,
-        title="targeted soak ({} cells x {} seeds)".format(
-            len(cells), args.seeds
-        ),
-    )
-    if args.json:
-        print(json.dumps(payload, indent=2, default=str))
-    else:
-        print(table)
-        if payload["comparisons"]:
-            comp_rows = [
-                [
-                    comp["policy"],
-                    "{}:{}".format(comp["per_round"], comp["total"]),
-                    comp["n"],
-                    "hardened" if comp["hardened"] else "default",
-                    comp["targeted_delivery"]
-                    if comp["targeted_delivery"] is not None
-                    else "-",
-                    comp["oblivious_delivery"]
-                    if comp["oblivious_delivery"] is not None
-                    else "-",
-                    comp["delivery_delta"]
-                    if comp["delivery_delta"] is not None
-                    else "-",
-                    comp["targeted_spent"],
-                    comp["oblivious_spent"],
-                ]
-                for comp in payload["comparisons"]
-            ]
-            print()
-            print(
-                format_table(
-                    [
-                        "policy",
-                        "budget",
-                        "n",
-                        "preset",
-                        "aware",
-                        "blind",
-                        "delta",
-                        "aware spent",
-                        "blind spent",
-                    ],
-                    comp_rows,
-                    title="targeted vs matched-budget oblivious",
-                )
-            )
-    if args.out:
-        with open(
-            os.path.join(args.out, "targeted_soak.txt"), "w", encoding="utf-8"
-        ) as handle:
-            handle.write(table + "\n")
-        artifact = write_bench_json(
-            TARGETED_BENCH_NAME, payload, results_dir=args.out
-        )
-        print("artifacts: {}".format(artifact), file=sys.stderr)
-    return 0 if payload["all_clean"] and payload["all_ledgers_ok"] else 1
-
-
-def cmd_load_soak(args: argparse.Namespace) -> int:
-    if args.resume and not args.out:
-        print("--resume needs --out (the cache lives there)", file=sys.stderr)
-        return 2
-    cells = load_cells(
-        args.rates,
-        args.n,
-        processes=args.processes,
-        presets=args.presets,
-        engines=args.engines,
-    )
-    fixed: Dict[str, object] = {
-        "rounds": args.rounds,
-        "deadline": args.deadline,
-        "dest_size": args.dest_size,
-        "zipf_groups": args.zipf_groups,
-        "zipf_s": args.zipf_s,
-        "queue_cap": args.queue_cap,
-    }
-    if args.max_wait is not None:
-        fixed["max_wait"] = args.max_wait
-    if args.per_round is not None:
-        fixed["per_round"] = args.per_round
-    cache = None
-    if args.out:
-        cache = ResultCache(os.path.join(args.out, "cache"))
-    total = len(cells) * args.seeds
-    progress = Progress.for_tty(total, label="load soak")
-    try:
-        result = run_load_soak(
-            cells,
-            seeds=range(args.seeds),
-            jobs=args.jobs,
-            cache=cache,
-            resume=args.resume,
-            progress=progress,
-            **fixed,
-        )
-    except InvariantViolation as violation:
-        # Red alert: overload may shed traffic, it must never leak z.
-        print("\nINVARIANT VIOLATION: {}".format(violation), file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        print(
-            "\ninterrupted after {} of {} tasks{}".format(
-                progress.done,
-                total,
-                " — rerun with --resume to continue" if args.out else "",
-            ),
-            file=sys.stderr,
-        )
-        return 130
-    progress.finish()
-    payload = load_payload(result, fixed)
-    payload["scenario"] = "open"
-    payload["seeds"] = args.seeds
-    flat_records = [record for cell in result.cells for record in cell.runs]
-    payload["profile"] = profile_payload(flat_records)
-    payload["profile"]["elapsed_seconds"] = round(progress.elapsed(), 3)
-    rows: List[List[object]] = []
-    for entry in payload["cells"]:
-        cell = entry["cell"]
-        rows.append(
-            [
-                cell["process"],
-                cell["rate"],
-                cell["n"],
-                cell["preset"],
-                cell.get("engine", "object"),
-                entry["budget"],
-                entry["offered"],
-                entry["admitted"],
-                entry["shed_rate"],
-                entry["delivery_latency"]["p99"]
-                if entry["delivery_latency"]["p99"] is not None
-                else "-",
-                entry["e2e_latency_worst_seed"]["p99"]
-                if entry["e2e_latency_worst_seed"]["p99"] is not None
-                else "-",
-                entry["fallback_rate"],
-                entry["qod_satisfied"],
-                entry["clean"] and entry["shed_leak_free"],
-            ]
-        )
-    table = format_table(
-        [
-            "process",
-            "rate",
-            "n",
-            "preset",
-            "engine",
-            "budget",
-            "offered",
-            "admitted",
-            "shed",
-            "p99",
-            "e2e p99",
-            "fallback",
-            "qod",
-            "clean",
-        ],
-        rows,
-        title="load soak ({} cells x {} seeds)".format(len(cells), args.seeds),
-    )
-    if args.json:
-        print(json.dumps(payload, indent=2, default=str))
-    else:
-        print(table)
-        knee_rows = [
-            [
-                knee["n"],
-                knee["process"],
-                knee["preset"],
-                knee.get("engine", "object"),
-                knee["knee_rate"] if knee["knee_rate"] is not None else "-",
-                knee["ceiling_admitted_per_round"]
-                if knee["ceiling_admitted_per_round"] is not None
-                else "-",
-                knee["rumors_per_sec_at_knee"]
-                if knee["rumors_per_sec_at_knee"] is not None
-                else "-",
-                knee["first_saturated_rate"]
-                if knee["first_saturated_rate"] is not None
-                else "-",
-            ]
-            for knee in payload["knees"]
-        ]
-        print()
-        print(
-            format_table(
-                [
-                    "n",
-                    "process",
-                    "preset",
-                    "engine",
-                    "knee rate",
-                    "ceiling/round",
-                    "rumors/sec",
-                    "saturates at",
-                ],
-                knee_rows,
-                title="saturation knees",
-            )
-        )
-    if args.out:
-        with open(
-            os.path.join(args.out, "load_soak.txt"), "w", encoding="utf-8"
-        ) as handle:
-            handle.write(table + "\n")
-        artifact = write_bench_json(
-            LOAD_BENCH_NAME, payload, results_dir=args.out
-        )
-        print("artifacts: {}".format(artifact), file=sys.stderr)
-    return 0 if payload["all_clean"] and payload["all_shed_leak_free"] else 1
-
-
 def _builder_kwargs(builder) -> str:
     """Render a builder's keyword arguments for the listing."""
     parts: List[str] = []
@@ -1814,6 +782,22 @@ def _builder_kwargs(builder) -> str:
     return ", ".join(parts)
 
 
+def _emit_bench(
+    args: argparse.Namespace,
+    payload: Dict[str, object],
+    bench: Optional[str] = None,
+) -> bool:
+    """The emit step the in-process benches share: ``BENCH_<bench>.json``
+    under ``--out``, then ``--json`` instead of a table.  True when the
+    caller still owes the table."""
+    if bench is not None and args.out:
+        artifact = write_bench_json(bench, payload, args.out)
+        print("artifacts: {}".format(artifact), file=sys.stderr)
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    return not args.json
+
+
 def _perf_micro(args: argparse.Namespace) -> int:
     if args.case:
         cases = [get_case(key) for key in args.case]
@@ -1822,9 +806,7 @@ def _perf_micro(args: argparse.Namespace) -> int:
     results = run_suite(
         cases, repeats=args.repeats, warmup=args.warmup, profile=args.profile
     )
-    payload = suite_payload(results)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    if not _emit_bench(args, suite_payload(results)):
         return 0
     rows: List[List[object]] = []
     for result in results:
@@ -1875,11 +857,7 @@ def _perf_scaling(args: argparse.Namespace) -> int:
             )
         )
     payload = engine_scaling_payload(rows)
-    if args.out:
-        path = write_bench_json(E17_BENCH_NAME, payload, args.out)
-        print("wrote {}".format(path), file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    if not _emit_bench(args, payload, E17_BENCH_NAME):
         return 0
     table: List[List[object]] = []
     for row in rows:
@@ -1924,89 +902,12 @@ def _perf_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
-def _perf_chaos_scaling(args: argparse.Namespace) -> int:
-    if args.resume and not args.out:
-        print("--resume needs --out (the cache lives there)", file=sys.stderr)
-        return 2
-    ns = tuple(args.ns) if args.ns else (64, 256)
-    cache = None
-    if args.out:
-        cache = ResultCache(os.path.join(args.out, "cache"))
-    total = len(ns) * len(args.drop) * len(args.delay) * args.seeds
-    progress = Progress.for_tty(total, label="chaos scaling")
-    try:
-        results = run_chaos_scaling(
-            ns=ns,
-            drop=args.drop,
-            delay=args.delay,
-            seeds=range(args.seeds),
-            rounds=args.rounds,
-            deadline=args.deadline,
-            jobs=args.jobs,
-            cache=cache,
-            resume=args.resume,
-            progress=progress,
-        )
-    except InvariantViolation as violation:
-        print("\nINVARIANT VIOLATION: {}".format(violation), file=sys.stderr)
-        return 1
-    progress.finish()
-    payload = chaos_scaling_payload(results)
-    flat_records = [
-        record
-        for _, sweep, _ in results
-        for cell in sweep.cells
-        for record in cell.runs
-    ]
-    payload["profile"] = profile_payload(flat_records)
-    payload["profile"]["elapsed_seconds"] = round(progress.elapsed(), 3)
-    if args.out:
-        path = write_bench_json(E17B_BENCH_NAME, payload, args.out)
-        print("wrote {}".format(path), file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    rows: List[List[object]] = []
-    for body in payload["per_n"]:
-        for entry in body["cells"]:
-            rows.append(
-                [
-                    body["n"],
-                    entry["cell"]["drop"],
-                    entry["cell"]["delay"],
-                    (
-                        "{:.4f}".format(entry["delivery_rate"])
-                        if entry["delivery_rate"] is not None
-                        else "-"
-                    ),
-                    "yes" if entry["qod_satisfied"] else "NO",
-                    "yes" if entry["clean"] else "NO",
-                ]
-            )
-    print(
-        format_table(
-            ["n", "drop", "delay", "delivery", "qod", "clean"],
-            rows,
-            title="E17b chaos scaling ({} rounds)".format(args.rounds),
-        )
-    )
-    cliff = payload["cliff"]["first_failing_drop"]
-    for n in sorted(cliff, key=int):
-        placement = cliff[n]
-        print(
-            "n={}: QoD cliff at drop={}".format(n, placement)
-            if placement is not None
-            else "n={}: no cliff on this drop axis".format(n)
-        )
-    return 0
-
-
 def cmd_perf(args: argparse.Namespace) -> int:
     if args.suite == "micro":
         return _perf_micro(args)
     if args.suite == "scaling":
         return _perf_scaling(args)
-    return _perf_chaos_scaling(args)
+    return run_experiment(CHAOS_SCALING, args)
 
 
 def _record_digest(result) -> str:
@@ -2016,7 +917,7 @@ def _record_digest(result) -> str:
 
 
 def _net_verify(args: argparse.Namespace) -> int:
-    params = _trace_params(args)
+    params = _params(args)
     kwargs = _scenario_kwargs(args)
     builder = SCENARIOS[args.scenario]
     base = builder(seed=args.seed, params=params, **kwargs)
@@ -2094,12 +995,9 @@ def _net_bench(args: argparse.Namespace) -> int:
     )
     progress.finish()
     payload = sharded_scaling_payload(rows)
-    if args.out:
-        path = write_bench_json(E18_BENCH_NAME, payload, args.out)
-        print("wrote {}".format(path), file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0 if payload["all_digests_match"] and payload["all_clean"] else 1
+    code = 0 if payload["all_digests_match"] and payload["all_clean"] else 1
+    if not _emit_bench(args, payload, E18_BENCH_NAME):
+        return code
     table: List[List[object]] = []
     for row in rows:
         table.append(
@@ -2131,7 +1029,7 @@ def _net_bench(args: argparse.Namespace) -> int:
             "single host)".format(args.rounds, args.workers, args.transport),
         )
     )
-    return 0 if payload["all_digests_match"] and payload["all_clean"] else 1
+    return code
 
 
 def cmd_net(args: argparse.Namespace) -> int:
@@ -2203,21 +1101,20 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
+    handlers: Dict[str, Callable[[argparse.Namespace], int]] = {
+        experiment.command: functools.partial(run_experiment, experiment)
+        for experiment in EXPERIMENTS
+        if experiment.flags is not None
+    }
+    handlers.update({
         "run": cmd_run,
-        "sweep": cmd_sweep,
         "trace": cmd_trace,
-        "profile-sweep": cmd_profile_sweep,
-        "chaos-soak": cmd_chaos_soak,
-        "direct-soak": cmd_direct_soak,
-        "targeted-soak": cmd_targeted_soak,
-        "load-soak": cmd_load_soak,
         "perf": cmd_perf,
         "net": cmd_net,
         "scenarios": cmd_scenarios,
         "partitions": cmd_partitions,
         "bounds": cmd_bounds,
-    }
+    })
     return handlers[args.command](args)
 
 

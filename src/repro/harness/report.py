@@ -4,7 +4,12 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-__all__ = ["format_table", "format_kv", "banner", "ratio_series"]
+__all__ = ["dash", "format_table", "format_kv", "banner", "ratio_series"]
+
+
+def dash(value: object) -> object:
+    """A table cell for a possibly-missing value: ``None`` renders as "-"."""
+    return "-" if value is None else value
 
 
 def _cell(value: object) -> str:

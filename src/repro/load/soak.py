@@ -13,21 +13,23 @@ The payload follows the E15/E16/E19 split: everything here is
 deterministic (cacheable, jobs-invariant); wall-clock throughput
 (rumors/sec) is attached from the runs' exec-pool profiles and lives
 next to the ``profile`` section's caveat — real time, not simulated
-rounds, so it varies machine to machine.
+rounds, so it varies machine to machine.  :data:`LOAD_SOAK` declares the
+matrix for the experiment runner (the ``load-soak`` command), whose exit
+code also fails on any shed-rumor leak.
 """
 
 from __future__ import annotations
 
+import argparse
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.analysis.sweeps import CellResult, SweepResult, grid
+from repro.core.config import CongosParams
+from repro.harness.experiment import Experiment, Table, columns, pick
+from repro.load.arrivals import PROCESSES
 from repro.obs.registry import Histogram
 
-__all__ = [
-    "BENCH_NAME",
-    "load_cells",
-    "run_load_soak",
-    "load_payload",
-]
+__all__ = ["BENCH_NAME", "LOAD_SOAK", "load_cells", "load_payload"]
 
 BENCH_NAME = "e20_open_workload"
 
@@ -49,42 +51,12 @@ def load_cells(
     cannot sweep.  The admission layer is engine-independent — matching
     knees across engines is itself a statistical-parity check.
     """
-    from repro.analysis.sweeps import grid
-
     return grid(
         process=[str(p) for p in processes],
         rate=[float(r) for r in rates],
         n=[int(n) for n in ns],
         preset=[str(p) for p in presets],
         engine=[str(e) for e in engines],
-    )
-
-
-def run_load_soak(
-    cells,
-    seeds: Sequence[int] = (0, 1),
-    jobs: int = 1,
-    cache=None,
-    resume: bool = True,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    progress=None,
-    **fixed: object,
-):
-    """Sweep the ``open`` builder over the matrix on the exec pool."""
-    from repro.analysis.sweeps import sweep_congos
-
-    return sweep_congos(
-        "open",
-        cells,
-        seeds=seeds,
-        jobs=jobs,
-        cache=cache,
-        resume=resume,
-        timeout=timeout,
-        retries=retries,
-        progress=progress,
-        **fixed,
     )
 
 
@@ -113,13 +85,11 @@ def _worst_seed_latency(runs, section: str) -> Dict[str, object]:
     return out
 
 
-def _cell_entry(cell) -> Dict[str, object]:
+def _cell_entry(cell: CellResult) -> Dict[str, object]:
     runs = cell.runs
     offered = sum(run.load.get("offered", 0) for run in runs)
     admitted = sum(run.load.get("admitted", 0) for run in runs)
     shed = sum(run.load.get("shed_total", 0) for run in runs)
-    admissible = sum(run.admissible_pairs for run in runs)
-    missed = sum(run.missed for run in runs)
     rounds = runs[0].rounds if runs else 0
     wall = sum(run.wall_time for run in runs)
     return {
@@ -143,11 +113,9 @@ def _cell_entry(cell) -> Dict[str, object]:
         ),
         "delivery_latency": _pooled_latency(runs),
         "e2e_latency_worst_seed": _worst_seed_latency(runs, "e2e_latency"),
-        "admissible_pairs": admissible,
-        "missed": missed,
-        "delivery_rate": (
-            round((admissible - missed) / admissible, 6) if admissible else None
-        ),
+        "admissible_pairs": cell.admissible_pairs(),
+        "missed": cell.missed(),
+        "delivery_rate": cell.delivery_rate(),
         "fallback_rate": round(cell.fallback_rate(), 6),
         "qod_satisfied": cell.all_satisfied(),
         "clean": cell.all_clean(),
@@ -207,7 +175,7 @@ def _knees(entries: List[Dict[str, object]]) -> List[Dict[str, object]]:
 
 
 def load_payload(
-    sweep, fixed: Optional[Mapping[str, object]] = None
+    sweep: SweepResult, fixed: Optional[Mapping[str, object]] = None
 ) -> Dict[str, object]:
     """The deterministic portion of the E20 artifact (plus wall-clock
     rumors/sec, flagged as such)."""
@@ -222,3 +190,157 @@ def load_payload(
         "total_admitted": sum(e["admitted"] for e in entries),
         "total_shed": sum(e["shed"] for e in entries),
     }
+
+
+def _flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-n", type=int, nargs="+", default=[64], metavar="N")
+    # 200 rounds leaves a 50-round arrival window for deadline 64 with
+    # the default wait cap (32): warmup 50, arrivals [50, 100), queue
+    # drain by 132, last expiry 196.
+    parser.add_argument("--rounds", type=int, default=200)
+    parser.add_argument(
+        "--rates",
+        type=float,
+        nargs="+",
+        default=[1.0, 2.0, 4.0, 8.0],
+        metavar="RATE",
+        help="peak mean arrivals per round (the swept load axis)",
+    )
+    parser.add_argument(
+        "--processes",
+        nargs="+",
+        default=["poisson"],
+        choices=list(PROCESSES),
+        metavar="PROCESS",
+        help="arrival processes to sweep (poisson/bursty/diurnal)",
+    )
+    parser.add_argument(
+        "--presets",
+        nargs="+",
+        default=["default"],
+        choices=CongosParams.preset_names(),
+        help="CongosParams presets to sweep",
+    )
+    parser.add_argument(
+        "--engines",
+        nargs="+",
+        default=["object"],
+        choices=("object", "array"),
+        metavar="ENGINE",
+        help="round kernels to sweep (array needs the repro[fast] extra)",
+    )
+    parser.add_argument(
+        "--deadline",
+        type=int,
+        default=64,
+        help="rumor deadline (above direct_send_threshold=48 exercises "
+        "the full pipeline)",
+    )
+    parser.add_argument(
+        "--dest-size", type=int, default=3, help="destination-set size per rumor"
+    )
+    parser.add_argument(
+        "--zipf-groups",
+        type=int,
+        default=0,
+        help="hotspot destination blocks (0 = uniform destinations)",
+    )
+    parser.add_argument(
+        "--zipf-s",
+        type=float,
+        default=1.1,
+        help="Zipf exponent over the hotspot blocks",
+    )
+    parser.add_argument(
+        "--queue-cap",
+        type=int,
+        default=256,
+        help="admission queue bound (arrivals beyond it are shed)",
+    )
+    parser.add_argument(
+        "--max-wait",
+        type=int,
+        default=None,
+        help="shed queued arrivals waiting longer than this "
+        "(default: half the deadline)",
+    )
+    parser.add_argument(
+        "--per-round",
+        type=int,
+        default=None,
+        help="per-round injection budget "
+        "(default: CongosParams.injection_budget(n))",
+    )
+
+
+def _fixed(args: argparse.Namespace) -> Dict[str, object]:
+    fixed = pick(
+        args, "rounds", "deadline", "dest_size", "zipf_groups", "zipf_s",
+        "queue_cap",
+    )
+    # Unset: the builder derives them (half the deadline, the budget of n).
+    for name in ("max_wait", "per_round"):
+        if getattr(args, name) is not None:
+            fixed[name] = getattr(args, name)
+    return fixed
+
+
+LOAD_SOAK = Experiment(
+    command="load-soak",
+    help="sweep the open workload over an arrival-rate x n x preset "
+    "matrix (E20)",
+    bench=BENCH_NAME,
+    txt="load_soak",
+    builder="open",
+    flags=_flags,
+    cells=lambda args: load_cells(
+        args.rates,
+        args.n,
+        processes=args.processes,
+        presets=args.presets,
+        engines=args.engines,
+    ),
+    fixed=_fixed,
+    payload=load_payload,
+    verdict=lambda sweep, payload: (
+        payload["all_clean"] and payload["all_shed_leak_free"]
+    ),
+    tables=(
+        Table(
+            "load soak ({cells} cells x {seeds} seeds)",
+            columns(
+                ("process", "cell.process"),
+                ("rate", "cell.rate"),
+                ("n", "cell.n"),
+                ("preset", "cell.preset"),
+                ("engine", "cell.engine"),
+                ("budget", "budget"),
+                ("offered", "offered"),
+                ("admitted", "admitted"),
+                ("shed", "shed_rate"),
+                ("p99", "delivery_latency.p99"),
+                ("e2e p99", "e2e_latency_worst_seed.p99"),
+                ("fallback", "fallback_rate"),
+                ("qod", "qod_satisfied"),
+                (
+                    "clean",
+                    lambda entry: entry["clean"] and entry["shed_leak_free"],
+                ),
+            ),
+        ),
+        Table(
+            "saturation knees",
+            columns(
+                ("n", "n"),
+                ("process", "process"),
+                ("preset", "preset"),
+                ("engine", "engine"),
+                ("knee rate", "knee_rate"),
+                ("ceiling/round", "ceiling_admitted_per_round"),
+                ("rumors/sec", "rumors_per_sec_at_knee"),
+                ("saturates at", "first_saturated_rate"),
+                rows="knees",
+            ),
+        ),
+    ),
+)

@@ -27,9 +27,9 @@ from repro.perf.scaling import (
     E17B_BENCH_NAME,
     E17_BENCH_NAME,
     PRE_PR_BASELINE,
+    CHAOS_SCALING,
     chaos_scaling_payload,
     engine_scaling_payload,
-    run_chaos_scaling,
     run_engine_scaling,
     scaling_spec,
 )
@@ -42,13 +42,13 @@ __all__ = [
     "PRE_PR_BASELINE",
     "all_cases",
     "case_keys",
+    "CHAOS_SCALING",
     "chaos_scaling_payload",
     "engine_scaling_payload",
     "get_case",
     "profile_case",
     "register_case",
     "run_case",
-    "run_chaos_scaling",
     "run_engine_scaling",
     "run_suite",
     "scaling_spec",

@@ -19,9 +19,10 @@ engine's contract is statistical parity (DESIGN.md §11), gated by
 
 E17b closes ROADMAP item 2: the E15 chaos matrix was only ever run at
 n=16, leaving open whether the drop=0.5 QoD cliff is a small-n artifact.
-``run_chaos_scaling`` re-runs the drop axis at larger ``n`` and
-``chaos_scaling_payload`` locates the cliff — the lowest drop intensity
-at which quality-of-delivery fails — per system size.
+:data:`CHAOS_SCALING` is the E15 matrix with ``n`` as one more grid axis
+(same builder, same cache entries), and ``chaos_scaling_payload``
+locates the cliff — the lowest drop intensity at which
+quality-of-delivery fails — per system size.
 
 Artifacts: ``BENCH_e17_engine_scaling.json`` / ``BENCH_e17b_chaos_scaling.json``
 (written by the ``perf scaling`` / ``perf chaos-scaling`` CLI commands).
@@ -29,16 +30,17 @@ Artifacts: ``BENCH_e17_engine_scaling.json`` / ``BENCH_e17b_chaos_scaling.json``
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import time
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.sweeps import SweepResult
-from repro.chaos.soak import chaos_cells, run_soak
+from repro.analysis.sweeps import CellResult, SweepResult
+from repro.chaos.soak import chaos_cells, soak_payload
 from repro.core.config import CongosParams
-from repro.exec.cache import ResultCache
 from repro.exec.progress import Progress
 from repro.exec.tasks import RunSpec, canonical_json, execute_spec
+from repro.harness.experiment import Experiment, Table, columns
 
 __all__ = [
     "E17_BENCH_NAME",
@@ -47,7 +49,7 @@ __all__ = [
     "scaling_spec",
     "run_engine_scaling",
     "engine_scaling_payload",
-    "run_chaos_scaling",
+    "CHAOS_SCALING",
     "chaos_scaling_payload",
 ]
 
@@ -62,7 +64,6 @@ PRE_PR_BASELINE: Dict[int, float] = {16: 0.226, 64: 11.277, 256: 147.361}
 
 DEFAULT_NS: Tuple[int, ...] = (16, 64, 256)
 CHAOS_NS: Tuple[int, ...] = (64, 256)
-CHAOS_DROPS: Tuple[float, ...] = (0.0, 0.15, 0.3, 0.5)
 
 
 def scaling_spec(
@@ -209,53 +210,6 @@ def engine_scaling_payload(rows: Iterable[Mapping[str, object]]) -> Dict[str, ob
     }
 
 
-def run_chaos_scaling(
-    ns: Sequence[int] = CHAOS_NS,
-    drop: Sequence[float] = CHAOS_DROPS,
-    delay: Sequence[float] = (0.1,),
-    seeds: Sequence[int] = (0, 1),
-    rounds: int = 120,
-    deadline: int = 64,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    resume: bool = True,
-    progress: Optional[Progress] = None,
-    **overrides: object,
-) -> List[Tuple[int, SweepResult, Dict[str, object]]]:
-    """Run the E15 chaos drop axis at each system size in ``ns``.
-
-    Returns ``(n, sweep, fixed)`` triples; feed them to
-    :func:`chaos_scaling_payload`.  Fixed knobs mirror the ``chaos-soak``
-    CLI defaults so the n=16 E15 matrix stays directly comparable.
-    """
-    fixed_base: Dict[str, object] = {
-        "rounds": rounds,
-        "deadline": deadline,
-        "max_delay": 4,
-        "duplicate": 0.02,
-        "reorder": 0.0,
-        "partition_period": 0,
-        "partition_width": 0,
-        "churn": 0.0,
-        "hardened": False,
-    }
-    fixed_base.update(overrides)
-    results: List[Tuple[int, SweepResult, Dict[str, object]]] = []
-    for n in ns:
-        fixed = dict(fixed_base, n=n)
-        sweep = run_soak(
-            chaos_cells(drop, delay),
-            seeds=seeds,
-            jobs=jobs,
-            cache=cache,
-            resume=resume,
-            progress=progress,
-            **fixed,
-        )
-        results.append((n, sweep, fixed))
-    return results
-
-
 def _cliff_drop(
     cells: Sequence[Mapping[str, object]], threshold: float
 ) -> Optional[float]:
@@ -274,25 +228,114 @@ def _cliff_drop(
 
 
 def chaos_scaling_payload(
-    results: Sequence[Tuple[int, SweepResult, Mapping[str, object]]],
+    sweep: SweepResult,
+    fixed: Mapping[str, object],
     threshold: float = 0.999,
 ) -> Dict[str, object]:
-    """The E17b artifact body: per-n soak payloads plus cliff placement."""
-    from repro.chaos.soak import soak_payload
-
+    """The E17b artifact body: one E15 soak payload per ``n`` (the grid's
+    ``n`` axis folded back into each body's fixed knobs) plus cliff
+    placement."""
+    by_n: Dict[int, List[CellResult]] = {}
+    for cell in sweep.cells:
+        axes = dict(cell.cell)
+        by_n.setdefault(axes.pop("n"), []).append(
+            CellResult(cell=axes, runs=cell.runs)
+        )
     per_n: List[Dict[str, object]] = []
     cliff: Dict[str, object] = {}
-    for n, sweep, fixed in results:
-        body = soak_payload(sweep, fixed)
+    for n, cells in by_n.items():
+        fixed_n = dict(fixed, n=n)
+        body = soak_payload(SweepResult(cells=cells), fixed_n)
         body["n"] = n
-        body["fixed"] = dict(fixed)
+        body["fixed"] = fixed_n
         per_n.append(body)
         cliff[str(n)] = _cliff_drop(body["cells"], threshold)
     return {
-        "scenario": "chaos",
         "per_n": per_n,
         "cliff": {
             "threshold": threshold,
             "first_failing_drop": cliff,
         },
     }
+
+
+def _chaos_scaling_cells(args: argparse.Namespace) -> List[Dict[str, object]]:
+    # n-major, so a resumed run walks the sizes in the order it was cut.
+    return [
+        dict(cell, n=n)
+        for n in (args.ns or CHAOS_NS)
+        for cell in chaos_cells(args.drop, args.delay)
+    ]
+
+
+def _chaos_scaling_fixed(args: argparse.Namespace) -> Dict[str, object]:
+    # The chaos-soak defaults (plus a 2% duplicate rate), so the n=16 E15
+    # matrix stays directly comparable.
+    return {
+        "rounds": args.rounds,
+        "deadline": args.deadline,
+        "max_delay": 4,
+        "duplicate": 0.02,
+        "reorder": 0.0,
+        "partition_period": 0,
+        "partition_width": 0,
+        "churn": 0.0,
+        "hardened": False,
+    }
+
+
+def _print_cliffs(
+    args: argparse.Namespace, payload: Dict[str, object], sweep: SweepResult
+) -> None:
+    if args.json:
+        return
+    cliff = payload["cliff"]["first_failing_drop"]
+    for n in sorted(cliff, key=int):
+        if cliff[n] is not None:
+            print("n={}: QoD cliff at drop={}".format(n, cliff[n]))
+        else:
+            print("n={}: no cliff on this drop axis".format(n))
+
+
+def _yes(flag: object) -> str:
+    return "yes" if flag else "NO"
+
+
+# Rides the hand-built ``perf`` parser (``perf chaos-scaling``), whose
+# flags it shares with ``perf micro`` / ``perf scaling``.
+CHAOS_SCALING = Experiment(
+    command="perf chaos-scaling",
+    help="E17b chaos matrix at larger n",
+    bench=E17B_BENCH_NAME,
+    txt="chaos_scaling",
+    builder="chaos",
+    cells=_chaos_scaling_cells,
+    fixed=_chaos_scaling_fixed,
+    payload=chaos_scaling_payload,
+    tables=(
+        Table(
+            "E17b chaos scaling ({rounds} rounds)",
+            columns(
+                ("n", "n"),
+                ("drop", "cell.drop"),
+                ("delay", "cell.delay"),
+                (
+                    "delivery",
+                    lambda entry: (
+                        None
+                        if entry["delivery_rate"] is None
+                        else "{:.4f}".format(entry["delivery_rate"])
+                    ),
+                ),
+                ("qod", lambda entry: _yes(entry["qod_satisfied"])),
+                ("clean", lambda entry: _yes(entry["clean"])),
+                rows=lambda payload: [
+                    dict(entry, n=body["n"])
+                    for body in payload["per_n"]
+                    for entry in body["cells"]
+                ],
+            ),
+        ),
+    ),
+    epilogue=_print_cliffs,
+)

@@ -2,18 +2,10 @@
 jobs-invariant determinism, the hardened-vs-default delivery story, and
 stage attribution of the injected faults."""
 
-import json
-import os
-
 import pytest
 
-from repro.chaos.direct import (
-    BENCH_NAME,
-    direct_cells,
-    direct_payload,
-    run_direct_soak,
-)
-from repro.exec.bench_io import write_bench_json
+from repro.analysis.sweeps import sweep_congos
+from repro.chaos.direct import direct_cells, direct_payload
 from repro.exec.tasks import RunSpec, execute_spec
 
 FIXED = {"n": 10, "rounds": 100, "deadline": 32}
@@ -34,13 +26,13 @@ class TestCells:
 class TestSoak:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return run_direct_soak(
-            direct_cells([0.0, 0.3]), seeds=(0, 1), jobs=1, **FIXED
+        return sweep_congos(
+            "direct", direct_cells([0.0, 0.3]), seeds=(0, 1), jobs=1, **FIXED
         )
 
     def test_payload_identical_at_any_jobs(self, sweep):
-        pooled = run_direct_soak(
-            direct_cells([0.0, 0.3]), seeds=(0, 1), jobs=2, **FIXED
+        pooled = sweep_congos(
+            "direct", direct_cells([0.0, 0.3]), seeds=(0, 1), jobs=2, **FIXED
         )
         assert direct_payload(sweep, FIXED) == direct_payload(pooled, FIXED)
 
@@ -55,6 +47,7 @@ class TestSoak:
         }
         assert lossy[False]["delivery_rate"] < 1.0
         assert lossy[True]["delivery_rate"] > lossy[False]["delivery_rate"]
+        assert lossy[True]["delivery_rate"] >= 0.95
 
     def test_confidentiality_clean_everywhere(self, sweep):
         payload = direct_payload(sweep, FIXED)
@@ -66,29 +59,6 @@ class TestSoak:
         by_stage = payload["total_faults_by_stage"]
         assert by_stage  # the drop=0.3 cells injected something
         assert set(by_stage) == {"direct"}
-
-    def test_bench_sidecar_deterministic(self, tmp_path):
-        paths = []
-        for tag in ("a", "b"):
-            sweep = run_direct_soak(
-                direct_cells([0.3]), seeds=(0,), jobs=1, **FIXED
-            )
-            paths.append(
-                write_bench_json(
-                    BENCH_NAME,
-                    direct_payload(sweep, FIXED),
-                    results_dir=str(tmp_path / tag),
-                    created="2026-01-01T00:00:00+00:00",
-                )
-            )
-        contents = [open(path, encoding="utf-8").read() for path in paths]
-        assert contents[0] == contents[1]
-        assert os.path.basename(paths[0]) == "BENCH_e16_direct_matrix.json"
-        document = json.loads(contents[0])
-        assert document["cells"][0]["cell"] == {
-            "drop": 0.3,
-            "hardened": False,
-        }
 
 
 class TestRunRecordStages:

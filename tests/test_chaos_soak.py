@@ -1,21 +1,17 @@
 """Tests for the chaos soak harness: jobs-invariant determinism, the E15
-bench sidecar, the fail-fast QoD planted violation, and RunRecord faults."""
+``--deadline`` resolution, the fail-fast QoD planted violation, and
+RunRecord faults.  (The CLI path and the sidecar's determinism are
+covered for every experiment in test_harness_experiment.py.)"""
 
 import json
-import os
 
 import pytest
 
+from repro.analysis.sweeps import sweep_congos, sweep_specs
 from repro.audit.failfast import InvariantViolation
-from repro.chaos.soak import (
-    BENCH_NAME,
-    cell_spec,
-    chaos_cells,
-    run_soak,
-    soak_payload,
-)
-from repro.exec.bench_io import write_bench_json
+from repro.chaos.soak import CHAOS_SOAK, cell_spec, chaos_cells, soak_payload
 from repro.exec.tasks import RunSpec, execute_spec
+from repro.harness.cli import build_parser, main
 from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import chaos_scenario
 
@@ -46,34 +42,69 @@ class TestSoakDeterminism:
         return chaos_cells([0.0, 0.1], [0.1])
 
     def test_payload_identical_at_any_jobs(self, cells):
-        serial = run_soak(cells, seeds=(0, 1), jobs=1, **FIXED)
-        pooled = run_soak(cells, seeds=(0, 1), jobs=2, **FIXED)
+        serial = sweep_congos("chaos", cells, seeds=(0, 1), jobs=1, **FIXED)
+        pooled = sweep_congos("chaos", cells, seeds=(0, 1), jobs=2, **FIXED)
         assert soak_payload(serial, FIXED) == soak_payload(pooled, FIXED)
 
     def test_confidentiality_clean_across_matrix(self, cells):
-        payload = soak_payload(run_soak(cells, seeds=(0, 1), jobs=1, **FIXED), FIXED)
+        sweep = sweep_congos("chaos", cells, seeds=(0, 1), jobs=1, **FIXED)
+        payload = soak_payload(sweep, FIXED)
         assert payload["all_clean"] is True
         # faults were actually injected in the non-null cells
         assert sum(payload["total_faults"].values()) > 0
 
-    def test_bench_sidecar_deterministic(self, cells, tmp_path):
-        paths = []
-        for tag in ("a", "b"):
-            sweep = run_soak(cells, seeds=(0,), jobs=1, **FIXED)
-            out = str(tmp_path / tag)
-            paths.append(
-                write_bench_json(
-                    BENCH_NAME,
-                    soak_payload(sweep, FIXED),
-                    results_dir=out,
-                    created="2026-01-01T00:00:00+00:00",
-                )
-            )
-        contents = [open(path, encoding="utf-8").read() for path in paths]
-        assert contents[0] == contents[1]
-        assert os.path.basename(paths[0]) == "BENCH_e15_chaos_matrix.json"
-        document = json.loads(contents[0])
-        assert document["cells"][0]["intensity"] == 0.1
+    def test_intensity_recorded_per_cell(self, cells):
+        sweep = sweep_congos("chaos", cells, seeds=(0,), jobs=1, **FIXED)
+        assert soak_payload(sweep, FIXED)["cells"][0]["intensity"] == 0.1
+
+
+class TestDeadlineFlag:
+    """``--deadline`` unset means 64 for the oblivious matrix and the
+    policy's own default under ``--policy``; an explicit value always
+    reaches the builder (64 used to be mistaken for "unset")."""
+
+    def kwargs(self, *argv):
+        args = build_parser().parse_args(["chaos-soak", *argv])
+        (_, (spec,)), *_ = sweep_specs(
+            CHAOS_SOAK.builder(args),
+            CHAOS_SOAK.cells(args),
+            seeds=(0,),
+            **CHAOS_SOAK.fixed(args),
+        )
+        return spec.builder, spec.kwargs
+
+    def test_oblivious_default_is_64(self):
+        builder, kwargs = self.kwargs()
+        assert builder == "chaos" and kwargs["deadline"] == 64
+
+    def test_policy_default_is_the_builders_own(self):
+        builder, kwargs = self.kwargs("--policy", "deadline-chaser")
+        assert builder == "targeted" and "deadline" not in kwargs
+
+    @pytest.mark.parametrize("deadline", [64, 32])
+    def test_explicit_value_reaches_the_policy_run(self, deadline):
+        _, kwargs = self.kwargs(
+            "--policy", "deadline-chaser", "--deadline", str(deadline)
+        )
+        assert kwargs["deadline"] == deadline
+
+
+class TestTraceFlag:
+    def test_worst_cell_trace_shows_the_injected_faults(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        code = main(
+            [
+                "chaos-soak", "-n", "8", "--rounds", "60", "--deadline", "16",
+                "--drop", "0.0", "0.15", "--delay", "0.1", "--seeds", "1",
+                "--jobs", "1", "--trace", str(trace),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "trace of worst cell {'delay': 0.1, 'drop': 0.15}" in out
+        assert "faults hit its messages" in out
+        kinds = {json.loads(line)["kind"] for line in trace.open()}
+        assert any(kind.startswith("fault_") for kind in kinds), kinds
 
 
 class TestFailFastQoD:

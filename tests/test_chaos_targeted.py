@@ -9,6 +9,7 @@ E19 harness helpers.
 
 import pytest
 
+from repro.analysis.sweeps import sweep_congos
 from repro.chaos.plane import ChaosFaultPlane, FaultEvent
 from repro.chaos.spec import FaultSpec
 from repro.chaos.targeted import (
@@ -20,14 +21,17 @@ from repro.chaos.targeted import (
     ProxySuppressor,
     TargetedFaultPlane,
     TargetedSpec,
-    _ledger_ok,
     get_policy,
     policy_names,
-    run_targeted_soak,
+)
+from repro.chaos.targeted_soak import (
+    TARGETED_SOAK,
+    _ledger_ok,
     targeted_cells,
     targeted_payload,
 )
 from repro.exec.results import RunRecord
+from repro.harness.cli import build_parser
 from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import targeted_scenario
 from repro.obs import Telemetry
@@ -471,8 +475,8 @@ class TestJobsInvariance:
             ["collector-starver"], [(2, 32)], [12], hardened=(False,),
             blind=(False, True),
         )
-        serial = run_targeted_soak(cells, seeds=(0,), jobs=1, rounds=96)
-        pooled = run_targeted_soak(cells, seeds=(0,), jobs=2, rounds=96)
+        serial = sweep_congos("targeted", cells, seeds=(0,), jobs=1, rounds=96)
+        pooled = sweep_congos("targeted", cells, seeds=(0,), jobs=2, rounds=96)
         flat_serial = [
             run.without_profile() for cell in serial.cells for run in cell.runs
         ]
@@ -497,11 +501,26 @@ class TestE19Harness:
             for cell in cells
         )
 
+    def test_default_matrix_twins_every_policy_on_both_presets(self):
+        args = build_parser().parse_args(
+            ["targeted-soak", "-n", "16", "--budgets", "4:64"]
+        )
+        cells = TARGETED_SOAK.cells(args)
+        # 4 policies x 1 budget x 2 presets x aware/blind = 16 cells.
+        assert len(cells) == 16
+        assert {cell["policy"] for cell in cells} == set(policy_names())
+        twins = {}
+        for cell in cells:
+            key = (cell["policy"], cell["hardened"])
+            twins.setdefault(key, set()).add(cell["blind"])
+        assert len(twins) == 8
+        assert all(modes == {False, True} for modes in twins.values())
+
     def test_payload_pairs_aware_with_blind(self):
         cells = targeted_cells(
             ["collector-starver"], [(2, 32)], [12], hardened=(False,)
         )
-        sweep = run_targeted_soak(cells, seeds=(0,), jobs=1, rounds=160)
+        sweep = sweep_congos("targeted", cells, seeds=(0,), jobs=1, rounds=160)
         payload = targeted_payload(sweep)
         assert payload["all_clean"]
         assert payload["all_ledgers_ok"]

@@ -20,7 +20,8 @@ import hashlib
 
 import pytest
 
-from repro.chaos.soak import chaos_cells, run_soak, soak_payload
+from repro.analysis.sweeps import sweep_congos
+from repro.chaos.soak import chaos_cells, soak_payload
 from repro.core.config import CongosParams
 from repro.exec.tasks import RunSpec, canonical_json, execute_spec
 
@@ -123,7 +124,8 @@ def test_e15_soak_payload_digest():
         "churn": 0.0,
         "hardened": False,
     }
-    sweep = run_soak(
+    sweep = sweep_congos(
+        "chaos",
         chaos_cells([0.0, 0.15], [0.1]),
         seeds=(0, 1),
         jobs=1,

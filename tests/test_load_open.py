@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.analysis.sweeps import sweep_congos
 from repro.core.config import CongosParams
 from repro.exec.results import RunRecord
 from repro.harness.runner import run_congos_scenario
@@ -25,7 +26,7 @@ from repro.load.arrivals import (
     poisson_sample,
 )
 from repro.load.slo import slo_summary
-from repro.load.soak import load_cells, load_payload, run_load_soak
+from repro.load.soak import load_cells, load_payload
 from repro.load.workload import OpenWorkload
 from repro.sim.rng import derive_rng
 
@@ -346,8 +347,8 @@ class TestOpenDeterminism:
     def test_jobs_invariance_on_exec_pool(self):
         cells = load_cells([2.0], [16])
         fixed = dict(rounds=160, params=CongosParams.lean())
-        serial = run_load_soak(cells, seeds=(0, 1), jobs=1, **fixed)
-        pooled = run_load_soak(cells, seeds=(0, 1), jobs=2, **fixed)
+        serial = sweep_congos("open", cells, seeds=(0, 1), jobs=1, **fixed)
+        pooled = sweep_congos("open", cells, seeds=(0, 1), jobs=2, **fixed)
         strip = lambda sweep: [
             [run.without_profile() for run in cell.runs]
             for cell in sweep.cells
@@ -462,8 +463,8 @@ class TestSoakHelpers:
 
     def test_payload_and_knee(self):
         cells = load_cells([0.5, 8.0], [16], presets=("lean",))
-        sweep = run_load_soak(
-            cells, seeds=(0,), jobs=2, rounds=200, queue_cap=8, max_wait=8
+        sweep = sweep_congos(
+            "open", cells, seeds=(0,), jobs=2, rounds=200, queue_cap=8, max_wait=8
         )
         payload = load_payload(sweep, {"rounds": 200})
         assert payload["fixed"] == {"rounds": 200}
@@ -471,7 +472,12 @@ class TestSoakHelpers:
         assert payload["total_offered"] == sum(
             e["offered"] for e in payload["cells"]
         )
+        assert payload["total_admitted"] > 0
         assert payload["all_shed_leak_free"]
+        for entry in payload["cells"]:
+            assert entry["shed_leak_free"], entry["cell"]
+            assert entry["delivery_latency"]["count"] > 0, entry["cell"]
+            assert entry["delivery_latency"]["p99"] is not None, entry["cell"]
         (knee,) = payload["knees"]
         assert knee["rates"] == [0.5, 8.0]
         # rate 0.5 sustains under budget 1; rate 8 over a cap-8 queue
