@@ -5,7 +5,9 @@ The subsystem has four layers, each usable on its own:
 * :mod:`repro.net.codec` — a versioned, deterministic wire format for
   :class:`~repro.sim.messages.Message` payloads and control frames.
   Leak-safe by construction: only registered payload types encode, and a
-  frame never widens what its payload ``reveals()``.
+  frame never widens what its payload ``reveals()``.  A stream of message
+  batches keeps a per-stream item table (:class:`WireSession`), so a
+  gossip item crosses it in full once.
 * :mod:`repro.net.transport` — the pluggable byte transport.  The stdlib
   TCP loopback backend has no dependencies and carries tier-1 tests and
   CI; an optional zmq backend lives behind the ``net`` extra.
@@ -24,6 +26,7 @@ conveniently ``Scenario(backend="sharded")`` /
 from repro.net.codec import (
     CodecError,
     WIRE_VERSION,
+    WireSession,
     decode_frame,
     decode_tagged_messages,
     encode_frame,
@@ -36,6 +39,7 @@ __all__ = [
     "CodecError",
     "ShardPlan",
     "WIRE_VERSION",
+    "WireSession",
     "decode_frame",
     "decode_tagged_messages",
     "encode_frame",

@@ -20,10 +20,14 @@ Round barrier
 
 What crosses the wire, and what the coordinator sees
     Cross-shard batches travel as opaque codec bytes; the coordinator
-    relays them between workers without decoding, so rumor payload bytes
-    never materialize in the coordinator except where the audit needs
-    them: each worker's *delivered* stream, which is decoded and fed to
-    the :class:`~repro.audit.confidentiality.ConfidentialityAuditor` in
+    relays them between workers without decoding — it only tells the
+    receiver which worker each batch came from, because a batch is
+    decoded against its stream's item table
+    (:class:`~repro.net.codec.WireSession`), which the coordinator does
+    not have.  Rumor payload bytes never materialize in the coordinator
+    except where the audit needs them: each worker's *delivered* stream,
+    decoded through one session per worker and fed to the
+    :class:`~repro.audit.confidentiality.ConfidentialityAuditor` in
     reconstructed global order.  Delivery records carry payload digests
     only; plaintext is re-attached from the coordinator's own injection
     log, never from the wire.
@@ -53,9 +57,9 @@ from repro.chaos.targeted import TargetedFaultPlane
 from repro.core.congos import build_partition_set
 from repro.core.partitions import PartitionSet
 from repro.gossip.rumor import RumorId
-from repro.net.codec import decode_frame, decode_tagged_messages, encode_frame
+from repro.net.codec import WireSession, decode_frame, encode_frame
 from repro.net.shard import ShardPlan
-from repro.net.transport import DEFAULT_TIMEOUT, get_transport
+from repro.net.transport import DEFAULT_TIMEOUT, TransportClosed, get_transport
 from repro.net.worker import worker_main
 from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import RoundClock
@@ -247,6 +251,10 @@ def _reject_mid_round_adversaries(adversary: Adversary) -> None:
             )
 
 
+class WorkerLost(TransportClosed):
+    """A worker's connection failed: which worker, its fate, the round."""
+
+
 class _WorkerPool:
     """Spawned worker processes plus their coordinator-side connections."""
 
@@ -263,6 +271,12 @@ class _WorkerPool:
         context = multiprocessing.get_context("spawn")
         self.processes = []
         self.connections: Dict[int, object] = {}
+        # The coordinator's end of each worker's delivered stream.
+        self.delivered = {
+            worker: WireSession() for worker in range(plan.workers)
+        }
+        #: The round being run, for :class:`WorkerLost` (None: startup).
+        self.round_no: Optional[int] = None
         try:
             for worker in range(plan.workers):
                 config = {
@@ -279,7 +293,10 @@ class _WorkerPool:
                     "telemetry": telemetry_enabled,
                 }
                 process = context.Process(
-                    target=worker_main, args=(config,), daemon=True
+                    target=worker_main,
+                    args=(config,),
+                    daemon=True,
+                    name="repro-net-worker-{}".format(worker),
                 )
                 process.start()
                 self.processes.append(process)
@@ -301,11 +318,32 @@ class _WorkerPool:
             self.close()
             raise
 
+    def _lost(self, worker: int, exc: TransportClosed) -> WorkerLost:
+        process = self.processes[worker]
+        # A killed worker's socket closes a moment before it is reaped.
+        process.join(timeout=1.0)
+        code = process.exitcode
+        return WorkerLost(
+            "shard worker {} lost ({}) in round {}: {}".format(
+                worker,
+                "still running" if code is None else "exit code {}".format(code),
+                self.round_no,
+                exc,
+            )
+        )
+
     def send(self, worker: int, frame: bytes) -> None:
-        self.connections[worker].send(frame)
+        try:
+            self.connections[worker].send(frame)
+        except TransportClosed as exc:
+            raise self._lost(worker, exc) from None
 
     def recv(self, worker: int, expected: str):
-        kind, body = decode_frame(self.connections[worker].recv())
+        try:
+            frame = self.connections[worker].recv()
+        except TransportClosed as exc:
+            raise self._lost(worker, exc) from None
+        kind, body = decode_frame(frame)
         if kind == "error":
             raise RuntimeError(
                 "shard worker {} failed:\n{}".format(
@@ -575,7 +613,7 @@ def _run_round(
     telemetry=None,
     fault_plane: Optional[ChaosFaultPlane] = None,
 ) -> None:
-    round_no = engine.clock.round
+    round_no = pool.round_no = engine.clock.round
     targeted = isinstance(fault_plane, TargetedFaultPlane)
     phase_started = time.perf_counter()
 
@@ -661,7 +699,9 @@ def _run_round(
     total = 0
     size = 0
     by_service: Dict[str, int] = {}
-    batches_for: Dict[int, List[bytes]] = {worker: [] for worker in worker_ids}
+    batches_for: Dict[int, List[Tuple[int, bytes]]] = {
+        worker: [] for worker in worker_ids
+    }
     for worker in worker_ids:
         sent = pool.recv(worker, "sent")
         total += sent["count"]
@@ -670,9 +710,10 @@ def _run_round(
             by_service[service] = by_service.get(service, 0) + tally
         engine.local_messages += sent["local_count"]
         engine.cross_messages += sent["count"] - sent["local_count"]
-        # Opaque relay: the coordinator never decodes cross traffic.
+        # Opaque relay: the coordinator never decodes cross traffic.  It
+        # names the source, which selects the receiver's decoder session.
         for destination, blob in sorted(sent["cross"].items()):
-            batches_for[destination].append(blob)
+            batches_for[destination].append((worker, blob))
             engine.record_cross_batch(worker, destination, len(blob))
     engine.stats.record_round(round_no, total, size, by_service)
 
@@ -689,13 +730,13 @@ def _run_round(
             ),
         )
     mark_phase("ship")
-    merged: List[Tuple[Tuple[int, ...], object]] = []
-    delivery_batches: List[Tuple[int, List]] = []
+    # Receive every worker's reply before decoding any of them, so that
+    # ``barrier`` is time spent waiting on workers and nothing else; the
+    # coordinator's own decode of the delivered streams is ``merge``.
+    replies = []
     telemetry_entries: List[Tuple[int, int, int, str, Dict[str, object]]] = []
     for worker in worker_ids:
-        events = pool.recv(worker, "events")
-        merged.extend(decode_tagged_messages(events["delivered"]))
-        delivery_batches.append((worker, events["deliveries"]))
+        replies.append((worker, pool.recv(worker, "events")))
         if telemetry is not None:
             batch = pool.recv(worker, "telemetry")
             for seq, kind, event_round, fields in batch["events"]:
@@ -703,6 +744,9 @@ def _run_round(
                     (event_round, worker, seq, kind, fields)
                 )
     mark_phase("barrier")
+    merged: List[Tuple[Tuple[int, ...], object]] = []
+    for worker, events in replies:
+        merged.extend(pool.delivered[worker].decode(events["delivered"]))
     # Restore the exact in-process delivered order: fresh messages by
     # (src, seq) — the engine's outgoing order — then matured chaos
     # copies by (admit_round, src, seq) — the plane's queue order.
@@ -713,8 +757,8 @@ def _run_round(
             for observer in deliver_observers:
                 observer.on_deliver(round_no, message)
 
-    for _, records in delivery_batches:
-        for pid, when, src, seq, digest, path in records:
+    for _, events in replies:
+        for pid, when, src, seq, digest, path in events["deliveries"]:
             rid = RumorId(src, seq)
             rumor = delivery.rumors.get(rid)
             if (

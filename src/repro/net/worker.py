@@ -11,8 +11,9 @@ lockstep frames from the coordinator:
             plus the cross-shard batches, encoded, per destination
             worker.  Payload bytes in cross batches are opaque to the
             coordinator — it relays them verbatim.
-``deliver`` the cross batches addressed to this worker; the worker
-            merges them with its local traffic **in global send order**
+``deliver`` the cross batches addressed to this worker, each with the
+            worker it came from; the worker merges them with its local
+            traffic **in global send order**
             (every message is tagged ``(src, seq)`` where ``seq`` is the
             sender's emission index), routes with the message-keyed
             chaos plane, runs its receive phase, and answers ``events``
@@ -21,6 +22,14 @@ lockstep frames from the coordinator:
             bytes, never the bytes themselves.
 ``stop``    answers ``final`` (chaos counts plus always-on wait/queue
             instrumentation) and exits.
+
+Every stream of message batches has a :class:`~repro.net.codec.WireSession`
+at each end, so a gossip item crosses it in full once and as a table
+reference afterwards: this worker encodes to each peer worker and to the
+coordinator (the delivered stream) through one session each, and decodes
+each peer's cross batches through one session per source.  The sessions
+only stay in step because every batch encoded for a stream is decoded by
+its peer, in order — which the lockstep protocol guarantees.
 
 With telemetry enabled in the spawn config, the worker also runs its own
 :class:`~repro.obs.Telemetry` — a private :class:`MetricsRegistry` plus
@@ -56,12 +65,7 @@ from repro.chaos.spec import FaultSpec
 from repro.chaos.targeted import TargetedFaultPlane, TargetedSpec
 from repro.core.config import CongosParams
 from repro.core.congos import build_partition_set, congos_factory
-from repro.net.codec import (
-    decode_frame,
-    decode_tagged_messages,
-    encode_frame,
-    encode_tagged_messages,
-)
+from repro.net.codec import WireSession, decode_frame, encode_frame
 from repro.net.transport import TransportClosed, get_transport
 from repro.obs.instrument import Telemetry
 from repro.obs.sink import SequenceSink
@@ -171,6 +175,12 @@ class ShardWorker:
                     keep_events=False,
                     message_keyed=True,
                 )
+        # One session per stream end: cross batches out to / in from each
+        # peer worker, and the delivered stream out to the coordinator.
+        peers = sorted(set(self.owner) - {self.wid})
+        self._to_worker = {peer: WireSession() for peer in peers}
+        self._from_worker = {peer: WireSession() for peer in peers}
+        self._to_coordinator = WireSession()
         # Round-local state between the round and deliver frames.
         self._local: List[Tuple[Tuple[int, ...], Message]] = []
         # id(queued message) -> (src, seq), for tagging matured copies.
@@ -231,7 +241,7 @@ class ShardWorker:
             "local_count": len(local),
             "by_service": by_service,
             "cross": {
-                worker: encode_tagged_messages(batch)
+                worker: self._to_worker[worker].encode(batch, round_no)
                 for worker, batch in cross.items()
             },
         }
@@ -248,8 +258,8 @@ class ShardWorker:
         # Keep the decoded batches alive until the frame is built: the
         # auditor-side id(payload) cache pins by identity, and matured
         # chaos copies are keyed by id() below.
-        for blob in body["batches"]:  # type: ignore[union-attr]
-            entries.extend(decode_tagged_messages(blob))
+        for source, blob in body["batches"]:  # type: ignore[union-attr]
+            entries.extend(self._from_worker[source].decode(blob))
         entries.sort(key=lambda entry: entry[0])
 
         pending = self.plane.pending_count() if self.plane is not None else 0
@@ -307,7 +317,7 @@ class ShardWorker:
         self._deliveries = []
         return {
             "round": round_no,
-            "delivered": encode_tagged_messages(delivered),
+            "delivered": self._to_coordinator.encode(delivered, round_no),
             "deliveries": deliveries,
             "lost_to_crash": lost_to_crash,
             "lost_to_fault": lost_to_fault,

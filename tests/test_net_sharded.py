@@ -55,6 +55,9 @@ def test_sharded_chaos_keyed_matches_inproc_three_workers():
     # Chaos comparison needs message-keyed fates on BOTH backends (the
     # default index-order stream has no shard-invariant meaning); three
     # workers over n=16 also exercises a non-divisible shard split.
+    # Delayed and duplicated copies reach the delivered stream rounds
+    # after they were sent, some past their items' expiry — by then the
+    # stream's item table has dropped the item, and it is re-sent in full.
     scenario = get_builder("chaos")(
         n=16,
         rounds=80,
@@ -85,6 +88,8 @@ def test_sharded_matches_inproc_under_churn():
         p_restart=0.3,
         params=CongosParams.lean(),
     )
+    # Crashes and restarts change who sends what from round to round while
+    # the streams' item tables carry on across them.
     inproc, sharded = _compare_backends(scenario, workers=2)
     # The run must actually have exercised crash/restart relay.
     assert sharded.engine.event_log.summary()["crashes"] > 0
@@ -271,6 +276,46 @@ def test_runspec_backend_excluded_from_default_key():
     assert RunSpec.from_dict(sharded.to_dict()) == sharded
     assert sharded.to_scenario().backend == "sharded"
     assert base.to_scenario().backend == "inproc"
+
+
+def test_killed_worker_is_reported_by_name():
+    """Drill: SIGKILL one of two workers at round 5.  The coordinator must
+    say which worker, how it died and when — promptly, not at the transport
+    timeout — and leave no worker process behind."""
+    import multiprocessing
+    import os
+    import signal
+    import time
+
+    from repro.net.coordinator import WorkerLost
+    from repro.sim.engine import SimObserver
+
+    class KillWorkerOne(SimObserver):
+        def on_round_begin(self, round_no):
+            if round_no == 5:
+                (victim,) = [
+                    process
+                    for process in multiprocessing.active_children()
+                    if process.name == "repro-net-worker-1"
+                ]
+                os.kill(victim.pid, signal.SIGKILL)
+
+    scenario = get_builder("steady")(
+        n=16, rounds=32, seed=0, deadline=64, params=CongosParams.lean()
+    )
+    scenario = dataclasses.replace(
+        scenario, backend="sharded", net={"workers": 2, "timeout": 60.0}
+    )
+    started = time.perf_counter()
+    with pytest.raises(WorkerLost) as excinfo:
+        run_congos_scenario(scenario, observers=[KillWorkerOne()])
+    elapsed = time.perf_counter() - started
+    message = str(excinfo.value)
+    assert "worker 1" in message
+    assert "exit code {}".format(-signal.SIGKILL) in message
+    assert "round 5" in message
+    assert elapsed < 20.0, elapsed  # a third of the transport timeout
+    assert multiprocessing.active_children() == []
 
 
 def test_worker_survives_reporting_to_a_closed_coordinator(monkeypatch, capsys):
