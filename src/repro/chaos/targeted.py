@@ -62,6 +62,7 @@ __all__ = [
     "DeadlineChaser",
     "FallbackHerder",
     "TargetedFaultPlane",
+    "build_fault_plane",
     "POLICIES",
     "policy_names",
     "get_policy",
@@ -594,3 +595,33 @@ class TargetedFaultPlane(ChaosFaultPlane):
             )
         self.ledger.merge(data["budget"])  # type: ignore[arg-type]
 
+
+
+def build_fault_plane(
+    seed: int,
+    n: int,
+    fault_spec: Optional[FaultSpec],
+    targeted_spec: Optional[TargetedSpec],
+    *,
+    telemetry=None,
+    keep_events: bool = True,
+    message_keyed: bool = False,
+) -> Optional[ChaosFaultPlane]:
+    """The plane a run's specs call for, or ``None`` for a reliable network.
+
+    The only place a plane is constructed: the in-process runner, the
+    shard coordinator's counts-only mirror and every shard worker build
+    theirs here, so "same seed and specs => same schedule" is one
+    statement.  A targeted spec composes over the oblivious one (a null
+    spec when there is none); an oblivious spec alone gives the plain
+    chaos plane; a null spec alone is the paper's reliable network.
+    """
+    options = dict(
+        telemetry=telemetry, keep_events=keep_events, message_keyed=message_keyed
+    )
+    if targeted_spec is not None:
+        spec = fault_spec if fault_spec is not None else FaultSpec()
+        return TargetedFaultPlane(seed, spec, targeted_spec, n, **options)
+    if fault_spec is None or fault_spec.is_null():
+        return None
+    return ChaosFaultPlane(seed, fault_spec, n, **options)

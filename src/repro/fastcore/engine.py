@@ -1,7 +1,10 @@
 """The vectorized CONGOS round kernel (DESIGN.md §11).
 
-One :class:`ArrayEngine` replaces the whole object stack — ``Engine`` +
-``CongosNode`` + per-pid services — for fault-free runs.  The protocol's
+One :class:`ArrayEngine` replaces the object stack's shells, network,
+``CongosNode`` and per-pid services for fault-free runs; the top and
+bottom of the round — adversary decision, its validation, injections'
+record and announcement, observer hooks, clock — are the shared
+:class:`~repro.sim.engine.RoundEngine` skeleton's.  The protocol's
 *schedule* (blocks, iterations, gossip windows) and its *message counts*
 are reproduced exactly; its randomized draws (gossip targets, GD/proxy
 sampling) are statistically equivalent but come from independent numpy
@@ -46,9 +49,8 @@ from repro.core.partitions import PartitionSet
 from repro.gossip.epidemic import default_fanout
 from repro.gossip.rumor import Rumor
 from repro.sim.clock import BlockSchedule
-from repro.sim.events import EventLog, InjectEvent
+from repro.sim.engine import RoundEngine
 from repro.sim.messages import ServiceTags
-from repro.sim.metrics import MessageStats
 from repro.sim.rng import derive_seed
 
 from repro.fastcore import bitset
@@ -347,13 +349,14 @@ class _Instance:
         return rib % self.iteration_len
 
 
-class ArrayEngine:
-    """Vectorized fault-free CONGOS simulation behind the Engine surface.
+class ArrayEngine(RoundEngine):
+    """Vectorized fault-free CONGOS simulation on the round skeleton.
 
-    Duck-types the slice of :class:`repro.sim.engine.Engine` the audited
-    run path consumes: ``round``, ``rounds_executed``, ``event_log``,
-    ``stats``, ``alive_pids``/``is_alive`` (everyone, always — the array
-    engine rejects fault scenarios upstream), and ``run``.
+    Supplies the skeleton's four backend pieces: an injection splits the
+    rumor into channel items (:meth:`_inject_state`), the round body is
+    the vectorized phases, ``behavior(pid)`` is ``None`` (there are no
+    per-pid objects), and a crash or restart is refused — everyone is
+    alive, always, until alive masks land.
     """
 
     def __init__(
@@ -367,18 +370,12 @@ class ArrayEngine:
         auditor: FastConfidentialityAuditor,
         observers=(),
     ):
-        self.n = n
+        super().__init__(n, adversary, observers)
         self.params = params
         self.partition_set = partition_set
         self.seed = seed
-        self.adversary = adversary
         self.record_delivery = record_delivery
         self.auditor = auditor
-        self.observers = list(observers)
-        self.event_log = EventLog()
-        self.stats = MessageStats()
-        self.rounds_executed = 0
-        self._round = 0
 
         self._rng_gossip = np.random.default_rng(derive_seed(seed, "fastcore", "gossip"))
         self._rng_gd = np.random.default_rng(derive_seed(seed, "fastcore", "gd"))
@@ -402,89 +399,49 @@ class ArrayEngine:
         )
         self.instances: Dict[int, _Instance] = {}
         self.rumors: List[_RumorState] = []
-        self.view = _ArrayView(self)
 
-        # Per-round accumulators, reset in run_round.
+        # Per-round accumulators, reset as the round body consumes them.
         self._count = 0
         self._size = 0
         self._by_service: Dict[str, int] = {}
+        # This round's fresh fragment items: [(home channel key, item)].
+        self._new_frag_items: List[Tuple[Tuple[int, int, int], _Item]] = []
         # Deliveries staged for the end-of-round effects pass:
         # [(item, new-holder bitset)].
         self._spread_deliveries: List[Tuple[_Item, np.ndarray]] = []
         self._reassembly_dirty: List[Tuple[_RumorState, int]] = []
 
     # ------------------------------------------------------------------
-    # Engine surface
+    # The skeleton's backend pieces
     # ------------------------------------------------------------------
 
-    @property
-    def round(self) -> int:
-        return self._round
+    def behavior(self, pid: int) -> None:
+        return None
 
-    def alive_pids(self):
-        return set(range(self.n))
+    def _crash_state(self, round_no: int, pid: int) -> None:
+        raise UnsupportedScenario(
+            "engine='array' models fault-free runs only; use the object engine "
+            "for crash/restart adversaries"
+        )
 
-    def crashed_pids(self):
-        return set()
+    _restart_state = _crash_state
 
-    def is_alive(self, pid: int) -> bool:
-        return 0 <= pid < self.n
-
-    def run(self, rounds: int) -> None:
-        for _ in range(rounds):
-            self.run_round()
-
-    # ------------------------------------------------------------------
-    # Round loop
-    # ------------------------------------------------------------------
-
-    def run_round(self) -> None:
-        round_no = self._round
-        for observer in self.observers:
-            hook = getattr(observer, "on_round_begin", None)
-            if hook is not None:
-                hook(round_no)
-        self._count = 0
-        self._size = 0
-        self._by_service = {}
-        self._spread_deliveries = []
-        self._reassembly_dirty = []
-
-        decision = self.adversary.round_start(self.view)
-        if getattr(decision, "crashes", None) or getattr(decision, "restarts", None):
-            raise UnsupportedScenario(
-                "engine='array' models fault-free runs only; use the object engine "
-                "for crash/restart adversaries"
-            )
-        new_frag_items: List[Tuple[Tuple[int, int, int], _Item]] = []
-        for pid, rumor in decision.injections:
-            self.event_log.record_injection(
-                InjectEvent(pid=pid, round_no=round_no, rumor=rumor)
-            )
-            for observer in self.observers:
-                hook = getattr(observer, "on_inject", None)
-                if hook is not None:
-                    hook(round_no, pid, rumor)
-            self._inject(round_no, pid, rumor, new_frag_items)
-
+    def _round_body(self, round_no: int) -> None:
         self._fallback_phase(round_no)
 
         for dline in sorted(self.instances):
             self._protocol_phase(round_no, self.instances[dline])
 
         self._spread_phase(round_no)
-        self._delivery_effects(round_no, new_frag_items)
+        self._delivery_effects(round_no)
         self._block_end_phase(round_no)
         self._reassemble(round_no)
         self._retire_rumors(round_no)
 
         self.stats.record_round(round_no, self._count, self._size, self._by_service)
-        for observer in self.observers:
-            hook = getattr(observer, "on_round_end", None)
-            if hook is not None:
-                hook(round_no, self)
-        self.rounds_executed += 1
-        self._round = round_no + 1
+        self._count = 0
+        self._size = 0
+        self._by_service = {}
 
     # ------------------------------------------------------------------
     # Injection, direct sends and the deadline fallback
@@ -507,7 +464,7 @@ class ArrayEngine:
             )
         bitset.union_into(state.delivered, bitset.from_indices(targets, self.n))
 
-    def _inject(self, round_no, pid, rumor, new_frag_items) -> None:
+    def _inject_state(self, round_no, pid, rumor) -> None:
         if not rumor.dest <= frozenset(range(self.n)):
             raise ValueError("rumor destination set contains unknown pids")
         self.auditor.on_rumor()
@@ -549,7 +506,7 @@ class ArrayEngine:
                 key=(dline, partition, my_group),
             )
             instance.channels[(partition, my_group)].items.append(item)
-            new_frag_items.append(((dline, partition, my_group), item))
+            self._new_frag_items.append(((dline, partition, my_group), item))
             bitset.union_into(
                 state.audit_holders((partition, my_group)), src_holder
             )
@@ -1052,9 +1009,9 @@ class ArrayEngine:
         inside = allowed_bits[row[:, None], targets[col]]
         self.auditor.add_border(inside.size - np.count_nonzero(inside))
 
-    def _delivery_effects(self, round_no, new_frag_items) -> None:
+    def _delivery_effects(self, round_no) -> None:
         """Apply end-of-round delivery callbacks for spread + fresh items."""
-        for key, item in new_frag_items:
+        for key, item in self._new_frag_items:
             # A source self-delivers its own fragment at inject: it joins
             # the GD waiting set for the next block, like any recipient.
             dline, partition, group = key
@@ -1080,6 +1037,7 @@ class ArrayEngine:
                     )
             elif item.kind is DSHARE:
                 self._merge_dshare(item, fresh)
+        self._new_frag_items = []
         self._spread_deliveries = []
 
     def _frag_arrival(self, instance, key, state, mask) -> None:
@@ -1145,43 +1103,5 @@ class ArrayEngine:
     def finalize(self) -> None:
         """Audit any rumor still live when the run ends."""
         for state in self.rumors:
-            self.auditor.retire_rumor(self._round, state)
+            self.auditor.retire_rumor(self.round, state)
         self.rumors = []
-
-
-class _ArrayView:
-    """The slice of AdversaryView that injection workloads consume."""
-
-    def __init__(self, engine: ArrayEngine):
-        self.engine = engine
-
-    @property
-    def round(self) -> int:
-        return self.engine.round
-
-    @property
-    def n(self) -> int:
-        return self.engine.n
-
-    @property
-    def all_pids(self):
-        return frozenset(range(self.engine.n))
-
-    @property
-    def event_log(self) -> EventLog:
-        return self.engine.event_log
-
-    def alive_pids(self):
-        return self.engine.alive_pids()
-
-    def crashed_pids(self):
-        return set()
-
-    def is_alive(self, pid: int) -> bool:
-        return self.engine.is_alive(pid)
-
-    def touched_this_round(self):
-        return set()
-
-    def behavior(self, pid: int):
-        return None

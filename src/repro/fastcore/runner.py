@@ -1,34 +1,30 @@
-"""Audited scenario runner for the array engine.
+"""The array engine as a backend of ``run_congos_scenario``.
 
-``run_array_scenario`` mirrors :func:`repro.harness.runner.run_congos_scenario`
-— same ``Scenario`` in, same :class:`RunResult` out — with the object
-engine swapped for :class:`repro.fastcore.engine.ArrayEngine`.  The
-delivery auditor, QoD report, event log and stats surfaces are the real
-ones; only the confidentiality auditor is the bitset mirror (it audits
-the array engine's delivered stream directly).
+:func:`repro.harness.runner.assemble` builds the run's shared wiring —
+the real delivery auditor, workload, adversary, fail-fast monitor and
+observer list — and asks :func:`array_auditor` for the one piece that
+differs: the bitset confidentiality auditor, which audits the array
+engine's delivered stream directly.  :func:`run_array_scenario` then
+builds an :class:`~repro.fastcore.engine.ArrayEngine` from the setup and
+runs it.
 
 Scenario features outside the array engine's scope raise
-:class:`UnsupportedScenario` eagerly with a pointer back to the object
-engine, so a mis-routed run fails loudly instead of quietly diverging.
+:class:`UnsupportedScenario` eagerly, before anything is built, with a
+pointer back to the object engine, so a mis-routed run fails loudly
+instead of quietly diverging.  :func:`_check_scope` is the whole list.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-from repro.audit.delivery import DeliveryAuditor
-from repro.audit.failfast import FailFastMonitor
-from repro.sim.rng import derive_rng
-
 from repro.fastcore import require_numpy
 
-__all__ = ["run_array_scenario"]
+__all__ = ["array_auditor", "run_array_scenario"]
 
 
 _UNSUPPORTED = "engine='array' does not support {}; use the object engine"
 
 
-def _check_scope(scenario) -> None:
+def _check_scope(scenario, telemetry) -> None:
     params = scenario.params
     reasons = []
     if scenario.fault_factory is not None:
@@ -53,83 +49,44 @@ def _check_scope(scenario) -> None:
         reasons.append("gd_redundancy != 1")
     if params.gd_target_pool != "destinations":
         reasons.append("gd_target_pool={!r}".format(params.gd_target_pool))
+    if telemetry is not None and getattr(telemetry, "enabled", False):
+        reasons.append("per-message telemetry hooks")
     if reasons:
         from repro.fastcore.engine import UnsupportedScenario
 
         raise UnsupportedScenario(_UNSUPPORTED.format(", ".join(reasons)))
 
 
-def run_array_scenario(
-    scenario,
-    observers: Iterable[object] = (),
-    partition_set=None,
-    telemetry=None,
-):
-    """Run a fault-free CONGOS scenario on the vectorized array engine."""
+def array_auditor(scenario, partition_set, telemetry):
+    """The array path's confidentiality auditor, once the scenario is
+    known to be in scope (numpy importable, no refused feature)."""
     require_numpy()
-    # Imported lazily behind the numpy gate: tier-1 without the
-    # ``repro[fast]`` extra must never touch these modules.
-    from repro.core.congos import build_partition_set
-    from repro.fastcore.engine import ArrayEngine, FastConfidentialityAuditor
-    from repro.harness.runner import RunResult
+    _check_scope(scenario, telemetry)
+    # Imported behind the numpy gate: tier-1 without the ``repro[fast]``
+    # extra must never touch this module.
+    from repro.fastcore.engine import FastConfidentialityAuditor
 
-    _check_scope(scenario)
-    if telemetry is not None and getattr(telemetry, "enabled", False):
-        raise ValueError(
-            "engine='array' has no per-message telemetry hooks; "
-            "run traced scenarios on the object engine"
-        )
-    resolved_partitions = (
-        partition_set
-        if partition_set is not None
-        else build_partition_set(scenario.n, scenario.params, scenario.seed)
+    return FastConfidentialityAuditor(
+        num_partitions=partition_set.count,
+        num_groups=partition_set.num_groups,
     )
-    delivery = DeliveryAuditor()
-    confidentiality = FastConfidentialityAuditor(
-        num_partitions=resolved_partitions.count,
-        num_groups=resolved_partitions.num_groups,
-    )
-    workload = None
-    if scenario.workload_factory is not None:
-        workload = scenario.workload_factory(
-            derive_rng(scenario.seed, "workload", scenario.name)
-        )
-    adversary = workload if workload is not None else _NullAdversary()
-    all_observers = [delivery, *observers]
-    if scenario.failfast == "confidentiality":
-        all_observers.append(FailFastMonitor(confidentiality))
-    elif scenario.failfast == "qod":
-        all_observers.append(FailFastMonitor(confidentiality, delivery=delivery))
+
+
+def run_array_scenario(setup):
+    """Run an assembled fault-free CONGOS scenario on the array engine."""
+    from repro.fastcore.engine import ArrayEngine
+
+    scenario = setup.scenario
     engine = ArrayEngine(
         n=scenario.n,
         params=scenario.params,
-        partition_set=resolved_partitions,
+        partition_set=setup.partition_set,
         seed=scenario.seed,
-        adversary=adversary,
-        record_delivery=delivery.record_delivery,
-        auditor=confidentiality,
-        observers=all_observers,
+        adversary=setup.adversary,
+        record_delivery=setup.delivery.record_delivery,
+        auditor=setup.confidentiality,
+        observers=setup.observers,
     )
     engine.run(scenario.rounds)
     engine.finalize()
-    qod = delivery.report(engine)
-    return RunResult(
-        scenario=scenario,
-        engine=engine,
-        stats=engine.stats,
-        qod=qod,
-        confidentiality=confidentiality,
-        delivery=delivery,
-        workload=workload,
-        partition_set=resolved_partitions,
-        fault_plane=None,
-    )
-
-
-class _NullAdversary:
-    """No injections, no faults (scenarios driven purely by observers)."""
-
-    def round_start(self, view):
-        from repro.sim.events import RoundDecision
-
-        return RoundDecision()
+    return setup.result(engine)

@@ -179,12 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharded backend: worker process count",
     )
     run.add_argument(
-        "--transport",
-        default="tcp",
-        help="sharded backend: transport name (tcp, or zmq with the "
-        "repro[net] extra installed)",
-    )
-    run.add_argument(
         "--engine",
         choices=("object", "array"),
         default="object",
@@ -233,12 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="sharded backend: worker process count",
-    )
-    trace.add_argument(
-        "--transport",
-        default="tcp",
-        help="sharded backend: transport name (tcp, or zmq with the "
-        "repro[net] extra installed)",
     )
 
     for experiment in EXPERIMENTS:
@@ -343,11 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     net.add_argument(
         "--workers", type=int, default=2, help="worker process count"
-    )
-    net.add_argument(
-        "--transport",
-        default="tcp",
-        help="transport name (tcp, or zmq with the repro[net] extra)",
     )
     net.add_argument(
         "--ns",
@@ -616,7 +599,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         scenario = dataclasses.replace(
             scenario,
             backend=args.backend,
-            net={"workers": args.workers, "transport": args.transport},
+            net={"workers": args.workers},
         )
     if args.engine != "object":
         scenario = dataclasses.replace(scenario, engine=args.engine)
@@ -650,11 +633,7 @@ def _run_multi_seed(
     args: argparse.Namespace, params: CongosParams, kwargs: Dict[str, object]
 ) -> int:
     """Replicate one scenario across seeds on the exec pool."""
-    net = (
-        {"workers": args.workers, "transport": args.transport}
-        if args.backend != "inproc"
-        else None
-    )
+    net = {"workers": args.workers} if args.backend != "inproc" else None
     specs = [
         RunSpec.make(
             args.scenario,
@@ -708,7 +687,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         scenario = dataclasses.replace(
             scenario,
             backend=args.backend,
-            net={"workers": args.workers, "transport": args.transport},
+            net={"workers": args.workers},
         )
     timeline = RumorTimeline()
     with JsonlSink(path=args.out) as sink:
@@ -932,7 +911,7 @@ def _net_verify(args: argparse.Namespace) -> int:
         dataclasses.replace(
             base,
             backend="sharded",
-            net={"workers": args.workers, "transport": args.transport},
+            net={"workers": args.workers},
         )
     )
     inproc_digest = _record_digest(inproc)
@@ -945,7 +924,6 @@ def _net_verify(args: argparse.Namespace) -> int:
         "rounds": args.rounds,
         "seed": args.seed,
         "workers": args.workers,
-        "transport": args.transport,
         "inproc_digest": inproc_digest,
         "sharded_digest": sharded_digest,
         "digest_match": match,
@@ -964,9 +942,7 @@ def _net_verify(args: argparse.Namespace) -> int:
                     ("n / rounds / seed", "{} / {} / {}".format(
                         args.n, args.rounds, args.seed
                     )),
-                    ("workers x transport", "{} x {}".format(
-                        args.workers, args.transport
-                    )),
+                    ("workers", args.workers),
                     ("inproc digest", inproc_digest[:16]),
                     ("sharded digest", sharded_digest[:16]),
                     ("digests match", "yes" if match else "NO"),
@@ -990,7 +966,6 @@ def _net_bench(args: argparse.Namespace) -> int:
         rounds=args.rounds,
         deadline=args.deadline,
         workers=args.workers,
-        transport=args.transport,
         progress=progress,
     )
     progress.finish()
@@ -1025,8 +1000,8 @@ def _net_bench(args: argparse.Namespace) -> int:
                 "clean",
             ],
             table,
-            title="E18 sharded scaling ({} rounds, {} workers, {}, "
-            "single host)".format(args.rounds, args.workers, args.transport),
+            title="E18 sharded scaling ({} rounds, {} workers, "
+            "single host)".format(args.rounds, args.workers),
         )
     )
     return code

@@ -13,15 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
-from repro.adversary.base import Adversary, ComposedAdversary
+from repro.adversary.base import Adversary
 from repro.adversary.injection import ScriptedWorkload
-from repro.audit.confidentiality import ConfidentialityAuditor
-from repro.audit.delivery import DeliveryAuditor
 from repro.core.config import CongosParams
-from repro.core.congos import build_partition_set, congos_factory
 from repro.gossip.rumor import RumorId
-from repro.sim.engine import Engine
-from repro.sim.rng import derive_rng
+from repro.harness.runner import Scenario, run_congos_scenario
 
 __all__ = ["BroadcastResult", "confidential_broadcast"]
 
@@ -73,41 +69,26 @@ def confidential_broadcast(
         raise ValueError("source out of range")
     if not destinations <= frozenset(range(n)):
         raise ValueError("destinations out of range")
-    resolved_params = params if params is not None else CongosParams()
     resolved_warmup = warmup if warmup is not None else deadline
     inject_at = max(1, resolved_warmup)
-    rounds = inject_at + deadline + 2
-
-    partitions = build_partition_set(n, resolved_params, seed)
-    delivery = DeliveryAuditor()
-    confidentiality = ConfidentialityAuditor(
-        partitions.count, partitions.num_groups
+    script = [(inject_at, source, deadline, destinations, data)]
+    # The script carries its own payload, so the workload never draws
+    # from the rng it is handed.
+    result = run_congos_scenario(
+        Scenario(
+            name="oneshot",
+            n=n,
+            rounds=inject_at + deadline + 2,
+            seed=seed,
+            params=params if params is not None else CongosParams(),
+            workload_factory=lambda rng: ScriptedWorkload(script, rng),
+            fault_factory=(
+                None if faults is None else lambda rng, partitions, _n: faults
+            ),
+        )
     )
-    factory = congos_factory(
-        n,
-        params=resolved_params,
-        seed=seed,
-        deliver_callback=delivery.record_delivery,
-        partition_set=partitions,
-    )
-    workload = ScriptedWorkload(
-        [(inject_at, source, deadline, destinations, data)],
-        derive_rng(seed, "oneshot"),
-    )
-    parts = [workload]
-    if faults is not None:
-        parts.append(faults)
-    engine = Engine(
-        n,
-        factory,
-        ComposedAdversary(parts),
-        observers=[delivery, confidentiality],
-        seed=seed,
-    )
-    engine.run(rounds)
-
+    delivery = result.delivery
     rid = delivery.injected_rid(0)
-    report = delivery.report(engine)
     delivered = {}
     paths = {}
     for q in sorted(destinations):
@@ -115,16 +96,18 @@ def confidential_broadcast(
         if entry is not None:
             delivered[q] = entry[0]
             paths[q] = entry[2]
-    missed = [o.pid for o in report.missed]
+    missed = [o.pid for o in result.qod.missed]
     return BroadcastResult(
         rid=rid,
         delivered=delivered,
         paths=paths,
         missed=missed,
-        on_time=report.satisfied,
-        leak_free=confidentiality.is_clean(),
-        min_reconstructing_coalition=confidentiality.min_coalition_size(rid, n),
-        total_messages=engine.stats.total,
-        max_messages_per_round=engine.stats.max_per_round(),
-        rounds_executed=engine.rounds_executed,
+        on_time=result.qod.satisfied,
+        leak_free=result.confidentiality.is_clean(),
+        min_reconstructing_coalition=result.confidentiality.min_coalition_size(
+            rid, n
+        ),
+        total_messages=result.stats.total,
+        max_messages_per_round=result.stats.max_per_round(),
+        rounds_executed=result.engine.rounds_executed,
     )

@@ -1,14 +1,18 @@
 """Experiment runner: build an audited simulation, run it, collect verdicts.
 
-The runner owns the standard wiring used by tests, examples and benches:
+:func:`assemble` owns the wiring every execution path shares — tests,
+examples and benches included:
 
-* a :class:`~repro.core.congos.CongosNode` factory (or a baseline factory)
-  with the :class:`~repro.audit.delivery.DeliveryAuditor` as the delivery
-  callback;
-* a :class:`~repro.audit.confidentiality.ConfidentialityAuditor` observing
-  every delivered message;
+* the partition set and the :class:`~repro.audit.delivery.DeliveryAuditor`
+  (the delivery callback of every node factory);
+* the confidentiality auditor observing every delivered message;
 * a :class:`~repro.adversary.base.ComposedAdversary` of the scenario's
-  workload and fault model.
+  workload and fault model;
+* the fail-fast monitor and the observer list.
+
+:func:`run_congos_scenario` assembles once and hands the
+:class:`RunSetup` to the backend the scenario names; a backend builds its
+engine from the setup, runs it and returns ``setup.result(engine)``.
 """
 
 from __future__ import annotations
@@ -21,20 +25,22 @@ from repro.adversary.base import Adversary, ComposedAdversary
 from repro.audit.confidentiality import ConfidentialityAuditor
 from repro.audit.delivery import DeliveryAuditor, QoDReport
 from repro.audit.failfast import FailFastMonitor
-from repro.chaos.plane import ChaosFaultPlane, FaultPlane
+from repro.chaos.plane import FaultPlane
 from repro.chaos.spec import FaultSpec
-from repro.chaos.targeted import TargetedFaultPlane, TargetedSpec
+from repro.chaos.targeted import TargetedFaultPlane, TargetedSpec, build_fault_plane
 from repro.core.config import CongosParams
 from repro.core.congos import build_partition_set, congos_factory
 from repro.core.partitions import PartitionSet
-from repro.sim.engine import Engine, SimObserver
+from repro.sim.engine import Engine, RoundEngine, SimObserver
 from repro.sim.metrics import MessageStats
 from repro.sim.rng import derive_rng
 
 __all__ = [
     "Scenario",
     "RunResult",
+    "RunSetup",
     "TargetedInjectionTap",
+    "assemble",
     "run_congos_scenario",
     "run_with_factory",
 ]
@@ -135,7 +141,7 @@ class RunResult:
     """Everything a bench or test wants to know about one run."""
 
     scenario: Scenario
-    engine: Engine
+    engine: RoundEngine
     stats: MessageStats
     qod: QoDReport
     confidentiality: ConfidentialityAuditor
@@ -192,87 +198,66 @@ class RunResult:
         return out
 
 
-def run_congos_scenario(
-    scenario: Scenario,
-    observers: Iterable[SimObserver] = (),
-    partition_set: Optional[PartitionSet] = None,
-    telemetry=None,
-) -> RunResult:
-    """Run CONGOS under the scenario's workload and faults, fully audited.
+@dataclass
+class RunSetup:
+    """One run's shared wiring, as :func:`assemble` built it."""
 
-    ``telemetry`` (a :class:`repro.obs.Telemetry`) is threaded through the
-    whole protocol stack; ``None`` keeps the zero-overhead null telemetry.
+    scenario: Scenario
+    partition_set: PartitionSet
+    delivery: DeliveryAuditor
+    confidentiality: object
+    workload: Optional[Adversary]
+    adversary: Adversary
+    observers: List[SimObserver]
+    telemetry: object = None
+
+    def result(self, engine: RoundEngine) -> RunResult:
+        """The audited outcome of ``engine``'s finished run."""
+        return RunResult(
+            scenario=self.scenario,
+            engine=engine,
+            stats=engine.stats,
+            qod=self.delivery.report(engine),
+            confidentiality=self.confidentiality,
+            delivery=self.delivery,
+            workload=self.workload,
+            partition_set=self.partition_set,
+            fault_plane=engine.fault_plane,
+        )
+
+
+def assemble(
+    scenario: Scenario,
+    partition_set: Optional[PartitionSet] = None,
+    observers: Iterable[SimObserver] = (),
+    telemetry=None,
+    delivery: Optional[DeliveryAuditor] = None,
+) -> RunSetup:
+    """Build everything about a run that does not depend on its backend.
+
+    ``telemetry`` (a :class:`repro.obs.Telemetry`) is bound to workloads
+    with admission accounting here and threaded through the protocol
+    stack by the backend; ``None`` keeps the zero-overhead null telemetry.
+    ``delivery`` lets a baseline factory bring the auditor it already
+    wired as its delivery callback.
     """
+    partitions = (
+        partition_set
+        if partition_set is not None
+        else build_partition_set(scenario.n, scenario.params, scenario.seed)
+    )
     if scenario.engine == "array":
         # Imported lazily: repro.fastcore needs numpy (the repro[fast]
         # extra) and raises a pointed ImportError when it is missing.
-        from repro.fastcore.runner import run_array_scenario
+        from repro.fastcore.runner import array_auditor
 
-        return run_array_scenario(
-            scenario,
-            observers=observers,
-            partition_set=partition_set,
-            telemetry=telemetry,
+        confidentiality = array_auditor(scenario, partitions, telemetry)
+    else:
+        confidentiality = ConfidentialityAuditor(
+            num_partitions=partitions.count,
+            num_groups=partitions.num_groups,
         )
-    if scenario.backend == "sharded":
-        # Imported lazily: repro.net pulls in multiprocessing machinery
-        # that default in-process runs never need.
-        from repro.net.coordinator import run_sharded_scenario
-
-        return run_sharded_scenario(
-            scenario,
-            observers=observers,
-            partition_set=partition_set,
-            telemetry=telemetry,
-        )
-    resolved_partitions = (
-        partition_set
-        if partition_set is not None
-        else build_partition_set(scenario.n, scenario.params, scenario.seed)
-    )
-    delivery = DeliveryAuditor()
-    factory = congos_factory(
-        scenario.n,
-        params=scenario.params,
-        seed=scenario.seed,
-        deliver_callback=delivery.record_delivery,
-        partition_set=resolved_partitions,
-        telemetry=telemetry,
-    )
-    return run_with_factory(
-        scenario,
-        factory,
-        delivery=delivery,
-        observers=observers,
-        partition_set=resolved_partitions,
-        telemetry=telemetry,
-    )
-
-
-def run_with_factory(
-    scenario: Scenario,
-    node_factory: Callable[[int], object],
-    delivery: Optional[DeliveryAuditor] = None,
-    observers: Iterable[SimObserver] = (),
-    partition_set: Optional[PartitionSet] = None,
-    telemetry=None,
-) -> RunResult:
-    """Run any protocol factory (CONGOS or a baseline) under a scenario.
-
-    Baselines that do not use partitions still get a partition set for the
-    confidentiality auditor's bookkeeping (fragment checks are vacuous for
-    protocols that never fragment).
-    """
-    resolved_partitions = (
-        partition_set
-        if partition_set is not None
-        else build_partition_set(scenario.n, scenario.params, scenario.seed)
-    )
     resolved_delivery = delivery if delivery is not None else DeliveryAuditor()
-    confidentiality = ConfidentialityAuditor(
-        num_partitions=resolved_partitions.count,
-        num_groups=resolved_partitions.num_groups,
-    )
     parts: List[Adversary] = []
     workload: Optional[Adversary] = None
     if scenario.workload_factory is not None:
@@ -291,65 +276,106 @@ def run_with_factory(
         parts.append(
             scenario.fault_factory(
                 derive_rng(scenario.seed, "faults", scenario.name),
-                resolved_partitions,
+                partitions,
                 scenario.n,
             )
-        )
-    adversary: Adversary = ComposedAdversary(parts)
-    spec = scenario.fault_spec()
-    tspec = scenario.targeted_spec()
-    fault_plane: Optional[FaultPlane] = None
-    if tspec is not None:
-        # Targeted layer composes with (a possibly null) oblivious spec;
-        # the policy's tracking state is fed by the injection tap below.
-        fault_plane = TargetedFaultPlane(
-            scenario.seed,
-            spec if spec is not None else FaultSpec(),
-            tspec,
-            scenario.n,
-            telemetry=telemetry,
-            message_keyed=scenario.chaos_keyed,
-        )
-    elif spec is not None:
-        # The plane's schedule is keyed on the scenario seed alone, so
-        # "same seed => same fault schedule" holds across builders and at
-        # any --jobs setting.
-        fault_plane = ChaosFaultPlane(
-            scenario.seed,
-            spec,
-            scenario.n,
-            telemetry=telemetry,
-            message_keyed=scenario.chaos_keyed,
         )
     all_observers: List[SimObserver] = [
         resolved_delivery, confidentiality, *observers
     ]
-    if tspec is not None:
-        all_observers.append(TargetedInjectionTap(fault_plane))
-    if scenario.failfast == "confidentiality":
-        all_observers.append(FailFastMonitor(confidentiality))
-    elif scenario.failfast == "qod":
+    if scenario.failfast is not None:
         all_observers.append(
-            FailFastMonitor(confidentiality, delivery=resolved_delivery)
+            FailFastMonitor(
+                confidentiality,
+                delivery=resolved_delivery if scenario.failfast == "qod" else None,
+            )
         )
+    return RunSetup(
+        scenario=scenario,
+        partition_set=partitions,
+        delivery=resolved_delivery,
+        confidentiality=confidentiality,
+        workload=workload,
+        adversary=ComposedAdversary(parts),
+        observers=all_observers,
+        telemetry=telemetry,
+    )
+
+
+def run_congos_scenario(
+    scenario: Scenario,
+    observers: Iterable[SimObserver] = (),
+    partition_set: Optional[PartitionSet] = None,
+    telemetry=None,
+) -> RunResult:
+    """Run CONGOS under the scenario's workload and faults, fully audited."""
+    setup = assemble(scenario, partition_set, observers, telemetry)
+    if scenario.engine == "array":
+        from repro.fastcore.runner import run_array_scenario
+
+        return run_array_scenario(setup)
+    if scenario.backend == "sharded":
+        # Imported lazily: repro.net pulls in multiprocessing machinery
+        # that default in-process runs never need.
+        from repro.net.coordinator import run_sharded_scenario
+
+        return run_sharded_scenario(setup)
+    factory = congos_factory(
+        scenario.n,
+        params=scenario.params,
+        seed=scenario.seed,
+        deliver_callback=setup.delivery.record_delivery,
+        partition_set=setup.partition_set,
+        telemetry=telemetry,
+    )
+    return _run_inproc(setup, factory)
+
+
+def run_with_factory(
+    scenario: Scenario,
+    node_factory: Callable[[int], object],
+    delivery: Optional[DeliveryAuditor] = None,
+    observers: Iterable[SimObserver] = (),
+    partition_set: Optional[PartitionSet] = None,
+    telemetry=None,
+) -> RunResult:
+    """Run any protocol factory (CONGOS or a baseline) under a scenario,
+    on the in-process object engine.
+
+    Baselines that do not use partitions still get a partition set for the
+    confidentiality auditor's bookkeeping (fragment checks are vacuous for
+    protocols that never fragment).
+    """
+    return _run_inproc(
+        assemble(scenario, partition_set, observers, telemetry, delivery),
+        node_factory,
+    )
+
+
+def _run_inproc(setup: RunSetup, node_factory: Callable[[int], object]) -> RunResult:
+    scenario = setup.scenario
+    # The plane's schedule is keyed on the scenario seed alone, so "same
+    # seed => same fault schedule" holds across builders and at any
+    # --jobs setting.
+    fault_plane = build_fault_plane(
+        scenario.seed,
+        scenario.n,
+        scenario.fault_spec(),
+        scenario.targeted_spec(),
+        telemetry=setup.telemetry,
+        message_keyed=scenario.chaos_keyed,
+    )
+    observers = setup.observers
+    if isinstance(fault_plane, TargetedFaultPlane):
+        # The targeted policy's tracking state is fed by this tap.
+        observers = [*observers, TargetedInjectionTap(fault_plane)]
     engine = Engine(
         n=scenario.n,
         node_factory=node_factory,
-        adversary=adversary,
-        observers=all_observers,
+        adversary=setup.adversary,
+        observers=observers,
         seed=scenario.seed,
         fault_plane=fault_plane,
     )
     engine.run(scenario.rounds)
-    qod = resolved_delivery.report(engine)
-    return RunResult(
-        scenario=scenario,
-        engine=engine,
-        stats=engine.stats,
-        qod=qod,
-        confidentiality=confidentiality,
-        delivery=resolved_delivery,
-        workload=workload,
-        partition_set=resolved_partitions,
-        fault_plane=fault_plane,
-    )
+    return setup.result(engine)

@@ -8,9 +8,8 @@ The subsystem has four layers, each usable on its own:
   frame never widens what its payload ``reveals()``.  A stream of message
   batches keeps a per-stream item table (:class:`WireSession`), so a
   gossip item crosses it in full once.
-* :mod:`repro.net.transport` — the pluggable byte transport.  The stdlib
-  TCP loopback backend has no dependencies and carries tier-1 tests and
-  CI; an optional zmq backend lives behind the ``net`` extra.
+* :mod:`repro.net.transport` — the byte transport: stdlib TCP loopback,
+  no dependencies.
 * :mod:`repro.net.shard` — the group-aligned pid-to-worker plan.
 * :mod:`repro.net.worker` / :mod:`repro.net.coordinator` — the worker
   process hosting a shard of :class:`~repro.sim.process.ProcessShell`\\ s
@@ -18,9 +17,9 @@ The subsystem has four layers, each usable on its own:
   relays cross-shard traffic and feeds the auditors from the reassembled
   event stream.
 
-Entry point: :func:`repro.net.coordinator.run_sharded_scenario`, or more
-conveniently ``Scenario(backend="sharded")`` /
-``repro.api.run_scenario(..., backend="sharded")``.
+Entry point: ``Scenario(backend="sharded")`` /
+``repro.api.run_scenario(..., backend="sharded")``, which hand the
+assembled run to :func:`repro.net.coordinator.run_sharded_scenario`.
 """
 
 from repro.net.codec import (

@@ -51,7 +51,6 @@ def sharded_spec(
     rounds: int = 40,
     deadline: int = 64,
     workers: int = 2,
-    transport: str = "tcp",
 ) -> RunSpec:
     """The E17 steady/lean cell, retargeted at the sharded backend."""
     return RunSpec.make(
@@ -64,7 +63,7 @@ def sharded_spec(
         period=4,
         params=CongosParams.lean(),
         backend="sharded",
-        net={"workers": workers, "transport": transport},
+        net={"workers": workers},
     )
 
 
@@ -87,7 +86,6 @@ def run_sharded_scaling(
     rounds: int = 40,
     deadline: int = 64,
     workers: int = 2,
-    transport: str = "tcp",
     progress: Optional[Progress] = None,
 ) -> List[Dict[str, object]]:
     """Run each ``n`` on both backends; one comparison row per ``n``."""
@@ -104,11 +102,7 @@ def run_sharded_scaling(
             params=CongosParams.lean(),
         )
         shard_spec = sharded_spec(
-            n,
-            rounds=rounds,
-            deadline=deadline,
-            workers=workers,
-            transport=transport,
+            n, rounds=rounds, deadline=deadline, workers=workers
         )
         inproc, inproc_wall = _timed_run(inproc_spec)
         sharded, sharded_wall = _timed_run(shard_spec)
@@ -133,7 +127,7 @@ def run_sharded_scaling(
                 "rounds": rounds,
                 "deadline": deadline,
                 "workers": workers,
-                "transport": transport,
+                "transport": "tcp",
                 "spec_key": inproc_spec.key,
                 "sharded_spec_key": shard_spec.key,
                 "digest": _payload_digest(inproc),

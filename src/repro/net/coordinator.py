@@ -1,14 +1,18 @@
-"""The shard coordinator: a sharded drop-in for ``run_congos_scenario``.
+"""The shard coordinator: the sharded backend of ``run_congos_scenario``.
 
-:func:`run_sharded_scenario` runs a scenario's pids across worker
-*processes* connected by a real transport, while keeping every piece of
-global logic — the adversary, the event log, message statistics, both
-auditors, observer dispatch — in the coordinator, in exactly the order
-:class:`~repro.sim.engine.Engine` runs it.  The result is bit-identical
-to the in-process backend (same ``RunRecord.without_profile()``), with
-one caveat: chaos runs compare against the in-process engine in
-*message-keyed* mode (``Scenario.chaos_keyed``), because the default
-index-order fate stream has no shard-invariant meaning.
+:func:`run_sharded_scenario` runs an assembled scenario's pids across
+worker *processes* connected by a real transport.  Every piece of global
+logic — the adversary, the event log, message statistics, both auditors,
+observer dispatch — stays in the coordinator, and the order it runs in
+is not restated here: :class:`ShardEngine` is a subclass of the round
+skeleton (:class:`~repro.sim.engine.RoundEngine`) and supplies only what
+a crash, a restart and an injection add to the round frame, and the
+round body (ship frames, relay cross batches, merge the delivered
+streams).  The result is bit-identical to the in-process backend (same
+``RunRecord.without_profile()``), with one caveat: chaos runs compare
+against the in-process engine in *message-keyed* mode
+(``Scenario.chaos_keyed``), because the default index-order fate stream
+has no shard-invariant meaning.
 
 Round barrier
     Lockstep, the only sync policy implemented: every worker finishes
@@ -16,7 +20,7 @@ Round barrier
     finishes delivery before the next round starts.  The barrier lives
     in two frame exchanges per round (``round``/``sent``, then
     ``deliver``/``events``), so a different policy — e.g. bounded-lag
-    pipelining — would slot in by changing only this module's loop.
+    pipelining — would slot in by changing only ``_round_body``.
 
 What crosses the wire, and what the coordinator sees
     Cross-shard batches travel as opaque codec bytes; the coordinator
@@ -45,32 +49,17 @@ import hashlib
 import multiprocessing
 import time
 from dataclasses import asdict
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.adversary.base import Adversary, ComposedAdversary
-from repro.audit.confidentiality import ConfidentialityAuditor
-from repro.audit.delivery import DeliveryAuditor
-from repro.audit.failfast import FailFastMonitor
-from repro.chaos.plane import ChaosFaultPlane
-from repro.chaos.spec import FaultSpec
-from repro.chaos.targeted import TargetedFaultPlane
-from repro.core.congos import build_partition_set
-from repro.core.partitions import PartitionSet
+from repro.chaos.targeted import TargetedFaultPlane, build_fault_plane
 from repro.gossip.rumor import RumorId
 from repro.net.codec import WireSession, decode_frame, encode_frame
 from repro.net.shard import ShardPlan
 from repro.net.transport import DEFAULT_TIMEOUT, TransportClosed, get_transport
 from repro.net.worker import worker_main
 from repro.obs.registry import MetricsRegistry
-from repro.sim.clock import RoundClock
-from repro.sim.events import (
-    CrashEvent,
-    EventLog,
-    InjectEvent,
-    RestartEvent,
-)
-from repro.sim.metrics import MessageStats
-from repro.sim.rng import derive_rng
+from repro.sim.engine import RoundEngine
 
 __all__ = ["NetOptions", "ShardEngine", "run_sharded_scenario"]
 
@@ -93,130 +82,6 @@ class NetOptions:
         self.timeout = DEFAULT_TIMEOUT if timeout is None else float(timeout)  # type: ignore[arg-type]
         if self.workers < 1:
             raise ValueError("net.workers must be >= 1")
-
-
-class ShardEngine:
-    """The coordinator's engine facade.
-
-    Duck-types the :class:`~repro.sim.engine.Engine` surface that
-    observers, auditors and ``RunResult`` consumers actually touch —
-    ``round``, ``event_log``, ``stats``, ``rounds_executed``,
-    ``alive_pids()`` — plus sharding-specific accounting for the E18
-    bench (:meth:`net_summary`).
-    """
-
-    def __init__(self, n: int, plan: ShardPlan, transport: str):
-        self.n = n
-        self.plan = plan
-        self.transport = transport
-        self.sync = "lockstep"
-        self.clock = RoundClock(0)
-        self.stats = MessageStats()
-        self.event_log = EventLog()
-        self.rounds_executed = 0
-        self.local_messages = 0
-        self.cross_messages = 0
-        self._alive: Set[int] = set(range(n))
-        self._touched_this_round: Set[int] = set()
-        # Always-on net-only observability (namespaced ``net.``): round
-        # phase spans, worker wait/queue summaries, transport totals.
-        # Kept outside any user Telemetry so the E18 bench can read it
-        # without paying for event capture.
-        self.metrics = MetricsRegistry()
-        # (src_worker, dst_worker) -> relayed cross-batch frames/bytes.
-        # Deterministic: the codec is, and batches are per-round merges.
-        self.pair_frames: Dict[Tuple[int, int], int] = {}
-        self.pair_bytes: Dict[Tuple[int, int], int] = {}
-
-    @property
-    def round(self) -> int:
-        return self.clock.round
-
-    def alive_pids(self) -> Set[int]:
-        return set(self._alive)
-
-    def net_summary(self) -> Dict[str, object]:
-        total = self.local_messages + self.cross_messages
-        return {
-            "workers": self.plan.workers,
-            "transport": self.transport,
-            "sync": self.sync,
-            "local_messages": self.local_messages,
-            "cross_messages": self.cross_messages,
-            "cross_fraction": (
-                round(self.cross_messages / total, 4) if total else 0.0
-            ),
-        }
-
-    def record_cross_batch(self, src: int, dst: int, nbytes: int) -> None:
-        pair = (src, dst)
-        self.pair_frames[pair] = self.pair_frames.get(pair, 0) + 1
-        self.pair_bytes[pair] = self.pair_bytes.get(pair, 0) + nbytes
-
-    def worker_pair_summary(self) -> Dict[str, Dict[str, int]]:
-        """Relayed cross-batch frame/byte counts per ``src->dst`` pair."""
-        return {
-            "{}->{}".format(src, dst): {
-                "frames": self.pair_frames[(src, dst)],
-                "bytes": self.pair_bytes[(src, dst)],
-            }
-            for src, dst in sorted(self.pair_frames)
-        }
-
-    def phase_summary(self) -> Dict[str, Dict[str, object]]:
-        """Per-phase round-latency summaries (incl. p50/p99/p999)."""
-        out: Dict[str, Dict[str, object]] = {}
-        for (name, labels), instrument in self.metrics.items():
-            if name == "net.round.phase_seconds":
-                out[dict(labels)["phase"]] = instrument.as_dict()
-        return out
-
-
-class ShardAdversaryView:
-    """Duck-types :class:`~repro.sim.engine.AdversaryView` for shard runs.
-
-    Omniscient *membership* state (aliveness, event log) is global at
-    the coordinator; per-node internals are not, so :meth:`behavior`
-    raises instead of silently returning stale state.
-    """
-
-    def __init__(self, engine: ShardEngine):
-        self.engine = engine
-        self._all_pids: FrozenSet[int] = frozenset(range(engine.n))
-
-    @property
-    def round(self) -> int:
-        return self.engine.round
-
-    @property
-    def n(self) -> int:
-        return self.engine.n
-
-    @property
-    def all_pids(self) -> FrozenSet[int]:
-        return self._all_pids
-
-    @property
-    def event_log(self) -> EventLog:
-        return self.engine.event_log
-
-    def alive_pids(self) -> Set[int]:
-        return self.engine.alive_pids()
-
-    def crashed_pids(self) -> Set[int]:
-        return self._all_pids - self.engine._alive
-
-    def is_alive(self, pid: int) -> bool:
-        return pid in self.engine._alive
-
-    def touched_this_round(self) -> Set[int]:
-        return set(self.engine._touched_this_round)
-
-    def behavior(self, pid: int):
-        raise NotImplementedError(
-            "node {} lives in a shard worker process; the sharded backend "
-            "does not expose remote node internals to adversaries".format(pid)
-        )
 
 
 def _reject_mid_round_adversaries(adversary: Adversary) -> None:
@@ -375,149 +240,284 @@ class _WorkerPool:
                 process.join(timeout=5.0)
 
 
-def run_sharded_scenario(
-    scenario,
-    observers=(),
-    partition_set: Optional[PartitionSet] = None,
-    telemetry=None,
-):
-    """Run a scenario on the sharded multi-process backend.
+class ShardEngine(RoundEngine):
+    """The round skeleton over shard worker processes.
 
-    Mirrors :func:`repro.harness.runner.run_with_factory` decision for
-    decision; see the module docstring for the exact division of labor
-    between coordinator and workers.  Returns the same ``RunResult``
-    shape as the in-process path (``result.engine`` is a
-    :class:`ShardEngine` facade).
-
-    ``telemetry`` (a :class:`repro.obs.Telemetry`) turns on worker-side
-    event capture: every worker runs its own registry + capture buffer,
-    ships sanitized batches back each round, and the coordinator re-emits
-    them here in ``(round, worker, seq)`` order with a ``worker`` field
-    added — for the same scenario the merged stream is the inproc stream
-    modulo that label.  Worker metric registries are folded into
-    ``telemetry.metrics`` *without* worker labels, so protocol counter
-    totals match the inproc run exactly; coordinator-side ``net.*``
-    metrics (phase spans, worker waits, transport totals) are added on
-    top.  ``None`` keeps the wire protocol byte-identical to a
-    pre-telemetry run — no extra frames at all.
+    Constructing one spawns the workers; :meth:`finish` stops them and
+    folds their final frames in; :meth:`close` reaps them.  Of the round
+    it supplies only what differs from the other paths: a crash, a
+    restart or an injection is a line in the round frame being built,
+    ``behavior(pid)`` refuses (the node lives in another process), and
+    the round body ships the frames and merges the replies.  On top of
+    the engine surface it keeps sharding-specific accounting for the E18
+    bench (:meth:`net_summary`, :meth:`phase_summary`,
+    :meth:`worker_pair_summary`).
     """
-    # Imported here: harness.runner dispatches to this module, so a
-    # top-level import would be circular.
-    from repro.harness.runner import RunResult
 
-    options = NetOptions(scenario.net)
-    if options.workers > scenario.n:
-        raise ValueError(
-            "net.workers={} exceeds n={}".format(options.workers, scenario.n)
-        )
-    resolved_partitions = (
-        partition_set
-        if partition_set is not None
-        else build_partition_set(scenario.n, scenario.params, scenario.seed)
-    )
-    plan = ShardPlan.build(
-        scenario.n, options.workers, partition_set=resolved_partitions
-    )
-
-    delivery = DeliveryAuditor()
-    confidentiality = ConfidentialityAuditor(
-        num_partitions=resolved_partitions.count,
-        num_groups=resolved_partitions.num_groups,
-    )
-    parts: List[Adversary] = []
-    workload: Optional[Adversary] = None
-    if scenario.workload_factory is not None:
-        workload = scenario.workload_factory(
-            derive_rng(scenario.seed, "workload", scenario.name)
-        )
-        if telemetry is not None:
-            # Same hook as the inproc runner: workloads run coordinator-
-            # side, so their admission accounting (repro.load) lands in
-            # the coordinator's registry, not a worker snapshot.
-            bind = getattr(workload, "bind_telemetry", None)
-            if bind is not None:
-                bind(telemetry)
-        parts.append(workload)
-    if scenario.fault_factory is not None:
-        parts.append(
-            scenario.fault_factory(
-                derive_rng(scenario.seed, "faults", scenario.name),
-                resolved_partitions,
-                scenario.n,
-            )
-        )
-    adversary: Adversary = ComposedAdversary(parts)
-    _reject_mid_round_adversaries(adversary)
-
-    all_observers = [delivery, confidentiality, *observers]
-    if scenario.failfast == "confidentiality":
-        all_observers.append(FailFastMonitor(confidentiality))
-    elif scenario.failfast == "qod":
-        all_observers.append(FailFastMonitor(confidentiality, delivery=delivery))
-    # The engine's per-hook dispatch tables, verbatim (inherited no-op
-    # SimObserver methods are never called).
-    from repro.sim.engine import Engine, SimObserver
-
-    dispatch: Dict[str, Tuple] = {}
-    for hook in Engine._HOOKS:
-        base = getattr(SimObserver, hook)
-        dispatch[hook] = tuple(
-            observer
-            for observer in all_observers
-            if getattr(type(observer), hook, base) is not base
-            or hook in getattr(observer, "__dict__", ())
-        )
-
-    engine = ShardEngine(scenario.n, plan, options.transport)
-    view = ShardAdversaryView(engine)
-    spec = scenario.fault_spec()
-    tspec = scenario.targeted_spec()
-    fault_plane: Optional[ChaosFaultPlane] = None
-    if tspec is not None:
-        # Counts-only mirror of the workers' targeted planes.  Tracking
-        # state is maintained here via the same injection announcements
-        # the round frames broadcast; counts and the budget ledger are
-        # merged from the final frames below.
-        fault_plane = TargetedFaultPlane(
+    def __init__(
+        self,
+        scenario,
+        plan: ShardPlan,
+        options: NetOptions,
+        adversary: Adversary,
+        observers,
+        delivery,
+        telemetry=None,
+    ):
+        super().__init__(scenario.n, adversary, observers)
+        self.plan = plan
+        self.transport = options.transport
+        self.sync = "lockstep"
+        self.delivery = delivery
+        self.telemetry = telemetry
+        self.local_messages = 0
+        self.cross_messages = 0
+        # Always-on net-only observability (namespaced ``net.``): round
+        # phase spans, worker wait/queue summaries, transport totals.
+        # Kept outside any user Telemetry so the E18 bench can read it
+        # without paying for event capture.
+        self.metrics = MetricsRegistry()
+        # (src_worker, dst_worker) -> relayed cross-batch frames/bytes.
+        # Deterministic: the codec is, and batches are per-round merges.
+        self.pair_frames: Dict[Tuple[int, int], int] = {}
+        self.pair_bytes: Dict[Tuple[int, int], int] = {}
+        # Counts-only mirror of the workers' planes: the schedule object
+        # is identical (same seed/specs); a targeted mirror tracks
+        # injections coordinator-side from the same announcements the
+        # round frames broadcast; counts and the budget ledger are merged
+        # from the final frames in :meth:`finish`.
+        self.fault_plane = build_fault_plane(
             scenario.seed,
-            spec if spec is not None else FaultSpec(),
-            tspec,
             scenario.n,
+            scenario.fault_spec(),
+            scenario.targeted_spec(),
             keep_events=False,
             message_keyed=True,
         )
-    elif spec is not None:
-        # Counts-only mirror of the workers' planes: the schedule object
-        # is identical (same seed/spec), the counts are merged from the
-        # final frames below.
-        fault_plane = ChaosFaultPlane(
-            scenario.seed, spec, scenario.n, keep_events=False,
-            message_keyed=True,
+        self._targeted = isinstance(self.fault_plane, TargetedFaultPlane)
+        self._new_round_frame()
+        self._pool = _WorkerPool(
+            scenario, plan, options, telemetry_enabled=telemetry is not None
+        )
+        self._worker_ids = sorted(self._pool.connections)
+
+    def net_summary(self) -> Dict[str, object]:
+        total = self.local_messages + self.cross_messages
+        return {
+            "workers": self.plan.workers,
+            "transport": self.transport,
+            "sync": self.sync,
+            "local_messages": self.local_messages,
+            "cross_messages": self.cross_messages,
+            "cross_fraction": (
+                round(self.cross_messages / total, 4) if total else 0.0
+            ),
+        }
+
+    def record_cross_batch(self, src: int, dst: int, nbytes: int) -> None:
+        pair = (src, dst)
+        self.pair_frames[pair] = self.pair_frames.get(pair, 0) + 1
+        self.pair_bytes[pair] = self.pair_bytes.get(pair, 0) + nbytes
+
+    def worker_pair_summary(self) -> Dict[str, Dict[str, int]]:
+        """Relayed cross-batch frame/byte counts per ``src->dst`` pair."""
+        return {
+            "{}->{}".format(src, dst): {
+                "frames": self.pair_frames[(src, dst)],
+                "bytes": self.pair_bytes[(src, dst)],
+            }
+            for src, dst in sorted(self.pair_frames)
+        }
+
+    def phase_summary(self) -> Dict[str, Dict[str, object]]:
+        """Per-phase round-latency summaries (incl. p50/p99/p999)."""
+        out: Dict[str, Dict[str, object]] = {}
+        for (name, labels), instrument in self.metrics.items():
+            if name == "net.round.phase_seconds":
+                out[dict(labels)["phase"]] = instrument.as_dict()
+        return out
+
+    # ------------------------------------------------------------------
+    # The skeleton's backend pieces
+    # ------------------------------------------------------------------
+
+    def behavior(self, pid: int):
+        """Omniscient *membership* state (aliveness, event log) is global
+        at the coordinator; per-node internals are not, so this raises
+        instead of silently returning stale state."""
+        raise NotImplementedError(
+            "node {} lives in a shard worker process; the sharded backend "
+            "does not expose remote node internals to adversaries".format(pid)
         )
 
-    pool = _WorkerPool(
-        scenario, plan, options, telemetry_enabled=telemetry is not None
-    )
-    try:
-        worker_ids = sorted(pool.connections)
-        for _ in range(scenario.rounds):
-            _run_round(
-                engine, view, adversary, dispatch, delivery, pool,
-                worker_ids, plan, telemetry, fault_plane,
+    def _new_round_frame(self) -> None:
+        self._crashes: List[int] = []
+        self._restarts: List[int] = []
+        self._injections_of: Dict[int, List[Tuple[int, object]]] = {}
+        self._rumor_meta: List[List[int]] = []
+
+    def _crash_state(self, round_no: int, pid: int) -> None:
+        self._crashes.append(pid)
+
+    def _restart_state(self, round_no: int, pid: int) -> None:
+        self._restarts.append(pid)
+
+    def _inject_state(self, round_no: int, pid: int, rumor) -> None:
+        self._injections_of.setdefault(self.plan.owner[pid], []).append(
+            (pid, rumor)
+        )
+        if self._targeted:
+            # Leak-safe announcement (rid coordinates + deadline, never
+            # the payload or destination set), broadcast to EVERY worker
+            # so all targeted policies track identically; the mirror
+            # plane tracks the same way coordinator-side.
+            rid = rumor.rid
+            self._rumor_meta.append([rid.src, rid.seq, rumor.deadline])
+            self.fault_plane.observe_injection(
+                round_no, rid.src, rid.seq, rumor.deadline
             )
+
+    def _mark_phase(self, phase: str) -> None:
+        # Wall-clock since the previous mark; lands in the always-on
+        # net registry (never the simulation payload), so the spans are
+        # free of digest concerns.
+        now = time.perf_counter()
+        self.metrics.histogram("net.round.phase_seconds", phase=phase).observe(
+            now - self._phase_started
+        )
+        self._phase_started = now
+
+    def run_round(self) -> None:
+        # The four phase spans tile the whole round, hooks included.
+        self._phase_started = time.perf_counter()
+        super().run_round()
+        self._mark_phase("merge")
+
+    def _round_body(self, round_no: int) -> None:
+        pool = self._pool
+        pool.round_no = round_no
+        worker_ids = self._worker_ids
+        telemetry = self.telemetry
+        delivery = self.delivery
         for worker in worker_ids:
+            body: Dict[str, object] = {
+                "round": round_no,
+                "crashes": self._crashes,
+                "restarts": self._restarts,
+                "injections": self._injections_of.get(worker, []),
+            }
+            if self._targeted:
+                # Key only present on targeted runs: the wire stays
+                # byte-identical for every pre-existing scenario.
+                body["rumor_meta"] = self._rumor_meta
+            pool.send(worker, encode_frame("round", body))
+        self._new_round_frame()
+        self._mark_phase("route")
+        total = 0
+        size = 0
+        by_service: Dict[str, int] = {}
+        batches_for: Dict[int, List[Tuple[int, bytes]]] = {
+            worker: [] for worker in worker_ids
+        }
+        for worker in worker_ids:
+            sent = pool.recv(worker, "sent")
+            total += sent["count"]
+            size += sent["size"]
+            for service, tally in sent["by_service"].items():
+                by_service[service] = by_service.get(service, 0) + tally
+            self.local_messages += sent["local_count"]
+            self.cross_messages += sent["count"] - sent["local_count"]
+            # Opaque relay: the coordinator never decodes cross traffic.  It
+            # names the source, which selects the receiver's decoder session.
+            for destination, blob in sorted(sent["cross"].items()):
+                batches_for[destination].append((worker, blob))
+                self.record_cross_batch(worker, destination, len(blob))
+        self.stats.record_round(round_no, total, size, by_service)
+
+        for worker in worker_ids:
+            pool.send(
+                worker,
+                encode_frame(
+                    "deliver",
+                    {
+                        "round": round_no,
+                        "mid_crashes": [],
+                        "batches": batches_for[worker],
+                    },
+                ),
+            )
+        self._mark_phase("ship")
+        # Receive every worker's reply before decoding any of them, so that
+        # ``barrier`` is time spent waiting on workers and nothing else; the
+        # coordinator's own decode of the delivered streams is ``merge``.
+        replies = []
+        telemetry_entries: List[Tuple[int, int, int, str, Dict[str, object]]] = []
+        for worker in worker_ids:
+            replies.append((worker, pool.recv(worker, "events")))
+            if telemetry is not None:
+                batch = pool.recv(worker, "telemetry")
+                for seq, kind, event_round, fields in batch["events"]:
+                    telemetry_entries.append(
+                        (event_round, worker, seq, kind, fields)
+                    )
+        self._mark_phase("barrier")
+        merged: List[Tuple[Tuple[int, ...], object]] = []
+        for worker, events in replies:
+            merged.extend(pool.delivered[worker].decode(events["delivered"]))
+        # Restore the exact in-process delivered order: fresh messages by
+        # (src, seq) — the engine's outgoing order — then matured chaos
+        # copies by (admit_round, src, seq) — the plane's queue order.
+        merged.sort(key=lambda entry: entry[0])
+        deliver_observers = self._dispatch["on_deliver"]
+        if deliver_observers:
+            for _, message in merged:
+                for observer in deliver_observers:
+                    observer.on_deliver(round_no, message)
+
+        for _, events in replies:
+            for pid, when, src, seq, digest, path in events["deliveries"]:
+                rid = RumorId(src, seq)
+                rumor = delivery.rumors.get(rid)
+                if (
+                    rumor is not None
+                    and hashlib.sha256(rumor.data).hexdigest() == digest
+                ):
+                    data = rumor.data
+                else:
+                    # Never equal to any injected plaintext: records the
+                    # delivery (and its path) while failing correct_data.
+                    data = b"\x00unverified:" + digest.encode("ascii")
+                delivery.record_delivery(pid, when, rid, data, path)
+
+        if telemetry is not None:
+            # The deterministic cross-shard merge: (round, worker, seq) is a
+            # total order — seq is monotonic within a worker's stream and
+            # the worker label breaks ties across streams.  Re-emitting here
+            # fans out to the tracer's sinks and subscribers exactly as the
+            # inproc backend would, with one extra ``worker`` field.
+            telemetry_entries.sort(key=lambda entry: entry[:3])
+            for event_round, worker, _seq, kind, fields in telemetry_entries:
+                telemetry.emit(kind, event_round, **{**fields, "worker": worker})
+
+    # ------------------------------------------------------------------
+    # Shutdown
+    # ------------------------------------------------------------------
+
+    def finish(self) -> None:
+        """Stop the workers and fold their final frames into this engine."""
+        pool = self._pool
+        telemetry = self.telemetry
+        fault_plane = self.fault_plane
+        for worker in self._worker_ids:
             pool.send(worker, encode_frame("stop", None))
-        for worker in worker_ids:
+        for worker in self._worker_ids:
             if telemetry is not None:
                 # Exact global totals: merged without a worker label, so
                 # every protocol counter equals the inproc run's value.
                 snapshot = pool.recv(worker, "metrics")
                 telemetry.metrics.merge_snapshot(snapshot["metrics"])
             final = pool.recv(worker, "final")
-            if (
-                isinstance(fault_plane, TargetedFaultPlane)
-                and final.get("targeted") is not None
-            ):
+            if self._targeted and final.get("targeted") is not None:
                 fault_plane.merge_targeted(final["targeted"])
             if fault_plane is not None and final["counts"] is not None:
                 for kind, count in final["counts"].items():
@@ -528,28 +528,88 @@ def run_sharded_scenario(
                     merged = fault_plane.stage_counts.setdefault(stage, {})
                     for kind, count in kinds.items():
                         merged[kind] = merged.get(kind, 0) + count
-            _fold_worker_net(engine.metrics, worker, final.get("net"))
-        _fold_transport_totals(engine, pool, worker_ids)
-    finally:
-        pool.close()
+            _fold_worker_net(self.metrics, worker, final.get("net"))
+        self._fold_transport_totals()
+        if telemetry is not None:
+            # Surface the coordinator's net-only registry (phase spans,
+            # worker waits, pair counters, transport totals) to the tracer.
+            telemetry.metrics.merge_snapshot(self.metrics.snapshot())
 
-    if telemetry is not None:
-        # Surface the coordinator's net-only registry (phase spans,
-        # worker waits, pair counters, transport totals) to the tracer.
-        telemetry.metrics.merge_snapshot(engine.metrics.snapshot())
+    def close(self) -> None:
+        self._pool.close()
 
-    qod = delivery.report(engine)
-    return RunResult(
-        scenario=scenario,
-        engine=engine,
-        stats=engine.stats,
-        qod=qod,
-        confidentiality=confidentiality,
-        delivery=delivery,
-        workload=workload,
-        partition_set=resolved_partitions,
-        fault_plane=fault_plane,
+    def _fold_transport_totals(self) -> None:
+        """Per-worker frame/byte totals from the coordinator's connections.
+
+        Direction is coordinator-relative: ``dir=send`` is control traffic
+        to the worker (round/deliver/stop frames and relayed batches),
+        ``dir=recv`` is the worker's replies.
+        """
+        for worker in self._worker_ids:
+            totals = self._pool.connections[worker].wire_totals()
+            for direction, frames_key, bytes_key in (
+                ("send", "sent_frames", "sent_bytes"),
+                ("recv", "recv_frames", "recv_bytes"),
+            ):
+                self.metrics.counter(
+                    "net.transport.frames", dir=direction, worker=worker
+                ).inc(totals[frames_key])
+                self.metrics.counter(
+                    "net.transport.bytes", dir=direction, worker=worker
+                ).inc(totals[bytes_key])
+        for (src, dst), frames in sorted(self.pair_frames.items()):
+            pair = "{}->{}".format(src, dst)
+            self.metrics.counter("net.cross.frames", pair=pair).inc(frames)
+            self.metrics.counter("net.cross.bytes", pair=pair).inc(
+                self.pair_bytes[(src, dst)]
+            )
+
+
+def run_sharded_scenario(setup):
+    """Run an assembled scenario on the sharded multi-process backend.
+
+    ``setup`` is :func:`repro.harness.runner.assemble`'s; see the module
+    docstring for the division of labor between coordinator and workers.
+    Returns the same ``RunResult`` shape as the in-process path
+    (``result.engine`` is a :class:`ShardEngine`).
+
+    ``setup.telemetry`` (a :class:`repro.obs.Telemetry`) turns on
+    worker-side event capture: every worker runs its own registry +
+    capture buffer, ships sanitized batches back each round, and the
+    coordinator re-emits them here in ``(round, worker, seq)`` order with
+    a ``worker`` field added — for the same scenario the merged stream is
+    the inproc stream modulo that label.  Worker metric registries are
+    folded into ``telemetry.metrics`` *without* worker labels, so protocol
+    counter totals match the inproc run exactly; coordinator-side
+    ``net.*`` metrics (phase spans, worker waits, transport totals) are
+    added on top.  ``None`` keeps the wire protocol byte-identical to a
+    pre-telemetry run — no extra frames at all.
+    """
+    scenario = setup.scenario
+    options = NetOptions(scenario.net)
+    if options.workers > scenario.n:
+        raise ValueError(
+            "net.workers={} exceeds n={}".format(options.workers, scenario.n)
+        )
+    _reject_mid_round_adversaries(setup.adversary)
+    plan = ShardPlan.build(
+        scenario.n, options.workers, partition_set=setup.partition_set
     )
+    engine = ShardEngine(
+        scenario,
+        plan,
+        options,
+        setup.adversary,
+        setup.observers,
+        setup.delivery,
+        setup.telemetry,
+    )
+    try:
+        engine.run(scenario.rounds)
+        engine.finish()
+    finally:
+        engine.close()
+    return setup.result(engine)
 
 
 def _fold_worker_net(
@@ -570,220 +630,3 @@ def _fold_worker_net(
     metrics.gauge("net.worker.queue_peak", worker=worker).set(
         net.get("queue_peak", 0)
     )
-
-
-def _fold_transport_totals(
-    engine: ShardEngine, pool: _WorkerPool, worker_ids: List[int]
-) -> None:
-    """Per-worker frame/byte totals from the coordinator's connections.
-
-    Direction is coordinator-relative: ``dir=send`` is control traffic
-    to the worker (round/deliver/stop frames and relayed batches),
-    ``dir=recv`` is the worker's replies.
-    """
-    for worker in worker_ids:
-        totals = pool.connections[worker].wire_totals()
-        for direction, frames_key, bytes_key in (
-            ("send", "sent_frames", "sent_bytes"),
-            ("recv", "recv_frames", "recv_bytes"),
-        ):
-            engine.metrics.counter(
-                "net.transport.frames", dir=direction, worker=worker
-            ).inc(totals[frames_key])
-            engine.metrics.counter(
-                "net.transport.bytes", dir=direction, worker=worker
-            ).inc(totals[bytes_key])
-    for (src, dst), frames in sorted(engine.pair_frames.items()):
-        pair = "{}->{}".format(src, dst)
-        engine.metrics.counter("net.cross.frames", pair=pair).inc(frames)
-        engine.metrics.counter("net.cross.bytes", pair=pair).inc(
-            engine.pair_bytes[(src, dst)]
-        )
-
-
-def _run_round(
-    engine: ShardEngine,
-    view: ShardAdversaryView,
-    adversary: Adversary,
-    dispatch: Dict[str, Tuple],
-    delivery: DeliveryAuditor,
-    pool: _WorkerPool,
-    worker_ids: List[int],
-    plan: ShardPlan,
-    telemetry=None,
-    fault_plane: Optional[ChaosFaultPlane] = None,
-) -> None:
-    round_no = pool.round_no = engine.clock.round
-    targeted = isinstance(fault_plane, TargetedFaultPlane)
-    phase_started = time.perf_counter()
-
-    def mark_phase(phase: str) -> None:
-        # Wall-clock since the previous mark; lands in the always-on
-        # net registry (never the simulation payload), so the spans are
-        # free of digest concerns.
-        nonlocal phase_started
-        now = time.perf_counter()
-        engine.metrics.histogram(
-            "net.round.phase_seconds", phase=phase
-        ).observe(now - phase_started)
-        phase_started = now
-
-    for observer in dispatch["on_round_begin"]:
-        observer.on_round_begin(round_no)
-
-    decision = adversary.round_start(view)
-    if decision.crashes & decision.restarts:
-        raise ValueError(
-            "a process may crash or restart at most once per round"
-        )
-    alive = engine._alive
-    crashes = sorted(decision.crashes)
-    restarts = sorted(decision.restarts)
-    for pid in crashes:
-        if pid not in alive:
-            raise RuntimeError("process {} is already crashed".format(pid))
-        alive.discard(pid)
-        engine.event_log.record_crash(CrashEvent(pid, round_no, False))
-        for observer in dispatch["on_crash"]:
-            observer.on_crash(round_no, pid, False)
-    for pid in restarts:
-        if pid in alive:
-            raise RuntimeError("process {} is already alive".format(pid))
-        alive.add(pid)
-        engine.event_log.record_restart(RestartEvent(pid, round_no))
-        for observer in dispatch["on_restart"]:
-            observer.on_restart(round_no, pid)
-    engine._touched_this_round = set(crashes) | set(restarts)
-
-    injections_of: Dict[int, List[Tuple[int, object]]] = {}
-    injected: Set[int] = set()
-    rumor_meta: List[List[int]] = []
-    for pid, rumor in decision.injections:
-        if pid in injected:
-            raise ValueError(
-                "at most one rumor per process per round (pid {})".format(pid)
-            )
-        if pid not in alive:
-            raise ValueError(
-                "cannot inject at crashed process {}".format(pid)
-            )
-        injected.add(pid)
-        engine.event_log.record_injection(InjectEvent(pid, round_no, rumor))
-        for observer in dispatch["on_inject"]:
-            observer.on_inject(round_no, pid, rumor)
-        injections_of.setdefault(plan.owner[pid], []).append((pid, rumor))
-        if targeted:
-            # Leak-safe announcement (rid coordinates + deadline, never
-            # the payload or destination set), broadcast to EVERY worker
-            # so all targeted policies track identically; the mirror
-            # plane tracks the same way coordinator-side.
-            rid = rumor.rid
-            rumor_meta.append([rid.src, rid.seq, rumor.deadline])
-            fault_plane.observe_injection(
-                round_no, rid.src, rid.seq, rumor.deadline
-            )
-
-    for worker in worker_ids:
-        body: Dict[str, object] = {
-            "round": round_no,
-            "crashes": crashes,
-            "restarts": restarts,
-            "injections": injections_of.get(worker, []),
-        }
-        if targeted:
-            # Key only present on targeted runs: the wire stays
-            # byte-identical for every pre-existing scenario.
-            body["rumor_meta"] = rumor_meta
-        pool.send(worker, encode_frame("round", body))
-    mark_phase("route")
-    total = 0
-    size = 0
-    by_service: Dict[str, int] = {}
-    batches_for: Dict[int, List[Tuple[int, bytes]]] = {
-        worker: [] for worker in worker_ids
-    }
-    for worker in worker_ids:
-        sent = pool.recv(worker, "sent")
-        total += sent["count"]
-        size += sent["size"]
-        for service, tally in sent["by_service"].items():
-            by_service[service] = by_service.get(service, 0) + tally
-        engine.local_messages += sent["local_count"]
-        engine.cross_messages += sent["count"] - sent["local_count"]
-        # Opaque relay: the coordinator never decodes cross traffic.  It
-        # names the source, which selects the receiver's decoder session.
-        for destination, blob in sorted(sent["cross"].items()):
-            batches_for[destination].append((worker, blob))
-            engine.record_cross_batch(worker, destination, len(blob))
-    engine.stats.record_round(round_no, total, size, by_service)
-
-    for worker in worker_ids:
-        pool.send(
-            worker,
-            encode_frame(
-                "deliver",
-                {
-                    "round": round_no,
-                    "mid_crashes": [],
-                    "batches": batches_for[worker],
-                },
-            ),
-        )
-    mark_phase("ship")
-    # Receive every worker's reply before decoding any of them, so that
-    # ``barrier`` is time spent waiting on workers and nothing else; the
-    # coordinator's own decode of the delivered streams is ``merge``.
-    replies = []
-    telemetry_entries: List[Tuple[int, int, int, str, Dict[str, object]]] = []
-    for worker in worker_ids:
-        replies.append((worker, pool.recv(worker, "events")))
-        if telemetry is not None:
-            batch = pool.recv(worker, "telemetry")
-            for seq, kind, event_round, fields in batch["events"]:
-                telemetry_entries.append(
-                    (event_round, worker, seq, kind, fields)
-                )
-    mark_phase("barrier")
-    merged: List[Tuple[Tuple[int, ...], object]] = []
-    for worker, events in replies:
-        merged.extend(pool.delivered[worker].decode(events["delivered"]))
-    # Restore the exact in-process delivered order: fresh messages by
-    # (src, seq) — the engine's outgoing order — then matured chaos
-    # copies by (admit_round, src, seq) — the plane's queue order.
-    merged.sort(key=lambda entry: entry[0])
-    deliver_observers = dispatch["on_deliver"]
-    if deliver_observers:
-        for _, message in merged:
-            for observer in deliver_observers:
-                observer.on_deliver(round_no, message)
-
-    for _, events in replies:
-        for pid, when, src, seq, digest, path in events["deliveries"]:
-            rid = RumorId(src, seq)
-            rumor = delivery.rumors.get(rid)
-            if (
-                rumor is not None
-                and hashlib.sha256(rumor.data).hexdigest() == digest
-            ):
-                data = rumor.data
-            else:
-                # Never equal to any injected plaintext: records the
-                # delivery (and its path) while failing correct_data.
-                data = b"\x00unverified:" + digest.encode("ascii")
-            delivery.record_delivery(pid, when, rid, data, path)
-
-    if telemetry is not None:
-        # The deterministic cross-shard merge: (round, worker, seq) is a
-        # total order — seq is monotonic within a worker's stream and
-        # the worker label breaks ties across streams.  Re-emitting here
-        # fans out to the tracer's sinks and subscribers exactly as the
-        # inproc backend would, with one extra ``worker`` field.
-        telemetry_entries.sort(key=lambda entry: entry[:3])
-        for event_round, worker, _seq, kind, fields in telemetry_entries:
-            telemetry.emit(kind, event_round, **{**fields, "worker": worker})
-
-    for observer in dispatch["on_round_end"]:
-        observer.on_round_end(round_no, engine)
-    engine.rounds_executed += 1
-    engine.clock.advance()
-    mark_phase("merge")

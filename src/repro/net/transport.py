@@ -1,14 +1,9 @@
-"""Pluggable byte transports for the sharded backend.
+"""The byte transport of the sharded backend.
 
 A transport moves opaque frames (length-prefixed byte strings) between
 the coordinator and its workers; all semantics live above it in
-:mod:`repro.net.codec`.  Two backends:
-
-* ``tcp`` — stdlib loopback sockets.  No dependencies; this is what
-  tier-1 tests and CI run on.
-* ``zmq`` — ROUTER/DEALER over pyzmq, behind the ``net`` optional
-  extra (:mod:`repro.net.zmq_transport`).  Imported lazily so the
-  package works without pyzmq installed.
+:mod:`repro.net.codec`.  There is one: ``tcp``, stdlib loopback sockets,
+no dependencies.
 
 The interface is deliberately tiny::
 
@@ -212,24 +207,8 @@ class TcpTransport(Transport):
         return TcpConnection(sock, timeout=self.timeout)
 
 
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-
 def get_transport(name: str, timeout: Optional[float] = None) -> Transport:
-    """Resolve a transport by name (``tcp`` or ``zmq``).
-
-    The zmq backend is resolved lazily and raises a ``RuntimeError``
-    naming the ``net`` extra when pyzmq is not installed.
-    """
-    resolved_timeout = DEFAULT_TIMEOUT if timeout is None else timeout
-    if name == "tcp":
-        return TcpTransport(timeout=resolved_timeout)
-    if name == "zmq":
-        from repro.net.zmq_transport import ZmqTransport
-
-        return ZmqTransport(timeout=resolved_timeout)
-    raise ValueError(
-        "unknown transport {!r} (expected 'tcp' or 'zmq')".format(name)
-    )
+    """Resolve a transport by name; ``tcp`` is the only one."""
+    if name != "tcp":
+        raise ValueError("unknown transport {!r} (expected 'tcp')".format(name))
+    return TcpTransport(timeout=DEFAULT_TIMEOUT if timeout is None else timeout)

@@ -62,7 +62,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chaos.plane import ChaosFaultPlane
 from repro.chaos.spec import FaultSpec
-from repro.chaos.targeted import TargetedFaultPlane, TargetedSpec
+from repro.chaos.targeted import TargetedFaultPlane, TargetedSpec, build_fault_plane
 from repro.core.config import CongosParams
 from repro.core.congos import build_partition_set, congos_factory
 from repro.net.codec import WireSession, decode_frame, encode_frame
@@ -140,41 +140,21 @@ class ShardWorker:
         self.alive: Set[int] = set(range(self.n))
         chaos = config.get("chaos")
         targeted = config.get("targeted")
-        self.plane: Optional[ChaosFaultPlane] = None
-        if targeted is not None:
-            # Targeted layer over a possibly-null oblivious spec.  All
-            # policy state is fed by the coordinator's rumor_meta
-            # broadcast, and budgets are per-destination, so every
-            # worker reaches exactly the inproc (chaos_keyed) verdicts
-            # for the destinations it owns.
-            spec = (
-                FaultSpec.from_dict(chaos)  # type: ignore[arg-type]
-                if chaos is not None
-                else FaultSpec()
-            )
-            self.plane = TargetedFaultPlane(
-                self.seed,
-                spec,
-                TargetedSpec.from_dict(targeted),  # type: ignore[arg-type]
-                self.n,
-                telemetry=self.telemetry,
-                keep_events=False,
-                message_keyed=True,
-            )
-        elif chaos is not None:
-            spec = FaultSpec.from_dict(chaos)  # type: ignore[arg-type]
-            if not spec.is_null():
-                # Message-keyed mode: fates drawn per (round, src, dst,
-                # copy) and shuffles per recipient, so every worker makes
-                # the same decisions regardless of the shard layout.
-                self.plane = ChaosFaultPlane(
-                    self.seed,
-                    spec,
-                    self.n,
-                    telemetry=self.telemetry,
-                    keep_events=False,
-                    message_keyed=True,
-                )
+        # Message-keyed mode: fates drawn per (round, src, dst, copy) and
+        # shuffles per recipient, so every worker makes the same decisions
+        # regardless of the shard layout.  A targeted policy's state is
+        # fed by the coordinator's rumor_meta broadcast and its budgets
+        # are per-destination, so every worker reaches exactly the inproc
+        # (chaos_keyed) verdicts for the destinations it owns.
+        self.plane: Optional[ChaosFaultPlane] = build_fault_plane(
+            self.seed,
+            self.n,
+            FaultSpec.from_dict(chaos) if chaos is not None else None,  # type: ignore[arg-type]
+            TargetedSpec.from_dict(targeted) if targeted is not None else None,  # type: ignore[arg-type]
+            telemetry=self.telemetry,
+            keep_events=False,
+            message_keyed=True,
+        )
         # One session per stream end: cross batches out to / in from each
         # peer worker, and the delivered stream out to the coordinator.
         peers = sorted(set(self.owner) - {self.wid})

@@ -17,6 +17,16 @@ One engine round implements the model of Section 2 exactly:
 6. **Receive phase** — alive processes consume their inboxes and finish
    local computation.
 
+Steps 1-2 — and everything around them that is not about *how* messages
+move: the clock, the alive set, the event log, observer dispatch, the
+adversary's view, validation of its decision — are the same on every
+execution path, so they live once, in :class:`RoundEngine`.  A path is a
+subclass that supplies what a crash, a restart and an injection do to its
+own state, ``behavior(pid)``, and the body of the round (steps 3-6):
+:class:`Engine` here (process shells + ``Network.route``),
+``repro.net.coordinator.ShardEngine`` (frames to worker processes) and
+``repro.fastcore.engine.ArrayEngine`` (vectorized phases).
+
 Observers (auditors, tracers) are notified of every event so that
 confidentiality and quality-of-delivery can be checked from outside the
 protocol, with no cooperation from protocol code.
@@ -41,7 +51,7 @@ from repro.sim.network import Network
 from repro.sim.process import NodeBehavior, ProcessShell
 from repro.sim.rng import SeedSequence
 
-__all__ = ["SimObserver", "AdversaryView", "Engine"]
+__all__ = ["SimObserver", "AdversaryView", "RoundEngine", "Engine"]
 
 
 class SimObserver:
@@ -62,7 +72,7 @@ class SimObserver:
     def on_deliver(self, round_no: int, message: Message) -> None:
         pass
 
-    def on_round_end(self, round_no: int, engine: "Engine") -> None:
+    def on_round_end(self, round_no: int, engine: "RoundEngine") -> None:
         pass
 
 
@@ -74,7 +84,7 @@ class AdversaryView:
     accessors.
     """
 
-    def __init__(self, engine: "Engine"):
+    def __init__(self, engine: "RoundEngine"):
         self.engine = engine
         # Adaptive adversaries query crashed_pids() every round; the full
         # pid universe never changes, so build it once.
@@ -104,7 +114,7 @@ class AdversaryView:
         return self._all_pids - self.engine._alive
 
     def is_alive(self, pid: int) -> bool:
-        return self.engine.shells[pid].alive
+        return pid in self.engine._alive
 
     def touched_this_round(self) -> Set[int]:
         """Pids already crashed or restarted in the current round.
@@ -116,8 +126,9 @@ class AdversaryView:
         return set(self.engine._touched_this_round)
 
     def behavior(self, pid: int) -> Optional[NodeBehavior]:
-        """Omniscient access to a process's internal state."""
-        return self.engine.shells[pid].behavior
+        """Omniscient access to a process's internal state, where the
+        execution path has it in reach (see ``RoundEngine.behavior``)."""
+        return self.engine.behavior(pid)
 
 
 class _NullAdversary:
@@ -132,75 +143,17 @@ class _NullAdversary:
         return MidRoundDecision()
 
 
-class Engine:
-    """Drives ``n`` processes through synchronous rounds under an adversary."""
+class RoundEngine:
+    """The round skeleton every execution path shares.
 
-    def __init__(
-        self,
-        n: int,
-        node_factory: Callable[[int], NodeBehavior],
-        adversary: Optional[object] = None,
-        observers: Iterable[SimObserver] = (),
-        seed: int = 0,
-        start_round: int = 0,
-        fault_plane: Optional[object] = None,
-    ):
-        if n <= 0:
-            raise ValueError("need at least one process")
-        self.n = n
-        self.seeds = SeedSequence(seed)
-        self.clock = RoundClock(start_round)
-        self.stats = MessageStats()
-        self.network = Network(n, self.stats, fault_plane=fault_plane)
-        self.event_log = EventLog()
-        self.adversary = adversary if adversary is not None else _NullAdversary()
-        self.observers: List[SimObserver] = []
-        self.shells: Dict[int, ProcessShell] = {}
-        for pid in range(n):
-            shell = ProcessShell(pid, node_factory)
-            shell.start(self.clock.round)
-            self.shells[pid] = shell
-        # Hot-path state maintained incrementally (never rebuilt per round):
-        # the alive set mutates only on crash/restart; pid iteration order
-        # is fixed at construction (shells are keyed 0..n-1).
-        self._alive: Set[int] = set(range(n))
-        self._pid_order: Tuple[int, ...] = tuple(range(n))
-        # Observer dispatch tables: one tuple per hook, holding only the
-        # observers whose class actually overrides that hook, so inherited
-        # no-op SimObserver methods are never called.  Rebuilt on
-        # add_observer; on_deliver fans out per delivered message, which is
-        # why the empty-table fast path matters.
-        self._dispatch: Dict[str, Tuple[SimObserver, ...]] = {}
-        for observer in observers:
-            self.observers.append(observer)
-        self._rebuild_dispatch()
-        self.view = AdversaryView(self)
-        self.rounds_executed = 0
-        self._touched_this_round: Set[int] = set()
-
-    # ------------------------------------------------------------------
-    # Accessors
-    # ------------------------------------------------------------------
-
-    @property
-    def round(self) -> int:
-        return self.clock.round
-
-    @property
-    def fault_plane(self) -> Optional[object]:
-        """The installed chaos fault plane, if any (``None`` = reliable)."""
-        return self.network.fault_plane
-
-    def alive_pids(self) -> Set[int]:
-        """A fresh copy of the alive-pid set (callers may mutate it)."""
-        return set(self._alive)
-
-    def behavior(self, pid: int) -> Optional[NodeBehavior]:
-        return self.shells[pid].behavior
-
-    def add_observer(self, observer: SimObserver) -> None:
-        self.observers.append(observer)
-        self._rebuild_dispatch()
+    Owns the clock, message statistics, the event log, the alive and
+    touched sets, observer dispatch and the adversary's view, and runs
+    the top of every round — begin hooks, the adversary's round-start
+    decision, its validation, crashes, restarts, injections — and the
+    bottom — end hooks, counters.  Subclasses supply :meth:`behavior`,
+    :meth:`_crash_state`, :meth:`_restart_state`, :meth:`_inject_state`
+    and :meth:`_round_body`, and nothing else of the round.
+    """
 
     _HOOKS = (
         "on_round_begin",
@@ -210,6 +163,54 @@ class Engine:
         "on_deliver",
         "on_round_end",
     )
+
+    #: The installed chaos fault plane, if any (``None`` = reliable).
+    fault_plane: Optional[object] = None
+
+    def __init__(
+        self,
+        n: int,
+        adversary: Optional[object] = None,
+        observers: Iterable[SimObserver] = (),
+        start_round: int = 0,
+    ):
+        if n <= 0:
+            raise ValueError("need at least one process")
+        self.n = n
+        self.clock = RoundClock(start_round)
+        self.stats = MessageStats()
+        self.event_log = EventLog()
+        self.adversary = adversary if adversary is not None else _NullAdversary()
+        # The alive set is maintained incrementally (never rebuilt per
+        # round): it mutates only on crash/restart.
+        self._alive: Set[int] = set(range(n))
+        self._touched_this_round: Set[int] = set()
+        # Observer dispatch tables: one tuple per hook, holding only the
+        # observers whose class actually overrides that hook, so inherited
+        # no-op SimObserver methods are never called.  Rebuilt on
+        # add_observer; on_deliver fans out per delivered message, which is
+        # why the empty-table fast path matters.
+        self.observers: List[SimObserver] = list(observers)
+        self._dispatch: Dict[str, Tuple[SimObserver, ...]] = {}
+        self._rebuild_dispatch()
+        self.view = AdversaryView(self)
+        self.rounds_executed = 0
+
+    # ------------------------------------------------------------------
+    # Accessors
+    # ------------------------------------------------------------------
+
+    @property
+    def round(self) -> int:
+        return self.clock.round
+
+    def alive_pids(self) -> Set[int]:
+        """A fresh copy of the alive-pid set (callers may mutate it)."""
+        return set(self._alive)
+
+    def add_observer(self, observer: SimObserver) -> None:
+        self.observers.append(observer)
+        self._rebuild_dispatch()
 
     def _rebuild_dispatch(self) -> None:
         """Recompute the per-hook observer tables (see ``__init__``)."""
@@ -223,6 +224,30 @@ class Engine:
             )
 
     # ------------------------------------------------------------------
+    # What a subclass supplies
+    # ------------------------------------------------------------------
+
+    def behavior(self, pid: int) -> Optional[NodeBehavior]:
+        """The node object behind ``pid`` (``None`` while crashed)."""
+        raise NotImplementedError
+
+    def _crash_state(self, round_no: int, pid: int) -> None:
+        """Discard ``pid``'s volatile state (it is alive)."""
+        raise NotImplementedError
+
+    def _restart_state(self, round_no: int, pid: int) -> None:
+        """Bring ``pid`` back with fresh state (it is crashed)."""
+        raise NotImplementedError
+
+    def _inject_state(self, round_no: int, pid: int, rumor: object) -> None:
+        """Hand a validated, recorded, announced injection to ``pid``."""
+        raise NotImplementedError
+
+    def _round_body(self, round_no: int) -> None:
+        """Everything between the injections and the round-end hooks."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
     # Round execution
     # ------------------------------------------------------------------
 
@@ -233,21 +258,114 @@ class Engine:
 
     def run_round(self) -> None:
         round_no = self.clock.round
-        dispatch = self._dispatch
-        for observer in dispatch["on_round_begin"]:
+        for observer in self._dispatch["on_round_begin"]:
             observer.on_round_begin(round_no)
+        self._round_start(round_no)
+        self._round_body(round_no)
+        for observer in self._dispatch["on_round_end"]:
+            observer.on_round_end(round_no, self)
+        self.rounds_executed += 1
+        self.clock.advance()
 
-        decision = self._round_start_decision(round_no)
-        touched = self._apply_round_start(round_no, decision)
+    def _round_start(self, round_no: int) -> None:
+        """Take the adversary's decision, validate it, apply it."""
+        decision = self.adversary.round_start(self.view)
+        if decision.crashes & decision.restarts:
+            raise ValueError(
+                "a process may crash or restart at most once per round"
+            )
+        touched: Set[int] = set()
+        for pid in sorted(decision.crashes):
+            self._crash(round_no, pid, mid_round=False)
+            touched.add(pid)
+        for pid in sorted(decision.restarts):
+            self._restart(round_no, pid)
+            touched.add(pid)
         self._touched_this_round = touched
-        self._apply_injections(round_no, decision)
+        injected: Set[int] = set()
+        for pid, rumor in decision.injections:
+            if pid in injected:
+                raise ValueError(
+                    "at most one rumor per process per round (pid {})".format(pid)
+                )
+            if pid not in self._alive:
+                raise ValueError(
+                    "cannot inject at crashed process {}".format(pid)
+                )
+            injected.add(pid)
+            self.event_log.record_injection(InjectEvent(pid, round_no, rumor))
+            for observer in self._dispatch["on_inject"]:
+                observer.on_inject(round_no, pid, rumor)
+            self._inject_state(round_no, pid, rumor)
 
+    def _crash(self, round_no: int, pid: int, mid_round: bool) -> None:
+        if pid not in self._alive:
+            raise RuntimeError("process {} is already crashed".format(pid))
+        self._crash_state(round_no, pid)
+        self._alive.discard(pid)
+        self.event_log.record_crash(CrashEvent(pid, round_no, mid_round))
+        for observer in self._dispatch["on_crash"]:
+            observer.on_crash(round_no, pid, mid_round)
+
+    def _restart(self, round_no: int, pid: int) -> None:
+        if pid in self._alive:
+            raise RuntimeError("process {} is already alive".format(pid))
+        self._restart_state(round_no, pid)
+        self._alive.add(pid)
+        self.event_log.record_restart(RestartEvent(pid, round_no))
+        for observer in self._dispatch["on_restart"]:
+            observer.on_restart(round_no, pid)
+
+
+class Engine(RoundEngine):
+    """Drives ``n`` in-process shells through synchronous rounds."""
+
+    def __init__(
+        self,
+        n: int,
+        node_factory: Callable[[int], NodeBehavior],
+        adversary: Optional[object] = None,
+        observers: Iterable[SimObserver] = (),
+        seed: int = 0,
+        start_round: int = 0,
+        fault_plane: Optional[object] = None,
+    ):
+        super().__init__(n, adversary, observers, start_round)
+        self.seeds = SeedSequence(seed)
+        self.network = Network(n, self.stats, fault_plane=fault_plane)
+        # Pid iteration order is fixed at construction (shells are keyed
+        # 0..n-1).
+        self._pid_order: Tuple[int, ...] = tuple(range(n))
+        self.shells: Dict[int, ProcessShell] = {}
+        for pid in self._pid_order:
+            shell = ProcessShell(pid, node_factory)
+            shell.start(self.clock.round)
+            self.shells[pid] = shell
+
+    @property
+    def fault_plane(self) -> Optional[object]:
+        return self.network.fault_plane
+
+    def behavior(self, pid: int) -> Optional[NodeBehavior]:
+        return self.shells[pid].behavior
+
+    def _crash_state(self, round_no: int, pid: int) -> None:
+        self.shells[pid].crash()
+
+    def _restart_state(self, round_no: int, pid: int) -> None:
+        self.shells[pid].restart(round_no)
+
+    def _inject_state(self, round_no: int, pid: int, rumor: object) -> None:
+        self.shells[pid].inject(round_no, rumor)
+
+    def _round_body(self, round_no: int) -> None:
         shells = self.shells
         outgoing: List[Message] = []
         extend = outgoing.extend
         for pid in self._pid_order:
             extend(shells[pid].send_phase(round_no))
 
+        touched = self._touched_this_round
         mid = self._mid_round_decision(round_no, outgoing, touched)
         boundary = set(touched)
         for pid in mid.crashes:
@@ -261,7 +379,7 @@ class Engine:
             boundary_pids=boundary,
             adversary_drops=mid.dropped_messages,
         )
-        deliver_observers = dispatch["on_deliver"]
+        deliver_observers = self._dispatch["on_deliver"]
         if deliver_observers:
             for message in outcome.delivered:
                 for observer in deliver_observers:
@@ -274,53 +392,6 @@ class Engine:
             if shell.alive:
                 shell.receive_phase(round_no, inboxes.get(pid, empty))
 
-        for observer in dispatch["on_round_end"]:
-            observer.on_round_end(round_no, self)
-        self.rounds_executed += 1
-        self.clock.advance()
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _round_start_decision(self, round_no: int) -> RoundDecision:
-        decision = self.adversary.round_start(self.view)
-        if decision.crashes & decision.restarts:
-            raise ValueError(
-                "a process may crash or restart at most once per round"
-            )
-        return decision
-
-    def _apply_round_start(
-        self, round_no: int, decision: RoundDecision
-    ) -> Set[int]:
-        touched: Set[int] = set()
-        for pid in sorted(decision.crashes):
-            self._crash(round_no, pid, mid_round=False)
-            touched.add(pid)
-        for pid in sorted(decision.restarts):
-            self._restart(round_no, pid)
-            touched.add(pid)
-        return touched
-
-    def _apply_injections(self, round_no: int, decision: RoundDecision) -> None:
-        injected: Set[int] = set()
-        for pid, rumor in decision.injections:
-            if pid in injected:
-                raise ValueError(
-                    "at most one rumor per process per round (pid {})".format(pid)
-                )
-            shell = self.shells[pid]
-            if not shell.alive:
-                raise ValueError(
-                    "cannot inject at crashed process {}".format(pid)
-                )
-            injected.add(pid)
-            self.event_log.record_injection(InjectEvent(pid, round_no, rumor))
-            for observer in self._dispatch["on_inject"]:
-                observer.on_inject(round_no, pid, rumor)
-            shell.inject(round_no, rumor)
-
     def _mid_round_decision(
         self, round_no: int, outgoing: List[Message], touched: Set[int]
     ) -> MidRoundDecision:
@@ -330,22 +401,8 @@ class Engine:
                 raise ValueError(
                     "process {} already crashed/restarted this round".format(pid)
                 )
-            if not self.shells[pid].alive:
+            if pid not in self._alive:
                 raise ValueError(
                     "cannot mid-round crash dead process {}".format(pid)
                 )
         return mid
-
-    def _crash(self, round_no: int, pid: int, mid_round: bool) -> None:
-        self.shells[pid].crash()
-        self._alive.discard(pid)
-        self.event_log.record_crash(CrashEvent(pid, round_no, mid_round))
-        for observer in self._dispatch["on_crash"]:
-            observer.on_crash(round_no, pid, mid_round)
-
-    def _restart(self, round_no: int, pid: int) -> None:
-        self.shells[pid].restart(round_no)
-        self._alive.add(pid)
-        self.event_log.record_restart(RestartEvent(pid, round_no))
-        for observer in self._dispatch["on_restart"]:
-            observer.on_restart(round_no, pid)

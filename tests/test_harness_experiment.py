@@ -189,12 +189,11 @@ FLAG_SURFACE = {
     "run": {
         "scenario", "-n", "--rounds", "--seed", "--seeds", "--jobs",
         "--deadline", "--tau", "--json", "--metrics", "--backend",
-        "--workers", "--transport", "--engine",
+        "--workers", "--engine",
     },
     "trace": {
         "scenario", "-n", "--rounds", "--seed", "--deadline", "--tau",
         "--lean", "--out", "--rumor", "--metrics", "--backend", "--workers",
-        "--transport",
     },
     "sweep": SHARED | {
         "scenario", "-n", "--deadline", "--rounds", "--tau", "--lean",
@@ -228,7 +227,7 @@ FLAG_SURFACE = {
     },
     "net": {
         "suite", "--scenario", "-n", "--rounds", "--seed", "--deadline",
-        "--tau", "--lean", "--workers", "--transport", "--ns", "--out",
+        "--tau", "--lean", "--workers", "--ns", "--out",
         "--json",
     },
     "scenarios": set(),

@@ -1,4 +1,4 @@
-"""The pluggable transports: TCP loopback for real, zmq gating."""
+"""The TCP loopback transport, for real."""
 
 import threading
 
@@ -78,20 +78,9 @@ def test_tcp_peer_close_raises_transport_closed():
 def test_tcp_rejects_foreign_address():
     transport = get_transport("tcp")
     with pytest.raises(ValueError, match="tcp transport got address"):
-        transport.connect(("zmq", "127.0.0.1", 1))
+        transport.connect(("udp", "127.0.0.1", 1))
 
 
 def test_unknown_transport_name():
     with pytest.raises(ValueError, match="unknown transport"):
         get_transport("carrier-pigeon")
-
-
-def test_zmq_without_pyzmq_names_the_extra():
-    try:
-        import zmq  # noqa: F401
-
-        pytest.skip("pyzmq installed; the lazy-import gate is not reachable")
-    except ImportError:
-        pass
-    with pytest.raises(RuntimeError, match=r"repro\[net\]"):
-        get_transport("zmq")
