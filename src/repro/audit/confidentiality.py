@@ -6,6 +6,12 @@ plaintexts and XOR fragments) and maintains, per process, everything that
 process has ever learned — including across crashes, because a curious
 process could have copied data out before crashing.
 
+Its unit of work is the sender's *fan-out*, not the message: a gossip
+sender hands one batch object to all of its targets, so the round's
+deliveries are audited one (sender, batch) run at a time, with the run's
+destinations folded into one pid bitmask (see
+:meth:`ConfidentialityAuditor.on_deliver_round`).
+
 Checks provided:
 
 * **plaintext violations** — a process outside ``D + {source}`` received
@@ -27,13 +33,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress
-from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.adversary.collusion import CoalitionStrategy, min_cover_size
 from repro.core.confidential_gossip import DirectAck
-from repro.gossip.rumor import ItemBatch, Rumor, RumorId
+from repro.gossip.rumor import ItemBatch, Rumor, RumorId, reveal_digest
 from repro.sim.engine import SimObserver
 from repro.sim.messages import Message, reveals_of
 
@@ -41,17 +45,18 @@ __all__ = [
     "Violation",
     "CoalitionFinding",
     "ConfidentialityAuditor",
+    "popcount",
     "shed_rumor_leaks",
 ]
 
 
-# (borders, revealing) — see ConfidentialityAuditor._digest_batch.
-_BatchDigest = Tuple[Tuple[Tuple[RumorId, FrozenSet[int]], ...], ItemBatch]
+def _popcount_bin(mask: int) -> int:
+    return bin(mask).count("1")
 
-_ITEM_ATOMS = attrgetter("atoms")
-# The digest of a batch in which no item reveals anything: the common case,
-# shared so that it costs no allocation.
-_NOTHING_TO_AUDIT: _BatchDigest = ((), ItemBatch(()))
+
+#: Number of set bits of a non-negative int (a pid bitmask).
+#: ``int.bit_count`` arrived in Python 3.10; the package supports 3.9.
+popcount = getattr(int, "bit_count", _popcount_bin)
 
 
 def shed_rumor_leaks(result) -> List[str]:
@@ -120,7 +125,15 @@ class CoalitionFinding:
 
 
 class ConfidentialityAuditor(SimObserver):
-    """Tracks knowledge flow and detects confidentiality breaches."""
+    """Tracks knowledge flow and detects confidentiality breaches.
+
+    The engine hands it each round's deliveries whole
+    (:meth:`on_deliver_round`); :meth:`on_deliver` is the same audit for
+    one message.  Which processes have absorbed a gossip item, and which
+    may know a rumor, are kept as pid bitmasks (bit ``p`` = pid ``p``),
+    so a fan-out's border copies and fresh (item, destination) pairs fall
+    out of a few ``&`` / ``~`` on ints instead of a test per destination.
+    """
 
     def __init__(self, num_partitions: int, num_groups: int):
         self.num_partitions = num_partitions
@@ -139,20 +152,12 @@ class ConfidentialityAuditor(SimObserver):
         self.border_messages: Dict[RumorId, int] = defaultdict(int)
         self.total_border_messages = 0
         self._allowed_cache: Dict[RumorId, FrozenSet[int]] = {}
-        # uids of the atom-bearing gossip items each process has absorbed.
-        self._seen_items: Dict[int, Set[Tuple]] = defaultdict(set)
-        # A sender reuses one payload tuple for its whole fanout, so each
-        # batch is delivered many times per round.  Digest the batch once
-        # per payload object (see _digest_batch) and reuse the digest for
-        # every delivery that round.  Keyed by id(), with the payload
-        # stored alongside its digest: the reference pins the object for
-        # the round (an id can otherwise be reused the moment its owner is
-        # collected — e.g. wire-decoded batches with no engine keeping
-        # them alive) and the identity check on lookup rejects any stale
-        # entry.  Cleared on round change.  This is the only batch-level
-        # cache; an item's atoms live on the GossipItem itself.
-        self._batch_cache: Dict[int, Tuple[Tuple, Optional[_BatchDigest]]] = {}
-        self._batch_cache_round: Optional[int] = None
+        # The same sets as pid bitmasks (registered rumors only).
+        self._allowed_masks: Dict[RumorId, int] = {}
+        # uid of an atom-bearing gossip item -> mask of the pids that have
+        # absorbed it.  Nothing is cached per batch here: a batch's digest
+        # lives on the ItemBatch, an item's atoms on the GossipItem.
+        self._item_holders: Dict[Tuple, int] = {}
 
     # ------------------------------------------------------------------
     # Observer hooks
@@ -167,83 +172,110 @@ class ConfidentialityAuditor(SimObserver):
         self.plaintext_holders[rumor.rid].add(pid)
 
     def on_deliver(self, round_no: int, message: Message) -> None:
-        src = message.src
-        dst = message.dst
-        payload = message.payload
-        if isinstance(payload, DirectAck):
-            # Fall through to normal absorption afterwards: a leaky ack's
-            # atoms must still feed the plaintext/fragment checks.
-            self._check_ack(round_no, message)
-        if isinstance(payload, tuple):
-            # A gossip batch.  Digest it once per payload object per round
-            # (see _digest_batch), then do only per-destination work here.
-            if round_no != self._batch_cache_round:
-                self._batch_cache.clear()
-                self._batch_cache_round = round_no
-            cached = self._batch_cache.get(id(payload))
-            if cached is not None and cached[0] is payload:
-                digest = cached[1]
-            else:
-                digest = self._digest_batch(payload)
-                self._batch_cache[id(payload)] = (payload, digest)
-            if digest is not None:
-                borders, revealing = digest
-                # Border copies are counted per message even for repeats
-                # (Theorem 12 counts message copies, not novel fragments).
-                for rid, allowed in borders:
-                    if src in allowed and dst not in allowed:
-                        self.border_messages[rid] += 1
-                        self.total_border_messages += 1
-                seen = self._seen_items[dst]
-                uids = revealing.uids
-                if not uids <= seen:
-                    # ``fresh`` iterates in hash order; select() puts the
-                    # absorbs back in batch order.
-                    fresh = uids - seen
-                    seen |= fresh
-                    for item in revealing.select(fresh):
-                        self._absorb_atoms(round_no, src, dst, item.atoms, None)
-                return
+        """Audit one delivered message: a fan-out of one."""
+        self.on_deliver_round(round_no, (message,))
+
+    def on_deliver_round(
+        self, round_no: int, delivered: Sequence[Message]
+    ) -> None:
+        """Audit a round's deliveries, one sender fan-out at a time.
+
+        A fan-out is a maximal run of consecutive messages with the same
+        ``src`` and the *same payload object* in which no destination
+        repeats (a repeat starts a new run: border copies are counted per
+        message).  Its destinations are folded into one bitmask and the
+        run is audited once; anything that is not a tuple payload is
+        audited on its own.
+        """
+        count = len(delivered)
+        index = 0
+        while index < count:
+            message = delivered[index]
+            index += 1
+            payload = message.payload
+            if not isinstance(payload, tuple):
+                self._audit_single(round_no, message)
+                continue
+            src = message.src
+            dst = message.dst
+            dsts = [dst]
+            mask = 1 << dst
+            while index < count:
+                message = delivered[index]
+                if message.payload is not payload or message.src != src:
+                    break
+                dst = message.dst
+                bit = 1 << dst
+                if mask & bit:
+                    break
+                mask |= bit
+                dsts.append(dst)
+                index += 1
+            self._audit_fanout(round_no, src, payload, dsts, mask)
+
+    def _audit_fanout(
+        self, round_no: int, src: int, payload: Tuple, dsts: List[int], mask: int
+    ) -> None:
+        """One batch from ``src`` to ``dsts`` (delivered order; ``mask``
+        is the same pids as bits)."""
+        if type(payload) is ItemBatch:
+            digest = payload.audit_digest
+        else:
+            digest = reveal_digest(payload)
+        if digest is None:
             # Batch contains non-item entries; take the generic path.
+            for dst in dsts:
+                self._audit_payload(round_no, src, dst, payload)
+            return
+        rids, revealing = digest
+        if not revealing:
+            return
+        # Border copies are counted per message even for repeats
+        # (Theorem 12 counts message copies, not novel fragments).
+        for rid in rids:
+            allowed = self._allowed_mask(rid)
+            if allowed >> src & 1:
+                copies = popcount(mask & ~allowed)
+                if copies:
+                    self.border_messages[rid] += copies
+                    self.total_border_messages += copies
+        holders = self._item_holders
+        fresh: List[Tuple[int, Tuple]] = []
+        for item in revealing:
+            uid = item.uid
+            held = holders.get(uid, 0)
+            new = mask & ~held
+            if new:
+                holders[uid] = held | mask
+                fresh.append((new, item.atoms))
+        if not fresh:
+            return
+        # Destinations in delivered order, items in batch order: exactly
+        # the order a message-at-a-time audit absorbs in, so violations
+        # are appended in that order too.
+        for dst in dsts:
+            bit = 1 << dst
+            for new, atoms in fresh:
+                if new & bit:
+                    self._absorb_atoms(round_no, src, dst, atoms, None)
+
+    def _audit_single(self, round_no: int, message: Message) -> None:
+        """One message whose payload is not a batch."""
+        if isinstance(message.payload, DirectAck):
+            # Absorb normally afterwards: a leaky ack's atoms must still
+            # feed the plaintext/fragment checks.
+            self._check_ack(round_no, message)
+        self._audit_payload(round_no, message.src, message.dst, message.payload)
+
+    def _audit_payload(
+        self, round_no: int, src: int, dst: int, payload: object
+    ) -> None:
+        """The generic path: walk whatever the payload reveals."""
         crossed_border: Set[RumorId] = set()
-        self._absorb_atoms(round_no, src, dst, message.reveals(), crossed_border)
+        self._absorb_atoms(round_no, src, dst, reveals_of(payload), crossed_border)
         for rid in crossed_border:
             self.border_messages[rid] += 1
             self.total_border_messages += 1
-
-    def _digest_batch(self, payload: Tuple) -> Optional[_BatchDigest]:
-        """Destination-independent digest of one gossip batch.
-
-        Returns ``(borders, revealing)``:
-
-        * ``borders`` — for per-message border accounting, the deduped
-          rids of all fragment atoms in the batch, each with its allowed
-          set resolved here, once, instead of once per delivery;
-        * ``revealing`` — the items that reveal anything, as an
-          :class:`ItemBatch` of their own (hitSet shares, confirmations —
-          the bulk of gossip volume — reveal nothing and can never affect
-          the audit).  A delivery to a process that absorbed them all is
-          one subset test on its uid set; otherwise ``select`` yields the
-          rest in batch order.
-
-        Atoms are read off the item objects in one C pass, so an atom-less
-        item costs no Python-level work and no uid hash.  Returns ``None``
-        when the batch holds entries that are not gossip items — callers
-        then walk the payload generically.
-        """
-        try:
-            atoms_of = list(map(_ITEM_ATOMS, payload))
-        except AttributeError:
-            return None
-        if not any(atoms_of):
-            return _NOTHING_TO_AUDIT
-        frag_rids: Dict[RumorId, None] = {}
-        for atoms in filter(None, atoms_of):
-            for atom in atoms:
-                if atom[0] == "fragment":
-                    frag_rids[atom[1]] = None
-        borders = tuple((rid, self.allowed_set(rid)) for rid in frag_rids)
-        return borders, ItemBatch(compress(payload, atoms_of))
 
     def _absorb_atoms(
         self,
@@ -296,6 +328,18 @@ class ConfidentialityAuditor(SimObserver):
         result = frozenset(allowed)
         self._allowed_cache[rid] = result
         return result
+
+    def _allowed_mask(self, rid: RumorId) -> int:
+        """:meth:`allowed_set` as a pid bitmask (0 while unregistered)."""
+        mask = self._allowed_masks.get(rid)
+        if mask is None:
+            if rid not in self.rumors:
+                return 0
+            mask = 0
+            for pid in self.allowed_set(rid):
+                mask |= 1 << pid
+            self._allowed_masks[rid] = mask
+        return mask
 
     def outsiders(self, rid: RumorId, n: int) -> FrozenSet[int]:
         return frozenset(range(n)) - self.allowed_set(rid)

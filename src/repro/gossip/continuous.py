@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.gossip.epidemic import default_fanout
@@ -217,12 +217,26 @@ class ContinuousGossip(SubService):
         messages: List[Message] = []
         targets: List[int] = []
         if batch:
+            # The whole fan-out — one batch object to every target — in
+            # one C pass.
             targets = self._choose_targets(round_no)
-            size = len(batch)
-            for target in targets:
-                messages.append(self.make_message(target, batch, size=size))
+            messages = list(
+                map(
+                    Message,
+                    repeat(self.pid),
+                    targets,
+                    repeat(self.service),
+                    repeat(batch),
+                    repeat(len(batch)),
+                    repeat(self.channel),
+                )
+            )
         if self.reliable:
-            messages.extend(self._flush_expiring(round_no, set(targets)))
+            flushes = self._flush_expiring(round_no, set(targets))
+            if flushes:
+                return self.filter.apply(messages + flushes)
+        if self.filter.scope.issuperset(targets):
+            return messages
         return self.filter.apply(messages)
 
     def on_message(self, round_no: int, message: Message) -> None:

@@ -12,12 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.sim.messages import KnowledgeAtom, plaintext_atom, reveals_of
 
-__all__ = ["RumorId", "Rumor", "GossipItem", "ItemBatch", "make_rumor"]
+__all__ = [
+    "RumorId",
+    "Rumor",
+    "GossipItem",
+    "ItemBatch",
+    "reveal_digest",
+    "make_rumor",
+]
 
 
 @dataclass(frozen=True, order=True)
@@ -152,6 +160,48 @@ class GossipItem:
 
 
 _ITEM_UID = attrgetter("uid")
+_ITEM_ATOMS = attrgetter("atoms")
+
+# (fragment rids, revealing items) — see reveal_digest.
+RevealDigest = Tuple[Tuple[RumorId, ...], Tuple[GossipItem, ...]]
+# The digest of a batch in which no item reveals anything: the common
+# case, shared so that it costs no allocation.
+_REVEALS_NOTHING: RevealDigest = ((), ())
+
+
+def reveal_digest(items: Tuple) -> Optional[RevealDigest]:
+    """What a batch of gossip items can tell an auditor, receiver aside.
+
+    Returns ``(fragment rids, revealing)``:
+
+    * ``fragment rids`` — the deduped rids of every fragment atom in the
+      batch, in batch order: the rumors whose border a copy of this batch
+      can cross;
+    * ``revealing`` — the items that reveal anything, first occurrence of
+      each uid, in batch order (hitSet shares, confirmations — the bulk
+      of gossip volume — reveal nothing and can never affect an audit).
+
+    A pure function of the (immutable) items: nothing in it depends on
+    which rumors an auditor has seen registered, so every auditor and
+    every round can share one digest.  Atoms are read off the item
+    objects in one C pass, so an atom-less item costs no Python-level
+    work and no uid hash.  ``None`` when ``items`` holds entries that are
+    not gossip items — the caller then walks the payload generically.
+    """
+    try:
+        atoms_of = list(map(_ITEM_ATOMS, items))
+    except AttributeError:
+        return None
+    if not any(atoms_of):
+        return _REVEALS_NOTHING
+    rids: Dict[RumorId, None] = {}
+    revealing: Dict[Tuple, GossipItem] = {}
+    for item in compress(items, atoms_of):
+        revealing.setdefault(item.uid, item)
+        for atom in item.atoms:
+            if atom[0] == "fragment":
+                rids[atom[1]] = None
+    return tuple(rids), tuple(revealing.values())
 
 
 class ItemBatch(tuple):
@@ -165,19 +215,26 @@ class ItemBatch(tuple):
     :meth:`select` turns that difference back into items in batch order —
     so no per-item Python work is spent on items already known.
 
-    It is a plain ``tuple`` to everything else (the auditor, the wire
-    codec, ``reveals_of``).  The codec writes it as a plain tuple and
-    rebuilds it on decode; a payload that does arrive as a plain tuple (a
-    test, the reliable-mode expiry flush) is wrapped by the receiver and
-    goes down the same path, deriving ``uids`` itself.
+    The same sharing makes the batch the unit of *audit* work:
+    ``audit_digest`` is what the confidentiality auditor needs of it,
+    resolved once per batch object however many destinations, rounds (a
+    standing batch is resent for many) and auditors it meets.
+
+    It is a plain ``tuple`` to everything else (the wire codec,
+    ``reveals_of``).  The codec writes it as a plain tuple and rebuilds it
+    on decode; a payload that does arrive as a plain tuple (a test, the
+    reliable-mode expiry flush) is wrapped by the receiver and goes down
+    the same path, deriving ``uids`` itself — the auditor digests such a
+    tuple on every fan-out instead.
 
     Set iteration order depends on ``PYTHONHASHSEED`` (uids contain
     ``str``): ``uids`` and anything derived from it may be used for
     membership and set algebra only.  Order always comes from the tuple.
     """
 
-    # A tuple subclass cannot declare non-empty __slots__; ``uids`` and the
-    # lazily built position index live in the instance dict.
+    # A tuple subclass cannot declare non-empty __slots__; ``uids``, the
+    # lazily built position index and the reveal digest live in the
+    # instance dict.
 
     uids: FrozenSet[Tuple]
 
@@ -198,6 +255,13 @@ class ItemBatch(tuple):
         for index, item in enumerate(self):
             positions.setdefault(item.uid, index)
         return positions
+
+    @cached_property
+    def audit_digest(self) -> Optional[RevealDigest]:
+        """:func:`reveal_digest` of this batch, resolved on first read —
+        kept here the way ``atoms`` is kept on a :class:`GossipItem`; a
+        process that never audits (a shard worker) never pays."""
+        return reveal_digest(self)
 
     def select(self, uids: Iterable[Tuple]) -> List[GossipItem]:
         """The items with these uids (first occurrence each), in batch order.

@@ -468,11 +468,9 @@ class ShardEngine(RoundEngine):
         # (src, seq) — the engine's outgoing order — then matured chaos
         # copies by (admit_round, src, seq) — the plane's queue order.
         merged.sort(key=lambda entry: entry[0])
-        deliver_observers = self._dispatch["on_deliver"]
-        if deliver_observers:
-            for _, message in merged:
-                for observer in deliver_observers:
-                    observer.on_deliver(round_no, message)
+        self._announce_deliveries(
+            round_no, [message for _, message in merged]
+        )
 
         for _, events in replies:
             for pid, when, src, seq, digest, path in events["deliveries"]:

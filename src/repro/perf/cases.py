@@ -250,7 +250,7 @@ def _setup_audit_batch_fanout() -> Operation:
     # destinations per round as one payload object.
     from repro.audit.confidentiality import ConfidentialityAuditor
     from repro.core.splitting import split_rumor
-    from repro.gossip.rumor import GossipItem, Rumor, RumorId
+    from repro.gossip.rumor import GossipItem, ItemBatch, Rumor, RumorId
     from repro.sim.messages import Message, ServiceTags
 
     everyone = frozenset(range(32))
@@ -278,12 +278,14 @@ def _setup_audit_batch_fanout() -> Operation:
                 ("perf/gd", "share", 0, round_no), 0, ("hits", round_no),
                 100, everyone,
             )
-            batch = (*standing, newcomer)
-            for dst in range(1, _FANOUT_RECEIVERS + 1):
-                auditor.on_deliver(
-                    round_no,
-                    Message(0, dst, ServiceTags.GROUP_GOSSIP, batch, len(batch)),
-                )
+            batch = ItemBatch((*standing, newcomer))
+            auditor.on_deliver_round(
+                round_no,
+                [
+                    Message(0, dst, ServiceTags.GROUP_GOSSIP, batch, len(batch))
+                    for dst in range(1, _FANOUT_RECEIVERS + 1)
+                ],
+            )
         return auditor.total_border_messages
 
     return op
@@ -291,7 +293,7 @@ def _setup_audit_batch_fanout() -> Operation:
 
 def _setup_audit_deliver() -> Operation:
     from repro.audit.confidentiality import ConfidentialityAuditor
-    from repro.gossip.rumor import GossipItem
+    from repro.gossip.rumor import GossipItem, ItemBatch
     from repro.sim.messages import Message, ServiceTags, fragment_atom
 
     class _Frag:
@@ -301,7 +303,9 @@ def _setup_audit_deliver() -> Operation:
         def reveals(self):
             yield self.atom
 
-    items = tuple(
+    # What the engine hands the auditor: one ItemBatch object fanned out
+    # to 15 destinations, the round's deliveries as one list.
+    items = ItemBatch(
         GossipItem(
             uid=("perf", i),
             origin=0,
@@ -319,8 +323,7 @@ def _setup_audit_deliver() -> Operation:
     def op() -> object:
         auditor = ConfidentialityAuditor(num_partitions=4, num_groups=2)
         for round_no in range(8):
-            for message in messages:
-                auditor.on_deliver(round_no, message)
+            auditor.on_deliver_round(round_no, messages)
         return auditor.total_border_messages
 
     return op
@@ -435,8 +438,8 @@ register_case(
 register_case(
     PerfCase(
         key="audit_batch_fanout",
-        title="ConfidentialityAuditor.on_deliver, one batch fanned out "
-        "(76 items x {} dsts x {} rounds)".format(
+        title="ConfidentialityAuditor.on_deliver_round, one batch fanned "
+        "out (76 items x {} dsts x {} rounds)".format(
             _FANOUT_RECEIVERS, _FANOUT_ROUNDS_PER_OP
         ),
         setup=_setup_audit_batch_fanout,
@@ -447,7 +450,8 @@ register_case(
 register_case(
     PerfCase(
         key="audit_deliver",
-        title="ConfidentialityAuditor.on_deliver (15 dsts x 8 rounds x 50 items)",
+        title="ConfidentialityAuditor.on_deliver_round "
+        "(15 dsts x 8 rounds x 50 items)",
         setup=_setup_audit_deliver,
         ops=15 * 8,
         tags=("audit", "micro"),

@@ -55,7 +55,14 @@ __all__ = ["SimObserver", "AdversaryView", "RoundEngine", "Engine"]
 
 
 class SimObserver:
-    """Hook interface for auditors and tracers.  All methods optional."""
+    """Hook interface for auditors and tracers.  All methods optional.
+
+    Deliveries are announced through one of two hooks, per observer: one
+    that overrides :meth:`on_deliver_round` is handed the round's whole
+    delivered list, once, and is *not* called per message; one that
+    overrides only :meth:`on_deliver` is called once per delivered
+    message, in that same order.
+    """
 
     def on_round_begin(self, round_no: int) -> None:
         pass
@@ -70,6 +77,9 @@ class SimObserver:
         pass
 
     def on_deliver(self, round_no: int, message: Message) -> None:
+        pass
+
+    def on_deliver_round(self, round_no: int, delivered: List[Message]) -> None:
         pass
 
     def on_round_end(self, round_no: int, engine: "RoundEngine") -> None:
@@ -161,6 +171,7 @@ class RoundEngine:
         "on_restart",
         "on_inject",
         "on_deliver",
+        "on_deliver_round",
         "on_round_end",
     )
 
@@ -189,7 +200,9 @@ class RoundEngine:
         # observers whose class actually overrides that hook, so inherited
         # no-op SimObserver methods are never called.  Rebuilt on
         # add_observer; on_deliver fans out per delivered message, which is
-        # why the empty-table fast path matters.
+        # why the empty-table fast path matters — and why an observer that
+        # takes the round's deliveries whole (on_deliver_round) is left out
+        # of the per-message table.
         self.observers: List[SimObserver] = list(observers)
         self._dispatch: Dict[str, Tuple[SimObserver, ...]] = {}
         self._rebuild_dispatch()
@@ -222,6 +235,12 @@ class RoundEngine:
                 if getattr(type(observer), hook, base) is not base
                 or hook in getattr(observer, "__dict__", ())
             )
+        per_round = set(map(id, self._dispatch["on_deliver_round"]))
+        self._dispatch["on_deliver"] = tuple(
+            observer
+            for observer in self._dispatch["on_deliver"]
+            if id(observer) not in per_round
+        )
 
     # ------------------------------------------------------------------
     # What a subclass supplies
@@ -297,6 +316,24 @@ class RoundEngine:
             for observer in self._dispatch["on_inject"]:
                 observer.on_inject(round_no, pid, rumor)
             self._inject_state(round_no, pid, rumor)
+
+    def _announce_deliveries(
+        self, round_no: int, delivered: List[Message]
+    ) -> None:
+        """Tell the observers what this round delivered, in order.
+
+        Every observer sees the deliveries in ``delivered`` order; a
+        per-round observer sees them all before a per-message one sees
+        the first, which is safe because no observer reads another
+        mid-round.
+        """
+        for observer in self._dispatch["on_deliver_round"]:
+            observer.on_deliver_round(round_no, delivered)
+        per_message = self._dispatch["on_deliver"]
+        if per_message:
+            for message in delivered:
+                for observer in per_message:
+                    observer.on_deliver(round_no, message)
 
     def _crash(self, round_no: int, pid: int, mid_round: bool) -> None:
         if pid not in self._alive:
@@ -379,11 +416,7 @@ class Engine(RoundEngine):
             boundary_pids=boundary,
             adversary_drops=mid.dropped_messages,
         )
-        deliver_observers = self._dispatch["on_deliver"]
-        if deliver_observers:
-            for message in outcome.delivered:
-                for observer in deliver_observers:
-                    observer.on_deliver(round_no, message)
+        self._announce_deliveries(round_no, outcome.delivered)
 
         inboxes = outcome.inboxes
         empty: List[Message] = []

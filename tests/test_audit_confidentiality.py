@@ -1,5 +1,6 @@
 """Tests for repro.audit.confidentiality: the knowledge auditor."""
 
+import copy
 import random
 from collections import defaultdict
 
@@ -7,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adversary.collusion import GreedyCoalition
-from repro.audit.confidentiality import ConfidentialityAuditor
+from repro.audit.confidentiality import (
+    ConfidentialityAuditor,
+    _popcount_bin,
+    popcount,
+)
+from repro.core.confidential_gossip import DirectAck
+from repro.core.group_distribution import FragmentDelivery
 from repro.core.splitting import split_rumor
 from repro.gossip.rumor import GossipItem, ItemBatch
 from repro.sim.messages import ServiceTags, reveals_of
@@ -233,22 +240,34 @@ class TestSummary:
 
 
 class PerItemAuditor(ConfidentialityAuditor):
-    """The reference: a gossip batch audited one item at a time.
+    """The reference: one message at a time, a gossip batch one item at a
+    time, no fan-outs, no masks, no digest.
 
-    Only ``on_deliver``'s batch handling is re-implemented; the verdict
-    logic (``_absorb_atoms``, ``_is_border``) is the auditor's own, so any
-    disagreement is the batch digest's doing.
+    Only the walk over deliveries and payloads is re-implemented; the
+    verdict logic (``_absorb_atoms``, ``_is_border``, ``_check_ack``) is
+    the auditor's own, so any disagreement is the fan-out path's doing.
     """
 
     def __init__(self, num_partitions, num_groups):
         super().__init__(num_partitions, num_groups)
         self.absorbed = defaultdict(set)
 
+    def on_deliver_round(self, round_no, delivered):
+        for message in delivered:
+            self.on_deliver(round_no, message)
+
     def on_deliver(self, round_no, message):
-        src, dst = message.src, message.dst
+        src, dst, payload = message.src, message.dst, message.payload
+        if isinstance(payload, DirectAck):
+            self._check_ack(round_no, message)
+        if isinstance(payload, tuple) and all(
+            isinstance(item, GossipItem) for item in payload
+        ):
+            parts = [(item.uid, tuple(reveals_of(item))) for item in payload]
+        else:
+            parts = [(None, tuple(reveals_of(payload)))]
         crossed = []
-        for item in message.payload:
-            atoms = tuple(reveals_of(item))
+        for uid, atoms in parts:
             for atom in atoms:
                 if (
                     atom[0] == "fragment"
@@ -256,8 +275,10 @@ class PerItemAuditor(ConfidentialityAuditor):
                     and self._is_border(atom[1], src, dst)
                 ):
                     crossed.append(atom[1])
-            if atoms and item.uid not in self.absorbed[dst]:
-                self.absorbed[dst].add(item.uid)
+            if uid is None:
+                self._absorb_atoms(round_no, src, dst, atoms, None)
+            elif atoms and uid not in self.absorbed[dst]:
+                self.absorbed[dst].add(uid)
                 self._absorb_atoms(round_no, src, dst, atoms, None)
         for rid in crossed:
             self.border_messages[rid] += 1
@@ -344,4 +365,114 @@ def test_batch_digest_matches_per_item_reference(data):
     assert any(
         v.kind == "plaintext" and v.pid == 5 and v.rid == rumors[0].rid
         for v in batched.violations
+    )
+
+
+# ----------------------------------------------------------------------
+# Fan-outs over a round's delivered list vs. the same reference
+# ----------------------------------------------------------------------
+
+
+def _audit_stream(auditor, stream, injections):
+    """Feed ``stream`` (one delivered list per round) through the round
+    hook; ``injections[round]`` open that round, as in the engine."""
+    states = []
+    for round_no, delivered in enumerate(stream):
+        for pid, rumor in injections.get(round_no, ()):
+            auditor.on_inject(round_no, pid, rumor)
+        auditor.on_deliver_round(round_no, delivered)
+        states.append(copy.deepcopy(audit_state(auditor)))
+    return states
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fanout_audit_matches_per_message_reference(data):
+    draw = data.draw
+    n, partitions, groups = 7, 2, 2
+    # pid 6 is in no destination set and is no source: always an outsider.
+    rumors = [
+        mk_rumor(src=0, seq=0, dest=draw(st.sets(st.integers(1, 5), min_size=1))),
+        mk_rumor(src=1, seq=1, dest=draw(st.sets(st.integers(2, 5), min_size=1))),
+        mk_rumor(src=2, seq=2, dest=draw(st.sets(st.integers(3, 5), min_size=1))),
+    ]
+    # The third rumor is registered only after its fragments circulate.
+    scheduled = {0: [(0, rumors[0])], 1: [(1, rumors[1])], 3: [(2, rumors[2])]}
+    everyone = frozenset(range(n))
+    fragments = [
+        frag
+        for rumor in rumors
+        for partition in range(partitions)
+        for frag in fragments_for(rumor, partition, groups)
+    ]
+    pool = [
+        GossipItem(uid=frag.uid, origin=frag.rid.src, payload=frag,
+                   expiry=50, dest=everyone)
+        for frag in fragments
+    ]
+    pool += [
+        GossipItem(uid=("gd/64/0", "share", index), origin=index % n,
+                   payload=("hitset", index), expiry=50, dest=everyone)
+        for index in range(6)
+    ]
+    # A plaintext leak, and a second object under an already-used uid.
+    pool.append(GossipItem(uid=("leak", 0), origin=0, payload=rumors[0],
+                           expiry=50, dest=everyone))
+    pool.append(GossipItem(uid=pool[0].uid, origin=3, payload=fragments[1],
+                           expiry=50, dest=everyone))
+
+    items = st.lists(st.sampled_from(pool), max_size=12)
+    frags = st.lists(st.sampled_from(fragments), min_size=1, max_size=3)
+    payloads = st.one_of(
+        items.map(ItemBatch),
+        items.map(tuple),
+        frags.map(lambda chosen: ("not-an-item",) + tuple(chosen)),
+        frags.map(lambda chosen: FragmentDelivery(0, tuple(chosen))),
+        st.sampled_from(rumors),
+        st.builds(DirectAck, st.sampled_from(rumors).map(lambda r: r.rid),
+                  st.sampled_from([3, b"leaked-bytes"])),
+    )
+
+    stream, sent = [], []
+    for _ in range(draw(st.integers(1, 6), label="rounds")):
+        delivered = []
+        for _ in range(draw(st.integers(0, 6), label="fan-outs")):
+            if sent and draw(st.booleans()):
+                # A payload object seen before, from the same or another
+                # sender: a later fan-out of a standing batch.
+                payload = draw(st.sampled_from(sent)).payload
+            else:
+                payload = draw(payloads)
+            src = draw(st.integers(0, n - 1))
+            # Possibly the same pid twice inside one run.
+            for dst in draw(st.lists(st.integers(0, n - 1), max_size=5)):
+                delivered.append(mk_message(
+                    src=src, dst=dst, service=ServiceTags.GROUP_GOSSIP,
+                    payload=payload,
+                ))
+        sent.extend(delivered)
+        # Matured chaos copies: earlier messages again, in any order.
+        if sent:
+            delivered.extend(draw(st.lists(st.sampled_from(sent), max_size=4)))
+        stream.append(delivered)
+
+    def both(injections):
+        fanout = ConfidentialityAuditor(partitions, groups)
+        reference = PerItemAuditor(partitions, groups)
+        got = _audit_stream(fanout, stream, injections)
+        assert got == _audit_stream(reference, stream, injections)
+        return fanout
+
+    both(scheduled)
+    # A second auditor over the very same ItemBatch objects, their digests
+    # already resolved, but with every rumor registered up front: nothing
+    # of the first auditor's view may have travelled with the batch.
+    upfront = {0: [entry for entries in scheduled.values() for entry in entries]}
+    both(upfront)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 200))
+def test_popcount_spellings_agree(mask):
+    assert popcount(mask) == _popcount_bin(mask) == sum(
+        mask >> bit & 1 for bit in range(mask.bit_length())
     )

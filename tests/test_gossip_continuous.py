@@ -156,6 +156,19 @@ class TestSpreading:
         for pid in harness.scope:
             assert harness.services[pid].filter.dropped == 0
 
+    def test_filter_counts_an_out_of_scope_target(self):
+        """A target-selection bug must still become a counted drop: the
+        whole-fan-out scope check falls through to the filter."""
+        gossip = ContinuousGossip(
+            pid=0, n=8, channel="test", scope=[0, 2, 4], rng=random.Random(0)
+        )
+        gossip.inject(0, "a", deadline=8, dest=range(8))
+        gossip._choose_targets = lambda round_no: [2, 5, 4]
+        sent = gossip.send_phase(1)
+        assert [message.dst for message in sent] == [2, 4]
+        assert sent[0].payload is sent[1].payload
+        assert gossip.filter.dropped == 1
+
     def test_expander_schedule_saturates(self):
         harness = GossipHarness(range(16), schedule="expander")
         harness.services[0].inject(0, "payload", deadline=14, dest=range(16))

@@ -16,7 +16,7 @@ import repro
 from repro.audit.confidentiality import ConfidentialityAuditor
 from repro.gossip.continuous import ContinuousGossip
 from repro.gossip.epidemic import _POOL_CACHE, choose_push_targets
-from repro.gossip.rumor import GossipItem
+from repro.gossip.rumor import GossipItem, ItemBatch, Rumor, RumorId
 from repro.sim.engine import AdversaryView, Engine, SimObserver
 from repro.sim.messages import Message, ServiceTags, fragment_atom, reveals_of
 from repro.sim.metrics import MessageStats
@@ -274,7 +274,7 @@ class TestBroadcastHorizon:
 
 
 # ----------------------------------------------------------------------
-# Auditor batch cache
+# Auditor batch digest (kept on the batch) and item holder masks
 # ----------------------------------------------------------------------
 
 
@@ -308,13 +308,13 @@ class TestAuditorBatchCache:
     def test_repeated_batch_delivery_matches_fresh_auditor(self):
         payload = frag_items(6)
         cached = ConfidentialityAuditor(num_partitions=4, num_groups=2)
-        # Same payload tuple fanned out repeatedly: exercises the id()-keyed
-        # per-round cache plus the per-pid seen sets.
+        # Same payload tuple fanned out repeatedly: after the first
+        # delivery every item's holder mask rules the rest out.
         self._deliver_all(cached, payload, dsts=range(1, 5), rounds=range(3))
         fresh = ConfidentialityAuditor(num_partitions=4, num_groups=2)
         for round_no in range(3):
             for dst in range(1, 5):
-                # Re-built tuple each delivery: different id(), no cache hits.
+                # Re-built tuple each delivery: different object, same uids.
                 rebuilt = frag_items(6)
                 fresh.on_deliver(
                     round_no,
@@ -330,15 +330,24 @@ class TestAuditorBatchCache:
         } == {pid: atoms for pid, atoms in fresh.knowledge.items()}
         assert cached.total_border_messages == fresh.total_border_messages
 
-    def test_batch_cache_cleared_on_round_change(self):
-        payload = frag_items(2)
+    def test_digest_on_batch_never_goes_stale(self):
+        # The digest kept on a batch holds no allowed set, so a rumor
+        # registered after the batch was first audited is bordered
+        # correctly the next time the same object is delivered — and a
+        # second auditor sharing the object shares none of that.
+        rumor = Rumor(RumorId(0, 0), b"late", 64, frozenset({1, 2}))
+        batch = ItemBatch(frag_items(2, rid=rumor.rid))
         auditor = ConfidentialityAuditor(num_partitions=4, num_groups=2)
-        self._deliver_all(auditor, payload, dsts=[1], rounds=[0])
-        assert auditor._batch_cache_round == 0
-        assert id(payload) in auditor._batch_cache
-        self._deliver_all(auditor, payload, dsts=[2], rounds=[5])
-        assert auditor._batch_cache_round == 5
-        assert list(auditor._batch_cache) == [id(payload)]
+        self._deliver_all(auditor, batch, dsts=[5], rounds=[0])
+        assert auditor.total_border_messages == 0
+        assert "audit_digest" in vars(batch)
+        auditor.on_inject(1, 0, rumor)
+        self._deliver_all(auditor, batch, dsts=[5, 1], rounds=[1])
+        assert dict(auditor.border_messages) == {rumor.rid: 1}
+        unregistered = ConfidentialityAuditor(num_partitions=4, num_groups=2)
+        self._deliver_all(unregistered, batch, dsts=[5, 1], rounds=[1])
+        assert unregistered.total_border_messages == 0
+        assert unregistered.knowledge[1] == auditor.knowledge[1]
 
     def test_atomless_items_become_inert(self):
         # Items that reveal nothing (hitSet shares, confirmations) must
@@ -416,9 +425,10 @@ for name, kwargs in cells:
 
 class TestHashSeedIndependence:
     def test_payload_digests_do_not_depend_on_pythonhashseed(self):
-        """Gossip receive and the audit do set algebra on uid sets whose
-        iteration order follows the interpreter's str hash seed.  That
-        order must stay inside the sets: a steady cell and a hardened
+        """Gossip receive does set algebra on uid sets whose iteration
+        order follows the interpreter's str hash seed (the audit keys a
+        dict by uid but walks tuples only).  That order must stay inside
+        the sets: a steady cell and a hardened
         chaos cell (default parameters, so items age past the resend
         horizon and backoff wake-ups fire) must produce the same record
         digest and the same delivered stream, batch order included, under

@@ -24,7 +24,7 @@ from repro.gossip.rumor import Rumor, RumorId
 from repro.harness.runner import Scenario, assemble, run_congos_scenario
 from repro.net.coordinator import NetOptions, ShardEngine
 from repro.net.shard import ShardPlan
-from repro.sim.engine import AdversaryView, Engine, RoundEngine
+from repro.sim.engine import AdversaryView, Engine, RoundEngine, SimObserver
 from repro.sim.events import RoundDecision
 
 try:
@@ -197,6 +197,64 @@ def test_all_paths_agree_fault_free():
     _assert_paths_agree(FAULT_FREE, OBJECT_PATHS + ["array"])
 
 
+def _wire(message):
+    return (message.src, message.dst, message.service, message.channel, message.size)
+
+
+class PerMessage:
+    """Duck-typed, ``on_deliver`` only (the ledger's capture observer)."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_deliver(self, round_no, message):
+        self.seen.append((round_no, _wire(message)))
+
+
+class PerRound(SimObserver):
+    """Overrides both delivery hooks: only the round-level one may fire."""
+
+    def __init__(self):
+        self.rounds = []
+        self.per_message_calls = 0
+
+    def on_deliver(self, round_no, message):
+        self.per_message_calls += 1
+
+    def on_deliver_round(self, round_no, delivered):
+        self.rounds.append((round_no, [_wire(message) for message in delivered]))
+
+
+def test_deliveries_are_announced_per_message_or_per_round():
+    rounds = 8
+    seen = {}
+    for path in OBJECT_PATHS:
+        per_message, per_round = PerMessage(), PerRound()
+        # A hook shadowed on the *instance*, as a tracer wrapping bound
+        # methods leaves it.
+        shadowed = SimObserver()
+        shadowed.rounds = []
+        shadowed.on_deliver_round = lambda round_no, delivered: (
+            shadowed.rounds.append(
+                (round_no, [_wire(message) for message in delivered])
+            )
+        )
+        observers = [per_message, per_round, shadowed]
+        with engine_on(path, Scripted(FAULT_FREE), observers) as engine:
+            engine.run(rounds)
+        assert [round_no for round_no, _ in per_round.rounds] == list(range(rounds))
+        assert per_round.per_message_calls == 0
+        assert shadowed.rounds == per_round.rounds
+        assert per_message.seen == [
+            (round_no, wire)
+            for round_no, delivered in per_round.rounds
+            for wire in delivered
+        ]
+        assert per_message.seen, "the script must produce traffic"
+        seen[path] = per_round.rounds
+    assert seen["sharded"] == seen["inproc"]
+
+
 @pytest.mark.parametrize("path", ALL_PATHS)
 def test_behavior_is_what_the_path_has_in_reach(path):
     with engine_on(path, Scripted({})) as engine:
@@ -282,6 +340,7 @@ def test_paths_do_not_restate_the_skeleton():
     owned = [
         "run", "_round_start", "_crash", "_restart", "alive_pids",
         "add_observer", "_rebuild_dispatch", "_HOOKS", "round",
+        "_announce_deliveries",
     ]
     for cls in (Engine, ShardEngine, ArrayEngine):
         assert issubclass(cls, RoundEngine)
