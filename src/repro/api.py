@@ -112,14 +112,14 @@ def run_scenario(
                     seed, scenario.seed
                 )
             )
-    if backend is not None or net is not None or engine is not None:
-        overrides: dict = {}
-        if backend is not None:
-            overrides["backend"] = backend
-        if net is not None:
-            overrides["net"] = net
-        if engine is not None:
-            overrides["engine"] = engine
+    # The one execution-path override: every caller outside a RunSpec
+    # (CLI, ledger, examples) picks backend / net / engine here.
+    overrides = {
+        name: value
+        for name, value in (("backend", backend), ("net", net), ("engine", engine))
+        if value is not None
+    }
+    if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
     return run_congos_scenario(
         scenario, observers=observers, telemetry=telemetry

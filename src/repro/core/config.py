@@ -310,9 +310,11 @@ class CongosParams:
     def hardened(self, **overrides: object) -> "CongosParams":
         """This parameter set with the graceful-degradation knobs on.
 
-        Deprecated alias: folds the ``"hardened"`` preset's fields into
-        the current instance (``preset("hardened")`` builds the same set
-        from defaults).  Meant for chaos runs (lossy/delaying networks):
+        Folds the ``"hardened"`` preset's fields onto the current
+        instance, keeping every other field (``tau``, fanout constants) as
+        it is — which ``preset("hardened")``, built from defaults, cannot
+        do; the scenario builders' ``hardened=True`` relies on it.  Meant
+        for chaos runs (lossy/delaying networks):
         bounded proxy retransmits, doubled GD send redundancy, earlier
         fallback, gossip resend backoff, and direct-send
         ack/retransmit/k-copy.  Under the paper's reliable network these

@@ -11,17 +11,23 @@ can store it verbatim.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple
+
+from repro.exec.tasks import canonical_json
 
 __all__ = ["RunRecord"]
 
 # Dict-valued fields: copied on load, defaulting to empty so records
 # cached before a field existed still load.
-_DICT_FIELDS = ("by_service", "paths", "violations", "faults", "targeted", "load")
+_DICT_FIELDS = (
+    "by_service", "paths", "violations", "faults", "targeted", "load", "net",
+)
 # Left out of the dict form while empty: payloads (and golden digests) of
-# runs without a targeted plane / an open workload predate the sections.
-_ABSENT_WHEN_EMPTY = ("targeted", "load")
+# runs without a targeted plane / an open workload / shard workers predate
+# the sections.
+_ABSENT_WHEN_EMPTY = ("targeted", "load", "net")
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,12 @@ class RunRecord:
     # arrival-to-delivery latency quantiles, fallback rate, shed-leak
     # verdict (see repro.load.slo.slo_summary)
     load: Dict[str, object] = field(default_factory=dict)
+    # sharded-backend accounting (empty unless shard workers ran it):
+    # local/cross message split, group locality, per-worker-pair frame and
+    # byte counts, per-round coordinator phase latencies.  It describes how
+    # the run was executed, not what it simulated, so without_profile()
+    # drops it with the other profiling fields.
+    net: Dict[str, object] = field(default_factory=dict)
     # bookkeeping
     rumors_injected: int = 0
     spec_key: Optional[str] = None
@@ -102,6 +114,17 @@ class RunRecord:
             from repro.load.slo import slo_summary
 
             load = slo_summary(result) or {}
+        net: Dict[str, object] = {}
+        engine = result.engine
+        if getattr(engine, "net_summary", None) is not None:
+            net = dict(
+                engine.net_summary(),
+                group_locality=round(
+                    engine.plan.locality(result.partition_set), 4
+                ),
+                worker_pairs=engine.worker_pair_summary(),
+                phase_latency_s=engine.phase_summary(),
+            )
         return cls(
             scenario=result.scenario.name,
             n=result.scenario.n,
@@ -129,6 +152,7 @@ class RunRecord:
             },
             targeted=targeted,
             load=load,
+            net=net,
             rumors_injected=result.rumors_injected,
             spec_key=spec_key,
         )
@@ -162,10 +186,23 @@ class RunRecord:
     def without_profile(self) -> "RunRecord":
         """Copy with profiling fields zeroed — the deterministic payload.
 
-        Parity tests (serial vs pooled, fresh vs cached) compare these:
-        wall-clock and worker pids legitimately differ between runs.
+        Parity tests (serial vs pooled, fresh vs cached, inproc vs
+        sharded) compare these: wall-clock, worker pids and the sharded
+        backend's wire accounting legitimately differ between runs.
         """
-        return replace(self, wall_time=0.0, worker_pid=None, cache_hit=False)
+        return replace(
+            self, wall_time=0.0, worker_pid=None, cache_hit=False, net={}
+        )
+
+    def digest(self) -> str:
+        """sha256 of the simulation payload alone.
+
+        Profile-free and without the spec key: two execution paths that
+        promise bit identity (inproc and sharded) have different spec keys
+        and must still collide here.
+        """
+        payload = replace(self.without_profile(), spec_key=None).to_dict()
+        return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
     # -- JSON round-trip -------------------------------------------------
 

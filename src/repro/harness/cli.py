@@ -46,23 +46,27 @@ codes — 0 verdict holds, 1 it does not or a fail-fast invariant tripped,
 ``perf chaos-scaling`` (E17b, ``repro.perf.scaling``)
     The E15 matrix with ``n`` as one more grid axis, and where the QoD
     cliff sits per ``n``.
+``perf scaling`` (E17) / ``net bench`` (E18, both ``repro.perf.scaling``)
+    The canonical steady cell across system sizes on each execution
+    path — per round kernel (``--engine object array``) resp. in-process
+    vs sharded (``--workers``) — timed by each task's own clock and
+    reported against the object-inproc row of the same invocation, with
+    every row's payload digest.  ``--jobs`` defaults to 1: cells sharing
+    the CPU would time each other.  Verdict: confidentiality clean and
+    the sharded digests equal to the in-process ones.
 
 The soaks' verdict is confidentiality alone: QoD misses under faults are
 what they measure.
 
-Timed in-process benches
-------------------------
-``perf micro`` / ``perf scaling`` (E17)
+Not grids
+---------
+``perf micro``
     The stable-keyed microbenchmark suite (optionally with cProfile
-    hotspot attribution), and the canonical steady run timed across
-    system sizes into ``BENCH_e17_engine_scaling.json`` (DESIGN.md
-    Section 8).  They time single runs in this process, so they are not
-    grid experiments.
-``net verify`` / ``net bench`` (E18)
-    The sharded multi-process backend (DESIGN.md Section 9): one
-    scenario on both backends with bit-identical payload digests
-    asserted, and in-process vs sharded wall-clock across system sizes
-    into ``BENCH_e18_sharded_scaling.json``.
+    hotspot attribution): best-of-``--repeats`` of one callable in this
+    process, no cells and no seeds (DESIGN.md Section 8).
+``net verify``
+    One scenario on both backends of DESIGN.md Section 9, asserting
+    bit-identical payload digests and a clean audit.
 
 Inspection
 ----------
@@ -79,11 +83,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import inspect
 import json
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.analysis.bounds import (
     collusion_lower_bound,
@@ -97,11 +100,11 @@ from repro.chaos.soak import CHAOS_SOAK
 from repro.chaos.targeted_soak import TARGETED_SOAK
 from repro.core.config import CongosParams
 from repro.core.congos import build_partition_set
-from repro.exec.bench_io import sweep_payload, write_bench_json
+from repro.api import run_scenario
+from repro.exec.bench_io import sweep_payload
 from repro.exec.pool import run_specs
-from repro.exec.progress import Progress
 from repro.exec.results import RunRecord
-from repro.exec.tasks import RunSpec, canonical_json
+from repro.exec.tasks import RunSpec
 from repro.harness.experiment import (
     Experiment,
     Table,
@@ -109,21 +112,14 @@ from repro.harness.experiment import (
     run_experiment,
 )
 from repro.harness.report import dash, format_kv, format_table
-from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import BUILDERS
 from repro.load.soak import LOAD_SOAK
-from repro.net.bench import (
-    E18_BENCH_NAME,
-    run_sharded_scaling,
-    sharded_scaling_payload,
-)
 from repro.obs import JsonlSink, MetricsRegistry, RumorTimeline, Telemetry
 from repro.perf import (
     CHAOS_SCALING,
-    E17_BENCH_NAME,
-    engine_scaling_payload,
+    ENGINE_SCALING,
+    SHARDED_SCALING,
     get_case,
-    run_engine_scaling,
     run_suite,
     suite_payload,
 )
@@ -255,10 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro: run only this case (repeatable; default all)",
     )
     perf.add_argument(
-        "--repeats", type=int, default=5, help="timed samples per case"
+        "--repeats", type=int, default=5, help="micro: timed samples per case"
     )
     perf.add_argument(
-        "--warmup", type=int, default=1, help="discarded warmup runs per case"
+        "--warmup",
+        type=int,
+        default=1,
+        help="micro: discarded warmup runs per case",
     )
     perf.add_argument(
         "--profile",
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("object", "array"),
         metavar="ENGINE",
         help="scaling: round kernels to time (default object; pass both "
-        "to record the array-vs-object speedup in one artifact)",
+        "to read the array engine against the object rows in one artifact)",
     )
     perf.add_argument(
         "--drop",
@@ -301,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P",
         help="chaos-scaling: delay-probability axis",
     )
-    # chaos-scaling is a grid experiment; scaling reads --out/--json too.
+    # scaling and chaos-scaling are grid experiments; micro reads --json
+    # too.
     add_shared_flags(perf)
 
     net = sub.add_parser(
@@ -340,13 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="bench: system sizes (default: 64 256)",
     )
-    net.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="bench: artifact directory for BENCH_e18_sharded_scaling.json",
-    )
-    net.add_argument("--json", action="store_true", help="emit JSON payload")
+    # bench is a grid experiment; verify reads --json too.
+    add_shared_flags(net)
 
     sub.add_parser("scenarios", help="list registered scenario builders")
 
@@ -374,6 +369,15 @@ def _scenario_kwargs(args: argparse.Namespace) -> Dict[str, object]:
     else:
         kwargs["deadline"] = args.deadline
     return kwargs
+
+
+def _path_kwargs(args: argparse.Namespace) -> Dict[str, object]:
+    """The execution-path flags as the facade's (and RunSpec's) overrides."""
+    sharded = args.backend == "sharded"
+    return {
+        "backend": args.backend,
+        "net": {"workers": args.workers} if sharded else None,
+    }
 
 
 def _registry_from_records(records) -> MetricsRegistry:
@@ -573,8 +577,9 @@ PROFILE_SWEEP = Experiment(
 )
 
 # Every grid experiment the CLI runs.  One with ``flags`` gets its own
-# subcommand (plus the shared flags); ``perf chaos-scaling`` rides the
-# hand-built ``perf`` parser next to the in-process benches.
+# subcommand (plus the shared flags); the ``perf`` ones and ``net bench``
+# ride the hand-built ``perf`` / ``net`` parsers next to ``perf micro``
+# and ``net verify``.
 EXPERIMENTS = (
     SWEEP,
     PROFILE_SWEEP,
@@ -583,6 +588,8 @@ EXPERIMENTS = (
     TARGETED_SOAK,
     LOAD_SOAK,
     CHAOS_SCALING,
+    ENGINE_SCALING,
+    SHARDED_SCALING,
 )
 
 
@@ -592,18 +599,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.seeds is not None and len(args.seeds) > 1:
         return _run_multi_seed(args, params, kwargs)
     seed = args.seeds[0] if args.seeds else args.seed
-    builder = SCENARIOS[args.scenario]
     telemetry = Telemetry() if args.metrics else None
-    scenario = builder(seed=seed, params=params, **kwargs)
-    if args.backend != "inproc":
-        scenario = dataclasses.replace(
-            scenario,
-            backend=args.backend,
-            net={"workers": args.workers},
-        )
-    if args.engine != "object":
-        scenario = dataclasses.replace(scenario, engine=args.engine)
-    result = run_congos_scenario(scenario, telemetry=telemetry)
+    result = run_scenario(
+        args.scenario,
+        seed=seed,
+        telemetry=telemetry,
+        engine=args.engine,
+        params=params,
+        **_path_kwargs(args),
+        **kwargs,
+    )
     summary = result.summary()
     if args.json:
         if telemetry is not None:
@@ -633,15 +638,13 @@ def _run_multi_seed(
     args: argparse.Namespace, params: CongosParams, kwargs: Dict[str, object]
 ) -> int:
     """Replicate one scenario across seeds on the exec pool."""
-    net = {"workers": args.workers} if args.backend != "inproc" else None
     specs = [
         RunSpec.make(
             args.scenario,
             seed=seed,
             params=params,
-            backend=args.backend,
-            net=net,
             engine=args.engine,
+            **_path_kwargs(args),
             **kwargs,
         )
         for seed in args.seeds
@@ -679,24 +682,18 @@ def _run_multi_seed(
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    params = _params(args)
-    kwargs = _scenario_kwargs(args)
-    builder = SCENARIOS[args.scenario]
-    scenario = builder(seed=args.seed, params=params, **kwargs)
-    if args.backend != "inproc":
-        scenario = dataclasses.replace(
-            scenario,
-            backend=args.backend,
-            net={"workers": args.workers},
-        )
     timeline = RumorTimeline()
     with JsonlSink(path=args.out) as sink:
         telemetry = Telemetry(sinks=[sink])
         telemetry.subscribe(timeline)
-        result = run_congos_scenario(
-            scenario,
+        result = run_scenario(
+            args.scenario,
+            seed=args.seed,
             observers=[timeline],
             telemetry=telemetry,
+            params=_params(args),
+            **_path_kwargs(args),
+            **_scenario_kwargs(args),
         )
         timeline.export(sink)
         emitted = sink.emitted
@@ -761,22 +758,6 @@ def _builder_kwargs(builder) -> str:
     return ", ".join(parts)
 
 
-def _emit_bench(
-    args: argparse.Namespace,
-    payload: Dict[str, object],
-    bench: Optional[str] = None,
-) -> bool:
-    """The emit step the in-process benches share: ``BENCH_<bench>.json``
-    under ``--out``, then ``--json`` instead of a table.  True when the
-    caller still owes the table."""
-    if bench is not None and args.out:
-        artifact = write_bench_json(bench, payload, args.out)
-        print("artifacts: {}".format(artifact), file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    return not args.json
-
-
 def _perf_micro(args: argparse.Namespace) -> int:
     if args.case:
         cases = [get_case(key) for key in args.case]
@@ -785,7 +766,8 @@ def _perf_micro(args: argparse.Namespace) -> int:
     results = run_suite(
         cases, repeats=args.repeats, warmup=args.warmup, profile=args.profile
     )
-    if not _emit_bench(args, suite_payload(results)):
+    if args.json:
+        print(json.dumps(suite_payload(results), indent=2, sort_keys=True))
         return 0
     rows: List[List[object]] = []
     for result in results:
@@ -821,78 +803,11 @@ def _perf_micro(args: argparse.Namespace) -> int:
     return 0
 
 
-def _perf_scaling(args: argparse.Namespace) -> int:
-    ns = tuple(args.ns) if args.ns else (16, 64, 256)
-    engines = tuple(args.engine) if args.engine else ("object",)
-    rows: List[Dict[str, object]] = []
-    for engine in engines:
-        rows.extend(
-            run_engine_scaling(
-                ns=ns,
-                rounds=args.rounds,
-                deadline=args.deadline,
-                repeats=max(1, args.repeats),
-                engine=engine,
-            )
-        )
-    payload = engine_scaling_payload(rows)
-    if not _emit_bench(args, payload, E17_BENCH_NAME):
-        return 0
-    table: List[List[object]] = []
-    for row in rows:
-        table.append(
-            [
-                row["n"],
-                row["engine"],
-                "{:.3f}".format(row["wall_s"]),
-                (
-                    "{:.3f}".format(row["baseline_s"])
-                    if row["baseline_s"]
-                    else "-"
-                ),
-                "{:.2f}x".format(row["speedup"]) if row["speedup"] else "-",
-                row["total"],
-                "yes" if row["clean"] else "NO",
-                row["digest"][:12],
-            ]
-        )
-    print(
-        format_table(
-            [
-                "n",
-                "engine",
-                "wall s",
-                "base s",
-                "speedup",
-                "msgs",
-                "clean",
-                "digest",
-            ],
-            table,
-            title="E17 engine scaling ({} rounds, steady/lean)".format(
-                args.rounds
-            ),
-        )
-    )
-    for n, ratio in sorted(
-        payload["engine_speedup"].items(), key=lambda item: int(item[0])
-    ):
-        print("n={}: array is {:.2f}x the object engine".format(n, ratio))
-    return 0
-
-
 def cmd_perf(args: argparse.Namespace) -> int:
     if args.suite == "micro":
         return _perf_micro(args)
-    if args.suite == "scaling":
-        return _perf_scaling(args)
-    return run_experiment(CHAOS_SCALING, args)
-
-
-def _record_digest(result) -> str:
-    """sha256 of the run's profile-free RunRecord payload."""
-    clean = RunRecord.from_result(result).without_profile().to_dict()
-    return hashlib.sha256(canonical_json(clean).encode("utf-8")).hexdigest()
+    scaling = ENGINE_SCALING if args.suite == "scaling" else CHAOS_SCALING
+    return run_experiment(scaling, args)
 
 
 def _net_verify(args: argparse.Namespace) -> int:
@@ -906,16 +821,12 @@ def _net_verify(args: argparse.Namespace) -> int:
         # digest-comparable.  Targeted planes are message-keyed by
         # construction but their oblivious fallthrough still needs it.
         base = dataclasses.replace(base, chaos_keyed=True)
-    inproc = run_congos_scenario(base)
-    sharded = run_congos_scenario(
-        dataclasses.replace(
-            base,
-            backend="sharded",
-            net={"workers": args.workers},
-        )
+    inproc = run_scenario(base)
+    sharded = run_scenario(
+        base, backend="sharded", net={"workers": args.workers}
     )
-    inproc_digest = _record_digest(inproc)
-    sharded_digest = _record_digest(sharded)
+    inproc_digest = RunRecord.from_result(inproc).digest()
+    sharded_digest = RunRecord.from_result(sharded).digest()
     match = inproc_digest == sharded_digest
     clean = sharded.confidentiality.is_clean()
     payload: Dict[str, object] = {
@@ -958,59 +869,10 @@ def _net_verify(args: argparse.Namespace) -> int:
     return 0 if match and clean else 1
 
 
-def _net_bench(args: argparse.Namespace) -> int:
-    ns = tuple(args.ns) if args.ns else (64, 256)
-    progress = Progress.for_tty(len(ns), label="net bench")
-    rows = run_sharded_scaling(
-        ns=ns,
-        rounds=args.rounds,
-        deadline=args.deadline,
-        workers=args.workers,
-        progress=progress,
-    )
-    progress.finish()
-    payload = sharded_scaling_payload(rows)
-    code = 0 if payload["all_digests_match"] and payload["all_clean"] else 1
-    if not _emit_bench(args, payload, E18_BENCH_NAME):
-        return code
-    table: List[List[object]] = []
-    for row in rows:
-        table.append(
-            [
-                row["n"],
-                "{:.3f}".format(row["wall_inproc_s"]),
-                "{:.3f}".format(row["wall_sharded_s"]),
-                "{:.2f}x".format(row["slowdown"]) if row["slowdown"] else "-",
-                row["total"],
-                row["cross_fraction"],
-                "yes" if row["digest_match"] else "NO",
-                "yes" if row["clean"] else "NO",
-            ]
-        )
-    print(
-        format_table(
-            [
-                "n",
-                "inproc s",
-                "sharded s",
-                "slowdown",
-                "msgs",
-                "cross",
-                "match",
-                "clean",
-            ],
-            table,
-            title="E18 sharded scaling ({} rounds, {} workers, "
-            "single host)".format(args.rounds, args.workers),
-        )
-    )
-    return code
-
-
 def cmd_net(args: argparse.Namespace) -> int:
     if args.suite == "verify":
         return _net_verify(args)
-    return _net_bench(args)
+    return run_experiment(SHARDED_SCALING, args)
 
 
 def cmd_scenarios(_: argparse.Namespace) -> int:

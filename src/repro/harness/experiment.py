@@ -109,7 +109,8 @@ class Table:
 class Experiment:
     """What one experiment is, as data; :func:`run_experiment` runs it."""
 
-    # CLI subcommand ("chaos-soak"; "perf chaos-scaling" rides the perf parser).
+    # CLI subcommand ("chaos-soak"; "perf chaos-scaling" and "net bench"
+    # ride the hand-built perf / net parsers).
     command: str
     help: str
     # Artifact names under --out: BENCH_<bench>.json and <txt>.txt.
@@ -128,6 +129,10 @@ class Experiment:
     tables: Sequence[Table]
     # Experiment-specific flags (None: the parser is built elsewhere).
     flags: Optional[Callable[[argparse.ArgumentParser], None]] = None
+    # Worker processes when --jobs is not given (0 = cpu count).  An
+    # experiment whose result is each cell's wall-clock declares 1: cells
+    # sharing the CPU would time each other.
+    jobs: int = 0
     # Further sidecar keys, given the flags and the payload assembled so
     # far (timing included).
     extras: Optional[Callable[[Args, Payload], Payload]] = None
@@ -149,8 +154,9 @@ def add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=0,
-        help="worker processes (0 = cpu count, 1 = serial)",
+        default=None,
+        help="worker processes (0 = cpu count, 1 = serial; default: cpu "
+        "count, 1 for the timed scaling benches)",
     )
     parser.add_argument(
         "--out",
@@ -175,6 +181,8 @@ def run_experiment(exp: Experiment, args: Args) -> int:
     if args.resume and not args.out:
         print("--resume needs --out (the cache lives there)", file=sys.stderr)
         return 2
+    if args.jobs is None:
+        args.jobs = exp.jobs
     cells = exp.cells(args)
     fixed = exp.fixed(args)
     builder = _text(exp.builder, args)

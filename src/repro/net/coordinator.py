@@ -120,6 +120,11 @@ class WorkerLost(TransportClosed):
     """A worker's connection failed: which worker, its fate, the round."""
 
 
+# How long the startup accept loop waits between looks at the spawned
+# processes: a worker that died before its hello is reported within it.
+_STARTUP_SLICE = 0.2
+
+
 class _WorkerPool:
     """Spawned worker processes plus their coordinator-side connections."""
 
@@ -165,8 +170,9 @@ class _WorkerPool:
                 )
                 process.start()
                 self.processes.append(process)
+            deadline = time.monotonic() + options.timeout
             for _ in range(plan.workers):
-                connection = self.listener.accept()
+                connection = self._accept(deadline)
                 kind, body = decode_frame(connection.recv())
                 if kind == "error":
                     raise RuntimeError(
@@ -182,6 +188,24 @@ class _WorkerPool:
         except BaseException:
             self.close()
             raise
+
+    def _accept(self, deadline: float):
+        """The next worker's connection, unless a worker died first.
+
+        A worker that exits before its hello (its ``__main__`` cannot be
+        re-imported under spawn, say) never connects; waiting out the
+        whole transport timeout for it would hide the exit code.
+        """
+        while not self.listener.wait(_STARTUP_SLICE):
+            for worker, process in enumerate(self.processes):
+                if process.exitcode is not None:
+                    raise WorkerLost(
+                        "shard worker {} exited before its hello "
+                        "(exit code {})".format(worker, process.exitcode)
+                    )
+            if time.monotonic() > deadline:
+                raise TransportClosed("no worker connected before the timeout")
+        return self.listener.accept()
 
     def _lost(self, worker: int, exc: TransportClosed) -> WorkerLost:
         process = self.processes[worker]

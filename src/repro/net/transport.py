@@ -19,6 +19,7 @@ a worker process.
 
 from __future__ import annotations
 
+import select
 import socket
 import struct
 from typing import Optional, Tuple
@@ -88,6 +89,11 @@ class Listener:
 
     @property
     def address(self) -> Tuple[object, ...]:
+        raise NotImplementedError
+
+    def wait(self, seconds: float) -> bool:
+        """True once a peer is waiting to be accepted, False after
+        ``seconds`` without one."""
         raise NotImplementedError
 
     def accept(self) -> Connection:
@@ -173,6 +179,9 @@ class TcpListener(Listener):
     @property
     def address(self) -> Tuple[str, str, int]:
         return ("tcp", self._host, self._port)
+
+    def wait(self, seconds: float) -> bool:
+        return bool(select.select([self._sock], [], [], seconds)[0])
 
     def accept(self) -> TcpConnection:
         try:

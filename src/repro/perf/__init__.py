@@ -10,12 +10,13 @@ The perf subsystem has three layers:
 * :mod:`repro.perf.bench` — warmup/repeat timing with optional
   cProfile-backed hotspot attribution, producing machine-readable
   payloads;
-* :mod:`repro.perf.scaling` — the E17 engine-scaling bench (wall-clock
-  vs ``n`` against the pinned pre-optimization baseline) and the E17b
+* :mod:`repro.perf.scaling` — the E17 / E18 scaling benches (the steady
+  cell's wall-clock vs ``n`` on each execution path, as ratios against
+  the object-inproc row of the same invocation) and the E17b
   chaos-scaling soak (ROADMAP item 2: the fault matrix at larger ``n``).
 
-Everything rides the ``perf`` CLI subcommand (``python -m
-repro.harness.cli perf ...``).  The optimization contract the benches
+They ride the ``perf`` CLI subcommand (``python -m
+repro.harness.cli perf ...``; E18 is ``net bench``).  The optimization contract the benches
 police is documented in DESIGN.md §8: default runs must stay
 bit-identical — same rng stream consumption, same event order — which
 the golden-digest tests (``tests/test_golden_digests.py``) enforce.
@@ -24,14 +25,13 @@ the golden-digest tests (``tests/test_golden_digests.py``) enforce.
 from repro.perf.bench import BenchResult, profile_case, run_case, run_suite, suite_payload
 from repro.perf.cases import PerfCase, all_cases, case_keys, get_case, register_case
 from repro.perf.scaling import (
+    CHAOS_SCALING,
     E17B_BENCH_NAME,
     E17_BENCH_NAME,
-    PRE_PR_BASELINE,
-    CHAOS_SCALING,
+    ENGINE_SCALING,
+    SHARDED_SCALING,
     chaos_scaling_payload,
-    engine_scaling_payload,
-    run_engine_scaling,
-    scaling_spec,
+    path_scaling_payload,
 )
 
 __all__ = [
@@ -39,18 +39,17 @@ __all__ = [
     "PerfCase",
     "E17_BENCH_NAME",
     "E17B_BENCH_NAME",
-    "PRE_PR_BASELINE",
+    "ENGINE_SCALING",
+    "SHARDED_SCALING",
     "all_cases",
     "case_keys",
     "CHAOS_SCALING",
     "chaos_scaling_payload",
-    "engine_scaling_payload",
     "get_case",
     "profile_case",
     "register_case",
     "run_case",
-    "run_engine_scaling",
     "run_suite",
-    "scaling_spec",
+    "path_scaling_payload",
     "suite_payload",
 ]

@@ -1,21 +1,29 @@
-"""E17 engine-scaling and E17b chaos-scaling benches.
+"""Scaling benches: E17 / E18 over the execution paths, E17b over chaos.
 
-E17 answers "how fast is one default run, and how does that scale with
-``n``?": it times the canonical steady-workload cell (seed 0, lean
-params, 120 rounds) at several system sizes, records the payload digest
-of every run (so the artifact itself proves the optimized engine still
-produces bit-identical results), and reports speedups against
-:data:`PRE_PR_BASELINE` — wall-clock numbers measured on the same
-machine immediately before the hot-path overhaul landed.
+E17 and E18 ask one question of two axes — "how fast is one run on each
+execution path, and is it still the same run?" — so they are two
+:class:`~repro.harness.experiment.Experiment` declarations over one
+reducer.  Both run the canonical steady cell (lean params, one injection
+per four rounds) at several system sizes:
 
-The bench has an **engine axis**: every row carries the round kernel it
-ran on (``"object"`` or the vectorized ``"array"`` engine from
-:mod:`repro.fastcore`), and when one artifact holds both engines at the
-same ``n`` the payload's ``engine_speedup`` section records the
-array-vs-object ratio measured in the same invocation.  Array-engine
-digests are *not* comparable to object-engine digests — the array
-engine's contract is statistical parity (DESIGN.md §11), gated by
-:mod:`repro.fastcore.parity`, not bit identity.
+* :data:`ENGINE_SCALING` (E17, ``perf scaling``) over the round kernels:
+  cells ``{n, engine}`` with engine ``"object"`` or the vectorized
+  ``"array"`` engine of :mod:`repro.fastcore`;
+* :data:`SHARDED_SCALING` (E18, ``net bench``) over the backends: cells
+  ``{n}`` and ``{n, backend: "sharded", net: {workers}}`` of
+  :mod:`repro.net`.
+
+:func:`path_scaling_payload` reads each cell's wall-clock from the
+record's own ``wall_time`` — taken inside the task, around the run and
+nothing else — and reports it as a ratio against the object-inproc row of
+the same ``(n, seed)`` in the same invocation.  Every row carries its
+:meth:`~repro.exec.results.RunRecord.digest`; rows that promise bit
+identity with that reference (the object engine on another backend) must
+equal it, which with a clean audit is the verdict.  Array-engine digests
+are *not* comparable to object-engine ones — the array engine's contract
+is statistical parity (DESIGN.md §11), gated by
+:mod:`repro.fastcore.parity`.  Both declare one worker by default: cells
+that share the CPU would time each other.
 
 E17b closes ROADMAP item 2: the E15 chaos matrix was only ever run at
 n=16, leaving open whether the drop=0.5 QoD cliff is a small-n artifact.
@@ -23,32 +31,24 @@ n=16, leaving open whether the drop=0.5 QoD cliff is a small-n artifact.
 (same builder, same cache entries), and ``chaos_scaling_payload``
 locates the cliff — the lowest drop intensity at which
 quality-of-delivery fails — per system size.
-
-Artifacts: ``BENCH_e17_engine_scaling.json`` / ``BENCH_e17b_chaos_scaling.json``
-(written by the ``perf scaling`` / ``perf chaos-scaling`` CLI commands).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import time
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.sweeps import CellResult, SweepResult
 from repro.chaos.soak import chaos_cells, soak_payload
 from repro.core.config import CongosParams
-from repro.exec.progress import Progress
-from repro.exec.tasks import RunSpec, canonical_json, execute_spec
 from repro.harness.experiment import Experiment, Table, columns
 
 __all__ = [
     "E17_BENCH_NAME",
     "E17B_BENCH_NAME",
-    "PRE_PR_BASELINE",
-    "scaling_spec",
-    "run_engine_scaling",
-    "engine_scaling_payload",
+    "ENGINE_SCALING",
+    "SHARDED_SCALING",
+    "path_scaling_payload",
     "CHAOS_SCALING",
     "chaos_scaling_payload",
 ]
@@ -56,158 +56,211 @@ __all__ = [
 E17_BENCH_NAME = "e17_engine_scaling"
 E17B_BENCH_NAME = "e17b_chaos_scaling"
 
-# Wall-clock seconds for scaling_spec(n) measured at commit 29cc6bd (the
-# last commit before the hot-path overhaul), single process, warm
-# interpreter.  These are the "before" numbers every E17 artifact compares
-# against; they are fixed history, not re-measured.
-PRE_PR_BASELINE: Dict[int, float] = {16: 0.226, 64: 11.277, 256: 147.361}
-
-DEFAULT_NS: Tuple[int, ...] = (16, 64, 256)
+ENGINE_NS: Tuple[int, ...] = (16, 64, 256)
+SHARDED_NS: Tuple[int, ...] = (64, 256)
 CHAOS_NS: Tuple[int, ...] = (64, 256)
 
-
-def scaling_spec(
-    n: int, rounds: int = 120, deadline: int = 64, engine: str = "object"
-) -> RunSpec:
-    """The canonical E17 cell: steady workload, lean params, seed 0."""
-    return RunSpec.make(
-        "steady",
-        seed=0,
-        n=n,
-        rounds=rounds,
-        deadline=deadline,
-        rate=1,
-        period=4,
-        params=CongosParams.lean(),
-        engine=engine,
-    )
+# The execution path every ratio and digest comparison is read against.
+REFERENCE_PATH = ("object", "inproc")
+# The parameter preset of the canonical cell.
+PRESET = "lean"
 
 
-def _payload_digest(record) -> str:
-    clean = record.without_profile().to_dict()
-    return hashlib.sha256(canonical_json(clean).encode("utf-8")).hexdigest()
+def _path(cell: Mapping[str, object]) -> Tuple[str, str]:
+    return (str(cell.get("engine", "object")), str(cell.get("backend", "inproc")))
 
 
-def run_engine_scaling(
-    ns: Sequence[int] = DEFAULT_NS,
-    rounds: int = 120,
-    deadline: int = 64,
-    repeats: int = 1,
-    engine: str = "object",
-    progress: Optional[Progress] = None,
-) -> List[Dict[str, object]]:
-    """Time the canonical steady cell at each ``n``, in-process.
+def _scaling_fixed(args: argparse.Namespace) -> Dict[str, object]:
+    """The canonical steady cell both benches hold fixed."""
+    return {
+        "rounds": args.rounds,
+        "deadline": args.deadline,
+        "rate": 1,
+        "period": 4,
+        "params": CongosParams.preset(PRESET),
+    }
 
-    Runs single-process on purpose: E17 measures per-run engine cost, not
-    pool throughput.  ``repeats`` > 1 keeps the best wall time (same
-    spec => identical record, so only timing varies).  ``engine`` selects
-    the round kernel; pass rows from several engines to
-    :func:`engine_scaling_payload` together and it computes the
-    array-vs-object speedup at every shared ``n``.
+
+def path_scaling_payload(
+    sweep: SweepResult, fixed: Mapping[str, object]
+) -> Dict[str, object]:
+    """The E17 / E18 artifact body, one row per cell and seed.
+
+    ``runs`` is deterministic (spec keys, digests, delivery and
+    confidentiality outcomes, the sharded backend's message split and wire
+    bytes); ``timing`` holds everything wall-clock.  ``speedup`` is the
+    reference row's wall time over this row's, ``cached`` marks a row whose
+    wall time is the original run's, read back from the result cache.
     """
-    rows: List[Dict[str, object]] = []
-    for n in ns:
-        spec = scaling_spec(n, rounds=rounds, deadline=deadline, engine=engine)
-        record = None
-        wall = None
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            record = execute_spec(spec)
-            elapsed = time.perf_counter() - start
-            if wall is None or elapsed < wall:
-                wall = elapsed
-        # The pinned pre-overhaul baseline is object-engine history; it is
-        # the "before" column for every engine (for the array engine it is
-        # the headline before-any-optimization speedup).
-        baseline = PRE_PR_BASELINE.get(n)
-        wall = round(wall, 3)
-        rows.append(
+    records = [
+        (_path(cell.cell), run, run.digest())
+        for cell in sweep.cells
+        for run in cell.runs
+    ]
+    reference = {
+        (run.n, run.seed): (run.wall_time, digest)
+        for path, run, digest in records
+        if path == REFERENCE_PATH
+    }
+    runs: List[Dict[str, object]] = []
+    timing: List[Dict[str, object]] = []
+    for path, run, digest in records:
+        engine, backend = path
+        ref_wall, ref_digest = reference.get((run.n, run.seed), (None, None))
+        net = dict(run.net)
+        phase_latency = net.pop("phase_latency_s", None)
+        key = {"n": run.n, "engine": engine, "backend": backend, "seed": run.seed}
+        runs.append(
             {
-                "n": n,
-                "engine": engine,
-                "rounds": rounds,
-                "deadline": deadline,
-                "spec_key": spec.key,
-                "digest": _payload_digest(record),
-                "peak": record.peak,
-                "total": record.total,
-                "qod_satisfied": record.qod_satisfied,
-                "clean": record.clean,
-                "wall_s": wall,
-                "baseline_s": baseline,
-                "speedup": (
-                    round(baseline / wall, 2) if baseline and wall else None
+                **key,
+                "spec_key": run.spec_key,
+                "digest": digest,
+                # Only the object engine promises the reference's bits.
+                "digest_match": (
+                    digest == ref_digest
+                    if ref_digest is not None
+                    and engine == "object"
+                    and path != REFERENCE_PATH
+                    else None
                 ),
+                "peak": run.peak,
+                "total": run.total,
+                "rumors": run.rumors_injected,
+                "qod_satisfied": run.qod_satisfied,
+                "clean": run.clean,
+                **net,
             }
         )
-        if progress is not None:
-            progress.task_done(wall_time=wall)
-    return rows
-
-
-def engine_scaling_payload(rows: Iterable[Mapping[str, object]]) -> Dict[str, object]:
-    """The E17 artifact body.
-
-    ``runs`` (spec keys, digests, delivery/confidentiality outcomes) is
-    deterministic; ``timing`` holds the nondeterministic wall-clock and
-    speedup numbers, mirroring the payload/"profile" split used by the
-    other BENCH artifacts.
-    """
-    rows = list(rows)
-    runs = [
-        {
-            key: row.get(key, "object" if key == "engine" else None)
-            for key in (
-                "n",
-                "engine",
-                "rounds",
-                "deadline",
-                "spec_key",
-                "digest",
-                "peak",
-                "total",
-                "qod_satisfied",
-                "clean",
-            )
-        }
-        for row in rows
-    ]
-    timing = [
-        {
-            "n": row["n"],
-            "engine": row.get("engine", "object"),
-            "wall_s": row["wall_s"],
-            "baseline_s": row["baseline_s"],
-            "speedup": row["speedup"],
-        }
-        for row in rows
-    ]
-    # Array-vs-object speedup at every n both engines covered in THIS
-    # artifact (same machine, same invocation — unlike the pinned
-    # historical baseline above).
-    wall_by_engine: Dict[str, Dict[int, float]] = {}
-    for entry in timing:
-        wall_by_engine.setdefault(entry["engine"], {})[entry["n"]] = entry[
-            "wall_s"
-        ]
-    object_wall = wall_by_engine.get("object", {})
-    array_wall = wall_by_engine.get("array", {})
-    engine_speedup = {
-        str(n): round(object_wall[n] / array_wall[n], 2)
-        for n in sorted(set(object_wall) & set(array_wall))
-        if array_wall[n] > 0
-    }
+        timing.append(
+            {
+                **key,
+                "wall_s": round(run.wall_time, 3),
+                "cached": run.cache_hit,
+                "speedup": (
+                    round(ref_wall / run.wall_time, 4)
+                    if ref_wall is not None and run.wall_time > 0
+                    else None
+                ),
+                "msgs_per_s": (
+                    round(run.total / run.wall_time)
+                    if run.wall_time > 0
+                    else None
+                ),
+                **({"phase_latency_s": phase_latency} if phase_latency else {}),
+            }
+        )
     return {
-        "scenario": "steady",
-        "engines": sorted({entry["engine"] for entry in timing}),
+        "fixed": dict(fixed, params=PRESET),
         "runs": runs,
-        "baseline": {
-            "commit": "29cc6bd",
-            "wall_s": {str(n): PRE_PR_BASELINE[n] for n in sorted(PRE_PR_BASELINE)},
-        },
         "timing": timing,
-        "engine_speedup": engine_speedup,
+        "all_digests_match": all(
+            row["digest_match"] is not False for row in runs
+        ),
+        "all_clean": sweep.all_clean(),
     }
+
+
+def _scaling_verdict(sweep: SweepResult, payload: Dict[str, object]) -> bool:
+    return bool(payload["all_clean"] and payload["all_digests_match"])
+
+
+def _yes(flag: object) -> str:
+    return "yes" if flag else "NO"
+
+
+def _times(ratio: Optional[float]) -> Optional[str]:
+    return None if ratio is None else "{:.3g}x".format(ratio)
+
+
+# One table shape for both benches; "-" where a column does not apply.
+_SCALING_COLUMNS = columns(
+    ("n", "n"),
+    ("engine", "engine"),
+    ("backend", "backend"),
+    ("seed", "seed"),
+    ("wall s", lambda row: "{:.3f}".format(row["wall_s"])),
+    ("vs object-inproc", lambda row: _times(row["speedup"])),
+    ("msgs", "total"),
+    ("cross", lambda row: row.get("cross_fraction")),
+    ("clean", lambda row: _yes(row["clean"])),
+    (
+        "match",
+        lambda row: (
+            None if row["digest_match"] is None else _yes(row["digest_match"])
+        ),
+    ),
+    ("cached", lambda row: "yes" if row["cached"] else "no"),
+    ("digest", lambda row: row["digest"][:12]),
+    rows=lambda payload: [
+        dict(run, **clock)
+        for run, clock in zip(payload["runs"], payload["timing"])
+    ],
+)
+
+
+def _engine_names(args: argparse.Namespace) -> Tuple[str, ...]:
+    return tuple(args.engine or ("object",))
+
+
+def _engine_artifact(args: argparse.Namespace) -> str:
+    # An invocation without the object engine has no reference row to be
+    # read against; it is its own artifact, not a rewrite of the one that
+    # has.
+    if "object" in _engine_names(args):
+        return E17_BENCH_NAME
+    return E17_BENCH_NAME + "_array"
+
+
+# Both ride hand-built parsers (``perf`` / ``net``) next to commands that
+# are not grid experiments.
+ENGINE_SCALING = Experiment(
+    command="perf scaling",
+    help="E17 engine scaling: the steady cell per round kernel and n",
+    bench=_engine_artifact,
+    txt=_engine_artifact,
+    builder="steady",
+    jobs=1,
+    cells=lambda args: [
+        {"n": n, "engine": engine}
+        for engine in _engine_names(args)
+        for n in (args.ns or ENGINE_NS)
+    ],
+    fixed=_scaling_fixed,
+    payload=path_scaling_payload,
+    verdict=_scaling_verdict,
+    tables=(
+        Table(
+            "E17 engine scaling ({rounds} rounds, steady/lean)", _SCALING_COLUMNS
+        ),
+    ),
+)
+
+SHARDED_SCALING = Experiment(
+    command="net bench",
+    help="E18 sharded scaling: the steady cell in-process vs sharded",
+    bench="e18_sharded_scaling",
+    txt="e18_sharded_scaling",
+    builder="steady",
+    jobs=1,
+    cells=lambda args: [
+        cell
+        for n in (args.ns or SHARDED_NS)
+        for cell in (
+            {"n": n},
+            {"n": n, "backend": "sharded", "net": {"workers": args.workers}},
+        )
+    ],
+    fixed=_scaling_fixed,
+    payload=path_scaling_payload,
+    verdict=_scaling_verdict,
+    tables=(
+        Table(
+            "E18 sharded scaling ({rounds} rounds, {workers} workers, "
+            "single host)",
+            _SCALING_COLUMNS,
+        ),
+    ),
+)
 
 
 def _cliff_drop(
@@ -295,10 +348,6 @@ def _print_cliffs(
             print("n={}: QoD cliff at drop={}".format(n, cliff[n]))
         else:
             print("n={}: no cliff on this drop axis".format(n))
-
-
-def _yes(flag: object) -> str:
-    return "yes" if flag else "NO"
 
 
 # Rides the hand-built ``perf`` parser (``perf chaos-scaling``), whose

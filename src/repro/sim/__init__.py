@@ -23,7 +23,6 @@ from repro.sim.metrics import MessageStats, RoundRecord
 from repro.sim.network import DeliveryOutcome, Network
 from repro.sim.process import NodeBehavior, ProcessShell
 from repro.sim.rng import SeedSequence, derive_rng, derive_seed
-from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "AdversaryView",
@@ -47,8 +46,6 @@ __all__ = [
     "SeedSequence",
     "ServiceTags",
     "SimObserver",
-    "TraceEvent",
-    "Tracer",
     "derive_rng",
     "derive_seed",
     "fragment_atom",

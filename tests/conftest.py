@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.gossip.rumor import Rumor, RumorId
+from repro.sim.engine import SimObserver
 from repro.sim.messages import Message, ServiceTags
 
 
@@ -43,3 +44,13 @@ def mk_message(
     return Message(
         src=src, dst=dst, service=service, payload=payload, size=size, channel=channel
     )
+
+
+class DeliveryEdges(SimObserver):
+    """Collects ``(round, src, dst)`` of every delivered message."""
+
+    def __init__(self):
+        self.edges = set()
+
+    def on_deliver(self, round_no: int, message: Message) -> None:
+        self.edges.add((round_no, message.src, message.dst))

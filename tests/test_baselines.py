@@ -12,6 +12,8 @@ from repro.baselines.strongly_confidential import strongly_confidential_factory
 from repro.sim.engine import Engine
 from repro.sim.rng import derive_rng
 
+from conftest import DeliveryEdges
+
 
 def run_baseline(factory_builder, script, n=8, rounds=80, seed=0):
     delivery = DeliveryAuditor()
@@ -79,17 +81,15 @@ class TestStronglyConfidential:
 
     def test_relay_by_destinations(self):
         """Destination members forward rumors (collaboration inside D)."""
-        from repro.sim.trace import Tracer
-
         delivery = DeliveryAuditor()
-        tracer = Tracer(kinds=["deliver"])
+        observer = DeliveryEdges()
         factory = strongly_confidential_factory(
             8, seed=5, deliver_callback=delivery.record_delivery
         )
         workload = ScriptedWorkload([(2, 0, 40, {1, 2, 3, 4, 5})], derive_rng(0))
-        engine = Engine(8, factory, ComposedAdversary([workload]), observers=[tracer])
+        engine = Engine(8, factory, ComposedAdversary([workload]), observers=[observer])
         engine.run(60)
-        senders = {e.detail["src"] for e in tracer.events}
+        senders = {src for _, src, _ in observer.edges}
         assert senders - {0}, "destinations should relay, not just the source"
 
     def test_deadline_flush_guarantees_delivery(self):

@@ -12,6 +12,8 @@ from repro.core.partitions import BitPartitions, RandomPartitions
 from repro.sim.engine import Engine
 from repro.sim.rng import SeedSequence, derive_rng
 
+from conftest import DeliveryEdges
+
 
 def run_script(script, n=8, rounds=260, params=None, seed=0):
     """Run CONGOS with a scripted workload and both auditors attached."""
@@ -183,22 +185,18 @@ class TestDeterminism:
         assert first_engine.stats.series(0, 259) == second_engine.stats.series(0, 259)
 
     def test_different_seeds_use_different_random_targets(self):
-        from repro.sim.trace import Tracer
-
         script = [(64, 0, 64, {3, 5})]
 
         def edges(seed):
-            tracer = Tracer(kinds=["deliver"])
+            observer = DeliveryEdges()
             resolved = CongosParams()
             partitions = build_partition_set(8, resolved, seed)
             factory = congos_factory(8, params=resolved, seed=seed)
             workload = ScriptedWorkload(script, derive_rng(seed, "wl"))
             engine = Engine(
-                8, factory, ComposedAdversary([workload]), observers=[tracer], seed=seed
+                8, factory, ComposedAdversary([workload]), observers=[observer], seed=seed
             )
             engine.run(200)
-            return {
-                (e.round_no, e.detail["src"], e.detail["dst"]) for e in tracer.events
-            }
+            return observer.edges
 
         assert edges(1) != edges(2)

@@ -1,5 +1,6 @@
 """Tests for repro.exec.cache and resume semantics of run_specs."""
 
+import dataclasses
 import json
 
 import pytest
@@ -51,6 +52,20 @@ class TestResultCache:
         assert record.spec_key in cache
         assert cache.get(record.spec_key) == record
         assert cache.hits == 1
+
+    def test_net_section_survives_the_cache_and_old_entries_load(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        sharded = dataclasses.replace(
+            fake_record(), net={"workers": 2, "cross_messages": 5}
+        )
+        cache.put(sharded)
+        assert cache.get(sharded.spec_key).net == sharded.net
+        # An entry written before the field existed has no "net" key.
+        old = fake_record(key="o" * 64)
+        cache.put(old)
+        with open(cache.path_for(old.spec_key), encoding="utf-8") as handle:
+            assert "net" not in json.load(handle)
+        assert cache.get(old.spec_key).net == {}
 
     def test_put_requires_a_key(self, tmp_path):
         cache = ResultCache(str(tmp_path))

@@ -1,5 +1,6 @@
 """Tests for repro.exec.tasks / results: specs, hashing, records."""
 
+import dataclasses
 import os
 import pickle
 
@@ -162,6 +163,52 @@ class TestRunRecord:
         record = execute_spec(spec)
         clone = RunRecord.from_dict(record.to_dict())
         assert clone == record
+
+    def test_net_section_describes_execution_not_simulation(self):
+        cell = dict(
+            seed=0, n=8, rounds=40, deadline=64, params=CongosParams.lean()
+        )
+        inproc = execute_spec(RunSpec.make("steady", **cell))
+        sharded = execute_spec(
+            RunSpec.make("steady", backend="sharded", net={"workers": 2}, **cell)
+        )
+        # Filled by the sharded backend only, absent-when-empty otherwise.
+        assert inproc.net == {} and "net" not in inproc.to_dict()
+        net = sharded.net
+        assert net["workers"] == 2
+        assert net["local_messages"] + net["cross_messages"] == sharded.total
+        assert set(net["worker_pairs"]) == {"0->1", "1->0"}
+        assert set(net["phase_latency_s"]) == {"route", "ship", "barrier", "merge"}
+        assert 0.0 <= net["group_locality"] <= 1.0
+        assert RunRecord.from_dict(sharded.to_dict()) == sharded
+        # How a run was executed is profile, not payload.
+        assert sharded.without_profile().net == {}
+        assert "net" not in sharded.without_profile().to_dict()
+        assert sharded.spec_key != inproc.spec_key
+        assert sharded.digest() == inproc.digest()
+
+    def test_array_run_has_no_net_section(self):
+        pytest.importorskip("numpy")
+        record = execute_spec(
+            RunSpec.make(
+                "steady", seed=0, n=8, rounds=40, deadline=64,
+                params=CongosParams.lean(), engine="array",
+            )
+        )
+        assert record.net == {} and "net" not in record.to_dict()
+
+    def test_digest_is_of_the_payload_alone(self):
+        record = RunRecord(
+            scenario="x", n=4, rounds=10, seed=0, peak=1, total=1,
+            total_size=1, mean_per_round=0.1, filtered=0,
+        )
+        assert len(record.digest()) == 64
+        stamped = dataclasses.replace(
+            record, spec_key="k" * 64, wall_time=1.5, worker_pid=7,
+            cache_hit=True, net={"workers": 2},
+        )
+        assert stamped.digest() == record.digest()
+        assert dataclasses.replace(record, total=2).digest() != record.digest()
 
     def test_fallback_accounting(self):
         record = RunRecord(

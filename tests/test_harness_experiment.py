@@ -7,6 +7,7 @@ or removed" a checked property of the parser rather than a promise.
 """
 
 import dataclasses
+import importlib.util
 import json
 
 import pytest
@@ -15,12 +16,21 @@ from repro.analysis import sweeps
 from repro.audit.failfast import InvariantViolation
 from repro.harness import experiment as runner
 from repro.harness.cli import EXPERIMENTS, PROFILE_SWEEP, build_parser, main
+from repro.perf import ENGINE_SCALING, SHARDED_SCALING
 
 # Timing and cache accounting: what an artifact comparison drops
-# ("speedup" is profile-sweep's own wall-clock ratio).
+# ("speedup" is profile-sweep's own wall-clock ratio, "timing" the
+# scaling benches' per-row wall-clock section).
 TIMING = (
     "created", "profile", "elapsed_seconds", "executed_tasks", "cached_tasks",
-    "speedup",
+    "speedup", "timing",
+)
+# Experiments whose table is wall-clock and cache hits.
+WALL_CLOCK_TABLE = (PROFILE_SWEEP, ENGINE_SCALING, SHARDED_SCALING)
+# The array engine needs numpy (the repro[fast] extra); without it the
+# E17 case is object-only.
+ENGINES = (
+    ["object", "array"] if importlib.util.find_spec("numpy") else ["object"]
 )
 
 TOY = {
@@ -41,6 +51,8 @@ TOY = {
     "perf chaos-scaling": [
         "--ns", "8", "12", "--drop", "0.0", "--delay", "0.1", "--rounds", "40",
     ],
+    "perf scaling": ["--ns", "8", "12", "--engine", *ENGINES, "--rounds", "40"],
+    "net bench": ["--ns", "8", "--rounds", "40", "--workers", "2"],
 }
 CELLS = {
     "sweep": 1,
@@ -50,6 +62,8 @@ CELLS = {
     "targeted-soak": 2,
     "load-soak": 1,
     "perf chaos-scaling": 2,
+    "perf scaling": 2 * len(ENGINES),
+    "net bench": 2,
 }
 
 every_experiment = pytest.mark.parametrize(
@@ -110,7 +124,7 @@ def test_cli_smoke(exp, tmp_path, capsys):
     assert resumed["executed_tasks"] == 0
     assert resumed["cached_tasks"] == CELLS[exp.command]
     assert deterministic(resumed) == deterministic(document)
-    if exp is not PROFILE_SWEEP:  # its table is wall-clock and cache hits
+    if exp not in WALL_CLOCK_TABLE:
         assert resumed_txt == txt
 
     # ...and --json prints the sidecar's payload instead of the table.
@@ -137,7 +151,7 @@ def test_bench_sidecar_deterministic(exp, tmp_path, capsys):
     capsys.readouterr()
     (first, first_txt), (second, second_txt) = runs
     assert deterministic(first) == deterministic(second)
-    if exp is not PROFILE_SWEEP:
+    if exp not in WALL_CLOCK_TABLE:
         assert first_txt == second_txt
 
 
@@ -180,6 +194,26 @@ class TestExits:
 
         monkeypatch.setattr(runner, "sweep_congos", leaky)
         assert main(argv(exp)) == 1
+
+
+def test_sharded_digest_mismatch_exits_1(monkeypatch, capsys):
+    """E18's verdict: a sharded record that is not the in-process record."""
+
+    def diverged(*args, **kwargs):
+        sweep = sweeps.sweep_congos(*args, **kwargs)
+        for cell in sweep.cells:
+            if cell.cell.get("backend") == "sharded":
+                cell.runs = [
+                    dataclasses.replace(run, total=run.total + 1)
+                    for run in cell.runs
+                ]
+        return sweep
+
+    monkeypatch.setattr(runner, "sweep_congos", diverged)
+    assert main(argv(SHARDED_SCALING, "--json")) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["all_clean"] and not payload["all_digests_match"]
+    assert [run["digest_match"] for run in payload["runs"]] == [None, False]
 
 
 # Option strings (and positionals) per subcommand.  A change here is a
@@ -225,10 +259,9 @@ FLAG_SURFACE = {
         "suite", "--case", "--repeats", "--warmup", "--profile", "--ns",
         "--rounds", "--deadline", "--engine", "--drop", "--delay",
     },
-    "net": {
+    "net": SHARED | {
         "suite", "--scenario", "-n", "--rounds", "--seed", "--deadline",
-        "--tau", "--lean", "--workers", "--ns", "--out",
-        "--json",
+        "--tau", "--lean", "--workers", "--ns",
     },
     "scenarios": set(),
     "partitions": {"-n", "--tau", "--seed"},

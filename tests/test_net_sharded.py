@@ -318,6 +318,33 @@ def test_killed_worker_is_reported_by_name():
     assert multiprocessing.active_children() == []
 
 
+def _exit_before_hello(config):
+    import os
+
+    os._exit(3)
+
+
+def test_worker_dead_before_hello_is_reported_promptly(monkeypatch):
+    """A worker that dies before connecting (its ``__main__`` cannot be
+    re-imported under spawn, say) must not cost the whole transport
+    timeout: the coordinator names it and its exit code within seconds."""
+    import multiprocessing
+    import time
+
+    from repro.net import coordinator
+
+    monkeypatch.setattr(coordinator, "worker_main", _exit_before_hello)
+    scenario = get_builder("steady")(
+        n=16, rounds=8, seed=0, deadline=64, params=CongosParams.lean()
+    )
+    started = time.perf_counter()
+    with pytest.raises(coordinator.WorkerLost) as excinfo:
+        run_scenario(scenario, backend="sharded", net={"workers": 2})
+    assert time.perf_counter() - started < 5.0
+    assert "exit code 3" in str(excinfo.value)
+    assert multiprocessing.active_children() == []
+
+
 def test_worker_survives_reporting_to_a_closed_coordinator(monkeypatch, capsys):
     """A worker whose coordinator is already gone cannot deliver its error
     frame; it must exit with one stderr line, not a chained traceback."""

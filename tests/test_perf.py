@@ -6,20 +6,18 @@ import json
 
 import pytest
 
-from repro.harness.cli import main
+from repro.harness.cli import build_parser, main
+from repro.analysis.sweeps import sweep_specs
 from repro.perf import (
-    PRE_PR_BASELINE,
+    ENGINE_SCALING,
     PerfCase,
     all_cases,
     case_keys,
-    engine_scaling_payload,
     get_case,
     profile_case,
     register_case,
     run_case,
-    run_engine_scaling,
     run_suite,
-    scaling_spec,
     suite_payload,
 )
 from repro.perf.cases import _REGISTRY
@@ -108,27 +106,18 @@ class TestBench:
 
 class TestScaling:
     def test_scaling_spec_is_stable(self):
-        assert scaling_spec(16).key == scaling_spec(16).key
-        assert scaling_spec(16).key != scaling_spec(32).key
-
-    def test_run_engine_scaling_digests_and_speedups(self):
-        rows = run_engine_scaling(ns=(16,), rounds=24, repeats=1)
-        (row,) = rows
-        assert row["n"] == 16
-        assert len(row["digest"]) == 64
-        assert row["wall_s"] > 0
-        assert row["baseline_s"] == PRE_PR_BASELINE[16]
-        assert row["speedup"] == round(PRE_PR_BASELINE[16] / row["wall_s"], 2)
-        # Same spec twice => identical deterministic payload digest.
-        again = run_engine_scaling(ns=(16,), rounds=24, repeats=1)
-        assert again[0]["digest"] == row["digest"]
-
-    def test_engine_scaling_payload_splits_timing(self):
-        rows = run_engine_scaling(ns=(16,), rounds=24, repeats=1)
-        payload = engine_scaling_payload(rows)
-        assert payload["baseline"]["commit"] == "29cc6bd"
-        assert "wall_s" not in payload["runs"][0]
-        assert payload["timing"][0]["n"] == 16
+        """The declared E17 cell is the spec the committed sidecar holds."""
+        args = build_parser().parse_args(["perf", "scaling", "--ns", "16", "32"])
+        (_, (spec16,)), (_, (spec32,)) = sweep_specs(
+            ENGINE_SCALING.builder,
+            ENGINE_SCALING.cells(args),
+            seeds=[0],
+            **ENGINE_SCALING.fixed(args),
+        )
+        assert spec16.key == (
+            "5880e2aded1cbdfa4acccd5e6cb59dc875a1de548cde5b8d433921a4518bff04"
+        )
+        assert spec32.key != spec16.key
 
     def test_cliff_drop_finds_first_failure(self):
         cells = [
@@ -199,8 +188,8 @@ class TestPerfCli:
                     "16",
                     "--rounds",
                     "24",
-                    "--repeats",
-                    "1",
+                    "--seeds",
+                    "2",
                     "--out",
                     str(tmp_path),
                     "--json",
@@ -213,7 +202,18 @@ class TestPerfCli:
         body = json.loads(artifact.read_text())
         assert body["name"] == "e17_engine_scaling"
         printed = json.loads(capsys.readouterr().out)
-        assert printed["runs"][0]["n"] == 16
+        assert [(run["n"], run["seed"]) for run in printed["runs"]] == [
+            (16, 0),
+            (16, 1),
+        ]
+        assert all(len(run["digest"]) == 64 for run in printed["runs"])
+        # Wall-clock lives in its own section, read against the reference
+        # row — here each row is its own.
+        assert "wall_s" not in printed["runs"][0]
+        assert [row["speedup"] for row in printed["timing"]] == [1.0, 1.0]
+        assert all(row["wall_s"] > 0 for row in printed["timing"])
+        # --jobs was not given: the declaration's one worker ran it here.
+        assert body["profile"]["workers"] == 1
 
     def test_chaos_scaling_smoke(self, tmp_path, capsys):
         assert (
