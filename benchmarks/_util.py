@@ -62,4 +62,4 @@ def run_once(benchmark, fn: Callable[[], object]):
 def lean_params(**overrides):
     from repro.core.config import CongosParams
 
-    return CongosParams.lean(**overrides)
+    return CongosParams.preset("lean", **overrides)

@@ -16,7 +16,6 @@ from repro.adversary.collusion import (
 from repro.adversary.injection import (
     BurstWorkload,
     InjectionWorkload,
-    PoissonWorkload,
     ScriptedWorkload,
     SteadyWorkload,
     Theorem1Workload,
@@ -43,7 +42,6 @@ __all__ = [
     "InjectionWorkload",
     "IsolatorAdversary",
     "NullAdversary",
-    "PoissonWorkload",
     "ProxyKillerAdversary",
     "ScriptedFaults",
     "ScriptedWorkload",

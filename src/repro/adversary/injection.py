@@ -2,8 +2,9 @@
 
 Each workload is an injection-only :class:`~repro.adversary.base.Adversary`
 that fabricates :class:`~repro.gossip.rumor.Rumor` objects round by round.
-Besides generic steady/Poisson/burst traffic, this module builds the exact
-adversarial layouts of the lower-bound proofs:
+Besides generic steady/burst traffic (open-workload Poisson arrivals live
+in :mod:`repro.load`), this module builds the exact adversarial layouts of
+the lower-bound proofs:
 
 * :class:`Theorem1Workload` — every process injects one rumor in the same
   round; each process joins each destination set independently with
@@ -25,7 +26,6 @@ __all__ = [
     "InjectionWorkload",
     "ScriptedWorkload",
     "SteadyWorkload",
-    "PoissonWorkload",
     "BurstWorkload",
     "GroupTrafficWorkload",
     "Theorem1Workload",
@@ -161,49 +161,6 @@ class SteadyWorkload(InjectionWorkload):
             )
             if self.include_source:
                 dest.add(src)
-            if not dest:
-                continue
-            deadline = self.rng.choice(self.deadlines)
-            rumor = self.make_rumor(src, round_no, deadline, dest)
-            decision.injections.append((src, rumor))
-        return decision
-
-
-class PoissonWorkload(InjectionWorkload):
-    """Each alive process independently injects with probability ``p``."""
-
-    def __init__(
-        self,
-        n: int,
-        rng: random.Random,
-        probability: float,
-        dest_size: int = 4,
-        deadlines: Sequence[int] = (128,),
-        start_round: int = 0,
-        stop_round: Optional[int] = None,
-        payload_size: int = 16,
-    ):
-        super().__init__(rng, payload_size)
-        if not 0 <= probability <= 1:
-            raise ValueError("probability must be in [0, 1]")
-        self.n = n
-        self.probability = probability
-        self.dest_size = dest_size
-        self.deadlines = list(deadlines)
-        self.start_round = start_round
-        self.stop_round = stop_round
-
-    def round_start(self, view: AdversaryView) -> RoundDecision:
-        decision = RoundDecision()
-        round_no = view.round
-        if round_no < self.start_round:
-            return decision
-        if self.stop_round is not None and round_no >= self.stop_round:
-            return decision
-        for src in sorted(view.alive_pids()):
-            if self.rng.random() >= self.probability:
-                continue
-            dest = self.random_destinations(self.n, self.dest_size, exclude=(src,))
             if not dest:
                 continue
             deadline = self.rng.choice(self.deadlines)

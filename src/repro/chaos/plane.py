@@ -179,10 +179,10 @@ class ChaosFaultPlane(FaultPlane):
         # so it has no stage and is tracked in ``counts`` only).
         self.stage_counts: Dict[str, Dict[str, int]] = {}
         self.events: List[FaultEvent] = []
-        # deliver_round -> copies matured that round, in queue order.
-        # Index mode stores bare messages; keyed mode stores
-        # (admit_round, message) so release order can be tagged.
-        self._pending: Dict[int, List[Any]] = {}
+        # deliver_round -> copies maturing that round, in queue order
+        # (admit round, then admit order).  The sharded worker tags each
+        # queued copy with its own (admit_round, src, seq) order key.
+        self._pending: Dict[int, List[Message]] = {}
         self._round_rng = None  # set by begin_round
         self._severed: Optional[frozenset] = None
         self._pair_counts: Dict[Tuple[int, int], int] = {}
@@ -261,36 +261,20 @@ class ChaosFaultPlane(FaultPlane):
             self._record(round_no, DROP, message)
             return DROP
         if fate == DELAY:
-            self._queue(round_no, round_no + hold, message)
+            self._queue(round_no + hold, message)
             self._record(round_no, DELAY, message, detail=hold)
             return DELAY
         if fate == DUPLICATE:
-            self._queue(round_no, round_no + hold, message)
+            self._queue(round_no + hold, message)
             self._record(round_no, DUPLICATE, message, detail=hold)
             return DUPLICATE
         return DELIVER
 
-    def _queue(
-        self, admit_round: int, deliver_round: int, message: Message
-    ) -> None:
-        copy = (admit_round, message) if self.message_keyed else message
-        self._pending.setdefault(deliver_round, []).append(copy)
+    def _queue(self, deliver_round: int, message: Message) -> None:
+        self._pending.setdefault(deliver_round, []).append(message)
 
     def release(self, round_no: int) -> List[Message]:
         """Messages queued in earlier rounds that mature now."""
-        matured = self._pending.pop(round_no, [])
-        if self.message_keyed:
-            return [message for _, message in matured]
-        return matured
-
-    def release_tagged(self, round_no: int) -> List[Tuple[int, Message]]:
-        """Keyed mode only: matured copies as (admit_round, message).
-
-        The sharded worker uses the admit round to reconstruct the
-        global delivered order the coordinator feeds its auditors.
-        """
-        if not self.message_keyed:
-            raise RuntimeError("release_tagged requires message_keyed mode")
         return self._pending.pop(round_no, [])
 
     def record_late_loss(self, round_no: int, message: Message) -> None:

@@ -489,13 +489,8 @@ class TargetedFaultPlane(ChaosFaultPlane):
         self.policy.begin_round(round_no)
         self.ledger.begin_round(round_no)
 
-    def admit(self, round_no: int, message: Message) -> str:
-        severed = self._severed
-        if severed is not None and (
-            (message.src in severed) != (message.dst in severed)
-        ):
-            self._record(round_no, "sever", message)
-            return "sever"
+    def _schedule_admit(self, round_no: int, message: Message) -> str:
+        # The base admit has already applied the partition cut.
         fate = self._targeted_admit(round_no, message)
         if fate is not None:
             return fate
@@ -504,7 +499,7 @@ class TargetedFaultPlane(ChaosFaultPlane):
         # consulted the plane at all).
         if self._oblivious_null or not self.spec.active_in(round_no):
             return DELIVER
-        return self._schedule_admit(round_no, message)
+        return super()._schedule_admit(round_no, message)
 
     def _targeted_admit(self, round_no: int, message: Message) -> Optional[str]:
         if not self.targeted.active_in(round_no):
@@ -550,7 +545,7 @@ class TargetedFaultPlane(ChaosFaultPlane):
             copy,
         )
         hold = rng.randint(1, self.targeted.hold)
-        self._queue(round_no, round_no + hold, message)
+        self._queue(round_no + hold, message)
         self._count_targeted(DELAY)
         self._record(
             round_no,
@@ -594,7 +589,6 @@ class TargetedFaultPlane(ChaosFaultPlane):
                 self.targeted_counts.get(kind, 0) + count
             )
         self.ledger.merge(data["budget"])  # type: ignore[arg-type]
-
 
 
 def build_fault_plane(

@@ -3,10 +3,11 @@
 The paper's analysis fixes large constants (the ``48`` in the fanout
 exponent, deadline caps of ``c log^6 n``) so that union bounds hold for
 astronomically large ``n``.  A faithful *executable* reproduction keeps
-every such constant as a parameter: :meth:`CongosParams.paper_defaults`
+every such constant as a parameter: ``CongosParams.preset("paper")``
 records the literal values from the paper, while the plain constructor
 defaults are calibrated for simulation at ``n <= 512`` so that the *shape*
-of the complexity claims is measurable (see DESIGN.md, Section 2).
+of the complexity claims is measurable (see DESIGN.md, Section 2).  Every
+named parameter set is built by :meth:`CongosParams.preset`.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ class CongosParams:
         ``tau >= factor * n / log^2 n``: the paper's constant (1) makes
         every tau >= 2 direct below n ~ 128, which is the regime all
         simulations live in; any constant preserves the asymptotics, and
-        :meth:`paper_defaults` restores the literal 1.
+        the ``"paper"`` preset restores the literal 1.
         """
         if self.tau == 1:
             return False
@@ -296,16 +297,6 @@ class CongosParams:
             ) from None
         fields.update(overrides)
         return cls(**fields)  # type: ignore[arg-type]
-
-    @classmethod
-    def paper_defaults(cls, **overrides: object) -> "CongosParams":
-        """Deprecated alias for ``preset("paper", **overrides)``."""
-        return cls.preset("paper", **overrides)
-
-    @classmethod
-    def lean(cls, **overrides: object) -> "CongosParams":
-        """Deprecated alias for ``preset("lean", **overrides)``."""
-        return cls.preset("lean", **overrides)
 
     def hardened(self, **overrides: object) -> "CongosParams":
         """This parameter set with the graceful-degradation knobs on.

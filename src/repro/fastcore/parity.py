@@ -214,7 +214,7 @@ def default_parity_cells(seeds: Tuple[int, ...] = (0,)) -> List[object]:
                     rate=1,
                     period=4,
                     dest_size=4,
-                    params=CongosParams.lean(),
+                    params=CongosParams.preset("lean"),
                     name="e6-parity-n{}-s{}".format(n, seed),
                 )
             )

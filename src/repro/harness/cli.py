@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--deadline", type=int, default=128)
     trace.add_argument("--tau", type=int, default=1)
     trace.add_argument(
-        "--lean", action="store_true", help="use CongosParams.lean()"
+        "--lean", action="store_true", help='use the "lean" parameter preset'
     )
     trace.add_argument(
         "--out",
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument("--deadline", type=int, default=64)
     net.add_argument("--tau", type=int, default=1)
     net.add_argument(
-        "--lean", action="store_true", help="use CongosParams.lean()"
+        "--lean", action="store_true", help='use the "lean" parameter preset'
     )
     net.add_argument(
         "--workers", type=int, default=2, help="worker process count"
@@ -406,7 +406,7 @@ def _registry_from_records(records) -> MetricsRegistry:
 
 def _params(args: argparse.Namespace) -> CongosParams:
     if args.lean:
-        return CongosParams.lean(tau=args.tau)
+        return CongosParams.preset("lean", tau=args.tau)
     if args.tau > 1:
         return CongosParams(tau=args.tau)
     return CongosParams()
@@ -438,7 +438,7 @@ def _grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rounds", type=int, default=400)
     parser.add_argument("--tau", type=int, default=1)
     parser.add_argument(
-        "--lean", action="store_true", help="use CongosParams.lean()"
+        "--lean", action="store_true", help='use the "lean" parameter preset'
     )
 
 

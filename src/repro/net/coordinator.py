@@ -463,11 +463,7 @@ class ShardEngine(RoundEngine):
                 worker,
                 encode_frame(
                     "deliver",
-                    {
-                        "round": round_no,
-                        "mid_crashes": [],
-                        "batches": batches_for[worker],
-                    },
+                    {"round": round_no, "batches": batches_for[worker]},
                 ),
             )
         self._mark_phase("ship")

@@ -3,8 +3,9 @@
 A worker hosts the :class:`~repro.sim.process.ProcessShell`\\ s of the
 pids it owns and replays, for that subset, exactly what
 :class:`~repro.sim.engine.Engine` would do — same phase order, same
-pid-ascending iteration, same crash-loss and chaos semantics — driven by
-lockstep frames from the coordinator:
+pid-ascending iteration, and the engine's own delivery step
+(:meth:`repro.sim.network.Network.route` over the message-keyed chaos
+plane) — driven by lockstep frames from the coordinator:
 
 ``round``   crashes/restarts/injections for this round; the worker runs
             its send phase and answers ``sent`` with aggregate counts
@@ -15,10 +16,13 @@ lockstep frames from the coordinator:
             worker it came from; the worker merges them with its local
             traffic **in global send order**
             (every message is tagged ``(src, seq)`` where ``seq`` is the
-            sender's emission index), routes with the message-keyed
-            chaos plane, runs its receive phase, and answers ``events``
-            with the delivered stream (order keys included) and delivery
-            records.  Delivery records carry a sha256 of the rumor
+            sender's emission index), routes them through its
+            ``Network``, runs its receive phase, and answers ``events``
+            with the delivered stream and delivery records.  Each
+            delivered message carries an order key: ``(FRESH, src,
+            seq)``, or ``(MATURED, admit_round, src, seq)`` for a chaos
+            copy, whose admit round the worker records when the plane
+            queues it.  Delivery records carry a sha256 of the rumor
             bytes, never the bytes themselves.
 ``stop``    answers ``final`` (chaos counts plus always-on wait/queue
             instrumentation) and exits.
@@ -70,6 +74,7 @@ from repro.net.transport import TransportClosed, get_transport
 from repro.obs.instrument import Telemetry
 from repro.obs.sink import SequenceSink
 from repro.sim.messages import Message
+from repro.sim.network import Network
 from repro.sim.process import ProcessShell
 
 __all__ = ["ShardWorker", "worker_main"]
@@ -155,6 +160,9 @@ class ShardWorker:
             keep_events=False,
             message_keyed=True,
         )
+        # The in-process engine's delivery step, over the pids this worker
+        # hosts: crash loss, the plane's fates, matured copies, shuffles.
+        self.network = Network(self.n, fault_plane=self.plane)
         # One session per stream end: cross batches out to / in from each
         # peer worker, and the delivered stream out to the coordinator.
         peers = sorted(set(self.owner) - {self.wid})
@@ -163,8 +171,9 @@ class ShardWorker:
         self._to_coordinator = WireSession()
         # Round-local state between the round and deliver frames.
         self._local: List[Tuple[Tuple[int, ...], Message]] = []
-        # id(queued message) -> (src, seq), for tagging matured copies.
-        self._queued_keys: Dict[int, Tuple[int, int]] = {}
+        # id(queued message) -> (admit_round, src, seq), for tagging
+        # matured copies.
+        self._queued_keys: Dict[int, Tuple[int, ...]] = {}
 
     # -- frame handlers --------------------------------------------------
 
@@ -228,16 +237,11 @@ class ShardWorker:
 
     def handle_deliver(self, body: Dict[str, object]) -> Dict[str, object]:
         round_no: int = body["round"]  # type: ignore[assignment]
-        for pid in body["mid_crashes"]:  # type: ignore[union-attr]
-            if pid in self.shells:
-                self.shells[pid].crash()
-            self.alive.discard(pid)
-
         entries = list(self._local)
         self._local = []
         # Keep the decoded batches alive until the frame is built: the
-        # auditor-side id(payload) cache pins by identity, and matured
-        # chaos copies are keyed by id() below.
+        # auditor-side id(payload) cache pins by identity, and order keys
+        # are looked up by id() below.
         for source, blob in body["batches"]:  # type: ignore[union-attr]
             entries.extend(self._from_worker[source].decode(blob))
         entries.sort(key=lambda entry: entry[0])
@@ -248,44 +252,32 @@ class ShardWorker:
         if depth > self.queue_peak:
             self.queue_peak = depth
 
-        plane = self.plane
-        chaos = plane is not None and plane.active_in(round_no)
-        if chaos:
-            plane.begin_round(round_no)
-        alive = self.alive
-        inboxes: Dict[int, List[Message]] = {}
+        outcome = self.network.route(
+            round_no,
+            [message for _, message in entries],
+            alive_after_round=self.alive,
+            boundary_pids=set(),
+        )
+        # Order keys: a fresh message is tagged by its (src, seq); a copy
+        # the plane queued is tagged (admit_round, src, seq) when queued
+        # and carries that tag when it matures.
+        fresh = {id(message): key for key, message in entries}
+        queued = self._queued_keys
+        for message in outcome.delayed + outcome.duplicated:
+            queued[id(message)] = (round_no,) + fresh[id(message)]
         delivered: List[Tuple[Tuple[int, ...], Message]] = []
-        lost_to_crash = 0
-        lost_to_fault = 0
-        for key, message in entries:
-            dst = message.dst
-            if dst not in alive:
-                lost_to_crash += 1
-                continue
-            if chaos:
-                fate = plane.admit(round_no, message)
-                if fate == "drop" or fate == "sever":
-                    lost_to_fault += 1
-                    continue
-                if fate == "delay":
-                    self._queued_keys[id(message)] = key
-                    continue
-                if fate == "duplicate":
-                    self._queued_keys[id(message)] = key
-            inboxes.setdefault(dst, []).append(message)
-            delivered.append(((FRESH,) + key, message))
-        if plane is not None and plane.has_pending():
-            for admit_round, message in plane.release_tagged(round_no):
-                src, seq = self._queued_keys.pop(id(message))
-                if message.dst not in alive:
-                    lost_to_crash += 1
-                    plane.record_late_loss(round_no, message)
-                    continue
-                inboxes.setdefault(message.dst, []).append(message)
-                delivered.append(((MATURED, admit_round, src, seq), message))
-        if chaos:
-            plane.shuffle_inboxes(round_no, inboxes)
+        for message in outcome.delivered:
+            key = fresh.get(id(message))
+            if key is not None:
+                delivered.append(((FRESH,) + key, message))
+            else:
+                delivered.append(((MATURED,) + queued.pop(id(message)), message))
+        if queued and not self.plane.has_pending():
+            # Nothing left in flight: the remaining tags are of copies
+            # lost late to a crashed recipient.
+            queued.clear()
 
+        inboxes = outcome.inboxes
         empty: List[Message] = []
         for pid in self.my_pids:
             shell = self.shells[pid]
@@ -299,8 +291,6 @@ class ShardWorker:
             "round": round_no,
             "delivered": self._to_coordinator.encode(delivered, round_no),
             "deliveries": deliveries,
-            "lost_to_crash": lost_to_crash,
-            "lost_to_fault": lost_to_fault,
         }
 
     def handle_stop(self) -> Dict[str, object]:

@@ -360,7 +360,7 @@ def _setup_e6_steady_small() -> Operation:
         deadline=64,
         rate=1,
         period=4,
-        params=CongosParams.lean(),
+        params=CongosParams.preset("lean"),
     )
 
     def op() -> object:

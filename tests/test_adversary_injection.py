@@ -7,7 +7,6 @@ import pytest
 from repro.adversary.injection import (
     BurstWorkload,
     GroupTrafficWorkload,
-    PoissonWorkload,
     ScriptedWorkload,
     SteadyWorkload,
     Theorem1Workload,
@@ -115,22 +114,6 @@ class TestSteadyWorkload:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             SteadyWorkload(4, random.Random(0), rate=-1)
-
-
-class TestPoissonWorkload:
-    def test_zero_probability_never_fires(self):
-        workload = PoissonWorkload(8, random.Random(0), probability=0.0)
-        for round_no in range(10):
-            assert not workload.round_start(make_view(round_no=round_no)).injections
-
-    def test_unit_probability_everyone_fires(self):
-        workload = PoissonWorkload(8, random.Random(0), probability=1.0)
-        decision = workload.round_start(make_view())
-        assert len(decision.injections) == 8
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            PoissonWorkload(8, random.Random(0), probability=1.5)
 
 
 class TestBurstWorkload:

@@ -30,7 +30,7 @@ def small_sweep():
         grid(n=[8], deadline=[64]),
         seeds=(0, 1),
         rounds=260,
-        params=CongosParams.lean(),
+        params=CongosParams.preset("lean"),
     )
 
 
@@ -78,7 +78,7 @@ class TestMultiCell:
             seeds=(0,),
             rounds=260,
             deadline=64,
-            params=CongosParams.lean(),
+            params=CongosParams.preset("lean"),
         )
         assert len(result.cells) == 2
         peaks = [cell.peak_summary().mean for cell in result.cells]
@@ -144,7 +144,7 @@ class TestParallelSweep:
             resume=resume,
             progress=progress,
             rounds=260,
-            params=CongosParams.lean(),
+            params=CongosParams.preset("lean"),
         )
 
     def test_jobs4_bit_identical_to_serial(self):
@@ -171,7 +171,7 @@ class TestParallelSweep:
             cache=cache,
             progress=first,
             rounds=260,
-            params=CongosParams.lean(),
+            params=CongosParams.preset("lean"),
         )
         assert first.executed == 2
 

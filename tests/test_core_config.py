@@ -100,19 +100,19 @@ class TestCollusionDirect:
         assert not relaxed.collusion_forces_direct(24)
 
     def test_paper_defaults_use_literal_constants(self):
-        params = CongosParams.paper_defaults()
+        params = CongosParams.preset("paper")
         assert params.fanout_exponent_constant == 48.0
         assert params.collusion_direct_factor == 1.0
 
 
 class TestPresets:
     def test_paper_defaults_overridable(self):
-        params = CongosParams.paper_defaults(tau=2)
+        params = CongosParams.preset("paper", tau=2)
         assert params.tau == 2
         assert params.fanout_exponent_constant == 48.0
 
     def test_lean_is_cheaper(self):
-        lean = CongosParams.lean()
+        lean = CongosParams.preset("lean")
         default = CongosParams()
         assert lean.service_fanout(64, 64, 8) <= default.service_fanout(64, 64, 8)
 
@@ -141,9 +141,11 @@ class TestPresetRegistry:
             CongosParams.preset("turbo")
 
     def test_aliases_match_registry(self):
-        assert CongosParams.paper_defaults() == CongosParams.preset("paper")
-        assert CongosParams.lean() == CongosParams.preset("lean")
+        # hardened() folds the preset onto an instance; "paper" and
+        # "lean" are reached through preset() only.
         assert CongosParams().hardened() == CongosParams.preset("hardened")
+        assert not hasattr(CongosParams, "paper_defaults")
+        assert not hasattr(CongosParams, "lean")
 
     def test_overrides_win(self):
         params = CongosParams.preset("hardened", direct_send_retries=5, tau=2)

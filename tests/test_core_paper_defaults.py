@@ -15,7 +15,7 @@ from repro.harness.scenarios import steady_scenario
 
 class TestPaperDefaults:
     def test_correctness_survives_saturated_fanouts(self):
-        params = CongosParams.paper_defaults()
+        params = CongosParams.preset("paper")
         result = run_congos_scenario(
             steady_scenario(
                 n=8, rounds=260, seed=0, deadline=64, rate=1, period=16, params=params
@@ -25,13 +25,13 @@ class TestPaperDefaults:
         assert result.confidentiality.is_clean()
 
     def test_fanout_formula_saturates(self):
-        params = CongosParams.paper_defaults()
+        params = CongosParams.preset("paper")
         # At n=8, dline=64: n^(1+48/8) = 8^7 — astronomically above any
         # pool size, so every sampled pool is taken whole.
         assert params.service_fanout(8, 64, collaborators=4) > 10 ** 5
 
     def test_collusion_mode_forces_direct_at_small_n(self):
-        params = CongosParams.paper_defaults(tau=2)
+        params = CongosParams.preset("paper", tau=2)
         assert params.collusion_forces_direct(16)
         result = run_congos_scenario(
             steady_scenario(
@@ -42,7 +42,7 @@ class TestPaperDefaults:
         assert set(result.qod.path_counts()) <= {"direct", "local"}
 
     def test_deadline_cap_is_log_sixth_power(self):
-        params = CongosParams.paper_defaults()
+        params = CongosParams.preset("paper")
         assert params.effective_deadline_cap(64) == int(6.0 ** 6)
 
     def test_messages_explode_relative_to_lean(self):
@@ -55,7 +55,7 @@ class TestPaperDefaults:
                 deadline=64,
                 rate=1,
                 period=32,
-                params=CongosParams.paper_defaults(),
+                params=CongosParams.preset("paper"),
             )
         )
         lean = run_congos_scenario(
@@ -66,7 +66,7 @@ class TestPaperDefaults:
                 deadline=64,
                 rate=1,
                 period=32,
-                params=CongosParams.lean(),
+                params=CongosParams.preset("lean"),
             )
         )
         assert paper.stats.total > lean.stats.total

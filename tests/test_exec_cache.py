@@ -19,7 +19,7 @@ def make_spec(seed=0, n=8):
         n=n,
         rounds=200,
         deadline=64,
-        params=CongosParams.lean(),
+        params=CongosParams.preset("lean"),
     )
 
 

@@ -203,7 +203,7 @@ class TestRunSpecsParity:
                 n=8,
                 rounds=200,
                 deadline=64,
-                params=CongosParams.lean(),
+                params=CongosParams.preset("lean"),
             )
             for seed in (0, 1)
         ]

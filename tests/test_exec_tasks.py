@@ -46,7 +46,7 @@ class TestRunSpecKey:
     def test_params_change_key(self):
         a = RunSpec.make("steady", seed=0, n=8, rounds=200)
         b = RunSpec.make(
-            "steady", seed=0, n=8, rounds=200, params=CongosParams.lean()
+            "steady", seed=0, n=8, rounds=200, params=CongosParams.preset("lean")
         )
         c = RunSpec.make(
             "steady", seed=0, n=8, rounds=200, params=CongosParams()
@@ -90,7 +90,7 @@ class TestRunSpecKey:
 class TestRunSpecRoundTrip:
     def test_dict_round_trip(self):
         spec = RunSpec.make(
-            "steady", seed=3, n=8, rounds=200, params=CongosParams.lean()
+            "steady", seed=3, n=8, rounds=200, params=CongosParams.preset("lean")
         )
         clone = RunSpec.from_dict(spec.to_dict())
         assert clone == spec
@@ -109,12 +109,12 @@ class TestRunSpecRoundTrip:
             n=8,
             rounds=200,
             deadline=64,
-            params=CongosParams.lean(tau=2),
+            params=CongosParams.preset("lean", tau=2),
         )
         scenario = spec.to_scenario()
         assert scenario.n == 8
         assert scenario.seed == 3
-        assert scenario.params == CongosParams.lean(tau=2)
+        assert scenario.params == CongosParams.preset("lean", tau=2)
 
 
 class TestExecuteSpec:
@@ -125,7 +125,7 @@ class TestExecuteSpec:
             n=8,
             rounds=200,
             deadline=64,
-            params=CongosParams.lean(),
+            params=CongosParams.preset("lean"),
         )
         record = execute_spec(spec)
         direct = RunRecord.from_result(
@@ -135,7 +135,7 @@ class TestExecuteSpec:
                     rounds=200,
                     seed=0,
                     deadline=64,
-                    params=CongosParams.lean(),
+                    params=CongosParams.preset("lean"),
                 )
             ),
             spec_key=spec.key,
@@ -158,7 +158,7 @@ class TestRunRecord:
             n=8,
             rounds=200,
             deadline=64,
-            params=CongosParams.lean(),
+            params=CongosParams.preset("lean"),
         )
         record = execute_spec(spec)
         clone = RunRecord.from_dict(record.to_dict())
@@ -166,7 +166,7 @@ class TestRunRecord:
 
     def test_net_section_describes_execution_not_simulation(self):
         cell = dict(
-            seed=0, n=8, rounds=40, deadline=64, params=CongosParams.lean()
+            seed=0, n=8, rounds=40, deadline=64, params=CongosParams.preset("lean")
         )
         inproc = execute_spec(RunSpec.make("steady", **cell))
         sharded = execute_spec(
@@ -192,7 +192,7 @@ class TestRunRecord:
         record = execute_spec(
             RunSpec.make(
                 "steady", seed=0, n=8, rounds=40, deadline=64,
-                params=CongosParams.lean(), engine="array",
+                params=CongosParams.preset("lean"), engine="array",
             )
         )
         assert record.net == {} and "net" not in record.to_dict()

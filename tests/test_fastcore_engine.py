@@ -29,7 +29,7 @@ def _cell(n=16, rounds=96, seed=0):
         deadline=64,
         rate=1,
         period=4,
-        params=CongosParams.lean(),
+        params=CongosParams.preset("lean"),
         name="fastcore-test-n{}-s{}".format(n, seed),
     )
 
@@ -80,7 +80,7 @@ class TestGdSenderClasses:
         # sit past position 63.
         return steady_scenario(
             n=64, rounds=120, seed=0, deadline=64, rate=9, period=1,
-            params=CongosParams.lean(), name="fastcore-gd-classes",
+            params=CongosParams.preset("lean"), name="fastcore-gd-classes",
         )
 
     def test_a_class_sends_exactly_the_rumors_its_senders_hold(self, monkeypatch):

@@ -46,7 +46,7 @@ def test_e6_steady_digest():
         deadline=64,
         rate=1,
         period=4,
-        params=CongosParams.lean(),
+        params=CongosParams.preset("lean"),
     )
     assert (
         run_digest(spec)
@@ -63,7 +63,7 @@ def test_e6b_burst_digest():
         deadline=64,
         sources=8,
         inject_round=2 * 64,
-        params=CongosParams.lean(),
+        params=CongosParams.preset("lean"),
         name="e6b-64",
     )
     assert (
@@ -80,7 +80,7 @@ def test_e9_collusion_digest():
         rounds=300,
         deadline=64,
         tau=2,
-        params=CongosParams.lean(tau=2),
+        params=CongosParams.preset("lean", tau=2),
     )
     assert (
         run_digest(spec)
@@ -169,7 +169,7 @@ def test_array_steady_digest():
         deadline=64,
         rate=1,
         period=4,
-        params=CongosParams.lean(),
+        params=CongosParams.preset("lean"),
         engine="array",
     )
     assert (

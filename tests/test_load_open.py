@@ -264,7 +264,7 @@ class TestInjectionBudget:
 
 def run_open_scenario(**kwargs):
     defaults = dict(
-        n=16, rounds=160, seed=3, rate=2.0, params=CongosParams.lean()
+        n=16, rounds=160, seed=3, rate=2.0, params=CongosParams.preset("lean")
     )
     defaults.update(kwargs)
     return run_congos_scenario(open_scenario(**defaults))
@@ -328,7 +328,7 @@ class TestOpenScenario:
     def test_closed_records_stay_inert(self):
         closed = run_congos_scenario(
             get_builder("steady")(
-                n=10, rounds=120, seed=1, params=CongosParams.lean()
+                n=10, rounds=120, seed=1, params=CongosParams.preset("lean")
             )
         )
         assert slo_summary(closed) is None
@@ -346,7 +346,7 @@ class TestOpenDeterminism:
 
     def test_jobs_invariance_on_exec_pool(self):
         cells = load_cells([2.0], [16])
-        fixed = dict(rounds=160, params=CongosParams.lean())
+        fixed = dict(rounds=160, params=CongosParams.preset("lean"))
         serial = sweep_congos("open", cells, seeds=(0, 1), jobs=1, **fixed)
         pooled = sweep_congos("open", cells, seeds=(0, 1), jobs=2, **fixed)
         strip = lambda sweep: [
@@ -360,7 +360,7 @@ class TestOpenDeterminism:
         # and the arrival/admission stream (what this test is about) is just
         # as busy — rate 2 against a budget of 1/round keeps a queue.
         scenario = open_scenario(
-            n=8, rounds=160, seed=3, rate=2.0, params=CongosParams.lean()
+            n=8, rounds=160, seed=3, rate=2.0, params=CongosParams.preset("lean")
         )
         inproc = run_congos_scenario(scenario)
         sharded = run_congos_scenario(
@@ -422,7 +422,7 @@ class TestTelemetry:
             rate=8.0,
             queue_cap=8,
             max_wait=8,
-            params=CongosParams.lean(),
+            params=CongosParams.preset("lean"),
         )
         result = run_congos_scenario(scenario, telemetry=telemetry)
         workload = result.workload

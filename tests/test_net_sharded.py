@@ -38,7 +38,7 @@ def test_sharded_matches_inproc_steady_pipeline():
     # deadline 64 > direct_send_threshold: the full Proxy/GD/Gossip
     # pipeline runs, so Proxy and GD traffic crosses the shard boundary.
     scenario = get_builder("steady")(
-        n=16, rounds=96, seed=0, deadline=64, params=CongosParams.lean()
+        n=16, rounds=96, seed=0, deadline=64, params=CongosParams.preset("lean")
     )
     _, sharded = _compare_backends(scenario, workers=2)
     assert sharded.engine.net_summary()["cross_messages"] > 0
@@ -46,7 +46,7 @@ def test_sharded_matches_inproc_steady_pipeline():
 
 def test_sharded_matches_inproc_n64():
     scenario = get_builder("steady")(
-        n=64, rounds=32, seed=1, deadline=64, params=CongosParams.lean()
+        n=64, rounds=32, seed=1, deadline=64, params=CongosParams.preset("lean")
     )
     _compare_backends(scenario, workers=2)
 
@@ -67,7 +67,7 @@ def test_sharded_chaos_keyed_matches_inproc_three_workers():
         delay=0.05,
         duplicate=0.02,
         reorder=0.2,
-        params=CongosParams.lean(),
+        params=CongosParams.preset("lean"),
     )
     scenario = dataclasses.replace(scenario, chaos_keyed=True)
     inproc, sharded = _compare_backends(scenario, workers=3)
@@ -78,6 +78,46 @@ def test_sharded_chaos_keyed_matches_inproc_three_workers():
     )
 
 
+def test_sharded_chaos_with_churn_matches_inproc_late_loss():
+    # Chaos crossed with churn: delayed and duplicated copies mature into
+    # crashed recipients and are lost late, on both backends alike.
+    from repro.sim.engine import SimObserver
+
+    class DeliveredStream(SimObserver):
+        def __init__(self):
+            self.stream = []
+
+        def on_deliver_round(self, round_no, delivered):
+            self.stream.extend(
+                (round_no, m.src, m.dst, m.service, m.size) for m in delivered
+            )
+
+    scenario = get_builder("chaos")(
+        n=16,
+        rounds=120,
+        seed=4,
+        deadline=64,
+        drop=0.05,
+        delay=0.1,
+        duplicate=0.05,
+        reorder=0.3,
+        churn=0.01,
+        params=CongosParams.preset("lean"),
+    )
+    scenario = dataclasses.replace(scenario, chaos_keyed=True)
+    streams = {"inproc": DeliveredStream(), "sharded": DeliveredStream()}
+    inproc = run_congos_scenario(scenario, observers=[streams["inproc"]])
+    sharded = run_congos_scenario(
+        dataclasses.replace(scenario, backend="sharded", net={"workers": 3}),
+        observers=[streams["sharded"]],
+    )
+    assert _record(sharded) == _record(inproc)
+    assert streams["sharded"].stream == streams["inproc"].stream
+    counts = inproc.fault_plane.counts_summary()
+    assert sharded.fault_plane.counts_summary() == counts
+    assert counts["late_loss"] > 0
+
+
 def test_sharded_matches_inproc_under_churn():
     scenario = get_builder("churn")(
         n=16,
@@ -86,7 +126,7 @@ def test_sharded_matches_inproc_under_churn():
         deadline=64,
         p_crash=0.05,
         p_restart=0.3,
-        params=CongosParams.lean(),
+        params=CongosParams.preset("lean"),
     )
     # Crashes and restarts change who sends what from round to round while
     # the streams' item tables carry on across them.
@@ -97,7 +137,7 @@ def test_sharded_matches_inproc_under_churn():
 
 def test_api_backend_selector():
     kwargs = dict(
-        n=8, rounds=24, deadline=16, seed=0, params=CongosParams.lean()
+        n=8, rounds=24, deadline=16, seed=0, params=CongosParams.preset("lean")
     )
     inproc = run_scenario("steady", **kwargs)
     sharded = run_scenario(
@@ -114,7 +154,7 @@ def test_telemetry_supported_on_sharded_backend():
     from repro.obs.sink import CollectSink
 
     kwargs = dict(
-        n=8, rounds=24, deadline=16, seed=0, params=CongosParams.lean()
+        n=8, rounds=24, deadline=16, seed=0, params=CongosParams.preset("lean")
     )
     sink = CollectSink()
     traced = run_scenario(
@@ -134,7 +174,7 @@ def test_telemetry_supported_on_sharded_backend():
 
 def test_mid_round_adversary_rejected():
     scenario = get_builder("proxy-killer")(
-        n=16, rounds=16, seed=0, params=CongosParams.lean()
+        n=16, rounds=16, seed=0, params=CongosParams.preset("lean")
     )
     with pytest.raises(NotImplementedError, match="mid_round"):
         run_congos_scenario(
@@ -186,7 +226,7 @@ def test_sharded_targeted_matches_inproc():
         policy="collector-starver",
         per_round=2,
         total=32,
-        params=CongosParams.lean(),
+        params=CongosParams.preset("lean"),
     )
     scenario = dataclasses.replace(scenario, chaos_keyed=True)
     inproc, sharded = _compare_backends(scenario, workers=3)
@@ -207,7 +247,7 @@ def test_sharded_targeted_composed_with_oblivious_drop():
         per_round=2,
         total=32,
         drop=0.05,
-        params=CongosParams.lean(),
+        params=CongosParams.preset("lean"),
     )
     scenario = dataclasses.replace(scenario, chaos_keyed=True)
     inproc, sharded = _compare_backends(scenario, workers=2)
@@ -235,7 +275,7 @@ def test_net_options_validation():
 
 
 def test_shard_plan_layout_and_locality():
-    params = CongosParams.lean()
+    params = CongosParams.preset("lean")
     partitions = build_partition_set(16, params, seed=0)
     plan = ShardPlan.build(16, 2, partition_set=partitions)
     assert sorted(
@@ -301,7 +341,7 @@ def test_killed_worker_is_reported_by_name():
                 os.kill(victim.pid, signal.SIGKILL)
 
     scenario = get_builder("steady")(
-        n=16, rounds=32, seed=0, deadline=64, params=CongosParams.lean()
+        n=16, rounds=32, seed=0, deadline=64, params=CongosParams.preset("lean")
     )
     scenario = dataclasses.replace(
         scenario, backend="sharded", net={"workers": 2, "timeout": 60.0}
@@ -335,7 +375,7 @@ def test_worker_dead_before_hello_is_reported_promptly(monkeypatch):
 
     monkeypatch.setattr(coordinator, "worker_main", _exit_before_hello)
     scenario = get_builder("steady")(
-        n=16, rounds=8, seed=0, deadline=64, params=CongosParams.lean()
+        n=16, rounds=8, seed=0, deadline=64, params=CongosParams.preset("lean")
     )
     started = time.perf_counter()
     with pytest.raises(coordinator.WorkerLost) as excinfo:

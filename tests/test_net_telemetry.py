@@ -69,7 +69,7 @@ def _protocol_counters(telemetry):
 def _steady(n=16, rounds=96, seed=0, deadline=64):
     return get_builder("steady")(
         n=n, rounds=rounds, seed=seed, deadline=deadline,
-        params=CongosParams.lean(),
+        params=CongosParams.preset("lean"),
     )
 
 
@@ -94,7 +94,7 @@ def test_chaos_fault_events_match_inproc():
     scenario = get_builder("chaos")(
         n=16, rounds=60, seed=3, deadline=64,
         drop=0.1, delay=0.1, duplicate=0.05, reorder=0.1,
-        params=CongosParams.lean(),
+        params=CongosParams.preset("lean"),
     )
     # Both backends must draw message-keyed fates to be comparable.
     scenario = dataclasses.replace(scenario, chaos_keyed=True)
@@ -175,7 +175,7 @@ def test_no_rumor_bytes_in_telemetry_frames(monkeypatch):
         n=8,
         rounds=28,
         seed=0,
-        params=CongosParams.lean(),
+        params=CongosParams.preset("lean"),
         workload_factory=workload,
         backend="sharded",
         net={"workers": 2},

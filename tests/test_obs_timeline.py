@@ -138,7 +138,7 @@ class TestTimelineUnit:
 class TestTimelineIntegration:
     def test_reconstructs_full_lifecycle_from_a_real_run(self):
         scenario = steady_scenario(
-            n=8, rounds=200, seed=0, deadline=64, params=CongosParams.lean()
+            n=8, rounds=200, seed=0, deadline=64, params=CongosParams.preset("lean")
         )
         timeline = RumorTimeline()
         telemetry = Telemetry()
@@ -166,7 +166,7 @@ class TestTimelineIntegration:
 
     def test_export_emits_json_safe_lifecycle_events(self):
         scenario = steady_scenario(
-            n=8, rounds=120, seed=1, deadline=64, params=CongosParams.lean()
+            n=8, rounds=120, seed=1, deadline=64, params=CongosParams.preset("lean")
         )
         timeline = RumorTimeline()
         telemetry = Telemetry()

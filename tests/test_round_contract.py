@@ -100,7 +100,7 @@ class Recorder:
 
 def _scenario(path):
     scenario = Scenario(
-        name="round-contract", n=N, rounds=1, seed=0, params=CongosParams.lean()
+        name="round-contract", n=N, rounds=1, seed=0, params=CongosParams.preset("lean")
     )
     if path == "sharded":
         return dataclasses.replace(scenario, backend="sharded", net={"workers": 2})
