@@ -17,32 +17,40 @@ engine plus a clean confidentiality audit, not rng-stream identity.
 
 numpy rides the ``repro[fast]`` extra; importing :mod:`repro` (and the
 whole tier-1 suite) works without it.  Only actually selecting
-``engine="array"`` requires the extra.
+``engine="array"`` requires the extra.  It needs numpy >= 2.0 (the
+bitset popcount is ``np.bitwise_count``); an older numpy counts as
+missing.
 """
 
 from __future__ import annotations
 
 __all__ = ["numpy_available", "require_numpy"]
 
-_NUMPY_HINT = (
-    "engine='array' needs numpy, which is not installed. "
-    "Install the fast-engine extra: pip install repro[fast]"
-)
-
-
-def numpy_available() -> bool:
-    """True when the ``repro[fast]`` extra's numpy is importable."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
+_EXTRA_HINT = "Install the fast-engine extra: pip install repro[fast]"
 
 
 def require_numpy():
-    """Import and return numpy, or raise an ImportError naming the extra."""
+    """Import and return numpy >= 2.0, or raise an ImportError naming the
+    extra (and the version found, when numpy is too old)."""
     try:
         import numpy
-    except ImportError as exc:  # pragma: no cover - depends on environment
-        raise ImportError(_NUMPY_HINT) from exc
+    except ImportError as exc:
+        raise ImportError(
+            "engine='array' needs numpy, which is not installed. " + _EXTRA_HINT
+        ) from exc
+    version = numpy.__version__
+    if int(version.split(".", 1)[0]) < 2:
+        raise ImportError(
+            "engine='array' needs numpy >= 2.0 (np.bitwise_count); found numpy "
+            "{}. {}".format(version, _EXTRA_HINT)
+        )
     return numpy
+
+
+def numpy_available() -> bool:
+    """True when the ``repro[fast]`` extra's numpy (>= 2.0) is importable."""
+    try:
+        require_numpy()
+    except ImportError:
+        return False
+    return True

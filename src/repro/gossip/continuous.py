@@ -31,7 +31,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.gossip.epidemic import default_fanout
 from repro.gossip.expander import ShiftExpander
 from repro.gossip.filter import GroupFilter
-from repro.gossip.rumor import GossipItem, ItemBatch
+from repro.gossip.rumor import GossipItem, ItemBatch, intern_uids
 from repro.gossip.service import SubService
 from repro.obs.instrument import NULL_TELEMETRY
 from repro.sim.messages import Message, ServiceTags
@@ -126,6 +126,12 @@ class ContinuousGossip(SubService):
         # resend_backoff only: round -> aged-out items to send again then.
         self._wake: Dict[int, List[GossipItem]] = {}
         self._seen: set = set()
+        # Uid sets already known to be <= _seen: a saturated receipt is one
+        # lookup, ended by the identity check when the set is interned
+        # (intern_uids).  Sound because _seen never shrinks (a restart
+        # builds a new instance); cleared whenever an item expires, which
+        # bounds it.
+        self._covered: set = set()
         self._pending_delivery: List[GossipItem] = []
         self._inject_seq = 0
         # Earliest expiry among active items; lets _expire() skip the sweep
@@ -252,22 +258,26 @@ class ContinuousGossip(SubService):
             # path, deriving its own uids.
             batch = ItemBatch(batch)
         # Batches are dominated by already-seen items once the epidemic
-        # saturates: rule the whole batch out, or find what is new in it,
-        # with set algebra on stored hashes.  ``fresh`` is a set, so its
-        # order is hash-seed dependent; select() restores batch order.
-        seen = self._seen
+        # saturates: rule the whole batch out by its uid set (covered
+        # before, or a subset of seen), or find what is new in it, with set
+        # algebra on stored hashes.  ``fresh`` is a set, so its order is
+        # hash-seed dependent; select() restores batch order.
         uids = batch.uids
-        if uids <= seen:
+        covered = self._covered
+        if uids in covered:
             return
-        fresh = uids - seen
-        seen |= fresh
-        pid = self.pid
-        for item in batch.select(fresh):
-            if round_no > item.expiry:
-                continue
-            self._activate(item)
-            if pid in item.dest:
-                self._pending_delivery.append(item)
+        seen = self._seen
+        if not uids <= seen:
+            fresh = uids - seen
+            seen |= fresh
+            pid = self.pid
+            for item in batch.select(fresh):
+                if round_no > item.expiry:
+                    continue
+                self._activate(item)
+                if pid in item.dest:
+                    self._pending_delivery.append(item)
+        covered.add(uids)
 
     def end_round(self, round_no: int) -> None:
         pending, self._pending_delivery = self._pending_delivery, []
@@ -337,7 +347,7 @@ class ContinuousGossip(SubService):
         if batch is None:
             broadcast = self._broadcast
             batch = self._standing = ItemBatch(
-                broadcast.values(), frozenset(broadcast)
+                broadcast.values(), intern_uids(frozenset(broadcast), round_no)
             )
         due = self._wake_due(round_no) if self._wake else ()
         if not due:
@@ -392,6 +402,8 @@ class ContinuousGossip(SubService):
         active = self._active
         broadcast = self._broadcast
         dead = [uid for uid, item in active.items() if item.expiry < round_no]
+        if dead:
+            self._covered.clear()
         for uid in dead:
             del self._arrival[id(active.pop(uid))]
             if broadcast.pop(uid, None) is not None:

@@ -23,6 +23,7 @@ __all__ = [
     "Rumor",
     "GossipItem",
     "ItemBatch",
+    "intern_uids",
     "reveal_digest",
     "make_rumor",
 ]
@@ -204,6 +205,50 @@ def reveal_digest(items: Tuple) -> Optional[RevealDigest]:
     return tuple(rids), tuple(revealing.values())
 
 
+class _UidSetTable:
+    """Value interning for batch uid sets, in the style of ``sys.intern``.
+
+    Once an epidemic saturates, many senders push batches with equal uid
+    sets (the same items, gathered in different arrival orders), and a
+    receiver that has verified one of them can recognise the others in
+    O(1) — provided equal sets are one object, so that a set lookup ends
+    at the identity check instead of an element-wise comparison.
+
+    Two generations, one per round: a round number other than the last
+    one seen starts a new generation, keeping the previous one only if it
+    is the round just before.  A hit in the previous generation is
+    promoted, so a set asked for every round stays interned; anything
+    else is dropped, and the table never holds more than the sets of two
+    consecutive rounds.  Only values are shared: an interned set iterates
+    in its own insertion order, like any equal set might.
+    """
+
+    __slots__ = ("_round", "_current", "_previous")
+
+    def __init__(self) -> None:
+        self._round: Optional[int] = None
+        self._current: Dict[FrozenSet[Tuple], FrozenSet[Tuple]] = {}
+        self._previous: Dict[FrozenSet[Tuple], FrozenSet[Tuple]] = {}
+
+    def __len__(self) -> int:
+        return len(self._current) + len(self._previous)
+
+    def intern(self, uids: FrozenSet[Tuple], round_no: int) -> FrozenSet[Tuple]:
+        """The table's set equal to ``uids`` (``uids`` itself if new)."""
+        if round_no != self._round:
+            self._previous = self._current if self._round == round_no - 1 else {}
+            self._current = {}
+            self._round = round_no
+        current = self._current
+        shared = current.get(uids)
+        if shared is None:
+            shared = current[uids] = self._previous.get(uids, uids)
+        return shared
+
+
+intern_uids = _UidSetTable().intern
+
+
 class ItemBatch(tuple):
     """The items one sender pushes in one round, with their uid set.
 
@@ -211,9 +256,11 @@ class ItemBatch(tuple):
     the epidemic saturates nearly every item in it is one the receiver
     already has.  The batch is therefore the unit of work on the receive
     path: ``uids`` lets a receiver rule the whole batch out with one C
-    subset test and find what is new with one set difference, and
-    :meth:`select` turns that difference back into items in batch order —
-    so no per-item Python work is spent on items already known.
+    subset test — or, once it has verified an equal set, one lookup
+    (senders and the wire codec intern the set, :func:`intern_uids`) —
+    and find what is new with one set difference, and :meth:`select`
+    turns that difference back into items in batch order — so no
+    per-item Python work is spent on items already known.
 
     The same sharing makes the batch the unit of *audit* work:
     ``audit_digest`` is what the confidentiality auditor needs of it,

@@ -28,8 +28,10 @@ the ``id(payload)``-keyed per-round batch cache in
 :class:`repro.audit.confidentiality.ConfidentialityAuditor`.  A gossip
 batch (:class:`~repro.gossip.rumor.ItemBatch`) is written as the plain
 tuple it subclasses — same tag, same bytes — and a decoded message
-payload that is a tuple of gossip items comes back as an ``ItemBatch``,
-so its receivers share one uid set as they do in-process.
+payload that is a tuple of gossip items comes back as an ``ItemBatch``
+whose uid set is interned for the batch's round
+(:func:`~repro.gossip.rumor.intern_uids`), so its receivers share one uid
+set as they do in-process.
 
 Gossip items are interned **per stream**, across batches and rounds
 (wire version 2).  Continuous gossip re-pushes every live item every
@@ -59,7 +61,7 @@ from repro.core.group_distribution import (
 )
 from repro.core.proxy import ProxyAck, ProxyRequest, ProxyShare
 from repro.core.splitting import Fragment
-from repro.gossip.rumor import GossipItem, ItemBatch, Rumor, RumorId
+from repro.gossip.rumor import GossipItem, ItemBatch, Rumor, RumorId, intern_uids
 from repro.sim.messages import Message
 
 __all__ = [
@@ -508,11 +510,14 @@ class WireSession:
             if type(payload) is tuple and set(map(type, payload)) == {GossipItem}:
                 # A gossip batch gets its uid set back here, once per payload
                 # object — the messages below share it — instead of once per
-                # delivery at every receiver.
+                # delivery at every receiver; interned, so that it is the
+                # very set this process's own senders and other decoded
+                # batches of the round use for the same items.
                 try:
                     payload = ItemBatch(payload)
                 except TypeError:
                     raise CodecError("unhashable gossip item uid")
+                payload.uids = intern_uids(payload.uids, round_no)
             payloads.append(payload)
         count, pos = _read_uvarint(data, pos)
         entries: List[Tuple[Tuple[int, ...], Message]] = []

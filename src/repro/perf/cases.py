@@ -161,7 +161,7 @@ def _setup_epidemic_targets() -> Operation:
     return op
 
 
-def _make_gossip(pid: int, deliver=None):
+def _make_gossip(pid: int, deliver=None, **kwargs):
     from repro.gossip.continuous import ContinuousGossip
 
     return ContinuousGossip(
@@ -171,6 +171,7 @@ def _make_gossip(pid: int, deliver=None):
         scope=range(32),
         rng=random.Random(pid),
         deliver=deliver,
+        **kwargs,
     )
 
 
@@ -208,7 +209,9 @@ def _setup_gossip_receive_saturated() -> Operation:
     # round, one newly born item (on the ledger's steady_object about one
     # gossip message in five brings anything new).  continuous_round above
     # feeds a single receiver; this is the fan-out shape the per-batch
-    # receive path is built for.
+    # receive path is built for.  A receiver that verified the standing
+    # batch once finds the same uid set object in its cover every later
+    # round: this measures identity hits.
     from repro.sim.messages import Message
 
     sender = _make_gossip(0)
@@ -239,6 +242,67 @@ def _setup_gossip_receive_saturated() -> Operation:
                 )
                 receiver.end_round(round_no)
             absorbed += len(first.payload)
+        return absorbed
+
+    return op
+
+
+def _setup_gossip_receive_converged() -> Operation:
+    # A converged epidemic seen from one receiver: 8 senders hold the same
+    # 75 items, each gathered in its own arrival order, and each pushes its
+    # batch to the receiver every round — 8 batch objects with equal uid
+    # sets, the shape the uid-set interning table serves (the saturated
+    # case above resends one object).  Every fourth round one newcomer
+    # reaches all 8 senders and each rebuilds its batch.  The senders'
+    # rounds are played out here: only the receipts are timed.
+    from repro.gossip.rumor import GossipItem, ItemBatch
+    from repro.sim.messages import Message
+
+    everyone = frozenset(range(32))
+    standing = [
+        GossipItem(("perf/gossip", "share", i), i % 32, ("blob", i), 64, everyone)
+        for i in range(_FANOUT_STANDING_ITEMS)
+    ]
+    receiver = _make_gossip(0)
+    # A horizon past the last round keeps the standing items in every batch.
+    senders = [
+        _make_gossip(pid, resend_horizon=_FANOUT_ROUNDS_PER_OP)
+        for pid in range(1, _FANOUT_RECEIVERS + 1)
+    ]
+
+    def push(round_no, src, dst, items):
+        dst.on_message(
+            round_no,
+            Message(src, dst.pid, dst.service, items, len(items), dst.channel),
+        )
+
+    for sender in senders:
+        order = list(standing)
+        random.Random(sender.pid).shuffle(order)
+        push(0, 0, sender, ItemBatch(order))
+    push(0, 1, receiver, ItemBatch(standing))
+    receiver.end_round(0)
+    rounds = []
+    for round_no in range(1, _FANOUT_ROUNDS_PER_OP + 1):
+        if round_no % 4 == 1:
+            newcomer = GossipItem(
+                ("perf/gossip", "new", round_no), 0, ("new", round_no),
+                round_no + 4, everyone, born=round_no,
+            )
+            for sender in senders:
+                push(round_no, 0, sender, ItemBatch((newcomer,)))
+        rounds.append(
+            [(sender.pid, sender.send_phase(round_no)[0].payload)
+             for sender in senders]
+        )
+
+    def op() -> object:
+        absorbed = 0
+        for round_no, batches in enumerate(rounds, start=1):
+            for src, batch in batches:
+                push(round_no, src, receiver, batch)
+                absorbed += len(batch)
+            receiver.end_round(round_no)
         return absorbed
 
     return op
@@ -431,6 +495,18 @@ register_case(
             _FANOUT_RECEIVERS, _FANOUT_ROUNDS_PER_OP
         ),
         setup=_setup_gossip_receive_saturated,
+        ops=_FANOUT_RECEIVERS * _FANOUT_ROUNDS_PER_OP,
+        tags=("gossip", "micro"),
+    )
+)
+register_case(
+    PerfCase(
+        key="gossip_receive_converged",
+        title="ContinuousGossip.on_message, converged ({} senders' equal "
+        "~76-item batches x 1 receiver x {} rounds)".format(
+            _FANOUT_RECEIVERS, _FANOUT_ROUNDS_PER_OP
+        ),
+        setup=_setup_gossip_receive_converged,
         ops=_FANOUT_RECEIVERS * _FANOUT_ROUNDS_PER_OP,
         tags=("gossip", "micro"),
     )

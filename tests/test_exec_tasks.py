@@ -188,7 +188,7 @@ class TestRunRecord:
         assert sharded.digest() == inproc.digest()
 
     def test_array_run_has_no_net_section(self):
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", minversion="2.0")
         record = execute_spec(
             RunSpec.make(
                 "steady", seed=0, n=8, rounds=40, deadline=64,

@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-pytest.importorskip("numpy")
+pytest.importorskip("numpy", minversion="2.0")
 
 from repro.core.config import CongosParams
 from repro.exec.tasks import RunSpec

@@ -6,7 +6,7 @@ cleanly (tier-1 must pass either way — see test_fastcore_optional.py).
 
 import pytest
 
-np = pytest.importorskip("numpy")
+np = pytest.importorskip("numpy", minversion="2.0")
 
 from hypothesis import given, strategies as st
 

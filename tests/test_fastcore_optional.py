@@ -73,15 +73,47 @@ class TestWithoutNumpy:
         assert proc.stdout.strip() == "ok"
 
     def test_numpy_gated_suites_would_skip(self, monkeypatch):
-        # The fastcore test modules gate on importorskip("numpy"): with
-        # numpy blocked, collection must skip rather than error.
+        # The fastcore test modules gate on importorskip("numpy",
+        # minversion="2.0"): with numpy blocked, collection must skip
+        # rather than error.
         monkeypatch.setitem(sys.modules, "numpy", None)
         with pytest.raises(pytest.skip.Exception):
-            pytest.importorskip("numpy")
+            pytest.importorskip("numpy", minversion="2.0")
+
+
+class TestWithOldNumpy:
+    """numpy 1.x imports but lacks ``np.bitwise_count``: it must count as
+    missing, not pass the gate and crash inside the first popcount."""
+
+    @pytest.fixture
+    def numpy_1(self, monkeypatch):
+        np = pytest.importorskip("numpy")
+        monkeypatch.setattr(np, "__version__", "1.26.4")
+
+    def test_availability_probe(self, numpy_1):
+        assert not numpy_available()
+
+    def test_require_numpy_names_the_found_version(self, numpy_1):
+        with pytest.raises(ImportError, match=r"found numpy 1\.26\.4") as info:
+            require_numpy()
+        assert "pip install repro[fast]" in str(info.value)
+        assert ">= 2.0" in str(info.value)
+
+    def test_array_engine_refused_before_it_runs(self, numpy_1):
+        scenario = dataclasses.replace(
+            steady_scenario(n=8, rounds=32, seed=0, deadline=64),
+            engine="array",
+        )
+        with pytest.raises(ImportError, match=r"found numpy 1\.26\.4"):
+            run_congos_scenario(scenario)
+
+    def test_numpy_gated_suites_would_skip(self, numpy_1):
+        with pytest.raises(pytest.skip.Exception):
+            pytest.importorskip("numpy", minversion="2.0")
 
 
 class TestWithNumpy:
     def test_require_numpy_returns_module(self):
-        np = pytest.importorskip("numpy")
+        np = pytest.importorskip("numpy", minversion="2.0")
         assert require_numpy() is np
         assert numpy_available()

@@ -58,7 +58,7 @@ class TestDefaultCells:
 
 class TestGateLive:
     def test_smallest_cell_passes(self):
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", minversion="2.0")
         gate = ParityGate()
         report = gate.check(default_parity_cells(seeds=(0,))[0])
         assert report.passed, report.failures

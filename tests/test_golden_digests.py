@@ -160,7 +160,7 @@ def test_e15_soak_payload_digest():
 
 
 def test_array_steady_digest():
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", minversion="2.0")
     spec = RunSpec.make(
         "steady",
         seed=0,
@@ -179,7 +179,7 @@ def test_array_steady_digest():
 
 
 def test_array_open_digest():
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", minversion="2.0")
     spec = RunSpec.make(
         "open",
         seed=0,

@@ -11,7 +11,8 @@ import random
 import pytest
 
 from repro.gossip.continuous import ContinuousGossip
-from repro.sim.messages import ServiceTags
+from repro.gossip.rumor import ItemBatch, _UidSetTable
+from repro.sim.messages import Message, ServiceTags
 
 
 class GossipHarness:
@@ -216,6 +217,101 @@ class TestResendHorizon:
             pid=0, n=64, channel="x", scope=range(64), rng=random.Random(0)
         )
         assert service.resend_horizon >= 8
+
+
+class TestSharedUidSets:
+    """The receive-side cover and the uid-set interning table."""
+
+    @staticmethod
+    def _batch(round_no):
+        sender = ContinuousGossip(
+            pid=0, n=4, channel="test", scope=range(4), rng=random.Random(0)
+        )
+        for index in range(3):
+            sender.inject(round_no, ("x", index), deadline=20, dest=range(4))
+        return sender.send_phase(round_no)[0]
+
+    def test_equal_batch_from_another_sender_is_covered(self):
+        receiver = ContinuousGossip(
+            pid=1, n=4, channel="test", scope=range(4), rng=random.Random(1)
+        )
+        first = self._batch(0)
+        receiver.on_message(0, first)
+        assert first.payload.uids in receiver._covered
+        twin = ItemBatch(reversed(first.payload))
+        assert twin.uids == first.payload.uids
+        receiver.on_message(0, Message(2, 1, first.service, twin, channel="test"))
+        assert len(receiver._covered) == 1
+
+    def test_restarted_instance_absorbs_what_the_old_one_covered(self):
+        delivered = []
+
+        def restart():
+            # A restart builds the node's services afresh.
+            return ContinuousGossip(
+                pid=1, n=4, channel="test", scope=range(4),
+                rng=random.Random(1),
+                deliver=lambda round_no, item: delivered.append(item.uid),
+            )
+
+        message = self._batch(0)
+        old = restart()
+        old.on_message(0, message)
+        old.end_round(0)
+        assert message.payload.uids in old._covered
+        assert len(delivered) == 3
+        fresh = restart()
+        fresh.on_message(1, message)
+        fresh.end_round(1)
+        assert all(fresh.knows(item.uid) for item in message.payload)
+        assert delivered[3:] == [item.uid for item in message.payload]
+        assert len(fresh.active_items()) == 3
+
+    def test_expiry_clears_the_cover(self):
+        receiver = ContinuousGossip(
+            pid=1, n=4, channel="test", scope=range(4), rng=random.Random(1)
+        )
+        message = self._batch(0)
+        receiver.on_message(0, message)
+        assert receiver._covered
+        receiver.send_phase(30)  # every item expired at round 20
+        assert not receiver._covered
+        receiver.on_message(30, message)  # still all seen: nothing new
+        assert not receiver.has_active()
+
+    def test_table_holds_two_generations(self):
+        table = _UidSetTable()
+        a = frozenset({("u", 1)})
+        assert table.intern(a, 0) is a
+        assert table.intern(_copy(a), 0) is a  # equal values, one object
+        assert table.intern(_copy(a), 1) is a  # promoted from round 0
+        b = frozenset({("u", 2)})
+        assert table.intern(b, 1) is b
+        assert len(table) == 3  # a in both generations, b in the newest
+        c = frozenset({("u", 3)})
+        assert table.intern(c, 2) is c
+        assert len(table) == 3  # round 0 is gone: a and b of round 1, c
+        copy = _copy(a)
+        assert table.intern(copy, 3) is copy  # a was last asked for in 1
+        assert table.intern(_copy(c), 3) is c  # c was asked for in 2
+        assert len(table) == 3  # round 1 is gone: c of 2; the copy and c
+        copy = _copy(c)
+        assert table.intern(copy, 9) is copy  # a gap: both generations go
+        assert len(table) == 1
+
+    def test_round_moving_backwards_starts_afresh(self):
+        # A second run in the same process starts again at round 0.
+        table = _UidSetTable()
+        a = frozenset({("u", 1)})
+        table.intern(a, 240)
+        copy = _copy(a)
+        assert table.intern(copy, 0) is copy
+        assert len(table) == 1
+
+
+def _copy(uids):
+    """An equal set that is a new object (``frozenset(s)`` returns ``s``)."""
+    return frozenset(list(uids))
 
 
 class TestCrashTolerance:

@@ -7,13 +7,13 @@ or removed" a checked property of the parser rather than a promise.
 """
 
 import dataclasses
-import importlib.util
 import json
 
 import pytest
 
 from repro.analysis import sweeps
 from repro.audit.failfast import InvariantViolation
+from repro.fastcore import numpy_available
 from repro.harness import experiment as runner
 from repro.harness.cli import EXPERIMENTS, PROFILE_SWEEP, build_parser, main
 from repro.perf import ENGINE_SCALING, SHARDED_SCALING
@@ -27,11 +27,9 @@ TIMING = (
 )
 # Experiments whose table is wall-clock and cache hits.
 WALL_CLOCK_TABLE = (PROFILE_SWEEP, ENGINE_SCALING, SHARDED_SCALING)
-# The array engine needs numpy (the repro[fast] extra); without it the
-# E17 case is object-only.
-ENGINES = (
-    ["object", "array"] if importlib.util.find_spec("numpy") else ["object"]
-)
+# The array engine needs numpy >= 2.0 (the repro[fast] extra); without it
+# the E17 case is object-only.
+ENGINES = ["object", "array"] if numpy_available() else ["object"]
 
 TOY = {
     "sweep": ["steady", "-n", "8", "--deadline", "64", "--rounds", "120", "--lean"],

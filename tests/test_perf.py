@@ -48,6 +48,7 @@ class TestRegistry:
         # The fan-out shaped gossip/audit cases the ledger's object-engine
         # work is read against.
         assert "gossip_receive_saturated" in keys
+        assert "gossip_receive_converged" in keys
         assert "audit_batch_fanout" in keys
 
     def test_get_case_unknown_key_raises(self):

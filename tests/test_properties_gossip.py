@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.gossip.continuous import ContinuousGossip
-from repro.gossip.rumor import GossipItem, ItemBatch
+from repro.gossip.rumor import GossipItem, ItemBatch, intern_uids
 from repro.sim.messages import Message, ServiceTags
 
 
@@ -289,24 +289,61 @@ def test_batch_paths_match_per_item_reference(data):
 
         for _ in range(draw(st.integers(min_value=0, max_value=4))):
             if in_flight and draw(st.booleans()):
-                # A duplicated or delayed copy: the same object, again.
-                payload = draw(st.sampled_from(in_flight))
+                source = draw(st.sampled_from(in_flight))
+                again = draw(st.sampled_from(["same", "batch", "interned"]))
+                if again == "same":
+                    # A duplicated or delayed copy: the same object, again.
+                    payload = source
+                else:
+                    # Another sender's batch of the same items: an equal
+                    # uid set in a new object, in its own arrival order.
+                    payload = rebuild(draw(st.permutations(source)), again, round_no)
             else:
                 chosen = draw(
                     st.lists(st.sampled_from(pool), max_size=2 * len(pool))
                 )
-                wrap = draw(st.sampled_from([tuple, ItemBatch]))
-                payload = wrap(chosen)  # duplicates and any order allowed
+                wrap = draw(st.sampled_from(["tuple", "batch", "interned"]))
+                payload = rebuild(chosen, wrap, round_no)  # duplicates allowed
                 in_flight.append(payload)
-            gossip.on_message(
-                round_no,
-                Message(1, PID, ServiceTags.GROUP_GOSSIP, payload, channel="prop"),
-            )
-            reference.on_message(round_no, payload)
+            deliver(gossip, reference, round_no, payload)
         gossip.end_round(round_no)
         reference.end_round(round_no)
+        assert_agree(gossip, reference, delivered, pool)
 
-        assert delivered == reference.delivered
-        assert list(gossip._active) == list(reference.active)
-        for item in pool:
-            assert gossip.knows(item.uid) == (item.uid in reference.seen)
+    # Past every expiry: the sweep drops what is left and clears the cover,
+    # then every payload seen so far arrives again and must bring nothing.
+    round_no += 60
+    expiring = bool(gossip._active)
+    assert gossip.send_phase(round_no) == [] and reference.send(round_no) == ()
+    assert not (expiring and gossip._covered)
+    for payload in in_flight:
+        deliver(gossip, reference, round_no, payload)
+    gossip.end_round(round_no)
+    reference.end_round(round_no)
+    assert_agree(gossip, reference, delivered, pool)
+
+
+def rebuild(items, how, round_no):
+    """``items`` as a plain tuple, an ItemBatch deriving its own uid set,
+    or an ItemBatch whose uid set went through the interning table."""
+    if how == "tuple":
+        return tuple(items)
+    batch = ItemBatch(items)
+    if how == "interned":
+        batch = ItemBatch(batch, intern_uids(batch.uids, round_no))
+    return batch
+
+
+def deliver(gossip, reference, round_no, payload):
+    gossip.on_message(
+        round_no,
+        Message(1, PID, ServiceTags.GROUP_GOSSIP, payload, channel="prop"),
+    )
+    reference.on_message(round_no, payload)
+
+
+def assert_agree(gossip, reference, delivered, pool):
+    assert delivered == reference.delivered
+    assert list(gossip._active) == list(reference.active)
+    for item in pool:
+        assert gossip.knows(item.uid) == (item.uid in reference.seen)

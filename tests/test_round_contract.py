@@ -20,6 +20,7 @@ import pytest
 from repro.adversary.base import Adversary
 from repro.core.config import CongosParams
 from repro.core.congos import CongosNode, congos_factory
+from repro.fastcore import numpy_available
 from repro.gossip.rumor import Rumor, RumorId
 from repro.harness.runner import Scenario, assemble, run_congos_scenario
 from repro.net.coordinator import NetOptions, ShardEngine
@@ -27,12 +28,12 @@ from repro.net.shard import ShardPlan
 from repro.sim.engine import AdversaryView, Engine, RoundEngine, SimObserver
 from repro.sim.events import RoundDecision
 
-try:
-    import numpy  # noqa: F401
-except ImportError:  # the tier-1 matrix has no numpy: the array leg skips
-    ARRAY = pytest.param("array", marks=pytest.mark.skip(reason="needs numpy"))
-else:
+# The tier-1 matrix has no numpy (and a host may have numpy 1.x, which
+# the array engine refuses): the array leg skips.
+if numpy_available():
     ARRAY = "array"
+else:
+    ARRAY = pytest.param("array", marks=pytest.mark.skip(reason="needs numpy>=2.0"))
 
 N = 8
 OBJECT_PATHS = ["inproc", "sharded"]
@@ -193,7 +194,7 @@ def test_object_paths_agree_under_crashes_and_restarts():
 
 
 def test_all_paths_agree_fault_free():
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", minversion="2.0")
     _assert_paths_agree(FAULT_FREE, OBJECT_PATHS + ["array"])
 
 
@@ -312,7 +313,7 @@ def test_injection_at_crashed_pid_rejected(path):
 
 
 def test_array_refuses_crash_decisions():
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", minversion="2.0")
     from repro.fastcore.engine import UnsupportedScenario
 
     with engine_on("array", Scripted({0: ((3,), (), ())})) as engine:
@@ -334,7 +335,7 @@ def test_every_backend_rejects_a_workload_injecting_twice_at_one_pid(path):
 
 
 def test_paths_do_not_restate_the_skeleton():
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", minversion="2.0")
     from repro.fastcore.engine import ArrayEngine
 
     owned = [
