@@ -6,7 +6,7 @@ way so CONGOS's confidentiality and QoD behavior can be soak-tested under
 production-like loss, delay, duplication, reordering and partitions.
 
 * :mod:`repro.chaos.spec` — :class:`FaultSpec`, plain-data intensity knobs.
-* :mod:`repro.chaos.schedule` — :class:`FaultSchedule`, seed → decisions.
+* :mod:`repro.chaos.schedule` — :class:`FaultSchedule`, seed → per-message fates.
 * :mod:`repro.chaos.plane` — :class:`ChaosFaultPlane`, the network hook.
 * :mod:`repro.chaos.soak` — fault-matrix sweeps and the E15 payload.
 * :mod:`repro.chaos.direct` — direct-send reliability matrix (E16).

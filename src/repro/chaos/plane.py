@@ -9,11 +9,12 @@ bit-identical to the seed.
 :class:`ChaosFaultPlane` implements the extended fault model: per-message
 drop / bounded delay / duplication, per-inbox reordering, and scheduled
 partition storms, every decision drawn from a
-:class:`~repro.chaos.schedule.FaultSchedule`.  The plane composes with the
-CRRI adversary rather than replacing it: adversarial drops at
-crash/restart boundaries and crash-loss are applied by the network
-*before* a message reaches the plane, so chaos only ever touches traffic
-the paper's model would have delivered.
+:class:`~repro.chaos.schedule.FaultSchedule`, keyed on each message's own
+coordinates so any shard layout reaches the same verdicts.  The plane
+composes with the CRRI adversary rather than replacing it: adversarial
+drops at crash/restart boundaries and crash-loss are applied by the
+network *before* a message reaches the plane, so chaos only ever touches
+traffic the paper's model would have delivered.
 
 Semantics worth pinning down (tests rely on these):
 
@@ -30,7 +31,7 @@ Semantics worth pinning down (tests rely on these):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from repro.chaos.schedule import DELAY, DELIVER, DROP, DUPLICATE, FaultSchedule
 from repro.chaos.spec import FaultSpec
@@ -161,19 +162,13 @@ class ChaosFaultPlane(FaultPlane):
         telemetry: Any = None,
         keep_events: bool = True,
         max_events: int = 200_000,
-        message_keyed: bool = False,
+        message_keyed: bool = False,  # accepted and ignored: fates are always keyed
     ):
         self.spec = spec
         self.schedule = FaultSchedule(seed, spec, n)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.keep_events = keep_events
         self.max_events = max_events
-        # Keyed mode (sharded backend, and inproc runs meant to compare
-        # against it): fates come from per-message streams keyed on
-        # (round, src, dst, copy) and inbox shuffles from per-recipient
-        # streams, so the schedule is invariant under pid sharding.  The
-        # default index-order mode is byte-identical to the seed.
-        self.message_keyed = message_keyed
         self.counts: Dict[str, int] = {kind: 0 for kind in _FAULT_KINDS}
         # stage -> kind -> count (reorder is per-inbox, not per-message,
         # so it has no stage and is tracked in ``counts`` only).
@@ -183,9 +178,13 @@ class ChaosFaultPlane(FaultPlane):
         # (admit round, then admit order).  The sharded worker tags each
         # queued copy with its own (admit_round, src, seq) order key.
         self._pending: Dict[int, List[Message]] = {}
-        self._round_rng = None  # set by begin_round
         self._severed: Optional[frozenset] = None
-        self._pair_counts: Dict[Tuple[int, int], int] = {}
+        # src * n + dst -> messages admitted this round: the ``copy``
+        # coordinate of the schedule's fate function.  An int key, not a
+        # tuple: one count per message, and tuples feed the cyclic GC.
+        self._pair_counts: Dict[int, int] = {}
+        self._n = n
+        self._copy_limit = self.schedule.copy_limit
 
     # -- state queries ---------------------------------------------------
 
@@ -217,10 +216,7 @@ class ChaosFaultPlane(FaultPlane):
     # -- network hooks ---------------------------------------------------
 
     def begin_round(self, round_no: int) -> None:
-        if self.message_keyed:
-            self._pair_counts = {}
-        else:
-            self._round_rng = self.schedule.round_rng(round_no)
+        self._pair_counts = {}
         self._severed = self.schedule.severed(round_no)
         if self.telemetry.enabled:
             # Delay-queue depth entering the round, so delay-heavy soaks
@@ -244,31 +240,27 @@ class ChaosFaultPlane(FaultPlane):
         ):
             self._record(round_no, SEVER, message)
             return SEVER
-        return self._schedule_admit(round_no, message)
-
-    def _schedule_admit(self, round_no: int, message: Message) -> str:
-        """The post-sever fate draw (subclasses compose around this)."""
-        if self.message_keyed:
-            pair = (message.src, message.dst)
-            copy = self._pair_counts.get(pair, 0)
-            self._pair_counts[pair] = copy + 1
-            fate, hold = self.schedule.message_fate(
-                round_no, message.src, message.dst, copy
+        pair = message.src * self._n + message.dst
+        copy = self._pair_counts.get(pair, 0)
+        if copy >= self._copy_limit:
+            raise ValueError(
+                "round {}: more than {} messages {} -> {}; their fate keys "
+                "would collide".format(
+                    round_no, self._copy_limit, message.src, message.dst
+                )
             )
-        else:
-            fate, hold = self.schedule.decide(self._round_rng)
+        self._pair_counts[pair] = copy + 1
+        return self._schedule_admit(round_no, message, copy)
+
+    def _schedule_admit(self, round_no: int, message: Message, copy: int) -> str:
+        """The post-sever fate draw (subclasses compose around this)."""
+        fate, hold = self.schedule.fate(round_no, message.src, message.dst, copy)
         if fate == DROP:
             self._record(round_no, DROP, message)
-            return DROP
-        if fate == DELAY:
+        elif fate != DELIVER:  # delay or duplicate: a copy matures later
             self._queue(round_no + hold, message)
-            self._record(round_no, DELAY, message, detail=hold)
-            return DELAY
-        if fate == DUPLICATE:
-            self._queue(round_no + hold, message)
-            self._record(round_no, DUPLICATE, message, detail=hold)
-            return DUPLICATE
-        return DELIVER
+            self._record(round_no, fate, message, detail=hold)
+        return fate
 
     def _queue(self, deliver_round: int, message: Message) -> None:
         self._pending.setdefault(deliver_round, []).append(message)
@@ -287,16 +279,14 @@ class ChaosFaultPlane(FaultPlane):
     ) -> None:
         if self.spec.reorder <= 0.0 or not inboxes:
             return
-        rng = None
-        if not self.message_keyed:
-            rng = self.schedule.reorder_rng(round_no)
         for dst in sorted(inboxes):
             inbox = inboxes[dst]
-            if self.message_keyed:
-                # One stream per recipient: a worker hosting any subset
-                # of pids draws exactly the same shuffles for each.
-                rng = self.schedule.dst_reorder_rng(round_no, dst)
-            if len(inbox) > 1 and rng.random() < self.spec.reorder:
+            if len(inbox) < 2:
+                continue
+            # One stream per recipient: a worker hosting any subset of
+            # pids draws exactly the same shuffles for each.
+            rng = self.schedule.inbox_rng(round_no, dst)
+            if rng.random() < self.spec.reorder:
                 rng.shuffle(inbox)
                 self.counts["reorder"] += 1
                 if self.keep_events and len(self.events) < self.max_events:

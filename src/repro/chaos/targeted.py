@@ -24,10 +24,10 @@ composing with the oblivious plane:
   of destinations across workers.
 * Decisions are pure functions of ``(round, src, dst, service, rids)``
   plus ledger/tracking state; the only randomness — delay hold lengths —
-  comes from dedicated seed-keyed streams
-  (``derive_rng(seed, "chaos", "targeted", round, src, dst, copy)``),
-  so runs are deterministic, ``--jobs``-invariant, and identical across
-  the inproc and sharded backends.
+  is a lane of the schedule's per-message hash of
+  ``(round, src, dst, copy)``, so runs are deterministic,
+  ``--jobs``-invariant, and identical across the inproc and sharded
+  backends.
 * Everything is inert by default: no scenario opts in, no policy runs,
   and the golden payload digests hold.
 
@@ -48,10 +48,9 @@ from repro.chaos.plane import (
     message_rids,
     pipeline_stage,
 )
-from repro.chaos.schedule import DELAY, DELIVER, DROP
+from repro.chaos.schedule import DELAY, DROP, TARGETED_LANE, draw_hold
 from repro.chaos.spec import FaultSpec
 from repro.sim.messages import Message, ServiceTags
-from repro.sim.rng import derive_rng
 
 __all__ = [
     "TargetedSpec",
@@ -434,8 +433,7 @@ class TargetedFaultPlane(ChaosFaultPlane):
 
     Per-message order of precedence mirrors the base plane's semantics:
     partition sever, then the targeted policy (budget permitting), then
-    the oblivious schedule's fate draw.  A null oblivious spec skips the
-    schedule entirely, so a pure targeted run burns no oblivious rng.
+    the oblivious schedule's fate draw.
     """
 
     def __init__(
@@ -447,7 +445,7 @@ class TargetedFaultPlane(ChaosFaultPlane):
         telemetry=None,
         keep_events: bool = True,
         max_events: int = 200_000,
-        message_keyed: bool = False,
+        message_keyed: bool = False,  # accepted and ignored: fates are always keyed
     ):
         super().__init__(
             seed,
@@ -456,14 +454,11 @@ class TargetedFaultPlane(ChaosFaultPlane):
             telemetry=telemetry,
             keep_events=keep_events,
             max_events=max_events,
-            message_keyed=message_keyed,
         )
         self.targeted = targeted
         self.policy = get_policy(targeted.policy)(targeted, seed, n)
         self.ledger = BudgetLedger(targeted.per_round, targeted.total)
         self.targeted_counts: Dict[str, int] = {}
-        self._oblivious_null = spec.is_null()
-        self._targeted_pair_counts: Dict[Tuple[int, int], int] = {}
 
     # -- adversary view ---------------------------------------------------
 
@@ -485,23 +480,20 @@ class TargetedFaultPlane(ChaosFaultPlane):
 
     def begin_round(self, round_no: int) -> None:
         super().begin_round(round_no)
-        self._targeted_pair_counts = {}
         self.policy.begin_round(round_no)
         self.ledger.begin_round(round_no)
 
-    def _schedule_admit(self, round_no: int, message: Message) -> str:
-        # The base admit has already applied the partition cut.
-        fate = self._targeted_admit(round_no, message)
+    def _schedule_admit(self, round_no: int, message: Message, copy: int) -> str:
+        # The base admit has already applied the partition cut; the
+        # oblivious fate delivers outside its spec's active window.
+        fate = self._targeted_admit(round_no, message, copy)
         if fate is not None:
             return fate
-        # Fall through to the oblivious schedule, honoring its own
-        # active window (outside it the base network would not have
-        # consulted the plane at all).
-        if self._oblivious_null or not self.spec.active_in(round_no):
-            return DELIVER
-        return super()._schedule_admit(round_no, message)
+        return super()._schedule_admit(round_no, message, copy)
 
-    def _targeted_admit(self, round_no: int, message: Message) -> Optional[str]:
+    def _targeted_admit(
+        self, round_no: int, message: Message, copy: int
+    ) -> Optional[str]:
         if not self.targeted.active_in(round_no):
             return None
         rids = message_rids(message)
@@ -528,23 +520,11 @@ class TargetedFaultPlane(ChaosFaultPlane):
                 budget_spent=self.ledger.spent,
             )
             return DROP
-        # Delay holds are the policy layer's only randomness; they come
-        # from a dedicated stream keyed on the message's own coordinates
-        # (same derivation shape as FaultSchedule.message_rng), so the
-        # draw is identical on every backend and at any --jobs.
-        pair = (message.src, message.dst)
-        copy = self._targeted_pair_counts.get(pair, 0)
-        self._targeted_pair_counts[pair] = copy + 1
-        rng = derive_rng(
-            self.schedule.master_seed,
-            "chaos",
-            "targeted",
-            round_no,
-            message.src,
-            message.dst,
-            copy,
-        )
-        hold = rng.randint(1, self.targeted.hold)
+        # Delay holds are the policy layer's only randomness: their own
+        # lane of the message's hash, so the draw is identical on every
+        # backend and at any --jobs.
+        h = self.schedule.message_hash(round_no, message.src, message.dst, copy)
+        hold = draw_hold(h, TARGETED_LANE, self.targeted.hold)
         self._queue(round_no + hold, message)
         self._count_targeted(DELAY)
         self._record(
@@ -599,7 +579,7 @@ def build_fault_plane(
     *,
     telemetry=None,
     keep_events: bool = True,
-    message_keyed: bool = False,
+    message_keyed: bool = False,  # accepted and ignored: fates are always keyed
 ) -> Optional[ChaosFaultPlane]:
     """The plane a run's specs call for, or ``None`` for a reliable network.
 
@@ -610,9 +590,7 @@ def build_fault_plane(
     spec when there is none); an oblivious spec alone gives the plain
     chaos plane; a null spec alone is the paper's reliable network.
     """
-    options = dict(
-        telemetry=telemetry, keep_events=keep_events, message_keyed=message_keyed
-    )
+    options = dict(telemetry=telemetry, keep_events=keep_events)
     if targeted_spec is not None:
         spec = fault_spec if fault_spec is not None else FaultSpec()
         return TargetedFaultPlane(seed, spec, targeted_spec, n, **options)

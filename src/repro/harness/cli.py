@@ -81,7 +81,6 @@ Inspection
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import inspect
 import json
@@ -815,12 +814,6 @@ def _net_verify(args: argparse.Namespace) -> int:
     kwargs = _scenario_kwargs(args)
     builder = SCENARIOS[args.scenario]
     base = builder(seed=args.seed, params=params, **kwargs)
-    if base.chaos is not None or base.targeted is not None:
-        # The default index-order fate stream has no shard-invariant
-        # meaning; both backends must draw message-keyed fates to be
-        # digest-comparable.  Targeted planes are message-keyed by
-        # construction but their oblivious fallthrough still needs it.
-        base = dataclasses.replace(base, chaos_keyed=True)
     inproc = run_scenario(base)
     sharded = run_scenario(
         base, backend="sharded", net={"workers": args.workers}

@@ -91,12 +91,7 @@ class Scenario:
     # Sharded-backend options (workers/transport/timeout), validated by
     # repro.net.coordinator.NetOptions.  Ignored by the inproc backend.
     net: Optional[Dict[str, object]] = None
-    # Chaos fate streams: False (default) draws fates in message-index
-    # order — byte-identical to the pre-sharding seed; True keys every
-    # fate on (round, src, dst, copy), the shard-invariant mode the
-    # sharded backend always uses.  Set it on inproc runs that must be
-    # digest-comparable with sharded ones.
-    chaos_keyed: bool = False
+    chaos_keyed: bool = False  # accepted and ignored: chaos fates are always keyed
     # Targeted chaos extension (None = no rumor-aware adversary): a
     # TargetedSpec as a plain dict.  Composes with ``chaos`` — the
     # targeted policy decides first, the oblivious schedule after.
@@ -363,7 +358,6 @@ def _run_inproc(setup: RunSetup, node_factory: Callable[[int], object]) -> RunRe
         scenario.fault_spec(),
         scenario.targeted_spec(),
         telemetry=setup.telemetry,
-        message_keyed=scenario.chaos_keyed,
     )
     observers = setup.observers
     if isinstance(fault_plane, TargetedFaultPlane):

@@ -9,10 +9,9 @@ skeleton (:class:`~repro.sim.engine.RoundEngine`) and supplies only what
 a crash, a restart and an injection add to the round frame, and the
 round body (ship frames, relay cross batches, merge the delivered
 streams).  The result is bit-identical to the in-process backend (same
-``RunRecord.without_profile()``), with one caveat: chaos runs compare
-against the in-process engine in *message-keyed* mode
-(``Scenario.chaos_keyed``), because the default index-order fate stream
-has no shard-invariant meaning.
+``RunRecord.without_profile()``), chaos runs included: every fault fate
+is a pure function of the message's own coordinates, so no shard layout
+can change it.
 
 Round barrier
     Lockstep, the only sync policy implemented: every worker finishes
@@ -89,10 +88,9 @@ def _reject_mid_round_adversaries(adversary: Adversary) -> None:
 
     Names the exact offending part — including its position inside a
     :class:`ComposedAdversary` — and points at the supported
-    alternative: targeted chaos policies (``Scenario.targeted`` with
-    ``chaos_keyed=True``) make their decisions from shard-invariant
-    message metadata, so they run on this backend where a mid-round
-    adversary cannot.
+    alternative: targeted chaos policies (``Scenario.targeted``) make
+    their decisions from shard-invariant message metadata, so they run on
+    this backend where a mid-round adversary cannot.
     """
     composed = isinstance(adversary, ComposedAdversary)
     parts = adversary.parts if composed else [adversary]
@@ -109,10 +107,9 @@ def _reject_mid_round_adversaries(adversary: Adversary) -> None:
                 "messages); the sharded backend never materializes them in "
                 "one place.  Run this scenario with backend='inproc', or "
                 "express the attack as a targeted chaos policy "
-                "(Scenario.targeted + chaos_keyed=True, see "
-                "repro.chaos.targeted) — those decide from per-message "
-                "metadata and replay identically on the sharded "
-                "backend".format(where)
+                "(Scenario.targeted, see repro.chaos.targeted) — those "
+                "decide from per-message metadata and replay identically "
+                "on the sharded backend".format(where)
             )
 
 
@@ -316,7 +313,6 @@ class ShardEngine(RoundEngine):
             scenario.fault_spec(),
             scenario.targeted_spec(),
             keep_events=False,
-            message_keyed=True,
         )
         self._targeted = isinstance(self.fault_plane, TargetedFaultPlane)
         self._new_round_frame()

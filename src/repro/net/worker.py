@@ -4,8 +4,8 @@ A worker hosts the :class:`~repro.sim.process.ProcessShell`\\ s of the
 pids it owns and replays, for that subset, exactly what
 :class:`~repro.sim.engine.Engine` would do — same phase order, same
 pid-ascending iteration, and the engine's own delivery step
-(:meth:`repro.sim.network.Network.route` over the message-keyed chaos
-plane) — driven by lockstep frames from the coordinator:
+(:meth:`repro.sim.network.Network.route` over the chaos plane) —
+driven by lockstep frames from the coordinator:
 
 ``round``   crashes/restarts/injections for this round; the worker runs
             its send phase and answers ``sent`` with aggregate counts
@@ -51,9 +51,9 @@ Determinism argument: a node's behaviour is a function of its pid, the
 shared seed hierarchy, and its per-round inputs (injections, inbox).
 Workers reproduce the engine's inbox content and order exactly — fresh
 messages sort by ``(src, seq)`` (the engine's outgoing order) and
-matured chaos copies append in plane-queue order, which the keyed plane
-makes shard-invariant — so every node computes bit-identical state to
-the in-process run, by induction over rounds.
+matured chaos copies append in plane-queue order, which per-message
+fates make shard-invariant — so every node computes bit-identical state
+to the in-process run, by induction over rounds.
 """
 
 from __future__ import annotations
@@ -145,12 +145,12 @@ class ShardWorker:
         self.alive: Set[int] = set(range(self.n))
         chaos = config.get("chaos")
         targeted = config.get("targeted")
-        # Message-keyed mode: fates drawn per (round, src, dst, copy) and
-        # shuffles per recipient, so every worker makes the same decisions
-        # regardless of the shard layout.  A targeted policy's state is
-        # fed by the coordinator's rumor_meta broadcast and its budgets
-        # are per-destination, so every worker reaches exactly the inproc
-        # (chaos_keyed) verdicts for the destinations it owns.
+        # Fates are keyed per (round, src, dst, copy) and shuffles per
+        # recipient, so every worker makes the same decisions regardless
+        # of the shard layout.  A targeted policy's state is fed by the
+        # coordinator's rumor_meta broadcast and its budgets are
+        # per-destination, so every worker reaches exactly the inproc
+        # verdicts for the destinations it owns.
         self.plane: Optional[ChaosFaultPlane] = build_fault_plane(
             self.seed,
             self.n,
@@ -158,7 +158,6 @@ class ShardWorker:
             TargetedSpec.from_dict(targeted) if targeted is not None else None,  # type: ignore[arg-type]
             telemetry=self.telemetry,
             keep_events=False,
-            message_keyed=True,
         )
         # The in-process engine's delivery step, over the pids this worker
         # hosts: crash loss, the plane's fates, matured copies, shuffles.

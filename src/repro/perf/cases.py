@@ -393,6 +393,27 @@ def _setup_audit_deliver() -> Operation:
     return op
 
 
+def _setup_chaos_admit() -> Operation:
+    # One synthetic 2 000-message round at the ledger's chaos_object fault
+    # mix: each admit is one fate-function draw.
+    from repro.chaos.plane import ChaosFaultPlane
+    from repro.chaos.spec import FaultSpec
+    from repro.sim.messages import Message, ServiceTags
+
+    spec = FaultSpec(drop=0.15, delay=0.1, duplicate=0.02)
+    burst = [
+        Message(src=i % 64, dst=(i * 7 + 1) % 64, service=ServiceTags.ALL_GOSSIP)
+        for i in range(2000)
+    ]
+
+    def op() -> object:
+        plane = ChaosFaultPlane(0, spec, 64, keep_events=False)
+        plane.begin_round(0)
+        return [plane.admit(0, message) for message in burst].count("deliver")
+
+    return op
+
+
 def _setup_clock_arithmetic() -> Operation:
     from repro.sim.clock import BlockSchedule
 
@@ -531,6 +552,15 @@ register_case(
         setup=_setup_audit_deliver,
         ops=15 * 8,
         tags=("audit", "micro"),
+    )
+)
+register_case(
+    PerfCase(
+        key="chaos_admit",
+        title="ChaosFaultPlane.admit (2000 messages, one round)",
+        setup=_setup_chaos_admit,
+        ops=2000,
+        tags=("chaos", "micro"),
     )
 )
 register_case(

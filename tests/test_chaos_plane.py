@@ -1,6 +1,8 @@
 """Tests for repro.chaos.plane and its integration with the network:
 fault semantics, leak-safe attribution, and the untouched default path."""
 
+import dataclasses
+
 import pytest
 
 from repro.chaos.plane import (
@@ -10,6 +12,7 @@ from repro.chaos.plane import (
     pipeline_stage,
 )
 from repro.chaos.spec import FaultSpec
+from repro.exec.results import RunRecord
 from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import chaos_scenario
 from repro.obs import Telemetry
@@ -114,6 +117,33 @@ class TestAdmitSemantics:
         assert plane.counts["drop"] == 5
         assert len(plane.events) == 2
         assert all(event.kind == "drop" for event in plane.events)
+
+
+class TestFateKeys:
+    def test_copy_counter_past_the_key_width_raises(self):
+        network, plane = plane_network(FaultSpec(drop=0.5))
+        plane._copy_limit = 2  # stand-in for the 2**52 a real n leaves
+        with pytest.raises(ValueError, match="fate keys would collide"):
+            route(network, 0, [mk_message(src=0, dst=1) for _ in range(3)])
+
+    def test_copies_of_a_pair_count_per_round(self):
+        network, plane = plane_network(FaultSpec(drop=0.5))
+        plane._copy_limit = 2
+        for round_no in range(3):
+            route(network, round_no, [mk_message(src=0, dst=1)] * 2)
+
+    def test_chaos_keyed_is_ignored(self):
+        scenario = chaos_scenario(
+            8, 60, seed=3, deadline=16, drop=0.1, delay=0.1, duplicate=0.05,
+            reorder=0.2,
+        )
+        records = [
+            RunRecord.from_result(
+                run_congos_scenario(dataclasses.replace(scenario, chaos_keyed=keyed))
+            ).without_profile()
+            for keyed in (False, True)
+        ]
+        assert records[0] == records[1]
 
 
 class TestReorder:

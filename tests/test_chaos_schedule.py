@@ -3,7 +3,18 @@ seed-keyed determinism (same seed => identical fault schedule)."""
 
 import pytest
 
-from repro.chaos.schedule import DELAY, DELIVER, DROP, DUPLICATE, FaultSchedule
+from repro.chaos.schedule import (
+    DELAY,
+    DELIVER,
+    DROP,
+    DUPLICATE,
+    MASK64,
+    PHI,
+    TARGETED_LANE,
+    FaultSchedule,
+    draw_hold,
+    mix64,
+)
 from repro.chaos.spec import FaultSpec
 
 
@@ -70,6 +81,25 @@ class TestFaultSpecValidation:
             FaultSpec.from_dict({"drop": 0.1, "jitter": 0.5})
 
 
+def round_fates(schedule, round_no, count):
+    """The fates of ``count`` distinct messages sent in ``round_no``."""
+    n = schedule.n
+    return [
+        schedule.fate(round_no, i % n, (i // n) % n, i // (n * n))
+        for i in range(count)
+    ]
+
+
+class TestMix64:
+    def test_pinned_to_published_splitmix64_sequence(self):
+        # SplitMix64 seeded with 0: the k-th output is mix64(k * PHI).
+        assert [mix64((k * PHI) & MASK64) for k in (1, 2, 3)] == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+        ]
+
+
 class TestScheduleDeterminism:
     SPEC = FaultSpec(drop=0.2, delay=0.2, max_delay=3, duplicate=0.1)
 
@@ -77,52 +107,101 @@ class TestScheduleDeterminism:
         a = FaultSchedule(42, self.SPEC, 16)
         b = FaultSchedule(42, self.SPEC, 16)
         for round_no in range(20):
-            assert a.decisions(round_no, 50) == b.decisions(round_no, 50)
+            assert round_fates(a, round_no, 50) == round_fates(b, round_no, 50)
 
     def test_decisions_are_pure(self):
         schedule = FaultSchedule(42, self.SPEC, 16)
-        first = schedule.decisions(7, 50)
-        assert schedule.decisions(7, 50) == first
+        first = round_fates(schedule, 7, 50)
+        assert round_fates(schedule, 7, 50) == first
 
     def test_different_seeds_differ(self):
         a = FaultSchedule(42, self.SPEC, 16)
         b = FaultSchedule(43, self.SPEC, 16)
-        rounds = [a.decisions(r, 50) for r in range(10)]
-        assert rounds != [b.decisions(r, 50) for r in range(10)]
+        rounds = [round_fates(a, r, 50) for r in range(10)]
+        assert rounds != [round_fates(b, r, 50) for r in range(10)]
 
     def test_rounds_are_independent_streams(self):
-        # Round r's decisions do not depend on whether earlier rounds
-        # were ever drawn.
+        # Round r's fates do not depend on whether earlier rounds were
+        # ever drawn.
         fresh = FaultSchedule(42, self.SPEC, 16)
         warmed = FaultSchedule(42, self.SPEC, 16)
         for round_no in range(9):
-            warmed.decisions(round_no, 50)
-        assert fresh.decisions(9, 50) == warmed.decisions(9, 50)
+            round_fates(warmed, round_no, 50)
+        assert round_fates(fresh, 9, 50) == round_fates(warmed, 9, 50)
 
     def test_inactive_round_delivers_everything(self):
         spec = FaultSpec(drop=0.9, start_round=100)
         schedule = FaultSchedule(42, spec, 16)
-        assert schedule.decisions(5, 10) == [(DELIVER, 0)] * 10
+        assert round_fates(schedule, 5, 10) == [(DELIVER, 0)] * 10
 
     def test_delay_holds_bounded(self):
         spec = FaultSpec(delay=1.0, max_delay=3)
         schedule = FaultSchedule(42, spec, 16)
-        for fate, hold in schedule.decisions(0, 200):
+        holds = set()
+        for fate, hold in round_fates(schedule, 0, 200):
             assert fate == DELAY
             assert 1 <= hold <= 3
+            holds.add(hold)
+        assert holds == {1, 2, 3}
+
+    def test_targeted_lane_holds_bounded(self):
+        schedule = FaultSchedule(42, self.SPEC, 16)
+        holds = [
+            draw_hold(schedule.message_hash(4, src, dst, 0), TARGETED_LANE, 5)
+            for src in range(16)
+            for dst in range(16)
+        ]
+        assert set(holds) == {1, 2, 3, 4, 5}
 
     def test_fates_roughly_match_probabilities(self):
         schedule = FaultSchedule(42, self.SPEC, 16)
         fates = [
             fate
             for round_no in range(40)
-            for fate, _ in schedule.decisions(round_no, 100)
+            for fate, _ in round_fates(schedule, round_no, 100)
         ]
         total = len(fates)
         assert 0.15 < fates.count(DROP) / total < 0.25
         assert 0.15 < fates.count(DELAY) / total < 0.25
         assert 0.05 < fates.count(DUPLICATE) / total < 0.15
         assert 0.4 < fates.count(DELIVER) / total < 0.6
+
+    def test_fate_frequencies_per_knob(self):
+        # Each knob alone, over 10 000 messages: within ~4 sigma.
+        for name, fate in (
+            ("drop", DROP), ("delay", DELAY), ("duplicate", DUPLICATE)
+        ):
+            schedule = FaultSchedule(7, FaultSpec(**{name: 0.3}), 16)
+            fates = [
+                got
+                for round_no in range(40)
+                for got, _ in round_fates(schedule, round_no, 250)
+            ]
+            assert 0.28 < fates.count(fate) / len(fates) < 0.32, name
+            assert set(fates) == {fate, DELIVER}
+
+
+class TestMessageKeys:
+    """pack(src, dst, copy) must never alias two messages onto one fate."""
+
+    def test_distinct_messages_distinct_hashes(self):
+        schedule = FaultSchedule(42, FaultSpec(drop=0.5), 5)
+        hashes = {
+            schedule.message_hash(3, src, dst, copy)
+            for src in range(5)
+            for dst in range(5)
+            for copy in range(9)
+        }
+        assert len(hashes) == 5 * 5 * 9
+
+    def test_too_many_pids_for_the_key_rejected(self):
+        FaultSchedule(0, FaultSpec(drop=0.1), 1 << 24)
+        with pytest.raises(ValueError, match="copy index"):
+            FaultSchedule(0, FaultSpec(drop=0.1), (1 << 24) + 1)
+
+    def test_copy_limit_leaves_the_pid_fields(self):
+        schedule = FaultSchedule(0, FaultSpec(drop=0.1), 64)
+        assert schedule.copy_limit == 1 << (64 - 2 * 6)
 
 
 class TestPartitionStorms:
@@ -210,8 +289,8 @@ class TestSeveredBoundaries:
 
 
 class TestMessageFatePurity:
-    """message_fate is a pure function of (seed, round, src, dst, copy) —
-    the property that makes chaos_keyed runs --jobs- and shard-invariant."""
+    """fate is a pure function of (seed, round, src, dst, copy) — the
+    property that makes chaos runs --jobs- and shard-invariant."""
 
     SPEC = FaultSpec(drop=0.3, delay=0.3, max_delay=4, duplicate=0.1)
 
@@ -219,8 +298,8 @@ class TestMessageFatePurity:
         schedule = FaultSchedule(42, self.SPEC, 16)
         for round_no in range(8):
             for copy in range(3):
-                first = schedule.message_fate(round_no, 1, 2, copy)
-                assert schedule.message_fate(round_no, 1, 2, copy) == first
+                first = schedule.fate(round_no, 1, 2, copy)
+                assert schedule.fate(round_no, 1, 2, copy) == first
 
     def test_independent_instances_agree(self):
         # Two schedules (e.g. two exec-pool workers, or two shard
@@ -228,14 +307,14 @@ class TestMessageFatePurity:
         a = FaultSchedule(42, self.SPEC, 16)
         b = FaultSchedule(42, self.SPEC, 16)
         fates_a = [
-            a.message_fate(r, s, d, c)
+            a.fate(r, s, d, c)
             for r in range(6)
             for s in range(4)
             for d in range(4)
             for c in range(2)
         ]
         fates_b = [
-            b.message_fate(r, s, d, c)
+            b.fate(r, s, d, c)
             for r in range(6)
             for s in range(4)
             for d in range(4)
@@ -255,19 +334,19 @@ class TestMessageFatePurity:
             for d in range(3)
             for c in range(2)
         ]
-        want = {xyz: forward.message_fate(*xyz) for xyz in coords}
-        got = {xyz: backward.message_fate(*xyz) for xyz in reversed(coords)}
+        want = {xyz: forward.fate(*xyz) for xyz in coords}
+        got = {xyz: backward.fate(*xyz) for xyz in reversed(coords)}
         assert got == want
 
     def test_copy_index_distinguishes_duplicates(self):
         schedule = FaultSchedule(42, FaultSpec(drop=0.5), 64)
         fates = {
-            copy: schedule.message_fate(3, 1, 2, copy) for copy in range(64)
+            copy: schedule.fate(3, 1, 2, copy) for copy in range(64)
         }
         assert len(set(fates.values())) > 1  # copies draw distinct streams
 
     def test_inactive_rounds_deliver_without_drawing(self):
         spec = FaultSpec(drop=1.0, start_round=10)
         schedule = FaultSchedule(42, spec, 16)
-        assert schedule.message_fate(9, 0, 1, 0) == (DELIVER, 0)
-        assert schedule.message_fate(10, 0, 1, 0) == (DROP, 0)
+        assert schedule.fate(9, 0, 1, 0) == (DELIVER, 0)
+        assert schedule.fate(10, 0, 1, 0) == (DROP, 0)

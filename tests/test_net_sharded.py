@@ -52,9 +52,9 @@ def test_sharded_matches_inproc_n64():
 
 
 def test_sharded_chaos_keyed_matches_inproc_three_workers():
-    # Chaos comparison needs message-keyed fates on BOTH backends (the
-    # default index-order stream has no shard-invariant meaning); three
-    # workers over n=16 also exercises a non-divisible shard split.
+    # Every fate is keyed on the message's own coordinates, so the two
+    # backends agree with no flag; three workers over n=16 also
+    # exercises a non-divisible shard split.
     # Delayed and duplicated copies reach the delivered stream rounds
     # after they were sent, some past their items' expiry — by then the
     # stream's item table has dropped the item, and it is re-sent in full.
@@ -69,7 +69,6 @@ def test_sharded_chaos_keyed_matches_inproc_three_workers():
         reorder=0.2,
         params=CongosParams.preset("lean"),
     )
-    scenario = dataclasses.replace(scenario, chaos_keyed=True)
     inproc, sharded = _compare_backends(scenario, workers=3)
     assert sharded.fault_plane is not None
     assert (
@@ -104,7 +103,6 @@ def test_sharded_chaos_with_churn_matches_inproc_late_loss():
         churn=0.01,
         params=CongosParams.preset("lean"),
     )
-    scenario = dataclasses.replace(scenario, chaos_keyed=True)
     streams = {"inproc": DeliveredStream(), "sharded": DeliveredStream()}
     inproc = run_congos_scenario(scenario, observers=[streams["inproc"]])
     sharded = run_congos_scenario(
@@ -204,7 +202,7 @@ def test_mid_round_rejection_names_composed_part():
     message = str(excinfo.value)
     assert "Nosy (part 2 of 3 in a ComposedAdversary)" in message
     assert "Scenario.targeted" in message
-    assert "chaos_keyed" in message
+    assert "chaos_keyed" not in message
 
     # A bare (non-composed) adversary is named without the part suffix.
     with pytest.raises(NotImplementedError) as excinfo:
@@ -228,7 +226,6 @@ def test_sharded_targeted_matches_inproc():
         total=32,
         params=CongosParams.preset("lean"),
     )
-    scenario = dataclasses.replace(scenario, chaos_keyed=True)
     inproc, sharded = _compare_backends(scenario, workers=3)
     inproc_summary = inproc.fault_plane.targeted_summary()
     sharded_summary = sharded.fault_plane.targeted_summary()
@@ -249,7 +246,6 @@ def test_sharded_targeted_composed_with_oblivious_drop():
         drop=0.05,
         params=CongosParams.preset("lean"),
     )
-    scenario = dataclasses.replace(scenario, chaos_keyed=True)
     inproc, sharded = _compare_backends(scenario, workers=2)
     assert (
         sharded.fault_plane.targeted_summary()

@@ -96,8 +96,6 @@ def test_chaos_fault_events_match_inproc():
         drop=0.1, delay=0.1, duplicate=0.05, reorder=0.1,
         params=CongosParams.preset("lean"),
     )
-    # Both backends must draw message-keyed fates to be comparable.
-    scenario = dataclasses.replace(scenario, chaos_keyed=True)
     _, inproc_events, inproc_telemetry, _ = _traced(scenario)
     _, sharded_events, sharded_telemetry, _ = _traced(_sharded(scenario, 3))
     assert any(event.kind.startswith("fault_") for event in sharded_events)

@@ -50,6 +50,8 @@ class TestRegistry:
         assert "gossip_receive_saturated" in keys
         assert "gossip_receive_converged" in keys
         assert "audit_batch_fanout" in keys
+        # The chaos plane's per-message fate draw.
+        assert "chaos_admit" in keys
 
     def test_get_case_unknown_key_raises(self):
         with pytest.raises(KeyError, match="unknown perf case"):
