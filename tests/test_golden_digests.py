@@ -102,9 +102,12 @@ def test_e16_direct_hardened_digest():
     spec = RunSpec.make(
         "direct", seed=0, n=16, rounds=120, deadline=32, drop=0.3, hardened=True
     )
+    # Chaos fates come from the counter-based fate function; under the
+    # former index-order stream this was
+    # 1e404c3a6c2a4d247f6b1a98e81a3f5285d5dd76fa9ec29de330a9ed3469f192.
     assert (
         run_digest(spec)
-        == "1e404c3a6c2a4d247f6b1a98e81a3f5285d5dd76fa9ec29de330a9ed3469f192"
+        == "e2f0e5a4aa6728787bdaf218d19b3c072b96220187e0d190179cd4bb80416e0c"
     )
 
 
@@ -144,9 +147,11 @@ def test_e15_soak_payload_digest():
             "delay": None,
         },
     )
+    # Under the former index-order fate stream this was
+    # 7630f178fe858fe6dcbc96841988778e28db692f1feef4ece5c3f92be7ce8d79.
     assert (
         payload_digest(payload)
-        == "7630f178fe858fe6dcbc96841988778e28db692f1feef4ece5c3f92be7ce8d79"
+        == "dcef89898ecb92fd705b3c31a954500f4a969359a13085c883a502bd4c48fefe"
     )
 
 
