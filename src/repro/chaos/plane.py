@@ -162,7 +162,7 @@ class ChaosFaultPlane(FaultPlane):
         telemetry: Any = None,
         keep_events: bool = True,
         max_events: int = 200_000,
-        message_keyed: bool = False,  # accepted and ignored: fates are always keyed
+        message_keyed: bool = False,  # ignored; the ledger tracer still passes it
     ):
         self.spec = spec
         self.schedule = FaultSchedule(seed, spec, n)

@@ -112,7 +112,9 @@ class FaultSchedule:
             self._enter_round(round_no)
         if not self._active:
             return _DELIVER
-        h = self.message_hash(round_no, src, dst, copy)
+        # message_hash, inlined: the round key is already entered above.
+        packed = (copy << self._copy_shift) | (src << self._pid_bits) | dst
+        h = mix64((self._round_key + packed * PHI) & MASK64)
         u = (h >> 11) * _TWO_NEG53
         if u < self._drop_cut:
             return (DROP, 0)

@@ -445,7 +445,6 @@ class TargetedFaultPlane(ChaosFaultPlane):
         telemetry=None,
         keep_events: bool = True,
         max_events: int = 200_000,
-        message_keyed: bool = False,  # accepted and ignored: fates are always keyed
     ):
         super().__init__(
             seed,
@@ -579,7 +578,6 @@ def build_fault_plane(
     *,
     telemetry=None,
     keep_events: bool = True,
-    message_keyed: bool = False,  # accepted and ignored: fates are always keyed
 ) -> Optional[ChaosFaultPlane]:
     """The plane a run's specs call for, or ``None`` for a reliable network.
 
