@@ -9,8 +9,9 @@ process could have copied data out before crashing.
 Its unit of work is the sender's *fan-out*, not the message: a gossip
 sender hands one batch object to all of its targets, so the round's
 deliveries are audited one (sender, batch) run at a time, with the run's
-destinations folded into one pid bitmask (see
-:meth:`ConfidentialityAuditor.on_deliver_round`).
+destinations folded into one pid bitmask.  The engine makes the cut
+(:func:`repro.sim.engine.fanouts`) and hands it to
+:meth:`ConfidentialityAuditor.on_fanouts`.
 
 Checks provided:
 
@@ -38,7 +39,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.adversary.collusion import CoalitionStrategy, min_cover_size
 from repro.core.confidential_gossip import DirectAck
 from repro.gossip.rumor import ItemBatch, Rumor, RumorId, reveal_digest
-from repro.sim.engine import SimObserver
+from repro.sim.engine import Fanout, SimObserver
 from repro.sim.messages import Message, reveals_of
 
 __all__ = [
@@ -127,12 +128,13 @@ class CoalitionFinding:
 class ConfidentialityAuditor(SimObserver):
     """Tracks knowledge flow and detects confidentiality breaches.
 
-    The engine hands it each round's deliveries whole
-    (:meth:`on_deliver_round`); :meth:`on_deliver` is the same audit for
-    one message.  Which processes have absorbed a gossip item, and which
-    may know a rumor, are kept as pid bitmasks (bit ``p`` = pid ``p``),
-    so a fan-out's border copies and fresh (item, destination) pairs fall
-    out of a few ``&`` / ``~`` on ints instead of a test per destination.
+    The engine hands it each round's deliveries cut into sender fan-outs
+    (:meth:`on_fanouts`); its state is the same under any cut, down to
+    one message per fan-out.  Which processes have absorbed a gossip
+    item, and which may know a rumor, are kept as pid bitmasks (bit
+    ``p`` = pid ``p``), so a fan-out's border copies and fresh (item,
+    destination) pairs fall out of a few ``&`` / ``~`` on ints instead
+    of a test per destination.
     """
 
     def __init__(self, num_partitions: int, num_groups: int):
@@ -171,47 +173,15 @@ class ConfidentialityAuditor(SimObserver):
         self.knowledge[pid].add(("plaintext", rumor.rid))
         self.plaintext_holders[rumor.rid].add(pid)
 
-    def on_deliver(self, round_no: int, message: Message) -> None:
-        """Audit one delivered message: a fan-out of one."""
-        self.on_deliver_round(round_no, (message,))
-
-    def on_deliver_round(
-        self, round_no: int, delivered: Sequence[Message]
-    ) -> None:
-        """Audit a round's deliveries, one sender fan-out at a time.
-
-        A fan-out is a maximal run of consecutive messages with the same
-        ``src`` and the *same payload object* in which no destination
-        repeats (a repeat starts a new run: border copies are counted per
-        message).  Its destinations are folded into one bitmask and the
-        run is audited once; anything that is not a tuple payload is
-        audited on its own.
-        """
-        count = len(delivered)
-        index = 0
-        while index < count:
-            message = delivered[index]
-            index += 1
-            payload = message.payload
-            if not isinstance(payload, tuple):
-                self._audit_single(round_no, message)
-                continue
-            src = message.src
-            dst = message.dst
-            dsts = [dst]
-            mask = 1 << dst
-            while index < count:
-                message = delivered[index]
-                if message.payload is not payload or message.src != src:
-                    break
-                dst = message.dst
-                bit = 1 << dst
-                if mask & bit:
-                    break
-                mask |= bit
-                dsts.append(dst)
-                index += 1
-            self._audit_fanout(round_no, src, payload, dsts, mask)
+    def on_fanouts(self, round_no: int, fanouts: Sequence[Fanout]) -> None:
+        """Audit a round's deliveries, one sender fan-out at a time: a
+        batch once for all its destinations, anything else on its own."""
+        for head, dsts, mask in fanouts:
+            payload = head.payload
+            if isinstance(payload, tuple):
+                self._audit_fanout(round_no, head.src, payload, dsts, mask)
+            else:
+                self._audit_single(round_no, head)
 
     def _audit_fanout(
         self, round_no: int, src: int, payload: Tuple, dsts: List[int], mask: int

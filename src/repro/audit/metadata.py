@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Set
+from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.core.group_distribution import DistributionShare, FragmentDelivery
 from repro.core.proxy import ProxyRequest, ProxyShare
 from repro.core.splitting import Fragment
 from repro.gossip.rumor import Rumor, RumorId
-from repro.sim.engine import SimObserver
-from repro.sim.messages import Message
+from repro.sim.engine import Fanout, SimObserver
 
 __all__ = ["MetadataExposure", "MetadataAuditor"]
 
@@ -49,8 +48,29 @@ class MetadataExposure:
         return self.dest_set_disclosures / self.observer_rumor_pairs
 
 
+def _revealed(payload: object) -> Iterator[Tuple[RumorId, Optional[FrozenSet[int]]]]:
+    """What ``payload`` tells its receiver, in payload order: ``(rid,
+    dest)`` for a rumor's existence and destination set, ``(rid, None)``
+    for its existence alone."""
+    if isinstance(payload, (Fragment, Rumor)):
+        yield payload.rid, payload.dest
+    elif isinstance(payload, (ProxyRequest, FragmentDelivery, ProxyShare)):
+        for fragment in payload.fragments:
+            yield from _revealed(fragment)
+    elif isinstance(payload, DistributionShare):
+        for _, rid in payload.hits:
+            yield rid, None
+    elif isinstance(payload, tuple):
+        for item in payload:
+            yield from _revealed(getattr(item, "payload", item))
+
+
 class MetadataAuditor(SimObserver):
-    """Tracks what each process learns *about* rumors it may not read."""
+    """Tracks what each process learns *about* rumors it may not read.
+
+    A payload is walked once per sender fan-out (:meth:`on_fanouts`) and
+    what it reveals applied to each destination: any cut gives one state.
+    """
 
     def __init__(self) -> None:
         self.rumors: Dict[RumorId, Rumor] = {}
@@ -69,26 +89,14 @@ class MetadataAuditor(SimObserver):
             self.rumors[rumor.rid] = rumor
             self.sources[rumor.rid] = pid
 
-    def on_deliver(self, round_no: int, message: Message) -> None:
-        self._absorb(message.dst, message.payload)
-
-    def _absorb(self, pid: int, payload: object) -> None:
-        if isinstance(payload, Fragment):
-            self.knows_existence[pid].add(payload.rid)
-            self.knows_dest[pid][payload.rid] = payload.dest
-        elif isinstance(payload, (ProxyRequest, FragmentDelivery, ProxyShare)):
-            for fragment in payload.fragments:
-                self._absorb(pid, fragment)
-        elif isinstance(payload, DistributionShare):
-            for _, rid in payload.hits:
-                self.knows_existence[pid].add(rid)
-        elif isinstance(payload, Rumor):
-            self.knows_existence[pid].add(payload.rid)
-            self.knows_dest[pid][payload.rid] = payload.dest
-        elif isinstance(payload, tuple):
-            for item in payload:
-                inner = getattr(item, "payload", item)
-                self._absorb(pid, inner)
+    def on_fanouts(self, round_no: int, fanouts: Sequence[Fanout]) -> None:
+        for head, dsts, _ in fanouts:
+            revealed = list(_revealed(head.payload))
+            for pid in dsts:
+                for rid, dest in revealed:
+                    self.knows_existence[pid].add(rid)
+                    if dest is not None:
+                        self.knows_dest[pid][rid] = dest
 
     # ------------------------------------------------------------------
     # Queries

@@ -8,7 +8,7 @@ engine's delivered stream directly.  :func:`run_array_scenario` then
 builds an :class:`~repro.fastcore.engine.ArrayEngine` from the setup and
 runs it.
 
-Scenario features outside the array engine's scope raise
+Scenario features and observers outside the array engine's scope raise
 :class:`UnsupportedScenario` eagerly, before anything is built, with a
 pointer back to the object engine, so a mis-routed run fails loudly
 instead of quietly diverging.  :func:`_check_scope` is the whole list.
@@ -17,6 +17,7 @@ instead of quietly diverging.  :func:`_check_scope` is the whole list.
 from __future__ import annotations
 
 from repro.fastcore import require_numpy
+from repro.sim.engine import overrides
 
 __all__ = ["array_auditor", "run_array_scenario"]
 
@@ -24,9 +25,17 @@ __all__ = ["array_auditor", "run_array_scenario"]
 _UNSUPPORTED = "engine='array' does not support {}; use the object engine"
 
 
-def _check_scope(scenario, telemetry) -> None:
+def _check_scope(scenario, telemetry, observers) -> None:
     params = scenario.params
     reasons = []
+    # The array engine delivers no Message objects, so it announces none.
+    readers = [
+        type(observer).__name__
+        for observer in observers
+        if overrides(observer, "on_deliver") or overrides(observer, "on_fanouts")
+    ]
+    if readers:
+        reasons.append("delivery observers ({})".format(", ".join(readers)))
     if scenario.fault_factory is not None:
         reasons.append("fault_factory adversaries")
     if scenario.fault_spec() is not None:
@@ -57,11 +66,11 @@ def _check_scope(scenario, telemetry) -> None:
         raise UnsupportedScenario(_UNSUPPORTED.format(", ".join(reasons)))
 
 
-def array_auditor(scenario, partition_set, telemetry):
-    """The array path's confidentiality auditor, once the scenario is
-    known to be in scope (numpy importable, no refused feature)."""
+def array_auditor(scenario, partition_set, telemetry, observers):
+    """The array path's confidentiality auditor, once the scenario and its
+    observers are known to be in scope (numpy importable, nothing refused)."""
     require_numpy()
-    _check_scope(scenario, telemetry)
+    _check_scope(scenario, telemetry, observers)
     # Imported behind the numpy gate: tier-1 without the ``repro[fast]``
     # extra must never touch this module.
     from repro.fastcore.engine import FastConfidentialityAuditor

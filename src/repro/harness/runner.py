@@ -241,12 +241,13 @@ def assemble(
         if partition_set is not None
         else build_partition_set(scenario.n, scenario.params, scenario.seed)
     )
+    observers = list(observers)
     if scenario.engine == "array":
         # Imported lazily: repro.fastcore needs numpy (the repro[fast]
         # extra) and raises a pointed ImportError when it is missing.
         from repro.fastcore.runner import array_auditor
 
-        confidentiality = array_auditor(scenario, partitions, telemetry)
+        confidentiality = array_auditor(scenario, partitions, telemetry, observers)
     else:
         confidentiality = ConfidentialityAuditor(
             num_partitions=partitions.count,

@@ -315,6 +315,7 @@ def _setup_audit_batch_fanout() -> Operation:
     from repro.audit.confidentiality import ConfidentialityAuditor
     from repro.core.splitting import split_rumor
     from repro.gossip.rumor import GossipItem, ItemBatch, Rumor, RumorId
+    from repro.sim.engine import fanouts
     from repro.sim.messages import Message, ServiceTags
 
     everyone = frozenset(range(32))
@@ -343,12 +344,12 @@ def _setup_audit_batch_fanout() -> Operation:
                 100, everyone,
             )
             batch = ItemBatch((*standing, newcomer))
-            auditor.on_deliver_round(
+            auditor.on_fanouts(
                 round_no,
-                [
+                fanouts([
                     Message(0, dst, ServiceTags.GROUP_GOSSIP, batch, len(batch))
                     for dst in range(1, _FANOUT_RECEIVERS + 1)
-                ],
+                ]),
             )
         return auditor.total_border_messages
 
@@ -358,6 +359,7 @@ def _setup_audit_batch_fanout() -> Operation:
 def _setup_audit_deliver() -> Operation:
     from repro.audit.confidentiality import ConfidentialityAuditor
     from repro.gossip.rumor import GossipItem, ItemBatch
+    from repro.sim.engine import fanouts
     from repro.sim.messages import Message, ServiceTags, fragment_atom
 
     class _Frag:
@@ -387,7 +389,7 @@ def _setup_audit_deliver() -> Operation:
     def op() -> object:
         auditor = ConfidentialityAuditor(num_partitions=4, num_groups=2)
         for round_no in range(8):
-            auditor.on_deliver_round(round_no, messages)
+            auditor.on_fanouts(round_no, fanouts(messages))
         return auditor.total_border_messages
 
     return op
@@ -535,7 +537,7 @@ register_case(
 register_case(
     PerfCase(
         key="audit_batch_fanout",
-        title="ConfidentialityAuditor.on_deliver_round, one batch fanned "
+        title="fanouts + ConfidentialityAuditor.on_fanouts, one batch fanned "
         "out (76 items x {} dsts x {} rounds)".format(
             _FANOUT_RECEIVERS, _FANOUT_ROUNDS_PER_OP
         ),
@@ -547,7 +549,7 @@ register_case(
 register_case(
     PerfCase(
         key="audit_deliver",
-        title="ConfidentialityAuditor.on_deliver_round "
+        title="fanouts + ConfidentialityAuditor.on_fanouts "
         "(15 dsts x 8 rounds x 50 items)",
         setup=_setup_audit_deliver,
         ops=15 * 8,

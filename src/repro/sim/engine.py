@@ -34,7 +34,7 @@ protocol, with no cooperation from protocol code.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.clock import RoundClock
 from repro.sim.events import (
@@ -51,17 +51,66 @@ from repro.sim.network import Network
 from repro.sim.process import NodeBehavior, ProcessShell
 from repro.sim.rng import SeedSequence
 
-__all__ = ["SimObserver", "AdversaryView", "RoundEngine", "Engine"]
+__all__ = ["SimObserver", "AdversaryView", "RoundEngine", "Engine", "fanouts", "overrides"]
+
+#: One sender fan-out, ``(head, dsts, mask)`` (see :func:`fanouts`).
+Fanout = Tuple[Message, List[int], int]
+
+
+def fanouts(delivered: Sequence[Message]) -> List[Fanout]:
+    """Cut a round's delivered list into sender fan-outs, in order.
+
+    A fan-out is a maximal run of consecutive messages with the same
+    ``src`` and the *same payload object* in which no destination repeats
+    (a repeat starts a new run); a non-tuple payload is a fan-out of one.
+    ``head`` is the run's first message (``src``, ``service``, ``channel``,
+    ``payload`` and ``size`` are read off it), ``dsts`` its destinations in
+    delivered order and ``mask`` the same pids as bits.  The grouping is
+    a unit of work, not an observable: the sharded path decodes a payload
+    once per worker, so it cuts finer, and consumers must agree either way.
+    """
+    cut: List[Fanout] = []
+    count = len(delivered)
+    index = 0
+    while index < count:
+        head = delivered[index]
+        index += 1
+        dsts = [head.dst]
+        mask = 1 << head.dst
+        payload = head.payload
+        if isinstance(payload, tuple):
+            src = head.src
+            while index < count:
+                message = delivered[index]
+                if message.payload is not payload or message.src != src:
+                    break
+                dst = message.dst
+                bit = 1 << dst
+                if mask & bit:
+                    break
+                mask |= bit
+                dsts.append(dst)
+                index += 1
+        cut.append((head, dsts, mask))
+    return cut
+
+
+def overrides(observer: object, hook: str) -> bool:
+    """Does ``observer`` implement ``hook``, on its class or its instance?"""
+    base = getattr(SimObserver, hook)
+    return (
+        getattr(type(observer), hook, base) is not base
+        or hook in getattr(observer, "__dict__", ())
+    )
 
 
 class SimObserver:
     """Hook interface for auditors and tracers.  All methods optional.
 
-    Deliveries are announced through one of two hooks, per observer: one
-    that overrides :meth:`on_deliver_round` is handed the round's whole
-    delivered list, once, and is *not* called per message; one that
-    overrides only :meth:`on_deliver` is called once per delivered
-    message, in that same order.
+    An observer is called on every hook it overrides.  Deliveries have
+    two: :meth:`on_fanouts` is handed the round's deliveries once, cut
+    into sender fan-outs (see :func:`fanouts`); :meth:`on_deliver` is
+    called once per delivered message, in delivered order.
     """
 
     def on_round_begin(self, round_no: int) -> None:
@@ -79,7 +128,7 @@ class SimObserver:
     def on_deliver(self, round_no: int, message: Message) -> None:
         pass
 
-    def on_deliver_round(self, round_no: int, delivered: List[Message]) -> None:
+    def on_fanouts(self, round_no: int, fanouts: List[Fanout]) -> None:
         pass
 
     def on_round_end(self, round_no: int, engine: "RoundEngine") -> None:
@@ -171,7 +220,7 @@ class RoundEngine:
         "on_restart",
         "on_inject",
         "on_deliver",
-        "on_deliver_round",
+        "on_fanouts",
         "on_round_end",
     )
 
@@ -199,10 +248,9 @@ class RoundEngine:
         # Observer dispatch tables: one tuple per hook, holding only the
         # observers whose class actually overrides that hook, so inherited
         # no-op SimObserver methods are never called.  Rebuilt on
-        # add_observer; on_deliver fans out per delivered message, which is
-        # why the empty-table fast path matters — and why an observer that
-        # takes the round's deliveries whole (on_deliver_round) is left out
-        # of the per-message table.
+        # add_observer; on_deliver fans out per delivered message and
+        # on_fanouts needs the round cut, which is why the empty-table
+        # fast path matters.
         self.observers: List[SimObserver] = list(observers)
         self._dispatch: Dict[str, Tuple[SimObserver, ...]] = {}
         self._rebuild_dispatch()
@@ -228,19 +276,9 @@ class RoundEngine:
     def _rebuild_dispatch(self) -> None:
         """Recompute the per-hook observer tables (see ``__init__``)."""
         for hook in self._HOOKS:
-            base = getattr(SimObserver, hook)
             self._dispatch[hook] = tuple(
-                observer
-                for observer in self.observers
-                if getattr(type(observer), hook, base) is not base
-                or hook in getattr(observer, "__dict__", ())
+                observer for observer in self.observers if overrides(observer, hook)
             )
-        per_round = set(map(id, self._dispatch["on_deliver_round"]))
-        self._dispatch["on_deliver"] = tuple(
-            observer
-            for observer in self._dispatch["on_deliver"]
-            if id(observer) not in per_round
-        )
 
     # ------------------------------------------------------------------
     # What a subclass supplies
@@ -322,13 +360,16 @@ class RoundEngine:
     ) -> None:
         """Tell the observers what this round delivered, in order.
 
-        Every observer sees the deliveries in ``delivered`` order; a
-        per-round observer sees them all before a per-message one sees
-        the first, which is safe because no observer reads another
-        mid-round.
+        The round is cut once, and only if an observer takes fan-outs.
+        Every observer sees the deliveries in ``delivered`` order; fan-out
+        observers see them all before a per-message one sees the first,
+        which is safe because no observer reads another mid-round.
         """
-        for observer in self._dispatch["on_deliver_round"]:
-            observer.on_deliver_round(round_no, delivered)
+        per_round = self._dispatch["on_fanouts"]
+        if per_round:
+            cut = fanouts(delivered)
+            for observer in per_round:
+                observer.on_fanouts(round_no, cut)
         per_message = self._dispatch["on_deliver"]
         if per_message:
             for message in delivered:

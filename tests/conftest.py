@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.gossip.rumor import Rumor, RumorId
-from repro.sim.engine import SimObserver
+from repro.sim.engine import SimObserver, fanouts
 from repro.sim.messages import Message, ServiceTags
 
 
@@ -44,6 +44,24 @@ def mk_message(
     return Message(
         src=src, dst=dst, service=service, payload=payload, size=size, channel=channel
     )
+
+
+def deliver(auditor, round_no: int, *messages: Message) -> None:
+    """Hand ``messages`` to ``auditor`` as the engine would: cut into
+    fan-outs."""
+    auditor.on_fanouts(round_no, fanouts(messages))
+
+
+def flatten(cut):
+    """The messages a fan-out cut stands for, in delivered order."""
+    return [
+        Message(
+            src=head.src, dst=dst, service=head.service, payload=head.payload,
+            size=head.size, channel=head.channel,
+        )
+        for head, dsts, _ in cut
+        for dst in dsts
+    ]
 
 
 class DeliveryEdges(SimObserver):

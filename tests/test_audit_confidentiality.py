@@ -19,7 +19,7 @@ from repro.core.splitting import split_rumor
 from repro.gossip.rumor import GossipItem, ItemBatch
 from repro.sim.messages import ServiceTags, reveals_of
 
-from conftest import mk_message, mk_rumor
+from conftest import deliver, flatten, mk_message, mk_rumor
 
 
 def make_auditor(num_partitions=3, num_groups=2):
@@ -42,14 +42,14 @@ class TestPlaintextTracking:
         auditor = make_auditor()
         rumor = mk_rumor(src=0, dest=(1,))
         auditor.on_inject(0, 0, rumor)
-        auditor.on_deliver(1, mk_message(src=0, dst=1, payload=rumor))
+        deliver(auditor, 1, mk_message(src=0, dst=1, payload=rumor))
         assert auditor.is_clean()
 
     def test_delivery_to_outsider_flagged(self):
         auditor = make_auditor()
         rumor = mk_rumor(src=0, dest=(1,))
         auditor.on_inject(0, 0, rumor)
-        auditor.on_deliver(1, mk_message(src=0, dst=5, payload=rumor))
+        deliver(auditor, 1, mk_message(src=0, dst=5, payload=rumor))
         assert not auditor.is_clean()
         assert auditor.violation_counts()["plaintext"] == 1
 
@@ -57,8 +57,8 @@ class TestPlaintextTracking:
         auditor = make_auditor()
         rumor = mk_rumor(src=0, dest=(1,))
         auditor.on_inject(0, 0, rumor)
-        auditor.on_deliver(1, mk_message(src=0, dst=5, payload=rumor))
-        auditor.on_deliver(2, mk_message(src=0, dst=5, payload=rumor))
+        deliver(auditor, 1, mk_message(src=0, dst=5, payload=rumor))
+        deliver(auditor, 2, mk_message(src=0, dst=5, payload=rumor))
         assert auditor.violation_counts()["plaintext"] == 1
 
 
@@ -68,7 +68,7 @@ class TestFragmentTracking:
         rumor = mk_rumor(src=0, dest=(1,))
         auditor.on_inject(0, 0, rumor)
         frag = fragments_for(rumor)[0]
-        auditor.on_deliver(1, mk_message(src=0, dst=5, payload=frag))
+        deliver(auditor, 1, mk_message(src=0, dst=5, payload=frag))
         assert auditor.is_clean()
 
     def test_outsider_completing_partition_flagged(self):
@@ -76,7 +76,7 @@ class TestFragmentTracking:
         rumor = mk_rumor(src=0, dest=(1,))
         auditor.on_inject(0, 0, rumor)
         for frag in fragments_for(rumor):
-            auditor.on_deliver(1, mk_message(src=0, dst=5, payload=frag))
+            deliver(auditor, 1, mk_message(src=0, dst=5, payload=frag))
         counts = auditor.violation_counts()
         assert counts["reconstruction"] == 1
         assert counts["multiplicity"] >= 1
@@ -87,7 +87,7 @@ class TestFragmentTracking:
         rumor = mk_rumor(src=0, dest=(1,))
         auditor.on_inject(0, 0, rumor)
         for frag in fragments_for(rumor):
-            auditor.on_deliver(1, mk_message(src=0, dst=1, payload=frag))
+            deliver(auditor, 1, mk_message(src=0, dst=1, payload=frag))
         assert auditor.is_clean()
 
     def test_fragments_across_partitions_clean(self):
@@ -97,8 +97,8 @@ class TestFragmentTracking:
         auditor.on_inject(0, 0, rumor)
         frag_a = fragments_for(rumor, partition=0)[0]
         frag_b = fragments_for(rumor, partition=1, seed=1)[1]
-        auditor.on_deliver(1, mk_message(src=0, dst=5, payload=frag_a))
-        auditor.on_deliver(1, mk_message(src=0, dst=5, payload=frag_b))
+        deliver(auditor, 1, mk_message(src=0, dst=5, payload=frag_a))
+        deliver(auditor, 1, mk_message(src=0, dst=5, payload=frag_b))
         assert auditor.is_clean()
 
     def test_gossip_batch_payloads_walked(self):
@@ -109,8 +109,9 @@ class TestFragmentTracking:
         item = GossipItem(
             uid=frag.uid, origin=0, payload=frag, expiry=10, dest=frozenset({5})
         )
-        auditor.on_deliver(
-            1, mk_message(src=0, dst=5, payload=(item,), service=ServiceTags.GROUP_GOSSIP)
+        deliver(
+            auditor, 1,
+            mk_message(src=0, dst=5, payload=(item,), service=ServiceTags.GROUP_GOSSIP),
         )
         assert 5 in auditor.fragment_holders[(rumor.rid, 0, 0)]
 
@@ -123,8 +124,8 @@ class TestFragmentTracking:
             uid=frag.uid, origin=0, payload=frag, expiry=10, dest=frozenset({5})
         )
         message = mk_message(src=0, dst=5, payload=(item,))
-        auditor.on_deliver(1, message)
-        auditor.on_deliver(2, message)
+        deliver(auditor, 1, message)
+        deliver(auditor, 2, message)
         assert len(auditor.knowledge[5]) == 1
 
 
@@ -134,7 +135,7 @@ class TestBorderMessages:
         rumor = mk_rumor(src=0, dest=(1,))
         auditor.on_inject(0, 0, rumor)
         frag = fragments_for(rumor)[0]
-        auditor.on_deliver(1, mk_message(src=0, dst=5, payload=frag))
+        deliver(auditor, 1, mk_message(src=0, dst=5, payload=frag))
         assert auditor.border_messages[rumor.rid] == 1
 
     def test_inside_delivery_not_border(self):
@@ -142,7 +143,7 @@ class TestBorderMessages:
         rumor = mk_rumor(src=0, dest=(1,))
         auditor.on_inject(0, 0, rumor)
         frag = fragments_for(rumor)[0]
-        auditor.on_deliver(1, mk_message(src=0, dst=1, payload=frag))
+        deliver(auditor, 1, mk_message(src=0, dst=1, payload=frag))
         assert auditor.total_border_messages == 0
 
     def test_outsider_to_outsider_not_border(self):
@@ -150,7 +151,7 @@ class TestBorderMessages:
         rumor = mk_rumor(src=0, dest=(1,))
         auditor.on_inject(0, 0, rumor)
         frag = fragments_for(rumor)[0]
-        auditor.on_deliver(1, mk_message(src=6, dst=5, payload=frag))
+        deliver(auditor, 1, mk_message(src=6, dst=5, payload=frag))
         assert auditor.total_border_messages == 0
 
     def test_repeat_border_copies_counted(self):
@@ -163,8 +164,8 @@ class TestBorderMessages:
             uid=frag.uid, origin=0, payload=frag, expiry=10, dest=frozenset({5})
         )
         message = mk_message(src=0, dst=5, payload=(item,))
-        auditor.on_deliver(1, message)
-        auditor.on_deliver(2, message)
+        deliver(auditor, 1, message)
+        deliver(auditor, 2, message)
         assert auditor.border_messages[rumor.rid] == 2
 
 
@@ -172,7 +173,7 @@ class TestCoalitions:
     def _leak_fragments(self, auditor, rumor, holders_by_group):
         for group, holder in holders_by_group.items():
             frag = fragments_for(rumor)[group]
-            auditor.on_deliver(1, mk_message(src=0, dst=holder, payload=frag))
+            deliver(auditor, 1, mk_message(src=0, dst=holder, payload=frag))
 
     def test_min_coalition_size(self):
         auditor = make_auditor(num_partitions=1)
@@ -240,8 +241,9 @@ class TestSummary:
 
 
 class PerItemAuditor(ConfidentialityAuditor):
-    """The reference: one message at a time, a gossip batch one item at a
-    time, no fan-outs, no masks, no digest.
+    """The reference: one message at a time (a fan-out cut is flattened
+    back into its messages), a gossip batch one item at a time, no masks,
+    no digest.
 
     Only the walk over deliveries and payloads is re-implemented; the
     verdict logic (``_absorb_atoms``, ``_is_border``, ``_check_ack``) is
@@ -252,11 +254,11 @@ class PerItemAuditor(ConfidentialityAuditor):
         super().__init__(num_partitions, num_groups)
         self.absorbed = defaultdict(set)
 
-    def on_deliver_round(self, round_no, delivered):
-        for message in delivered:
-            self.on_deliver(round_no, message)
+    def on_fanouts(self, round_no, cut):
+        for message in flatten(cut):
+            self.deliver_message(round_no, message)
 
-    def on_deliver(self, round_no, message):
+    def deliver_message(self, round_no, message):
         src, dst, payload = message.src, message.dst, message.payload
         if isinstance(payload, DirectAck):
             self._check_ack(round_no, message)
@@ -332,12 +334,12 @@ def test_batch_digest_matches_per_item_reference(data):
     reference = PerItemAuditor(partitions, groups)
     in_flight = []
 
-    def deliver(round_no, src, dst, payload):
+    def send(round_no, src, dst, payload):
         message = mk_message(
             src=src, dst=dst, service=ServiceTags.GROUP_GOSSIP, payload=payload
         )
-        batched.on_deliver(round_no, message)
-        reference.on_deliver(round_no, message)
+        deliver(batched, round_no, message)
+        reference.deliver_message(round_no, message)
 
     for round_no in range(draw(st.integers(1, 6), label="rounds")):
         if round_no < len(rumors):  # injections open a round, as in the engine
@@ -355,11 +357,11 @@ def test_batch_digest_matches_per_item_reference(data):
                 in_flight.append((src, payload))
             # One payload object, fanned out (possibly twice to one pid).
             for dst in draw(st.lists(st.integers(0, n - 1), max_size=5)):
-                deliver(round_no, src, dst, payload)
+                send(round_no, src, dst, payload)
         assert audit_state(batched) == audit_state(reference)
 
     # The planted leak: the auditor must still bite, on both paths alike.
-    deliver(7, 0, 5, ItemBatch(pool))
+    send(7, 0, 5, ItemBatch(pool))
     assert audit_state(batched) == audit_state(reference)
     assert not batched.is_clean()
     assert any(
@@ -374,13 +376,13 @@ def test_batch_digest_matches_per_item_reference(data):
 
 
 def _audit_stream(auditor, stream, injections):
-    """Feed ``stream`` (one delivered list per round) through the round
+    """Feed ``stream`` (one delivered list per round) through the fan-out
     hook; ``injections[round]`` open that round, as in the engine."""
     states = []
     for round_no, delivered in enumerate(stream):
         for pid, rumor in injections.get(round_no, ()):
             auditor.on_inject(round_no, pid, rumor)
-        auditor.on_deliver_round(round_no, delivered)
+        deliver(auditor, round_no, *delivered)
         states.append(copy.deepcopy(audit_state(auditor)))
     return states
 

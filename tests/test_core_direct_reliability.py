@@ -11,7 +11,7 @@ from repro.obs import Telemetry
 from repro.obs.timeline import RumorTimeline
 from repro.sim.messages import ServiceTags, reveals_of
 
-from conftest import mk_message
+from conftest import deliver, mk_message
 
 DIRECT = {"n": 12, "rounds": 140, "deadline": 32}
 
@@ -130,14 +130,15 @@ class TestAckLeakSafety:
             src=3, dst=0, service=ServiceTags.DIRECT_ACK,
             payload=DirectAck(rid="r0:0", acker=3),
         )
-        auditor.on_deliver(0, message)
+        deliver(auditor, 0, message)
         assert auditor.is_clean()
 
     def test_auditor_flags_ack_carrying_bytes(self):
         ack = DirectAck(rid="r0:0", acker=3)
         object.__setattr__(ack, "z", b"smuggled-fragment")  # regression sim
         auditor = ConfidentialityAuditor(num_partitions=1, num_groups=2)
-        auditor.on_deliver(
+        deliver(
+            auditor,
             0,
             mk_message(
                 src=3, dst=0, service=ServiceTags.DIRECT_ACK, payload=ack

@@ -22,6 +22,8 @@ from repro.sim.messages import Message, ServiceTags, fragment_atom, reveals_of
 from repro.sim.metrics import MessageStats
 from repro.sim.process import NodeBehavior
 
+from conftest import deliver
+
 
 def make_engine(n=6, observers=()):
     return Engine(n, lambda pid: NodeBehavior(pid, n), observers=observers)
@@ -295,7 +297,8 @@ class TestAuditorBatchCache:
     def _deliver_all(self, auditor, payload, dsts, rounds):
         for round_no in rounds:
             for dst in dsts:
-                auditor.on_deliver(
+                deliver(
+                    auditor,
                     round_no,
                     Message(
                         src=0,
@@ -316,7 +319,8 @@ class TestAuditorBatchCache:
             for dst in range(1, 5):
                 # Re-built tuple each delivery: different object, same uids.
                 rebuilt = frag_items(6)
-                fresh.on_deliver(
+                deliver(
+                    fresh,
                     round_no,
                     Message(
                         src=0,

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.api import CongosParams, run_scenario
+from repro.audit.metadata import MetadataAuditor
 from repro.core.congos import build_partition_set
 from repro.exec.results import RunRecord
 from repro.exec.tasks import RunSpec
@@ -12,6 +13,9 @@ from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import get_builder
 from repro.net.coordinator import NetOptions
 from repro.net.shard import ShardPlan
+from repro.sim.engine import SimObserver
+
+from conftest import flatten
 
 
 def _record(result) -> RunRecord:
@@ -19,15 +23,55 @@ def _record(result) -> RunRecord:
     return RunRecord.from_result(result).without_profile()
 
 
+class DeliveredStream(SimObserver):
+    """The delivered stream, per message and flattened from the fan-outs."""
+
+    def __init__(self):
+        self.stream = []
+        self.flattened = []
+
+    def on_deliver(self, round_no, m):
+        self.stream.append((round_no, m.src, m.dst, m.service, m.channel, m.size))
+
+    def on_fanouts(self, round_no, cut):
+        self.flattened.extend(
+            (round_no, m.src, m.dst, m.service, m.channel, m.size)
+            for m in flatten(cut)
+        )
+
+
+def _observed(scenario):
+    """Run ``scenario`` with delivery observers; return the result and
+    what they concluded (the fan-out grouping itself is left out: the
+    sharded path cuts finer)."""
+    stream, metadata = DeliveredStream(), MetadataAuditor()
+    result = run_congos_scenario(scenario, observers=[stream, metadata])
+    assert stream.flattened == stream.stream
+    auditor = result.confidentiality
+    return result, {
+        "stream": stream.stream,
+        "border_messages": dict(auditor.border_messages),
+        "fragment_holders": {k: h for k, h in auditor.fragment_holders.items() if h},
+        "knowledge": {pid: atoms for pid, atoms in auditor.knowledge.items() if atoms},
+        "violations": auditor.violations,
+        "exposure": metadata.exposure(scenario.n),
+    }
+
+
 def _compare_backends(scenario, workers=2):
-    """Run one scenario on both backends; assert bit-identical records."""
-    inproc = run_congos_scenario(scenario)
-    sharded = run_congos_scenario(
+    """Run one scenario on both backends; assert bit-identical records,
+    the same delivered stream and the same delivery observers' state."""
+    inproc, inproc_seen = _observed(scenario)
+    sharded, sharded_seen = _observed(
         dataclasses.replace(
             scenario, backend="sharded", net={"workers": workers}
         )
     )
     assert _record(sharded) == _record(inproc)
+    assert sharded_seen == inproc_seen
+    # Not vacuous: fragments crossed the border and outsiders saw rumors.
+    assert inproc_seen["border_messages"]
+    assert inproc_seen["exposure"].observer_rumor_pairs > 0
     assert sharded.confidentiality.is_clean()
     net = sharded.engine.net_summary()
     assert net["local_messages"] + net["cross_messages"] == sharded.stats.total
@@ -80,17 +124,6 @@ def test_sharded_chaos_keyed_matches_inproc_three_workers():
 def test_sharded_chaos_with_churn_matches_inproc_late_loss():
     # Chaos crossed with churn: delayed and duplicated copies mature into
     # crashed recipients and are lost late, on both backends alike.
-    from repro.sim.engine import SimObserver
-
-    class DeliveredStream(SimObserver):
-        def __init__(self):
-            self.stream = []
-
-        def on_deliver_round(self, round_no, delivered):
-            self.stream.extend(
-                (round_no, m.src, m.dst, m.service, m.size) for m in delivered
-            )
-
     scenario = get_builder("chaos")(
         n=16,
         rounds=120,
@@ -103,14 +136,7 @@ def test_sharded_chaos_with_churn_matches_inproc_late_loss():
         churn=0.01,
         params=CongosParams.preset("lean"),
     )
-    streams = {"inproc": DeliveredStream(), "sharded": DeliveredStream()}
-    inproc = run_congos_scenario(scenario, observers=[streams["inproc"]])
-    sharded = run_congos_scenario(
-        dataclasses.replace(scenario, backend="sharded", net={"workers": 3}),
-        observers=[streams["sharded"]],
-    )
-    assert _record(sharded) == _record(inproc)
-    assert streams["sharded"].stream == streams["inproc"].stream
+    inproc, sharded = _compare_backends(scenario, workers=3)
     counts = inproc.fault_plane.counts_summary()
     assert sharded.fault_plane.counts_summary() == counts
     assert counts["late_loss"] > 0

@@ -18,6 +18,7 @@ import dataclasses
 import pytest
 
 from repro.adversary.base import Adversary
+from repro.audit.metadata import MetadataAuditor
 from repro.core.config import CongosParams
 from repro.core.congos import CongosNode, congos_factory
 from repro.fastcore import numpy_available
@@ -27,6 +28,8 @@ from repro.net.coordinator import NetOptions, ShardEngine
 from repro.net.shard import ShardPlan
 from repro.sim.engine import AdversaryView, Engine, RoundEngine, SimObserver
 from repro.sim.events import RoundDecision
+
+from conftest import flatten
 
 # The tier-1 matrix has no numpy (and a host may have numpy 1.x, which
 # the array engine refuses): the array leg skips.
@@ -213,17 +216,17 @@ class PerMessage:
 
 
 class PerRound(SimObserver):
-    """Overrides both delivery hooks: only the round-level one may fire."""
+    """Overrides both delivery hooks: both fire."""
 
     def __init__(self):
         self.rounds = []
-        self.per_message_calls = 0
+        self.messages = []
 
     def on_deliver(self, round_no, message):
-        self.per_message_calls += 1
+        self.messages.append((round_no, _wire(message)))
 
-    def on_deliver_round(self, round_no, delivered):
-        self.rounds.append((round_no, [_wire(message) for message in delivered]))
+    def on_fanouts(self, round_no, cut):
+        self.rounds.append((round_no, cut))
 
 
 def test_deliveries_are_announced_per_message_or_per_round():
@@ -235,25 +238,39 @@ def test_deliveries_are_announced_per_message_or_per_round():
         # methods leaves it.
         shadowed = SimObserver()
         shadowed.rounds = []
-        shadowed.on_deliver_round = lambda round_no, delivered: (
-            shadowed.rounds.append(
-                (round_no, [_wire(message) for message in delivered])
-            )
+        shadowed.on_fanouts = lambda round_no, cut: shadowed.rounds.append(
+            (round_no, cut)
         )
         observers = [per_message, per_round, shadowed]
         with engine_on(path, Scripted(FAULT_FREE), observers) as engine:
             engine.run(rounds)
+        # One cut per round, shared by every fan-out observer.
         assert [round_no for round_no, _ in per_round.rounds] == list(range(rounds))
-        assert per_round.per_message_calls == 0
         assert shadowed.rounds == per_round.rounds
-        assert per_message.seen == [
-            (round_no, wire)
-            for round_no, delivered in per_round.rounds
-            for wire in delivered
+        # The cut compares no service or channel: the senders keep them
+        # uniform within a fan-out, so the flattened cut is the stream.
+        flattened = [
+            (round_no, _wire(message))
+            for round_no, cut in per_round.rounds
+            for message in flatten(cut)
         ]
+        assert per_round.messages == per_message.seen == flattened
         assert per_message.seen, "the script must produce traffic"
-        seen[path] = per_round.rounds
+        assert any(len(dsts) > 1 for _, cut in per_round.rounds for _, dsts, _ in cut)
+        seen[path] = per_message.seen
     assert seen["sharded"] == seen["inproc"]
+
+
+@pytest.mark.parametrize("observer", [PerMessage(), PerRound(), MetadataAuditor()])
+def test_array_refuses_delivery_observers(observer):
+    # The array engine delivers no messages: a delivery observer would
+    # silently see nothing, so assembly refuses it by name.
+    pytest.importorskip("numpy", minversion="2.0")
+    from repro.fastcore.engine import UnsupportedScenario
+
+    name = type(observer).__name__
+    with pytest.raises(UnsupportedScenario, match=r"delivery observers \({}\)".format(name)):
+        assemble(_scenario("array"), observers=[Recorder(), observer])
 
 
 @pytest.mark.parametrize("path", ALL_PATHS)
