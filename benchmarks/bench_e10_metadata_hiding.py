@@ -289,3 +289,62 @@ def test_e10_cover_traffic_cost(benchmark):
     emit("e10c_cover_traffic", table)
     totals = [row[2] for row in rows]
     assert totals == sorted(totals)
+
+
+def test_e10_metadata_exposure_engines(benchmark):
+    """The same leak on both engines and up to n=4096: the array engine
+    lowers its sends into fan-outs with payload-free Facts, so the
+    metadata auditor reads them as it reads the object engine's."""
+    pytest.importorskip("numpy", minversion="2.0")
+    import dataclasses
+    import time
+
+    from repro.audit.metadata import MetadataAuditor
+    from repro.core.config import CongosParams
+
+    cells = [("object", 64, 240), ("array", 64, 240), ("array", 1024, 120),
+             ("array", 4096, 120)]
+
+    def experiment():
+        rows = []
+        for engine, n, rounds in cells:
+            scenario = steady_scenario(
+                n=n, rounds=rounds, seed=3, deadline=DEADLINE,
+                params=CongosParams.preset("lean"),
+            )
+            auditor = MetadataAuditor()
+            start = time.perf_counter()
+            result = run_congos_scenario(
+                dataclasses.replace(scenario, engine=engine), observers=[auditor]
+            )
+            print("{} n={}: {:.1f} s".format(engine, n, time.perf_counter() - start))
+            assert result.qod.satisfied
+            exposure = auditor.exposure(n)
+            rows.append([
+                "{} n={} ({} rounds)".format(engine, n, rounds),
+                exposure.rumors,
+                exposure.mean_observers_per_rumor,
+                exposure.dest_set_disclosures,
+                exposure.max_dest_set_size_seen,
+            ])
+        return rows
+
+    rows = run_once(benchmark, experiment)
+    table = format_table(
+        [
+            "run",
+            "rumors",
+            "mean outside observers",
+            "dest-set disclosures",
+            "max |D| seen by outsiders",
+        ],
+        rows,
+        title=(
+            "E10e  Metadata exposure across engines (steady, lean, seed 3): "
+            "the array engine's lowered fan-outs at n up to 4096"
+        ),
+    )
+    emit("e10e_metadata_exposure_engines", table)
+    anchor, array64 = rows[0], rows[1]
+    assert array64[1] == anchor[1]
+    assert abs(array64[3] - anchor[3]) <= 0.05 * anchor[3]

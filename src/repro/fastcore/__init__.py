@@ -24,7 +24,12 @@ missing.
 
 from __future__ import annotations
 
-__all__ = ["numpy_available", "require_numpy"]
+__all__ = ["UnsupportedScenario", "numpy_available", "require_numpy"]
+
+
+class UnsupportedScenario(ValueError):
+    """The scenario uses a feature the array engine does not model."""
+
 
 _EXTRA_HINT = "Install the fast-engine extra: pip install repro[fast]"
 

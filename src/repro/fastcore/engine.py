@@ -42,18 +42,19 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.audit.confidentiality import Violation
+from repro.audit.confidentiality import Violation, popcount
+from repro.audit.metadata import Facts
 from repro.core.config import CongosParams
 from repro.core.deadlines import pipeline_deadline
 from repro.core.partitions import PartitionSet
 from repro.gossip.epidemic import default_fanout
 from repro.gossip.rumor import Rumor
 from repro.sim.clock import BlockSchedule
-from repro.sim.engine import RoundEngine
-from repro.sim.messages import ServiceTags
+from repro.sim.engine import Fanout, RoundEngine
+from repro.sim.messages import Message, ServiceTags
 from repro.sim.rng import derive_seed
 
-from repro.fastcore import bitset
+from repro.fastcore import UnsupportedScenario, bitset
 from repro.fastcore.kernels import (
     gd_hit_batch,
     merge_shares,
@@ -69,10 +70,6 @@ FRAG = "frag"          # one real item per (rumor, partition): the source's own-
 PXSHARE = "pxshare"    # per-block cohort: proxy buffers + requester census beacons
 GDCENSUS = "gdcensus"  # per-block cohort: GroupDistribution hitSet shares
 DSHARE = "dshare"      # per-block cohort: AllGossip DistributionShares
-
-
-class UnsupportedScenario(ValueError):
-    """The scenario uses a feature the array engine does not model."""
 
 
 class FastConfidentialityAuditor:
@@ -168,6 +165,46 @@ class FastConfidentialityAuditor:
             "violations": self.violation_counts(),
             "border_messages": self.total_border_messages,
         }
+
+
+def _state_facts(states) -> Facts:
+    """A fragment's facts for each of ``states``: its rid and ``D``."""
+    return Facts((state.rid, state.rumor.dest) for state in states)
+
+
+def _item_facts(item: "_Item") -> Tuple:
+    """A gossip item's facts, as its object twin's ``facts_of`` reads them:
+    census shares (GDCENSUS) reveal nothing."""
+    if item.kind is FRAG:
+        return _state_facts([item.content])
+    if item.kind is PXSHARE:
+        return _state_facts(item.content)
+    if item.kind is DSHARE:
+        return tuple((state.rid, None) for state, _hits in item.content[1])
+    return ()
+
+
+def _runs(dsts: List[int]) -> List[List[int]]:
+    """``dsts`` cut before each pid its run already names."""
+    runs: List[List[int]] = [[]]
+    for dst in dsts:
+        if dst in runs[-1]:
+            runs.append([])
+        runs[-1].append(dst)
+    return runs
+
+
+def _facts_by_column(row_facts, flags: np.ndarray) -> List[Facts]:
+    """One ``Facts`` per column of the 0/1 ``flags`` matrix, joining the
+    rows it sets; equal columns (compared packed) share one object."""
+    packed = np.packbits(flags, axis=0, bitorder="little").T
+    patterns, inverse = np.unique(packed, axis=0, return_inverse=True)
+    rows = np.unpackbits(patterns, axis=1, count=len(row_facts), bitorder="little")
+    shared = [
+        Facts(dict.fromkeys(pair for i in np.flatnonzero(row) for pair in row_facts[i]))
+        for row in rows
+    ]
+    return [shared[c] for c in inverse.reshape(-1).tolist()]
 
 
 class _RumorState:
@@ -270,9 +307,12 @@ class _Channel:
         "service",
         "items",
         "all_to_all",
+        "name",
     )
 
-    def __init__(self, scope_idx: np.ndarray, n: int, fanout_scale: float, service: str):
+    def __init__(
+        self, scope_idx: np.ndarray, n: int, fanout_scale: float, service: str, name: str
+    ):
         self.scope_idx = scope_idx
         self.scope_mask = bitset.from_indices(scope_idx, n)
         self.size = len(scope_idx)
@@ -284,6 +324,7 @@ class _Channel:
         self.service = service
         self.items: List[_Item] = []
         self.all_to_all = self.size - 1 <= self.fanout
+        self.name = name  # the object engine's channel for the same scope
 
 
 class _GdBlock:
@@ -337,8 +378,9 @@ class _Instance:
         self.px_share_due: List[Tuple[int, Tuple[int, int], np.ndarray, int, List[_RumorState]]] = []
         # Live proxy-share items of the current block, consumed at hand-up.
         self.px_items: Dict[Tuple[int, int], _Item] = {}
-        # Ack traffic scheduled for the iteration's last round: round -> count.
-        self.acks_due: Dict[int, int] = {}
+        # Acks due at the iteration's last round, one per proxy to its
+        # requester: round -> [(requester, proxies, partition)].
+        self.acks_due: Dict[int, List[Tuple[int, np.ndarray, int]]] = {}
         self.gd_blocks: Dict[Tuple[int, int], _GdBlock] = {}
         self.gd_fanout: Dict[Tuple[int, int], int] = {}
 
@@ -356,7 +398,9 @@ class ArrayEngine(RoundEngine):
     rumor into channel items (:meth:`_inject_state`), the round body is
     the vectorized phases, ``behavior(pid)`` is ``None`` (there are no
     per-pid objects), and a crash or restart is refused — everyone is
-    alive, always, until alive masks land.
+    alive, always, until alive masks land.  While an observer takes
+    deliveries, the sends are also lowered into the skeleton's fan-outs
+    (:meth:`_lower`), with :class:`~repro.audit.metadata.Facts` payloads.
     """
 
     def __init__(
@@ -395,7 +439,7 @@ class ArrayEngine(RoundEngine):
 
         self.all_channel = _Channel(
             np.arange(n, dtype=np.int64), n, params.gossip_fanout_scale,
-            ServiceTags.ALL_GOSSIP,
+            ServiceTags.ALL_GOSSIP, "all",
         )
         self.instances: Dict[int, _Instance] = {}
         self.rumors: List[_RumorState] = []
@@ -410,6 +454,8 @@ class ArrayEngine(RoundEngine):
         # [(item, new-holder bitset)].
         self._spread_deliveries: List[Tuple[_Item, np.ndarray]] = []
         self._reassembly_dirty: List[Tuple[_RumorState, int]] = []
+        # This round's sends as fan-outs, only while an observer takes them.
+        self._cut: List[Fanout] = []
 
     # ------------------------------------------------------------------
     # The skeleton's backend pieces
@@ -437,6 +483,8 @@ class ArrayEngine(RoundEngine):
         self._block_end_phase(round_no)
         self._reassemble(round_no)
         self._retire_rumors(round_no)
+        self._announce_deliveries(round_no, None, self._cut)
+        self._cut = []
 
         self.stats.record_round(round_no, self._count, self._size, self._by_service)
         self._count = 0
@@ -454,10 +502,46 @@ class ArrayEngine(RoundEngine):
         self._size += size
         self._by_service[service] = self._by_service.get(service, 0) + count
 
+    def _lowering(self) -> bool:
+        """Does an observer take this round's deliveries?"""
+        return bool(self._dispatch["on_fanouts"] or self._dispatch["on_deliver"])
+
+    def _lower(self, service, channel, senders, rows, facts, sizes) -> None:
+        """Append one fan-out per sender to the round's cut: ``senders[i]``
+        sends ``facts[i]`` (``sizes[i]`` units each) to ``rows[i]``, a row
+        of a ``(senders, k)`` target matrix."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape[1] == 1:
+            masks = [1 << dst for dst in rows[:, 0].tolist()]
+        else:  # through a flag matrix, a bounded slice of rows at a time
+            width = 64 * bitset.n_words(self.n)
+            masks = []
+            for chunk in np.array_split(rows, 1 + (len(rows) * width >> 22)):
+                flags = np.zeros((len(chunk), width), dtype=np.bool_)
+                flags[np.arange(len(chunk))[:, None], chunk] = True
+                packed = np.packbits(flags, axis=1, bitorder="little")
+                masks.extend(int.from_bytes(row, "little") for row in packed)
+        for src, dsts, mask, payload, size in zip(
+            np.asarray(senders).tolist(), rows.tolist(), masks, facts, sizes
+        ):
+            # A large pool's draws may repeat a pid: as in the object
+            # engine's cut, a repeat starts a new fan-out.
+            for run in [dsts] if popcount(mask) == len(dsts) else _runs(dsts):
+                if run is not dsts:
+                    mask = sum(1 << dst for dst in run)
+                self._cut.append(
+                    (Message(src, run[0], service, payload, size, channel), run, mask)
+                )
+
     def _deliver_plaintext(
         self, round_no: int, state: _RumorState, targets: np.ndarray, path: str
     ) -> None:
         self.auditor.record_plaintext(round_no, state, targets)
+        if self._lowering() and len(targets):
+            self._lower(
+                ServiceTags.CONFIDENTIAL, "shoot", [state.src], targets[None],
+                [_state_facts([state])], [1],
+            )
         for pid in targets:
             self.record_delivery(
                 int(pid), round_no, state.rid, state.rumor.data, path
@@ -574,7 +658,7 @@ class ArrayEngine(RoundEngine):
                 idx = self._group_idx[(partition, group)]
                 instance.channels[(partition, group)] = _Channel(
                     idx, self.n, self.params.gossip_fanout_scale,
-                    ServiceTags.GROUP_GOSSIP,
+                    ServiceTags.GROUP_GOSSIP, "gg/{}/{}".format(dline, partition),
                 )
                 instance.gd_fanout[(partition, group)] = self.params.service_fanout(
                     self.n, dline, len(idx)
@@ -607,9 +691,15 @@ class ArrayEngine(RoundEngine):
             self._gd_send(round_no, instance)
         elif position == 2:
             self._gd_census(round_no, instance)
-        acks = instance.acks_due.pop(round_no, None)
-        if acks:
-            self._tally(ServiceTags.PROXY, acks, acks)
+        for requester, proxies, partition in instance.acks_due.pop(round_no, ()):
+            count = len(proxies)
+            self._tally(ServiceTags.PROXY, count, count)
+            if self._lowering():  # each proxy acks its requester, revealing nothing
+                self._lower(
+                    ServiceTags.PROXY, "px/{}/{}".format(instance.dline, partition),
+                    proxies, np.full((count, 1), requester), [Facts()] * count,
+                    [1] * count,
+                )
 
     def _px_begin_block(self, round_no: int, instance: _Instance) -> None:
         ack_round = round_no + instance.iteration_len - 1
@@ -652,8 +742,13 @@ class ArrayEngine(RoundEngine):
                 self._tally(
                     ServiceTags.PROXY, len(targets), len(targets) * len(states)
                 )
-                instance.acks_due[ack_round] = (
-                    instance.acks_due.get(ack_round, 0) + len(targets)
+                if self._lowering():
+                    self._lower(
+                        ServiceTags.PROXY, "px/{}/{}".format(instance.dline, partition),
+                        [src], targets[None], [_state_facts(states)], [len(states)],
+                    )
+                instance.acks_due.setdefault(ack_round, []).append(
+                    (src, targets, partition)
                 )
                 target_mask = bitset.from_indices(targets, self.n)
                 bitset.union_into(proxies_union, target_mask)
@@ -783,18 +878,19 @@ class ArrayEngine(RoundEngine):
                 self._gd_send_class(
                     key, block, class_senders, union_idx, union_pool,
                     [states[j] for j in in_class], class_pools,
-                    pool_bits[in_class], fanout,
+                    pool_bits[in_class], fanout, instance.dline,
                 )
 
     def _gd_send_class(
         self, key, block, class_senders, union_idx, union_pool,
-        class_states, class_pools, class_pool_bits, fanout,
+        class_states, class_pools, class_pool_bits, fanout, dline,
     ) -> None:
         pool_size = len(union_idx)
         inside = bitset.test_bits(union_pool, class_senders)
         pos_lookup = np.full(self.n, -1, dtype=np.int64)
         pos_lookup[union_idx] = np.arange(pool_size, dtype=np.int64)
-        target_blocks: List[np.ndarray] = []  # (rows, k) matrices of target pids
+        # (senders, (senders, k) matrix of target pids) per sampling mode
+        target_blocks: List[Tuple[np.ndarray, np.ndarray]] = []
         count = 0
         for rows_mask, excl_self in ((inside, True), (~inside, False)):
             rows = class_senders[rows_mask]
@@ -815,10 +911,10 @@ class ArrayEngine(RoundEngine):
                     )
             else:
                 targets = sample_rows(self._rng_gd, union_idx, len(rows), k)
-            target_blocks.append(targets)
+            target_blocks.append((rows, targets))
         if not count:
             return
-        flat = np.concatenate([t.ravel() for t in target_blocks])
+        flat = np.concatenate([t.ravel() for _rows, t in target_blocks])
         appropriate, hits = gd_hit_batch(class_pools, class_pool_bits, flat)
         for j in np.flatnonzero(hits.any(axis=1)):
             state, new_mask = class_states[j], hits[j]
@@ -830,6 +926,20 @@ class ArrayEngine(RoundEngine):
         self._tally(
             ServiceTags.GROUP_DISTRIBUTION, count, max(count, int(appropriate.sum()))
         )
+        if self._lowering():
+            # One FragmentDelivery per (sender, target), carrying the
+            # rumors whose pool holds the target; self-draws are not sent.
+            srcs = np.concatenate([np.repeat(r, t.shape[1]) for r, t in target_blocks])
+            sent = srcs != flat
+            dsts = flat[sent]
+            facts = _facts_by_column(
+                [_state_facts([state]) for state in class_states],
+                class_pool_bits[:, dsts],
+            )
+            self._lower(
+                ServiceTags.GROUP_DISTRIBUTION, "gd/{}/{}".format(dline, key[0]),
+                srcs[sent], dsts[:, None], facts, [max(1, len(f)) for f in facts],
+            )
 
     def _gd_census(self, round_no: int, instance: _Instance) -> None:
         for key in sorted(instance.gd_blocks):
@@ -950,16 +1060,28 @@ class ArrayEngine(RoundEngine):
             weights @ np.bitwise_count(holders).sum(axis=1, dtype=np.int64)
         )
         self._tally(channel.service, count, size)
+        if not channel.all_to_all:
+            targets = sample_targets_excluding_self(
+                self._rng_gossip, channel.scope_idx, channel.pos_of[senders], channel.k
+            )
+            # (items, senders): who broadcasts what this round, in one gather.
+            sending = bitset.test_bits(holders, senders)
+            self._audit_spread_borders(live, sending, senders, targets)
+        if self._lowering():
+            if channel.all_to_all:  # each holder sends to its scope but itself
+                cols = np.arange(channel.size - 1)
+                targets = channel.scope_idx[cols + (cols >= channel.pos_of[senders][:, None])]
+                sending = bitset.test_bits(holders, senders)
+            # Senders holding the same items share one Facts.
+            facts = _facts_by_column([_item_facts(item) for item in live], sending)
+            self._lower(
+                channel.service, channel.name, senders, targets, facts,
+                (weights @ sending).tolist(),
+            )
         if channel.all_to_all:
             for item in live:
                 self._spread_all_to_all(channel, item)
             return
-        targets = sample_targets_excluding_self(
-            self._rng_gossip, channel.scope_idx, channel.pos_of[senders], channel.k
-        )
-        # (items, senders): who broadcasts what this round, in one gather.
-        sending = bitset.test_bits(holders, senders)
-        self._audit_spread_borders(live, sending, senders, targets)
         for item, rows in zip(live, sending):
             fresh = bitset.andnot(
                 bitset.from_indices(targets[rows].ravel(), self.n), item.holders

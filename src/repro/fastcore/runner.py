@@ -8,16 +8,19 @@ engine's delivered stream directly.  :func:`run_array_scenario` then
 builds an :class:`~repro.fastcore.engine.ArrayEngine` from the setup and
 runs it.
 
-Scenario features and observers outside the array engine's scope raise
+Scenario features outside the array engine's scope raise
 :class:`UnsupportedScenario` eagerly, before anything is built, with a
 pointer back to the object engine, so a mis-routed run fails loudly
 instead of quietly diverging.  :func:`_check_scope` is the whole list.
+Observers are never refused: when one takes deliveries, the engine
+lowers its sends into the skeleton's fan-outs, with payload-free
+:class:`~repro.audit.metadata.Facts` payloads, so a content auditor
+handed to it fails at its first fact instead of reading nothing.
 """
 
 from __future__ import annotations
 
-from repro.fastcore import require_numpy
-from repro.sim.engine import overrides
+from repro.fastcore import UnsupportedScenario, require_numpy
 
 __all__ = ["array_auditor", "run_array_scenario"]
 
@@ -25,17 +28,9 @@ __all__ = ["array_auditor", "run_array_scenario"]
 _UNSUPPORTED = "engine='array' does not support {}; use the object engine"
 
 
-def _check_scope(scenario, telemetry, observers) -> None:
+def _check_scope(scenario, telemetry) -> None:
     params = scenario.params
     reasons = []
-    # The array engine delivers no Message objects, so it announces none.
-    readers = [
-        type(observer).__name__
-        for observer in observers
-        if overrides(observer, "on_deliver") or overrides(observer, "on_fanouts")
-    ]
-    if readers:
-        reasons.append("delivery observers ({})".format(", ".join(readers)))
     if scenario.fault_factory is not None:
         reasons.append("fault_factory adversaries")
     if scenario.fault_spec() is not None:
@@ -61,16 +56,14 @@ def _check_scope(scenario, telemetry, observers) -> None:
     if telemetry is not None and getattr(telemetry, "enabled", False):
         reasons.append("per-message telemetry hooks")
     if reasons:
-        from repro.fastcore.engine import UnsupportedScenario
-
         raise UnsupportedScenario(_UNSUPPORTED.format(", ".join(reasons)))
 
 
-def array_auditor(scenario, partition_set, telemetry, observers):
-    """The array path's confidentiality auditor, once the scenario and its
-    observers are known to be in scope (numpy importable, nothing refused)."""
+def array_auditor(scenario, partition_set, telemetry):
+    """The array path's confidentiality auditor, once the scenario is
+    known to be in scope (numpy importable, nothing refused)."""
     require_numpy()
-    _check_scope(scenario, telemetry, observers)
+    _check_scope(scenario, telemetry)
     # Imported behind the numpy gate: tier-1 without the ``repro[fast]``
     # extra must never touch this module.
     from repro.fastcore.engine import FastConfidentialityAuditor

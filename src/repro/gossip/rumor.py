@@ -280,8 +280,9 @@ class ItemBatch(tuple):
     """
 
     # A tuple subclass cannot declare non-empty __slots__; ``uids``, the
-    # lazily built position index and the reveal digest live in the
-    # instance dict.
+    # lazily built position index, the reveal digest and the metadata
+    # auditor's ``facts`` (``repro.audit.metadata.facts_of``, which keeps
+    # an item's there too) live in the instance dict.
 
     uids: FrozenSet[Tuple]
 

@@ -247,7 +247,7 @@ def assemble(
         # extra) and raises a pointed ImportError when it is missing.
         from repro.fastcore.runner import array_auditor
 
-        confidentiality = array_auditor(scenario, partitions, telemetry, observers)
+        confidentiality = array_auditor(scenario, partitions, telemetry)
     else:
         confidentiality = ConfidentialityAuditor(
             num_partitions=partitions.count,

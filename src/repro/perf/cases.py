@@ -16,8 +16,10 @@ tests).
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = ["PerfCase", "register_case", "get_case", "all_cases", "case_keys"]
@@ -395,6 +397,37 @@ def _setup_audit_deliver() -> Operation:
     return op
 
 
+@lru_cache(maxsize=None)
+def _saturated_steady_round():
+    """The busiest round's fan-outs of a small steady run, captured once."""
+    from repro.core.config import CongosParams
+    from repro.harness.runner import run_congos_scenario
+    from repro.harness.scenarios import get_builder
+    from repro.sim.engine import SimObserver
+
+    cuts = []
+    capture = SimObserver()
+    capture.on_fanouts = lambda round_no, cut: cuts.append(cut)
+    scenario = get_builder("steady")(
+        n=32, rounds=96, seed=3, deadline=64, params=CongosParams.preset("lean")
+    )
+    run_congos_scenario(scenario, observers=[capture])
+    return max(cuts, key=lambda cut: sum(len(dsts) for _, dsts, _ in cut))
+
+
+def _setup_metadata_fanouts() -> Operation:
+    from repro.audit.metadata import MetadataAuditor
+
+    cut = copy.deepcopy(_saturated_steady_round())  # every payload read cold
+
+    def op() -> object:
+        auditor = MetadataAuditor()
+        auditor.on_fanouts(0, cut)
+        return len(auditor.existence)
+
+    return op
+
+
 def _setup_chaos_admit() -> Operation:
     # One synthetic 2 000-message round at the ledger's chaos_object fault
     # mix: each admit is one fate-function draw.
@@ -558,6 +591,16 @@ register_case(
 )
 register_case(
     PerfCase(
+        key="metadata_fanouts",
+        title="MetadataAuditor.on_fanouts, one saturated steady round "
+        "(n=32, lean), every payload read cold",
+        setup=_setup_metadata_fanouts,
+        ops=1,
+        tags=("audit", "micro"),
+    )
+)
+register_case(
+    PerfCase(
         key="chaos_admit",
         title="ChaosFaultPlane.admit (2000 messages, one round)",
         setup=_setup_chaos_admit,
@@ -704,6 +747,32 @@ def _setup_fastcore_gd_hit_batch() -> Operation:
     return op
 
 
+def _setup_fastcore_lower_fanouts() -> Operation:
+    # 2048 senders x 22 targets at n=4096, in two sender classes.
+    import numpy as np
+
+    from repro.audit.metadata import Facts
+    from repro.core.config import CongosParams
+    from repro.core.congos import build_partition_set
+    from repro.fastcore.engine import ArrayEngine
+    from repro.gossip.rumor import RumorId
+
+    n, params = 4096, CongosParams.preset("lean")
+    partitions = build_partition_set(n, params, 0)
+    engine = ArrayEngine(n, params, partitions, 0, None, lambda *_: None, None)
+    rng = np.random.default_rng(23)
+    senders = rng.choice(n, size=2048, replace=False)
+    targets = rng.integers(0, n, size=(2048, 22))
+    facts = [Facts([(RumorId(0, 0), frozenset({1, 2}))]), Facts()] * 1024
+
+    def op() -> object:
+        engine._cut = []
+        engine._lower("all_gossip", "all", senders, targets, facts, [3] * 2048)
+        return len(engine._cut)
+
+    return op
+
+
 def _register_fastcore_cases() -> None:
     from repro.fastcore import numpy_available
 
@@ -747,6 +816,16 @@ def _register_fastcore_cases() -> None:
             "{} rounds)".format(_SCATTER_ROUNDS),
             setup=_setup_fastcore_scatter_mask,
             ops=_SCATTER_ROUNDS,
+            tags=("fastcore", "micro"),
+        )
+    )
+    register_case(
+        PerfCase(
+            key="fastcore_lower_fanouts",
+            title="fastcore lowering one channel-round to fan-outs (n=4096, "
+            "2048 senders x 22 targets)",
+            setup=_setup_fastcore_lower_fanouts,
+            ops=2048,
             tags=("fastcore", "micro"),
         )
     )

@@ -51,7 +51,7 @@ from repro.sim.network import Network
 from repro.sim.process import NodeBehavior, ProcessShell
 from repro.sim.rng import SeedSequence
 
-__all__ = ["SimObserver", "AdversaryView", "RoundEngine", "Engine", "fanouts", "overrides"]
+__all__ = ["SimObserver", "AdversaryView", "RoundEngine", "Engine", "fanouts", "flatten"]
 
 #: One sender fan-out, ``(head, dsts, mask)`` (see :func:`fanouts`).
 Fanout = Tuple[Message, List[int], int]
@@ -95,22 +95,26 @@ def fanouts(delivered: Sequence[Message]) -> List[Fanout]:
     return cut
 
 
-def overrides(observer: object, hook: str) -> bool:
-    """Does ``observer`` implement ``hook``, on its class or its instance?"""
-    base = getattr(SimObserver, hook)
-    return (
-        getattr(type(observer), hook, base) is not base
-        or hook in getattr(observer, "__dict__", ())
-    )
+def flatten(cut: Sequence[Fanout]) -> List[Message]:
+    """The messages a fan-out cut stands for, in delivered order."""
+    return [
+        Message(head.src, dst, head.service, head.payload, head.size, head.channel)
+        for head, dsts, _ in cut
+        for dst in dsts
+    ]
 
 
 class SimObserver:
     """Hook interface for auditors and tracers.  All methods optional.
 
     An observer is called on every hook it overrides.  Deliveries have
-    two: :meth:`on_fanouts` is handed the round's deliveries once, cut
-    into sender fan-outs (see :func:`fanouts`); :meth:`on_deliver` is
-    called once per delivered message, in delivered order.
+    two, on every execution path: :meth:`on_fanouts` is handed the
+    round's deliveries once, cut into sender fan-outs (see
+    :func:`fanouts`); :meth:`on_deliver` is called once per delivered
+    message, in delivered order.  The array engine has no messages: it
+    lowers its sends into fan-outs whose payloads are
+    :class:`~repro.audit.metadata.Facts` (routing metadata, no content),
+    and a per-message observer gets them flattened (:func:`flatten`).
     """
 
     def on_round_begin(self, round_no: int) -> None:
@@ -274,10 +278,14 @@ class RoundEngine:
         self._rebuild_dispatch()
 
     def _rebuild_dispatch(self) -> None:
-        """Recompute the per-hook observer tables (see ``__init__``)."""
+        """Recompute the per-hook observer tables (see ``__init__``): an
+        observer implements a hook on its class or on its instance."""
         for hook in self._HOOKS:
+            base = getattr(SimObserver, hook)
             self._dispatch[hook] = tuple(
-                observer for observer in self.observers if overrides(observer, hook)
+                observer for observer in self.observers
+                if getattr(type(observer), hook, base) is not base
+                or hook in getattr(observer, "__dict__", ())
             )
 
     # ------------------------------------------------------------------
@@ -356,22 +364,27 @@ class RoundEngine:
             self._inject_state(round_no, pid, rumor)
 
     def _announce_deliveries(
-        self, round_no: int, delivered: List[Message]
+        self, round_no: int, delivered: Optional[List[Message]], cut=None
     ) -> None:
         """Tell the observers what this round delivered, in order.
 
-        The round is cut once, and only if an observer takes fan-outs.
-        Every observer sees the deliveries in ``delivered`` order; fan-out
-        observers see them all before a per-message one sees the first,
-        which is safe because no observer reads another mid-round.
+        The object paths pass ``delivered``, cut once here and only if an
+        observer takes fan-outs; the array path passes its ``cut``,
+        flattened only if an observer takes messages.  Fan-out observers
+        see the whole round before a per-message one sees its first
+        delivery, which is safe because no observer reads another
+        mid-round.
         """
         per_round = self._dispatch["on_fanouts"]
         if per_round:
-            cut = fanouts(delivered)
+            if cut is None:
+                cut = fanouts(delivered)
             for observer in per_round:
                 observer.on_fanouts(round_no, cut)
         per_message = self._dispatch["on_deliver"]
         if per_message:
+            if delivered is None:
+                delivered = flatten(cut)
             for message in delivered:
                 for observer in per_message:
                     observer.on_deliver(round_no, message)

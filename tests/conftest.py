@@ -52,18 +52,6 @@ def deliver(auditor, round_no: int, *messages: Message) -> None:
     auditor.on_fanouts(round_no, fanouts(messages))
 
 
-def flatten(cut):
-    """The messages a fan-out cut stands for, in delivered order."""
-    return [
-        Message(
-            src=head.src, dst=dst, service=head.service, payload=head.payload,
-            size=head.size, channel=head.channel,
-        )
-        for head, dsts, _ in cut
-        for dst in dsts
-    ]
-
-
 class DeliveryEdges(SimObserver):
     """Collects ``(round, src, dst)`` of every delivered message."""
 

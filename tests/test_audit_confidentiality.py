@@ -17,9 +17,10 @@ from repro.core.confidential_gossip import DirectAck
 from repro.core.group_distribution import FragmentDelivery
 from repro.core.splitting import split_rumor
 from repro.gossip.rumor import GossipItem, ItemBatch
+from repro.sim.engine import flatten
 from repro.sim.messages import ServiceTags, reveals_of
 
-from conftest import deliver, flatten, mk_message, mk_rumor
+from conftest import deliver, mk_message, mk_rumor
 
 
 def make_auditor(num_partitions=3, num_groups=2):

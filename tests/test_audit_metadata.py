@@ -1,5 +1,6 @@
 """Tests for the metadata-exposure auditor (Section 7 quantified)."""
 
+import dataclasses
 import random
 from collections import defaultdict
 
@@ -7,15 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adversary.injection import ScriptedWorkload
-from repro.audit.metadata import MetadataAuditor
+from repro.audit.metadata import Facts, MetadataAuditor, facts_of
 from repro.core.extensions import DestinationHidingWorkload
 from repro.core.group_distribution import DistributionShare, FragmentDelivery
 from repro.core.proxy import ProxyRequest, ProxyShare
+from repro.core.config import CongosParams
 from repro.core.splitting import Fragment, split_rumor
-from repro.gossip.rumor import GossipItem, ItemBatch, Rumor
+from repro.fastcore import UnsupportedScenario, numpy_available
+from repro.gossip.rumor import GossipItem, ItemBatch, Rumor, RumorId
 from repro.harness.runner import Scenario, run_congos_scenario
+from repro.harness.scenarios import get_builder
 from repro.sim.engine import fanouts
-from repro.sim.messages import ServiceTags
+from repro.sim.messages import ServiceTags, reveals_of
 from repro.sim.rng import derive_rng
 
 from conftest import mk_message, mk_rumor
@@ -60,7 +64,8 @@ class TestExposureTracking:
         disclosed = auditor.dest_disclosed_to(rid)
         assert disclosed
         some_pid = next(iter(disclosed))
-        assert auditor.knows_dest[some_pid][rid] == frozenset({2, 5})
+        assert auditor.dest_seen[rid] >> some_pid & 1
+        assert auditor.dests[rid] == frozenset({2, 5})
 
     def test_exposure_summary_shape(self):
         result, auditor = run_with_metadata(plain_workload)
@@ -80,9 +85,9 @@ class TestDestinationHidingReducesExposure:
 
     def test_true_destination_set_never_visible(self):
         result, auditor = run_with_metadata(hidden_workload)
-        for per_rid in auditor.knows_dest.values():
-            for dest in per_rid.values():
-                assert dest != frozenset({2, 5})
+        assert auditor.dests
+        for dest in auditor.dests.values():
+            assert dest != frozenset({2, 5})
 
     def test_plain_run_does_disclose(self):
         """Contrast: without hiding, the same traffic discloses D."""
@@ -138,13 +143,31 @@ class PerMessageReference:
         elif isinstance(payload, Rumor):
             self.knows_existence[pid].add(payload.rid)
             self.knows_dest[pid][payload.rid] = payload.dest
+        elif isinstance(payload, Facts):
+            for rid, dest in payload:
+                self.knows_existence[pid].add(rid)
+                if dest is not None:
+                    self.knows_dest[pid][rid] = dest
         elif isinstance(payload, tuple):
             for item in payload:
                 self.absorb(pid, getattr(item, "payload", item))
 
 
 def _metadata_state(auditor):
-    return dict(auditor.knows_existence), dict(auditor.knows_dest)
+    """Each pid's existence set and observed destination sets, read off
+    the auditor's per-rumor masks."""
+    existence, dests = defaultdict(set), defaultdict(dict)
+    for rid, mask in auditor.existence.items():
+        for pid in _bits(mask):
+            existence[pid].add(rid)
+    for rid, mask in auditor.dest_seen.items():
+        for pid in _bits(mask):
+            dests[pid][rid] = auditor.dests[rid]
+    return dict(existence), dict(dests)
+
+
+def _bits(mask):
+    return [pid for pid in range(mask.bit_length()) if mask >> pid & 1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -195,6 +218,14 @@ def test_fanout_walk_matches_per_message_reference(data):
         items.map(ItemBatch),
         items.map(tuple),
         frags.map(lambda chosen: ("not-an-item",) + chosen),
+        # The array engine's payload-free fan-outs.
+        st.lists(
+            st.sampled_from(
+                [(rumor.rid, rumor.dest) for rumor in rumors]
+                + [(rumor.rid, None) for rumor in rumors]
+            ),
+            max_size=4,
+        ).map(Facts),
     )
 
     stream, sent = [], []
@@ -224,6 +255,54 @@ def test_fanout_walk_matches_per_message_reference(data):
         )
         for message in delivered:
             reference.absorb(message.dst, message.payload)
-        expected = _metadata_state(reference)
+        expected = dict(reference.knows_existence), dict(reference.knows_dest)
         assert _metadata_state(maximal) == expected
         assert _metadata_state(singles) == expected
+
+
+def test_facts_are_read_once_per_item_and_batch():
+    rumor = mk_rumor(src=0, seq=0, dest={1, 2})
+    item = GossipItem(("frag", 0), 0, rumor, 100, frozenset(range(4)))
+    share = GossipItem(
+        ("share", 0), 1,
+        DistributionShare(sender=1, dline=64, partition=0, group=0, hits=frozenset({(1, rumor.rid)})),
+        100, frozenset(range(4)),
+    )
+    batch = ItemBatch((item, share, item))
+    facts = facts_of(batch)
+    assert facts == ((rumor.rid, rumor.dest), (rumor.rid, None))
+    assert type(facts) is Facts
+    assert facts_of(batch) is facts and facts_of(item) is facts_of(item)
+    assert facts_of(facts) is facts
+    # Equal items' facts are one object: a batch drops repeats by identity.
+    twin = GossipItem(("frag", 1), 0, rumor, 100, frozenset(range(4)))
+    assert facts_of(twin) is facts_of(item)
+
+
+def test_a_content_question_on_facts_names_the_object_engine():
+    facts = Facts([(RumorId(0, 0), frozenset({1}))])
+    with pytest.raises(UnsupportedScenario, match="object engine"):
+        list(reveals_of(facts))
+
+
+@pytest.mark.skipif(not numpy_available(), reason="needs numpy>=2.0")
+def test_array_exposure_matches_the_object_engine():
+    """Steady n=64, seed 3, lean, 240 rounds: the array engine's lowered
+    fan-outs disclose what the object engine's messages do, within 5 %
+    (DESIGN.md §11: a cohort item stands for many per-pid shares)."""
+    exposures = {}
+    for engine in ("object", "array"):
+        scenario = get_builder("steady")(
+            n=64, rounds=240, seed=3, deadline=64, params=CongosParams.preset("lean")
+        )
+        auditor = MetadataAuditor()
+        run_congos_scenario(
+            dataclasses.replace(scenario, engine=engine), observers=[auditor]
+        )
+        exposures[engine] = auditor.exposure(64)
+    reference, array = exposures["object"], exposures["array"]
+    assert (reference.observer_rumor_pairs, reference.dest_set_disclosures) == (1652, 1652)
+    assert array.rumors == reference.rumors
+    for field in ("observer_rumor_pairs", "dest_set_disclosures"):
+        got, want = getattr(array, field), getattr(reference, field)
+        assert abs(got - want) <= 0.05 * want, (field, got, want)

@@ -118,6 +118,51 @@ class TestGdSenderClasses:
         )
 
 
+class TestLoweredFanouts:
+    """The fan-outs the array engine lowers for delivery observers, at a
+    size (n=256) whose all-gossip pool draws targets with replacement and
+    whose GD sender classes carry several rumors."""
+
+    def _run(self):
+        from repro.audit.metadata import facts_of
+        from repro.sim.engine import SimObserver
+
+        cuts = []
+        observer = SimObserver()
+        observer.on_fanouts = lambda round_no, cut: cuts.append((round_no, cut))
+        scenario = steady_scenario(
+            n=256, rounds=96, seed=3, deadline=64, rate=4, period=1,
+            params=CongosParams.preset("lean"), name="fastcore-lowering",
+        )
+        result = run_congos_scenario(_array(scenario), observers=[observer])
+        fanouts = [
+            (round_no, head, dsts, mask, facts_of(head.payload))
+            for round_no, cut in cuts for head, dsts, mask in cut
+        ]
+        return result, fanouts
+
+    def test_a_fanout_never_names_a_destination_twice(self):
+        result, fanouts = self._run()
+        for _, head, dsts, mask, _ in fanouts:
+            assert len(set(dsts)) == len(dsts) == bin(mask).count("1")
+            assert mask == sum(1 << dst for dst in dsts) and head.dst == dsts[0]
+        # Still every message: the repeats became fan-outs of their own.
+        assert sum(len(dsts) for _, _, dsts, _, _ in fanouts) == result.stats.total
+
+    def test_a_group_distribution_carries_what_its_target_may_get(self):
+        # One FragmentDelivery per (sender, target): the rumors whose
+        # destination pool holds the target, and at least one of them.
+        _, fanouts = self._run()
+        deliveries = [
+            (dsts, facts) for _, head, dsts, _, facts in fanouts
+            if head.service == "group_distribution"
+        ]
+        assert any(len(facts) > 1 for _, facts in deliveries)
+        for dsts, facts in deliveries:
+            assert len(dsts) == 1 and facts
+            assert all(dsts[0] in dest for _, dest in facts)
+
+
 class TestScope:
     def test_engine_field_validated(self):
         with pytest.raises(ValueError, match="engine"):

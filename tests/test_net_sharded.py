@@ -13,9 +13,7 @@ from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import get_builder
 from repro.net.coordinator import NetOptions
 from repro.net.shard import ShardPlan
-from repro.sim.engine import SimObserver
-
-from conftest import flatten
+from repro.sim.engine import SimObserver, flatten
 
 
 def _record(result) -> RunRecord:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.harness.cli import build_parser, main
 from repro.analysis.sweeps import sweep_specs
+from repro.fastcore import numpy_available
 from repro.perf import (
     ENGINE_SCALING,
     PerfCase,
@@ -52,6 +53,11 @@ class TestRegistry:
         assert "audit_batch_fanout" in keys
         # The chaos plane's per-message fate draw.
         assert "chaos_admit" in keys
+        # The metadata auditor over one captured round of fan-outs, and
+        # the array engine's lowering of a channel-round into them.
+        assert "metadata_fanouts" in keys
+        if numpy_available():
+            assert "fastcore_lower_fanouts" in keys
 
     def test_get_case_unknown_key_raises(self):
         with pytest.raises(KeyError, match="unknown perf case"):
@@ -96,6 +102,14 @@ class TestBench:
         spot = result.hotspots[0]
         assert set(spot) == {"function", "calls", "tottime_s", "cumtime_s"}
         assert profile_case(get_case("clock_arithmetic"), top=3)
+
+    def test_fanout_cases_run(self):
+        keys = ["metadata_fanouts"]
+        if numpy_available():
+            keys.append("fastcore_lower_fanouts")
+        for key in keys:
+            result = run_case(get_case(key), repeats=1, warmup=0)
+            assert result.best > 0, key
 
     def test_suite_payload_shape(self):
         case, _ = counting_case()

@@ -18,18 +18,17 @@ import dataclasses
 import pytest
 
 from repro.adversary.base import Adversary
-from repro.audit.metadata import MetadataAuditor
+from repro.audit.confidentiality import ConfidentialityAuditor
 from repro.core.config import CongosParams
 from repro.core.congos import CongosNode, congos_factory
-from repro.fastcore import numpy_available
+from repro.fastcore import UnsupportedScenario, numpy_available
 from repro.gossip.rumor import Rumor, RumorId
 from repro.harness.runner import Scenario, assemble, run_congos_scenario
 from repro.net.coordinator import NetOptions, ShardEngine
 from repro.net.shard import ShardPlan
-from repro.sim.engine import AdversaryView, Engine, RoundEngine, SimObserver
+from repro.sim.engine import AdversaryView, Engine, RoundEngine, SimObserver, flatten
 from repro.sim.events import RoundDecision
-
-from conftest import flatten
+from repro.sim.messages import ServiceTags
 
 # The tier-1 matrix has no numpy (and a host may have numpy 1.x, which
 # the array engine refuses): the array leg skips.
@@ -41,6 +40,8 @@ else:
 N = 8
 OBJECT_PATHS = ["inproc", "sharded"]
 ALL_PATHS = OBJECT_PATHS + [ARRAY]
+# The same three paths as plain names, for loops inside one test.
+RUNNABLE_PATHS = OBJECT_PATHS + (["array"] if numpy_available() else [])
 
 
 def _rumor(src, seq, round_no, dest=(1, 6)):
@@ -232,7 +233,7 @@ class PerRound(SimObserver):
 def test_deliveries_are_announced_per_message_or_per_round():
     rounds = 8
     seen = {}
-    for path in OBJECT_PATHS:
+    for path in RUNNABLE_PATHS:
         per_message, per_round = PerMessage(), PerRound()
         # A hook shadowed on the *instance*, as a tracer wrapping bound
         # methods leaves it.
@@ -254,23 +255,51 @@ def test_deliveries_are_announced_per_message_or_per_round():
             for round_no, cut in per_round.rounds
             for message in flatten(cut)
         ]
-        assert per_round.messages == per_message.seen == flattened
+        assert per_round.messages == per_message.seen == flattened, path
         assert per_message.seen, "the script must produce traffic"
         assert any(len(dsts) > 1 for _, cut in per_round.rounds for _, dsts, _ in cut)
         seen[path] = per_message.seen
     assert seen["sharded"] == seen["inproc"]
 
 
-@pytest.mark.parametrize("observer", [PerMessage(), PerRound(), MetadataAuditor()])
-def test_array_refuses_delivery_observers(observer):
-    # The array engine delivers no messages: a delivery observer would
-    # silently see nothing, so assembly refuses it by name.
-    pytest.importorskip("numpy", minversion="2.0")
-    from repro.fastcore.engine import UnsupportedScenario
+@pytest.mark.parametrize("path", ALL_PATHS)
+def test_fanouts_account_for_every_message_sent(path):
+    # Fault-free, every sent message is delivered: per round and service,
+    # the flattened fan-outs are exactly what the stats counted.
+    rounds = 96
+    per_round = PerRound()
+    script = {**FAULT_FREE, 9: ((), (), ((3, 0), (5, 0)))}
+    with engine_on(path, Scripted(script), [per_round]) as engine:
+        engine.run(rounds)
+        stats = engine.stats
+    counted = {}
+    for round_no, cut in per_round.rounds:
+        for head, dsts, _ in cut:
+            key = (round_no, head.service)
+            counted[key] = counted.get(key, 0) + len(dsts)
+    expected = {
+        (round_no, service): stats.per_round_by_service(round_no, service)
+        for round_no in range(rounds)
+        for service in ServiceTags.ALL
+        if stats.per_round_by_service(round_no, service)
+    }
+    assert counted == expected
+    assert sum(counted.values()) == stats.total > 0
+    assert {service for _, service in counted} == {
+        ServiceTags.PROXY, ServiceTags.GROUP_DISTRIBUTION,
+        ServiceTags.GROUP_GOSSIP, ServiceTags.ALL_GOSSIP,
+    }
 
-    name = type(observer).__name__
-    with pytest.raises(UnsupportedScenario, match=r"delivery observers \({}\)".format(name)):
-        assemble(_scenario("array"), observers=[Recorder(), observer])
+
+def test_array_fanouts_fail_a_content_auditor_loudly():
+    # The array engine's fan-outs carry routing metadata only; an object
+    # ConfidentialityAuditor handed to it must not read them as "nothing".
+    pytest.importorskip("numpy", minversion="2.0")
+    auditor = ConfidentialityAuditor(num_partitions=2, num_groups=2)
+    with engine_on("array", Scripted({0: ((), (), ((0, 0),))}), [auditor]) as engine:
+        with pytest.raises(UnsupportedScenario, match="object engine"):
+            engine.run_round()
+        assert engine.round == 0
 
 
 @pytest.mark.parametrize("path", ALL_PATHS)
@@ -331,8 +360,6 @@ def test_injection_at_crashed_pid_rejected(path):
 
 def test_array_refuses_crash_decisions():
     pytest.importorskip("numpy", minversion="2.0")
-    from repro.fastcore.engine import UnsupportedScenario
-
     with engine_on("array", Scripted({0: ((3,), (), ())})) as engine:
         with pytest.raises(UnsupportedScenario, match="fault-free runs only"):
             engine.run_round()
