@@ -14,7 +14,7 @@ production-like loss, delay, duplication, reordering and partitions.
 * :mod:`repro.chaos.targeted_soak` — the E19 targeted-vs-oblivious matrix.
 """
 
-from repro.chaos.plane import ChaosFaultPlane, FaultEvent, FaultPlane, pipeline_stage
+from repro.chaos.plane import ChaosFaultPlane, pipeline_stage
 from repro.chaos.schedule import FaultSchedule
 from repro.chaos.spec import FaultSpec
 from repro.chaos.targeted import (
@@ -29,8 +29,6 @@ from repro.chaos.targeted import (
 __all__ = [
     "BudgetLedger",
     "ChaosFaultPlane",
-    "FaultEvent",
-    "FaultPlane",
     "FaultSchedule",
     "FaultSpec",
     "TargetedFaultPlane",

@@ -1,10 +1,9 @@
-"""The pluggable fault plane.
+"""The chaos fault plane.
 
-:class:`FaultPlane` is the hook :class:`repro.sim.network.Network` calls
-while routing a round's traffic.  The base class is the paper's reliable
-network — it admits everything, holds nothing, and the network skips the
-chaos branches entirely when no plane is installed, so default runs stay
-bit-identical to the seed.
+:class:`repro.sim.network.Network` calls an installed plane while routing
+a round's traffic; with none installed (``None``, the paper's reliable
+network) the network skips the chaos branches entirely, so default runs
+stay bit-identical to the seed.
 
 :class:`ChaosFaultPlane` implements the extended fault model: per-message
 drop / bounded delay / duplication, per-inbox reordering, and scheduled
@@ -15,6 +14,12 @@ composes with the CRRI adversary rather than replacing it: adversarial
 drops at crash/restart boundaries and crash-loss are applied by the
 network *before* a message reaches the plane, so chaos only ever touches
 traffic the paper's model would have delivered.
+
+Each injected fault is recorded once: as a count by (kind, pipeline
+stage), which every payload and digest reads, and — when telemetry is on
+— as one ``fault_<kind>`` event carrying src, dst, service, detail and
+rids (plus policy and budget_spent for targeted faults), which every
+trace and timeline reads.
 
 Semantics worth pinning down (tests rely on these):
 
@@ -30,7 +35,6 @@ Semantics worth pinning down (tests rely on these):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set
 
 from repro.chaos.schedule import DELAY, DELIVER, DROP, DUPLICATE, FaultSchedule
@@ -39,9 +43,7 @@ from repro.obs.instrument import NULL_TELEMETRY
 from repro.sim.messages import Message, ServiceTags, reveals_of
 
 __all__ = [
-    "FaultPlane",
     "ChaosFaultPlane",
-    "FaultEvent",
     "SEVER",
     "message_rids",
     "pipeline_stage",
@@ -91,67 +93,7 @@ def message_rids(message: Message, limit: int = 8) -> List[str]:
     return sorted(rids)[:limit]
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """One injected fault, recorded for soak payloads and replay."""
-
-    round_no: int
-    kind: str  # drop | delay | duplicate | sever | reorder | late_loss
-    src: int
-    dst: int
-    service: str
-    detail: int = 0  # delay rounds, inbox size for reorder, 0 otherwise
-    policy: str = ""  # targeted policy name; "" for oblivious faults
-
-    def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "round": self.round_no,
-            "kind": self.kind,
-            "src": self.src,
-            "dst": self.dst,
-            "service": self.service,
-            "detail": self.detail,
-        }
-        if self.policy:
-            data["policy"] = self.policy
-        return data
-
-
-class FaultPlane:
-    """Reliable base plane: every hook is the identity / a no-op.
-
-    ``active`` lets the network skip per-message chaos work entirely on
-    the default path; the base plane is never active.
-    """
-
-    def active_in(self, round_no: int) -> bool:
-        return False
-
-    def has_pending(self) -> bool:
-        return False
-
-    def pending_count(self) -> int:
-        return 0
-
-    def begin_round(self, round_no: int) -> None:
-        pass
-
-    def admit(self, round_no: int, message: Message) -> str:
-        return DELIVER
-
-    def release(self, round_no: int) -> List[Message]:
-        return []
-
-    def record_late_loss(self, round_no: int, message: Message) -> None:
-        pass
-
-    def shuffle_inboxes(
-        self, round_no: int, inboxes: Dict[int, List[Message]]
-    ) -> None:
-        pass
-
-
-class ChaosFaultPlane(FaultPlane):
+class ChaosFaultPlane:
     """Seed-keyed drop/delay/duplicate/reorder/partition injection."""
 
     def __init__(
@@ -160,20 +102,15 @@ class ChaosFaultPlane(FaultPlane):
         spec: FaultSpec,
         n: int,
         telemetry: Any = None,
-        keep_events: bool = True,
-        max_events: int = 200_000,
         message_keyed: bool = False,  # ignored; the ledger tracer still passes it
     ):
         self.spec = spec
         self.schedule = FaultSchedule(seed, spec, n)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.keep_events = keep_events
-        self.max_events = max_events
         self.counts: Dict[str, int] = {kind: 0 for kind in _FAULT_KINDS}
         # stage -> kind -> count (reorder is per-inbox, not per-message,
         # so it has no stage and is tracked in ``counts`` only).
         self.stage_counts: Dict[str, Dict[str, int]] = {}
-        self.events: List[FaultEvent] = []
         # deliver_round -> copies maturing that round, in queue order
         # (admit round, then admit order).  The sharded worker tags each
         # queued copy with its own (admit_round, src, seq) order key.
@@ -289,10 +226,6 @@ class ChaosFaultPlane(FaultPlane):
             if rng.random() < self.spec.reorder:
                 rng.shuffle(inbox)
                 self.counts["reorder"] += 1
-                if self.keep_events and len(self.events) < self.max_events:
-                    self.events.append(
-                        FaultEvent(round_no, "reorder", -1, dst, "*", len(inbox))
-                    )
                 if self.telemetry.enabled:
                     self.telemetry.emit(
                         "fault_reorder", round_no, dst=dst, inbox=len(inbox)
@@ -313,18 +246,6 @@ class ChaosFaultPlane(FaultPlane):
         stage = pipeline_stage(message.service)
         kinds = self.stage_counts.setdefault(stage, {})
         kinds[kind] = kinds.get(kind, 0) + 1
-        if self.keep_events and len(self.events) < self.max_events:
-            self.events.append(
-                FaultEvent(
-                    round_no,
-                    kind,
-                    message.src,
-                    message.dst,
-                    message.service,
-                    detail,
-                    policy or "",
-                )
-            )
         if self.telemetry.enabled:
             labels = {"kind": kind, "stage": stage}
             fields: Dict[str, Any] = {

@@ -443,17 +443,8 @@ class TargetedFaultPlane(ChaosFaultPlane):
         targeted: TargetedSpec,
         n: int,
         telemetry=None,
-        keep_events: bool = True,
-        max_events: int = 200_000,
     ):
-        super().__init__(
-            seed,
-            spec,
-            n,
-            telemetry=telemetry,
-            keep_events=keep_events,
-            max_events=max_events,
-        )
+        super().__init__(seed, spec, n, telemetry=telemetry)
         self.targeted = targeted
         self.policy = get_policy(targeted.policy)(targeted, seed, n)
         self.ledger = BudgetLedger(targeted.per_round, targeted.total)
@@ -577,7 +568,6 @@ def build_fault_plane(
     targeted_spec: Optional[TargetedSpec],
     *,
     telemetry=None,
-    keep_events: bool = True,
 ) -> Optional[ChaosFaultPlane]:
     """The plane a run's specs call for, or ``None`` for a reliable network.
 
@@ -588,10 +578,9 @@ def build_fault_plane(
     spec when there is none); an oblivious spec alone gives the plain
     chaos plane; a null spec alone is the paper's reliable network.
     """
-    options = dict(telemetry=telemetry, keep_events=keep_events)
     if targeted_spec is not None:
         spec = fault_spec if fault_spec is not None else FaultSpec()
-        return TargetedFaultPlane(seed, spec, targeted_spec, n, **options)
+        return TargetedFaultPlane(seed, spec, targeted_spec, n, telemetry=telemetry)
     if fault_spec is None or fault_spec.is_null():
         return None
-    return ChaosFaultPlane(seed, fault_spec, n, **options)
+    return ChaosFaultPlane(seed, fault_spec, n, telemetry=telemetry)

@@ -25,7 +25,7 @@ from repro.adversary.base import Adversary, ComposedAdversary
 from repro.audit.confidentiality import ConfidentialityAuditor
 from repro.audit.delivery import DeliveryAuditor, QoDReport
 from repro.audit.failfast import FailFastMonitor
-from repro.chaos.plane import FaultPlane
+from repro.chaos.plane import ChaosFaultPlane
 from repro.chaos.spec import FaultSpec
 from repro.chaos.targeted import TargetedFaultPlane, TargetedSpec, build_fault_plane
 from repro.core.config import CongosParams
@@ -143,7 +143,7 @@ class RunResult:
     delivery: DeliveryAuditor
     workload: Optional[Adversary]
     partition_set: PartitionSet
-    fault_plane: Optional[FaultPlane] = None
+    fault_plane: Optional[ChaosFaultPlane] = None
 
     @property
     def rumors_injected(self) -> int:
@@ -160,8 +160,7 @@ class RunResult:
         ``None`` for reliable-network runs."""
         if self.fault_plane is None:
             return None
-        by_service = getattr(self.fault_plane, "counts_by_service", None)
-        return by_service() if by_service is not None else None
+        return self.fault_plane.counts_by_service()
 
     def summary(self) -> Dict[str, object]:
         out: Dict[str, object] = {

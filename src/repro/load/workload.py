@@ -82,7 +82,6 @@ class OpenWorkload(InjectionWorkload):
         self.shed_records: List[ShedArrival] = []
         self.wait_hist = Histogram()  # queueing delay of admitted arrivals
         self.depth_hist = Histogram()  # queue depth at end of each round
-        self.arrival_rounds: Dict[RumorId, int] = {}
         self.waits: Dict[RumorId, int] = {}
         self._telemetry = None
 
@@ -147,7 +146,6 @@ class OpenWorkload(InjectionWorkload):
             wait = queued.waited(round_no)
             self.admitted += 1
             self.wait_hist.observe(wait)
-            self.arrival_rounds[rumor.rid] = queued.enqueued_round
             self.waits[rumor.rid] = wait
         depth = len(self.queue)
         self.depth_hist.observe(depth)

@@ -312,7 +312,6 @@ class ShardEngine(RoundEngine):
             scenario.n,
             scenario.fault_spec(),
             scenario.targeted_spec(),
-            keep_events=False,
         )
         self._targeted = isinstance(self.fault_plane, TargetedFaultPlane)
         self._new_round_frame()

@@ -157,7 +157,6 @@ class ShardWorker:
             FaultSpec.from_dict(chaos) if chaos is not None else None,  # type: ignore[arg-type]
             TargetedSpec.from_dict(targeted) if targeted is not None else None,  # type: ignore[arg-type]
             telemetry=self.telemetry,
-            keep_events=False,
         )
         # The in-process engine's delivery step, over the pids this worker
         # hosts: crash loss, the plane's fates, matured copies, shuffles.

@@ -1,7 +1,7 @@
 """repro.obs — unified telemetry: events, metrics, sinks, rumor timelines.
 
 The protocol stack emits :class:`ObsEvent` records through a
-:class:`Telemetry` facade; sinks persist them (JSONL, ring buffer) and
+:class:`Telemetry` facade; sinks persist them (JSONL, capture buffer) and
 the :class:`RumorTimeline` observer folds them into per-rumor lifecycle
 records.  When telemetry is disabled the shared :data:`NULL_TELEMETRY`
 singleton reduces every instrumentation point to one attribute check.
@@ -16,7 +16,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     Span,
 )
-from repro.obs.sink import CollectSink, JsonlSink, RingBufferSink, SequenceSink
+from repro.obs.sink import CollectSink, JsonlSink, SequenceSink
 from repro.obs.timeline import RumorLifecycle, RumorTimeline
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "MetricsRegistry",
     "NullTelemetry",
     "ObsEvent",
-    "RingBufferSink",
     "RumorLifecycle",
     "RumorTimeline",
     "SequenceSink",

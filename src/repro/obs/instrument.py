@@ -6,7 +6,7 @@ is off that attribute is the shared :data:`NULL_TELEMETRY` singleton and
 the entire observability layer costs one attribute read per call site.
 
 A live :class:`Telemetry` fans each event out to its sinks (JSONL file,
-ring buffer) and subscribers (``RumorTimeline``), and exposes the
+capture buffer) and subscribers (``RumorTimeline``), and exposes the
 run-wide :class:`MetricsRegistry`.  Telemetry objects are never pickled:
 exec-pool workers build their engines in-process, and the trace CLI runs
 single-process, so file handles and observer references stay local.

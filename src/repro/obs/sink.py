@@ -1,10 +1,7 @@
-"""Event sinks: JSONL writer, flight-recorder ring buffer, test collector.
+"""Event sinks: JSONL writer, sequencing capture buffer, test collector.
 
 A sink is anything with ``write(event)``.  :class:`JsonlSink` streams
 events to a file (or any text stream) one JSON object per line;
-:class:`RingBufferSink` keeps only the most recent ``capacity`` events in
-memory so always-on flight recording stays bounded, and can drain its
-contents into another sink after the fact (e.g. only when a run fails).
 :class:`SequenceSink` numbers events with a monotonic per-sink sequence
 and hands them over in batches — the capture buffer shard workers drain
 into telemetry frames.
@@ -13,12 +10,11 @@ into telemetry frames.
 from __future__ import annotations
 
 import io
-from collections import deque
-from typing import Deque, List, Optional, TextIO, Tuple
+from typing import List, Optional, TextIO, Tuple
 
 from repro.obs.events import ObsEvent
 
-__all__ = ["CollectSink", "JsonlSink", "RingBufferSink", "SequenceSink"]
+__all__ = ["CollectSink", "JsonlSink", "SequenceSink"]
 
 
 class JsonlSink:
@@ -102,36 +98,6 @@ class SequenceSink:
         """Hand over all buffered ``(seq, event)`` pairs and reset."""
         drained = self._buffer
         self._buffer = []
-        return drained
-
-
-class RingBufferSink:
-    """Flight recorder: keep the last ``capacity`` events, count the rest."""
-
-    def __init__(self, capacity: int = 4096):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._events: Deque[ObsEvent] = deque(maxlen=capacity)
-        self.seen = 0
-
-    def write(self, event: ObsEvent) -> None:
-        self.seen += 1
-        self._events.append(event)
-
-    @property
-    def dropped(self) -> int:
-        return self.seen - len(self._events)
-
-    def events(self) -> List[ObsEvent]:
-        return list(self._events)
-
-    def drain_to(self, sink: "JsonlSink") -> int:
-        """Flush the buffered tail into another sink; returns the count."""
-        drained = 0
-        while self._events:
-            sink.write(self._events.popleft())
-            drained += 1
         return drained
 
 

@@ -442,7 +442,7 @@ def _setup_chaos_admit() -> Operation:
     ]
 
     def op() -> object:
-        plane = ChaosFaultPlane(0, spec, 64, keep_events=False)
+        plane = ChaosFaultPlane(0, spec, 64)
         plane.begin_round(0)
         return [plane.admit(0, message) for message in burst].count("deliver")
 

@@ -29,7 +29,7 @@ from repro.sim.messages import Message
 from repro.sim.metrics import MessageStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps sim below chaos
-    from repro.chaos.plane import FaultPlane
+    from repro.chaos.plane import ChaosFaultPlane
 
 __all__ = ["Network", "DeliveryOutcome"]
 
@@ -59,7 +59,7 @@ class Network:
         self,
         n: int,
         stats: Optional[MessageStats] = None,
-        fault_plane: Optional["FaultPlane"] = None,
+        fault_plane: Optional["ChaosFaultPlane"] = None,
     ):
         if n <= 0:
             raise ValueError("network needs at least one process")

@@ -2,20 +2,16 @@
 fault semantics, leak-safe attribution, and the untouched default path."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from repro.chaos.plane import (
-    ChaosFaultPlane,
-    FaultPlane,
-    message_rids,
-    pipeline_stage,
-)
+from repro.chaos.plane import ChaosFaultPlane, message_rids, pipeline_stage
 from repro.chaos.spec import FaultSpec
 from repro.exec.results import RunRecord
 from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import chaos_scenario
-from repro.obs import Telemetry
+from repro.obs import CollectSink, Telemetry
 from repro.obs.timeline import RumorTimeline
 from repro.sim.network import Network
 
@@ -29,8 +25,8 @@ def route(network, round_no, outgoing, alive=None):
     )
 
 
-def plane_network(spec, n=8, seed=7, **kwargs):
-    plane = ChaosFaultPlane(seed, spec, n, **kwargs)
+def plane_network(spec, n=8, seed=7):
+    plane = ChaosFaultPlane(seed, spec, n)
     return Network(n, fault_plane=plane), plane
 
 
@@ -111,13 +107,6 @@ class TestAdmitSemantics:
             ["drop", "delay", "duplicate", "sever", "reorder", "late_loss"]
         )
 
-    def test_events_recorded_and_capped(self):
-        network, plane = plane_network(FaultSpec(drop=1.0), max_events=2)
-        route(network, 0, [mk_message(src=0, dst=d) for d in range(1, 6)])
-        assert plane.counts["drop"] == 5
-        assert len(plane.events) == 2
-        assert all(event.kind == "drop" for event in plane.events)
-
 
 class TestFateKeys:
     def test_copy_counter_past_the_key_width_raises(self):
@@ -174,13 +163,6 @@ class TestDefaultPathUntouched:
         assert outcome.duplicated == []
         assert len(outcome.delivered) == 1
 
-    def test_base_plane_is_inert(self):
-        plane = FaultPlane()
-        assert not plane.active_in(0)
-        assert not plane.has_pending()
-        assert plane.admit(0, mk_message()) == "deliver"
-        assert plane.release(0) == []
-
     def test_null_spec_scenario_installs_no_plane(self):
         scenario = chaos_scenario(8, 40, seed=0, deadline=16)
         assert scenario.fault_spec() is None
@@ -223,6 +205,25 @@ class TestTelemetryAndTimeline:
             for entry in payload["faults"]
             for value in entry.values()
         )
+
+    def test_every_fault_is_one_event(self):
+        # The (kind, stage) counts and the fault_<kind> stream are the
+        # plane's two records of a fault: per kind they must agree, and
+        # each per-message event carries its full attribution.
+        sink = CollectSink()
+        scenario = chaos_scenario(
+            8, 120, seed=3, drop=0.1, delay=0.2, duplicate=0.05, reorder=0.3,
+            partition_period=20, partition_width=5, churn=0.02,
+        )
+        result = run_congos_scenario(scenario, telemetry=Telemetry(sinks=[sink]))
+        counts = result.fault_plane.counts_summary()
+        assert all(counts.values()), counts  # all six kinds exercised
+        emitted = Counter(e.kind for e in sink.events if e.kind.startswith("fault_"))
+        assert {kind: emitted["fault_" + kind] for kind in counts} == counts
+        assert sum(emitted.values()) == sum(counts.values())
+        for event in sink.events:
+            if event.kind.startswith("fault_") and event.kind != "fault_reorder":
+                assert {"src", "dst", "service", "detail", "rids"} <= set(event.fields)
 
     def test_chaos_runs_stay_confidential(self):
         result, _ = self.run_traced(drop=0.3, delay=0.2, duplicate=0.1)

@@ -10,7 +10,7 @@ E19 harness helpers.
 import pytest
 
 from repro.analysis.sweeps import sweep_congos
-from repro.chaos.plane import ChaosFaultPlane, FaultEvent
+from repro.chaos.plane import ChaosFaultPlane
 from repro.chaos.spec import FaultSpec
 from repro.chaos.targeted import (
     BudgetLedger,
@@ -34,7 +34,7 @@ from repro.exec.results import RunRecord
 from repro.harness.cli import build_parser
 from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import targeted_scenario
-from repro.obs import Telemetry
+from repro.obs import CollectSink, Telemetry
 from repro.sim.messages import ServiceTags
 from repro.sim.network import Network
 
@@ -287,18 +287,20 @@ class TestTargetedPlaneSemantics:
 
     def test_delay_kind_holds_bounded_and_seed_keyed(self):
         tspec = TargetedSpec(kind="delay", hold=3, per_round=10, total=100)
-        network_a, plane_a = targeted_plane(tspec, seed=7)
-        network_b, plane_b = targeted_plane(tspec, seed=7)
-        for plane in (plane_a, plane_b):
+        streams = []
+        for _ in range(2):
+            sink = CollectSink()
+            network, plane = targeted_plane(
+                tspec, seed=7, telemetry=Telemetry(sinks=[sink])
+            )
             plane.observe_injection(0, 0, 0, deadline=32)
-        route(network_a, 0, [rumor_message(dst=d) for d in range(1, 5)])
-        route(network_b, 0, [rumor_message(dst=d) for d in range(1, 5)])
-        events_a = [e for e in plane_a.events if e.kind == "delay"]
-        events_b = [e for e in plane_b.events if e.kind == "delay"]
+            route(network, 0, [rumor_message(dst=d) for d in range(1, 5)])
+            assert plane.pending_count() == 4
+            streams.append([e for e in sink.events if e.kind == "fault_delay"])
+        events_a, events_b = streams
         assert events_a == events_b
-        assert events_a
-        assert all(1 <= e.detail <= 3 for e in events_a)
-        assert plane_a.pending_count() == 4
+        assert len(events_a) == 4
+        assert all(1 <= e.fields["detail"] <= 3 for e in events_a)
 
     def test_oblivious_fallthrough_composes(self):
         # Untracked traffic still faces the oblivious schedule.
@@ -327,7 +329,7 @@ class TestTargetedPlaneSemantics:
 
     def test_merge_targeted_folds_counts_and_ledger(self):
         tspec = TargetedSpec()
-        _, mirror = targeted_plane(tspec, keep_events=False)
+        _, mirror = targeted_plane(tspec)
         network, worker = targeted_plane(tspec)
         worker.observe_injection(0, 0, 0, deadline=32)
         route(network, 0, [rumor_message(dst=1), rumor_message(dst=2)])
@@ -340,21 +342,25 @@ class TestTargetedPlaneSemantics:
 
 
 class TestFaultEventPolicy:
-    def test_policy_key_only_when_set(self):
-        plain = FaultEvent(1, "drop", 0, 1, ServiceTags.PROXY, 0)
-        assert "policy" not in plain.to_dict()
-        attributed = FaultEvent(
-            1, "drop", 0, 1, ServiceTags.PROXY, 0, "proxy-suppressor"
-        )
-        assert attributed.to_dict()["policy"] == "proxy-suppressor"
-
     def test_targeted_events_carry_policy(self):
-        network, plane = targeted_plane(TargetedSpec())
+        # One tracked drop (the policy's) and one untracked drop (the
+        # oblivious schedule's): only the first is attributed.
+        sink = CollectSink()
+        network, plane = targeted_plane(
+            TargetedSpec(),
+            spec=FaultSpec(drop=1.0),
+            telemetry=Telemetry(sinks=[sink]),
+        )
         plane.observe_injection(0, 0, 0, deadline=32)
-        route(network, 0, [rumor_message()])
-        (event,) = plane.events
-        assert event.policy == "proxy-suppressor"
-        assert event.to_dict()["policy"] == "proxy-suppressor"
+        route(
+            network,
+            0,
+            [rumor_message(dst=1), rumor_message(dst=2, rid_src=9, rid_seq=9)],
+        )
+        targeted, oblivious = sink.events
+        assert targeted.kind == oblivious.kind == "fault_drop"
+        assert targeted.to_dict()["policy"] == "proxy-suppressor"
+        assert "policy" not in oblivious.to_dict()
 
 
 class TestTargetedTelemetry:
@@ -369,8 +375,6 @@ class TestTargetedTelemetry:
         assert counter.value == 1
 
     def test_fault_events_carry_budget_spent(self):
-        from repro.obs.sink import CollectSink
-
         sink = CollectSink()
         telemetry = Telemetry(sinks=[sink])
         network, plane = targeted_plane(TargetedSpec(), telemetry=telemetry)
@@ -379,6 +383,23 @@ class TestTargetedTelemetry:
         drops = [e for e in sink.events if e.kind == "fault_drop"]
         assert [e.fields["budget_spent"] for e in drops] == [1, 2]
         assert all(e.fields["policy"] == "proxy-suppressor" for e in drops)
+
+    def test_every_budget_unit_is_one_attributed_event(self):
+        # A delay-kind run over an oblivious delay mix: the policy-attributed
+        # fault_delay events are exactly the ledger's spent budget units.
+        sink = CollectSink()
+        scenario = targeted_scenario(8, 80, seed=3, kind="delay", delay=0.1)
+        result = run_congos_scenario(scenario, telemetry=Telemetry(sinks=[sink]))
+        plane = result.fault_plane
+        faults = [e for e in sink.events if e.kind.startswith("fault_")]
+        attributed = [e for e in faults if "policy" in e.fields]
+        assert plane.ledger.spent > 0
+        assert len(attributed) == plane.ledger.spent
+        assert len(faults) > len(attributed)  # oblivious delays stay unattributed
+        assert all(e.kind == "fault_delay" for e in attributed)
+        assert [e.fields["budget_spent"] for e in attributed] == list(
+            range(1, plane.ledger.spent + 1)
+        )
 
     def test_pending_gauge_tracks_delay_queue(self):
         telemetry = Telemetry()

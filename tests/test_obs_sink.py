@@ -7,12 +7,7 @@ import pytest
 
 from repro.obs.events import ObsEvent
 from repro.obs.instrument import NULL_TELEMETRY, Telemetry
-from repro.obs.sink import (
-    CollectSink,
-    JsonlSink,
-    RingBufferSink,
-    SequenceSink,
-)
+from repro.obs.sink import CollectSink, JsonlSink, SequenceSink
 
 
 class FlushCountingStream(io.StringIO):
@@ -109,30 +104,6 @@ class TestSequenceSink:
         assert [seq for seq, _ in second] == [2]
         assert sink.seen == 3
         assert sink.drain() == []
-
-
-class TestRingBufferSink:
-    def test_keeps_only_the_tail(self):
-        ring = RingBufferSink(capacity=3)
-        for round_no in range(5):
-            ring.write(mk_event(round_no))
-        assert ring.seen == 5
-        assert ring.dropped == 2
-        assert [event.round_no for event in ring.events()] == [2, 3, 4]
-
-    def test_drain_to_jsonl(self):
-        ring = RingBufferSink(capacity=2)
-        ring.write(mk_event(0))
-        ring.write(mk_event(1))
-        stream = io.StringIO()
-        sink = JsonlSink(stream=stream)
-        assert ring.drain_to(sink) == 2
-        assert ring.events() == []
-        assert len(stream.getvalue().splitlines()) == 2
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RingBufferSink(capacity=0)
 
 
 class TestTelemetryFanOut:
