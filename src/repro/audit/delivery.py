@@ -38,6 +38,13 @@ class DeliveryOutcomeRecord:
     latency: Optional[int]  # rounds from injection, when delivered
     path: Optional[str]
 
+    @property
+    def missed(self) -> bool:
+        """Admissible, yet not delivered correct data by the deadline."""
+        return self.admissible and not (
+            self.delivered and self.on_time and self.correct_data
+        )
+
 
 @dataclass
 class QoDReport:
@@ -52,11 +59,7 @@ class QoDReport:
     @property
     def missed(self) -> List[DeliveryOutcomeRecord]:
         """Admissible pairs violating QoD: late, missing or corrupted."""
-        return [
-            o
-            for o in self.outcomes
-            if o.admissible and not (o.delivered and o.on_time and o.correct_data)
-        ]
+        return [o for o in self.outcomes if o.missed]
 
     @property
     def satisfied(self) -> bool:
@@ -150,6 +153,55 @@ class DeliveryAuditor(SimObserver):
             if event_log.continuously_alive(q, start, end)
         }
 
+    def deadline_round(self, rid: RumorId) -> int:
+        """The last round in which ``rid`` may still be delivered."""
+        return self.injection_rounds[rid] + self.rumors[rid].deadline
+
+    def judge(
+        self, rid: RumorId, event_log: EventLog
+    ) -> List[DeliveryOutcomeRecord]:
+        """The QoD verdict for every destination of one rumor, by pid.
+
+        The one place a verdict is decided: :meth:`report` collects these
+        at the end of a run, the fail-fast monitor in the round the
+        deadline elapses.
+        """
+        rumor = self.rumors[rid]
+        injected_at = self.injection_rounds[rid]
+        deadline_round = injected_at + rumor.deadline
+        admissible = self.admissible_destinations(rid, event_log)
+        outcomes = []
+        for pid in sorted(rumor.dest):
+            entry = self.deliveries.get((rid, pid))
+            delivered = entry is not None
+            outcomes.append(
+                DeliveryOutcomeRecord(
+                    rid=rid,
+                    pid=pid,
+                    admissible=pid in admissible,
+                    delivered=delivered,
+                    on_time=delivered and entry[0] <= deadline_round,
+                    correct_data=delivered and entry[1] == rumor.data,
+                    latency=(entry[0] - injected_at) if delivered else None,
+                    path=entry[2] if delivered else None,
+                )
+            )
+        return outcomes
+
+    def miss_detail(self, outcome: DeliveryOutcomeRecord) -> str:
+        """Why a :attr:`~DeliveryOutcomeRecord.missed` pair failed QoD."""
+        deadline_round = self.deadline_round(outcome.rid)
+        if not outcome.delivered:
+            return "admissible destination missed deadline {}".format(
+                deadline_round
+            )
+        if not outcome.on_time:
+            return "delivered late (round {} > deadline {})".format(
+                self.injection_rounds[outcome.rid] + outcome.latency,
+                deadline_round,
+            )
+        return "delivered corrupted data"
+
     def report(
         self, engine: Engine, until_round: Optional[int] = None
     ) -> QoDReport:
@@ -160,27 +212,7 @@ class DeliveryAuditor(SimObserver):
         """
         horizon = until_round if until_round is not None else engine.round - 1
         report = QoDReport()
-        for rid, rumor in self.rumors.items():
-            injected_at = self.injection_rounds[rid]
-            deadline_round = injected_at + rumor.deadline
-            if deadline_round > horizon:
-                continue
-            admissible = self.admissible_destinations(rid, engine.event_log)
-            for pid in sorted(rumor.dest):
-                entry = self.deliveries.get((rid, pid))
-                delivered = entry is not None
-                on_time = delivered and entry[0] <= deadline_round
-                correct = delivered and entry[1] == rumor.data
-                report.outcomes.append(
-                    DeliveryOutcomeRecord(
-                        rid=rid,
-                        pid=pid,
-                        admissible=pid in admissible,
-                        delivered=delivered,
-                        on_time=on_time,
-                        correct_data=correct,
-                        latency=(entry[0] - injected_at) if delivered else None,
-                        path=entry[2] if delivered else None,
-                    )
-                )
+        for rid in self.rumors:
+            if self.deadline_round(rid) <= horizon:
+                report.outcomes.extend(self.judge(rid, engine.event_log))
         return report

@@ -92,39 +92,22 @@ class FailFastMonitor(SimObserver):
                 raise InvariantViolation(round_no, missed)
 
     def _qod_violations(self, round_no: int, engine: Engine) -> Sequence[Violation]:
-        """Admissible pairs whose deadline elapsed this round, undelivered."""
+        """Missed pairs of the rumors whose deadline elapsed this round."""
         delivery = self.delivery
         violations = []
-        for rid, rumor in delivery.rumors.items():
-            if rid in self._judged:
-                continue
-            deadline_round = delivery.injection_rounds[rid] + rumor.deadline
-            if deadline_round > round_no:
+        for rid in delivery.rumors:
+            if rid in self._judged or delivery.deadline_round(rid) > round_no:
                 continue
             self._judged.add(rid)
-            for pid in sorted(
-                delivery.admissible_destinations(rid, engine.event_log)
-            ):
-                entry = delivery.deliveries.get((rid, pid))
-                if entry is None:
-                    detail = "admissible destination missed deadline {}".format(
-                        deadline_round
-                    )
-                elif entry[0] > deadline_round:
-                    detail = "delivered late (round {} > deadline {})".format(
-                        entry[0], deadline_round
-                    )
-                elif entry[1] != rumor.data:
-                    detail = "delivered corrupted data"
-                else:
-                    continue
-                violations.append(
-                    Violation(
-                        kind="qod",
-                        rid=rid,
-                        pid=pid,
-                        round_no=round_no,
-                        detail=detail,
-                    )
+            violations.extend(
+                Violation(
+                    kind="qod",
+                    rid=rid,
+                    pid=outcome.pid,
+                    round_no=round_no,
+                    detail=delivery.miss_detail(outcome),
                 )
+                for outcome in delivery.judge(rid, engine.event_log)
+                if outcome.missed
+            )
         return violations

@@ -143,7 +143,7 @@ def _flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--hardened",
         action="store_true",
-        help="run with the graceful-degradation knobs (CongosParams.hardened)",
+        help="run with the graceful-degradation layer (CongosParams.hardened)",
     )
     parser.add_argument(
         "--trace",

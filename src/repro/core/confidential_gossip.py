@@ -60,7 +60,7 @@ class CachedRumor:
     dline: int
     injected_at: int
     confirmed_at: Optional[int] = None
-    # Degradation knob (params.fallback_early_fraction): < 1.0 shoots
+    # Degradation setting fallback_early_fraction: < 1.0 shoots
     # unconfirmed rumors before the full deadline elapses.  1.0 is the
     # paper's deadline-exact fallback (Figure 8 line 47).
     fallback_fraction: float = 1.0
@@ -111,8 +111,8 @@ class DirectSendState:
 
     Tracks which destinations have not acknowledged yet, the rounds at
     which the extra k-copy sends fire, and the exponential-backoff
-    retransmit schedule.  Created only when
-    ``params.direct_send_reliable`` — default runs never build one.
+    retransmit schedule.  Created only when ``params.hardened`` —
+    default runs never build one.
     """
 
     rumor: Rumor
@@ -171,7 +171,7 @@ class ConfidentialGossipCoordinator(SubService):
         self.deliveries: Dict[RumorId, DeliveryRecord] = {}
         self._pending_direct: List[Rumor] = []
         self._dirty_confirmations = False
-        # Reliable direct-send layer (params.direct_send_reliable only).
+        # Reliable direct-send layer (params.hardened only).
         self._direct_states: Dict[RumorId, DirectSendState] = {}
         self._pending_acks: List[Tuple[int, RumorId]] = []
 
@@ -193,7 +193,7 @@ class ConfidentialGossipCoordinator(SubService):
             rumor=rumor,
             dline=dline,
             injected_at=round_no,
-            fallback_fraction=self.params.fallback_early_fraction,
+            fallback_fraction=self.params.degradation.fallback_early_fraction,
         )
 
     def direct_send(self, round_no: int, rumor: Rumor) -> None:
@@ -209,7 +209,7 @@ class ConfidentialGossipCoordinator(SubService):
                 rid=rumor.rid,
                 targets=sorted(rumor.dest - {self.pid}),
             )
-        if self.params.direct_send_reliable:
+        if self.params.hardened:
             self._track_direct(round_no, rumor)
 
     def _track_direct(self, round_no: int, rumor: Rumor) -> None:
@@ -217,13 +217,14 @@ class ConfidentialGossipCoordinator(SubService):
 
         The initial copy goes out through the untouched ``_pending_direct``
         path this same round; everything scheduled here fires strictly
-        later, so turning the knobs on never changes round-0 traffic.
+        later, so hardening never changes round-0 traffic.
         """
         targets = set(rumor.dest) - {self.pid}
         if not targets:
             return
         deadline_round = round_no + rumor.deadline
-        copies = self.params.direct_send_copies
+        degradation = self.params.degradation
+        copies = degradation.direct_send_copies
         copy_rounds = sorted(
             {
                 round_no + max(1, (index * rumor.deadline) // copies)
@@ -231,7 +232,7 @@ class ConfidentialGossipCoordinator(SubService):
             }
         )
         copy_rounds = [r for r in copy_rounds if r <= deadline_round]
-        retries = self.params.direct_send_retries
+        retries = degradation.direct_send_retries
         next_retry: Optional[int] = None
         backoff = 2  # an ack to the initial copy can arrive one round later
         if retries > 0:
@@ -349,7 +350,7 @@ class ConfidentialGossipCoordinator(SubService):
         # is what lets the source converge under drop.
         if (
             payload.path == "direct"
-            and self.params.direct_send_ack
+            and self.params.degradation.direct_send_ack
             and message.src != self.pid
         ):
             self._pending_acks.append((message.src, rumor.rid))

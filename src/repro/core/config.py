@@ -14,16 +14,44 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
-__all__ = ["CongosParams", "default_deadline_cap"]
+__all__ = [
+    "CongosParams",
+    "Degradation",
+    "HARDENED",
+    "PAPER_EXACT",
+    "default_deadline_cap",
+]
 
 
-def default_deadline_cap(n: int, constant: float = 1.0) -> int:
-    """The paper's deadline cap ``c * log^6 n`` (Section 4.2)."""
+def default_deadline_cap(n: int) -> int:
+    """The paper's deadline cap ``log^6 n`` (Section 4.2)."""
     if n < 2:
         return 1
-    return max(4, int(constant * math.log2(n) ** 6))
+    return max(4, int(math.log2(n) ** 6))
+
+
+class Degradation(NamedTuple):
+    """The graceful-degradation layer's settings (DESIGN.md Section 7).
+
+    Not a knob set: :attr:`CongosParams.hardened` picks one of the two
+    tuples below, and the services read it as ``params.degradation``.
+    """
+
+    proxy_retransmit: int  # proxy re-requests per iteration (positions 2, 4, ..)
+    gd_redundancy: int  # GD sends before a (dst, rid) pair counts as hit
+    fallback_early_fraction: float  # shoot unconfirmed rumors this early
+    gossip_resend_backoff: bool  # gossip resends at 2^k ages past the horizon
+    direct_send_retries: int  # backed-off re-sends of an unacked direct copy
+    direct_send_ack: bool  # destinations ack direct copies (rid + acker only)
+    direct_send_copies: int  # sends per direct rumor, spread over its deadline
+
+
+# ``hardened=False``: the paper's send-once rules, bit-exact draws.
+PAPER_EXACT = Degradation(0, 1, 1.0, False, 0, False, 1)
+# ``hardened=True``: more traffic for QoD under loss; never less correct.
+HARDENED = Degradation(2, 2, 0.75, True, 3, True, 2)
 
 
 @dataclass(frozen=True)
@@ -47,18 +75,12 @@ class CongosParams:
         (``ceil(scale * log2(group))`` targets per round).
     gossip_schedule:
         ``"random"`` or ``"expander"`` for the gossip substrate.
-    gossip_reliable:
-        Whether substrate instances flush at expiry (probability-1 delivery
-        inside the black box; CONGOS does not need it thanks to its own
-        fallback, so the default is off).
     direct_send_threshold:
         Rumors with deadlines at or below this are sent directly by their
         source (Section 5 assumes ``dline > 48``).
     deadline_cap:
-        Upper trim for deadlines; ``None`` means "use c*log^6 n", which at
+        Upper trim for deadlines; ``None`` means "use log^6 n", which at
         simulation scale never binds.
-    partition_count_constant:
-        The ``c`` of the ``c tau log n`` random partitions (Section 6.2).
     gd_target_pool:
         ``"destinations"`` (default): GroupDistribution samples targets
         from the not-yet-hit destinations of its fragments — the
@@ -70,42 +92,12 @@ class CongosParams:
         its whole destination set at the deadline.  ``"unconfirmed"``
         implements Figure 2's noted optimization — shoot only destinations
         whose hit records do not already cover them in some partition.
-    proxy_retransmit:
-        Graceful-degradation knob (chaos runs): how many extra times an
-        iteration's unacknowledged proxy requests are re-sent (to fresh
-        proxy samples) at exponentially spaced positions within the same
-        iteration.  ``0`` (default) is the paper's send-once rule.
-    gd_redundancy:
-        Graceful-degradation knob: a ``(destination, rid)`` pair counts as
-        *hit* only after GroupDistribution has sent it ``gd_redundancy``
-        times.  ``1`` (default) is the paper's optimistic first-send rule
-        and reproduces its random draws exactly.
-    fallback_early_fraction:
-        Graceful-degradation knob: the source shoots unconfirmed rumors at
-        ``injection + ceil(fraction * dline)`` instead of the full
-        deadline, trading message complexity for QoD under loss.  ``1.0``
-        (default) is the paper's deadline-exact fallback.
-    gossip_resend_backoff:
-        Graceful-degradation knob: when set, continuous-gossip items past
-        the substrate's resend horizon are rebroadcast at exponentially
-        spaced ages until expiry, instead of going silent.  Off by default
-        (the paper's substrate stops re-sending after the horizon).
-    direct_send_retries:
-        Graceful-degradation knob for the direct-send path (deadline <=
-        ``direct_send_threshold`` or Theorem 16 case 1): how many times an
-        unacknowledged direct copy may be retransmitted, at exponentially
-        backed-off positions before the deadline.  ``0`` (default) is the
-        paper's single unacknowledged send.
-    direct_send_ack:
-        Direct-send knob: destinations acknowledge received direct copies
-        (rumor id + acker pid only — never payload bytes), letting the
-        source stop retransmitting to destinations that already hold the
-        rumor.  Off by default; without acks, retransmits and extra
-        copies go to the full destination set.
-    direct_send_copies:
-        Direct-send knob: send each short-deadline rumor ``k`` times,
-        spread evenly over the rounds remaining before its deadline.
-        ``1`` (default) is the paper's single send.
+    hardened:
+        The graceful-degradation layer (DESIGN.md Section 7) as one
+        switch: :attr:`degradation` is :data:`HARDENED` when on and
+        :data:`PAPER_EXACT` when off (the default).  Under the paper's
+        reliable network it only adds redundant traffic; chaos runs turn
+        it on.
     """
 
     tau: int = 1
@@ -114,21 +106,12 @@ class CongosParams:
     min_fanout: int = 2
     gossip_fanout_scale: float = 2.0
     gossip_schedule: str = "random"
-    gossip_reliable: bool = False
     direct_send_threshold: int = 48
     deadline_cap: Optional[int] = None
-    deadline_cap_constant: float = 1.0
-    partition_count_constant: float = 1.0
     gd_target_pool: str = "destinations"
     collusion_direct_factor: float = 4.0
     fallback_scope: str = "all"
-    proxy_retransmit: int = 0
-    gd_redundancy: int = 1
-    fallback_early_fraction: float = 1.0
-    gossip_resend_backoff: bool = False
-    direct_send_retries: int = 0
-    direct_send_ack: bool = False
-    direct_send_copies: int = 1
+    hardened: bool = False
 
     def __post_init__(self) -> None:
         if self.tau < 1:
@@ -149,16 +132,6 @@ class CongosParams:
             raise ValueError("deadline_cap must be >= 4")
         if self.fallback_scope not in ("all", "unconfirmed"):
             raise ValueError("fallback_scope must be 'all' or 'unconfirmed'")
-        if self.proxy_retransmit < 0:
-            raise ValueError("proxy_retransmit must be non-negative")
-        if self.gd_redundancy < 1:
-            raise ValueError("gd_redundancy must be >= 1")
-        if not 0.0 < self.fallback_early_fraction <= 1.0:
-            raise ValueError("fallback_early_fraction must be in (0, 1]")
-        if self.direct_send_retries < 0:
-            raise ValueError("direct_send_retries must be non-negative")
-        if self.direct_send_copies < 1:
-            raise ValueError("direct_send_copies must be >= 1")
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -170,22 +143,14 @@ class CongosParams:
         return self.tau + 1
 
     @property
-    def direct_send_reliable(self) -> bool:
-        """Whether any direct-send reliability machinery is enabled.
-
-        False for default parameters — the coordinator then never builds
-        per-rumor send state, so paper-exact runs stay bit-identical.
-        """
-        return (
-            self.direct_send_ack
-            or self.direct_send_retries > 0
-            or self.direct_send_copies > 1
-        )
+    def degradation(self) -> "Degradation":
+        """The graceful-degradation settings :attr:`hardened` selects."""
+        return HARDENED if self.hardened else PAPER_EXACT
 
     def effective_deadline_cap(self, n: int) -> int:
         if self.deadline_cap is not None:
             return self.deadline_cap
-        return default_deadline_cap(n, self.deadline_cap_constant)
+        return default_deadline_cap(n)
 
     def service_fanout(self, n: int, dline: int, collaborators: int) -> int:
         """Per-process targets for Proxy / GroupDistribution sends.
@@ -254,7 +219,7 @@ class CongosParams:
         log_n = max(1, math.ceil(math.log2(max(2, n))))
         if self.tau == 1:
             return log_n
-        return max(1, math.ceil(self.partition_count_constant * self.tau * log_n))
+        return max(1, self.tau * log_n)
 
     # ------------------------------------------------------------------
     # Presets
@@ -283,9 +248,9 @@ class CongosParams:
         literal constants from the paper (only useful analytically — at
         simulation scale the fanout formula with ``C = 48`` saturates
         every group immediately); ``"lean"`` frugal settings for large-n
-        shape sweeps; ``"hardened"`` every graceful-degradation knob on,
-        including the direct-send ack/retransmit/k-copy scheme.  Keyword
-        overrides are applied on top of the preset's fields.
+        shape sweeps; ``"hardened"`` the default constants with the
+        graceful-degradation layer on.  Keyword overrides are applied on
+        top of the preset's fields.
         """
         try:
             fields = dict(_PRESET_FIELDS[name])
@@ -298,29 +263,13 @@ class CongosParams:
         fields.update(overrides)
         return cls(**fields)  # type: ignore[arg-type]
 
-    def hardened(self, **overrides: object) -> "CongosParams":
-        """This parameter set with the graceful-degradation knobs on.
-
-        Folds the ``"hardened"`` preset's fields onto the current
-        instance, keeping every other field (``tau``, fanout constants) as
-        it is — which ``preset("hardened")``, built from defaults, cannot
-        do; the scenario builders' ``hardened=True`` relies on it.  Meant
-        for chaos runs (lossy/delaying networks):
-        bounded proxy retransmits, doubled GD send redundancy, earlier
-        fallback, gossip resend backoff, and direct-send
-        ack/retransmit/k-copy.  Under the paper's reliable network these
-        only add redundant traffic — correctness is unchanged.
-        """
-        params = replace(self, **_PRESET_FIELDS["hardened"])
-        return replace(params, **overrides) if overrides else params
-
     def with_tau(self, tau: int) -> "CongosParams":
         return replace(self, tau=tau)
 
 
 # The preset registry: every named parameter set in one place, so a new
-# knob (like the direct-send reliability fields) lands in exactly one
-# spot per preset.  ``CongosParams.preset`` reads this table.
+# field lands in exactly one spot per preset.  ``CongosParams.preset``
+# reads this table.
 _PRESET_FIELDS: Dict[str, Dict[str, object]] = {
     "default": {},
     # The literal constants from the paper.
@@ -329,7 +278,6 @@ _PRESET_FIELDS: Dict[str, Dict[str, object]] = {
         "fanout_scale": 1.0,
         "direct_send_threshold": 48,
         "deadline_cap": None,
-        "deadline_cap_constant": 1.0,
         "collusion_direct_factor": 1.0,
     },
     # Frugal settings for large-n sweeps (shape experiments).
@@ -339,16 +287,8 @@ _PRESET_FIELDS: Dict[str, Dict[str, object]] = {
         "min_fanout": 1,
         "gossip_fanout_scale": 1.5,
     },
-    # Every graceful-degradation knob on (chaos runs).
-    "hardened": {
-        "proxy_retransmit": 2,
-        "gd_redundancy": 2,
-        "fallback_early_fraction": 0.75,
-        "gossip_resend_backoff": True,
-        "direct_send_retries": 3,
-        "direct_send_ack": True,
-        "direct_send_copies": 2,
-    },
+    # The graceful-degradation layer on (chaos runs).
+    "hardened": {"hardened": True},
 }
 
 # One line per preset, kept in lockstep with _PRESET_FIELDS (a test
@@ -357,5 +297,5 @@ _PRESET_DESCRIPTIONS: Dict[str, str] = {
     "default": "simulation-calibrated constants for n <= 512 (the plain constructor)",
     "paper": "the paper's literal constants (analytic use; fanout saturates at sim scale)",
     "lean": "frugal fanouts for large-n shape sweeps",
-    "hardened": "every graceful-degradation knob on, incl. direct-send ack/retransmit/k-copy",
+    "hardened": "the graceful-degradation layer on: retransmits, redundancy, direct-send acks",
 }

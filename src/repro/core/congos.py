@@ -61,12 +61,7 @@ def build_partition_set(
     if params.tau == 1:
         return BitPartitions(n)
     rng = SeedSequence(seed).child("partitions").rng()
-    return RandomPartitions.generate(
-        n,
-        params.tau,
-        rng,
-        count_constant=params.partition_count_constant,
-    )
+    return RandomPartitions.generate(n, params.tau, rng)
 
 
 @dataclass
@@ -132,8 +127,7 @@ class CongosNode(NodeBehavior):
             service=ServiceTags.ALL_GOSSIP,
             fanout_scale=self.params.gossip_fanout_scale,
             schedule=self.params.gossip_schedule,
-            reliable=self.params.gossip_reliable,
-            resend_backoff=self.params.gossip_resend_backoff,
+            resend_backoff=self.params.degradation.gossip_resend_backoff,
             telemetry=self.telemetry,
         )
         self.host.register(self.all_gossip)
@@ -268,8 +262,7 @@ class CongosNode(NodeBehavior):
                 service=ServiceTags.GROUP_GOSSIP,
                 fanout_scale=self.params.gossip_fanout_scale,
                 schedule=self.params.gossip_schedule,
-                reliable=self.params.gossip_reliable,
-                resend_backoff=self.params.gossip_resend_backoff,
+                resend_backoff=self.params.degradation.gossip_resend_backoff,
                 telemetry=self.telemetry,
             )
             px = ProxyService(

@@ -81,10 +81,9 @@ def pipeline_deadline(deadline: int, params: CongosParams, n: int) -> Optional[i
 def goes_direct(deadline: int, params: CongosParams, n: int) -> bool:
     """Whether a rumor with this deadline takes the direct-send route.
 
-    Direct-route rumors are the ones the reliable-delivery knobs
-    (``direct_send_retries`` / ``direct_send_ack`` / ``direct_send_copies``)
-    protect; pipeline rumors have the proxy/GD/gossip redundancy story
-    instead.
+    Direct-route rumors are the ones ``hardened``'s direct-send settings
+    (acks, retransmits, extra copies) protect; pipeline rumors have the
+    proxy/GD/gossip redundancy story instead.
     """
     return pipeline_deadline(deadline, params, n) is None
 

@@ -125,10 +125,11 @@ class GroupDistributionService(SubService):
         self.partials: Dict[Tuple, Fragment] = {}
         self.hit_set: Set[HitEntry] = set()
         # Degradation bookkeeping: sends per (dst, rid) this block.  An
-        # entry joins hit_set after params.gd_redundancy sends; with the
-        # default redundancy of 1 this reduces to the paper's optimistic
-        # first-send rule.
+        # entry joins hit_set after ``gd_redundancy`` sends (read once
+        # here: the check runs per send); unhardened, that is 1 — the
+        # paper's optimistic first-send rule.
         self._send_counts: Dict[HitEntry, int] = {}
+        self._redundancy = params.degradation.gd_redundancy
         self.collaborators: Set[int] = {pid}
         self._collaborators_next: Set[int] = set()
 
@@ -289,7 +290,7 @@ class GroupDistributionService(SubService):
                 entry = (target, fragment.rid)
                 sends = self._send_counts.get(entry, 0) + 1
                 self._send_counts[entry] = sends
-                if sends >= self.params.gd_redundancy:
+                if sends >= self._redundancy:
                     self.hit_set.add(entry)
             messages.append(
                 self.make_message(

@@ -165,13 +165,12 @@ class RandomPartitions(PartitionSet):
         tau: int,
         rng: random.Random,
         count: Optional[int] = None,
-        count_constant: float = 1.0,
         max_attempts_per_partition: int = 1000,
     ) -> "RandomPartitions":
         """Sample a Lemma-13 partition family for collusion bound ``tau``.
 
         ``tau + 1`` groups per partition; ``count`` defaults to
-        ``ceil(count_constant * tau * log2 n)``.
+        ``ceil(tau * log2 n)``.
         """
         if tau < 1:
             raise ValueError("tau must be >= 1")
@@ -182,7 +181,7 @@ class RandomPartitions(PartitionSet):
             )
         if count is None:
             log_n = max(1.0, math.log2(max(2, n)))
-            count = max(1, math.ceil(count_constant * tau * log_n))
+            count = max(1, math.ceil(tau * log_n))
         assignments: List[Tuple[int, ...]] = []
         for _ in range(count):
             assignment = _sample_nonempty_assignment(

@@ -206,12 +206,12 @@ class ProxyService(SubService):
         elif position == 1:
             self._inject_share(round_no)
         elif (
-            self.params.proxy_retransmit
+            self.params.hardened
             and self.status == ACTIVE
             and not self.schedule.is_iteration_last_round(round_no)
             and position in self._retransmit_positions()
         ):
-            # Graceful degradation (off by default): re-request at
+            # Graceful degradation (hardened only): re-request at
             # exponentially spaced positions, sampling proxies not yet
             # tried this iteration.  Acks only arrive at the iteration's
             # last round, so every pending group is still unacknowledged.
@@ -325,13 +325,15 @@ class ProxyService(SubService):
     def _retransmit_positions(self) -> List[int]:
         """Iteration positions for degradation retransmits: 2, 4, 8, ...
 
-        Bounded by ``params.proxy_retransmit`` and by the iteration length
-        (the last position is reserved for acks, 0/1 for requests/share).
+        Bounded by the degradation setting ``proxy_retransmit`` and by the
+        iteration length (the last position is reserved for acks, 0/1 for
+        requests/share).
         """
+        retransmits = self.params.degradation.proxy_retransmit
         positions: List[int] = []
         position = 2
         limit = self.schedule.iteration_len - 1
-        while len(positions) < self.params.proxy_retransmit and position < limit:
+        while len(positions) < retransmits and position < limit:
             positions.append(position)
             position *= 2
         return positions

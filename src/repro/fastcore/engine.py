@@ -218,7 +218,6 @@ class _RumorState:
         "dline",
         "injected_at",
         "expiry",
-        "fallback_round",
         "dest_mask",
         "allowed",
         "shares",
@@ -232,7 +231,7 @@ class _RumorState:
         "merged_cache",
     )
 
-    def __init__(self, rumor: Rumor, n: int, dline: int, round_no: int, fraction: float):
+    def __init__(self, rumor: Rumor, n: int, dline: int, round_no: int):
         self.rumor = rumor
         self.rid = rumor.rid
         self.src = rumor.rid.src
@@ -240,10 +239,6 @@ class _RumorState:
         self.dline = dline
         self.injected_at = round_no
         self.expiry = round_no + rumor.deadline
-        horizon = rumor.deadline
-        if fraction < 1.0:
-            horizon = max(1, math.ceil(fraction * horizon))
-        self.fallback_round = round_no + horizon
         self.dest_mask = bitset.from_indices(sorted(rumor.dest), n)
         self.allowed = self.dest_mask.copy()
         bitset.union_into(self.allowed, bitset.from_indices([self.src], n))
@@ -555,8 +550,7 @@ class ArrayEngine(RoundEngine):
         dline = pipeline_deadline(rumor.deadline, self.params, self.n)
         direct = dline is None or self.params.collusion_forces_direct(self.n)
         state = _RumorState(
-            rumor, self.n, dline if dline is not None else 0, round_no,
-            self.params.fallback_early_fraction,
+            rumor, self.n, dline if dline is not None else 0, round_no
         )
         if pid in rumor.dest:
             self.record_delivery(pid, round_no, rumor.rid, rumor.data, "local")
@@ -608,7 +602,9 @@ class ArrayEngine(RoundEngine):
                     state.confirmed = True
             if state.confirmed or state.retired:
                 continue
-            if round_no >= state.fallback_round:
+            # Hardened runs are refused here, so the fallback fires at
+            # the deadline itself (Figure 8 line 47).
+            if round_no >= state.expiry:
                 targets = bitset.to_indices(state.dest_mask, self.n)
                 targets = targets[targets != state.src]
                 if self.params.fallback_scope == "unconfirmed":

@@ -41,16 +41,8 @@ def _check_scope(scenario, telemetry) -> None:
         reasons.append("backend={!r}".format(scenario.backend))
     if params.gossip_schedule != "random":
         reasons.append("gossip_schedule={!r}".format(params.gossip_schedule))
-    if params.gossip_reliable:
-        reasons.append("gossip_reliable")
-    if params.gossip_resend_backoff:
-        reasons.append("gossip_resend_backoff")
-    if params.proxy_retransmit:
-        reasons.append("proxy_retransmit")
-    if params.direct_send_reliable:
-        reasons.append("the reliable direct-send layer")
-    if params.gd_redundancy != 1:
-        reasons.append("gd_redundancy != 1")
+    if params.hardened:
+        reasons.append("hardened")
     if params.gd_target_pool != "destinations":
         reasons.append("gd_target_pool={!r}".format(params.gd_target_pool))
     if telemetry is not None and getattr(telemetry, "enabled", False):

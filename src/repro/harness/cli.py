@@ -126,6 +126,14 @@ from repro.perf import (
 SCENARIOS = BUILDERS
 
 
+def _tau(text: str) -> int:
+    """``--tau``: a collusion tolerance; below 1 is a usage error."""
+    tau = int(text)
+    if tau < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got {}".format(tau))
+    return tau
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -153,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for multi-seed runs (0 = cpu count)",
     )
     run.add_argument("--deadline", type=int, default=128)
-    run.add_argument("--tau", type=int, default=1, help="collusion tolerance")
+    run.add_argument("--tau", type=_tau, default=1, help="collusion tolerance")
     run.add_argument("--json", action="store_true", help="emit JSON summary")
     run.add_argument(
         "--metrics",
@@ -189,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--rounds", type=int, default=400)
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument("--deadline", type=int, default=128)
-    trace.add_argument("--tau", type=int, default=1)
+    trace.add_argument("--tau", type=_tau, default=1)
     trace.add_argument(
         "--lean", action="store_true", help='use the "lean" parameter preset'
     )
@@ -324,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument("--rounds", type=int, default=96)
     net.add_argument("--seed", type=int, default=0)
     net.add_argument("--deadline", type=int, default=64)
-    net.add_argument("--tau", type=int, default=1)
+    net.add_argument("--tau", type=_tau, default=1)
     net.add_argument(
         "--lean", action="store_true", help='use the "lean" parameter preset'
     )
@@ -346,14 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     partitions = sub.add_parser("partitions", help="inspect a partition family")
     partitions.add_argument("-n", type=int, default=16)
-    partitions.add_argument("--tau", type=int, default=1)
+    partitions.add_argument("--tau", type=_tau, default=1)
     partitions.add_argument("--seed", type=int, default=0)
 
     bounds = sub.add_parser("bounds", help="print the paper's bounds")
     bounds.add_argument("-n", type=int, default=64)
     bounds.add_argument("--dmin", type=int, default=128)
     bounds.add_argument("--dmax", type=int, default=128)
-    bounds.add_argument("--tau", type=int, default=1)
+    bounds.add_argument("--tau", type=_tau, default=1)
     return parser
 
 
@@ -404,11 +412,7 @@ def _registry_from_records(records) -> MetricsRegistry:
 
 
 def _params(args: argparse.Namespace) -> CongosParams:
-    if args.lean:
-        return CongosParams.preset("lean", tau=args.tau)
-    if args.tau > 1:
-        return CongosParams(tau=args.tau)
-    return CongosParams()
+    return CongosParams.preset("lean" if args.lean else "default", tau=args.tau)
 
 
 # ----------------------------------------------------------------------
@@ -435,7 +439,7 @@ def _grid_flags(parser: argparse.ArgumentParser) -> None:
         help="deadline axis of the grid",
     )
     parser.add_argument("--rounds", type=int, default=400)
-    parser.add_argument("--tau", type=int, default=1)
+    parser.add_argument("--tau", type=_tau, default=1)
     parser.add_argument(
         "--lean", action="store_true", help='use the "lean" parameter preset'
     )
@@ -593,7 +597,7 @@ EXPERIMENTS = (
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    params = CongosParams(tau=args.tau) if args.tau > 1 else CongosParams()
+    params = CongosParams(tau=args.tau)
     kwargs = _scenario_kwargs(args)
     if args.seeds is not None and len(args.seeds) > 1:
         return _run_multi_seed(args, params, kwargs)
@@ -878,7 +882,7 @@ def cmd_scenarios(_: argparse.Namespace) -> int:
 
 
 def cmd_partitions(args: argparse.Namespace) -> int:
-    params = CongosParams(tau=args.tau) if args.tau > 1 else CongosParams()
+    params = CongosParams(tau=args.tau)
     partitions = build_partition_set(args.n, params, args.seed)
     rows = []
     for index in range(partitions.count):

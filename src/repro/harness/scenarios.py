@@ -9,6 +9,7 @@ inside the run, so the QoD report judges all of them).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import Callable, Dict, Optional, Sequence
 
@@ -249,15 +250,15 @@ def chaos_scenario(
     cuts scheduled partitions, all keyed deterministically on ``seed``;
     ``churn`` optionally composes a CRRI crash/restart adversary on top,
     demonstrating that the plane and the paper's adversary stack cleanly.
-    ``hardened`` turns on the graceful-degradation knobs
-    (:meth:`CongosParams.hardened`).  Confidentiality is monitored
+    ``hardened`` turns on the graceful-degradation layer
+    (:attr:`CongosParams.hardened`).  Confidentiality is monitored
     fail-fast by default — loss must never leak ``z`` — while QoD is
     reported, not fatal (it is *expected* to degrade beyond the model;
     pass ``failfast="qod"`` to make misses fatal too).
     """
     resolved = params if params is not None else CongosParams()
     if hardened:
-        resolved = resolved.hardened()
+        resolved = dataclasses.replace(resolved, hardened=True)
     base = steady_scenario(
         n, rounds, seed, deadline, rate, period, dest_size, resolved, name
     )
@@ -418,13 +419,13 @@ def direct_scenario(
     ``direct_send_threshold``, so the run exercises *only* the source's
     direct sends — one unacknowledged copy per destination at default
     parameters, or the ack/retransmit/k-copy reliability layer under
-    ``hardened`` (:meth:`CongosParams.preset` ``"hardened"``).  Builders
+    ``hardened`` (:attr:`CongosParams.hardened`).  Builders
     reject deadlines that would route through the pipeline, so matrix
     cells measure exactly the path they claim to.
     """
     resolved = params if params is not None else CongosParams()
     if hardened:
-        resolved = resolved.hardened()
+        resolved = dataclasses.replace(resolved, hardened=True)
     if not goes_direct(deadline, resolved, n):
         raise ValueError(
             "deadline {} routes through the pipeline (threshold {}); the "

@@ -120,6 +120,31 @@ class TestFailFastQoD:
         assert any(v.kind == "qod" for v in caught.value.violations)
         assert caught.value.round_no <= 60
 
+    def test_failfast_names_exactly_the_reports_misses(self):
+        # One verdict: the pairs the monitor raises on at round R are the
+        # pairs the end-of-run report of the same (unmonitored) run calls
+        # missed, among rumors whose deadline elapsed by R.  Churn makes
+        # some pairs inadmissible, so admissibility is compared too.
+        kwargs = dict(deadline=16, drop=0.3, delay=0.1, churn=0.02)
+        with pytest.raises(InvariantViolation) as caught:
+            run_congos_scenario(
+                chaos_scenario(8, 120, seed=3, failfast="qod", **kwargs)
+            )
+        round_no = caught.value.round_no
+        raised = {(v.rid, v.pid) for v in caught.value.violations}
+        assert {v.kind for v in caught.value.violations} == {"qod"}
+        result = run_congos_scenario(
+            chaos_scenario(8, 120, seed=3, failfast=None, **kwargs)
+        )
+        reported = {
+            (o.rid, o.pid)
+            for o in result.qod.outcomes
+            if o.admissible
+            and not (o.delivered and o.on_time)
+            and result.delivery.deadline_round(o.rid) <= round_no
+        }
+        assert raised and raised == reported
+
     def test_reliable_run_passes_qod_failfast(self):
         scenario = chaos_scenario(8, 120, seed=0, deadline=16, failfast="qod")
         result = run_congos_scenario(scenario)

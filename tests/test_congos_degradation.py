@@ -1,9 +1,7 @@
-"""Tests for the graceful-degradation knobs: defaults reproduce the
+"""Tests for the graceful-degradation layer: defaults reproduce the
 paper-exact behavior bit for bit, hardened mode stays correct and clean."""
 
 import random
-
-import pytest
 
 from repro.core.config import CongosParams
 from repro.core.confidential_gossip import CachedRumor
@@ -16,33 +14,26 @@ from conftest import mk_rumor
 
 class TestParams:
     def test_defaults_are_paper_exact(self):
-        params = CongosParams()
-        assert params.proxy_retransmit == 0
-        assert params.gd_redundancy == 1
-        assert params.fallback_early_fraction == 1.0
-        assert params.gossip_resend_backoff is False
+        degradation = CongosParams().degradation
+        assert degradation.proxy_retransmit == 0
+        assert degradation.gd_redundancy == 1
+        assert degradation.fallback_early_fraction == 1.0
+        assert degradation.gossip_resend_backoff is False
+        assert degradation.direct_send_retries == 0
+        assert degradation.direct_send_ack is False
+        assert degradation.direct_send_copies == 1
 
     def test_hardened_preset(self):
-        hardened = CongosParams().hardened()
-        assert hardened.proxy_retransmit == 2
-        assert hardened.gd_redundancy == 2
-        assert hardened.fallback_early_fraction == 0.75
-        assert hardened.gossip_resend_backoff is True
+        degradation = CongosParams.preset("hardened").degradation
+        assert degradation.proxy_retransmit == 2
+        assert degradation.gd_redundancy == 2
+        assert degradation.fallback_early_fraction == 0.75
+        assert degradation.gossip_resend_backoff is True
 
     def test_hardened_accepts_overrides(self):
-        hardened = CongosParams().hardened(proxy_retransmit=5)
-        assert hardened.proxy_retransmit == 5
-        assert hardened.gd_redundancy == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CongosParams(proxy_retransmit=-1)
-        with pytest.raises(ValueError):
-            CongosParams(gd_redundancy=0)
-        with pytest.raises(ValueError):
-            CongosParams(fallback_early_fraction=0.0)
-        with pytest.raises(ValueError):
-            CongosParams(fallback_early_fraction=1.5)
+        hardened = CongosParams.preset("hardened", tau=3, fanout_scale=0.25)
+        assert (hardened.tau, hardened.fanout_scale) == (3, 0.25)
+        assert hardened.degradation.gd_redundancy == 2
 
 
 class TestEarlyFallback:
@@ -91,18 +82,12 @@ class TestResendBackoff:
 
 class TestDefaultPathBitIdentity:
     def test_explicit_defaults_match_implicit(self):
-        # Guards against drift: spelling the degradation knobs out at
-        # their defaults must reproduce the exact same run.
+        # Guards against drift: spelling the switch out at its default
+        # must reproduce the exact same run.
         implicit = run_congos_scenario(steady_scenario(8, 120, 0, deadline=16))
         explicit = run_congos_scenario(
             steady_scenario(
-                8, 120, 0, deadline=16,
-                params=CongosParams(
-                    proxy_retransmit=0,
-                    gd_redundancy=1,
-                    fallback_early_fraction=1.0,
-                    gossip_resend_backoff=False,
-                ),
+                8, 120, 0, deadline=16, params=CongosParams(hardened=False)
             )
         )
         assert implicit.summary() == explicit.summary()
@@ -113,7 +98,7 @@ class TestHardenedRuns:
         default = run_congos_scenario(steady_scenario(8, 120, 0, deadline=16))
         hardened = run_congos_scenario(
             steady_scenario(
-                8, 120, 0, deadline=16, params=CongosParams().hardened()
+                8, 120, 0, deadline=16, params=CongosParams(hardened=True)
             )
         )
         assert hardened.qod.satisfied

@@ -1,10 +1,16 @@
 """Tests for repro.core.config: protocol parameters."""
 
+import dataclasses
 import math
 
 import pytest
 
-from repro.core.config import CongosParams, default_deadline_cap
+from repro.core.config import (
+    HARDENED,
+    PAPER_EXACT,
+    CongosParams,
+    default_deadline_cap,
+)
 
 
 class TestValidation:
@@ -141,36 +147,48 @@ class TestPresetRegistry:
             CongosParams.preset("turbo")
 
     def test_aliases_match_registry(self):
-        # hardened() folds the preset onto an instance; "paper" and
+        # "hardened" is the switch on default constants; "paper" and
         # "lean" are reached through preset() only.
-        assert CongosParams().hardened() == CongosParams.preset("hardened")
+        assert CongosParams(hardened=True) == CongosParams.preset("hardened")
         assert not hasattr(CongosParams, "paper_defaults")
         assert not hasattr(CongosParams, "lean")
 
     def test_overrides_win(self):
-        params = CongosParams.preset("hardened", direct_send_retries=5, tau=2)
-        assert params.direct_send_retries == 5
+        params = CongosParams.preset("hardened", fanout_scale=0.25, tau=2)
+        assert params.fanout_scale == 0.25
         assert params.tau == 2
-        assert params.direct_send_ack  # untouched preset field
+        assert params.hardened  # untouched preset field
 
     def test_hardened_includes_direct_send_knobs(self):
-        params = CongosParams.preset("hardened")
-        assert params.direct_send_retries == 3
-        assert params.direct_send_ack
-        assert params.direct_send_copies == 2
-        assert params.proxy_retransmit == 2  # the pre-existing knobs too
-        assert params.direct_send_reliable
+        degradation = CongosParams.preset("hardened").degradation
+        assert degradation is HARDENED
+        assert degradation.direct_send_retries == 3
+        assert degradation.direct_send_ack
+        assert degradation.direct_send_copies == 2
+        assert degradation.proxy_retransmit == 2  # the pipeline settings too
 
     def test_default_is_not_reliable(self):
-        assert not CongosParams().direct_send_reliable
+        assert not CongosParams().hardened
+        assert CongosParams().degradation is PAPER_EXACT
 
-    def test_each_knob_alone_turns_reliable_on(self):
-        assert CongosParams(direct_send_retries=1).direct_send_reliable
-        assert CongosParams(direct_send_ack=True).direct_send_reliable
-        assert CongosParams(direct_send_copies=2).direct_send_reliable
 
-    def test_new_knob_validation(self):
-        with pytest.raises(ValueError):
-            CongosParams(direct_send_retries=-1)
-        with pytest.raises(ValueError):
-            CongosParams(direct_send_copies=0)
+# The fields of CongosParams, in order.  A change here is a change to the
+# protocol's option surface: make it on purpose.
+FIELDS = (
+    "tau",
+    "fanout_exponent_constant",
+    "fanout_scale",
+    "min_fanout",
+    "gossip_fanout_scale",
+    "gossip_schedule",
+    "direct_send_threshold",
+    "deadline_cap",
+    "gd_target_pool",
+    "collusion_direct_factor",
+    "fallback_scope",
+    "hardened",
+)
+
+
+def test_field_surface_is_pinned():
+    assert tuple(f.name for f in dataclasses.fields(CongosParams)) == FIELDS

@@ -170,13 +170,13 @@ class TestScope:
 
     def test_unsupported_params_rejected(self):
         scenario = _cell()
-        reliable = dataclasses.replace(
+        literal_pool = dataclasses.replace(
             scenario,
             engine="array",
-            params=dataclasses.replace(scenario.params, gossip_reliable=True),
+            params=dataclasses.replace(scenario.params, gd_target_pool="group"),
         )
         with pytest.raises(UnsupportedScenario, match="use the object engine"):
-            run_congos_scenario(reliable)
+            run_congos_scenario(literal_pool)
 
     def test_chaos_plane_rejected(self):
         from repro.harness.scenarios import BUILDERS

@@ -14,7 +14,9 @@ import sys
 import pytest
 
 import repro
-from repro.fastcore import numpy_available, require_numpy
+from repro.core.config import CongosParams
+from repro.fastcore import UnsupportedScenario, numpy_available, require_numpy
+from repro.fastcore.runner import _check_scope
 from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import steady_scenario
 
@@ -79,6 +81,23 @@ class TestWithoutNumpy:
         monkeypatch.setitem(sys.modules, "numpy", None)
         with pytest.raises(pytest.skip.Exception):
             pytest.importorskip("numpy", minversion="2.0")
+
+    def test_hardened_is_one_refusal(self, monkeypatch):
+        # The scope check is numpy-free: the whole graceful-degradation
+        # layer is refused as one reason, named after its switch.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        scenario = dataclasses.replace(
+            steady_scenario(
+                n=8, rounds=32, seed=0, deadline=64,
+                params=CongosParams(hardened=True),
+            ),
+            engine="array",
+        )
+        with pytest.raises(UnsupportedScenario) as info:
+            _check_scope(scenario, telemetry=None)
+        assert str(info.value) == (
+            "engine='array' does not support hardened; use the object engine"
+        )
 
 
 class TestWithOldNumpy:

@@ -12,6 +12,12 @@ an rng call sequence or event ordering flips a digest and fails here.
 
 If a digest changes because of an *intentional* semantic change, re-pin it
 in the same commit and say so in the commit message — never silently.
+
+The record carries its spec key, and the key hashes every CongosParams
+field, so a cell built with a params object (E6, E6b, E9, array steady)
+also re-pins when the field set changes.  Those were last re-pinned when
+the seven graceful-degradation knobs became the one ``hardened`` switch;
+their key-free ``RunRecord.digest()`` stayed the same across that change.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ def test_e6_steady_digest():
     )
     assert (
         run_digest(spec)
-        == "a75ac05eea3608aac65e15b3dd9b684d8e15eaa2a76b209a9ae87ba8182a04ff"
+        == "050cb323297b8588e2432c53411971a824c1c29a1d063460a8420feef8b68bd8"
     )
 
 
@@ -68,7 +74,7 @@ def test_e6b_burst_digest():
     )
     assert (
         run_digest(spec)
-        == "8372526026305ce88e45b7961a62e515e62577d1752d877446dda7325cbb6ebb"
+        == "a11ce42976fece2845f5b0a4f7d017fe7a6e763f5584b94e2d7cc1bcf6e302aa"
     )
 
 
@@ -84,7 +90,7 @@ def test_e9_collusion_digest():
     )
     assert (
         run_digest(spec)
-        == "b81aa935a39fc80b33d7a30452327d89208b232a9a237ffd06d95b3073b955ee"
+        == "5b002048de67675d36d4cfead097d65628e90e02cd80d0a401b4e712ac30fe3d"
     )
 
 
@@ -179,7 +185,7 @@ def test_array_steady_digest():
     )
     assert (
         run_digest(spec)
-        == "1b50e6ec632b654d1bcf928fb3ba7625ceea63b63d3f0ddeedca390964dcfa49"
+        == "1468d39f8191b6e10b7779a7334b06cc9e5c660fcd3d512d0500ea1e461c243f"
     )
 
 

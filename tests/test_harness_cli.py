@@ -21,6 +21,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "nonexistent"])
 
+    @pytest.mark.parametrize("tau", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "steady"],
+            ["trace", "steady"],
+            ["sweep", "steady"],
+            ["profile-sweep", "steady"],
+            ["net", "verify"],
+            ["partitions"],
+            ["bounds"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_tau_below_one_is_a_usage_error(self, command, tau, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--tau", tau])
+        assert info.value.code == 2
+        assert "--tau: must be >= 1" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_scenarios_lists(self, capsys):

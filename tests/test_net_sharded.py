@@ -140,6 +140,44 @@ def test_sharded_chaos_with_churn_matches_inproc_late_loss():
     assert counts["late_loss"] > 0
 
 
+def test_sharded_matches_inproc_hardened_pipeline():
+    # The graceful-degradation layer on the pipeline path: proxy
+    # retransmits, doubled GD sends, the early fallback and gossip resend
+    # backoff all cross the shard boundary under loss.
+    scenario = get_builder("chaos")(
+        n=16,
+        rounds=96,
+        seed=0,
+        deadline=64,
+        drop=0.1,
+        delay=0.1,
+        duplicate=0.02,
+        hardened=True,
+        params=CongosParams.preset("lean"),
+    )
+    assert scenario.params.hardened
+    inproc, sharded = _compare_backends(scenario, workers=2)
+    assert (
+        sharded.fault_plane.counts_summary()
+        == inproc.fault_plane.counts_summary()
+    )
+
+
+def test_sharded_matches_inproc_hardened_direct_send():
+    # The direct-send layer (acks, retransmits, extra copies) under drop.
+    # Whole rumors go source to destination, no fragment crosses a group
+    # border, so the record alone is compared.
+    scenario = get_builder("direct")(
+        n=16, rounds=96, seed=0, drop=0.3, hardened=True
+    )
+    inproc = run_congos_scenario(scenario)
+    sharded = run_congos_scenario(
+        dataclasses.replace(scenario, backend="sharded", net={"workers": 2})
+    )
+    assert _record(sharded) == _record(inproc)
+    assert _record(inproc).by_service["direct_ack"] > 0
+
+
 def test_sharded_matches_inproc_under_churn():
     scenario = get_builder("churn")(
         n=16,

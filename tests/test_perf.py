@@ -132,7 +132,7 @@ class TestScaling:
             **ENGINE_SCALING.fixed(args),
         )
         assert spec16.key == (
-            "5880e2aded1cbdfa4acccd5e6cb59dc875a1de548cde5b8d433921a4518bff04"
+            "5d03c7ed6cef44c7e25d28870ae5d8a9d87ca8409fde2f0e25d3523bf6a17ac1"
         )
         assert spec32.key != spec16.key
 
