@@ -19,27 +19,7 @@ For anything richer — named scenario runs, grid sweeps, lifecycle
 traces — import from :mod:`repro.api`, the stable facade.
 """
 
-from repro.core.config import CongosParams
-from repro.core.congos import CongosNode, build_partition_set, congos_factory
-from repro.gossip.rumor import Rumor, RumorId, make_rumor
-from repro.harness.oneshot import confidential_broadcast
-from repro.sim.engine import Engine
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "CongosNode",
-    "CongosParams",
-    "Engine",
-    "Rumor",
-    "RumorId",
-    "__version__",
-    "build_partition_set",
-    "confidential_broadcast",
-    "congos_factory",
-    "make_rumor",
-    "quick_run",
-]
 
 
 def quick_run(n: int = 16, rounds: int = 400, seed: int = 0, **scenario_kwargs):

@@ -1,33 +1,1 @@
 """Analysis: closed-form paper bounds, power-law fitting, run statistics."""
-
-from repro.analysis.bounds import (
-    collusion_lower_bound,
-    collusion_upper_bound,
-    congos_upper_bound,
-    groupgossip_upper_bound,
-    strong_confidentiality_lower_bound,
-    theorem1_expected_pairs,
-)
-from repro.analysis.fitting import PowerFit, fit_power_law, fit_with_polylog
-from repro.analysis.stats import Summary, all_runs_hold, binomial_upper_p, summarize
-from repro.analysis.sweeps import CellResult, SweepResult, grid, sweep_congos
-
-__all__ = [
-    "CellResult",
-    "PowerFit",
-    "Summary",
-    "SweepResult",
-    "grid",
-    "sweep_congos",
-    "all_runs_hold",
-    "binomial_upper_p",
-    "collusion_lower_bound",
-    "collusion_upper_bound",
-    "congos_upper_bound",
-    "fit_power_law",
-    "fit_with_polylog",
-    "groupgossip_upper_bound",
-    "strong_confidentiality_lower_bound",
-    "summarize",
-    "theorem1_expected_pairs",
-]

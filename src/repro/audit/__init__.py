@@ -1,23 +1,1 @@
 """Protocol-external auditors: confidentiality and quality of delivery."""
-
-from repro.audit.confidentiality import (
-    CoalitionFinding,
-    ConfidentialityAuditor,
-    Violation,
-)
-from repro.audit.delivery import DeliveryAuditor, DeliveryOutcomeRecord, QoDReport
-from repro.audit.failfast import FailFastMonitor, InvariantViolation
-from repro.audit.metadata import MetadataAuditor, MetadataExposure
-
-__all__ = [
-    "CoalitionFinding",
-    "ConfidentialityAuditor",
-    "DeliveryAuditor",
-    "DeliveryOutcomeRecord",
-    "FailFastMonitor",
-    "InvariantViolation",
-    "MetadataAuditor",
-    "MetadataExposure",
-    "QoDReport",
-    "Violation",
-]

@@ -1,30 +1,2 @@
 """Baseline protocols: direct send, strongly confidential gossip, plain
 (non-confidential) gossip, and the LKH crypto cost model."""
-
-from repro.baselines.direct import DirectSendNode, direct_factory
-from repro.baselines.key_tree import (
-    KeyTreeCostModel,
-    KeyTreeReport,
-    rekey_cost,
-    subtree_cover,
-    tree_height,
-)
-from repro.baselines.plain_gossip import PlainGossipNode, plain_gossip_factory
-from repro.baselines.strongly_confidential import (
-    StronglyConfidentialNode,
-    strongly_confidential_factory,
-)
-
-__all__ = [
-    "DirectSendNode",
-    "KeyTreeCostModel",
-    "KeyTreeReport",
-    "PlainGossipNode",
-    "StronglyConfidentialNode",
-    "direct_factory",
-    "plain_gossip_factory",
-    "rekey_cost",
-    "strongly_confidential_factory",
-    "subtree_cover",
-    "tree_height",
-]

@@ -13,28 +13,3 @@ production-like loss, delay, duplication, reordering and partitions.
 * :mod:`repro.chaos.targeted` — budgeted rumor-aware fault policies.
 * :mod:`repro.chaos.targeted_soak` — the E19 targeted-vs-oblivious matrix.
 """
-
-from repro.chaos.plane import ChaosFaultPlane, pipeline_stage
-from repro.chaos.schedule import FaultSchedule
-from repro.chaos.spec import FaultSpec
-from repro.chaos.targeted import (
-    BudgetLedger,
-    TargetedFaultPlane,
-    TargetedFaultPolicy,
-    TargetedSpec,
-    get_policy,
-    policy_names,
-)
-
-__all__ = [
-    "BudgetLedger",
-    "ChaosFaultPlane",
-    "FaultSchedule",
-    "FaultSpec",
-    "TargetedFaultPlane",
-    "TargetedFaultPolicy",
-    "TargetedSpec",
-    "get_policy",
-    "pipeline_stage",
-    "policy_names",
-]

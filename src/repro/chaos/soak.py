@@ -31,7 +31,9 @@ from repro.chaos.targeted import policy_names
 from repro.harness.experiment import Experiment, Table, columns, pick
 from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import get_builder
-from repro.obs import JsonlSink, RumorTimeline, Telemetry
+from repro.obs.instrument import Telemetry
+from repro.obs.sink import JsonlSink
+from repro.obs.timeline import RumorTimeline
 
 __all__ = [
     "BENCH_NAME",

@@ -1,103 +1,1 @@
 """CONGOS: the paper's confidential continuous-gossip protocol."""
-
-from repro.core.config import CongosParams, default_deadline_cap
-from repro.core.confidential_gossip import (
-    CachedRumor,
-    ConfidentialGossipCoordinator,
-    DeliveryRecord,
-)
-from repro.core.congos import (
-    CongosNode,
-    InstanceBundle,
-    build_partition_set,
-    congos_factory,
-)
-from repro.core.deadlines import (
-    PIPELINE_FLOOR,
-    deadline_classes,
-    min_pipeline_deadline,
-    pipeline_deadline,
-    round_down_power_of_two,
-    trim_deadline,
-)
-from repro.core.group_distribution import (
-    DistributionShare,
-    FragmentDelivery,
-    GDShare,
-    GroupDistributionService,
-)
-from repro.core.partitions import (
-    BitPartitions,
-    PartitionSet,
-    RandomPartitions,
-    property1_holds,
-    property2_exact,
-    property2_holds_for_set,
-    property2_monte_carlo,
-    property2_set_size,
-)
-from repro.core.extensions import (
-    REAL_MARKER,
-    CoverTrafficWorkload,
-    DestinationHidingWorkload,
-    expand_destination_hiding,
-    extract_hidden_payload,
-    is_cover_rumor,
-    pseudonymize_rid,
-)
-from repro.core.proxy import ProxyAck, ProxyRequest, ProxyService, ProxyShare
-from repro.core.splitting import (
-    Fragment,
-    can_reconstruct,
-    merge_fragments,
-    split_data,
-    split_rumor,
-    xor_bytes,
-)
-
-__all__ = [
-    "BitPartitions",
-    "CachedRumor",
-    "CoverTrafficWorkload",
-    "DestinationHidingWorkload",
-    "REAL_MARKER",
-    "expand_destination_hiding",
-    "extract_hidden_payload",
-    "is_cover_rumor",
-    "pseudonymize_rid",
-    "CongosNode",
-    "CongosParams",
-    "ConfidentialGossipCoordinator",
-    "DeliveryRecord",
-    "DistributionShare",
-    "Fragment",
-    "FragmentDelivery",
-    "GDShare",
-    "GroupDistributionService",
-    "InstanceBundle",
-    "PIPELINE_FLOOR",
-    "PartitionSet",
-    "ProxyAck",
-    "ProxyRequest",
-    "ProxyService",
-    "ProxyShare",
-    "RandomPartitions",
-    "build_partition_set",
-    "can_reconstruct",
-    "congos_factory",
-    "deadline_classes",
-    "default_deadline_cap",
-    "merge_fragments",
-    "min_pipeline_deadline",
-    "pipeline_deadline",
-    "property1_holds",
-    "property2_exact",
-    "property2_holds_for_set",
-    "property2_monte_carlo",
-    "property2_set_size",
-    "round_down_power_of_two",
-    "split_data",
-    "split_rumor",
-    "trim_deadline",
-    "xor_bytes",
-]

@@ -380,8 +380,9 @@ def congos_factory(
 
     The partition set and seed hierarchy are shared across all nodes (and
     all restarts), as the model requires.  ``telemetry`` (an
-    :class:`repro.obs.Telemetry`) is shared too — it observes, it is not
-    protocol state, so restarts keep emitting into the same stream.
+    :class:`repro.obs.instrument.Telemetry`) is shared too — it observes,
+    it is not protocol state, so restarts keep emitting into the same
+    stream.
     """
     resolved_params = params if params is not None else CongosParams()
     resolved_partitions = (

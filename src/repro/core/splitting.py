@@ -61,8 +61,8 @@ class Fragment:
 
     Attributes
     ----------
-    rid, src, dest:
-        Rumor metadata: identifier, source process, destination set.
+    rid, dest:
+        Rumor metadata: identifier (which names the source) and destination set.
     partition, group, total_groups:
         Which partition's split this share belongs to and which group of
         that partition may carry it.
@@ -76,7 +76,6 @@ class Fragment:
     """
 
     rid: RumorId
-    src: int
     partition: int
     group: int
     total_groups: int
@@ -127,7 +126,6 @@ def split_rumor(
     return [
         Fragment(
             rid=rumor.rid,
-            src=rumor.rid.src,
             partition=partition,
             group=index,
             total_groups=groups,

@@ -15,21 +15,3 @@ The exec subsystem turns a scenario into *data* and runs it anywhere:
 * :mod:`repro.exec.bench_io` — machine-readable ``BENCH_<name>.json``
   artifacts alongside the human-readable tables.
 """
-
-from repro.exec.cache import ResultCache
-from repro.exec.pool import TaskTimeoutError, WorkerCrashError, run_specs, run_tasks
-from repro.exec.progress import Progress
-from repro.exec.results import RunRecord
-from repro.exec.tasks import RunSpec, execute_spec
-
-__all__ = [
-    "Progress",
-    "ResultCache",
-    "RunRecord",
-    "RunSpec",
-    "TaskTimeoutError",
-    "WorkerCrashError",
-    "execute_spec",
-    "run_specs",
-    "run_tasks",
-]

@@ -1,29 +1,1 @@
 """Continuous-gossip substrate: rumors, epidemic/expander spreading, filters."""
-
-from repro.gossip.continuous import ContinuousGossip
-from repro.gossip.epidemic import (
-    choose_push_targets,
-    default_fanout,
-    rounds_to_saturate,
-)
-from repro.gossip.expander import ShiftExpander, circulant_offsets
-from repro.gossip.filter import GroupFilter, PassFilter
-from repro.gossip.rumor import GossipItem, Rumor, RumorId, make_rumor
-from repro.gossip.service import ServiceHost, SubService
-
-__all__ = [
-    "ContinuousGossip",
-    "GossipItem",
-    "GroupFilter",
-    "PassFilter",
-    "Rumor",
-    "RumorId",
-    "ServiceHost",
-    "ShiftExpander",
-    "SubService",
-    "choose_push_targets",
-    "circulant_offsets",
-    "default_fanout",
-    "make_rumor",
-    "rounds_to_saturate",
-]

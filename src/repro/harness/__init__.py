@@ -1,45 +1,1 @@
 """Experiment harness: scenario builders, audited runner, reporting."""
-
-from repro.harness.oneshot import BroadcastResult, confidential_broadcast
-from repro.harness.report import banner, format_kv, format_table, ratio_series
-from repro.harness.runner import (
-    RunResult,
-    Scenario,
-    run_congos_scenario,
-    run_with_factory,
-)
-from repro.harness.scenarios import (
-    burst_scenario,
-    churn_scenario,
-    collusion_scenario,
-    group_killer_scenario,
-    injection_window,
-    proxy_killer_scenario,
-    rolling_blackout_scenario,
-    source_killer_scenario,
-    steady_scenario,
-    theorem1_scenario,
-)
-
-__all__ = [
-    "BroadcastResult",
-    "RunResult",
-    "Scenario",
-    "banner",
-    "burst_scenario",
-    "churn_scenario",
-    "collusion_scenario",
-    "confidential_broadcast",
-    "format_kv",
-    "format_table",
-    "group_killer_scenario",
-    "injection_window",
-    "proxy_killer_scenario",
-    "ratio_series",
-    "rolling_blackout_scenario",
-    "run_congos_scenario",
-    "run_with_factory",
-    "source_killer_scenario",
-    "steady_scenario",
-    "theorem1_scenario",
-]

@@ -113,15 +113,13 @@ from repro.harness.experiment import (
 from repro.harness.report import dash, format_kv, format_table
 from repro.harness.scenarios import BUILDERS
 from repro.load.soak import LOAD_SOAK
-from repro.obs import JsonlSink, MetricsRegistry, RumorTimeline, Telemetry
-from repro.perf import (
-    CHAOS_SCALING,
-    ENGINE_SCALING,
-    SHARDED_SCALING,
-    get_case,
-    run_suite,
-    suite_payload,
-)
+from repro.obs.instrument import Telemetry
+from repro.obs.registry import MetricsRegistry
+from repro.obs.sink import JsonlSink
+from repro.obs.timeline import RumorTimeline
+from repro.perf.bench import run_suite, suite_payload
+from repro.perf.cases import get_case
+from repro.perf.scaling import CHAOS_SCALING, ENGINE_SCALING, SHARDED_SCALING
 
 SCENARIOS = BUILDERS
 

@@ -229,9 +229,10 @@ def assemble(
 ) -> RunSetup:
     """Build everything about a run that does not depend on its backend.
 
-    ``telemetry`` (a :class:`repro.obs.Telemetry`) is bound to workloads
-    with admission accounting here and threaded through the protocol
-    stack by the backend; ``None`` keeps the zero-overhead null telemetry.
+    ``telemetry`` (a :class:`repro.obs.instrument.Telemetry`) is bound to
+    workloads with admission accounting here and threaded through the
+    protocol stack by the backend; ``None`` keeps the zero-overhead null
+    telemetry.
     ``delivery`` lets a baseline factory bring the auditor it already
     wired as its delivery callback.
     """

@@ -23,18 +23,3 @@ number — never from engine state — so a given ``(seed, scenario name)``
 produces the identical stream at any ``--jobs`` setting and on both
 the inproc and sharded backends.
 """
-
-from repro.load.admission import AdmissionPolicy, AdmissionQueue
-from repro.load.arrivals import Arrival, ArrivalSpec, ArrivalStream, poisson_sample
-from repro.load.workload import OpenWorkload, ShedArrival
-
-__all__ = [
-    "AdmissionPolicy",
-    "AdmissionQueue",
-    "Arrival",
-    "ArrivalSpec",
-    "ArrivalStream",
-    "OpenWorkload",
-    "ShedArrival",
-    "poisson_sample",
-]

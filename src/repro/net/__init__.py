@@ -21,27 +21,3 @@ Entry point: ``Scenario(backend="sharded")`` /
 ``repro.api.run_scenario(..., backend="sharded")``, which hand the
 assembled run to :func:`repro.net.coordinator.run_sharded_scenario`.
 """
-
-from repro.net.codec import (
-    CodecError,
-    WIRE_VERSION,
-    WireSession,
-    decode_frame,
-    decode_tagged_messages,
-    encode_frame,
-    encode_tagged_messages,
-)
-from repro.net.shard import ShardPlan
-from repro.net.transport import get_transport
-
-__all__ = [
-    "CodecError",
-    "ShardPlan",
-    "WIRE_VERSION",
-    "WireSession",
-    "decode_frame",
-    "decode_tagged_messages",
-    "encode_frame",
-    "encode_tagged_messages",
-    "get_transport",
-]

@@ -81,7 +81,7 @@ __all__ = [
 ]
 
 MAGIC = b"\xc6\x05"  # "confidential gossip", version header follows
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 #: Frame kinds used by the coordinator/worker lockstep protocol.
 #: ``telemetry`` (per-round sanitized event batches) and ``metrics``
@@ -114,7 +114,7 @@ WIRE_TYPES: Tuple[Tuple[type, Tuple[str, ...]], ...] = (
     (
         Fragment,
         (
-            "rid", "src", "partition", "group", "total_groups",
+            "rid", "partition", "group", "total_groups",
             "data", "dest", "dline", "expiry",
         ),
     ),

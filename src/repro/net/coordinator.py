@@ -586,8 +586,8 @@ def run_sharded_scenario(setup):
     Returns the same ``RunResult`` shape as the in-process path
     (``result.engine`` is a :class:`ShardEngine`).
 
-    ``setup.telemetry`` (a :class:`repro.obs.Telemetry`) turns on
-    worker-side event capture: every worker runs its own registry +
+    ``setup.telemetry`` (a :class:`repro.obs.instrument.Telemetry`) turns
+    on worker-side event capture: every worker runs its own registry +
     capture buffer, ships sanitized batches back each round, and the
     coordinator re-emits them here in ``(round, worker, seq)`` order with
     a ``worker`` field added — for the same scenario the merged stream is

@@ -36,12 +36,13 @@ only stay in step because every batch encoded for a stream is decoded by
 its peer, in order — which the lockstep protocol guarantees.
 
 With telemetry enabled in the spawn config, the worker also runs its own
-:class:`~repro.obs.Telemetry` — a private :class:`MetricsRegistry` plus
-a :class:`~repro.obs.SequenceSink` capture buffer — and ships two extra
-frame kinds: a ``telemetry`` frame after every ``events`` reply (the
-round's sanitized event batch, each entry ``(seq, kind, round, fields)``
-with ``seq`` the worker's monotonic emission index) and one ``metrics``
-frame (the registry snapshot) before ``final``.  Sanitization happens
+:class:`~repro.obs.instrument.Telemetry` — a private
+:class:`MetricsRegistry` plus a :class:`~repro.obs.sink.SequenceSink`
+capture buffer — and ships two extra frame kinds: a ``telemetry`` frame
+after every ``events`` reply (the round's sanitized event batch, each
+entry ``(seq, kind, round, fields)`` with ``seq`` the worker's monotonic
+emission index) and one ``metrics`` frame (the registry snapshot) before
+``final``.  Sanitization happens
 *worker-side* at emission time (:meth:`ObsEvent.make` runs
 ``json_safe``), so rumor payload bytes never enter a telemetry frame —
 the codec tests pin this with a marker grep.  Telemetry emission reads

@@ -21,35 +21,3 @@ police is documented in DESIGN.md §8: default runs must stay
 bit-identical — same rng stream consumption, same event order — which
 the golden-digest tests (``tests/test_golden_digests.py``) enforce.
 """
-
-from repro.perf.bench import BenchResult, profile_case, run_case, run_suite, suite_payload
-from repro.perf.cases import PerfCase, all_cases, case_keys, get_case, register_case
-from repro.perf.scaling import (
-    CHAOS_SCALING,
-    E17B_BENCH_NAME,
-    E17_BENCH_NAME,
-    ENGINE_SCALING,
-    SHARDED_SCALING,
-    chaos_scaling_payload,
-    path_scaling_payload,
-)
-
-__all__ = [
-    "BenchResult",
-    "PerfCase",
-    "E17_BENCH_NAME",
-    "E17B_BENCH_NAME",
-    "ENGINE_SCALING",
-    "SHARDED_SCALING",
-    "all_cases",
-    "case_keys",
-    "CHAOS_SCALING",
-    "chaos_scaling_payload",
-    "get_case",
-    "profile_case",
-    "register_case",
-    "run_case",
-    "run_suite",
-    "path_scaling_payload",
-    "suite_payload",
-]

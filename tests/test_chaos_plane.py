@@ -11,7 +11,8 @@ from repro.chaos.spec import FaultSpec
 from repro.exec.results import RunRecord
 from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import chaos_scenario
-from repro.obs import CollectSink, Telemetry
+from repro.obs.instrument import Telemetry
+from repro.obs.sink import CollectSink
 from repro.obs.timeline import RumorTimeline
 from repro.sim.network import Network
 

@@ -34,7 +34,8 @@ from repro.exec.results import RunRecord
 from repro.harness.cli import build_parser
 from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import targeted_scenario
-from repro.obs import CollectSink, Telemetry
+from repro.obs.instrument import Telemetry
+from repro.obs.sink import CollectSink
 from repro.sim.messages import ServiceTags
 from repro.sim.network import Network
 

@@ -7,7 +7,7 @@ from repro.audit.confidentiality import ConfidentialityAuditor
 from repro.core.confidential_gossip import DirectAck, DirectSendState
 from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import direct_scenario
-from repro.obs import Telemetry
+from repro.obs.instrument import Telemetry
 from repro.obs.timeline import RumorTimeline
 from repro.sim.messages import ServiceTags, reveals_of
 

@@ -116,7 +116,6 @@ class TestSplitRumor:
         with pytest.raises(ValueError):
             Fragment(
                 rid=RumorId(0, 0),
-                src=0,
                 partition=0,
                 group=3,
                 total_groups=2,

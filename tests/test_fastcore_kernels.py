@@ -209,7 +209,7 @@ class TestGdHitBatch:
 
 class TestPerfRegistry:
     def test_fastcore_cases_registered_with_numpy(self):
-        from repro.perf import case_keys, get_case
+        from repro.perf.cases import case_keys, get_case
 
         keys = case_keys()
         for key in (

@@ -58,7 +58,7 @@ class TestWithoutNumpy:
             "sys.path.insert(0, {src!r}); "
             "import repro.api, repro.load.soak; "
             "from repro.harness.cli import build_parser; build_parser(); "
-            "from repro.perf import case_keys; keys = case_keys(); "
+            "from repro.perf.cases import case_keys; keys = case_keys(); "
             "assert len(keys) >= 8, keys; "
             "assert not any(k.startswith('fastcore') for k in keys), keys; "
             "from repro.exec.tasks import RunSpec; "

@@ -16,7 +16,7 @@ from repro.audit.failfast import InvariantViolation
 from repro.fastcore import numpy_available
 from repro.harness import experiment as runner
 from repro.harness.cli import EXPERIMENTS, PROFILE_SWEEP, build_parser, main
-from repro.perf import ENGINE_SCALING, SHARDED_SCALING
+from repro.perf.scaling import ENGINE_SCALING, SHARDED_SCALING
 
 # Timing and cache accounting: what an artifact comparison drops
 # ("speedup" is profile-sweep's own wall-clock ratio, "timing" the

@@ -49,7 +49,6 @@ fragments = st.integers(1, 8).flatmap(
     lambda total: st.builds(
         Fragment,
         rid=rids,
-        src=pids,
         partition=st.integers(0, 7),
         group=st.integers(0, total - 1),
         total_groups=st.just(total),
@@ -228,7 +227,7 @@ def test_telemetry_frame_round_trips_sanitized_batches():
 
 def test_batch_interning_shares_one_payload_object():
     fragment = Fragment(
-        RumorId(0, 1), 0, 0, 1, 2, b"share", frozenset({1, 2}), 64, 80
+        RumorId(0, 1), 0, 1, 2, b"share", frozenset({1, 2}), 64, 80
     )
     payload = FragmentDelivery(sender=0, fragments=(fragment,))
     entries = [
@@ -297,13 +296,17 @@ def test_frame_round_trip_and_version_check():
 
 
 def test_wire_version_one_is_refused_by_name():
-    # A v1 peer (no per-stream item tables) must not be misparsed as v2.
-    assert WIRE_VERSION == 2
+    # A v1 peer (no per-stream item tables) or a v2 peer (fragments carry
+    # ``src``) must not be misparsed as v3.
+    assert WIRE_VERSION == 3
     frame = encode_frame("hello", {"worker": 0})
-    assert frame[: len(MAGIC) + 1] == MAGIC + b"\x02"
-    old = MAGIC + b"\x01" + frame[len(MAGIC) + 1:]
-    with pytest.raises(CodecError, match="version mismatch: got 1, speak 2"):
-        decode_frame(old)
+    assert frame[: len(MAGIC) + 1] == MAGIC + b"\x03"
+    for version in (1, 2):
+        old = MAGIC + bytes([version]) + frame[len(MAGIC) + 1:]
+        with pytest.raises(
+            CodecError, match="version mismatch: got {}, speak 3".format(version)
+        ):
+            decode_frame(old)
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +348,7 @@ def _build_stream(shape, expiry_of):
     only move forward, as they do on a real stream."""
     pool = [_item(serial, expiry_of(serial)) for serial in range(12)]
     fragment = Fragment(
-        RumorId(0, 1), 0, 0, 1, 2, b"share", frozenset({1, 2}), 64, 80
+        RumorId(0, 1), 0, 1, 2, b"share", frozenset({1, 2}), 64, 80
     )
     round_no = 0
     batches = []

@@ -27,7 +27,8 @@ from repro.harness.runner import Scenario, run_congos_scenario
 from repro.harness.scenarios import get_builder
 from repro.net.codec import decode_frame
 from repro.net.transport import TcpConnection
-from repro.obs import CollectSink, Telemetry
+from repro.obs.instrument import Telemetry
+from repro.obs.sink import CollectSink
 from repro.obs.timeline import RumorTimeline
 
 

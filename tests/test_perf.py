@@ -9,20 +9,16 @@ import pytest
 from repro.harness.cli import build_parser, main
 from repro.analysis.sweeps import sweep_specs
 from repro.fastcore import numpy_available
-from repro.perf import (
-    ENGINE_SCALING,
+from repro.perf.bench import profile_case, run_case, run_suite, suite_payload
+from repro.perf.cases import (
+    _REGISTRY,
     PerfCase,
     all_cases,
     case_keys,
     get_case,
-    profile_case,
     register_case,
-    run_case,
-    run_suite,
-    suite_payload,
 )
-from repro.perf.cases import _REGISTRY
-from repro.perf.scaling import _cliff_drop
+from repro.perf.scaling import ENGINE_SCALING, _cliff_drop
 
 
 def counting_case(key="t_counting", ops=3):
