@@ -34,9 +34,8 @@ from repro.audit.confidentiality import popcount
 from repro.core.group_distribution import DistributionShare, FragmentDelivery
 from repro.core.proxy import ProxyRequest, ProxyShare
 from repro.core.splitting import Fragment
-from repro.fastcore import UnsupportedScenario
 from repro.gossip.rumor import GossipItem, ItemBatch, Rumor, RumorId
-from repro.sim.engine import Fanout, SimObserver
+from repro.sim.engine import Fanout, SimObserver, UnsupportedScenario
 
 __all__ = ["Facts", "MetadataExposure", "MetadataAuditor", "facts_of"]
 

@@ -9,11 +9,9 @@ and vectorized expiry sweeps — behind the same run surfaces
 (``Scenario`` / ``RunResult`` / ``repro.api``), selected with
 ``engine="array"``.
 
-Correctness contract (DESIGN.md §11): *equivalence mode*.  The array
-engine reproduces the protocol's per-round structure and message counts
-exactly and its randomized dynamics statistically — the gate is
-distributional parity of E6/E11 delivery/QoD metrics against the object
-engine plus a clean confidentiality audit, not rng-stream identity.
+Correctness: the path contract of :mod:`repro.harness.parity` (DESIGN.md
+§11) — the object engine's deliveries and a clean audit, statistics
+within the parity gate's bounds, not rng-stream identity.
 
 numpy rides the ``repro[fast]`` extra; importing :mod:`repro` (and the
 whole tier-1 suite) works without it.  Only actually selecting
@@ -24,12 +22,7 @@ missing.
 
 from __future__ import annotations
 
-__all__ = ["UnsupportedScenario", "numpy_available", "require_numpy"]
-
-
-class UnsupportedScenario(ValueError):
-    """The scenario uses a feature the array engine does not model."""
-
+__all__ = ["numpy_available", "require_numpy"]
 
 _EXTRA_HINT = "Install the fast-engine extra: pip install repro[fast]"
 

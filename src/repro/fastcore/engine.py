@@ -7,10 +7,8 @@ record and announcement, observer hooks, clock — are the shared
 :class:`~repro.sim.engine.RoundEngine` skeleton's.  The protocol's
 *schedule* (blocks, iterations, gossip windows) and its *message counts*
 are reproduced exactly; its randomized draws (gossip targets, GD/proxy
-sampling) are statistically equivalent but come from independent numpy
-streams, which is the equivalence-mode contract: the gate is
-distributional parity of delivery/QoD metrics plus a clean
-confidentiality audit, not rng-stream identity.
+sampling) come from independent numpy streams: the path contract
+(:mod:`repro.harness.parity`) holds it to statistics, not to bits.
 
 State layout
 ------------
@@ -50,11 +48,11 @@ from repro.core.partitions import PartitionSet
 from repro.gossip.epidemic import default_fanout
 from repro.gossip.rumor import Rumor
 from repro.sim.clock import BlockSchedule
-from repro.sim.engine import Fanout, RoundEngine
+from repro.sim.engine import Fanout, RoundEngine, UnsupportedScenario
 from repro.sim.messages import Message, ServiceTags
 from repro.sim.rng import derive_seed
 
-from repro.fastcore import UnsupportedScenario, bitset
+from repro.fastcore import bitset
 from repro.fastcore.kernels import (
     gd_hit_batch,
     merge_shares,
@@ -63,7 +61,7 @@ from repro.fastcore.kernels import (
     split_shares,
 )
 
-__all__ = ["ArrayEngine", "FastConfidentialityAuditor", "UnsupportedScenario"]
+__all__ = ["ArrayEngine", "FastConfidentialityAuditor"]
 
 # Item kinds on the gossip channels.
 FRAG = "frag"          # one real item per (rumor, partition): the source's own-group fragment

@@ -20,7 +20,8 @@ handed to it fails at its first fact instead of reading nothing.
 
 from __future__ import annotations
 
-from repro.fastcore import UnsupportedScenario, require_numpy
+from repro.fastcore import require_numpy
+from repro.sim.engine import UnsupportedScenario
 
 __all__ = ["array_auditor", "run_array_scenario"]
 
@@ -53,9 +54,9 @@ def _check_scope(scenario, telemetry) -> None:
 
 def array_auditor(scenario, partition_set, telemetry):
     """The array path's confidentiality auditor, once the scenario is
-    known to be in scope (numpy importable, nothing refused)."""
-    require_numpy()
+    known to be in scope (nothing refused, numpy importable)."""
     _check_scope(scenario, telemetry)
+    require_numpy()
     # Imported behind the numpy gate: tier-1 without the ``repro[fast]``
     # extra must never touch this module.
     from repro.fastcore.engine import FastConfidentialityAuditor

@@ -65,8 +65,11 @@ Not grids
     hotspot attribution): best-of-``--repeats`` of one callable in this
     process, no cells and no seeds (DESIGN.md Section 8).
 ``net verify``
-    One scenario on both backends of DESIGN.md Section 9, asserting
-    bit-identical payload digests and a clean audit.
+    One scenario on both backends of DESIGN.md Section 9, judged by the
+    path contract (``repro.harness.parity.check_path``).
+
+A scenario outside the chosen path's scope (``UnsupportedScenario``)
+exits 2 on every command, with the one-line reason.
 
 Inspection
 ----------
@@ -102,7 +105,6 @@ from repro.core.congos import build_partition_set
 from repro.api import run_scenario
 from repro.exec.bench_io import sweep_payload
 from repro.exec.pool import run_specs
-from repro.exec.results import RunRecord
 from repro.exec.tasks import RunSpec
 from repro.harness.experiment import (
     Experiment,
@@ -110,6 +112,7 @@ from repro.harness.experiment import (
     add_shared_flags,
     run_experiment,
 )
+from repro.harness.parity import check_path
 from repro.harness.report import dash, format_kv, format_table
 from repro.harness.scenarios import BUILDERS
 from repro.load.soak import LOAD_SOAK
@@ -120,6 +123,7 @@ from repro.obs.timeline import RumorTimeline
 from repro.perf.bench import run_suite, suite_payload
 from repro.perf.cases import get_case
 from repro.perf.scaling import CHAOS_SCALING, ENGINE_SCALING, SHARDED_SCALING
+from repro.sim.engine import UnsupportedScenario
 
 SCENARIOS = BUILDERS
 
@@ -317,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument(
         "suite",
         choices=("verify", "bench"),
-        help="verify = run one scenario on both backends and compare "
-        "payload digests; bench = E18 inproc-vs-sharded scaling",
+        help="verify = run one scenario on both backends and judge them "
+        "by the path contract; bench = E18 inproc-vs-sharded scaling",
     )
     net.add_argument(
         "--scenario",
@@ -812,56 +816,46 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 
 def _net_verify(args: argparse.Namespace) -> int:
-    params = _params(args)
-    kwargs = _scenario_kwargs(args)
     builder = SCENARIOS[args.scenario]
-    base = builder(seed=args.seed, params=params, **kwargs)
-    inproc = run_scenario(base)
-    sharded = run_scenario(
-        base, backend="sharded", net={"workers": args.workers}
-    )
-    inproc_digest = RunRecord.from_result(inproc).digest()
-    sharded_digest = RunRecord.from_result(sharded).digest()
-    match = inproc_digest == sharded_digest
-    clean = sharded.confidentiality.is_clean()
-    payload: Dict[str, object] = {
-        "scenario": args.scenario,
-        "n": args.n,
-        "rounds": args.rounds,
-        "seed": args.seed,
-        "workers": args.workers,
-        "inproc_digest": inproc_digest,
-        "sharded_digest": sharded_digest,
-        "digest_match": match,
-        "clean": clean,
-        "qod_satisfied": sharded.qod.satisfied,
-        "net": sharded.engine.net_summary(),
-    }
+    base = builder(seed=args.seed, params=_params(args), **_scenario_kwargs(args))
+    report = check_path(base, backend="sharded", net={"workers": args.workers})
+    match = report.candidate_digest == report.reference_digest
     if args.json:
+        payload = {
+            "scenario": args.scenario,
+            "n": args.n,
+            "rounds": args.rounds,
+            "seed": args.seed,
+            "workers": args.workers,
+            "inproc_digest": report.reference_digest,
+            "sharded_digest": report.candidate_digest,
+            "digest_match": match,
+            "qod_satisfied": report.qod_satisfied,
+            "passed": report.passed,
+            "failures": report.failures,
+            "net": report.net,
+        }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        net = payload["net"]
-        print(
-            format_kv(
-                [
-                    ("scenario", args.scenario),
-                    ("n / rounds / seed", "{} / {} / {}".format(
-                        args.n, args.rounds, args.seed
-                    )),
-                    ("workers", args.workers),
-                    ("inproc digest", inproc_digest[:16]),
-                    ("sharded digest", sharded_digest[:16]),
-                    ("digests match", "yes" if match else "NO"),
-                    ("confidentiality clean", "yes" if clean else "NO"),
-                    ("local / cross messages", "{} / {}".format(
-                        net["local_messages"], net["cross_messages"]
-                    )),
-                    ("cross fraction", net["cross_fraction"]),
-                ],
-                title="net verify",
-            )
-        )
-    return 0 if match and clean else 1
+        yes = {True: "yes", False: "NO"}
+        rows = [
+            ("scenario", args.scenario),
+            ("n / rounds / seed", "{} / {} / {}".format(
+                args.n, args.rounds, args.seed
+            )),
+            ("workers", args.workers),
+            ("inproc digest", report.reference_digest[:16]),
+            ("sharded digest", report.candidate_digest[:16]),
+            ("digests match", yes[match]),
+            ("local / cross messages", "{} / {}".format(
+                report.net["local_messages"], report.net["cross_messages"]
+            )),
+            ("cross fraction", report.net["cross_fraction"]),
+            ("same run", yes[report.passed]),
+        ]
+        rows += [("failure", failure) for failure in report.failures]
+        print(format_kv(rows, title="net verify"))
+    return 0 if report.passed else 1
 
 
 def cmd_net(args: argparse.Namespace) -> int:
@@ -947,7 +941,11 @@ def main(argv=None) -> int:
         "partitions": cmd_partitions,
         "bounds": cmd_bounds,
     })
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except UnsupportedScenario as exc:
+        print("error: {}".format(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ from repro.net.shard import ShardPlan
 from repro.net.transport import DEFAULT_TIMEOUT, TransportClosed, get_transport
 from repro.net.worker import worker_main
 from repro.obs.registry import MetricsRegistry
-from repro.sim.engine import RoundEngine
+from repro.sim.engine import RoundEngine, UnsupportedScenario
 
 __all__ = ["NetOptions", "ShardEngine", "run_sharded_scenario"]
 
@@ -102,7 +102,7 @@ def _reject_mid_round_adversaries(adversary: Adversary) -> None:
                 )
             else:
                 where = type(part).__name__
-            raise NotImplementedError(
+            raise UnsupportedScenario(
                 "{} overrides mid_round (it inspects the round's outgoing "
                 "messages); the sharded backend never materializes them in "
                 "one place.  Run this scenario with backend='inproc', or "

@@ -18,12 +18,11 @@ record's own ``wall_time`` — taken inside the task, around the run and
 nothing else — and reports it as a ratio against the object-inproc row of
 the same ``(n, seed)`` in the same invocation.  Every row carries its
 :meth:`~repro.exec.results.RunRecord.digest`; rows that promise bit
-identity with that reference (the object engine on another backend) must
-equal it, which with a clean audit is the verdict.  Array-engine digests
-are *not* comparable to object-engine ones — the array engine's contract
-is statistical parity (DESIGN.md §11), gated by
-:mod:`repro.fastcore.parity`.  Both declare one worker by default: cells
-that share the CPU would time each other.
+identity with that reference (:func:`repro.harness.parity.promises_bits`)
+must equal it, which with a clean audit is the verdict.  Array rows are
+held to the path contract's statistics instead, by
+:func:`repro.harness.parity.run_parity_gate`.  Both declare one worker by
+default: cells that share the CPU would time each other.
 
 E17b closes ROADMAP item 2: the E15 chaos matrix was only ever run at
 n=16, leaving open whether the drop=0.5 QoD cliff is a small-n artifact.
@@ -42,6 +41,7 @@ from repro.analysis.sweeps import CellResult, SweepResult
 from repro.chaos.soak import chaos_cells, soak_payload
 from repro.core.config import CongosParams
 from repro.harness.experiment import Experiment, Table, columns
+from repro.harness.parity import promises_bits
 
 __all__ = [
     "E17_BENCH_NAME",
@@ -115,11 +115,10 @@ def path_scaling_payload(
                 **key,
                 "spec_key": run.spec_key,
                 "digest": digest,
-                # Only the object engine promises the reference's bits.
                 "digest_match": (
                     digest == ref_digest
                     if ref_digest is not None
-                    and engine == "object"
+                    and promises_bits(engine)
                     and path != REFERENCE_PATH
                     else None
                 ),

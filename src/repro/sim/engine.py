@@ -51,7 +51,8 @@ from repro.sim.network import Network
 from repro.sim.process import NodeBehavior, ProcessShell
 from repro.sim.rng import SeedSequence
 
-__all__ = ["SimObserver", "AdversaryView", "RoundEngine", "Engine", "fanouts", "flatten"]
+__all__ = ["SimObserver", "AdversaryView", "RoundEngine", "Engine",
+           "UnsupportedScenario", "fanouts", "flatten"]
 
 #: One sender fan-out, ``(head, dsts, mask)`` (see :func:`fanouts`).
 Fanout = Tuple[Message, List[int], int]
@@ -204,6 +205,11 @@ class _NullAdversary:
         self, view: AdversaryView, outgoing: List[Message]
     ) -> MidRoundDecision:
         return MidRoundDecision()
+
+
+class UnsupportedScenario(ValueError):
+    """The scenario uses a feature this execution path does not model
+    (every path refuses with this one type)."""
 
 
 class RoundEngine:

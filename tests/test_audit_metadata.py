@@ -14,11 +14,11 @@ from repro.core.group_distribution import DistributionShare, FragmentDelivery
 from repro.core.proxy import ProxyRequest, ProxyShare
 from repro.core.config import CongosParams
 from repro.core.splitting import Fragment, split_rumor
-from repro.fastcore import UnsupportedScenario, numpy_available
+from repro.fastcore import numpy_available
 from repro.gossip.rumor import GossipItem, ItemBatch, Rumor, RumorId
 from repro.harness.runner import Scenario, run_congos_scenario
 from repro.harness.scenarios import get_builder
-from repro.sim.engine import fanouts
+from repro.sim.engine import UnsupportedScenario, fanouts
 from repro.sim.messages import ServiceTags, reveals_of
 from repro.sim.rng import derive_rng
 

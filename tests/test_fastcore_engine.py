@@ -1,9 +1,10 @@
 """Behavior of the array round kernel behind the Engine surfaces.
 
-Needs the ``repro[fast]`` extra (skips without numpy).  Statistical
-parity with the object engine is gated separately in
-test_fastcore_parity.py; this file covers the hard invariants — same
-delivered pairs, clean audit, spec plumbing, scope rejection.
+Needs the ``repro[fast]`` extra (skips without numpy).  The path
+contract's statistical bounds are gated separately in
+test_fastcore_parity.py; this file covers the hard invariants — the
+contract's path-independent facts (``compare_paths``), spec plumbing,
+scope rejection.
 """
 
 import dataclasses
@@ -15,10 +16,12 @@ pytest.importorskip("numpy", minversion="2.0")
 from repro.core.config import CongosParams
 from repro.exec.tasks import RunSpec
 from repro.fastcore import bitset
-from repro.fastcore.engine import ArrayEngine, UnsupportedScenario
+from repro.fastcore.engine import ArrayEngine
+from repro.harness.parity import compare_paths
 from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import steady_scenario
 from repro.obs.instrument import Telemetry
+from repro.sim.engine import UnsupportedScenario
 
 
 def _cell(n=16, rounds=96, seed=0):
@@ -52,13 +55,9 @@ class TestArrayRun:
         scenario = _cell()
         reference = run_congos_scenario(scenario)
         candidate = run_congos_scenario(_array(scenario))
-        assert set(candidate.delivery.deliveries) == set(
-            reference.delivery.deliveries
-        )
-        assert (
-            candidate.delivery.injection_rounds
-            == reference.delivery.injection_rounds
-        )
+        report = compare_paths(scenario.name, reference, candidate)
+        assert report.path == "array-inproc"
+        assert report.passed, report.failures
 
     def test_api_engine_kwarg(self):
         from repro.api import run_scenario
@@ -113,9 +112,8 @@ class TestGdSenderClasses:
         scenario = self._crowded()
         reference = run_congos_scenario(scenario)
         candidate = run_congos_scenario(_array(scenario))
-        assert set(candidate.delivery.deliveries) == set(
-            reference.delivery.deliveries
-        )
+        report = compare_paths(scenario.name, reference, candidate)
+        assert report.passed, report.failures
 
 
 class TestLoweredFanouts:

@@ -15,8 +15,9 @@ import pytest
 
 import repro
 from repro.core.config import CongosParams
-from repro.fastcore import UnsupportedScenario, numpy_available, require_numpy
+from repro.fastcore import numpy_available, require_numpy
 from repro.fastcore.runner import _check_scope
+from repro.sim.engine import UnsupportedScenario
 from repro.harness.runner import run_congos_scenario
 from repro.harness.scenarios import steady_scenario
 

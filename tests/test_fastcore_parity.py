@@ -1,4 +1,4 @@
-"""The statistical-parity gate: ks_distance units plus one live cell.
+"""The path contract's parity gate: ks_distance units plus one live cell.
 
 The KS helper is pure python (tested without numpy); the live
 object-vs-array comparison needs the ``repro[fast]`` extra and skips
@@ -8,10 +8,11 @@ small cell keeps tier-1 honest without the wall-clock cost.
 
 import pytest
 
-from repro.fastcore.parity import (
-    ParityGate,
+from repro.harness.parity import (
+    MAX_LATENCY_KS,
     default_parity_cells,
     ks_distance,
+    run_parity_gate,
 )
 
 
@@ -59,13 +60,18 @@ class TestDefaultCells:
 class TestGateLive:
     def test_smallest_cell_passes(self):
         pytest.importorskip("numpy", minversion="2.0")
-        gate = ParityGate()
-        report = gate.check(default_parity_cells(seeds=(0,))[0])
+        [report] = run_parity_gate(default_parity_cells(seeds=(0,))[:1])
         assert report.passed, report.failures
-        assert report.delivered_pairs_equal
-        assert report.qod_clean and report.confidentiality_clean
-        assert report.latency_ks <= gate.max_latency_ks
+        assert report.path == "array-inproc"
+        assert report.qod_satisfied
+        assert report.latency_ks <= MAX_LATENCY_KS
         body = report.to_dict()
         assert body["passed"] is True
         assert body["failures"] == []
         assert set(body["service_rel_err"])  # per-service errors recorded
+        # Counts cover every service either engine sent: on this cell the
+        # array engine sends a few fallback messages the object run does
+        # not, which the relative errors (over the object run's services)
+        # never see.
+        assert set(body["service_counts"]) >= set(body["service_rel_err"])
+        assert body["service_counts"]["confidential"][0] == 0

@@ -540,3 +540,67 @@ class TestLoadSoak:
     def test_resume_requires_out(self, capsys):
         code = main(["load-soak", "--resume"])
         assert code == 2
+
+
+class TestPathContract:
+    """``net verify`` and the execution paths' scope refusals."""
+
+    NET_VERIFY = [
+        "net", "verify", "--scenario", "steady", "-n", "8", "--rounds", "24",
+        "--deadline", "16", "--lean", "--workers", "2",
+    ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "churn", "-n", "8", "--rounds", "16", "--engine", "array"],
+            [
+                "run", "steady", "-n", "8", "--rounds", "16", "--engine",
+                "array", "--metrics",
+            ],
+            [
+                "load-soak", "-n", "8", "--rounds", "16", "--rates", "1",
+                "--engines", "array", "--presets", "hardened", "--seeds", "1",
+                "--jobs", "1",
+            ],
+            [
+                "net", "verify", "--scenario", "proxy-killer", "-n", "8",
+                "--rounds", "16", "--deadline", "16", "--lean",
+            ],
+        ],
+        ids=["array-churn", "array-metrics", "array-load-soak", "sharded-mid-round"],
+    )
+    def test_a_refused_scenario_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "use the object engine" in err or "backend='inproc'" in err
+
+    def test_net_verify_same_run(self, capsys):
+        assert main(self.NET_VERIFY + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["digest_match"] is True
+        assert payload["inproc_digest"] == payload["sharded_digest"]
+        assert payload["failures"] == []
+        assert payload["net"]["cross_messages"] > 0
+
+    def test_net_verify_divergent_run_exits_one(self, monkeypatch, capsys):
+        import repro.harness.parity as parity
+
+        real = parity.run_congos_scenario
+
+        def divergent(scenario):
+            result = real(scenario)
+            if scenario.backend == "sharded":
+                result.delivery.deliveries.popitem()
+            return result
+
+        monkeypatch.setattr(parity, "run_congos_scenario", divergent)
+        assert main(self.NET_VERIFY) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[1].strip() for line in lines
+                if line.startswith("same run")] == ["NO"]
+        assert any(
+            line.startswith("failure") and "pair sets differ" in line
+            for line in lines
+        )

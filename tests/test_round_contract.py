@@ -21,12 +21,19 @@ from repro.adversary.base import Adversary
 from repro.audit.confidentiality import ConfidentialityAuditor
 from repro.core.config import CongosParams
 from repro.core.congos import CongosNode, congos_factory
-from repro.fastcore import UnsupportedScenario, numpy_available
+from repro.fastcore import numpy_available
 from repro.gossip.rumor import Rumor, RumorId
 from repro.harness.runner import Scenario, assemble, run_congos_scenario
 from repro.net.coordinator import NetOptions, ShardEngine
 from repro.net.shard import ShardPlan
-from repro.sim.engine import AdversaryView, Engine, RoundEngine, SimObserver, flatten
+from repro.sim.engine import (
+    AdversaryView,
+    Engine,
+    RoundEngine,
+    SimObserver,
+    UnsupportedScenario,
+    flatten,
+)
 from repro.sim.events import RoundDecision
 from repro.sim.messages import ServiceTags
 
