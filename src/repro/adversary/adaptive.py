@@ -25,6 +25,7 @@ import random
 from typing import List, Optional, Set
 
 from repro.adversary.base import Adversary
+from repro.core.partitions import PartitionSet
 from repro.core.proxy import ProxyRequest
 from repro.sim.engine import AdversaryView
 from repro.sim.events import MidRoundDecision, RoundDecision
@@ -119,6 +120,19 @@ class GroupKillerAdversary(Adversary):
         self.members = set(members) - set(spare)
         self.crash_round = crash_round
         self.restart_round = restart_round
+
+    @classmethod
+    def of_group(
+        cls,
+        partitions: PartitionSet,
+        partition: int,
+        group: int,
+        crash_round: int,
+        restart_round: Optional[int] = None,
+    ) -> "GroupKillerAdversary":
+        """Kill ``group`` of ``partition`` in the run's partition set."""
+        members = set(partitions.members(partition, group))
+        return cls(members, crash_round, restart_round)
 
     def round_start(self, view: AdversaryView) -> RoundDecision:
         decision = RoundDecision()

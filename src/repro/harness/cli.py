@@ -635,8 +635,23 @@ def cmd_run(args: argparse.Namespace) -> int:
             print()
             print("Telemetry registry")
             print(telemetry.metrics.render())
+    if not result.qod.outcomes:
+        _warn_vacuous_qod(args, result.rumors_injected)
     ok = result.qod.satisfied and result.confidentiality.is_clean()
     return 0 if ok else 1
+
+
+def _warn_vacuous_qod(args: argparse.Namespace, rumors: int) -> None:
+    """``rumors`` came from runs that judged no pair: too short for the
+    deadline, so their ``satisfied`` is vacuous."""
+    if rumors:
+        print(
+            "warning: {} rumor(s) injected but no pair judged: deadline {} "
+            "does not fit in {} rounds, so the QoD verdict is vacuous".format(
+                rumors, args.deadline, args.rounds
+            ),
+            file=sys.stderr,
+        )
 
 
 def _run_multi_seed(
@@ -682,6 +697,9 @@ def _run_multi_seed(
                 len(records)
             ))
             print(_registry_from_records(records).render())
+    _warn_vacuous_qod(
+        args, sum(r.rumors_injected for r in records if not r.pairs)
+    )
     ok = all(r.qod_satisfied for r in records) and all(r.clean for r in records)
     return 0 if ok else 1
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.adversary.base import Adversary
-from repro.adversary.injection import ScriptedWorkload
+from repro.adversary.spec import AdversarySpec
 from repro.core.config import CongosParams
 from repro.gossip.rumor import RumorId
 from repro.harness.runner import Scenario, run_congos_scenario
@@ -81,7 +81,7 @@ def confidential_broadcast(
             rounds=inject_at + deadline + 2,
             seed=seed,
             params=params if params is not None else CongosParams(),
-            workload_factory=lambda rng: ScriptedWorkload(script, rng),
+            workload_factory=AdversarySpec("scripted", dict(script=script)),
             fault_factory=(
                 None if faults is None else lambda rng, partitions, _n: faults
             ),

@@ -75,9 +75,10 @@ class Scenario:
     rounds: int
     seed: int
     params: CongosParams = field(default_factory=CongosParams)
+    # Builders set repro.adversary.spec.AdversarySpec values (equal on
+    # rebuild, picklable); any callable of the factory's shape works.
     workload_factory: Optional[WorkloadFactory] = None
     fault_factory: Optional[FaultFactory] = None
-    description: str = ""
     # Chaos extension (None = the paper's reliable network): a FaultSpec
     # as a plain dict, so scenarios stay JSON-representable in RunSpecs.
     chaos: Optional[Dict[str, object]] = None

@@ -5,28 +5,19 @@ injections, so Proxy/GroupDistribution uptime requirements are met and
 deliveries go through the pipeline rather than the fallback) and a
 *drain* (injections stop early enough that every rumor's deadline falls
 inside the run, so the QoD report judges all of them).
+
+Builders name their workload and fault model by
+:class:`~repro.adversary.spec.AdversarySpec`, never by closure, so a
+scenario is plain data: equal on rebuild, picklable, and its repr says
+what it runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import random
 from typing import Callable, Dict, Optional, Sequence
 
-from repro.adversary.adaptive import (
-    GroupKillerAdversary,
-    ProxyKillerAdversary,
-    SourceKillerAdversary,
-)
-from repro.adversary.injection import (
-    BurstWorkload,
-    GroupTrafficWorkload,
-    ScriptedWorkload,
-    SteadyWorkload,
-    Theorem1Workload,
-)
-from repro.adversary.patterns import AlternatingPartitionFaults
-from repro.adversary.random_crash import ChurnAdversary
+from repro.adversary.spec import AdversarySpec
 from repro.chaos.spec import FaultSpec
 from repro.chaos.targeted import TargetedSpec
 from repro.core.config import CongosParams
@@ -34,7 +25,6 @@ from repro.core.deadlines import goes_direct
 from repro.harness.runner import Scenario
 from repro.load.admission import AdmissionPolicy
 from repro.load.arrivals import ArrivalSpec
-from repro.load.workload import OpenWorkload
 
 __all__ = [
     "injection_window",
@@ -154,32 +144,18 @@ def open_scenario(
         per_round if per_round is not None else resolved.injection_budget(n)
     )
     start, stop = open_window(rounds, spec.max_deadline, resolved_wait)
-
-    def workload(rng: random.Random) -> OpenWorkload:
-        return OpenWorkload(
-            n=n,
-            rng=rng,
-            spec=spec,
-            policy=policy,
-            budget=budget,
-            start_round=start,
-            stop_round=stop,
-        )
-
     return Scenario(
         name=name,
         n=n,
         rounds=rounds,
         seed=seed,
         params=resolved,
-        workload_factory=workload,
-        failfast=failfast,
-        description=(
-            "open {} arrivals rate={}/round, budget={}/round, queue<={}, "
-            "max_wait={}".format(
-                process, rate, budget, queue_cap, resolved_wait
-            )
+        workload_factory=AdversarySpec(
+            "open",
+            dict(n=n, spec=spec, policy=policy, budget=budget,
+                 start_round=start, stop_round=stop),
         ),
+        failfast=failfast,
     )
 
 
@@ -197,27 +173,17 @@ def steady_scenario(
     """Fault-free steady traffic: the baseline happy path."""
     resolved = params if params is not None else CongosParams()
     start, stop = injection_window(rounds, deadline)
-
-    def workload(rng: random.Random) -> SteadyWorkload:
-        return SteadyWorkload(
-            n=n,
-            rng=rng,
-            rate=rate,
-            period=period,
-            dest_size=dest_size,
-            deadlines=(deadline,),
-            start_round=start,
-            stop_round=stop,
-        )
-
     return Scenario(
         name=name,
         n=n,
         rounds=rounds,
         seed=seed,
         params=resolved,
-        workload_factory=workload,
-        description="fault-free steady injections, deadline={}".format(deadline),
+        workload_factory=AdversarySpec(
+            "steady",
+            dict(n=n, rate=rate, period=period, dest_size=dest_size,
+                 deadlines=(deadline,), start_round=start, stop_round=stop),
+        ),
     )
 
 
@@ -263,15 +229,10 @@ def chaos_scenario(
         n, rounds, seed, deadline, rate, period, dest_size, resolved, name
     )
     if churn:
-        def faults(rng: random.Random, partitions, n_: int) -> ChurnAdversary:
-            return ChurnAdversary(
-                rng=rng,
-                p_crash=churn,
-                p_restart=0.25,
-                min_alive=max(2, n // 4),
-            )
-
-        base.fault_factory = faults
+        base.fault_factory = AdversarySpec(
+            "churn",
+            dict(p_crash=churn, p_restart=0.25, min_alive=max(2, n // 4)),
+        )
     spec = FaultSpec(
         drop=drop,
         delay=delay,
@@ -283,19 +244,6 @@ def chaos_scenario(
     )
     base.chaos = spec.to_dict()
     base.failfast = failfast
-    base.description = (
-        "chaos drop={} delay={} dup={} reorder={} partition={}/{} churn={}"
-        "{}".format(
-            drop,
-            delay,
-            duplicate,
-            reorder,
-            partition_width,
-            partition_period,
-            churn,
-            " [hardened]" if hardened else "",
-        )
-    )
     return base
 
 
@@ -376,19 +324,6 @@ def targeted_scenario(
         track_src=track_src,
         retarget=retarget,
     ).to_dict()
-    base.description = (
-        "targeted {} budget {}/{} per dst ({}){}{}; oblivious drop={} "
-        "delay={}".format(
-            policy,
-            per_round,
-            total,
-            kind,
-            " [blind]" if blind else "",
-            " [hardened]" if hardened else "",
-            drop,
-            delay,
-        )
-    )
     return base
 
 
@@ -433,7 +368,7 @@ def direct_scenario(
                 deadline, resolved.direct_send_threshold
             )
         )
-    base = chaos_scenario(
+    return chaos_scenario(
         n,
         rounds,
         seed,
@@ -450,18 +385,6 @@ def direct_scenario(
         params=resolved,
         name=name,
     )
-    base.description = (
-        "direct-send path only: deadline={} drop={} delay={} dup={} "
-        "reorder={}{}".format(
-            deadline,
-            drop,
-            delay,
-            duplicate,
-            reorder,
-            " [hardened]" if hardened else "",
-        )
-    )
-    return base
 
 
 def churn_scenario(
@@ -482,18 +405,11 @@ def churn_scenario(
     base = steady_scenario(
         n, rounds, seed, deadline, rate, period, dest_size, params, name
     )
-
-    def faults(rng: random.Random, partitions, n_: int) -> ChurnAdversary:
-        return ChurnAdversary(
-            rng=rng,
-            p_crash=p_crash,
-            p_restart=p_restart,
-            immune=immune,
-            min_alive=max(2, n // 4),
-        )
-
-    base.fault_factory = faults
-    base.description = "churn p_crash={} p_restart={}".format(p_crash, p_restart)
+    base.fault_factory = AdversarySpec(
+        "churn",
+        dict(p_crash=p_crash, p_restart=p_restart, immune=immune,
+             min_alive=max(2, n // 4)),
+    )
     return base
 
 
@@ -519,17 +435,9 @@ def proxy_killer_scenario(
     per_round = budget_per_round if budget_per_round is not None else max(1, n // 8)
     total = total_budget if total_budget is not None else max(2, n // 3)
     revive = restart_after if restart_after is not None else deadline // 2
-
-    def faults(rng: random.Random, partitions, n_: int) -> ProxyKillerAdversary:
-        return ProxyKillerAdversary(
-            budget_per_round=per_round,
-            total_budget=total,
-            restart_after=revive,
-        )
-
-    base.fault_factory = faults
-    base.description = "adaptive proxy killer, budget {}/{}".format(
-        budget_per_round, total_budget
+    base.fault_factory = AdversarySpec(
+        "proxy-killer",
+        dict(budget_per_round=per_round, total_budget=total, restart_after=revive),
     )
     return base
 
@@ -554,18 +462,11 @@ def group_killer_scenario(
         n, rounds, seed, deadline, rate=1, period=8, dest_size=3, params=params, name=name
     )
     when = crash_round if crash_round is not None else rounds // 2
-
-    def faults(rng: random.Random, partitions, n_: int) -> GroupKillerAdversary:
-        members = partitions.members(partition, group)
-        return GroupKillerAdversary(
-            members=set(members),
-            crash_round=when,
-            restart_round=min(rounds - 1, when + deadline),
-        )
-
-    base.fault_factory = faults
-    base.description = "kill group {} of partition {} at round {}".format(
-        group, partition, when
+    # The members are resolved from the run's partition set at call time.
+    base.fault_factory = AdversarySpec(
+        "group-killer",
+        dict(partition=partition, group=group, crash_round=when,
+             restart_round=min(rounds - 1, when + deadline)),
     )
     return base
 
@@ -583,12 +484,9 @@ def source_killer_scenario(
     base = steady_scenario(
         n, rounds, seed, deadline, rate=1, period=8, dest_size=3, params=params, name=name
     )
-
-    def faults(rng: random.Random, partitions, n_: int) -> SourceKillerAdversary:
-        return SourceKillerAdversary(rng=rng, kill_probability=kill_probability)
-
-    base.fault_factory = faults
-    base.description = "kill sources after injection (p={})".format(kill_probability)
+    base.fault_factory = AdversarySpec(
+        "source-killer", dict(kill_probability=kill_probability)
+    )
     return base
 
 
@@ -610,34 +508,22 @@ def rolling_blackout_scenario(
     resolved = params if params is not None else CongosParams()
     start, stop = injection_window(rounds, deadline)
     immune_list = list(immune)
-
-    def workload(rng: random.Random) -> GroupTrafficWorkload:
-        return GroupTrafficWorkload(
-            participants=immune_list,
-            rng=rng,
-            deadline=deadline,
-            period=8,
-            start_round=start,
-            stop_round=stop,
-        )
-
-    def faults(rng: random.Random, partitions, n_: int) -> AlternatingPartitionFaults:
-        return AlternatingPartitionFaults(
-            n=n,
-            blocks=blocks,
-            period=max(blocks * 4, deadline // 2),
-            immune=immune_list,
-        )
-
     return Scenario(
         name=name,
         n=n,
         rounds=rounds,
         seed=seed,
         params=resolved,
-        workload_factory=workload,
-        fault_factory=faults,
-        description="rotating blackout of 1/{} of the system".format(blocks),
+        workload_factory=AdversarySpec(
+            "group-traffic",
+            dict(participants=immune_list, deadline=deadline, period=8,
+                 start_round=start, stop_round=stop),
+        ),
+        fault_factory=AdversarySpec(
+            "rolling-blackout",
+            dict(n=n, blocks=blocks, period=max(blocks * 4, deadline // 2),
+                 immune=immune_list),
+        ),
     )
 
 
@@ -656,24 +542,17 @@ def burst_scenario(
     start, stop = injection_window(rounds, deadline)
     gap = max(1, (stop - start) // max(1, bursts))
     burst_rounds = [start + i * gap for i in range(bursts)]
-
-    def workload(rng: random.Random) -> BurstWorkload:
-        return BurstWorkload(
-            n=n,
-            rng=rng,
-            burst_rounds=burst_rounds,
-            dest_size=dest_size,
-            deadline=deadline,
-        )
-
     return Scenario(
         name=name,
         n=n,
         rounds=rounds,
         seed=seed,
         params=resolved,
-        workload_factory=workload,
-        description="full-system bursts at {}".format(burst_rounds),
+        workload_factory=AdversarySpec(
+            "burst",
+            dict(n=n, burst_rounds=burst_rounds, dest_size=dest_size,
+                 deadline=deadline),
+        ),
     )
 
 
@@ -706,20 +585,13 @@ def scripted_burst_scenario(
         (when, src, deadline, {(src + offset) % n for offset in offsets})
         for src in range(sources)
     ]
-
-    def workload(rng: random.Random) -> ScriptedWorkload:
-        return ScriptedWorkload(script, rng)
-
     return Scenario(
         name=name,
         n=n,
         rounds=rounds,
         seed=seed,
         params=resolved,
-        workload_factory=workload,
-        description="{}-source burst at round {}, deadline={}".format(
-            sources, when, deadline
-        ),
+        workload_factory=AdversarySpec("scripted", dict(script=script)),
     )
 
 
@@ -736,20 +608,15 @@ def theorem1_scenario(
     """The oblivious lower-bound layout of Theorems 1/12."""
     resolved = params if params is not None else CongosParams()
     when = inject_round if inject_round is not None else min(dmax, rounds // 4)
-
-    def workload(rng: random.Random) -> Theorem1Workload:
-        return Theorem1Workload(
-            n=n, rng=rng, c=c, dmax=dmax, inject_round=when
-        )
-
     return Scenario(
         name=name,
         n=n,
         rounds=rounds,
         seed=seed,
         params=resolved,
-        workload_factory=workload,
-        description="Theorem-1 layout: c={}, dmax={}".format(c, dmax),
+        workload_factory=AdversarySpec(
+            "theorem1", dict(n=n, c=c, dmax=dmax, inject_round=when)
+        ),
     )
 
 

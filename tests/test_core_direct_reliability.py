@@ -39,7 +39,7 @@ class TestScenarioGuard:
 
     def test_threshold_deadline_accepted(self):
         scenario = direct_scenario(n=12, rounds=140, seed=0, deadline=48)
-        assert "direct" in scenario.description
+        assert scenario.workload_factory.args["deadlines"] == (48,)
 
 
 class TestDefaultInertness:

@@ -118,6 +118,34 @@ class TestCommands:
         assert code == 0
 
 
+class TestVacuousQodWarning:
+    """A run too short for its deadline injects rumors whose deadlines
+    fall past the end, judges no pair, and reports ``satisfied``; the
+    CLI keeps that verdict and its exit code, but says so on stderr."""
+
+    @pytest.mark.parametrize("seeds", [["--seed", "0"], ["--seeds", "0", "1"]])
+    @pytest.mark.parametrize("rounds, warns", [("100", True), ("300", False)])
+    def test_warns_only_when_no_pair_is_judged(
+        self, capsys, seeds, rounds, warns
+    ):
+        code = main(
+            ["run", "steady", "-n", "8", "--rounds", rounds, "--json", *seeds]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        json.loads(captured.out)
+        warnings = [
+            line for line in captured.err.splitlines()
+            if line.startswith("warning:")
+        ]
+        if warns:
+            assert len(warnings) == 1, captured.err
+            assert "deadline 128" in warnings[0]
+            assert "100 rounds" in warnings[0]
+        else:
+            assert not warnings, captured.err
+
+
 class TestScenarioListing:
     def test_lists_builder_kwargs(self, capsys):
         assert main(["scenarios"]) == 0

@@ -25,13 +25,11 @@ from typing import List, NamedTuple, Tuple
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.adversary.base import Adversary
-from repro.adversary.injection import ScriptedWorkload
+from repro.adversary.spec import AdversarySpec
 from repro.fastcore import numpy_available
 from repro.harness.parity import compare_paths
 from repro.harness.runner import Scenario, run_congos_scenario
 from repro.sim.engine import UnsupportedScenario
-from repro.sim.events import RoundDecision
 
 NS = (8, 12, 16)
 # Either side of direct_send_threshold (48) and PIPELINE_FLOOR (64):
@@ -48,27 +46,6 @@ SETTINGS = dict(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-
-
-class HypothesisFaults(Adversary):
-    """Replays a hypothesis-generated fault plan, keeping it legal."""
-
-    def __init__(self, plan):
-        # plan: list of (round, pid, "crash"|"restart")
-        self.plan = {}
-        for round_no, pid, kind in plan:
-            self.plan.setdefault(round_no, []).append((pid, kind))
-
-    def round_start(self, view):
-        decision = RoundDecision()
-        for pid, kind in self.plan.get(view.round, []):
-            if pid in decision.crashes or pid in decision.restarts:
-                continue
-            if kind == "crash" and view.is_alive(pid):
-                decision.crashes.add(pid)
-            elif kind == "restart" and not view.is_alive(pid):
-                decision.restarts.add(pid)
-        return decision
 
 
 class System(NamedTuple):
@@ -91,15 +68,20 @@ class System(NamedTuple):
                 continue
             seen.add((round_no, src))
             script.append((round_no, src, self.deadline, dest))
-        faults = self.faults_plan
+        # ScriptedFaults keeps any plan legal: it crashes only a pid alive
+        # at round start and restarts only a crashed one, so a second
+        # entry for the same pid in one round changes nothing.
+        faults = [
+            (round_no, kind, pid) for round_no, pid, kind in self.faults_plan
+        ]
         return Scenario(
             name="hypothesis-system",
             n=self.n,
             rounds=self.rounds,
             seed=self.seed,
-            workload_factory=lambda rng: ScriptedWorkload(script, rng),
+            workload_factory=AdversarySpec("scripted", dict(script=script)),
             fault_factory=(
-                (lambda rng, partitions, n: HypothesisFaults(faults))
+                AdversarySpec("scripted-faults", dict(script=faults))
                 if faults
                 else None
             ),
