@@ -337,11 +337,7 @@ class _Instance:
 
     __slots__ = (
         "dline",
-        "block_len",
-        "iteration_len",
-        "iterations_per_block",
-        "gossip_deadline",
-        "allgossip_deadline",
+        "schedule",
         "channels",
         "pending",
         "px_queue",
@@ -353,13 +349,8 @@ class _Instance:
     )
 
     def __init__(self, dline: int):
-        schedule = BlockSchedule(dline)
         self.dline = dline
-        self.block_len = schedule.block_len
-        self.iteration_len = schedule.iteration_len
-        self.iterations_per_block = schedule.iterations_per_block
-        self.gossip_deadline = schedule.gossip_deadline
-        self.allgossip_deadline = schedule.allgossip_deadline
+        self.schedule = BlockSchedule(dline)
         self.channels: Dict[Tuple[int, int], _Channel] = {}
         # GD waiting sets: (partition, group) -> {rumor state -> holder bitset}.
         self.pending: Dict[Tuple[int, int], Dict[_RumorState, np.ndarray]] = {}
@@ -376,12 +367,6 @@ class _Instance:
         self.acks_due: Dict[int, List[Tuple[int, np.ndarray, int]]] = {}
         self.gd_blocks: Dict[Tuple[int, int], _GdBlock] = {}
         self.gd_fanout: Dict[Tuple[int, int], int] = {}
-
-    def position(self, round_no: int) -> int:
-        rib = round_no % self.block_len
-        if rib // self.iteration_len >= self.iterations_per_block:
-            return -1
-        return rib % self.iteration_len
 
 
 class ArrayEngine(RoundEngine):
@@ -575,7 +560,7 @@ class ArrayEngine(RoundEngine):
                 FRAG,
                 born=round_no,
                 start=round_no,
-                expiry=round_no + instance.gossip_deadline,
+                expiry=round_no + instance.schedule.gossip_deadline,
                 weight=1,
                 holders=src_holder.copy(),
                 content=state,
@@ -665,9 +650,10 @@ class ArrayEngine(RoundEngine):
     # ------------------------------------------------------------------
 
     def _protocol_phase(self, round_no: int, instance: _Instance) -> None:
-        block_len = instance.block_len
-        rib = round_no % block_len
-        position = instance.position(round_no)
+        schedule = instance.schedule
+        block_len = schedule.block_len
+        rib = schedule.round_in_block(round_no)
+        position = schedule.round_in_iteration(round_no)
         # Uptime gating: services activate only once the process has been
         # up a full block (wakeup = 0 for every pid in fault-free runs),
         # so block 0 is pure gossip + direct traffic.
@@ -696,7 +682,7 @@ class ArrayEngine(RoundEngine):
                 )
 
     def _px_begin_block(self, round_no: int, instance: _Instance) -> None:
-        ack_round = round_no + instance.iteration_len - 1
+        ack_round = round_no + instance.schedule.iteration_len - 1
         for key in sorted(instance.px_queue):
             queue = instance.px_queue[key]
             fresh = [
@@ -774,7 +760,7 @@ class ArrayEngine(RoundEngine):
             PXSHARE,
             born=round_no,
             start=round_no + 1,
-            expiry=round_no + instance.gossip_deadline,
+            expiry=round_no + instance.schedule.gossip_deadline,
             weight=weight,
             holders=injectors.copy(),
             content=list(frag_states),
@@ -821,7 +807,8 @@ class ArrayEngine(RoundEngine):
                 del instance.gd_blocks[key]
 
     def _gd_send(self, round_no: int, instance: _Instance) -> None:
-        first_iteration = (round_no % instance.block_len) // instance.iteration_len == 0
+        schedule = instance.schedule
+        first_iteration = schedule.round_in_block(round_no) < schedule.iteration_len
         for key in sorted(instance.gd_blocks):
             block = instance.gd_blocks[key]
             live = [
@@ -950,7 +937,7 @@ class ArrayEngine(RoundEngine):
                 GDCENSUS,
                 born=round_no,
                 start=round_no + 1,
-                expiry=round_no + instance.gossip_deadline,
+                expiry=round_no + instance.schedule.gossip_deadline,
                 weight=weight,
                 holders=injectors,
             )
@@ -960,9 +947,10 @@ class ArrayEngine(RoundEngine):
     def _block_end_phase(self, round_no: int) -> None:
         for dline in sorted(self.instances):
             instance = self.instances[dline]
-            if round_no % instance.block_len != instance.block_len - 1:
+            schedule = instance.schedule
+            if not schedule.is_block_last_round(round_no):
                 continue
-            if round_no < instance.block_len:
+            if round_no < schedule.block_len:
                 continue  # block 0: every service still waiting on uptime
             # Proxy hand-up: everything the group gossiped this block joins
             # the GD waiting set for the next block.
@@ -994,7 +982,7 @@ class ArrayEngine(RoundEngine):
                     DSHARE,
                     born=round_no,
                     start=round_no + 1,
-                    expiry=round_no + instance.allgossip_deadline,
+                    expiry=round_no + instance.schedule.allgossip_deadline,
                     weight=weight,
                     holders=publishers,
                     content=(key, content),

@@ -125,12 +125,12 @@ class ContinuousGossip(SubService):
         self._arrivals = 0
         # resend_backoff only: round -> aged-out items to send again then.
         self._wake: Dict[int, List[GossipItem]] = {}
-        self._seen: set = set()
-        # Uid sets already known to be <= _seen: a saturated receipt is one
-        # lookup, ended by the identity check when the set is interned
-        # (intern_uids).  Sound because _seen never shrinks (a restart
-        # builds a new instance); cleared whenever an item expires, which
-        # bounds it.
+        # Uid sets whose every uid was, when checked, live in _active or
+        # already expired: a saturated receipt is one lookup, ended by the
+        # identity check when the set is interned (intern_uids).  Sound
+        # because an expired uid stays dead and only _expire drops a live
+        # one, and _expire clears the cover whenever it does (which also
+        # bounds it): a cover never hides a live uid this instance lacks.
         self._covered: set = set()
         self._pending_delivery: List[GossipItem] = []
         self._inject_seq = 0
@@ -171,14 +171,15 @@ class ContinuousGossip(SubService):
         The destination set is intersected with the scope (processes the
         filter would block are "effectively failed" for this instance).
         The injecting process, if in the destination set, is delivered the
-        payload immediately.
+        payload immediately.  A uid already live at this instance is
+        refused; an expired one is forgotten, like its item.
         """
         if deadline < 1:
             raise ValueError("gossip deadline must be >= 1 round")
         if uid is None:
             uid = (self.channel, self.pid, round_no, self._inject_seq)
             self._inject_seq += 1
-        if uid in self._seen:
+        if uid in self._active:
             raise ValueError("duplicate gossip uid {!r}".format(uid))
         item = GossipItem(
             uid=uid,
@@ -188,7 +189,6 @@ class ContinuousGossip(SubService):
             dest=self.filter.restrict(dest),
             born=round_no,
         )
-        self._seen.add(uid)
         self._activate(item)
         if self.telemetry.enabled:
             self.telemetry.metrics.counter(
@@ -257,19 +257,20 @@ class ContinuousGossip(SubService):
             # A plain tuple (the reliable-mode expiry flush, a test): same
             # path, deriving its own uids.
             batch = ItemBatch(batch)
-        # Batches are dominated by already-seen items once the epidemic
+        # Batches are dominated by already-held items once the epidemic
         # saturates: rule the whole batch out by its uid set (covered
-        # before, or a subset of seen), or find what is new in it, with set
-        # algebra on stored hashes.  ``fresh`` is a set, so its order is
-        # hash-seed dependent; select() restores batch order.
+        # before), or find what is not live here with one difference
+        # against _active, which probes the dict with the set's stored
+        # hashes.  A uid that expired here has left _active, and its late
+        # copy fails the expiry check below like any expired item.
+        # ``fresh`` is a set, so its order is hash-seed dependent;
+        # select() restores batch order.
         uids = batch.uids
         covered = self._covered
         if uids in covered:
             return
-        seen = self._seen
-        if not uids <= seen:
-            fresh = uids - seen
-            seen |= fresh
+        fresh = uids.difference(self._active)
+        if fresh:
             pid = self.pid
             for item in batch.select(fresh):
                 if round_no > item.expiry:
@@ -297,7 +298,8 @@ class ContinuousGossip(SubService):
         return bool(self._active)
 
     def knows(self, uid: Tuple) -> bool:
-        return uid in self._seen
+        """Whether ``uid`` is live here; an expired uid is forgotten."""
+        return uid in self._active
 
     # ------------------------------------------------------------------
     # Internals
@@ -325,7 +327,7 @@ class ContinuousGossip(SubService):
         return flushes
 
     def _activate(self, item: GossipItem) -> None:
-        """Start (re)broadcasting an item whose uid was just marked seen."""
+        """Start (re)broadcasting an item whose uid is not yet live."""
         uid = item.uid
         self._active[uid] = item
         self._broadcast[uid] = item

@@ -276,8 +276,41 @@ class TestSharedUidSets:
         assert receiver._covered
         receiver.send_phase(30)  # every item expired at round 20
         assert not receiver._covered
-        receiver.on_message(30, message)  # still all seen: nothing new
+        receiver.on_message(30, message)  # all expired: nothing new
         assert not receiver.has_active()
+
+    def test_expired_uid_leaves_no_trace(self):
+        delivered = []
+        receiver = ContinuousGossip(
+            pid=1, n=4, channel="test", scope=range(4), rng=random.Random(1),
+            deliver=lambda round_no, item: delivered.append(item.uid),
+        )
+        message = self._batch(0)
+        uids = [item.uid for item in message.payload]
+        receiver.on_message(0, message)
+        receiver.end_round(0)
+        assert delivered == uids
+        receiver.send_phase(30)  # every item expired at round 20
+
+        def traces():
+            return [
+                (name, uid)
+                for name, value in vars(receiver).items()
+                if isinstance(value, (set, frozenset, dict))
+                for uid in uids
+                if uid in value
+            ]
+
+        assert not any(receiver.knows(uid) for uid in uids)
+        assert traces() == []
+        # A late chaos copy of the same batch: no delivery, no activation,
+        # and still nothing remembered.
+        receiver.on_message(31, message)
+        receiver.end_round(31)
+        assert delivered == uids
+        assert not receiver.has_active()
+        assert not any(receiver.knows(uid) for uid in uids)
+        assert traces() == []
 
     def test_table_holds_two_generations(self):
         table = _UidSetTable()
