@@ -11,15 +11,10 @@ and injection offsets, under benign and adversarial conditions, and
 compare against the per-lemma budgets.
 """
 
-import pytest
-
-from repro.adversary.base import ComposedAdversary
 from repro.adversary.injection import ScriptedWorkload
-from repro.audit.delivery import DeliveryAuditor
-from repro.core.congos import build_partition_set, congos_factory
+from repro.api import trace
 from repro.harness.report import format_table
 from repro.harness.runner import Scenario, run_congos_scenario
-from repro.sim.rng import derive_rng
 
 from _util import emit, lean_params, run_once
 
@@ -55,17 +50,14 @@ def test_e05_delivery_timeline(benchmark):
         ):
             for seed in (0, 1, 2):
                 inject_at = 2 * DLINE + offset
-                result = run_congos_scenario(
+                result, timeline = trace(
                     timeline_scenario(inject_at, seed, dest, params)
                 )
                 report = result.qod
                 assert report.satisfied
                 latencies = report.latencies()
-                coordinator = result.engine.behavior(0).coordinator
-                confirm_round = None
-                # The cache entry is removed on fallback; confirmed ones stay.
-                for rid, cached in coordinator.rumor_cache.items():
-                    confirm_round = cached.confirmed_at
+                (lifecycle,) = timeline.lifecycles()
+                confirm_round = lifecycle.confirmed_round
                 rows.append(
                     [
                         offset_label,

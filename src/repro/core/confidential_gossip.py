@@ -6,9 +6,12 @@ This is the top of the CONGOS stack at each process.  It
   :class:`~repro.core.congos.CongosNode`, which owns the wiring);
 * collects fragments returned by GroupDistribution and **reassembles**
   rumors as soon as all groups of some partition are present;
-* assembles the ``hitSetM`` matrix from AllGossip distribution shares and
-  **confirms** its own rumors once, for some partition, every group's
-  hitSet covers the destination set (Figure 8, lines 38-46);
+* keeps ``hitSetM`` per own pending rumor, on its :class:`CachedRumor`:
+  an AllGossip distribution share contributes only the entries naming
+  one of them, and the source **confirms** a rumor once, for some
+  partition, every group's hitSet covers the destination set (Figure 8,
+  lines 38-46).  Figure 8 reads no other row, so a confirmed or shot
+  rumor leaves with its rows, and a delivered rumor's fragments go too;
 * fires the **fallback**: when a rumor it initiated reaches its deadline
   unconfirmed, the source sends the full rumor directly to every
   destination ("shoot", Figure 8 lines 47-53) — this is what makes
@@ -27,8 +30,8 @@ This is the top of the CONGOS stack at each process.  It
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.core.config import CongosParams
 from repro.core.group_distribution import DistributionShare, HitEntry
@@ -54,16 +57,28 @@ DeliverCallback = Callable[[int, int, RumorId, bytes, str], None]
 
 @dataclass
 class CachedRumor:
-    """Source-side record of an own rumor awaiting confirmation."""
+    """Source-side record of an own rumor awaiting confirmation.
+
+    ``hits`` is this rumor's part of hitSetM: per ``(partition, group)``,
+    the entries of ``need`` (one ``(dst, rid)`` per destination) that an
+    AllGossip share of the rumor's ``dline`` reported.  The record leaves
+    the coordinator's ``rumor_cache`` once confirmed or shot.
+    """
 
     rumor: Rumor
     dline: int
     injected_at: int
-    confirmed_at: Optional[int] = None
     # Degradation setting fallback_early_fraction: < 1.0 shoots
     # unconfirmed rumors before the full deadline elapses.  1.0 is the
     # paper's deadline-exact fallback (Figure 8 line 47).
     fallback_fraction: float = 1.0
+    need: FrozenSet[HitEntry] = field(init=False)
+    hits: Dict[Tuple[int, int], Set[HitEntry]] = field(
+        init=False, default_factory=dict
+    )
+
+    def __post_init__(self) -> None:
+        self.need = frozenset((dst, self.rumor.rid) for dst in self.rumor.dest)
 
     @property
     def fallback_round(self) -> int:
@@ -165,9 +180,11 @@ class ConfidentialGossipCoordinator(SubService):
         # and default runs stay bit-identical).  None = no jitter.
         self.rng = rng
 
+        # Own rumors awaiting confirmation; confirmation or the fallback
+        # removes an entry.
         self.rumor_cache: Dict[RumorId, CachedRumor] = {}
-        self.hit_matrix: Dict[Tuple[int, int, int], Set[HitEntry]] = {}
-        self.fragment_store: Dict[Tuple[RumorId, int], Dict[int, Fragment]] = {}
+        # rid -> partition -> group -> fragment, for rids not yet delivered.
+        self.fragment_store: Dict[RumorId, Dict[int, Dict[int, Fragment]]] = {}
         self.deliveries: Dict[RumorId, DeliveryRecord] = {}
         self._pending_direct: List[Rumor] = []
         self._dirty_confirmations = False
@@ -263,6 +280,7 @@ class ConfidentialGossipCoordinator(SubService):
             return
         record = DeliveryRecord(rid=rid, data=data, round_no=round_no, path=path)
         self.deliveries[rid] = record
+        self.fragment_store.pop(rid, None)
         if self.telemetry.enabled:
             self.telemetry.metrics.counter("rumor.delivered", path=path).inc()
             self.telemetry.emit(
@@ -273,8 +291,10 @@ class ConfidentialGossipCoordinator(SubService):
 
     def on_fragment(self, round_no: int, fragment: Fragment) -> None:
         """A fragment delivered by some GroupDistribution[l]."""
-        key = (fragment.rid, fragment.partition)
-        bucket = self.fragment_store.setdefault(key, {})
+        if fragment.rid in self.deliveries:
+            return
+        partitions = self.fragment_store.setdefault(fragment.rid, {})
+        bucket = partitions.setdefault(fragment.partition, {})
         if fragment.group in bucket:
             return
         bucket[fragment.group] = fragment
@@ -284,9 +304,15 @@ class ConfidentialGossipCoordinator(SubService):
             self.deliver_local(round_no, fragment.rid, data, "reassembled")
 
     def on_distribution_share(self, round_no: int, share: DistributionShare) -> None:
-        """AllGossip record: fold into hitSetM, re-check confirmations."""
-        key = (share.dline, share.partition, share.group)
-        self.hit_matrix.setdefault(key, set()).update(share.hits)
+        """AllGossip record: fold the entries naming an own pending rumor
+        of the share's dline into that rumor's hitSetM row, re-check
+        confirmations."""
+        key = (share.partition, share.group)
+        for cached in self.rumor_cache.values():
+            if cached.dline == share.dline:
+                hits = share.hits & cached.need
+                if hits:
+                    cached.hits.setdefault(key, set()).update(hits)
         self._dirty_confirmations = True
 
     # ------------------------------------------------------------------
@@ -308,8 +334,6 @@ class ConfidentialGossipCoordinator(SubService):
             messages.extend(self._direct_phase(round_no))
         expired: List[RumorId] = []
         for rid, cached in self.rumor_cache.items():
-            if cached.confirmed_at is not None:
-                continue
             if round_no >= cached.fallback_round:
                 targets = set(cached.rumor.dest)
                 if self.params.fallback_scope == "unconfirmed":
@@ -366,16 +390,8 @@ class ConfidentialGossipCoordinator(SubService):
     def delivered(self) -> Dict[RumorId, bytes]:
         return {rid: record.data for rid, record in self.deliveries.items()}
 
-    def is_confirmed(self, rid: RumorId) -> bool:
-        cached = self.rumor_cache.get(rid)
-        return cached is not None and cached.confirmed_at is not None
-
     def pending_rumors(self) -> List[RumorId]:
-        return [
-            rid
-            for rid, cached in self.rumor_cache.items()
-            if cached.confirmed_at is None
-        ]
+        return list(self.rumor_cache)
 
     # ------------------------------------------------------------------
     # Internals
@@ -478,53 +494,33 @@ class ConfidentialGossipCoordinator(SubService):
             messages.append(self.make_message(dst, payload, size=1))
         return messages
 
+    def _covers(self, cached: CachedRumor) -> Iterator[FrozenSet[HitEntry]]:
+        """Per partition, the entries of ``cached.need`` in the hitSet of
+        *every* group (Figure 8 lines 41-46)."""
+        groups = range(self.partition_set.num_groups)
+        for partition in range(self.partition_set.count):
+            yield cached.need.intersection(
+                *(cached.hits.get((partition, group), ()) for group in groups)
+            )
+
     def _covered_destinations(self, cached: CachedRumor) -> Set[int]:
         """Destinations already hit with every group's fragment in some
         partition (they have reassembled the rumor — [GD:CONFIRM] holds
         per destination, so skipping them in the fallback is safe)."""
-        covered: Set[int] = set()
-        rid = cached.rumor.rid
-        for dst in cached.rumor.dest:
-            for partition in range(self.partition_set.count):
-                if all(
-                    (dst, rid)
-                    in self.hit_matrix.get(
-                        (cached.dline, partition, group), ()
-                    )
-                    for group in range(self.partition_set.num_groups)
-                ):
-                    covered.add(dst)
-                    break
-        return covered
+        return {dst for cover in self._covers(cached) for dst, _ in cover}
 
     def _check_confirmations(self, round_no: int) -> None:
         self._dirty_confirmations = False
-        for cached in self.rumor_cache.values():
-            if cached.confirmed_at is not None:
-                continue
-            if self._covered(cached):
-                cached.confirmed_at = round_no
-                self.confirmations += 1
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter("rumor.confirmations").inc()
-                    self.telemetry.emit(
-                        "rumor_confirm",
-                        round_no,
-                        pid=self.pid,
-                        rid=cached.rumor.rid,
-                    )
+        confirmed = [
+            rid for rid, cached in self.rumor_cache.items() if self._covered(cached)
+        ]
+        for rid in confirmed:
+            del self.rumor_cache[rid]
+            self.confirmations += 1
+            if self.telemetry.enabled:
+                self.telemetry.metrics.counter("rumor.confirmations").inc()
+                self.telemetry.emit("rumor_confirm", round_no, pid=self.pid, rid=rid)
 
     def _covered(self, cached: CachedRumor) -> bool:
-        """Figure 8 lines 41-46: some partition covers the whole
-        destination set in the hitSet of *every* group."""
-        need = {(dst, cached.rumor.rid) for dst in cached.rumor.dest}
-        if not need:
-            return True
-        for partition in range(self.partition_set.count):
-            if all(
-                need
-                <= self.hit_matrix.get((cached.dline, partition, group), set())
-                for group in range(self.partition_set.num_groups)
-            ):
-                return True
-        return False
+        """Some partition covers the whole destination set."""
+        return any(cover == cached.need for cover in self._covers(cached))

@@ -131,6 +131,7 @@ class ContinuousGossip(SubService):
         # because an expired uid stays dead and only _expire drops a live
         # one, and _expire clears the cover whenever it does (which also
         # bounds it): a cover never hides a live uid this instance lacks.
+        # Only an instance holding a live item adds covers.
         self._covered: set = set()
         self._pending_delivery: List[GossipItem] = []
         self._inject_seq = 0
@@ -278,7 +279,8 @@ class ContinuousGossip(SubService):
                 self._activate(item)
                 if pid in item.dest:
                     self._pending_delivery.append(item)
-        covered.add(uids)
+        if self._active:  # an idle instance never reaches _expire's clear
+            covered.add(uids)
 
     def end_round(self, round_no: int) -> None:
         pending, self._pending_delivery = self._pending_delivery, []

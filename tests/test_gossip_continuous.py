@@ -293,12 +293,14 @@ class TestSharedUidSets:
         receiver.send_phase(30)  # every item expired at round 20
 
         def traces():
+            # A cover is a set of uid sets: look inside those too.
             return [
                 (name, uid)
                 for name, value in vars(receiver).items()
                 if isinstance(value, (set, frozenset, dict))
                 for uid in uids
                 if uid in value
+                or any(isinstance(m, frozenset) and uid in m for m in value)
             ]
 
         assert not any(receiver.knows(uid) for uid in uids)

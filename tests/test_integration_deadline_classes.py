@@ -95,15 +95,23 @@ class TestDeadlineClasses:
             ComposedAdversary([ScriptedWorkload(script, derive_rng(0, "wl"))]),
             seed=0,
         )
+        # Record every fragment reaching pids 3 and 4 (a delivered rumor
+        # leaves the fragment store, so the store itself shows nothing).
+        seen = {3: [], 4: []}
+        for pid, rids in seen.items():
+            coordinator = engine.behavior(pid).coordinator
+            on_fragment = coordinator.on_fragment
+
+            def record(round_no, fragment, rids=rids, on_fragment=on_fragment):
+                rids.append(fragment.rid)
+                on_fragment(round_no, fragment)
+
+            coordinator.on_fragment = record
         engine.run(600)
-        node3 = engine.behavior(3)
-        # The 64-class fragment store at pid 3 must hold only the rid of
-        # the 64-class rumor, and vice versa at pid 4.
-        for (rid, partition), groups in node3.coordinator.fragment_store.items():
-            assert rid.src == 0
-        node4 = engine.behavior(4)
-        for (rid, partition), groups in node4.coordinator.fragment_store.items():
-            assert rid.src == 1
+        # Pid 3 must see fragments of the 64-class rumor only, and pid 4
+        # those of the 256-class one only.
+        assert seen[3] and {rid.src for rid in seen[3]} == {0}
+        assert seen[4] and {rid.src for rid in seen[4]} == {1}
 
     def test_cap_trims_huge_deadlines(self):
         params = CongosParams(deadline_cap=128)
