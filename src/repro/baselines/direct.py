@@ -12,6 +12,7 @@ merging.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.core.confidential_gossip import DeliverCallback
@@ -79,7 +80,4 @@ class DirectSendNode(NodeBehavior):
 def direct_factory(
     n: int, deliver_callback: Optional[DeliverCallback] = None
 ) -> Callable[[int], DirectSendNode]:
-    def factory(pid: int) -> DirectSendNode:
-        return DirectSendNode(pid, n, deliver_callback)
-
-    return factory
+    return partial(DirectSendNode, n=n, deliver_callback=deliver_callback)

@@ -9,6 +9,7 @@ is expected to report plaintext violations; that is the point.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.core.confidential_gossip import DeliverCallback
@@ -98,16 +99,11 @@ def plain_gossip_factory(
     reliable: bool = True,
     deliver_callback: Optional[DeliverCallback] = None,
 ) -> Callable[[int], PlainGossipNode]:
-    seeds = SeedSequence(seed).child("plain-gossip")
-
-    def factory(pid: int) -> PlainGossipNode:
-        return PlainGossipNode(
-            pid,
-            n,
-            seeds=seeds,
-            fanout_scale=fanout_scale,
-            reliable=reliable,
-            deliver_callback=deliver_callback,
-        )
-
-    return factory
+    return partial(
+        PlainGossipNode,
+        n=n,
+        seeds=SeedSequence(seed).child("plain-gossip"),
+        fanout_scale=fanout_scale,
+        reliable=reliable,
+        deliver_callback=deliver_callback,
+    )

@@ -20,7 +20,7 @@ a deterministic flush at expiry, since there is no confirmation channel).
 
 from __future__ import annotations
 
-import random
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.confidential_gossip import DeliverCallback
@@ -40,12 +40,12 @@ class StronglyConfidentialNode(NodeBehavior):
         self,
         pid: int,
         n: int,
-        rng: random.Random,
+        seeds: SeedSequence,
         fanout_scale: float = 1.0,
         deliver_callback: Optional[DeliverCallback] = None,
     ):
         super().__init__(pid, n)
-        self.rng = rng
+        self.rng = seeds.rng(pid)
         self.fanout_scale = fanout_scale
         self.deliver_callback = deliver_callback
         # rid -> (rumor, expiry round, am_i_source)
@@ -136,15 +136,10 @@ def strongly_confidential_factory(
     fanout_scale: float = 1.0,
     deliver_callback: Optional[DeliverCallback] = None,
 ) -> Callable[[int], StronglyConfidentialNode]:
-    seeds = SeedSequence(seed).child("sc-gossip")
-
-    def factory(pid: int) -> StronglyConfidentialNode:
-        return StronglyConfidentialNode(
-            pid,
-            n,
-            rng=seeds.rng(pid),
-            fanout_scale=fanout_scale,
-            deliver_callback=deliver_callback,
-        )
-
-    return factory
+    return partial(
+        StronglyConfidentialNode,
+        n=n,
+        seeds=SeedSequence(seed).child("sc-gossip"),
+        fanout_scale=fanout_scale,
+        deliver_callback=deliver_callback,
+    )

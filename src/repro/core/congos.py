@@ -22,6 +22,7 @@ discards the node and a restart rebuilds it knowing only the algorithm,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.core.confidential_gossip import (
@@ -258,7 +259,7 @@ class CongosNode(NodeBehavior):
                 channel=channel_gg,
                 scope=scope,
                 rng=self._seed_scope.rng(channel_gg),
-                deliver=self._group_item_handler(dline, partition),
+                deliver=partial(self._on_group_item, dline, partition),
                 service=ServiceTags.GROUP_GOSSIP,
                 fanout_scale=self.params.gossip_fanout_scale,
                 schedule=self.params.gossip_schedule,
@@ -275,7 +276,7 @@ class CongosNode(NodeBehavior):
                 params=self.params,
                 rng=self._seed_scope.rng(channel_px),
                 gossip=gg,
-                on_group_fragments=self._proxy_return_handler(dline, partition),
+                on_group_fragments=partial(self._on_proxy_return, dline, partition),
                 wakeup=self.wakeup,
                 telemetry=self.telemetry,
             )
@@ -330,30 +331,28 @@ class CongosNode(NodeBehavior):
     # Delivery routing between services
     # ------------------------------------------------------------------
 
-    def _group_item_handler(self, dline: int, partition: int):
-        def handler(round_no: int, item: GossipItem) -> None:
-            bundle = self.instances[dline]
-            payload = item.payload
-            if isinstance(payload, Fragment):
-                bundle.distributions[partition].add_waiting(round_no, payload)
-            elif isinstance(payload, ProxyShare):
-                bundle.proxies[partition].on_share(round_no, payload)
-            elif isinstance(payload, GDShare):
-                bundle.distributions[partition].on_share(round_no, payload)
-            else:
-                raise TypeError(
-                    "unexpected GroupGossip payload {!r}".format(type(payload))
-                )
+    def _on_group_item(
+        self, dline: int, partition: int, round_no: int, item: GossipItem
+    ) -> None:
+        bundle = self.instances[dline]
+        payload = item.payload
+        if isinstance(payload, Fragment):
+            bundle.distributions[partition].add_waiting(round_no, payload)
+        elif isinstance(payload, ProxyShare):
+            bundle.proxies[partition].on_share(round_no, payload)
+        elif isinstance(payload, GDShare):
+            bundle.distributions[partition].on_share(round_no, payload)
+        else:
+            raise TypeError(
+                "unexpected GroupGossip payload {!r}".format(type(payload))
+            )
 
-        return handler
-
-    def _proxy_return_handler(self, dline: int, partition: int):
-        def handler(round_no: int, fragments: List[Fragment]) -> None:
-            bundle = self.instances[dline]
-            for fragment in fragments:
-                bundle.distributions[partition].add_waiting(round_no, fragment)
-
-        return handler
+    def _on_proxy_return(
+        self, dline: int, partition: int, round_no: int, fragments: List[Fragment]
+    ) -> None:
+        bundle = self.instances[dline]
+        for fragment in fragments:
+            bundle.distributions[partition].add_waiting(round_no, fragment)
 
     def _on_gd_fragments(self, round_no: int, fragments: List[Fragment]) -> None:
         for fragment in fragments:
@@ -382,25 +381,20 @@ def congos_factory(
     all restarts), as the model requires.  ``telemetry`` (an
     :class:`repro.obs.instrument.Telemetry`) is shared too — it observes,
     it is not protocol state, so restarts keep emitting into the same
-    stream.
+    stream.  The factory is a ``partial`` of :class:`CongosNode`: data,
+    so an engine that keeps it for restarts still pickles.
     """
     resolved_params = params if params is not None else CongosParams()
-    resolved_partitions = (
-        partition_set
-        if partition_set is not None
-        else build_partition_set(n, resolved_params, seed)
+    return partial(
+        CongosNode,
+        n=n,
+        params=resolved_params,
+        partition_set=(
+            partition_set
+            if partition_set is not None
+            else build_partition_set(n, resolved_params, seed)
+        ),
+        seeds=SeedSequence(seed).child("congos"),
+        deliver_callback=deliver_callback,
+        telemetry=telemetry,
     )
-    seeds = SeedSequence(seed).child("congos")
-
-    def factory(pid: int) -> CongosNode:
-        return CongosNode(
-            pid=pid,
-            n=n,
-            params=resolved_params,
-            partition_set=resolved_partitions,
-            seeds=seeds,
-            deliver_callback=deliver_callback,
-            telemetry=telemetry,
-        )
-
-    return factory

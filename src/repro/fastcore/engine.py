@@ -63,7 +63,8 @@ from repro.fastcore.kernels import (
 
 __all__ = ["ArrayEngine", "FastConfidentialityAuditor"]
 
-# Item kinds on the gossip channels.
+# Item kinds on the gossip channels, compared with ``==``: a pickled
+# engine loads equal strings, not these objects.
 FRAG = "frag"          # one real item per (rumor, partition): the source's own-group fragment
 PXSHARE = "pxshare"    # per-block cohort: proxy buffers + requester census beacons
 GDCENSUS = "gdcensus"  # per-block cohort: GroupDistribution hitSet shares
@@ -173,11 +174,11 @@ def _state_facts(states) -> Facts:
 def _item_facts(item: "_Item") -> Tuple:
     """A gossip item's facts, as its object twin's ``facts_of`` reads them:
     census shares (GDCENSUS) reveal nothing."""
-    if item.kind is FRAG:
+    if item.kind == FRAG:
         return _state_facts([item.content])
-    if item.kind is PXSHARE:
+    if item.kind == PXSHARE:
         return _state_facts(item.content)
-    if item.kind is DSHARE:
+    if item.kind == DSHARE:
         return tuple((state.rid, None) for state, _hits in item.content[1])
     return ()
 
@@ -1077,7 +1078,7 @@ class ArrayEngine(RoundEngine):
         if not holding:
             return
         if item.kind in (FRAG, PXSHARE):
-            states = [item.content] if item.kind is FRAG else item.content
+            states = [item.content] if item.kind == FRAG else item.content
             for state in states:
                 allowed_in = bitset.popcount(state.allowed & channel.scope_mask)
                 allowed_holding = bitset.popcount(state.allowed & item.holders)
@@ -1095,9 +1096,9 @@ class ArrayEngine(RoundEngine):
         item_rows: List[int] = []
         allowed: List[np.ndarray] = []
         for i, item in enumerate(live):
-            if item.kind is FRAG:
+            if item.kind == FRAG:
                 states = (item.content,)
-            elif item.kind is PXSHARE:
+            elif item.kind == PXSHARE:
                 states = item.content
             else:
                 continue
@@ -1124,14 +1125,14 @@ class ArrayEngine(RoundEngine):
                 item.holders,
             )
         for item, fresh in self._spread_deliveries:
-            if item.kind is FRAG:
+            if item.kind == FRAG:
                 state = item.content
                 dline, partition, group = item.key
                 self._frag_arrival(
                     self.instances[dline], (partition, group), state, fresh
                 )
                 bitset.union_into(state.audit_holders((partition, group)), fresh)
-            elif item.kind is PXSHARE:
+            elif item.kind == PXSHARE:
                 _dline, partition, group = item.key
                 for state in item.content:
                     # Receivers' partial-rumor buffers; handed up at block
@@ -1139,7 +1140,7 @@ class ArrayEngine(RoundEngine):
                     bitset.union_into(
                         state.audit_holders((partition, group)), fresh
                     )
-            elif item.kind is DSHARE:
+            elif item.kind == DSHARE:
                 self._merge_dshare(item, fresh)
         self._new_frag_items = []
         self._spread_deliveries = []

@@ -1,12 +1,12 @@
-"""The array engine as a backend of ``run_congos_scenario``.
+"""The array engine's scope, as a backend of ``run_congos_scenario``.
 
 :func:`repro.harness.runner.assemble` builds the run's shared wiring —
 the real delivery auditor, workload, adversary, fail-fast monitor and
 observer list — and asks :func:`array_auditor` for the one piece that
 differs: the bitset confidentiality auditor, which audits the array
-engine's delivered stream directly.  :func:`run_array_scenario` then
-builds an :class:`~repro.fastcore.engine.ArrayEngine` from the setup and
-runs it.
+engine's delivered stream directly.  ``repro.harness.runner.engine_for``
+then builds an :class:`~repro.fastcore.engine.ArrayEngine` from the
+setup.
 
 Scenario features outside the array engine's scope raise
 :class:`UnsupportedScenario` eagerly, before anything is built, with a
@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.fastcore import require_numpy
 from repro.sim.engine import UnsupportedScenario
 
-__all__ = ["array_auditor", "run_array_scenario"]
+__all__ = ["array_auditor"]
 
 
 _UNSUPPORTED = "engine='array' does not support {}; use the object engine"
@@ -65,23 +65,3 @@ def array_auditor(scenario, partition_set, telemetry):
         num_partitions=partition_set.count,
         num_groups=partition_set.num_groups,
     )
-
-
-def run_array_scenario(setup):
-    """Run an assembled fault-free CONGOS scenario on the array engine."""
-    from repro.fastcore.engine import ArrayEngine
-
-    scenario = setup.scenario
-    engine = ArrayEngine(
-        n=scenario.n,
-        params=scenario.params,
-        partition_set=setup.partition_set,
-        seed=scenario.seed,
-        adversary=setup.adversary,
-        record_delivery=setup.delivery.record_delivery,
-        auditor=setup.confidentiality,
-        observers=setup.observers,
-    )
-    engine.run(scenario.rounds)
-    engine.finalize()
-    return setup.result(engine)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.gossip.epidemic import default_fanout
@@ -117,12 +117,6 @@ class ContinuousGossip(SubService):
         # Lower bound on the oldest ``born`` in _broadcast: the aging-out
         # scan runs only in rounds where it can find something.
         self._min_born: int = _NEVER
-        # id(item) -> arrival index, for every active item.  Needed only to
-        # put a woken item (see _wake) back between its neighbours; keyed
-        # by identity so that merge never hashes a uid.  _active pins the
-        # items, so an id cannot be reused while its entry lives.
-        self._arrival: Dict[int, int] = {}
-        self._arrivals = 0
         # resend_backoff only: round -> aged-out items to send again then.
         self._wake: Dict[int, List[GossipItem]] = {}
         # Uid sets whose every uid was, when checked, live in _active or
@@ -334,8 +328,6 @@ class ContinuousGossip(SubService):
         self._active[uid] = item
         self._broadcast[uid] = item
         self._standing = None
-        self._arrival[id(item)] = self._arrivals
-        self._arrivals += 1
         if item.born < self._min_born:
             self._min_born = item.born
         if item.expiry < self._min_expiry:
@@ -356,10 +348,11 @@ class ContinuousGossip(SubService):
         due = self._wake_due(round_no) if self._wake else ()
         if not due:
             return batch
-        arrival = self._arrival
+        # _active is in arrival order: an item enters it once and leaves
+        # only at expiry, which a woken item has not reached.
+        uids = batch.uids.union(item.uid for item in due)
         return ItemBatch(
-            sorted(chain(batch, due), key=lambda item: arrival[id(item)]),
-            batch.uids.union(item.uid for item in due),
+            [item for uid, item in self._active.items() if uid in uids], uids
         )
 
     def _age_out(self, round_no: int) -> None:
@@ -409,7 +402,7 @@ class ContinuousGossip(SubService):
         if dead:
             self._covered.clear()
         for uid in dead:
-            del self._arrival[id(active.pop(uid))]
+            del active[uid]
             if broadcast.pop(uid, None) is not None:
                 self._standing = None
         self._min_expiry = min(

@@ -11,6 +11,7 @@ with crash tolerance and an auditable transcript.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, Optional
 
 from repro.adversary.base import Adversary
@@ -40,6 +41,11 @@ class BroadcastResult:
     @property
     def ok(self) -> bool:
         return self.on_time and self.leak_free and not self.missed
+
+
+def _given(faults: Adversary, rng, partitions, n) -> Adversary:
+    """A fault factory that hands back the caller's own adversary."""
+    return faults
 
 
 def confidential_broadcast(
@@ -82,9 +88,7 @@ def confidential_broadcast(
             seed=seed,
             params=params if params is not None else CongosParams(),
             workload_factory=AdversarySpec("scripted", dict(script=script)),
-            fault_factory=(
-                None if faults is None else lambda rng, partitions, _n: faults
-            ),
+            fault_factory=None if faults is None else partial(_given, faults),
         )
     )
     delivery = result.delivery

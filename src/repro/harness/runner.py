@@ -11,8 +11,10 @@ examples and benches included:
 * the fail-fast monitor and the observer list.
 
 :func:`run_congos_scenario` assembles once and hands the
-:class:`RunSetup` to the backend the scenario names; a backend builds its
-engine from the setup, runs it and returns ``setup.result(engine)``.
+:class:`RunSetup` to the backend the scenario names: :func:`engine_for`
+builds the in-process engine (object or array) from the setup, and the
+sharded backend builds its own.  Either runs the rounds and returns
+``setup.result(engine)``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.chaos.targeted import TargetedFaultPlane, TargetedSpec, build_fault_p
 from repro.core.config import CongosParams
 from repro.core.congos import build_partition_set, congos_factory
 from repro.core.partitions import PartitionSet
-from repro.sim.engine import Engine, RoundEngine, SimObserver
+from repro.sim.engine import Engine, RoundEngine, SimObserver, UnsupportedScenario
 from repro.sim.metrics import MessageStats
 from repro.sim.rng import derive_rng
 
@@ -41,6 +43,7 @@ __all__ = [
     "RunSetup",
     "TargetedInjectionTap",
     "assemble",
+    "engine_for",
     "run_congos_scenario",
     "run_with_factory",
 ]
@@ -208,6 +211,9 @@ class RunSetup:
 
     def result(self, engine: RoundEngine) -> RunResult:
         """The audited outcome of ``engine``'s finished run."""
+        finalize = getattr(engine, "finalize", None)
+        if finalize is not None:
+            finalize()  # the array engine audits the rumors still live
         return RunResult(
             scenario=self.scenario,
             engine=engine,
@@ -307,25 +313,13 @@ def run_congos_scenario(
 ) -> RunResult:
     """Run CONGOS under the scenario's workload and faults, fully audited."""
     setup = assemble(scenario, partition_set, observers, telemetry)
-    if scenario.engine == "array":
-        from repro.fastcore.runner import run_array_scenario
-
-        return run_array_scenario(setup)
     if scenario.backend == "sharded":
         # Imported lazily: repro.net pulls in multiprocessing machinery
         # that default in-process runs never need.
         from repro.net.coordinator import run_sharded_scenario
 
         return run_sharded_scenario(setup)
-    factory = congos_factory(
-        scenario.n,
-        params=scenario.params,
-        seed=scenario.seed,
-        deliver_callback=setup.delivery.record_delivery,
-        partition_set=setup.partition_set,
-        telemetry=telemetry,
-    )
-    return _run_inproc(setup, factory)
+    return _run(setup, engine_for(setup))
 
 
 def run_with_factory(
@@ -343,14 +337,47 @@ def run_with_factory(
     confidentiality auditor's bookkeeping (fragment checks are vacuous for
     protocols that never fragment).
     """
-    return _run_inproc(
-        assemble(scenario, partition_set, observers, telemetry, delivery),
-        node_factory,
-    )
+    setup = assemble(scenario, partition_set, observers, telemetry, delivery)
+    return _run(setup, engine_for(setup, node_factory))
 
 
-def _run_inproc(setup: RunSetup, node_factory: Callable[[int], object]) -> RunResult:
+def engine_for(
+    setup: RunSetup, node_factory: Optional[Callable[[int], object]] = None
+) -> RoundEngine:
+    """The engine, not yet run, for an assembled in-process setup.
+
+    An array scenario gets the :class:`~repro.fastcore.engine.ArrayEngine`
+    (CONGOS only); any other gets the object :class:`Engine` over
+    ``node_factory`` (default: CONGOS reporting to ``setup.delivery``).
+    Everything the engine holds is data (telemetry sinks aside), so
+    ``(setup, engine)`` pickles between rounds and resumes to the same
+    result.
+    """
     scenario = setup.scenario
+    if scenario.engine == "array":
+        if node_factory is not None:
+            raise UnsupportedScenario("engine='array' runs CONGOS only")
+        from repro.fastcore.engine import ArrayEngine
+
+        return ArrayEngine(
+            n=scenario.n,
+            params=scenario.params,
+            partition_set=setup.partition_set,
+            seed=scenario.seed,
+            adversary=setup.adversary,
+            record_delivery=setup.delivery.record_delivery,
+            auditor=setup.confidentiality,
+            observers=setup.observers,
+        )
+    if node_factory is None:
+        node_factory = congos_factory(
+            scenario.n,
+            params=scenario.params,
+            seed=scenario.seed,
+            deliver_callback=setup.delivery.record_delivery,
+            partition_set=setup.partition_set,
+            telemetry=setup.telemetry,
+        )
     # The plane's schedule is keyed on the scenario seed alone, so "same
     # seed => same fault schedule" holds across builders and at any
     # --jobs setting.
@@ -365,7 +392,7 @@ def _run_inproc(setup: RunSetup, node_factory: Callable[[int], object]) -> RunRe
     if isinstance(fault_plane, TargetedFaultPlane):
         # The targeted policy's tracking state is fed by this tap.
         observers = [*observers, TargetedInjectionTap(fault_plane)]
-    engine = Engine(
+    return Engine(
         n=scenario.n,
         node_factory=node_factory,
         adversary=setup.adversary,
@@ -373,5 +400,8 @@ def _run_inproc(setup: RunSetup, node_factory: Callable[[int], object]) -> RunRe
         seed=scenario.seed,
         fault_plane=fault_plane,
     )
-    engine.run(scenario.rounds)
+
+
+def _run(setup: RunSetup, engine: RoundEngine) -> RunResult:
+    engine.run(setup.scenario.rounds)
     return setup.result(engine)

@@ -9,7 +9,7 @@ benches can reproduce Lemma 7 / Theorem 11 / Theorem 16 shapes.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -40,9 +40,7 @@ class MessageStats:
     def __init__(self) -> None:
         self._round_totals: Dict[int, int] = defaultdict(int)
         self._round_sizes: Dict[int, int] = defaultdict(int)
-        self._round_service: Dict[int, Dict[str, int]] = defaultdict(
-            lambda: defaultdict(int)
-        )
+        self._round_service: Dict[int, Dict[str, int]] = defaultdict(Counter)
         self._service_totals: Dict[str, int] = defaultdict(int)
         self._filtered: int = 0
         self.total: int = 0
