@@ -54,7 +54,8 @@ from repro.sim.rng import derive_seed
 
 from repro.fastcore import bitset
 from repro.fastcore.kernels import (
-    gd_hit_batch,
+    gd_score,
+    gd_union_pools,
     merge_shares,
     sample_rows,
     sample_targets_excluding_self,
@@ -810,6 +811,7 @@ class ArrayEngine(RoundEngine):
     def _gd_send(self, round_no: int, instance: _Instance) -> None:
         schedule = instance.schedule
         first_iteration = schedule.round_in_block(round_no) < schedule.iteration_len
+        lowering = self._lowering()
         for key in sorted(instance.gd_blocks):
             block = instance.gd_blocks[key]
             live = [
@@ -836,46 +838,90 @@ class ArrayEngine(RoundEngine):
             pools = np.stack([state.dest_mask for state in states])
             if not first_iteration:
                 pools &= ~np.stack([block.hits[state] for state in states])
-            pool_bits = bitset.to_flags(pools)
-            # Equivalence classes by which rumors each sender holds: all
-            # senders in a class share the same target pool (minus self).
-            # A sender's signature is its column of ``holds`` packed to
-            # bytes, most significant first, so the lexicographic row sort
-            # visits classes in the numeric order of the bit pattern —
-            # whatever the number of live rumors.
-            holds = bitset.test_bits(partials, senders)
-            signature = np.packbits(holds, axis=0, bitorder="little")[::-1].T
-            _classes, first, class_of = np.unique(
-                signature, axis=0, return_index=True, return_inverse=True
-            )
-            class_of = class_of.reshape(-1)  # (senders, 1) on numpy 2.0.0
-            for c, representative in enumerate(first):
-                class_senders = senders[class_of == c]
-                in_class = np.flatnonzero(holds[:, representative])
-                class_pools = pools[in_class]
-                union_pool = np.bitwise_or.reduce(class_pools, axis=0)
-                union_idx = bitset.to_indices(union_pool, self.n)
+            holding, members = self._gd_classes(partials, senders)
+            # Every class's union pool, as flags and as sorted pids.
+            in_union = bitset.to_flags(gd_union_pools(pools, holding))
+            in_union = in_union[:, : self.n].view(np.bool_)
+            union_class, union_pids = np.nonzero(in_union)
+            union_ends = np.cumsum(np.bincount(union_class, minlength=len(members)))
+            # The class loop only draws; the key's draws are scored below,
+            # all classes at once.
+            counts = np.zeros(len(members), dtype=np.int64)
+            sizes = np.zeros(len(members), dtype=np.int64)
+            flats: List[np.ndarray] = []
+            for c, (class_senders, union_idx) in enumerate(
+                zip(members, np.split(union_pids, union_ends[:-1]))
+            ):
                 if not len(union_idx):
                     continue
-                self._gd_send_class(
-                    key, block, class_senders, union_idx, union_pool,
-                    [states[j] for j in in_class], class_pools,
-                    pool_bits[in_class], fanout, instance.dline,
+                drawn, counts[c] = self._gd_draw(
+                    class_senders, union_idx, in_union[c], fanout
                 )
+                for _rows, targets in drawn:
+                    flats.append(targets.ravel())
+                    sizes[c] += targets.size
+                if lowering and drawn:
+                    in_class = np.flatnonzero(holding[c])
+                    self._gd_lower(
+                        instance.dline, key, [states[j] for j in in_class],
+                        pools[in_class], drawn,
+                    )
+            if not flats:
+                continue
+            appropriate, hits, order = gd_score(
+                pools, holding, np.concatenate(flats), sizes
+            )
+            for j in order.tolist():
+                state, new_mask = states[j], hits[j]
+                bitset.union_into(block.hits[state], new_mask)
+                got = state.got.setdefault(key, bitset.empty(self.n))
+                bitset.union_into(got, new_mask)
+                bitset.union_into(state.audit_holders(key), new_mask)
+                self._reassembly_dirty.append((state, key[0]))
+            self._tally(
+                ServiceTags.GROUP_DISTRIBUTION, int(counts.sum()),
+                int(np.maximum(counts, appropriate).sum()),
+            )
 
-    def _gd_send_class(
-        self, key, block, class_senders, union_idx, union_pool,
-        class_states, class_pools, class_pool_bits, fanout, dline,
-    ) -> None:
+    @staticmethod
+    def _gd_classes(partials: np.ndarray, senders: np.ndarray):
+        """Sender classes by the set of live rumors each sender holds: all
+        senders in a class share the same target pool (minus self).
+
+        Returns ``(holding, members)``: the ``(classes, rumors)`` bool
+        matrix of what each class holds and each class's senders, in
+        ascending pid order.  A sender's signature is its column of the
+        ``(rumors, senders)`` holding matrix packed to bytes, most
+        significant first, so the lexicographic row sort visits classes in
+        the numeric order of the bit pattern — whatever the number of live
+        rumors.
+        """
+        holds = bitset.test_bits(partials, senders)
+        signature = np.packbits(holds, axis=0, bitorder="little")[::-1].T
+        _classes, first, class_of = np.unique(
+            signature, axis=0, return_index=True, return_inverse=True
+        )
+        class_of = class_of.reshape(-1)  # (senders, 1) on numpy 2.0.0
+        by_class = senders[np.argsort(class_of, kind="stable")]
+        bounds = np.cumsum(np.bincount(class_of, minlength=len(first)))[:-1]
+        return holds[:, first].T, np.split(by_class, bounds)
+
+    def _gd_draw(self, class_senders, union_idx, in_union, fanout):
+        """One sender class's GD draws from its union pool (``union_idx``,
+        sorted; ``in_union`` its flags over the pids): senders inside the
+        pool draw it minus themselves, senders outside draw it whole.
+
+        Returns ``([(rows, (rows, k) target matrix), ...], count)`` with
+        ``count`` the messages sent (a broadcast row's self-draw is not
+        one).
+        """
         pool_size = len(union_idx)
-        inside = bitset.test_bits(union_pool, class_senders)
-        pos_lookup = np.full(self.n, -1, dtype=np.int64)
-        pos_lookup[union_idx] = np.arange(pool_size, dtype=np.int64)
-        # (senders, (senders, k) matrix of target pids) per sampling mode
-        target_blocks: List[Tuple[np.ndarray, np.ndarray]] = []
+        inside = in_union[class_senders]
+        drawn: List[Tuple[np.ndarray, np.ndarray]] = []
         count = 0
-        for rows_mask, excl_self in ((inside, True), (~inside, False)):
-            rows = class_senders[rows_mask]
+        for rows, excl_self in (
+            (class_senders[inside], True), (class_senders[~inside], False)
+        ):
             if not len(rows):
                 continue
             k = min(fanout, pool_size - 1 if excl_self else pool_size)
@@ -889,39 +935,28 @@ class ArrayEngine(RoundEngine):
                     targets = np.broadcast_to(union_idx, (len(rows), pool_size))
                 else:
                     targets = sample_targets_excluding_self(
-                        self._rng_gd, union_idx, pos_lookup[rows], k
+                        self._rng_gd, union_idx, np.searchsorted(union_idx, rows), k
                     )
             else:
                 targets = sample_rows(self._rng_gd, union_idx, len(rows), k)
-            target_blocks.append((rows, targets))
-        if not count:
-            return
-        flat = np.concatenate([t.ravel() for _rows, t in target_blocks])
-        appropriate, hits = gd_hit_batch(class_pools, class_pool_bits, flat)
-        for j in np.flatnonzero(hits.any(axis=1)):
-            state, new_mask = class_states[j], hits[j]
-            bitset.union_into(block.hits[state], new_mask)
-            got = state.got.setdefault(key, bitset.empty(self.n))
-            bitset.union_into(got, new_mask)
-            bitset.union_into(state.audit_holders(key), new_mask)
-            self._reassembly_dirty.append((state, key[0]))
-        self._tally(
-            ServiceTags.GROUP_DISTRIBUTION, count, max(count, int(appropriate.sum()))
+            drawn.append((rows, targets))
+        return drawn, count
+
+    def _gd_lower(self, dline, key, class_states, class_pools, drawn):
+        """One FragmentDelivery per (sender, target) of a class, carrying
+        the rumors whose pool holds the target; self-draws are not sent."""
+        flat = np.concatenate([t.ravel() for _rows, t in drawn])
+        srcs = np.concatenate([np.repeat(rows, t.shape[1]) for rows, t in drawn])
+        sent = srcs != flat
+        dsts = flat[sent]
+        facts = _facts_by_column(
+            [_state_facts([state]) for state in class_states],
+            bitset.to_flags(class_pools)[:, dsts],
         )
-        if self._lowering():
-            # One FragmentDelivery per (sender, target), carrying the
-            # rumors whose pool holds the target; self-draws are not sent.
-            srcs = np.concatenate([np.repeat(r, t.shape[1]) for r, t in target_blocks])
-            sent = srcs != flat
-            dsts = flat[sent]
-            facts = _facts_by_column(
-                [_state_facts([state]) for state in class_states],
-                class_pool_bits[:, dsts],
-            )
-            self._lower(
-                ServiceTags.GROUP_DISTRIBUTION, "gd/{}/{}".format(dline, key[0]),
-                srcs[sent], dsts[:, None], facts, [max(1, len(f)) for f in facts],
-            )
+        self._lower(
+            ServiceTags.GROUP_DISTRIBUTION, "gd/{}/{}".format(dline, key[0]),
+            srcs[sent], dsts[:, None], facts, [max(1, len(f)) for f in facts],
+        )
 
     def _gd_census(self, round_no: int, instance: _Instance) -> None:
         for key in sorted(instance.gd_blocks):

@@ -1,4 +1,4 @@
-"""Array kernels: batched XOR splitting, fanout sampling and GD hits.
+"""Array kernels: batched XOR splitting, fanout sampling and GD scoring.
 
 These are the inner loops of the array engine, factored out so the
 ``repro.perf`` microbench registry can pin their cost:
@@ -10,9 +10,13 @@ These are the inner loops of the array engine, factored out so the
   argpartition over a random matrix (small pools), with a
   with-replacement fast path for large pools where collisions are
   negligible and only the *count* of sends is observable;
-* :func:`gd_hit_batch` — one sender class's GroupDistribution draws
-  scored against every rumor's target pool at once (a target histogram
-  and a target mask; no sort, no per-rumor ``isin``).
+* :func:`gd_union_pools` — every GroupDistribution sender class's union
+  target pool at once;
+* :func:`gd_score` — one ``(partition, group)`` key's GroupDistribution
+  draws, from every sender class, scored against every rumor's target
+  pool at once: bitsets packed on the rumor axis and ``reduceat`` over
+  runs — no sort of the draws, no per-class or per-rumor Python, no
+  ``isin`` and no float matmul.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ __all__ = [
     "merge_shares",
     "sample_rows",
     "sample_targets_excluding_self",
-    "gd_hit_batch",
+    "gd_union_pools",
+    "gd_score",
 ]
 
 # Pools at or below this size get exact distinct-per-row sampling (the
@@ -105,17 +110,75 @@ def sample_targets_excluding_self(
     return scope[draws]
 
 
-def gd_hit_batch(pools: np.ndarray, pool_bits: np.ndarray, flat: np.ndarray):
-    """Score one batch of GroupDistribution draws against ``R`` rumor pools.
+def gd_union_pools(pools: np.ndarray, holding: np.ndarray) -> np.ndarray:
+    """Each sender class's union pool, the OR of the ``(R, words)`` pools
+    of the rumors its row of the ``(C, R)`` ``holding`` matrix holds: one
+    ``reduceat`` over the class-major holding pairs, ``(C, words)``."""
+    class_of, rumor_of = np.nonzero(holding)
+    unions = np.zeros((len(holding), pools.shape[1]), dtype=pools.dtype)
+    held, starts = _run_starts(np.bincount(class_of, minlength=len(holding)))
+    if len(held):
+        unions[held] = np.bitwise_or.reduceat(pools[rumor_of], starts, axis=0)
+    return unions
+
+
+def gd_score(
+    pools: np.ndarray, holding: np.ndarray, flat: np.ndarray, sizes: np.ndarray
+):
+    """Score one key's GroupDistribution draws against its ``R`` rumor pools.
 
     ``pools`` is the ``(R, words)`` stack of the rumors' target-pool
-    bitsets and ``pool_bits`` the same sets unpacked to ``(R, 64 * words)``
-    0/1 bytes; ``flat`` holds the drawn target pids (repeats allowed, any
-    order).  Returns ``(appropriate, hits)``: ``appropriate[r]`` counts the
-    draws that landed in pool ``r`` (with multiplicity — each is a
-    fragment-bearing message) and ``hits[r]`` is the bitset of distinct
-    pids of pool ``r`` that were drawn.
+    bitsets and ``holding`` the ``(C, R)`` bool matrix of the rumors each
+    sender class holds; ``flat`` holds the drawn target pids class by
+    class, in class order, ``sizes[c]`` of them for class ``c`` (repeats
+    allowed).  Returns ``(appropriate, hits, order)``: ``appropriate[c]``
+    counts class ``c``'s draws that landed in the pool of a rumor it
+    holds, once per such rumor (each is a fragment-bearing message);
+    ``hits[r]`` is the bitset of distinct pids of pool ``r`` drawn by a
+    class holding ``r``; ``order`` lists the rumors with a hit by the first
+    class whose draws hit them, then by index — the order a class-by-class
+    pass would first touch them in.
     """
-    universe = pool_bits.shape[1]
-    histogram = np.bincount(flat, minlength=universe)
-    return pool_bits @ histogram, pools & bitset.from_indices(flat, universe)
+    classes, rumors = holding.shape
+    universe = 64 * pools.shape[1]
+    # Both sides packed on the rumor axis: one AND + popcount per draw,
+    # summed over each class's run of draws (no per-draw wide integers).
+    held = np.packbits(holding, axis=1, bitorder="little")
+    pooled = np.ascontiguousarray(
+        np.packbits(bitset.to_flags(pools), axis=0, bitorder="little").T
+    )
+    landed = np.bitwise_count(np.repeat(held, sizes, axis=0) & pooled[flat])
+    appropriate = np.zeros(classes, dtype=np.int64)
+    drew, starts = _run_starts(sizes)
+    if len(drew):
+        appropriate[drew] = np.add.reduceat(
+            landed, starts, axis=0, dtype=np.int64
+        ).sum(axis=1)
+    # Each class's drawn pids as one bitset: a bool scatter + packbits.
+    flags = np.zeros(classes * universe, dtype=np.bool_)
+    cells = np.repeat(np.arange(classes) * universe, sizes)
+    cells += flat
+    flags[cells] = True
+    drawn = np.packbits(
+        flags.reshape(classes, universe), axis=1, bitorder="little"
+    ).view(np.uint64)
+    # Rumor-major (rumor, class) holding pairs, OR-folded per rumor.
+    rumor_of, class_of = np.nonzero(holding.T)
+    pair_hits = pools[rumor_of] & drawn[class_of]
+    hit_class = np.where(pair_hits.any(axis=1), class_of, classes)
+    hits = np.zeros_like(pools)
+    first = np.full(rumors, classes)
+    held_by, starts = _run_starts(np.bincount(rumor_of, minlength=rumors))
+    if len(held_by):
+        hits[held_by] = np.bitwise_or.reduceat(pair_hits, starts, axis=0)
+        first[held_by] = np.minimum.reduceat(hit_class, starts)
+    order = np.flatnonzero(first < classes)
+    order = order[np.argsort(first[order], kind="stable")]
+    return appropriate, hits, order
+
+
+def _run_starts(lengths: np.ndarray):
+    """For back-to-back runs of ``lengths[i]`` items: the indices of the
+    non-empty runs and where each starts (``reduceat`` offsets)."""
+    nonempty = np.flatnonzero(lengths)
+    return nonempty, (np.cumsum(lengths) - lengths)[nonempty]

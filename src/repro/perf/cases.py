@@ -638,7 +638,7 @@ _BITSET_ROUNDS = 64
 _SPLIT_ROUNDS = 32
 _FANOUT_ROUNDS = 32
 _SCATTER_ROUNDS = 64
-_GD_HIT_ROUNDS = 32
+_GD_SCORE_ROUNDS = 32
 
 
 def _setup_fastcore_bitset_membership() -> Operation:
@@ -722,26 +722,36 @@ def _setup_fastcore_scatter_mask() -> Operation:
     return op
 
 
-def _setup_fastcore_gd_hit_batch() -> Operation:
+def _setup_fastcore_gd_score() -> Operation:
     import numpy as np
 
     from repro.fastcore import bitset
-    from repro.fastcore.kernels import gd_hit_batch
+    from repro.fastcore.kernels import gd_score
 
-    n, rumors = 256, 96
+    # A crowded key under load, where sender classes approach senders:
+    # 96 rumors, 88 classes of 2 senders each holding about half of them,
+    # every sender drawing fanout 8 from its class's union pool.
+    n, rumors, classes = 256, 96, 88
     rng = np.random.default_rng(19)
     pools = np.stack(
         [bitset.from_indices(rng.choice(n, size=32, replace=False), n)
          for _ in range(rumors)]
     )
-    pool_bits = bitset.to_flags(pools)
-    flat = rng.integers(0, n, size=16 * 8)  # 16 class senders x fanout 8
+    holding = rng.random((classes, rumors)) < 0.5
+    flat = np.concatenate([
+        rng.choice(
+            bitset.to_indices(np.bitwise_or.reduce(pools[held], axis=0), n),
+            size=2 * 8,
+        )
+        for held in holding
+    ])
+    sizes = np.full(classes, 2 * 8)
 
     def op() -> object:
         total = 0
-        for _ in range(_GD_HIT_ROUNDS):
-            appropriate, hits = gd_hit_batch(pools, pool_bits, flat)
-            total += int(appropriate.sum()) + bitset.popcount(hits)
+        for _ in range(_GD_SCORE_ROUNDS):
+            appropriate, hits, order = gd_score(pools, holding, flat, sizes)
+            total += int(appropriate.sum()) + bitset.popcount(hits) + len(order)
         return total
 
     return op
@@ -831,11 +841,11 @@ def _register_fastcore_cases() -> None:
     )
     register_case(
         PerfCase(
-            key="fastcore_gd_hit_batch",
-            title="fastcore GD hit batch (96 rumors x 128 draws, n=256 x "
-            "{} classes)".format(_GD_HIT_ROUNDS),
-            setup=_setup_fastcore_gd_hit_batch,
-            ops=_GD_HIT_ROUNDS,
+            key="fastcore_gd_score",
+            title="fastcore GD key scoring (96 rumors x 88 classes x 16 draws, "
+            "n=256 x {} keys)".format(_GD_SCORE_ROUNDS),
+            setup=_setup_fastcore_gd_score,
+            ops=_GD_SCORE_ROUNDS,
             tags=("fastcore", "micro"),
         )
     )

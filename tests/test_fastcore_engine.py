@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-pytest.importorskip("numpy", minversion="2.0")
+np = pytest.importorskip("numpy", minversion="2.0")
 
 from repro.core.config import CongosParams
 from repro.exec.tasks import RunSpec
@@ -68,9 +68,10 @@ class TestArrayRun:
 
 
 class TestGdSenderClasses:
-    """GroupDistribution sends by sender class — the set of rumors a sender
-    holds.  The class signature was one int64, so a block with more than
-    63 live rumors gave rumors #64+ to exactly the holders of rumor #63."""
+    """GroupDistribution draws by sender class — the set of rumors a sender
+    holds — and scores each (class, rumor) pair a class holds.  The class
+    signature was one int64, so a block with more than 63 live rumors gave
+    rumors #64+ to exactly the holders of rumor #63."""
 
     def _crowded(self):
         # 9 injections per round across a whole 16-round block: ~100 rumors
@@ -83,29 +84,33 @@ class TestGdSenderClasses:
         )
 
     def test_a_class_sends_exactly_the_rumors_its_senders_hold(self, monkeypatch):
-        original = ArrayEngine._gd_send_class
+        from repro.fastcore import engine as engine_module
+
+        classes_of, score = ArrayEngine._gd_classes, engine_module.gd_score
+        made = []
         most_live = [0]
 
-        def checked(engine, key, block, class_senders, union_idx, union_pool,
-                    class_states, *rest):
-            live = [
-                (state, partials) for state, partials in block.rumors
-                if engine.round <= state.expiry
-            ]
-            most_live[0] = max(most_live[0], len(live))
-            sent = set(map(id, class_states))
-            for state, partials in live:
-                holding = bitset.test_bits(partials, class_senders)
-                # block.hits[state] only grows from classes that send it.
-                assert holding.all() if id(state) in sent else not holding.any()
-            return original(
-                engine, key, block, class_senders, union_idx, union_pool,
-                class_states, *rest
-            )
+        def classes(partials, senders):
+            holding, members = classes_of(partials, senders)
+            most_live[0] = max(most_live[0], len(partials))
+            assert np.array_equal(np.sort(np.concatenate(members)), senders)
+            for held, class_senders in zip(holding, members):
+                holds = bitset.test_bits(partials, class_senders)
+                # Every sender of a class holds each rumor the class is
+                # scored for, and no sender holds any other.
+                assert holds[held].all() and not holds[~held].any()
+            made.append(holding)
+            return holding, members
 
-        monkeypatch.setattr(ArrayEngine, "_gd_send_class", checked)
+        def scored(pools, holding, flat, sizes):
+            # The (class, rumor) pairs scored are the ones checked above.
+            assert holding is made[-1]
+            return score(pools, holding, flat, sizes)
+
+        monkeypatch.setattr(ArrayEngine, "_gd_classes", staticmethod(classes))
+        monkeypatch.setattr(engine_module, "gd_score", scored)
         result = run_congos_scenario(_array(self._crowded()))
-        assert most_live[0] >= 70
+        assert made and most_live[0] >= 70
         assert result.qod.satisfied and result.confidentiality.is_clean()
 
     def test_crowded_block_delivers_the_object_engines_pairs(self):

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from repro.fastcore import bitset
 from repro.fastcore.kernels import (
     _EXACT_POOL_LIMIT,
-    gd_hit_batch,
+    gd_score,
     merge_shares,
     sample_rows,
     sample_targets_excluding_self,
@@ -181,30 +181,50 @@ class TestSampling:
 
 
 @st.composite
-def _gd_batch(draw):
+def _gd_key(draw):
     n = draw(st.integers(min_value=2, max_value=200))
     pid = st.integers(min_value=0, max_value=n - 1)
     pools = draw(st.lists(st.lists(pid, max_size=40), min_size=1, max_size=12))
-    flat = draw(st.lists(pid, max_size=120))
-    return n, pools, flat
+    classes = draw(st.integers(min_value=1, max_value=5))
+    holding = draw(st.lists(
+        st.lists(st.booleans(), min_size=len(pools), max_size=len(pools)),
+        min_size=classes, max_size=classes,
+    ))
+    draws = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=classes - 1), pid),
+        max_size=120,
+    ))
+    return n, pools, holding, draws
 
 
-class TestGdHitBatch:
-    @given(_gd_batch())
+class TestGdScore:
+    @given(_gd_key())
     def test_matches_the_per_rumor_isin_unique_formulation(self, case):
-        n, pools, flat = case
-        flat = np.asarray(flat, dtype=np.int64)
+        n, pools, holding, draws = case
+        holding = np.asarray(holding, dtype=np.bool_)
+        # Class by class, in class order, as the engine hands them over.
+        draws = sorted(draws, key=lambda draw: draw[0])
+        cid = np.asarray([c for c, _ in draws], dtype=np.int64)
+        flat = np.asarray([t for _, t in draws], dtype=np.int64)
+        sizes = np.bincount(cid, minlength=len(holding))
         stacked = np.stack([bitset.from_indices(pool, n) for pool in pools])
-        appropriate, hits = gd_hit_batch(stacked, bitset.to_flags(stacked), flat)
-        assert appropriate.shape == (len(pools),)
-        for r, pool in enumerate(pools):
-            # The reference the engine used before the batch kernel: one
-            # isin + unique per rumor over the class's draws.
-            in_pool = np.isin(flat, np.asarray(sorted(set(pool)), dtype=np.int64))
-            assert int(appropriate[r]) == int(in_pool.sum())
-            assert np.array_equal(
-                bitset.to_indices(hits[r], n), np.unique(flat[in_pool])
-            )
+        appropriate, hits, order = gd_score(stacked, holding, flat, sizes)
+        assert appropriate.shape == (len(holding),)
+        # The reference the engine used before the batch kernels: one isin
+        # + unique per (class, rumor) over the class's draws.
+        expected_hits = [set() for _ in pools]
+        for c, held in enumerate(holding):
+            class_flat = flat[cid == c]
+            landed = 0
+            for r in np.flatnonzero(held):
+                pool = np.asarray(sorted(set(pools[r])), dtype=np.int64)
+                in_pool = np.isin(class_flat, pool)
+                landed += int(in_pool.sum())
+                expected_hits[r].update(np.unique(class_flat[in_pool]).tolist())
+            assert int(appropriate[c]) == landed
+        for r, expected in enumerate(expected_hits):
+            assert bitset.to_indices(hits[r], n).tolist() == sorted(expected)
+        assert sorted(order.tolist()) == [r for r, e in enumerate(expected_hits) if e]
 
 
 class TestPerfRegistry:
@@ -217,7 +237,7 @@ class TestPerfRegistry:
             "fastcore_fragment_xor",
             "fastcore_fanout_sampling",
             "fastcore_scatter_mask",
-            "fastcore_gd_hit_batch",
+            "fastcore_gd_score",
         ):
             assert key in keys
             case = get_case(key)

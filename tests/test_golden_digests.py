@@ -168,6 +168,9 @@ def test_e15_soak_payload_digest():
 # dense-mask set algebra; the open cell (more than 63 rumors per
 # GroupDistribution block) was re-pinned with the sender-class signature
 # fix, which changed who sends what in such blocks — af2218e8... before it.
+# The crowded cell (8 rumors every round at n=128, so GroupDistribution
+# sender classes approach one per sender) was pinned at commit 040df1c,
+# before GroupDistribution scored a key's draws in one pass.
 
 
 def test_array_steady_digest():
@@ -204,4 +207,23 @@ def test_array_open_digest():
     assert (
         run_digest(spec)
         == "8794d98b5a6cfa7dd91c3e123fe7fcd1d74ef3ce7417d1a95f98209dcf997fa0"
+    )
+
+
+def test_array_crowded_gd_digest():
+    pytest.importorskip("numpy", minversion="2.0")
+    spec = RunSpec.make(
+        "steady",
+        seed=0,
+        n=128,
+        rounds=192,
+        deadline=64,
+        rate=8,
+        period=1,
+        params=CongosParams.preset("lean"),
+        engine="array",
+    )
+    assert (
+        run_digest(spec)
+        == "d162a59deeed27efd393cd64e80d1525b58da98d29b0a0a927e9a49bb75bbdb8"
     )
