@@ -166,14 +166,6 @@ class CongosParams:
         total = self.fanout_scale * (n ** exponent) * max(1.0, math.log2(max(2, n)))
         return max(self.min_fanout, math.ceil(total / collab))
 
-    def proxy_uptime(self, dline: int) -> int:
-        """Continuous uptime the Proxy service requires (a block)."""
-        return dline // 4
-
-    def gd_uptime(self, dline: int) -> int:
-        """Continuous uptime GroupDistribution requires (2*dline/3)."""
-        return (2 * dline) // 3
-
     def injection_budget(self, n: int) -> int:
         """Sustainable per-round injection budget for open workloads.
 

@@ -67,9 +67,10 @@ def build_partition_set(
 
 @dataclass
 class InstanceBundle:
-    """Per-deadline-class services, indexed by partition."""
+    """Per-deadline-class services, indexed by partition, and the one
+    schedule they all read."""
 
-    dline: int
+    schedule: BlockSchedule
     gossip: List[ContinuousGossip]
     proxies: List[ProxyService]
     distributions: List[GroupDistributionService]
@@ -177,7 +178,6 @@ class CongosNode(NodeBehavior):
             return
         self.coordinator.register(round_no, rumor, dline)
         bundle = self._instance(dline, round_no)
-        schedule = BlockSchedule(dline)
         expiry = round_no + rumor.deadline
         fragment_count = 0
         for partition in range(self.partition_set.count):
@@ -194,7 +194,7 @@ class CongosNode(NodeBehavior):
             bundle.gossip[partition].inject(
                 round_no,
                 own,
-                deadline=schedule.gossip_deadline,
+                deadline=bundle.schedule.gossip_deadline,
                 dest=range(self.n),
                 uid=own.uid,
             )
@@ -244,6 +244,7 @@ class CongosNode(NodeBehavior):
         bundle = self.instances.get(dline)
         if bundle is not None:
             return bundle
+        schedule = BlockSchedule(dline)
         gossip: List[ContinuousGossip] = []
         proxies: List[ProxyService] = []
         distributions: List[GroupDistributionService] = []
@@ -270,7 +271,7 @@ class CongosNode(NodeBehavior):
                 pid=self.pid,
                 n=self.n,
                 channel=channel_px,
-                dline=dline,
+                schedule=schedule,
                 partition=partition,
                 partition_set=self.partition_set,
                 params=self.params,
@@ -284,7 +285,7 @@ class CongosNode(NodeBehavior):
                 pid=self.pid,
                 n=self.n,
                 channel=channel_gd,
-                dline=dline,
+                schedule=schedule,
                 partition=partition,
                 partition_set=self.partition_set,
                 params=self.params,
@@ -304,7 +305,7 @@ class CongosNode(NodeBehavior):
             proxies.append(px)
             distributions.append(gd)
         bundle = InstanceBundle(
-            dline=dline,
+            schedule=schedule,
             gossip=gossip,
             proxies=proxies,
             distributions=distributions,

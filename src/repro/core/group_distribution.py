@@ -27,22 +27,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
+from repro.core.block_service import ACTIVE, WAITING, BlockService
 from repro.core.config import CongosParams
 from repro.core.partitions import PartitionSet
 from repro.core.splitting import Fragment
 from repro.gossip.continuous import ContinuousGossip
 from repro.gossip.rumor import RumorId
-from repro.gossip.service import SubService
-from repro.obs.instrument import NULL_TELEMETRY
-from repro.sim.clock import BlockSchedule
+from repro.sim.clock import GD_SEND, HAND_UP, BlockSchedule
 from repro.sim.messages import KnowledgeAtom, Message, ServiceTags
 
 __all__ = ["FragmentDelivery", "GDShare", "DistributionShare", "GroupDistributionService"]
-
-WAITING = "waiting"
-ACTIVE = "active"
 
 HitEntry = Tuple[int, RumorId]  # (destination pid, rumor id)
 
@@ -87,7 +83,7 @@ class DistributionShare:
     # No reveals(): sanitized by construction.
 
 
-class GroupDistributionService(SubService):
+class GroupDistributionService(BlockService):
     """GroupDistribution[l] at one process, for one deadline class."""
 
     def __init__(
@@ -95,7 +91,7 @@ class GroupDistributionService(SubService):
         pid: int,
         n: int,
         channel: str,
-        dline: int,
+        schedule: BlockSchedule,
         partition: int,
         partition_set: PartitionSet,
         params: CongosParams,
@@ -106,21 +102,14 @@ class GroupDistributionService(SubService):
         wakeup: int,
         telemetry=None,
     ):
-        super().__init__(pid, n, ServiceTags.GROUP_DISTRIBUTION, channel)
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.dline = dline
-        self.partition = partition
-        self.partition_set = partition_set
-        self.params = params
-        self.rng = rng
-        self.gossip = gossip
+        super().__init__(
+            pid, n, ServiceTags.GROUP_DISTRIBUTION, channel, schedule.gd,
+            schedule, partition, partition_set, params, rng, gossip, wakeup,
+            telemetry,
+        )
         self.all_gossip = all_gossip
         self.on_fragments = on_fragments
-        self.wakeup = wakeup
-        self.schedule = BlockSchedule(dline)
-        self.my_group = partition_set.group_of(partition, pid)
 
-        self.status = WAITING
         self.waiting: Dict[Tuple, Fragment] = {}
         self.partials: Dict[Tuple, Fragment] = {}
         self.hit_set: Set[HitEntry] = set()
@@ -130,12 +119,9 @@ class GroupDistributionService(SubService):
         # paper's optimistic first-send rule.
         self._send_counts: Dict[HitEntry, int] = {}
         self._redundancy = params.degradation.gd_redundancy
-        self.collaborators: Set[int] = {pid}
-        self._collaborators_next: Set[int] = set()
 
         # Run statistics.
         self.fragments_sent = 0
-        self.blocks_active = 0
         self.shares_published = 0
 
     # ------------------------------------------------------------------
@@ -157,33 +143,14 @@ class GroupDistributionService(SubService):
         self._collaborators_next.add(share.sender)
         self.hit_set.update(share.hits)
 
-    def catch_up(self, round_no: int) -> None:
-        """Initialise block state for a service instantiated mid-block.
-
-        See :meth:`repro.core.proxy.ProxyService.catch_up`: the process
-        has been alive since ``wakeup``; a lazily created service adopts
-        the state it would have had at this block's activation round.
-        """
-        activation = self.schedule.block_start(self.schedule.block_of(round_no)) + 1
-        if round_no > activation and self.status == WAITING:
-            self._begin_block(activation)
-
     # ------------------------------------------------------------------
     # Engine phases
     # ------------------------------------------------------------------
 
-    def send_phase(self, round_no: int) -> List[Message]:
-        if self.schedule.round_in_block(round_no) == 1:
-            self._begin_block(round_no)
-        messages: List[Message] = []
-        position = self.schedule.round_in_iteration(round_no)
-        if position == 0:
-            self._begin_iteration()
-        elif position == 1 and self.status == ACTIVE:
-            messages.extend(self._send_fragments(round_no))
-        elif position == 2 and self.status == ACTIVE:
-            self._inject_share(round_no)
-        return messages
+    def _send(self, round_no: int, stages: int) -> List[Message]:
+        if stages & GD_SEND and self.status == ACTIVE:
+            return self._send_fragments(round_no)
+        return []
 
     def on_message(self, round_no: int, message: Message) -> None:
         payload = message.payload
@@ -198,7 +165,7 @@ class GroupDistributionService(SubService):
             self.on_fragments(round_no, fragments)
 
     def end_round(self, round_no: int) -> None:
-        if self.schedule.is_block_last_round(round_no):
+        if self.schedule.stages(round_no) & HAND_UP:
             self._publish_distribution(round_no)
 
     # ------------------------------------------------------------------
@@ -206,14 +173,9 @@ class GroupDistributionService(SubService):
     # ------------------------------------------------------------------
 
     def _begin_block(self, round_no: int) -> None:
-        uptime = round_no - self.wakeup
-        if uptime < self.params.gd_uptime(self.dline):
-            self.status = WAITING
-            return
         # Active regardless of having fragments — GD's census counts every
         # uptime-qualified group member (Section 4.5).
         self.status = ACTIVE
-        self.blocks_active += 1
         self.partials = {
             uid: fragment
             for uid, fragment in self.waiting.items()
@@ -222,10 +184,6 @@ class GroupDistributionService(SubService):
         self.waiting = {}
         self.hit_set = set()
         self._send_counts = {}
-        self.collaborators = set(
-            self.partition_set.members(self.partition, self.my_group)
-        )
-        self._collaborators_next = set()
         # Local destinations: if this process is itself a destination of a
         # fragment it holds, deliver immediately and record the hit.
         local = [
@@ -238,16 +196,8 @@ class GroupDistributionService(SubService):
             for fragment in local:
                 self.hit_set.add((self.pid, fragment.rid))
 
-    def _begin_iteration(self) -> None:
-        if self._collaborators_next:
-            self.collaborators = self._collaborators_next | {self.pid}
-        self._collaborators_next = set()
-
-    def _live_partials(self, round_no: int) -> List[Fragment]:
-        return [f for f in self.partials.values() if not f.expired(round_no)]
-
     def _send_fragments(self, round_no: int) -> List[Message]:
-        partials = self._live_partials(round_no)
+        partials = [f for f in self.partials.values() if not f.expired(round_no)]
         if not partials:
             return []
         hit_procs = {dst for dst, _ in self.hit_set}
@@ -315,21 +265,14 @@ class GroupDistributionService(SubService):
                 )
         return messages
 
-    def _inject_share(self, round_no: int) -> None:
+    def _share(self) -> Optional[GDShare]:
         if not self.partials and not self.hit_set:
             # Nothing to distribute and nothing to report.  The census only
             # matters to processes that are sending (to divide their fanout),
             # and every live group member holds the same partials — so when
             # this process has none, no group member is sending either.
-            return
-        share = GDShare(sender=self.pid, hits=frozenset(self.hit_set))
-        self.gossip.inject(
-            round_no,
-            share,
-            deadline=self.schedule.gossip_deadline,
-            dest=range(self.n),
-            uid=(self.channel, "share", self.pid, round_no),
-        )
+            return None
+        return GDShare(sender=self.pid, hits=frozenset(self.hit_set))
 
     def _publish_distribution(self, round_no: int) -> None:
         if self.status != ACTIVE or not self.hit_set:

@@ -10,19 +10,19 @@ retry next iteration; same-group requesters collaborate by sharing the
 blacklist and a collaborator census through GroupGossip[l], which divides
 the fanout budget among them.
 
-Timing (one block = ``dline/4`` rounds, iterations of ``isqrt(dline)+2``):
+Timing (the stage rounds of :class:`repro.sim.clock.BlockSchedule`):
 
-* block round 0      — if alive for a full block, collect waiting
-  fragments; ``status = active`` iff there is something to push;
-* iteration round 0  — requesters send proxy requests;
-* iteration round 1  — inject the GroupGossip share (proxy buffer +
-  failed-proxies + collaborator heartbeat); it spreads over the
+* ``ACTIVATE_PROXY`` (block start) — if alive for a full block, collect
+  waiting fragments; ``status = active`` iff there is something to push;
+* ``PROXY_REQUEST`` (iteration position 0) — requesters send requests;
+* ``PROXY_SHARE`` (position 1) — inject the GroupGossip share (proxy
+  buffer + failed-proxies + collaborator heartbeat); it spreads over the
   ``isqrt(dline)``-round gossip window;
-* iteration last round — proxies acknowledge; requesters blacklist
-  non-acknowledging targets;
-* block last round   — hand all fragments received for *this* group
-  (the ``partial-rumors``) up to the coordinator, which feeds
-  GroupDistribution for the next block.
+* ``PROXY_ACK`` (the iteration's last round) — proxies acknowledge;
+  requesters blacklist non-acknowledging targets;
+* ``HAND_UP`` (the block's last round) — hand all fragments received for
+  *this* group (the ``partial-rumors``) up to the coordinator, which
+  feeds GroupDistribution for the next block.
 
 Key invariant ([PROXY:CONFIDENTIAL], used by Lemma 3): a request to a
 member of group ``a`` only ever carries fragments whose ``group == a``.
@@ -32,24 +32,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.core.block_service import ACTIVE, WAITING, BlockService
 from repro.core.config import CongosParams
 from repro.core.partitions import PartitionSet
 from repro.core.splitting import Fragment
 from repro.gossip.continuous import ContinuousGossip
-from repro.gossip.service import SubService
-from repro.obs.instrument import NULL_TELEMETRY
-from repro.sim.clock import BlockSchedule
+from repro.sim.clock import HAND_UP, PROXY_ACK, PROXY_REQUEST, BlockSchedule
 from repro.sim.messages import KnowledgeAtom, Message, ServiceTags
 
 __all__ = ["ProxyRequest", "ProxyAck", "ProxyShare", "ProxyService"]
 
-# Status values (Figure 9 uses {idle, active}; "waiting" is the state of a
-# process that restarted mid-block and must wait for the next block).
-WAITING = "waiting"
-IDLE = "idle"
-ACTIVE = "active"
+IDLE = "idle"  # Figure 9's {idle, active}; BlockService adds WAITING
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,7 @@ class ProxyShare:
                 yield atom
 
 
-class ProxyService(SubService):
+class ProxyService(BlockService):
     """Proxy[l] at one process, for one deadline class."""
 
     def __init__(
@@ -101,7 +96,7 @@ class ProxyService(SubService):
         pid: int,
         n: int,
         channel: str,
-        dline: int,
+        schedule: BlockSchedule,
         partition: int,
         partition_set: PartitionSet,
         params: CongosParams,
@@ -111,23 +106,16 @@ class ProxyService(SubService):
         wakeup: int,
         telemetry=None,
     ):
-        super().__init__(pid, n, ServiceTags.PROXY, channel)
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.dline = dline
-        self.partition = partition
-        self.partition_set = partition_set
-        self.params = params
-        self.rng = rng
-        self.gossip = gossip
+        super().__init__(
+            pid, n, ServiceTags.PROXY, channel, schedule.proxy, schedule,
+            partition, partition_set, params, rng, gossip, wakeup, telemetry,
+        )
         self.on_group_fragments = on_group_fragments
-        self.wakeup = wakeup
-        self.schedule = BlockSchedule(dline)
-        self.my_group = partition_set.group_of(partition, pid)
         self.other_groups = [
             g for g in range(partition_set.num_groups) if g != self.my_group
         ]
+        self._retransmits = params.degradation.proxy_retransmit
 
-        self.status = WAITING
         self.waiting: List[Tuple[int, Fragment]] = []  # (arrival round, fragment)
         self.my_fragments: Dict[int, List[Fragment]] = {}  # group -> fragments
         self.proxy_buffer: Dict[Tuple, Fragment] = {}
@@ -136,15 +124,12 @@ class ProxyService(SubService):
         self.failed_proxies: Set[int] = set()
         self.ack_pending: Set[int] = set()
         self.acked_groups: Set[int] = set()
-        self.collaborators: Set[int] = {pid}
-        self._collaborators_next: Set[int] = set()
         self._targets_this_iteration: Dict[int, Set[int]] = {}
         self._acks_this_iteration: Set[int] = set()
 
         # Run statistics (read by tests and benches).
         self.requests_sent = 0
         self.acks_sent = 0
-        self.blocks_active = 0
         self.retransmits_sent = 0
 
     # ------------------------------------------------------------------
@@ -166,19 +151,6 @@ class ProxyService(SubService):
                 )
             self.waiting.append((round_no, fragment))
 
-    def catch_up(self, round_no: int) -> None:
-        """Initialise block state for a service instantiated mid-block.
-
-        Protocol instances are materialised lazily (an optimisation over
-        the paper's "run every instance at all times"), so a service may
-        be created after its block's start round.  The hosting process has
-        been alive the whole time; give the service the state it would
-        have had if it had existed at the block boundary.
-        """
-        block_start = self.schedule.block_start(self.schedule.block_of(round_no))
-        if round_no > block_start and self.status == WAITING:
-            self._begin_block(block_start)
-
     def on_share(self, round_no: int, share: ProxyShare) -> None:
         """A ProxyShare delivered by GroupGossip[l] (same group only)."""
         self.failed_proxies.update(share.failed_proxies)
@@ -194,33 +166,22 @@ class ProxyService(SubService):
     # Engine phases
     # ------------------------------------------------------------------
 
-    def send_phase(self, round_no: int) -> List[Message]:
-        if self.schedule.is_block_start(round_no):
-            self._begin_block(round_no)
+    def _send(self, round_no: int, stages: int) -> List[Message]:
         messages: List[Message] = []
-        position = self.schedule.round_in_iteration(round_no)
-        if position == 0:
-            self._begin_iteration()
+        if stages & PROXY_REQUEST:
             if self.status == ACTIVE:
                 messages.extend(self._send_requests(round_no))
-        elif position == 1:
-            self._inject_share(round_no)
         elif (
             self.params.hardened
             and self.status == ACTIVE
-            and not self.schedule.is_iteration_last_round(round_no)
-            and position in self._retransmit_positions()
+            and 0 < self.schedule.proxy_retransmit(round_no) <= self._retransmits
         ):
             # Graceful degradation (hardened only): re-request at
             # exponentially spaced positions, sampling proxies not yet
             # tried this iteration.  Acks only arrive at the iteration's
             # last round, so every pending group is still unacknowledged.
             messages.extend(self._send_requests(round_no, retransmit=True))
-        if (
-            self.schedule.is_iteration_last_round(round_no)
-            and self.status != WAITING
-            and self.ack_pending
-        ):
+        if stages & PROXY_ACK and self.status != WAITING and self.ack_pending:
             for requester in sorted(self.ack_pending):
                 messages.append(self.make_message(requester, ProxyAck(self.pid)))
                 self.acks_sent += 1
@@ -264,9 +225,10 @@ class ProxyService(SubService):
             raise TypeError("unexpected proxy payload {!r}".format(type(payload)))
 
     def end_round(self, round_no: int) -> None:
-        if self.schedule.is_iteration_last_round(round_no):
+        stages = self.schedule.stages(round_no)
+        if stages & PROXY_ACK:
             self._settle_iteration()
-        if self.schedule.is_block_last_round(round_no) and self.status != WAITING:
+        if stages & HAND_UP and self.status != WAITING:
             fragments = [
                 fragment
                 for fragment in self.partial_rumors.values()
@@ -281,10 +243,6 @@ class ProxyService(SubService):
     # ------------------------------------------------------------------
 
     def _begin_block(self, round_no: int) -> None:
-        uptime = round_no - self.wakeup
-        if uptime < self.params.proxy_uptime(self.dline):
-            self.status = WAITING
-            return
         fresh = [
             fragment
             for arrival, fragment in self.waiting
@@ -298,45 +256,17 @@ class ProxyService(SubService):
         self.my_fragments = {}
         for fragment in fresh:
             self.my_fragments.setdefault(fragment.group, []).append(fragment)
-        if self.my_fragments:
-            self.status = ACTIVE
-            self.blocks_active += 1
-        else:
-            self.status = IDLE
+        self.status = ACTIVE if self.my_fragments else IDLE
         self.failed_proxies = set()
         self.proxy_buffer = {}
         self._buffer_new = []
         self.ack_pending = set()
         self.acked_groups = set()
-        self.collaborators = set(
-            self.partition_set.members(self.partition, self.my_group)
-        )
-        self._collaborators_next = set()
-        self._targets_this_iteration = {}
-        self._acks_this_iteration = set()
 
     def _begin_iteration(self) -> None:
-        if self._collaborators_next:
-            self.collaborators = self._collaborators_next | {self.pid}
-        self._collaborators_next = set()
+        super()._begin_iteration()
         self._targets_this_iteration = {}
         self._acks_this_iteration = set()
-
-    def _retransmit_positions(self) -> List[int]:
-        """Iteration positions for degradation retransmits: 2, 4, 8, ...
-
-        Bounded by the degradation setting ``proxy_retransmit`` and by the
-        iteration length (the last position is reserved for acks, 0/1 for
-        requests/share).
-        """
-        retransmits = self.params.degradation.proxy_retransmit
-        positions: List[int] = []
-        position = 2
-        limit = self.schedule.iteration_len - 1
-        while len(positions) < retransmits and position < limit:
-            positions.append(position)
-            position *= 2
-        return positions
 
     def _send_requests(
         self, round_no: int, retransmit: bool = False
@@ -394,32 +324,22 @@ class ProxyService(SubService):
                 )
         return messages
 
-    def _inject_share(self, round_no: int) -> None:
-        if self.status == WAITING:
-            return
+    def _share(self) -> Optional[ProxyShare]:
         is_collaborator = self.status == ACTIVE
         new_fragments = tuple(self._buffer_new)
         self._buffer_new = []
         if not is_collaborator and not new_fragments and not self.failed_proxies:
-            return  # nothing to contribute this iteration
-        share = ProxyShare(
+            return None  # nothing to contribute this iteration
+        return ProxyShare(
             sender=self.pid,
             fragments=new_fragments,
             failed_proxies=frozenset(self.failed_proxies),
             collaborator=is_collaborator,
         )
-        self.gossip.inject(
-            round_no,
-            share,
-            deadline=self.schedule.gossip_deadline,
-            dest=range(self.n),
-            uid=(self.channel, "share", self.pid, round_no),
-        )
 
     def _settle_iteration(self) -> None:
+        # The iteration's targets and acks are reset when the next starts.
         if self.status != ACTIVE:
-            self._targets_this_iteration = {}
-            self._acks_this_iteration = set()
             return
         for group, targets in self._targets_this_iteration.items():
             acked_from_group = {
@@ -435,5 +355,3 @@ class ProxyService(SubService):
         ]
         if self.my_fragments and not pending:
             self.status = IDLE
-        self._targets_this_iteration = {}
-        self._acks_this_iteration = set()

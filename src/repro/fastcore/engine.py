@@ -28,7 +28,7 @@ State layout
 Documented approximations (all confidentiality-safe, see DESIGN.md §11):
 cohort shares assume the in-group epidemic saturates by block end (it
 does w.h.p. — the gossip window is ≥ 8 rounds for ≤ 16-round blocks);
-multi-iteration blocks (dline ≥ 256) keep the full-group collaborator
+multi-iteration blocks (dline ≥ 128) keep the full-group collaborator
 census for fanout, which only touches later-iteration sends whose target
 pools are almost always already hit.
 """
@@ -36,7 +36,7 @@ pools are almost always already hit.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +47,10 @@ from repro.core.deadlines import pipeline_deadline
 from repro.core.partitions import PartitionSet
 from repro.gossip.epidemic import default_fanout
 from repro.gossip.rumor import Rumor
-from repro.sim.clock import BlockSchedule
+from repro.sim.clock import (
+    ACTIVATE_GD, ACTIVATE_PROXY, GD_CENSUS, GD_SEND, HAND_UP, PROXY_ACK, PROXY_SHARE,
+    BlockSchedule,
+)
 from repro.sim.engine import Fanout, RoundEngine, UnsupportedScenario
 from repro.sim.messages import Message, ServiceTags
 from repro.sim.rng import derive_seed
@@ -343,9 +346,9 @@ class _Instance:
         "channels",
         "pending",
         "px_queue",
-        "px_share_due",
+        "px_shares",
         "px_items",
-        "acks_due",
+        "px_acks",
         "gd_blocks",
         "gd_fanout",
     )
@@ -359,14 +362,14 @@ class _Instance:
         # Cross-group fragments awaiting a proxy block:
         # (partition, group) -> [(inject round, rumor state)].
         self.px_queue: Dict[Tuple[int, int], List[Tuple[int, _RumorState]]] = {}
-        # Proxy share cohorts staged at block start, materialised at bs+1:
-        # [(due round, (partition, group), injector mask, weight, frag states)].
-        self.px_share_due: List[Tuple[int, Tuple[int, int], np.ndarray, int, List[_RumorState]]] = []
+        # Proxy share cohorts staged at block start for the next PROXY_SHARE
+        # round: [((partition, group), injector mask, weight, frag states)].
+        self.px_shares: List[Tuple[Tuple[int, int], np.ndarray, int, List[_RumorState]]] = []
         # Live proxy-share items of the current block, consumed at hand-up.
         self.px_items: Dict[Tuple[int, int], _Item] = {}
-        # Acks due at the iteration's last round, one per proxy to its
-        # requester: round -> [(requester, proxies, partition)].
-        self.acks_due: Dict[int, List[Tuple[int, np.ndarray, int]]] = {}
+        # Acks staged at block start, sent at the next PROXY_ACK round, one
+        # per proxy to its requester: [(requester, proxies, partition)].
+        self.px_acks: List[Tuple[int, np.ndarray, int]] = []
         self.gd_blocks: Dict[Tuple[int, int], _GdBlock] = {}
         self.gd_fanout: Dict[Tuple[int, int], int] = {}
 
@@ -583,8 +586,11 @@ class ArrayEngine(RoundEngine):
         for state in self.rumors:
             if state.confirm_dirty:
                 state.confirm_dirty = False
-                if not state.confirmed and self._covered(state):
-                    state.confirmed = True
+                # Confirmed once some partition covers the whole of D.
+                state.confirmed = state.confirmed or any(
+                    np.array_equal(cover, state.dest_mask)
+                    for cover in self._covers(state)
+                )
             if state.confirmed or state.retired:
                 continue
             # Hardened runs are refused here, so the fallback fires at
@@ -593,37 +599,24 @@ class ArrayEngine(RoundEngine):
                 targets = bitset.to_indices(state.dest_mask, self.n)
                 targets = targets[targets != state.src]
                 if self.params.fallback_scope == "unconfirmed":
-                    covered = self._covered_destinations(state)
+                    covered = np.bitwise_or.reduce(list(self._covers(state)))
                     targets = targets[~bitset.test_bits(covered, targets)]
                 self._tally(ServiceTags.CONFIDENTIAL, len(targets), len(targets))
                 self._deliver_plaintext(round_no, state, targets, "shoot")
                 state.retired = True
 
-    def _covered(self, state: _RumorState) -> bool:
+    def _covers(self, state: _RumorState) -> Iterator[np.ndarray]:
+        """Per partition, the destinations in the hitSet of *every* group
+        the source knows of (Figure 8 lines 41-46)."""
         for partition in range(self.partition_set.count):
-            ok = True
-            for group in range(self.partition_set.num_groups):
-                known = state.src_known.get((partition, group))
-                if known is None or not bitset.is_subset(state.dest_mask, known):
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
-
-    def _covered_destinations(self, state: _RumorState) -> np.ndarray:
-        covered = bitset.empty(self.n)
-        for partition in range(self.partition_set.count):
-            conj = None
+            cover = state.dest_mask
             for group in range(self.partition_set.num_groups):
                 known = state.src_known.get((partition, group))
                 if known is None:
-                    conj = None
+                    cover = bitset.empty(self.n)
                     break
-                conj = known.copy() if conj is None else conj & known
-            if conj is not None:
-                bitset.union_into(covered, conj & state.dest_mask)
-        return covered
+                cover = cover & known
+            yield cover
 
     # ------------------------------------------------------------------
     # Instance management
@@ -653,27 +646,25 @@ class ArrayEngine(RoundEngine):
 
     def _protocol_phase(self, round_no: int, instance: _Instance) -> None:
         schedule = instance.schedule
-        block_len = schedule.block_len
-        rib = schedule.round_in_block(round_no)
-        position = schedule.round_in_iteration(round_no)
-        # Uptime gating: services activate only once the process has been
-        # up a full block (wakeup = 0 for every pid in fault-free runs),
+        stages = schedule.stages(round_no)
+        # Uptime gating: a service activates once the process has been up
+        # its stage's uptime (wakeup = 0 for every pid in fault-free runs),
         # so block 0 is pure gossip + direct traffic.
-        if rib == 0 and round_no >= block_len:
+        if stages & ACTIVATE_PROXY and round_no >= schedule.proxy.uptime:
             self._px_begin_block(round_no, instance)
-        for due, key, injectors, weight, frag_states in list(instance.px_share_due):
-            if due == round_no:
+        if stages & PROXY_SHARE:
+            for key, injectors, weight, frag_states in instance.px_shares:
                 self._px_make_share(round_no, instance, key, injectors, weight, frag_states)
-        instance.px_share_due = [
-            entry for entry in instance.px_share_due if entry[0] > round_no
-        ]
-        if rib == 1 and round_no >= self.params.gd_uptime(instance.dline):
+            instance.px_shares = []
+        if stages & ACTIVATE_GD and round_no >= schedule.gd.uptime:
             self._gd_begin_block(round_no, instance)
-        if position == 1:
+        if stages & GD_SEND:
             self._gd_send(round_no, instance)
-        elif position == 2:
+        elif stages & GD_CENSUS:
             self._gd_census(round_no, instance)
-        for requester, proxies, partition in instance.acks_due.pop(round_no, ()):
+        if not stages & PROXY_ACK:
+            return
+        for requester, proxies, partition in instance.px_acks:
             count = len(proxies)
             self._tally(ServiceTags.PROXY, count, count)
             if self._lowering():  # each proxy acks its requester, revealing nothing
@@ -682,9 +673,9 @@ class ArrayEngine(RoundEngine):
                     proxies, np.full((count, 1), requester), [Facts()] * count,
                     [1] * count,
                 )
+        instance.px_acks = []
 
     def _px_begin_block(self, round_no: int, instance: _Instance) -> None:
-        ack_round = round_no + instance.schedule.iteration_len - 1
         for key in sorted(instance.px_queue):
             queue = instance.px_queue[key]
             fresh = [
@@ -729,29 +720,25 @@ class ArrayEngine(RoundEngine):
                         ServiceTags.PROXY, "px/{}/{}".format(instance.dline, partition),
                         [src], targets[None], [_state_facts(states)], [len(states)],
                     )
-                instance.acks_due.setdefault(ack_round, []).append(
-                    (src, targets, partition)
-                )
+                instance.px_acks.append((src, targets, partition))
                 target_mask = bitset.from_indices(targets, self.n)
                 bitset.union_into(proxies_union, target_mask)
                 for state in states:
                     bitset.union_into(state.audit_holders(key), target_mask)
                     outside = (~bitset.test_bits(state.allowed, targets)).sum()
                     self.auditor.add_border(int(outside))
-            # Proxies inject their buffered fragments next round; active
-            # requesters inject census beacons into their *own* group's
-            # channel the same round (fragment-free, so those cohorts ride
-            # along for traffic and spread only).
+            # Proxies inject their buffered fragments at the share round;
+            # active requesters inject census beacons into their *own*
+            # group's channel the same round (fragment-free, so those
+            # cohorts ride along for traffic and spread only).
             injector_count = bitset.popcount(proxies_union)
-            instance.px_share_due.append(
-                (round_no + 1, key, proxies_union, injector_count, frag_states)
+            instance.px_shares.append(
+                (key, proxies_union, injector_count, frag_states)
             )
             for src in requesters:
                 own_key = (partition, int(self._group_of[partition][src]))
                 beacon = bitset.from_indices([src], self.n)
-                instance.px_share_due.append(
-                    (round_no + 1, own_key, beacon, 1, [])
-                )
+                instance.px_shares.append((own_key, beacon, 1, []))
 
     def _px_make_share(
         self, round_no, instance, key, injectors, weight, frag_states
@@ -809,8 +796,7 @@ class ArrayEngine(RoundEngine):
                 del instance.gd_blocks[key]
 
     def _gd_send(self, round_no: int, instance: _Instance) -> None:
-        schedule = instance.schedule
-        first_iteration = schedule.round_in_block(round_no) < schedule.iteration_len
+        first_iteration = instance.schedule.iteration_of(round_no) == 0
         lowering = self._lowering()
         for key in sorted(instance.gd_blocks):
             block = instance.gd_blocks[key]
@@ -984,9 +970,9 @@ class ArrayEngine(RoundEngine):
         for dline in sorted(self.instances):
             instance = self.instances[dline]
             schedule = instance.schedule
-            if not schedule.is_block_last_round(round_no):
+            if not schedule.stages(round_no) & HAND_UP:
                 continue
-            if round_no < schedule.block_len:
+            if round_no < schedule.proxy.uptime:
                 continue  # block 0: every service still waiting on uptime
             # Proxy hand-up: everything the group gossiped this block joins
             # the GD waiting set for the next block.
@@ -1232,7 +1218,7 @@ class ArrayEngine(RoundEngine):
             return
         keep: List[_RumorState] = []
         for state in self.rumors:
-            slack = 2 * (state.dline // 4) + 2
+            slack = 2 * self.instances[state.dline].schedule.block_len + 2
             if round_no > state.expiry + slack:
                 self.auditor.retire_rumor(round_no, state)
                 state.retired = True

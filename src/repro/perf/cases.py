@@ -450,16 +450,17 @@ def _setup_chaos_admit() -> Operation:
 
 
 def _setup_clock_arithmetic() -> Operation:
-    from repro.sim.clock import BlockSchedule
+    # The queries each Proxy/GroupDistribution instance makes every round:
+    # its stage flags in send_phase and again in end_round.
+    from repro.sim.clock import HAND_UP, PROXY_ACK, BlockSchedule
 
     schedule = BlockSchedule(256)
 
     def op() -> object:
         total = 0
         for round_no in range(4096):
-            total += schedule.iteration_of(round_no)
-            total += schedule.round_in_iteration(round_no)
-            if schedule.is_iteration_last_round(round_no):
+            total += schedule.stages(round_no) & schedule.proxy.share
+            if schedule.stages(round_no) & (PROXY_ACK | HAND_UP):
                 total += 1
         return total
 
@@ -611,7 +612,7 @@ register_case(
 register_case(
     PerfCase(
         key="clock_arithmetic",
-        title="BlockSchedule iteration arithmetic (4096 rounds)",
+        title="BlockSchedule stage queries (4096 rounds)",
         setup=_setup_clock_arithmetic,
         ops=4096,
         tags=("sim", "micro"),

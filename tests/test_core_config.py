@@ -11,6 +11,7 @@ from repro.core.config import (
     CongosParams,
     default_deadline_cap,
 )
+from repro.sim.clock import BlockSchedule
 
 
 class TestValidation:
@@ -60,9 +61,10 @@ class TestDerived:
         assert params.partition_count(64) == 3 * 6
 
     def test_uptimes(self):
-        params = CongosParams()
-        assert params.proxy_uptime(64) == 16
-        assert params.gd_uptime(64) == 42
+        # The uptime gates are the schedule's, not a parameter's.
+        schedule = BlockSchedule(64)
+        assert schedule.proxy.uptime == 16
+        assert schedule.gd.uptime == 42
 
 
 class TestServiceFanout:

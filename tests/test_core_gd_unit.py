@@ -15,6 +15,7 @@ from repro.core.group_distribution import (
 from repro.core.partitions import BitPartitions
 from repro.core.splitting import split_rumor
 from repro.gossip.continuous import ContinuousGossip
+from repro.sim.clock import BlockSchedule
 from repro.sim.messages import Message, ServiceTags
 
 from conftest import mk_rumor
@@ -35,7 +36,7 @@ def make_gd(pid=0, wakeup=-100, params=None, received=None):
         pid=pid,
         n=N,
         channel="gd-test",
-        dline=DLINE,
+        schedule=BlockSchedule(DLINE),
         partition=PARTITION,
         partition_set=partitions,
         params=resolved,

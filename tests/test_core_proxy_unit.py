@@ -10,6 +10,7 @@ from repro.core.partitions import BitPartitions
 from repro.core.proxy import ProxyAck, ProxyRequest, ProxyService, ProxyShare
 from repro.core.splitting import split_rumor
 from repro.gossip.continuous import ContinuousGossip
+from repro.sim.clock import BlockSchedule
 from repro.sim.messages import Message, ServiceTags
 
 from conftest import mk_rumor
@@ -31,7 +32,7 @@ def make_proxy(pid=0, wakeup=-100, returns=None):
         pid=pid,
         n=N,
         channel="px-test",
-        dline=DLINE,
+        schedule=BlockSchedule(DLINE),
         partition=PARTITION,
         partition_set=partitions,
         params=params,
