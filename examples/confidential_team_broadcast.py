@@ -26,6 +26,7 @@ from repro.core.config import CongosParams
 from repro.core.congos import build_partition_set, congos_factory
 from repro.harness.report import banner, format_table
 from repro.sim.engine import Engine
+from repro.sim.messages import plaintext_atom
 from repro.sim.rng import derive_rng
 
 N = 24
@@ -104,12 +105,10 @@ def main() -> None:
             1 for q in rumor.dest if (rid, q) in delivery.deliveries
         )
         # Who outside the org saw the plaintext?
-        leaks = [
-            q
-            for q in range(N)
-            if q not in confidentiality.allowed_set(rid)
-            and ("plaintext", rid) in confidentiality.knowledge.get(q, set())
-        ]
+        leaks = sorted(
+            confidentiality.holders(plaintext_atom(rid))
+            - confidentiality.allowed_set(rid)
+        )
         min_coalition = confidentiality.min_coalition_size(rid, N)
         rows.append(
             [

@@ -21,6 +21,7 @@ from repro.core.config import CongosParams
 from repro.core.congos import build_partition_set, congos_factory
 from repro.harness.report import banner, format_kv, format_table
 from repro.sim.engine import Engine
+from repro.sim.messages import plaintext_atom
 from repro.sim.rng import derive_rng
 
 N = 16
@@ -100,12 +101,10 @@ def main() -> None:
     print("\n" + format_kv(
         list(confidentiality.summary().items()), title="Confidentiality audit"
     ))
-    outsiders = confidentiality.outsiders(rid, N)
-    leaks = [
-        q
-        for q in outsiders
-        if ("plaintext", rid) in confidentiality.knowledge.get(q, set())
-    ]
+    leaks = sorted(
+        confidentiality.holders(plaintext_atom(rid))
+        & confidentiality.outsiders(rid, N)
+    )
     min_coalition = confidentiality.min_coalition_size(rid, N)
     print("\nOutsiders who learned the secret: {}".format(leaks or "none"))
     print(

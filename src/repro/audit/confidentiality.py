@@ -2,9 +2,9 @@
 
 The auditor is an engine observer, entirely outside the protocol: it
 inspects every *delivered* message's payload for knowledge atoms (rumor
-plaintexts and XOR fragments) and maintains, per process, everything that
-process has ever learned — including across crashes, because a curious
-process could have copied data out before crashing.
+plaintexts and XOR fragments) and maintains, per atom, every process that
+has ever learned it — including across crashes, because a curious process
+could have copied data out before crashing.
 
 Its unit of work is the sender's *fan-out*, not the message: a gossip
 sender hands one batch object to all of its targets, so the round's
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.adversary.collusion import CoalitionStrategy, min_cover_size
 from repro.core.confidential_gossip import DirectAck
@@ -46,6 +46,7 @@ __all__ = [
     "Violation",
     "CoalitionFinding",
     "ConfidentialityAuditor",
+    "pids_of",
     "popcount",
     "shed_rumor_leaks",
 ]
@@ -58,6 +59,14 @@ def _popcount_bin(mask: int) -> int:
 #: Number of set bits of a non-negative int (a pid bitmask).
 #: ``int.bit_count`` arrived in Python 3.10; the package supports 3.9.
 popcount = getattr(int, "bit_count", _popcount_bin)
+
+
+def pids_of(mask: int) -> Iterator[int]:
+    """The pids of a non-negative pid bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def shed_rumor_leaks(result) -> List[str]:
@@ -128,13 +137,14 @@ class CoalitionFinding:
 class ConfidentialityAuditor(SimObserver):
     """Tracks knowledge flow and detects confidentiality breaches.
 
-    The engine hands it each round's deliveries cut into sender fan-outs
-    (:meth:`on_fanouts`); its state is the same under any cut, down to
-    one message per fan-out.  Which processes have absorbed a gossip
-    item, and which may know a rumor, are kept as pid bitmasks (bit
-    ``p`` = pid ``p``), so a fan-out's border copies and fresh (item,
-    destination) pairs fall out of a few ``&`` / ``~`` on ints instead
-    of a test per destination.
+    Who holds what is kept once, as pid bitmasks (bit ``p`` = pid ``p``):
+    per rumor, the pids allowed to know it and the pids holding its
+    plaintext; per (rumor, partition), one holder mask per group.  A
+    fan-out's border copies, fresh holders and violations fall out of a
+    few ``&`` / ``|`` / ``~`` on ints, never a test per destination.  The
+    engine hands it each round's deliveries cut into sender fan-outs
+    (:meth:`on_fanouts`); its state and its violations, in order, are the
+    same under any cut, down to one message per fan-out.
     """
 
     def __init__(self, num_partitions: int, num_groups: int):
@@ -142,23 +152,18 @@ class ConfidentialityAuditor(SimObserver):
         self.num_groups = num_groups
         # rid -> rumor metadata
         self.rumors: Dict[RumorId, Rumor] = {}
-        self.sources: Dict[RumorId, int] = {}
-        # pid -> set of knowledge atoms
-        self.knowledge: Dict[int, Set[Tuple]] = defaultdict(set)
-        # (rid, partition, group) -> pids holding the fragment
-        self.fragment_holders: Dict[Tuple[RumorId, int, int], Set[int]] = defaultdict(set)
-        # rid -> pids who saw the plaintext
-        self.plaintext_holders: Dict[RumorId, Set[int]] = defaultdict(set)
         self.violations: List[Violation] = []
         # rid -> number of fragment copies crossing the D+{src} border
         self.border_messages: Dict[RumorId, int] = defaultdict(int)
         self.total_border_messages = 0
-        self._allowed_cache: Dict[RumorId, FrozenSet[int]] = {}
-        # The same sets as pid bitmasks (registered rumors only).
-        self._allowed_masks: Dict[RumorId, int] = {}
-        # uid of an atom-bearing gossip item -> mask of the pids that have
-        # absorbed it.  Nothing is cached per batch here: a batch's digest
-        # lives on the ItemBatch, an item's atoms on the GossipItem.
+        # rid -> D + {source} (registered rumors only)
+        self._allowed: Dict[RumorId, int] = {}
+        # rid -> pids holding the plaintext
+        self._plaintext: Dict[RumorId, int] = {}
+        # (rid, partition) -> pids holding each group's fragment
+        self._fragments: Dict[Tuple[RumorId, int], List[int]] = {}
+        # uid of an atom-bearing gossip item -> pids that have absorbed it
+        # (a gate: an item's atoms are looked at once per new holder set).
         self._item_holders: Dict[Tuple, int] = {}
 
     # ------------------------------------------------------------------
@@ -168,10 +173,10 @@ class ConfidentialityAuditor(SimObserver):
     def on_inject(self, round_no: int, pid: int, rumor: object) -> None:
         if not isinstance(rumor, Rumor):
             return
-        self.rumors[rumor.rid] = rumor
-        self.sources[rumor.rid] = pid
-        self.knowledge[pid].add(("plaintext", rumor.rid))
-        self.plaintext_holders[rumor.rid].add(pid)
+        rid = rumor.rid
+        self.rumors[rid] = rumor
+        self._allowed[rid] = sum(1 << dst for dst in {pid, *rumor.dest})
+        self._plaintext[rid] = self._plaintext.get(rid, 0) | 1 << pid
 
     def on_fanouts(self, round_no: int, fanouts: Sequence[Fanout]) -> None:
         """Audit a round's deliveries, one sender fan-out at a time: a
@@ -200,34 +205,22 @@ class ConfidentialityAuditor(SimObserver):
         rids, revealing = digest
         if not revealing:
             return
-        # Border copies are counted per message even for repeats
-        # (Theorem 12 counts message copies, not novel fragments).
-        for rid in rids:
-            allowed = self._allowed_mask(rid)
-            if allowed >> src & 1:
-                copies = popcount(mask & ~allowed)
-                if copies:
-                    self.border_messages[rid] += copies
-                    self.total_border_messages += copies
+        self._count_border(src, rids, mask)
         holders = self._item_holders
-        fresh: List[Tuple[int, Tuple]] = []
+        raised: List[Violation] = []
         for item in revealing:
             uid = item.uid
             held = holders.get(uid, 0)
             new = mask & ~held
             if new:
                 holders[uid] = held | mask
-                fresh.append((new, item.atoms))
-        if not fresh:
-            return
-        # Destinations in delivered order, items in batch order: exactly
-        # the order a message-at-a-time audit absorbs in, so violations
-        # are appended in that order too.
-        for dst in dsts:
-            bit = 1 << dst
-            for new, atoms in fresh:
-                if new & bit:
-                    self._absorb_atoms(round_no, src, dst, atoms, None)
+                self._absorb(round_no, item.atoms, new, raised)
+        if raised:
+            # Destinations in delivered order, then items and atoms in
+            # batch order: the order a message-at-a-time audit raises in.
+            position = {dst: index for index, dst in enumerate(dsts)}
+            raised.sort(key=lambda violation: position[violation.pid])
+            self.violations += raised
 
     def _audit_single(self, round_no: int, message: Message) -> None:
         """One message whose payload is not a batch."""
@@ -241,82 +234,110 @@ class ConfidentialityAuditor(SimObserver):
         self, round_no: int, src: int, dst: int, payload: object
     ) -> None:
         """The generic path: walk whatever the payload reveals."""
-        crossed_border: Set[RumorId] = set()
-        self._absorb_atoms(round_no, src, dst, reveals_of(payload), crossed_border)
-        for rid in crossed_border:
-            self.border_messages[rid] += 1
-            self.total_border_messages += 1
+        atoms = tuple(reveals_of(payload))
+        bit = 1 << dst
+        rids = {atom[1]: None for atom in atoms if atom[0] == "fragment"}
+        self._count_border(src, rids, bit)
+        self._absorb(round_no, atoms, bit, self.violations)
 
-    def _absorb_atoms(
-        self,
-        round_no: int,
-        src: int,
-        dst: int,
-        atoms,
-        crossed_border: Optional[Set[RumorId]],
+    def _count_border(self, src: int, rids, mask: int) -> None:
+        """Count the copies of ``rids``' fragments that ``src`` sends to
+        the pids in ``mask`` across the ``D + {src}`` border — per copy,
+        repeats included (Theorem 12 counts message copies, not novel
+        fragments)."""
+        for rid in rids:
+            allowed = self._allowed.get(rid, 0)
+            if allowed >> src & 1:
+                copies = popcount(mask & ~allowed)
+                if copies:
+                    self.border_messages[rid] += copies
+                    self.total_border_messages += copies
+
+    def _absorb(
+        self, round_no: int, atoms, mask: int, raised: List[Violation]
     ) -> None:
-        known = self.knowledge[dst]
+        """The pids in ``mask`` learn ``atoms``: record the new holders of
+        each atom and append to ``raised`` what the outsiders among them
+        now breach (a rumor not yet registered is recorded, not judged)."""
         for atom in atoms:
-            if atom[0] == "fragment":
-                rid = atom[1]
-                if (
-                    crossed_border is not None
-                    and rid not in crossed_border
-                    and self._is_border(rid, src, dst)
-                ):
-                    crossed_border.add(rid)
-                if atom in known:
+            kind, rid = atom[0], atom[1]
+            if kind == "fragment":
+                partition, group = atom[2], atom[3]
+                groups = self._fragments.get((rid, partition))
+                if groups is None:
+                    groups = self._fragments[(rid, partition)] = [0] * self.num_groups
+                new = mask & ~groups[group]
+                if not new:
                     continue
-                known.add(atom)
-                _, rid, partition, group = atom
-                self.fragment_holders[(rid, partition, group)].add(dst)
-                self._check_fragments(round_no, rid, partition, dst)
-            elif atom[0] == "plaintext":
-                if atom in known:
+                groups[group] |= new
+            elif kind == "plaintext":
+                held = self._plaintext.get(rid, 0)
+                new = mask & ~held
+                if not new:
                     continue
-                known.add(atom)
-                rid = atom[1]
-                self.plaintext_holders[rid].add(dst)
-                self._check_plaintext(round_no, rid, dst)
+                self._plaintext[rid] = held | new
+            else:
+                continue
+            allowed = self._allowed.get(rid)
+            outside = 0 if allowed is None else new & ~allowed
+            if not outside:
+                continue
+            if kind == "plaintext":
+                raised.extend(
+                    Violation(
+                        "plaintext", rid, pid, round_no,
+                        "plaintext delivered outside destination set",
+                    )
+                    for pid in pids_of(outside)
+                )
+                continue
+            # An outsider holding another group of this partition breaches
+            # multiplicity (Lemma 14); one holding every group can rebuild.
+            some_other, every_other = 0, -1
+            for other, holding in enumerate(groups):
+                if other != group:
+                    some_other |= holding
+                    every_other &= holding
+            for pid in pids_of(outside & some_other):
+                held_groups = [
+                    other for other, holding in enumerate(groups)
+                    if holding >> pid & 1
+                ]
+                raised.append(Violation(
+                    "multiplicity", rid, pid, round_no,
+                    "outsider holds groups {} of partition {}".format(
+                        held_groups, partition
+                    ),
+                ))
+            raised.extend(
+                Violation(
+                    "reconstruction", rid, pid, round_no,
+                    "outsider completed partition {}".format(partition),
+                )
+                for pid in pids_of(outside & every_other)
+            )
 
     # ------------------------------------------------------------------
     # Checks
     # ------------------------------------------------------------------
 
+    def holders(self, atom: Tuple) -> FrozenSet[int]:
+        """The pids holding knowledge ``atom`` (a plaintext or fragment
+        atom, :mod:`repro.sim.messages`)."""
+        if atom[0] == "plaintext":
+            return frozenset(pids_of(self._plaintext.get(atom[1], 0)))
+        groups = self._fragments.get(atom[1:3])
+        return frozenset(pids_of(groups[atom[3]] if groups else 0))
+
     def allowed_set(self, rid: RumorId) -> FrozenSet[int]:
         """Processes allowed to know the rumor: ``D`` plus the source."""
-        cached = self._allowed_cache.get(rid)
-        if cached is not None:
-            return cached
-        rumor = self.rumors.get(rid)
-        if rumor is None:
-            return frozenset()
-        allowed = set(rumor.dest)
-        source = self.sources.get(rid)
-        if source is not None:
-            allowed.add(source)
-        result = frozenset(allowed)
-        self._allowed_cache[rid] = result
-        return result
+        return frozenset(pids_of(self._allowed.get(rid, 0)))
 
-    def _allowed_mask(self, rid: RumorId) -> int:
-        """:meth:`allowed_set` as a pid bitmask (0 while unregistered)."""
-        mask = self._allowed_masks.get(rid)
-        if mask is None:
-            if rid not in self.rumors:
-                return 0
-            mask = 0
-            for pid in self.allowed_set(rid):
-                mask |= 1 << pid
-            self._allowed_masks[rid] = mask
-        return mask
+    def _outside(self, rid: RumorId, n: int) -> int:
+        return ((1 << n) - 1) & ~self._allowed.get(rid, 0)
 
     def outsiders(self, rid: RumorId, n: int) -> FrozenSet[int]:
-        return frozenset(range(n)) - self.allowed_set(rid)
-
-    def _is_border(self, rid: RumorId, src: int, dst: int) -> bool:
-        allowed = self.allowed_set(rid)
-        return src in allowed and dst not in allowed
+        return frozenset(pids_of(self._outside(rid, n)))
 
     def _check_ack(self, round_no: int, message: Message) -> None:
         """Direct-send acks must be pure control traffic.
@@ -346,53 +367,6 @@ class ConfidentialityAuditor(SimObserver):
                 )
             )
 
-    def _check_plaintext(self, round_no: int, rid: RumorId, pid: int) -> None:
-        if rid not in self.rumors:
-            return
-        if pid not in self.allowed_set(rid):
-            self.violations.append(
-                Violation(
-                    kind="plaintext",
-                    rid=rid,
-                    pid=pid,
-                    round_no=round_no,
-                    detail="plaintext delivered outside destination set",
-                )
-            )
-
-    def _check_fragments(
-        self, round_no: int, rid: RumorId, partition: int, pid: int
-    ) -> None:
-        if rid not in self.rumors or pid in self.allowed_set(rid):
-            return
-        held = [
-            group
-            for group in range(self.num_groups)
-            if pid in self.fragment_holders.get((rid, partition, group), ())
-        ]
-        if len(held) >= 2:
-            self.violations.append(
-                Violation(
-                    kind="multiplicity",
-                    rid=rid,
-                    pid=pid,
-                    round_no=round_no,
-                    detail="outsider holds groups {} of partition {}".format(
-                        held, partition
-                    ),
-                )
-            )
-        if len(held) == self.num_groups:
-            self.violations.append(
-                Violation(
-                    kind="reconstruction",
-                    rid=rid,
-                    pid=pid,
-                    round_no=round_no,
-                    detail="outsider completed partition {}".format(partition),
-                )
-            )
-
     # ------------------------------------------------------------------
     # Coalition analysis (Section 6)
     # ------------------------------------------------------------------
@@ -401,14 +375,12 @@ class ConfidentialityAuditor(SimObserver):
         self, rid: RumorId, n: int
     ) -> Dict[Tuple[int, int], Set[int]]:
         """(partition, group) -> outsiders holding that fragment."""
-        outsiders = self.outsiders(rid, n)
+        outside = self._outside(rid, n)
         holders: Dict[Tuple[int, int], Set[int]] = {}
         for partition in range(self.num_partitions):
-            for group in range(self.num_groups):
-                pids = self.fragment_holders.get((rid, partition, group), set())
-                outside = {p for p in pids if p in outsiders}
-                if outside:
-                    holders[(partition, group)] = outside
+            for group, holding in enumerate(self._fragments.get((rid, partition), ())):
+                if holding & outside:
+                    holders[(partition, group)] = set(pids_of(holding & outside))
         return holders
 
     def min_coalition_size(self, rid: RumorId, n: int) -> Optional[int]:
@@ -428,17 +400,14 @@ class ConfidentialityAuditor(SimObserver):
     def coalition_reconstructs(
         self, rid: RumorId, coalition: Set[int], n: int
     ) -> Tuple[bool, Optional[int]]:
-        """Can this specific coalition pool a complete partition?"""
-        outsiders = self.outsiders(rid, n)
-        effective = set(coalition) & set(outsiders)
-        # Pooled plaintext counts too (a leak, but checked elsewhere).
+        """Can this specific coalition pool a complete partition?  Only
+        its outsiders count: pooling is an OR over their holder bits."""
+        pooled = self._outside(rid, n) & sum(
+            1 << pid for pid in set(coalition) if 0 <= pid < n
+        )
         for partition in range(self.num_partitions):
-            covered = 0
-            for group in range(self.num_groups):
-                holders = self.fragment_holders.get((rid, partition, group), set())
-                if holders & effective:
-                    covered += 1
-            if covered == self.num_groups:
+            groups = self._fragments.get((rid, partition))
+            if groups and all(holding & pooled for holding in groups):
                 return True, partition
         return False, None
 

@@ -30,7 +30,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Set, Tuple
 
-from repro.audit.confidentiality import popcount
+from repro.audit.confidentiality import pids_of, popcount
 from repro.core.group_distribution import DistributionShare, FragmentDelivery
 from repro.core.proxy import ProxyRequest, ProxyShare
 from repro.core.splitting import Fragment
@@ -126,10 +126,6 @@ def _revealed(payload: object) -> Iterator[Tuple[RumorId, Optional[FrozenSet[int
             yield rid, None
 
 
-def _pids(mask: int) -> Set[int]:
-    return {pid for pid in range(mask.bit_length()) if mask >> pid & 1}
-
-
 class MetadataAuditor(SimObserver):
     """Tracks what each process learns *about* rumors it may not read.
 
@@ -185,11 +181,11 @@ class MetadataAuditor(SimObserver):
 
     def observers_of(self, rid: RumorId) -> Set[int]:
         """Processes outside ``D + {src}`` that know the rumor exists."""
-        return _pids(self.existence.get(rid, 0) & self._outsiders(rid))
+        return set(pids_of(self.existence.get(rid, 0) & self._outsiders(rid)))
 
     def dest_disclosed_to(self, rid: RumorId) -> Set[int]:
         """Outsiders that saw the rumor's (full) destination set."""
-        return _pids(self.dest_seen.get(rid, 0) & self._outsiders(rid))
+        return set(pids_of(self.dest_seen.get(rid, 0) & self._outsiders(rid)))
 
     def apparent_rumor_count(self, pid: int) -> int:
         """How many rumors does ``pid`` believe exist?  Cover traffic

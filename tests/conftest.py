@@ -8,7 +8,7 @@ import pytest
 
 from repro.gossip.rumor import Rumor, RumorId
 from repro.sim.engine import SimObserver, fanouts
-from repro.sim.messages import Message, ServiceTags
+from repro.sim.messages import Message, ServiceTags, fragment_atom, plaintext_atom
 
 
 @pytest.fixture
@@ -50,6 +50,21 @@ def deliver(auditor, round_no: int, *messages: Message) -> None:
     """Hand ``messages`` to ``auditor`` as the engine would: cut into
     fan-outs."""
     auditor.on_fanouts(round_no, fanouts(messages))
+
+
+def atom_holders(auditor, rids=None) -> dict:
+    """Every knowledge atom of ``rids`` (default: the auditor's registered
+    rumors) that some process holds -> its holders, as the auditor's
+    ``holders`` reports them."""
+    rids = auditor.rumors if rids is None else rids
+    atoms = [plaintext_atom(rid) for rid in rids] + [
+        fragment_atom(rid, partition, group)
+        for rid in rids
+        for partition in range(auditor.num_partitions)
+        for group in range(auditor.num_groups)
+    ]
+    held = {atom: auditor.holders(atom) for atom in atoms}
+    return {atom: pids for atom, pids in held.items() if pids}
 
 
 class DeliveryEdges(SimObserver):

@@ -1,16 +1,17 @@
 """Tests for repro.audit.confidentiality: the knowledge auditor."""
 
-import copy
 import random
 from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.adversary.collusion import GreedyCoalition
+from repro.adversary.collusion import GreedyCoalition, min_cover_size
 from repro.audit.confidentiality import (
     ConfidentialityAuditor,
+    Violation,
     _popcount_bin,
+    pids_of,
     popcount,
 )
 from repro.core.confidential_gossip import DirectAck
@@ -18,9 +19,11 @@ from repro.core.group_distribution import FragmentDelivery
 from repro.core.splitting import split_rumor
 from repro.gossip.rumor import GossipItem, ItemBatch
 from repro.sim.engine import flatten
-from repro.sim.messages import ServiceTags, reveals_of
+from repro.sim.messages import (
+    ServiceTags, fragment_atom, plaintext_atom, reveals_of,
+)
 
-from conftest import deliver, mk_message, mk_rumor
+from conftest import atom_holders, deliver, mk_message, mk_rumor
 
 
 def make_auditor(num_partitions=3, num_groups=2):
@@ -37,7 +40,7 @@ class TestPlaintextTracking:
         rumor = mk_rumor(src=0, dest=(1,))
         auditor.on_inject(0, 0, rumor)
         assert auditor.is_clean()
-        assert 0 in auditor.plaintext_holders[rumor.rid]
+        assert auditor.holders(plaintext_atom(rumor.rid)) == {0}
 
     def test_delivery_to_destination_clean(self):
         auditor = make_auditor()
@@ -114,7 +117,7 @@ class TestFragmentTracking:
             auditor, 1,
             mk_message(src=0, dst=5, payload=(item,), service=ServiceTags.GROUP_GOSSIP),
         )
-        assert 5 in auditor.fragment_holders[(rumor.rid, 0, 0)]
+        assert auditor.holders(fragment_atom(rumor.rid, 0, 0)) == {5}
 
     def test_repeated_batch_deliveries_cached(self):
         auditor = make_auditor()
@@ -127,7 +130,10 @@ class TestFragmentTracking:
         message = mk_message(src=0, dst=5, payload=(item,))
         deliver(auditor, 1, message)
         deliver(auditor, 2, message)
-        assert len(auditor.knowledge[5]) == 1
+        assert atom_holders(auditor) == {
+            plaintext_atom(rumor.rid): {0},
+            fragment_atom(rumor.rid, 0, 0): {5},
+        }
 
 
 class TestBorderMessages:
@@ -241,19 +247,58 @@ class TestSummary:
 # ----------------------------------------------------------------------
 
 
-class PerItemAuditor(ConfidentialityAuditor):
+class PerItemAuditor:
     """The reference: one message at a time (a fan-out cut is flattened
-    back into its messages), a gossip batch one item at a time, no masks,
-    no digest.
-
-    Only the walk over deliveries and payloads is re-implemented; the
-    verdict logic (``_absorb_atoms``, ``_is_border``, ``_check_ack``) is
-    the auditor's own, so any disagreement is the fan-out path's doing.
+    back into its messages), a gossip batch one item at a time, and per
+    process the set of atoms it knows — no masks, no digest.  Its verdict
+    logic is the per-process one the holder-mask auditor replaced; only
+    the direct-ack check is the auditor's own.
     """
 
     def __init__(self, num_partitions, num_groups):
-        super().__init__(num_partitions, num_groups)
+        self.num_partitions = num_partitions
+        self.num_groups = num_groups
+        self.rumors, self.sources = {}, {}
+        self.knowledge = defaultdict(set)
         self.absorbed = defaultdict(set)
+        self.violations = []
+        self.border_messages = defaultdict(int)
+        self.total_border_messages = 0
+
+    def on_inject(self, round_no, pid, rumor):
+        self.rumors[rumor.rid] = rumor
+        self.sources[rumor.rid] = pid
+        self.knowledge[pid].add(plaintext_atom(rumor.rid))
+
+    def allowed_set(self, rid):
+        if rid not in self.rumors:
+            return frozenset()
+        return frozenset(self.rumors[rid].dest) | {self.sources[rid]}
+
+    def holders(self, atom):
+        return frozenset(pid for pid, known in self.knowledge.items() if atom in known)
+
+    def holder_map(self, rid, n):
+        outsiders = set(range(n)) - self.allowed_set(rid)
+        found = {}
+        for partition in range(self.num_partitions):
+            for group in range(self.num_groups):
+                pids = self.holders(fragment_atom(rid, partition, group)) & outsiders
+                if pids:
+                    found[(partition, group)] = set(pids)
+        return found
+
+    def min_coalition_size(self, rid, n):
+        holders = self.holder_map(rid, n)
+        sizes = [
+            size
+            for size in (
+                min_cover_size(holders, partition, self.num_groups)
+                for partition in range(self.num_partitions)
+            )
+            if size is not None
+        ]
+        return min(sizes, default=None)
 
     def on_fanouts(self, round_no, cut):
         for message in flatten(cut):
@@ -262,7 +307,7 @@ class PerItemAuditor(ConfidentialityAuditor):
     def deliver_message(self, round_no, message):
         src, dst, payload = message.src, message.dst, message.payload
         if isinstance(payload, DirectAck):
-            self._check_ack(round_no, message)
+            ConfidentialityAuditor._check_ack(self, round_no, message)
         if isinstance(payload, tuple) and all(
             isinstance(item, GossipItem) for item in payload
         ):
@@ -272,32 +317,77 @@ class PerItemAuditor(ConfidentialityAuditor):
         crossed = []
         for uid, atoms in parts:
             for atom in atoms:
+                allowed = self.allowed_set(atom[1])
                 if (
                     atom[0] == "fragment"
                     and atom[1] not in crossed
-                    and self._is_border(atom[1], src, dst)
+                    and src in allowed
+                    and dst not in allowed
                 ):
                     crossed.append(atom[1])
             if uid is None:
-                self._absorb_atoms(round_no, src, dst, atoms, None)
+                self.absorb(round_no, dst, atoms)
             elif atoms and uid not in self.absorbed[dst]:
                 self.absorbed[dst].add(uid)
-                self._absorb_atoms(round_no, src, dst, atoms, None)
+                self.absorb(round_no, dst, atoms)
         for rid in crossed:
             self.border_messages[rid] += 1
             self.total_border_messages += 1
 
+    def absorb(self, round_no, dst, atoms):
+        known = self.knowledge[dst]
+        for atom in atoms:
+            if atom[0] not in ("fragment", "plaintext") or atom in known:
+                continue
+            known.add(atom)
+            rid = atom[1]
+            if rid not in self.rumors or dst in self.allowed_set(rid):
+                continue
+            if atom[0] == "plaintext":
+                self.violations.append(Violation(
+                    "plaintext", rid, dst, round_no,
+                    "plaintext delivered outside destination set",
+                ))
+                continue
+            partition = atom[2]
+            held = [
+                group
+                for group in range(self.num_groups)
+                if fragment_atom(rid, partition, group) in known
+            ]
+            if len(held) >= 2:
+                self.violations.append(Violation(
+                    "multiplicity", rid, dst, round_no,
+                    "outsider holds groups {} of partition {}".format(
+                        held, partition
+                    ),
+                ))
+            if len(held) == self.num_groups:
+                self.violations.append(Violation(
+                    "reconstruction", rid, dst, round_no,
+                    "outsider completed partition {}".format(partition),
+                ))
 
-def audit_state(auditor):
+
+def audit_state(auditor, rumors, n):
+    """Everything either auditor concludes: per-atom holders, per-rid
+    border counts, the violations in order and the coalition view."""
+    rids = [rumor.rid for rumor in rumors]
+    atoms = [plaintext_atom(rid) for rid in rids] + [
+        fragment_atom(rid, partition, group)
+        for rid in rids
+        for partition in range(auditor.num_partitions)
+        for group in range(auditor.num_groups)
+    ]
     return {
-        "knowledge": {p: a for p, a in auditor.knowledge.items() if a},
-        "fragment_holders": {
-            k: h for k, h in auditor.fragment_holders.items() if h
-        },
-        "plaintext_holders": dict(auditor.plaintext_holders),
+        "holders": {atom: auditor.holders(atom) for atom in atoms},
         "border_messages": dict(auditor.border_messages),
         "total_border_messages": auditor.total_border_messages,
-        "violations": auditor.violations,
+        "violations": list(auditor.violations),
+        "holder_map": {rid: auditor.holder_map(rid, n) for rid in rids},
+        "min_coalition_size": {
+            rid: auditor.min_coalition_size(rid, n) for rid in rids
+        },
     }
 
 
@@ -359,11 +449,11 @@ def test_batch_digest_matches_per_item_reference(data):
             # One payload object, fanned out (possibly twice to one pid).
             for dst in draw(st.lists(st.integers(0, n - 1), max_size=5)):
                 send(round_no, src, dst, payload)
-        assert audit_state(batched) == audit_state(reference)
+        assert audit_state(batched, rumors, n) == audit_state(reference, rumors, n)
 
     # The planted leak: the auditor must still bite, on both paths alike.
     send(7, 0, 5, ItemBatch(pool))
-    assert audit_state(batched) == audit_state(reference)
+    assert audit_state(batched, rumors, n) == audit_state(reference, rumors, n)
     assert not batched.is_clean()
     assert any(
         v.kind == "plaintext" and v.pid == 5 and v.rid == rumors[0].rid
@@ -376,7 +466,7 @@ def test_batch_digest_matches_per_item_reference(data):
 # ----------------------------------------------------------------------
 
 
-def _audit_stream(auditor, stream, injections):
+def _audit_stream(auditor, stream, injections, rumors, n):
     """Feed ``stream`` (one delivered list per round) through the fan-out
     hook; ``injections[round]`` open that round, as in the engine."""
     states = []
@@ -384,7 +474,7 @@ def _audit_stream(auditor, stream, injections):
         for pid, rumor in injections.get(round_no, ()):
             auditor.on_inject(round_no, pid, rumor)
         deliver(auditor, round_no, *delivered)
-        states.append(copy.deepcopy(audit_state(auditor)))
+        states.append(audit_state(auditor, rumors, n))
     return states
 
 
@@ -462,8 +552,8 @@ def test_fanout_audit_matches_per_message_reference(data):
     def both(injections):
         fanout = ConfidentialityAuditor(partitions, groups)
         reference = PerItemAuditor(partitions, groups)
-        got = _audit_stream(fanout, stream, injections)
-        assert got == _audit_stream(reference, stream, injections)
+        got = _audit_stream(fanout, stream, injections, rumors, n)
+        assert got == _audit_stream(reference, stream, injections, rumors, n)
         return fanout
 
     both(scheduled)
@@ -479,3 +569,36 @@ def test_popcount_spellings_agree(mask):
     assert popcount(mask) == _popcount_bin(mask) == sum(
         mask >> bit & 1 for bit in range(mask.bit_length())
     )
+
+
+def test_fanout_violations_follow_delivered_order():
+    # Two outsiders complete a partition in one fan-out, delivered 5
+    # before 3: a message-at-a-time audit raises 5's breaches first, and
+    # so must the fan-out.  Then a new item repeats an atom both already
+    # hold, which breaches nothing more.
+    rumor = mk_rumor(src=0, dest=(1,))
+    first, second = fragments_for(rumor)
+    batches = [
+        ItemBatch([GossipItem(uid=(uid,), origin=0, payload=frag, expiry=50,
+                              dest=frozenset(range(8)))])
+        for uid, frag in (("a", first), ("b", second), ("c", second))
+    ]
+    auditor, reference = make_auditor(num_partitions=1), PerItemAuditor(1, 2)
+    for each in (auditor, reference):
+        each.on_inject(0, 0, rumor)
+        for round_no, batch in enumerate(batches, 1):
+            deliver(each, round_no, *(
+                mk_message(src=0, dst=dst, payload=batch) for dst in (5, 3)
+            ))
+    assert [(v.kind, v.pid, v.round_no) for v in auditor.violations] == [
+        ("multiplicity", 5, 2), ("reconstruction", 5, 2),
+        ("multiplicity", 3, 2), ("reconstruction", 3, 2),
+    ]
+    assert auditor.violations == reference.violations
+
+
+@given(st.integers(min_value=0, max_value=2 ** 200))
+def test_pids_of_lists_the_set_bits(mask):
+    assert list(pids_of(mask)) == [
+        bit for bit in range(mask.bit_length()) if mask >> bit & 1
+    ]

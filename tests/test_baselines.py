@@ -12,7 +12,7 @@ from repro.baselines.strongly_confidential import strongly_confidential_factory
 from repro.sim.engine import Engine
 from repro.sim.rng import derive_rng
 
-from conftest import DeliveryEdges
+from conftest import DeliveryEdges, atom_holders
 
 
 def run_baseline(factory_builder, script, n=8, rounds=80, seed=0):
@@ -75,9 +75,8 @@ class TestStronglyConfidential:
             self.build, [(5, 0, 32, {1, 2})], rounds=80
         )
         assert confidentiality.is_clean()
-        for pid, atoms in confidentiality.knowledge.items():
-            if atoms:
-                assert pid in {0, 1, 2}
+        for pids in atom_holders(confidentiality).values():
+            assert pids <= {0, 1, 2}
 
     def test_relay_by_destinations(self):
         """Destination members forward rumors (collaboration inside D)."""

@@ -12,7 +12,7 @@ from repro.core.partitions import BitPartitions, RandomPartitions
 from repro.sim.engine import Engine
 from repro.sim.rng import SeedSequence, derive_rng
 
-from conftest import DeliveryEdges
+from conftest import DeliveryEdges, atom_holders
 
 
 def run_script(script, n=8, rounds=260, params=None, seed=0):
@@ -136,9 +136,9 @@ class TestCollusionMode:
             [(64, 0, 64, {3})], n=12, rounds=200, params=params
         )
         rid = next(iter(confidentiality.rumors))
-        holders = confidentiality.fragment_holders
         groups_seen = {
-            key[2] for key in holders if key[0] == rid and holders[key]
+            atom[3] for atom in atom_holders(confidentiality, [rid])
+            if atom[0] == "fragment"
         }
         assert groups_seen == {0, 1, 2}
 

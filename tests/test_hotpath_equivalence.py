@@ -22,7 +22,7 @@ from repro.sim.messages import Message, ServiceTags, fragment_atom, reveals_of
 from repro.sim.metrics import MessageStats
 from repro.sim.process import NodeBehavior
 
-from conftest import deliver
+from conftest import atom_holders, deliver
 
 
 def make_engine(n=6, observers=()):
@@ -329,9 +329,7 @@ class TestAuditorBatchCache:
                         payload=rebuilt,
                     ),
                 )
-        assert {
-            pid: atoms for pid, atoms in cached.knowledge.items()
-        } == {pid: atoms for pid, atoms in fresh.knowledge.items()}
+        assert atom_holders(cached, ["r0"]) == atom_holders(fresh, ["r0"])
         assert cached.total_border_messages == fresh.total_border_messages
 
     def test_digest_on_batch_never_goes_stale(self):
@@ -351,7 +349,11 @@ class TestAuditorBatchCache:
         unregistered = ConfidentialityAuditor(num_partitions=4, num_groups=2)
         self._deliver_all(unregistered, batch, dsts=[5, 1], rounds=[1])
         assert unregistered.total_border_messages == 0
-        assert unregistered.knowledge[1] == auditor.knowledge[1]
+        assert atom_holders(unregistered, [rumor.rid]) == {
+            atom: pids
+            for atom, pids in atom_holders(auditor, [rumor.rid]).items()
+            if atom[0] == "fragment"
+        }
 
     def test_atomless_items_become_inert(self):
         # Items that reveal nothing (hitSet shares, confirmations) must
@@ -368,17 +370,15 @@ class TestAuditorBatchCache:
         )
         auditor = ConfidentialityAuditor(num_partitions=4, num_groups=2)
         self._deliver_all(auditor, items, dsts=[1, 2], rounds=[0, 1])
-        assert not any(auditor.knowledge.values())
-        assert not auditor.fragment_holders
+        assert atom_holders(auditor, ["r0"]) == {}
         assert auditor.total_border_messages == 0
         assert auditor.violations == []
         # ... and do not hide the atom-bearing items that share their batch.
         mixed = items + frag_items(2)
         self._deliver_all(auditor, mixed, dsts=[1], rounds=[2])
-        assert auditor.knowledge[1] == {
-            fragment_atom("r0", 0, 0), fragment_atom("r0", 1, 0)
+        assert atom_holders(auditor, ["r0"]) == {
+            fragment_atom("r0", 0, 0): {1}, fragment_atom("r0", 1, 0): {1}
         }
-        assert not auditor.knowledge.get(2)
 
 
 # ----------------------------------------------------------------------

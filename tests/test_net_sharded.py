@@ -16,6 +16,8 @@ from repro.net.coordinator import NetOptions
 from repro.net.shard import ShardPlan
 from repro.sim.engine import SimObserver, UnsupportedScenario, flatten
 
+from conftest import atom_holders
+
 
 def _record(result) -> RunRecord:
     # No spec_key: the payload alone must match across backends.
@@ -50,8 +52,7 @@ def _observed(scenario):
     return result, {
         "stream": stream.stream,
         "border_messages": dict(auditor.border_messages),
-        "fragment_holders": {k: h for k, h in auditor.fragment_holders.items() if h},
-        "knowledge": {pid: atoms for pid, atoms in auditor.knowledge.items() if atoms},
+        "holders": atom_holders(auditor),
         "violations": auditor.violations,
         "exposure": metadata.exposure(scenario.n),
     }
