@@ -4,14 +4,17 @@ The auditor is an engine observer, entirely outside the protocol: it
 inspects every *delivered* message's payload for knowledge atoms (rumor
 plaintexts and XOR fragments) and maintains, per atom, every process that
 has ever learned it — including across crashes, because a curious process
-could have copied data out before crashing.
+could have copied data out before crashing.  A curious receiver reads
+every payload it is handed, so every atom delivered counts, whatever uid
+or envelope it came under.
 
-Its unit of work is the sender's *fan-out*, not the message: a gossip
-sender hands one batch object to all of its targets, so the round's
-deliveries are audited one (sender, batch) run at a time, with the run's
+Its unit of work is the sender's *fan-out*, not the message: a sender
+hands one payload object to all of its targets, so the round's deliveries
+are audited one (sender, payload) run at a time, with the run's
 destinations folded into one pid bitmask.  The engine makes the cut
 (:func:`repro.sim.engine.fanouts`) and hands it to
-:meth:`ConfidentialityAuditor.on_fanouts`.
+:meth:`ConfidentialityAuditor.on_fanouts`, which judges each run's
+:func:`~repro.gossip.rumor.reveal_digest` once, for every payload kind.
 
 Checks provided:
 
@@ -40,7 +43,7 @@ from repro.adversary.collusion import CoalitionStrategy, min_cover_size
 from repro.core.confidential_gossip import DirectAck
 from repro.gossip.rumor import ItemBatch, Rumor, RumorId, reveal_digest
 from repro.sim.engine import Fanout, SimObserver
-from repro.sim.messages import Message, reveals_of
+from repro.sim.messages import fragment_atom, plaintext_atom
 
 __all__ = [
     "Violation",
@@ -138,13 +141,17 @@ class ConfidentialityAuditor(SimObserver):
     """Tracks knowledge flow and detects confidentiality breaches.
 
     Who holds what is kept once, as pid bitmasks (bit ``p`` = pid ``p``):
-    per rumor, the pids allowed to know it and the pids holding its
-    plaintext; per (rumor, partition), one holder mask per group.  A
-    fan-out's border copies, fresh holders and violations fall out of a
-    few ``&`` / ``|`` / ``~`` on ints, never a test per destination.  The
-    engine hands it each round's deliveries cut into sender fan-outs
-    (:meth:`on_fanouts`); its state and its violations, in order, are the
-    same under any cut, down to one message per fan-out.
+    per rumor, the pids allowed to know it, and per knowledge atom (a
+    plaintext or one fragment), the pids that hold it.  The engine hands
+    it each round's deliveries cut into sender fan-outs
+    (:meth:`on_fanouts`), and every fan-out is judged one way, whatever
+    its payload: the payload's reveal digest
+    (:func:`~repro.gossip.rumor.reveal_digest`) against the fan-out's
+    destination mask.  A curious receiver learns every atom it is handed,
+    so border copies, fresh holders and violations fall out of a few
+    ``&`` / ``|`` / ``~`` on ints per atom, never a test per destination;
+    its state and its violations, in order, are the same under any cut,
+    down to one message per fan-out.
     """
 
     def __init__(self, num_partitions: int, num_groups: int):
@@ -158,13 +165,8 @@ class ConfidentialityAuditor(SimObserver):
         self.total_border_messages = 0
         # rid -> D + {source} (registered rumors only)
         self._allowed: Dict[RumorId, int] = {}
-        # rid -> pids holding the plaintext
-        self._plaintext: Dict[RumorId, int] = {}
-        # (rid, partition) -> pids holding each group's fragment
-        self._fragments: Dict[Tuple[RumorId, int], List[int]] = {}
-        # uid of an atom-bearing gossip item -> pids that have absorbed it
-        # (a gate: an item's atoms are looked at once per new holder set).
-        self._item_holders: Dict[Tuple, int] = {}
+        # knowledge atom -> pids holding it
+        self._holders: Dict[Tuple, int] = {}
 
     # ------------------------------------------------------------------
     # Observer hooks
@@ -176,69 +178,31 @@ class ConfidentialityAuditor(SimObserver):
         rid = rumor.rid
         self.rumors[rid] = rumor
         self._allowed[rid] = sum(1 << dst for dst in {pid, *rumor.dest})
-        self._plaintext[rid] = self._plaintext.get(rid, 0) | 1 << pid
+        atom = plaintext_atom(rid)
+        self._holders[atom] = self._holders.get(atom, 0) | 1 << pid
 
     def on_fanouts(self, round_no: int, fanouts: Sequence[Fanout]) -> None:
-        """Audit a round's deliveries, one sender fan-out at a time: a
-        batch once for all its destinations, anything else on its own."""
+        """Audit a round's deliveries, one sender fan-out at a time: the
+        payload's digest once against all of the fan-out's destinations
+        (``dsts`` in delivered order, ``mask`` the same pids as bits)."""
         for head, dsts, mask in fanouts:
             payload = head.payload
-            if isinstance(payload, tuple):
-                self._audit_fanout(round_no, head.src, payload, dsts, mask)
+            if type(payload) is ItemBatch:
+                rids, atoms = payload.audit_digest
             else:
-                self._audit_single(round_no, head)
-
-    def _audit_fanout(
-        self, round_no: int, src: int, payload: Tuple, dsts: List[int], mask: int
-    ) -> None:
-        """One batch from ``src`` to ``dsts`` (delivered order; ``mask``
-        is the same pids as bits)."""
-        if type(payload) is ItemBatch:
-            digest = payload.audit_digest
-        else:
-            digest = reveal_digest(payload)
-        if digest is None:
-            # Batch contains non-item entries; take the generic path.
-            for dst in dsts:
-                self._audit_payload(round_no, src, dst, payload)
-            return
-        rids, revealing = digest
-        if not revealing:
-            return
-        self._count_border(src, rids, mask)
-        holders = self._item_holders
-        raised: List[Violation] = []
-        for item in revealing:
-            uid = item.uid
-            held = holders.get(uid, 0)
-            new = mask & ~held
-            if new:
-                holders[uid] = held | mask
-                self._absorb(round_no, item.atoms, new, raised)
-        if raised:
-            # Destinations in delivered order, then items and atoms in
-            # batch order: the order a message-at-a-time audit raises in.
-            position = {dst: index for index, dst in enumerate(dsts)}
-            raised.sort(key=lambda violation: position[violation.pid])
-            self.violations += raised
-
-    def _audit_single(self, round_no: int, message: Message) -> None:
-        """One message whose payload is not a batch."""
-        if isinstance(message.payload, DirectAck):
-            # Absorb normally afterwards: a leaky ack's atoms must still
-            # feed the plaintext/fragment checks.
-            self._check_ack(round_no, message)
-        self._audit_payload(round_no, message.src, message.dst, message.payload)
-
-    def _audit_payload(
-        self, round_no: int, src: int, dst: int, payload: object
-    ) -> None:
-        """The generic path: walk whatever the payload reveals."""
-        atoms = tuple(reveals_of(payload))
-        bit = 1 << dst
-        rids = {atom[1]: None for atom in atoms if atom[0] == "fragment"}
-        self._count_border(src, rids, bit)
-        self._absorb(round_no, atoms, bit, self.violations)
+                rids, atoms = reveal_digest(payload)
+            raised: List[Violation] = []
+            if isinstance(payload, DirectAck):
+                self._check_ack(round_no, payload, atoms, dsts, raised)
+            if atoms:
+                self._count_border(head.src, rids, mask)
+                self._absorb(round_no, atoms, mask, raised)
+            if raised:
+                # Destinations in delivered order, then atoms in payload
+                # order: the order a message-at-a-time audit raises in.
+                position = {dst: index for index, dst in enumerate(dsts)}
+                raised.sort(key=lambda violation: position[violation.pid])
+                self.violations += raised
 
     def _count_border(self, src: int, rids, mask: int) -> None:
         """Count the copies of ``rids``' fragments that ``src`` sends to
@@ -259,30 +223,19 @@ class ConfidentialityAuditor(SimObserver):
         """The pids in ``mask`` learn ``atoms``: record the new holders of
         each atom and append to ``raised`` what the outsiders among them
         now breach (a rumor not yet registered is recorded, not judged)."""
+        holders = self._holders
         for atom in atoms:
-            kind, rid = atom[0], atom[1]
-            if kind == "fragment":
-                partition, group = atom[2], atom[3]
-                groups = self._fragments.get((rid, partition))
-                if groups is None:
-                    groups = self._fragments[(rid, partition)] = [0] * self.num_groups
-                new = mask & ~groups[group]
-                if not new:
-                    continue
-                groups[group] |= new
-            elif kind == "plaintext":
-                held = self._plaintext.get(rid, 0)
-                new = mask & ~held
-                if not new:
-                    continue
-                self._plaintext[rid] = held | new
-            else:
+            held = holders.get(atom, 0)
+            new = mask & ~held
+            if not new:
                 continue
+            holders[atom] = held | new
+            rid = atom[1]
             allowed = self._allowed.get(rid)
             outside = 0 if allowed is None else new & ~allowed
             if not outside:
                 continue
-            if kind == "plaintext":
+            if atom[0] == "plaintext":
                 raised.extend(
                     Violation(
                         "plaintext", rid, pid, round_no,
@@ -293,6 +246,8 @@ class ConfidentialityAuditor(SimObserver):
                 continue
             # An outsider holding another group of this partition breaches
             # multiplicity (Lemma 14); one holding every group can rebuild.
+            partition, group = atom[2], atom[3]
+            groups = self._groups(rid, partition)
             some_other, every_other = 0, -1
             for other, holding in enumerate(groups):
                 if other != group:
@@ -317,6 +272,14 @@ class ConfidentialityAuditor(SimObserver):
                 for pid in pids_of(outside & every_other)
             )
 
+    def _groups(self, rid: RumorId, partition: int) -> List[int]:
+        """The holder mask of each group's fragment of one partition."""
+        holders = self._holders
+        return [
+            holders.get(fragment_atom(rid, partition, group), 0)
+            for group in range(self.num_groups)
+        ]
+
     # ------------------------------------------------------------------
     # Checks
     # ------------------------------------------------------------------
@@ -324,10 +287,7 @@ class ConfidentialityAuditor(SimObserver):
     def holders(self, atom: Tuple) -> FrozenSet[int]:
         """The pids holding knowledge ``atom`` (a plaintext or fragment
         atom, :mod:`repro.sim.messages`)."""
-        if atom[0] == "plaintext":
-            return frozenset(pids_of(self._plaintext.get(atom[1], 0)))
-        groups = self._fragments.get(atom[1:3])
-        return frozenset(pids_of(groups[atom[3]] if groups else 0))
+        return frozenset(pids_of(self._holders.get(atom, 0)))
 
     def allowed_set(self, rid: RumorId) -> FrozenSet[int]:
         """Processes allowed to know the rumor: ``D`` plus the source."""
@@ -339,32 +299,35 @@ class ConfidentialityAuditor(SimObserver):
     def outsiders(self, rid: RumorId, n: int) -> FrozenSet[int]:
         return frozenset(pids_of(self._outside(rid, n)))
 
-    def _check_ack(self, round_no: int, message: Message) -> None:
+    def _check_ack(
+        self,
+        round_no: int,
+        ack: DirectAck,
+        atoms,
+        dsts: List[int],
+        raised: List[Violation],
+    ) -> None:
         """Direct-send acks must be pure control traffic.
 
         A well-formed :class:`DirectAck` carries a rumor id and the
-        acker's pid only.  If one ever reveals knowledge atoms or carries
-        raw bytes (a regression in the reliability layer), that is an
-        ``ack_leak`` violation — the hardened direct-send path may add
-        redundancy, never knowledge.
+        acker's pid only.  If one ever reveals knowledge atoms (its
+        digest's ``atoms``) or carries raw bytes (a regression in the
+        reliability layer), each of ``dsts`` gets an ``ack_leak``
+        violation — the hardened direct-send path may add redundancy,
+        never knowledge.  The atoms are still absorbed afterwards, so a
+        leaky ack also feeds the plaintext/fragment checks.
         """
-        payload = message.payload
-        atoms = list(reveals_of(payload))
         carries_bytes = any(
             isinstance(value, (bytes, bytearray))
-            for value in vars(payload).values()
+            for value in vars(ack).values()
         )
         if atoms or carries_bytes:
-            self.violations.append(
-                Violation(
-                    kind="ack_leak",
-                    rid=payload.rid,
-                    pid=message.dst,
-                    round_no=round_no,
-                    detail="direct ack carries {}".format(
-                        "knowledge atoms" if atoms else "payload bytes"
-                    ),
-                )
+            detail = "direct ack carries {}".format(
+                "knowledge atoms" if atoms else "payload bytes"
+            )
+            raised.extend(
+                Violation("ack_leak", ack.rid, dst, round_no, detail)
+                for dst in dsts
             )
 
     # ------------------------------------------------------------------
@@ -378,7 +341,7 @@ class ConfidentialityAuditor(SimObserver):
         outside = self._outside(rid, n)
         holders: Dict[Tuple[int, int], Set[int]] = {}
         for partition in range(self.num_partitions):
-            for group, holding in enumerate(self._fragments.get((rid, partition), ())):
+            for group, holding in enumerate(self._groups(rid, partition)):
                 if holding & outside:
                     holders[(partition, group)] = set(pids_of(holding & outside))
         return holders
@@ -406,8 +369,7 @@ class ConfidentialityAuditor(SimObserver):
             1 << pid for pid in set(coalition) if 0 <= pid < n
         )
         for partition in range(self.num_partitions):
-            groups = self._fragments.get((rid, partition))
-            if groups and all(holding & pooled for holding in groups):
+            if all(holding & pooled for holding in self._groups(rid, partition)):
                 return True, partition
         return False, None
 

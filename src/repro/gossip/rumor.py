@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
@@ -163,46 +163,46 @@ class GossipItem:
 _ITEM_UID = attrgetter("uid")
 _ITEM_ATOMS = attrgetter("atoms")
 
-# (fragment rids, revealing items) — see reveal_digest.
-RevealDigest = Tuple[Tuple[RumorId, ...], Tuple[GossipItem, ...]]
-# The digest of a batch in which no item reveals anything: the common
-# case, shared so that it costs no allocation.
+# (fragment rids, atoms) — see reveal_digest.
+RevealDigest = Tuple[Tuple[RumorId, ...], Tuple[KnowledgeAtom, ...]]
+# The digest of a payload that reveals nothing: the common case, shared
+# so that it costs no allocation.
 _REVEALS_NOTHING: RevealDigest = ((), ())
 
 
-def reveal_digest(items: Tuple) -> Optional[RevealDigest]:
-    """What a batch of gossip items can tell an auditor, receiver aside.
+def reveal_digest(payload: object) -> RevealDigest:
+    """What a payload tells whoever receives it: ``(fragment rids, atoms)``.
 
-    Returns ``(fragment rids, revealing)``:
+    * ``atoms`` — every knowledge atom the payload reveals, first
+      occurrence each, in payload order.  A curious receiver reads all
+      of it: nothing is left out for a uid the receiver has seen, so two
+      items under one uid count as the two payloads they are (and the
+      proxy shares in one batch, which repeat each other's fragments,
+      cost one atom each);
+    * ``fragment rids`` — the deduped rids of the fragment atoms, in
+      order: the rumors whose border a copy of this payload can cross.
 
-    * ``fragment rids`` — the deduped rids of every fragment atom in the
-      batch, in batch order: the rumors whose border a copy of this batch
-      can cross;
-    * ``revealing`` — the items that reveal anything, first occurrence of
-      each uid, in batch order (hitSet shares, confirmations — the bulk
-      of gossip volume — reveal nothing and can never affect an audit).
-
-    A pure function of the (immutable) items: nothing in it depends on
+    A pure function of the (immutable) payload: nothing in it depends on
     which rumors an auditor has seen registered, so every auditor and
-    every round can share one digest.  Atoms are read off the item
-    objects in one C pass, so an atom-less item costs no Python-level
-    work and no uid hash.  ``None`` when ``items`` holds entries that are
-    not gossip items — the caller then walks the payload generically.
+    every round can share one digest.  A tuple of gossip items has its
+    atoms read off the item objects in one C pass, so an atom-less item
+    (a hitSet share, a confirmation: the bulk of gossip volume) costs no
+    Python-level work; any other payload is walked by
+    :func:`~repro.sim.messages.reveals_of`.
     """
-    try:
-        atoms_of = list(map(_ITEM_ATOMS, items))
-    except AttributeError:
-        return None
-    if not any(atoms_of):
+    atoms_of = None
+    if isinstance(payload, tuple):
+        try:
+            atoms_of = list(map(_ITEM_ATOMS, payload))
+        except AttributeError:  # not only gossip items: walk it
+            pass
+    atoms = dict.fromkeys(
+        reveals_of(payload) if atoms_of is None else chain.from_iterable(atoms_of)
+    )
+    if not atoms:
         return _REVEALS_NOTHING
-    rids: Dict[RumorId, None] = {}
-    revealing: Dict[Tuple, GossipItem] = {}
-    for item in compress(items, atoms_of):
-        revealing.setdefault(item.uid, item)
-        for atom in item.atoms:
-            if atom[0] == "fragment":
-                rids[atom[1]] = None
-    return tuple(rids), tuple(revealing.values())
+    rids = dict.fromkeys(atom[1] for atom in atoms if atom[0] == "fragment")
+    return tuple(rids), tuple(atoms)
 
 
 class _UidSetTable:
@@ -263,7 +263,8 @@ class ItemBatch(tuple):
     per-item Python work is spent on items already known.
 
     The same sharing makes the batch the unit of *audit* work:
-    ``audit_digest`` is what the confidentiality auditor needs of it,
+    ``audit_digest`` is what the confidentiality auditor needs of it —
+    its fragment rids and every atom its items reveal, uids aside —
     resolved once per batch object however many destinations, rounds (a
     standing batch is resent for many) and auditors it meets.
 
@@ -305,7 +306,7 @@ class ItemBatch(tuple):
         return positions
 
     @cached_property
-    def audit_digest(self) -> Optional[RevealDigest]:
+    def audit_digest(self) -> RevealDigest:
         """:func:`reveal_digest` of this batch, resolved on first read —
         kept here the way ``atoms`` is kept on a :class:`GossipItem`; a
         process that never audits (a shard worker) never pays."""

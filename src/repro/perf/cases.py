@@ -360,27 +360,29 @@ def _setup_audit_batch_fanout() -> Operation:
 
 def _setup_audit_deliver() -> Operation:
     from repro.audit.confidentiality import ConfidentialityAuditor
-    from repro.gossip.rumor import GossipItem, ItemBatch
+    from repro.core.splitting import split_rumor
+    from repro.gossip.rumor import GossipItem, ItemBatch, Rumor, RumorId
     from repro.sim.engine import fanouts
-    from repro.sim.messages import Message, ServiceTags, fragment_atom
+    from repro.sim.messages import Message, ServiceTags
 
-    class _Frag:
-        def __init__(self, rid: str, partition: int, group: int) -> None:
-            self.atom = fragment_atom(rid, partition, group)
-
-        def reveals(self):
-            yield self.atom
-
+    # Four registered rumors of pid 0 for pids 1-8, so 9-15 of the 15
+    # receivers are outsiders.  The batch carries one group of each
+    # partition, as one group's gossip does: every copy an outsider gets
+    # crosses the border, and none completes a partition.
+    rumors = [
+        Rumor(RumorId(0, seq), b"perf-secret-bytes", 64, frozenset(range(1, 9)))
+        for seq in range(4)
+    ]
+    fragments = [
+        split_rumor(rumor, partition, 2, random.Random(seq), 64, 100)[partition % 2]
+        for seq, rumor in enumerate(rumors)
+        for partition in range(4)
+    ]
     # What the engine hands the auditor: one ItemBatch object fanned out
     # to 15 destinations, the round's deliveries as one list.
     items = ItemBatch(
-        GossipItem(
-            uid=("perf", i),
-            origin=0,
-            payload=_Frag("r0:{}".format(i % 4), i % 4, i % 2),
-            expiry=100,
-            dest=frozenset(range(16)),
-        )
+        GossipItem(("perf", i), 0, fragments[i % len(fragments)], 100,
+                   frozenset(range(16)))
         for i in range(50)
     )
     messages = [
@@ -390,6 +392,8 @@ def _setup_audit_deliver() -> Operation:
 
     def op() -> object:
         auditor = ConfidentialityAuditor(num_partitions=4, num_groups=2)
+        for rumor in rumors:
+            auditor.on_inject(0, rumor.rid.src, rumor)
         for round_no in range(8):
             auditor.on_fanouts(round_no, fanouts(messages))
         return auditor.total_border_messages

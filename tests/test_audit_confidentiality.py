@@ -136,6 +136,45 @@ class TestFragmentTracking:
         }
 
 
+class TestReusedUid:
+    """A curious receiver reads every payload it is handed: a second
+    fragment under a uid it already holds is still learned."""
+
+    def _items(self, rumor):
+        first, second = fragments_for(rumor)
+        return [
+            GossipItem(uid=("reused",), origin=0, payload=frag, expiry=10,
+                       dest=frozenset({5}))
+            for frag in (first, second)
+        ]
+
+    def _assert_outsider_learned_both(self, auditor, rumor):
+        assert auditor.violation_counts()["multiplicity"] == 1
+        assert auditor.violation_counts()["reconstruction"] == 1
+        assert [(v.kind, v.pid) for v in auditor.violations] == [
+            ("multiplicity", 5), ("reconstruction", 5),
+        ]
+        assert auditor.holders(fragment_atom(rumor.rid, 0, 1)) == {5}
+        assert not auditor.is_clean()
+
+    def test_across_two_fanouts(self):
+        auditor = make_auditor()
+        rumor = mk_rumor(src=0, dest=(1,))
+        auditor.on_inject(0, 0, rumor)
+        for round_no, item in enumerate(self._items(rumor), 1):
+            deliver(auditor, round_no,
+                    mk_message(src=0, dst=5, payload=ItemBatch([item])))
+        self._assert_outsider_learned_both(auditor, rumor)
+
+    def test_inside_one_batch(self):
+        auditor = make_auditor()
+        rumor = mk_rumor(src=0, dest=(1,))
+        auditor.on_inject(0, 0, rumor)
+        batch = ItemBatch(self._items(rumor))
+        deliver(auditor, 1, mk_message(src=0, dst=5, payload=batch))
+        self._assert_outsider_learned_both(auditor, rumor)
+
+
 class TestBorderMessages:
     def test_border_counted(self):
         auditor = make_auditor()
@@ -249,10 +288,11 @@ class TestSummary:
 
 class PerItemAuditor:
     """The reference: one message at a time (a fan-out cut is flattened
-    back into its messages), a gossip batch one item at a time, and per
-    process the set of atoms it knows — no masks, no digest.  Its verdict
-    logic is the per-process one the holder-mask auditor replaced; only
-    the direct-ack check is the auditor's own.
+    back into its messages), a payload walked atom by atom, and per
+    process the set of atoms it knows — no masks, no digest.  A curious
+    receiver learns every atom it is handed, whatever uid it came under.
+    Its verdict logic is the per-process one the holder-mask auditor
+    replaced; only the direct-ack check is the auditor's own.
     """
 
     def __init__(self, num_partitions, num_groups):
@@ -260,7 +300,6 @@ class PerItemAuditor:
         self.num_groups = num_groups
         self.rumors, self.sources = {}, {}
         self.knowledge = defaultdict(set)
-        self.absorbed = defaultdict(set)
         self.violations = []
         self.border_messages = defaultdict(int)
         self.total_border_messages = 0
@@ -306,30 +345,22 @@ class PerItemAuditor:
 
     def deliver_message(self, round_no, message):
         src, dst, payload = message.src, message.dst, message.payload
+        atoms = tuple(reveals_of(payload))
         if isinstance(payload, DirectAck):
-            ConfidentialityAuditor._check_ack(self, round_no, message)
-        if isinstance(payload, tuple) and all(
-            isinstance(item, GossipItem) for item in payload
-        ):
-            parts = [(item.uid, tuple(reveals_of(item))) for item in payload]
-        else:
-            parts = [(None, tuple(reveals_of(payload)))]
+            ConfidentialityAuditor._check_ack(
+                self, round_no, payload, atoms, [dst], self.violations
+            )
         crossed = []
-        for uid, atoms in parts:
-            for atom in atoms:
-                allowed = self.allowed_set(atom[1])
-                if (
-                    atom[0] == "fragment"
-                    and atom[1] not in crossed
-                    and src in allowed
-                    and dst not in allowed
-                ):
-                    crossed.append(atom[1])
-            if uid is None:
-                self.absorb(round_no, dst, atoms)
-            elif atoms and uid not in self.absorbed[dst]:
-                self.absorbed[dst].add(uid)
-                self.absorb(round_no, dst, atoms)
+        for atom in atoms:
+            allowed = self.allowed_set(atom[1])
+            if (
+                atom[0] == "fragment"
+                and atom[1] not in crossed
+                and src in allowed
+                and dst not in allowed
+            ):
+                crossed.append(atom[1])
+        self.absorb(round_no, dst, atoms)
         for rid in crossed:
             self.border_messages[rid] += 1
             self.total_border_messages += 1

@@ -107,6 +107,12 @@ class TestBench:
             result = run_case(get_case(key), repeats=1, warmup=0)
             assert result.best > 0, key
 
+    def test_audit_cases_judge_something(self):
+        # An audit case whose op returns 0 (no rumor registered, no copy
+        # across a border) times an auditor that does none of its work.
+        for case in all_cases(tags=("audit",)):
+            assert case.setup()() > 0, case.key
+
     def test_suite_payload_shape(self):
         case, _ = counting_case()
         payload = suite_payload(run_suite([case], repeats=2, warmup=0))
