@@ -1068,14 +1068,13 @@ class ArrayEngine(RoundEngine):
             targets = sample_targets_excluding_self(
                 self._rng_gossip, channel.scope_idx, channel.pos_of[senders], channel.k
             )
-            # (items, senders): who broadcasts what this round, in one gather.
-            sending = bitset.test_bits(holders, senders)
-            self._audit_spread_borders(live, sending, senders, targets)
+            self._audit_spread_borders(live, holders, senders, targets)
         if self._lowering():
             if channel.all_to_all:  # each holder sends to its scope but itself
                 cols = np.arange(channel.size - 1)
                 targets = channel.scope_idx[cols + (cols >= channel.pos_of[senders][:, None])]
-                sending = bitset.test_bits(holders, senders)
+            # (items, senders): who broadcasts what this round, in one gather.
+            sending = bitset.test_bits(holders, senders)
             # Senders holding the same items share one Facts.
             facts = _facts_by_column([_item_facts(item) for item in live], sending)
             self._lower(
@@ -1086,7 +1085,14 @@ class ArrayEngine(RoundEngine):
             for item in live:
                 self._spread_all_to_all(channel, item)
             return
-        for item, rows in zip(live, sending):
+        # Targets lie in the scope, so an item every scope member holds
+        # gains no holder: reach is scattered for the open items only.
+        open_rows = np.flatnonzero((channel.scope_mask & ~holders).any(axis=1))
+        if not len(open_rows):
+            return
+        sending = bitset.test_bits(holders[open_rows], senders)
+        for i, rows in zip(open_rows.tolist(), sending):
+            item = live[i]
             fresh = bitset.andnot(
                 bitset.from_indices(targets[rows].ravel(), self.n), item.holders
             )
@@ -1111,7 +1117,7 @@ class ArrayEngine(RoundEngine):
             bitset.union_into(item.holders, fresh)
             self._spread_deliveries.append((item, fresh))
 
-    def _audit_spread_borders(self, live, sending, senders, targets) -> None:
+    def _audit_spread_borders(self, live, holders, senders, targets) -> None:
         """Tally this channel-round's fragment-bearing sends that leave a
         rumor's allowed set: one row per (item, rumor) it carries."""
         item_rows: List[int] = []
@@ -1131,7 +1137,8 @@ class ArrayEngine(RoundEngine):
         allowed_bits = bitset.to_flags(np.stack(allowed))
         # A border message runs from a holder inside the allowed set to a
         # target outside it; gather the allowed flag of those sends only.
-        row, col = np.nonzero(sending[item_rows] & (allowed_bits[:, senders] != 0))
+        sending = bitset.test_bits(holders[item_rows], senders)
+        row, col = np.nonzero(sending & (allowed_bits[:, senders] != 0))
         inside = allowed_bits[row[:, None], targets[col]]
         self.auditor.add_border(inside.size - np.count_nonzero(inside))
 

@@ -788,6 +788,39 @@ def _setup_fastcore_lower_fanouts() -> Operation:
     return op
 
 
+def _setup_fastcore_spread_channel() -> Operation:
+    # One AllGossip channel-round at n=4096: six items every pid holds
+    # and one that an eighth of them hold, as late in a steady run.
+    import numpy as np
+
+    from repro.core.config import CongosParams
+    from repro.core.congos import build_partition_set
+    from repro.fastcore import bitset
+    from repro.fastcore.engine import DSHARE, ArrayEngine, _Item
+
+    n, params, round_no = 4096, CongosParams.preset("lean"), 10
+    partitions = build_partition_set(n, params, 0)
+    engine = ArrayEngine(n, params, partitions, 0, None, lambda *_: None, None)
+    channel = engine.all_channel
+    rng = np.random.default_rng(29)
+    masks = [bitset.full(n)] * 6 + [
+        bitset.from_indices(rng.choice(n, size=n // 8, replace=False), n)
+    ]
+    items = [_Item(DSHARE, round_no - 2, round_no - 1, round_no + 8, 1, mask)
+             for mask in masks]
+
+    def op() -> object:
+        for item, mask in zip(items, masks):
+            item.holders = mask.copy()
+        channel.items = list(items)
+        engine._count, engine._spread_deliveries = 0, []
+        engine._spread_channel(round_no, channel)
+        fresh = sum(bitset.popcount(mask) for _, mask in engine._spread_deliveries)
+        return engine._count + fresh
+
+    return op
+
+
 def _register_fastcore_cases() -> None:
     from repro.fastcore import numpy_available
 
@@ -841,6 +874,16 @@ def _register_fastcore_cases() -> None:
             "2048 senders x 22 targets)",
             setup=_setup_fastcore_lower_fanouts,
             ops=2048,
+            tags=("fastcore", "micro"),
+        )
+    )
+    register_case(
+        PerfCase(
+            key="fastcore_spread_channel",
+            title="fastcore spreading one AllGossip channel-round (n=4096, "
+            "6 saturated items + 1 open)",
+            setup=_setup_fastcore_spread_channel,
+            ops=1,
             tags=("fastcore", "micro"),
         )
     )

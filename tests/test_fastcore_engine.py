@@ -8,6 +8,8 @@ scope rejection.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -164,6 +166,24 @@ class TestLoweredFanouts:
         for dsts, facts in deliveries:
             assert len(dsts) == 1 and facts
             assert all(dsts[0] in dest for _, dest in facts)
+
+    def test_the_lowered_stream_is_pinned(self):
+        # No summary digest reads the lowered fan-outs: pin each one's
+        # round, head, destinations, mask and facts, canonically encoded.
+        _, fanouts = self._run()
+        digest = hashlib.sha256()
+        for round_no, head, dsts, mask, facts in fanouts:
+            line = json.dumps([
+                round_no, head.src, head.service, head.channel, head.size,
+                list(dsts), mask,
+                [[rid.src, rid.seq, None if dest is None else sorted(dest)]
+                 for rid, dest in facts],
+            ], separators=(",", ":"))
+            digest.update(line.encode() + b"\n")
+        assert len(fanouts) == 71690
+        assert digest.hexdigest() == (
+            "5a97a456f254b388c490f177b2bcd621dfe3d91482f3f1c30576741f66402fab"
+        )
 
 
 class TestScope:

@@ -54,6 +54,7 @@ class TestRegistry:
         assert "metadata_fanouts" in keys
         if numpy_available():
             assert "fastcore_lower_fanouts" in keys
+            assert "fastcore_spread_channel" in keys
 
     def test_get_case_unknown_key_raises(self):
         with pytest.raises(KeyError, match="unknown perf case"):
@@ -106,6 +107,13 @@ class TestBench:
         for key in keys:
             result = run_case(get_case(key), repeats=1, warmup=0)
             assert result.best > 0, key
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy>=2.0")
+    def test_spread_case_sends_and_spreads(self):
+        # Sends plus fresh holders: a case whose op returns 0 spread nothing.
+        case = get_case("fastcore_spread_channel")
+        assert case.setup()() > 0
+        assert run_case(case, repeats=1, warmup=0).best > 0
 
     def test_audit_cases_judge_something(self):
         # An audit case whose op returns 0 (no rumor registered, no copy
