@@ -17,7 +17,7 @@ from repro.sim.engine import AdversaryView
 from repro.sim.events import MidRoundDecision, RoundDecision
 from repro.sim.messages import Message
 
-__all__ = ["Adversary", "NullAdversary", "ComposedAdversary"]
+__all__ = ["Adversary", "ComposedAdversary"]
 
 
 class Adversary:
@@ -30,10 +30,6 @@ class Adversary:
         self, view: AdversaryView, outgoing: List[Message]
     ) -> MidRoundDecision:
         return MidRoundDecision()
-
-
-class NullAdversary(Adversary):
-    """Explicitly fault-free and injection-free."""
 
 
 class ComposedAdversary(Adversary):

@@ -28,9 +28,6 @@ class PowerFit:
     scale: float
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        return self.scale * (x ** self.exponent)
-
 
 def _linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple:
     n = len(xs)

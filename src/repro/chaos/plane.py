@@ -125,6 +125,11 @@ class ChaosFaultPlane:
 
     # -- state queries ---------------------------------------------------
 
+    def observe_injection(
+        self, round_no: int, src: int, seq: int, deadline: int
+    ) -> None:
+        """An injection announcement; the oblivious schedule ignores it."""
+
     def active_in(self, round_no: int) -> bool:
         return self.spec.active_in(round_no)
 

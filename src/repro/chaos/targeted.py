@@ -457,9 +457,10 @@ class TargetedFaultPlane(ChaosFaultPlane):
     ) -> None:
         """Leak-safe injection announcement (rid coordinates + deadline).
 
-        Fed by an engine observer on the inproc backend and by the
-        coordinator's round-frame broadcast on the sharded one, so every
-        worker's policy tracks identically.
+        Fed by the round skeleton (``RoundEngine._round_start``) on every
+        engine, the sharded coordinator's mirror included, and inside
+        each shard worker by the coordinator's round-frame broadcast, so
+        every worker's policy tracks identically.
         """
         self.policy.observe_injection(round_no, src, seq, deadline)
 

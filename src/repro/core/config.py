@@ -202,17 +202,6 @@ class CongosParams:
         threshold = self.collusion_direct_factor * n / (math.log2(n) ** 2)
         return self.tau >= threshold
 
-    def partition_count(self, n: int) -> int:
-        """Number of partitions to use.
-
-        ``ceil(log2 n)`` bit partitions in the base algorithm; about
-        ``c * tau * log n`` random partitions in collusion mode.
-        """
-        log_n = max(1, math.ceil(math.log2(max(2, n))))
-        if self.tau == 1:
-            return log_n
-        return max(1, self.tau * log_n)
-
     # ------------------------------------------------------------------
     # Presets
     # ------------------------------------------------------------------

@@ -86,7 +86,6 @@ def run_tasks(
     jobs: Optional[int] = None,
     timeout: Optional[float] = None,
     retries: int = 1,
-    progress: Optional[Progress] = None,
     on_result: Optional[Callable[[int, R], None]] = None,
 ) -> List[R]:
     """Run ``fn`` over ``items``, in parallel, preserving input order.
@@ -109,8 +108,6 @@ def run_tasks(
             results_serial.append(result)
             if on_result is not None:
                 on_result(serial_index, result)
-            if progress is not None:
-                progress.task_done()
         return results_serial
 
     results: Dict[int, R] = {}
@@ -121,8 +118,6 @@ def run_tasks(
         remaining.pop(index)
         if on_result is not None:
             on_result(index, results[index])
-        if progress is not None:
-            progress.task_done()
 
     while remaining:
         broken = False

@@ -13,7 +13,7 @@ import math
 import random
 from typing import FrozenSet, List, Sequence
 
-__all__ = ["default_fanout", "choose_push_targets", "rounds_to_saturate"]
+__all__ = ["default_fanout", "choose_push_targets"]
 
 
 def default_fanout(scope_size: int, scale: float = 2.0, minimum: int = 1) -> int:
@@ -67,21 +67,3 @@ def choose_push_targets(
     if len(pool) <= fanout:
         return sorted(pool)
     return rng.sample(pool, fanout)
-
-
-def rounds_to_saturate(scope_size: int, fanout: int) -> int:
-    """A safe upper estimate of rounds for push to inform the whole group.
-
-    Push roughly multiplies the informed set by ``1 + fanout`` per round
-    until half the group is informed, then halves the uninformed set each
-    round; ``2 * ceil(log(scope_size))`` rounds is a comfortable bound used
-    to size gossip deadlines in examples and tests.
-    """
-    if scope_size <= 1:
-        return 0
-    if fanout <= 0:
-        raise ValueError("fanout must be positive for saturation")
-    growth = 1 + fanout
-    to_half = math.ceil(math.log(scope_size, growth)) if scope_size > 1 else 0
-    drain = math.ceil(math.log2(scope_size))
-    return max(1, to_half + drain)

@@ -85,14 +85,3 @@ class ShiftExpander:
             if target != pid and target not in out:
                 out.append(target)
         return out
-
-    def diameter_bound(self) -> int:
-        """A crude upper bound on the graph diameter (for tests)."""
-        if self.size <= 1:
-            return 0
-        hops = 0
-        reach = 1
-        while reach < self.size:
-            reach += reach * max(1, len(self.offsets))
-            hops += 1
-        return hops

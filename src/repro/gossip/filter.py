@@ -9,7 +9,9 @@ are effectively failed."
 Our :class:`ContinuousGossip` chooses targets inside its scope to begin
 with, so in a correct build the filter never fires — it is the *enforcement
 boundary* that turns a target-selection bug into a counted drop instead of
-a confidentiality violation, and the audit asserts ``dropped == 0``.
+a confidentiality violation.  ``tests/test_gossip_filter.py`` runs steady
+(tau=1) and collusion (tau=2) scenarios and checks ``dropped == 0`` on
+every gossip instance of every node.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from repro.audit.delivery import DeliveryAuditor, QoDReport
 from repro.audit.failfast import FailFastMonitor
 from repro.chaos.plane import ChaosFaultPlane
 from repro.chaos.spec import FaultSpec
-from repro.chaos.targeted import TargetedFaultPlane, TargetedSpec, build_fault_plane
+from repro.chaos.targeted import TargetedSpec, build_fault_plane
 from repro.core.config import CongosParams
 from repro.core.congos import build_partition_set, congos_factory
 from repro.core.partitions import PartitionSet
@@ -41,7 +41,6 @@ __all__ = [
     "Scenario",
     "RunResult",
     "RunSetup",
-    "TargetedInjectionTap",
     "assemble",
     "engine_for",
     "run_congos_scenario",
@@ -50,23 +49,6 @@ __all__ = [
 
 WorkloadFactory = Callable[[random.Random], Adversary]
 FaultFactory = Callable[[random.Random, PartitionSet, int], Adversary]
-
-
-class TargetedInjectionTap(SimObserver):
-    """Feeds injection announcements to a targeted fault plane.
-
-    Forwards exactly the leak-safe metadata the adversary model allows:
-    the rumor's id coordinates and its deadline — never the payload, the
-    destination set, or node state.  The sharded backend broadcasts the
-    same tuple in its round frames instead of using this observer.
-    """
-
-    def __init__(self, plane: "TargetedFaultPlane"):
-        self.plane = plane
-
-    def on_inject(self, round_no: int, pid: int, rumor) -> None:
-        rid = rumor.rid
-        self.plane.observe_injection(round_no, rid.src, rid.seq, rumor.deadline)
 
 
 @dataclass
@@ -388,15 +370,11 @@ def engine_for(
         scenario.targeted_spec(),
         telemetry=setup.telemetry,
     )
-    observers = setup.observers
-    if isinstance(fault_plane, TargetedFaultPlane):
-        # The targeted policy's tracking state is fed by this tap.
-        observers = [*observers, TargetedInjectionTap(fault_plane)]
     return Engine(
         n=scenario.n,
         node_factory=node_factory,
         adversary=setup.adversary,
-        observers=observers,
+        observers=setup.observers,
         seed=scenario.seed,
         fault_plane=fault_plane,
     )

@@ -27,16 +27,10 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.audit.confidentiality import shed_rumor_leaks
+from repro.load.workload import hist_summary
 from repro.obs.registry import Histogram
 
 __all__ = ["slo_summary"]
-
-_QUANTILE_KEYS = ("count", "mean", "max", "p50", "p99", "p999")
-
-
-def _latency_summary(hist: Histogram) -> Dict[str, object]:
-    full = hist.as_dict()
-    return {key: full[key] for key in _QUANTILE_KEYS}
 
 
 def slo_summary(result) -> Optional[Dict[str, object]]:
@@ -61,8 +55,8 @@ def slo_summary(result) -> Optional[Dict[str, object]]:
         wait = waits.get(outcome.rid)
         if wait is not None:
             e2e_hist.observe(outcome.latency + wait)
-    out["delivery_latency"] = _latency_summary(delivery_hist)
-    out["e2e_latency"] = _latency_summary(e2e_hist)
+    out["delivery_latency"] = hist_summary(delivery_hist)
+    out["e2e_latency"] = hist_summary(e2e_hist)
 
     paths = result.qod.path_counts(admissible_only=True)
     served = sum(paths.values())

@@ -27,6 +27,7 @@ from repro.analysis.sweeps import CellResult, SweepResult, grid
 from repro.core.config import CongosParams
 from repro.harness.experiment import Experiment, Table, columns, pick
 from repro.load.arrivals import PROCESSES
+from repro.load.workload import hist_summary
 from repro.obs.registry import Histogram
 
 __all__ = ["BENCH_NAME", "LOAD_SOAK", "load_cells", "load_payload"]
@@ -66,10 +67,7 @@ def _pooled_latency(runs) -> Dict[str, object]:
     for run in runs:
         for latency in run.latencies:
             hist.observe(latency)
-    full = hist.as_dict()
-    return {
-        key: full[key] for key in ("count", "mean", "max", "p50", "p99", "p999")
-    }
+    return hist_summary(hist)
 
 
 def _worst_seed_latency(runs, section: str) -> Dict[str, object]:

@@ -38,7 +38,7 @@ from repro.obs.registry import Histogram
 from repro.sim.engine import AdversaryView
 from repro.sim.events import RoundDecision
 
-__all__ = ["OpenWorkload", "ShedArrival", "SHED_REASONS"]
+__all__ = ["OpenWorkload", "ShedArrival", "SHED_REASONS", "hist_summary"]
 
 SHED_REASONS = ("queue_full", "aged_out")
 
@@ -188,12 +188,13 @@ class OpenWorkload(InjectionWorkload):
                 round(self.shed_total / offered, 6) if offered else 0.0
             ),
             "queue_final_depth": len(self.queue),
-            "queue_depth": _hist_summary(self.depth_hist),
-            "wait_rounds": _hist_summary(self.wait_hist),
+            "queue_depth": hist_summary(self.depth_hist),
+            "wait_rounds": hist_summary(self.wait_hist),
         }
 
 
-def _hist_summary(hist: Histogram) -> Dict[str, object]:
+def hist_summary(hist: Histogram) -> Dict[str, object]:
+    """The six keys every ``load`` section reports of a histogram."""
     full = hist.as_dict()
     return {
         key: full[key] for key in ("count", "mean", "max", "p50", "p99", "p999")

@@ -55,7 +55,7 @@ from repro.chaos.targeted import TargetedFaultPlane, build_fault_plane
 from repro.gossip.rumor import RumorId
 from repro.net.codec import WireSession, decode_frame, encode_frame
 from repro.net.shard import ShardPlan
-from repro.net.transport import DEFAULT_TIMEOUT, TransportClosed, get_transport
+from repro.net.transport import DEFAULT_TIMEOUT, TcpListener, TransportClosed
 from repro.net.worker import worker_main
 from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import RoundEngine, UnsupportedScenario
@@ -76,7 +76,12 @@ class NetOptions:
                 "unknown net options: {}".format(sorted(unknown))
             )
         self.workers = int(net.get("workers", 2))  # type: ignore[arg-type]
+        # Accepted for the run specs that name it; TCP is the transport.
         self.transport = str(net.get("transport", "tcp"))
+        if self.transport != "tcp":
+            raise ValueError(
+                "unknown transport {!r} (expected 'tcp')".format(self.transport)
+            )
         timeout = net.get("timeout")
         self.timeout = DEFAULT_TIMEOUT if timeout is None else float(timeout)  # type: ignore[arg-type]
         if self.workers < 1:
@@ -133,8 +138,7 @@ class _WorkerPool:
         telemetry_enabled: bool = False,
     ):
         self.plan = plan
-        transport = get_transport(options.transport, timeout=options.timeout)
-        self.listener = transport.listen()
+        self.listener = TcpListener(timeout=options.timeout)
         context = multiprocessing.get_context("spawn")
         self.processes = []
         self.connections: Dict[int, object] = {}
@@ -155,7 +159,6 @@ class _WorkerPool:
                     "targeted": scenario.targeted,
                     "owner": plan.owner,
                     "address": self.listener.address,
-                    "transport": options.transport,
                     "timeout": options.timeout,
                     "telemetry": telemetry_enabled,
                 }
@@ -388,13 +391,10 @@ class ShardEngine(RoundEngine):
         if self._targeted:
             # Leak-safe announcement (rid coordinates + deadline, never
             # the payload or destination set), broadcast to EVERY worker
-            # so all targeted policies track identically; the mirror
-            # plane tracks the same way coordinator-side.
+            # so all targeted policies track identically; the skeleton
+            # has already fed the same tuple to the mirror plane.
             rid = rumor.rid
             self._rumor_meta.append([rid.src, rid.seq, rumor.deadline])
-            self.fault_plane.observe_injection(
-                round_no, rid.src, rid.seq, rumor.deadline
-            )
 
     def _mark_phase(self, phase: str) -> None:
         # Wall-clock since the previous mark; lands in the always-on

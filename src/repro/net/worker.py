@@ -71,7 +71,7 @@ from repro.chaos.targeted import TargetedFaultPlane, TargetedSpec, build_fault_p
 from repro.core.config import CongosParams
 from repro.core.congos import build_partition_set, congos_factory
 from repro.net.codec import WireSession, decode_frame, encode_frame
-from repro.net.transport import TransportClosed, get_transport
+from repro.net.transport import TcpConnection, TransportClosed
 from repro.obs.instrument import Telemetry
 from repro.obs.sink import SequenceSink
 from repro.sim.messages import Message
@@ -350,10 +350,9 @@ class ShardWorker:
 
 def worker_main(config: Dict[str, object]) -> None:
     """Process entry point (spawn-safe: config is a plain dict)."""
-    transport = get_transport(
-        str(config["transport"]), timeout=config.get("timeout")
+    connection = TcpConnection.connect(
+        config["address"], timeout=config["timeout"]  # type: ignore[arg-type]
     )
-    connection = transport.connect(config["address"])  # type: ignore[arg-type]
     try:
         try:
             worker = ShardWorker(config)

@@ -367,6 +367,13 @@ class RoundEngine:
             self.event_log.record_injection(InjectEvent(pid, round_no, rumor))
             for observer in self._dispatch["on_inject"]:
                 observer.on_inject(round_no, pid, rumor)
+            if self.fault_plane is not None:
+                # The plane's one injection feed, on every path: rid
+                # coordinates and deadline, never payload or destinations.
+                rid = rumor.rid
+                self.fault_plane.observe_injection(
+                    round_no, rid.src, rid.seq, rumor.deadline
+                )
             self._inject_state(round_no, pid, rumor)
 
     def _announce_deliveries(

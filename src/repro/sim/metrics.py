@@ -10,22 +10,11 @@ benches can reproduce Lemma 7 / Theorem 11 / Theorem 16 shapes.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.sim.messages import Message
 
-__all__ = ["RoundRecord", "MessageStats"]
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Counts for a single round."""
-
-    round_no: int
-    total: int
-    total_size: int
-    by_service: Dict[str, int]
+__all__ = ["MessageStats"]
 
 
 class MessageStats:
@@ -33,13 +22,14 @@ class MessageStats:
 
     Counting happens on *send*: a message that the adversary later drops
     (because its sender crashed mid-round) still counts as sent, matching
-    the paper's metric.  Messages suppressed by the group Filter are never
-    sent at all and are tallied separately via :meth:`record_filtered`.
+    the paper's metric.  :attr:`filtered` counts messages dropped before
+    sending via :meth:`record_filtered`; no protocol component calls it
+    (a correct build's group Filter never fires, see
+    :mod:`repro.gossip.filter`), so it reads 0 on every run.
     """
 
     def __init__(self) -> None:
         self._round_totals: Dict[int, int] = defaultdict(int)
-        self._round_sizes: Dict[int, int] = defaultdict(int)
         self._round_service: Dict[int, Dict[str, int]] = defaultdict(Counter)
         self._service_totals: Dict[str, int] = defaultdict(int)
         self._filtered: int = 0
@@ -52,15 +42,10 @@ class MessageStats:
 
     def record_send(self, round_no: int, message: Message) -> None:
         self._round_totals[round_no] += 1
-        self._round_sizes[round_no] += message.size
         self._round_service[round_no][message.service] += 1
         self._service_totals[message.service] += 1
         self.total += 1
         self.total_size += message.size
-
-    def record_sends(self, round_no: int, messages: Iterable[Message]) -> None:
-        for message in messages:
-            self.record_send(round_no, message)
 
     def record_round(
         self,
@@ -81,7 +66,6 @@ class MessageStats:
         if count <= 0:
             return
         self._round_totals[round_no] += count
-        self._round_sizes[round_no] += size
         round_service = self._round_service[round_no]
         service_totals = self._service_totals
         for service, tally in by_service.items():
@@ -139,59 +123,16 @@ class MessageStats:
                 best = round_sum
         return best
 
-    def argmax_round(self) -> Optional[int]:
-        """The round achieving the maximum per-round count, if any."""
-        if not self._round_totals:
-            return None
-        return max(self._round_totals, key=lambda r: (self._round_totals[r], -r))
-
     def mean_per_round(self) -> float:
         """Average messages per observed round (rounds with zero sends that
-        were never recorded do not enter the average; use ``over_rounds`` for
-        a fixed horizon)."""
+        were never recorded do not enter the average)."""
         if not self._round_totals:
             return 0.0
         return self.total / len(self._round_totals)
 
-    def mean_over_horizon(self, horizon: int) -> float:
-        """Average messages per round over a fixed horizon of rounds."""
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        return self.total / horizon
-
-    def round_record(self, round_no: int) -> RoundRecord:
-        return RoundRecord(
-            round_no=round_no,
-            total=self._round_totals.get(round_no, 0),
-            total_size=self._round_sizes.get(round_no, 0),
-            by_service=dict(self._round_service.get(round_no, {})),
-        )
-
     def series(self, start: int, end: int) -> List[int]:
         """Per-round totals for rounds ``start..end`` inclusive."""
         return [self._round_totals.get(r, 0) for r in range(start, end + 1)]
-
-    def top_rounds(self, k: int = 5) -> List[Tuple[int, int]]:
-        """The ``k`` busiest rounds as ``(round, count)`` pairs."""
-        ordered = sorted(
-            self._round_totals.items(), key=lambda item: item[1], reverse=True
-        )
-        return ordered[:k]
-
-    def merge(self, other: "MessageStats") -> None:
-        """Fold another stats object into this one (disjoint runs)."""
-        for round_no, count in other._round_totals.items():
-            self._round_totals[round_no] += count
-        for round_no, size in other._round_sizes.items():
-            self._round_sizes[round_no] += size
-        for round_no, services in other._round_service.items():
-            for service, count in services.items():
-                self._round_service[round_no][service] += count
-        for service, count in other._service_totals.items():
-            self._service_totals[service] += count
-        self._filtered += other._filtered
-        self.total += other.total
-        self.total_size += other.total_size
 
     def summary(self) -> Dict[str, object]:
         return {

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adversary.base import Adversary, ComposedAdversary, NullAdversary
+from repro.adversary.base import Adversary, ComposedAdversary
 from repro.sim.engine import Engine
 from repro.sim.events import MidRoundDecision, RoundDecision
 from repro.sim.process import NodeBehavior
@@ -27,10 +27,10 @@ def make_view():
     return engine.view
 
 
-class TestNullAdversary:
+class TestBaseAdversary:
     def test_does_nothing(self):
         view = make_view()
-        adversary = NullAdversary()
+        adversary = Adversary()
         assert adversary.round_start(view).is_empty()
         assert adversary.mid_round(view, []).is_empty()
 

@@ -76,10 +76,6 @@ class TestFitting:
         assert fit.scale == pytest.approx(3.0)
         assert fit.r_squared == pytest.approx(1.0)
 
-    def test_predict(self):
-        fit = fit_power_law([1, 2, 4], [2, 4, 8])
-        assert fit.predict(8) == pytest.approx(16.0)
-
     def test_noise_tolerated(self):
         xs = [16, 32, 64, 128, 256]
         ys = [x ** 2 * (1.1 if i % 2 else 0.9) for i, x in enumerate(xs)]

@@ -52,14 +52,6 @@ class TestDerived:
     def test_deadline_cap_override(self):
         assert CongosParams(deadline_cap=256).effective_deadline_cap(64) == 256
 
-    def test_partition_count_base(self):
-        assert CongosParams().partition_count(64) == 6
-        assert CongosParams().partition_count(100) == 7
-
-    def test_partition_count_collusion(self):
-        params = CongosParams(tau=3)
-        assert params.partition_count(64) == 3 * 6
-
     def test_uptimes(self):
         # The uptime gates are the schedule's, not a parameter's.
         schedule = BlockSchedule(64)

@@ -17,7 +17,6 @@ from repro.exec.pool import (
     run_specs,
     run_tasks,
 )
-from repro.exec.progress import Progress
 from repro.exec.tasks import RunSpec
 
 
@@ -108,13 +107,6 @@ class TestRunTasks:
     def test_parallel_exception_propagates(self):
         with pytest.raises(ValueError, match="task failed"):
             run_tasks([1], _raise, jobs=2)
-
-    def test_progress_counts_tasks(self):
-        progress = Progress(total=3)
-        run_tasks(range(3), _identity, jobs=1, progress=progress)
-        assert progress.done == 3
-        assert progress.executed == 3
-        assert progress.cached == 0
 
     def test_worker_crash_is_retried(self, tmp_path):
         marker = str(tmp_path / "crashed-once")

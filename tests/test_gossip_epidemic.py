@@ -2,14 +2,9 @@
 
 import random
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.gossip.epidemic import (
-    choose_push_targets,
-    default_fanout,
-    rounds_to_saturate,
-)
+from repro.gossip.epidemic import choose_push_targets, default_fanout
 
 
 class TestDefaultFanout:
@@ -79,17 +74,3 @@ def test_targets_always_valid(scope_size, fanout, seed):
     assert all(t in scope and t != 0 for t in targets)
     assert len(targets) == min(fanout, scope_size - 1)
 
-
-class TestRoundsToSaturate:
-    def test_trivial_scope(self):
-        assert rounds_to_saturate(1, 3) == 0
-
-    def test_positive_for_real_groups(self):
-        assert rounds_to_saturate(16, 4) >= 1
-
-    def test_monotone_in_scope(self):
-        assert rounds_to_saturate(256, 4) >= rounds_to_saturate(16, 4)
-
-    def test_needs_positive_fanout(self):
-        with pytest.raises(ValueError):
-            rounds_to_saturate(16, 0)

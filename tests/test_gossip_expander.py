@@ -76,9 +76,6 @@ class TestShiftExpander:
                     frontier.append(neighbor)
         assert reached == set(members)
 
-    def test_diameter_bound_positive(self):
-        assert ShiftExpander(list(range(16)), 3).diameter_bound() >= 1
-
 
 @given(
     size=st.integers(min_value=2, max_value=48),

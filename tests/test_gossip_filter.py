@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.core.config import CongosParams
 from repro.gossip.filter import GroupFilter, PassFilter
+from repro.harness.runner import assemble, engine_for
+from repro.harness.scenarios import get_builder
+from repro.sim.messages import ServiceTags
 
 from conftest import mk_message
 
@@ -48,3 +52,35 @@ class TestPassFilter:
     def test_still_blocks_out_of_range(self):
         pass_filter = PassFilter(4)
         assert not pass_filter.allows(4)
+
+
+def _gossip_instances(node):
+    yield node.all_gossip
+    for bundle in node.instances.values():
+        yield from bundle.gossip
+
+
+@pytest.mark.parametrize(
+    "builder, kwargs",
+    [("steady", {}), ("collusion", {"tau": 2})],
+    ids=["steady-tau1", "collusion-tau2"],
+)
+def test_no_filter_fires_in_a_correct_build(builder, kwargs):
+    """Targets are chosen inside the scope, so every GroupFilter on every
+    gossip instance (AllGossip and each partition's GroupGossip) drops
+    nothing over a whole run."""
+    scenario = get_builder(builder)(
+        n=12, rounds=200, seed=0, deadline=64,
+        params=CongosParams.preset("lean"), **kwargs
+    )
+    engine = engine_for(assemble(scenario))
+    engine.run(scenario.rounds)
+    instances = [
+        gossip
+        for pid in range(scenario.n)
+        for gossip in _gossip_instances(engine.behavior(pid))
+    ]
+    # AllGossip plus one GroupGossip per partition: several per node.
+    assert len(instances) > 2 * scenario.n
+    assert engine.stats.service_total(ServiceTags.GROUP_GOSSIP) > 0
+    assert [g.filter.dropped for g in instances] == [0] * len(instances)

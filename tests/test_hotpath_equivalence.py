@@ -180,7 +180,10 @@ class TestRecordRoundEquivalence:
         )
         assert one.per_round(7) == other.per_round(7)
         assert one.by_service() == other.by_service()
-        assert one.round_record(7) == other.round_record(7)
+        for service in by_service:
+            assert one.per_round_by_service(7, service) == (
+                other.per_round_by_service(7, service)
+            )
         assert one.summary() == other.summary()
 
     def test_record_round_empty_is_noop(self):

@@ -453,22 +453,20 @@ def test_worker_survives_reporting_to_a_closed_coordinator(monkeypatch, capsys):
     import socket
 
     from repro.net import worker as worker_module
-    from repro.net.transport import TcpConnection, Transport
+    from repro.net.transport import TcpConnection
 
-    class GoneCoordinator(Transport):
-        def connect(self, address):
-            ours, theirs = socket.socketpair()
-            theirs.close()
-            connection = TcpConnection(ours)
-            connection.close()  # every send/recv now raises TransportClosed
-            return connection
+    def gone_coordinator(address, timeout):
+        ours, theirs = socket.socketpair()
+        theirs.close()
+        connection = TcpConnection(ours)
+        connection.close()  # every send/recv now raises TransportClosed
+        return connection
 
-    monkeypatch.setattr(
-        worker_module, "get_transport", lambda name, timeout=None: GoneCoordinator()
-    )
+    # A stand-in for the worker's connect call.
+    monkeypatch.setattr(worker_module.TcpConnection, "connect", gone_coordinator)
     # The config is incomplete on purpose: building the ShardWorker fails,
     # which is what sends the worker down its error-reporting path.
-    worker_module.worker_main({"transport": "tcp", "address": None, "worker": 3})
+    worker_module.worker_main({"address": None, "timeout": 5.0, "worker": 3})
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "worker 3" in err and "Traceback" not in err

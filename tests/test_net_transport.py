@@ -1,10 +1,14 @@
 """The TCP loopback transport, for real."""
 
+import dataclasses
 import threading
 
 import pytest
 
-from repro.net.transport import TransportClosed, get_transport
+from repro.harness.runner import run_congos_scenario
+from repro.harness.scenarios import steady_scenario
+from repro.net.coordinator import NetOptions
+from repro.net.transport import TcpConnection, TcpListener, TransportClosed
 
 
 def _serve(listener, frames_out, frames_in, count):
@@ -19,8 +23,7 @@ def _serve(listener, frames_out, frames_in, count):
 
 
 def test_tcp_round_trip_both_directions():
-    transport = get_transport("tcp", timeout=10.0)
-    listener = transport.listen()
+    listener = TcpListener(timeout=10.0)
     assert listener.address[0] == "tcp"
     replies = [b"ack-1", b"ack-2"]
     received = []
@@ -28,7 +31,7 @@ def test_tcp_round_trip_both_directions():
         target=_serve, args=(listener, replies, received, 2)
     )
     server.start()
-    connection = transport.connect(listener.address)
+    connection = TcpConnection.connect(listener.address, timeout=10.0)
     try:
         connection.send(b"frame-1")
         connection.send(b"\x00" * 100)  # binary-safe, embedded NULs
@@ -42,13 +45,12 @@ def test_tcp_round_trip_both_directions():
 
 
 def test_tcp_large_frame():
-    transport = get_transport("tcp", timeout=30.0)
-    listener = transport.listen()
+    listener = TcpListener(timeout=30.0)
     big = bytes(range(256)) * 4096  # 1 MiB, exercises chunked recv
     received = []
     server = threading.Thread(target=_serve, args=(listener, [], received, 1))
     server.start()
-    connection = transport.connect(listener.address)
+    connection = TcpConnection.connect(listener.address, timeout=30.0)
     try:
         connection.send(big)
     finally:
@@ -59,14 +61,13 @@ def test_tcp_large_frame():
 
 
 def test_tcp_peer_close_raises_transport_closed():
-    transport = get_transport("tcp", timeout=5.0)
-    listener = transport.listen()
+    listener = TcpListener(timeout=5.0)
     accepted = []
     server = threading.Thread(
         target=lambda: accepted.append(listener.accept())
     )
     server.start()
-    connection = transport.connect(listener.address)
+    connection = TcpConnection.connect(listener.address, timeout=5.0)
     server.join(5.0)
     accepted[0].close()
     with pytest.raises(TransportClosed):
@@ -76,11 +77,26 @@ def test_tcp_peer_close_raises_transport_closed():
 
 
 def test_tcp_rejects_foreign_address():
-    transport = get_transport("tcp")
     with pytest.raises(ValueError, match="tcp transport got address"):
-        transport.connect(("udp", "127.0.0.1", 1))
+        TcpConnection.connect(("udp", "127.0.0.1", 1))
 
 
-def test_unknown_transport_name():
-    with pytest.raises(ValueError, match="unknown transport"):
-        get_transport("carrier-pigeon")
+def test_net_options_accept_tcp_and_refuse_any_other_transport(monkeypatch):
+    options = NetOptions({"workers": 2, "transport": "tcp"})
+    assert (options.workers, options.transport) == (2, "tcp")
+    assert NetOptions(None).transport == "tcp"
+
+    # The refusal comes while the options resolve, before any worker spawns.
+    def no_spawn(*args, **kwargs):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr("multiprocessing.context.SpawnProcess.start", no_spawn)
+    scenario = steady_scenario(n=8, rounds=4, seed=0, deadline=64)
+    with pytest.raises(ValueError, match="unknown transport 'carrier-pigeon'"):
+        run_congos_scenario(
+            dataclasses.replace(
+                scenario,
+                backend="sharded",
+                net={"workers": 2, "transport": "carrier-pigeon"},
+            )
+        )

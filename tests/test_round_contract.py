@@ -19,11 +19,15 @@ import pytest
 
 from repro.adversary.base import Adversary
 from repro.audit.confidentiality import ConfidentialityAuditor
+from repro.chaos.plane import ChaosFaultPlane
+from repro.chaos.spec import FaultSpec
 from repro.core.config import CongosParams
 from repro.core.congos import CongosNode, congos_factory
+from repro.exec.results import RunRecord
 from repro.fastcore import numpy_available
 from repro.gossip.rumor import Rumor, RumorId
 from repro.harness.runner import Scenario, assemble, run_congos_scenario
+from repro.harness.scenarios import chaos_scenario
 from repro.net.coordinator import NetOptions, ShardEngine
 from repro.net.shard import ShardPlan
 from repro.sim.engine import (
@@ -122,8 +126,9 @@ def _scenario(path):
 
 
 @contextlib.contextmanager
-def engine_on(path, adversary, observers=()):
-    """The path's engine over the shared assembly, adversary swapped in raw."""
+def engine_on(path, adversary, observers=(), fault_plane=None):
+    """The path's engine over the shared assembly, adversary swapped in raw
+    (and, on the object paths, ``fault_plane`` installed)."""
     scenario = _scenario(path)
     setup = assemble(scenario, observers=observers)
     common = dict(adversary=adversary, observers=setup.observers)
@@ -135,13 +140,18 @@ def engine_on(path, adversary, observers=()):
             deliver_callback=setup.delivery.record_delivery,
             partition_set=setup.partition_set,
         )
-        yield Engine(n=N, node_factory=factory, seed=scenario.seed, **common)
+        yield Engine(
+            n=N, node_factory=factory, seed=scenario.seed,
+            fault_plane=fault_plane, **common
+        )
     elif path == "sharded":
         options = NetOptions(scenario.net)
         plan = ShardPlan.build(N, options.workers, partition_set=setup.partition_set)
         engine = ShardEngine(
             scenario, plan, options, delivery=setup.delivery, **common
         )
+        if fault_plane is not None:
+            engine.fault_plane = fault_plane  # the coordinator's mirror
         try:
             yield engine
         finally:
@@ -208,6 +218,54 @@ def test_all_paths_agree_fault_free():
     pytest.importorskip("numpy", minversion="2.0")
     _assert_paths_agree(FAULT_FREE, OBJECT_PATHS + ["array"])
 
+
+class RecordingPlane(ChaosFaultPlane):
+    """A reliable plane (null spec) that logs each injection it is told of."""
+
+    def __init__(self, log):
+        super().__init__(0, FaultSpec(), N)
+        self.log = log
+
+    def observe_injection(self, round_no, src, seq, deadline):
+        self.log.append(("plane", round_no, src, seq, deadline))
+
+
+@pytest.mark.parametrize("path", OBJECT_PATHS)
+def test_the_plane_hears_each_injection_once_before_the_node(path):
+    log = []
+    with engine_on(path, Scripted(FAULT_FREE), fault_plane=RecordingPlane(log)) as engine:
+        inject_state = engine._inject_state
+
+        def node_gets(round_no, pid, rumor):
+            log.append(("node", round_no, pid, rumor.rid.seq))
+            inject_state(round_no, pid, rumor)
+
+        engine._inject_state = node_gets
+        engine.run(8)
+    expected = []
+    for round_no, (_, _, injections) in sorted(FAULT_FREE.items()):
+        for pid, seq in injections:
+            deadline = _rumor(pid, seq, round_no).deadline
+            expected.append(("plane", round_no, pid, seq, deadline))
+            expected.append(("node", round_no, pid, seq))
+    assert log == expected
+
+
+# Pinned before the injection feed moved into the skeleton: an oblivious
+# ChaosFaultPlane hears every injection and ignores it, on both paths.
+CHAOS_DIGEST = "6b535c293fd3eec5ba884bbbd6a37f6a86bc746371619ab475f2b6d4b3b0e02f"
+
+
+@pytest.mark.parametrize("path", OBJECT_PATHS)
+def test_an_oblivious_chaos_run_is_unchanged_by_the_feed(path):
+    scenario = chaos_scenario(
+        n=N, rounds=96, seed=1, drop=0.1, delay=0.1, duplicate=0.05,
+        params=CongosParams.preset("lean"),
+    )
+    if path == "sharded":
+        scenario = dataclasses.replace(scenario, backend="sharded", net={"workers": 2})
+    result = run_congos_scenario(scenario)
+    assert RunRecord.from_result(result).digest() == CHAOS_DIGEST
 
 def _wire(message):
     return (message.src, message.dst, message.service, message.channel, message.size)

@@ -25,11 +25,6 @@ class TestRecording:
         assert stats.per_round(4) == 1
         assert stats.per_round(5) == 0
 
-    def test_record_sends_bulk(self):
-        stats = MessageStats()
-        stats.record_sends(1, [mk_message(), mk_message(), mk_message()])
-        assert stats.per_round(1) == 3
-
     def test_by_service(self):
         stats = MessageStats()
         stats.record_send(0, mk_message(service=ServiceTags.PROXY))
@@ -56,7 +51,6 @@ class TestMaxPerRound:
             stats.record_send(0, mk_message())
         stats.record_send(1, mk_message())
         assert stats.max_per_round() == 5
-        assert stats.argmax_round() == 0
 
     def test_service_restricted_max(self):
         """Lemma 7 excludes gossip traffic from the Proxy/GD bound."""
@@ -81,89 +75,10 @@ class TestAggregates:
         stats.record_send(5, mk_message())
         assert stats.mean_per_round() == pytest.approx(1.5)
 
-    def test_mean_over_horizon(self):
-        stats = MessageStats()
-        stats.record_send(0, mk_message())
-        assert stats.mean_over_horizon(10) == pytest.approx(0.1)
-
-    def test_mean_over_horizon_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            MessageStats().mean_over_horizon(0)
-
     def test_series(self):
         stats = MessageStats()
         stats.record_send(2, mk_message())
         assert stats.series(0, 3) == [0, 0, 1, 0]
-
-    def test_top_rounds(self):
-        stats = MessageStats()
-        for round_no, count in [(0, 1), (1, 3), (2, 2)]:
-            for _ in range(count):
-                stats.record_send(round_no, mk_message())
-        assert stats.top_rounds(2) == [(1, 3), (2, 2)]
-
-    def test_round_record(self):
-        stats = MessageStats()
-        stats.record_send(7, mk_message(service=ServiceTags.PROXY, size=4))
-        record = stats.round_record(7)
-        assert record.total == 1
-        assert record.total_size == 4
-        assert record.by_service == {ServiceTags.PROXY: 1}
-
-    def test_merge(self):
-        a, b = MessageStats(), MessageStats()
-        a.record_send(0, mk_message())
-        b.record_send(0, mk_message(size=2))
-        b.record_send(1, mk_message())
-        b.record_filtered()
-        a.merge(b)
-        assert a.total == 3
-        assert a.per_round(0) == 2
-        assert a.total_size == 4
-        assert a.filtered == 1
-
-    def test_merge_folds_per_round_service_counts(self):
-        a, b = MessageStats(), MessageStats()
-        a.record_send(0, mk_message(service=ServiceTags.PROXY))
-        b.record_send(0, mk_message(service=ServiceTags.PROXY))
-        b.record_send(0, mk_message(service=ServiceTags.GROUP_GOSSIP))
-        b.record_send(2, mk_message(service=ServiceTags.PROXY))
-        a.merge(b)
-        assert a.per_round_by_service(0, ServiceTags.PROXY) == 2
-        assert a.per_round_by_service(0, ServiceTags.GROUP_GOSSIP) == 1
-        assert a.service_total(ServiceTags.PROXY) == 3
-        assert a.by_service() == {
-            ServiceTags.PROXY: 3,
-            ServiceTags.GROUP_GOSSIP: 1,
-        }
-
-    def test_merge_folds_round_sizes_and_max(self):
-        a, b = MessageStats(), MessageStats()
-        a.record_send(1, mk_message(size=3))
-        b.record_send(1, mk_message(size=5))
-        b.record_send(4, mk_message(size=1))
-        a.merge(b)
-        assert a.round_record(1).total_size == 8
-        assert a.max_per_round() == 2
-        assert a.argmax_round() == 1
-
-    def test_merge_into_empty_equals_source(self):
-        src = MessageStats()
-        src.record_send(0, mk_message(service=ServiceTags.PROXY, size=2))
-        src.record_send(3, mk_message())
-        src.record_filtered(2)
-        empty = MessageStats()
-        empty.merge(src)
-        assert empty.summary() == src.summary()
-        assert empty.series(0, 3) == src.series(0, 3)
-
-    def test_merge_leaves_other_untouched(self):
-        a, b = MessageStats(), MessageStats()
-        a.record_send(0, mk_message())
-        b.record_send(0, mk_message())
-        a.merge(b)
-        assert b.total == 1
-        assert b.per_round(0) == 1
 
     def test_summary_keys(self):
         summary = MessageStats().summary()
