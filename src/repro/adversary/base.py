@@ -11,11 +11,13 @@ adversary object the engine expects.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import TYPE_CHECKING, Iterable, List
 
-from repro.sim.engine import AdversaryView
 from repro.sim.events import MidRoundDecision, RoundDecision
 from repro.sim.messages import Message
+
+if TYPE_CHECKING:  # sim.engine defaults to Adversary(), so it imports this
+    from repro.sim.engine import AdversaryView
 
 __all__ = ["Adversary", "ComposedAdversary"]
 

@@ -40,7 +40,9 @@ from repro.exec.tasks import RunSpec
 from repro.harness.scenarios import ScenarioBuilder
 
 __all__ = [
+    "CELL_KEYS",
     "CellResult",
+    "SWEEP_KEYS",
     "SweepResult",
     "delivery_rate",
     "sweep_congos",
@@ -144,6 +146,14 @@ class CellResult:
         """The same counts split by pipeline stage (proxy/gd/gossip/direct)."""
         return _fault_totals_by_stage(self.runs)
 
+    def verdict(self, *keys: str) -> Dict[str, object]:
+        """The named shared keys of this cell's sidecar entry, in order.
+
+        Every experiment's reducer takes the keys its artifact shares with
+        the others from here (see :data:`CELL_KEYS`) and adds its own.
+        """
+        return {key: CELL_KEYS[key](self) for key in keys}
+
 
 @dataclass
 class SweepResult:
@@ -166,6 +176,10 @@ class SweepResult:
 
     def fault_totals_by_stage(self) -> Dict[str, Dict[str, int]]:
         return _fault_totals_by_stage(self.runs())
+
+    def verdict(self, *keys: str) -> Dict[str, object]:
+        """The named sweep-level sidecar keys (:data:`SWEEP_KEYS`), in order."""
+        return {key: SWEEP_KEYS[key](self) for key in keys}
 
     def series(
         self, x_axis: str, metric: Callable[[CellResult], float]
@@ -205,6 +219,37 @@ class SweepResult:
             "qod",
             "clean",
         ]
+
+
+def _latency(cell: CellResult) -> Optional[Dict[str, float]]:
+    latency = cell.latency_summary()
+    return latency.as_dict() if latency is not None else None
+
+
+# The per-cell keys the experiment sidecars share, each reduced one way.
+# An artifact names the ones it carries; none carries them all.
+CELL_KEYS: Dict[str, Callable[[CellResult], object]] = {
+    "cell": lambda cell: dict(cell.cell),
+    "seeds": lambda cell: cell.seeds,
+    "faults": CellResult.fault_totals,
+    "faults_by_stage": CellResult.fault_totals_by_stage,
+    "admissible_pairs": CellResult.admissible_pairs,
+    "missed": CellResult.missed,
+    "delivery_rate": CellResult.delivery_rate,
+    "qod_satisfied": CellResult.all_satisfied,
+    "fallback_rate": lambda cell: round(cell.fallback_rate(), 6),
+    "clean": CellResult.all_clean,
+    "peak": lambda cell: cell.peak_summary().as_dict(),
+    "total": lambda cell: cell.total_summary().as_dict(),
+    "latency": _latency,
+}
+
+SWEEP_KEYS: Dict[str, Callable[[SweepResult], object]] = {
+    "all_clean": SweepResult.all_clean,
+    "all_satisfied": SweepResult.all_satisfied,
+    "total_faults": SweepResult.fault_totals,
+    "total_faults_by_stage": SweepResult.fault_totals_by_stage,
+}
 
 
 def sweep_specs(

@@ -66,9 +66,6 @@ class DirectSendNode(NodeBehavior):
             if isinstance(rumor, Rumor):
                 self._deliver(round_no, rumor, "direct")
 
-    def delivered_rumors(self) -> Dict[object, bytes]:
-        return dict(self._delivered)
-
     def _deliver(self, round_no: int, rumor: Rumor, path: str) -> None:
         if rumor.rid in self._delivered:
             return

@@ -74,9 +74,6 @@ class PlainGossipNode(NodeBehavior):
             self._gossip.on_message(round_no, message)
         self._gossip.end_round(round_no)
 
-    def delivered_rumors(self) -> Dict[object, bytes]:
-        return dict(self._delivered)
-
     def _on_item(self, round_no: int, item: GossipItem) -> None:
         rumor = item.payload
         if isinstance(rumor, Rumor):

@@ -110,9 +110,6 @@ class StronglyConfidentialNode(NodeBehavior):
                     self._carrying[rumor.rid] = (rumor, expiry, False)
                 self._deliver(round_no, rumor, "gossip")
 
-    def delivered_rumors(self) -> Dict[object, bytes]:
-        return dict(self._delivered)
-
     # ------------------------------------------------------------------
 
     def _deliver(self, round_no: int, rumor: Rumor, path: str) -> None:

@@ -61,32 +61,25 @@ def direct_payload(
         totals[0] += cell.admissible_pairs()
         totals[1] += cell.missed()
         cells.append(
-            {
-                "cell": dict(cell.cell),
-                "seeds": cell.seeds,
-                "faults": cell.fault_totals(),
-                "faults_by_stage": cell.fault_totals_by_stage(),
-                "admissible_pairs": cell.admissible_pairs(),
-                "missed": cell.missed(),
-                "direct_pairs": sum(
+            dict(
+                cell.verdict(
+                    "cell", "seeds", "faults", "faults_by_stage",
+                    "admissible_pairs", "missed", "delivery_rate",
+                    "qod_satisfied", "clean", "peak",
+                ),
+                direct_pairs=sum(
                     run.paths.get("direct", 0) for run in cell.runs
                 ),
-                "delivery_rate": cell.delivery_rate(),
-                "qod_satisfied": cell.all_satisfied(),
-                "clean": cell.all_clean(),
-                "peak": cell.peak_summary().as_dict(),
-            }
+            )
         )
     return {
         "fixed": dict(fixed or {}),
         "cells": cells,
-        "all_clean": sweep.all_clean(),
         "delivery_by_mode": {
             mode: delivery_rate(admissible, missed)
             for mode, (admissible, missed) in sorted(by_mode.items())
         },
-        "total_faults": sweep.fault_totals(),
-        "total_faults_by_stage": sweep.fault_totals_by_stage(),
+        **sweep.verdict("all_clean", "total_faults", "total_faults_by_stage"),
     }
 
 

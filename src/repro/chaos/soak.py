@@ -76,30 +76,21 @@ def soak_payload(
     Same seed set and matrix => byte-identical payload at any ``jobs``
     setting; callers add nondeterministic timing/profile keys on top.
     """
-    cells: List[Dict[str, object]] = []
-    for cell in sweep.cells:
-        cells.append(
-            {
-                "cell": dict(cell.cell),
-                "intensity": cell_spec(cell.cell, fixed).intensity(),
-                "seeds": cell.seeds,
-                "faults": cell.fault_totals(),
-                "faults_by_stage": cell.fault_totals_by_stage(),
-                "admissible_pairs": cell.admissible_pairs(),
-                "missed": cell.missed(),
-                "delivery_rate": cell.delivery_rate(),
-                "qod_satisfied": cell.all_satisfied(),
-                "fallback_rate": round(cell.fallback_rate(), 6),
-                "clean": cell.all_clean(),
-                "peak": cell.peak_summary().as_dict(),
-            }
-        )
     return {
-        "cells": cells,
-        "all_clean": sweep.all_clean(),
-        "all_satisfied": sweep.all_satisfied(),
-        "total_faults": sweep.fault_totals(),
-        "total_faults_by_stage": sweep.fault_totals_by_stage(),
+        "cells": [
+            dict(
+                cell.verdict(
+                    "cell", "seeds", "faults", "faults_by_stage",
+                    "admissible_pairs", "missed", "delivery_rate",
+                    "qod_satisfied", "fallback_rate", "clean", "peak",
+                ),
+                intensity=cell_spec(cell.cell, fixed).intensity(),
+            )
+            for cell in sweep.cells
+        ],
+        **sweep.verdict(
+            "all_clean", "all_satisfied", "total_faults", "total_faults_by_stage"
+        ),
     }
 
 

@@ -90,27 +90,21 @@ def targeted_payload(
         tracked_missed = sum(
             run.targeted.get("tracked_missed", 0) for run in cell.runs
         )
-        entry = {
-            "cell": dict(cell.cell),
-            "seeds": cell.seeds,
-            "faults": cell.fault_totals(),
-            "faults_by_stage": cell.fault_totals_by_stage(),
-            "budget_spent": _budget_total(cell.runs, "spent"),
-            "budget_denied": _budget_total(cell.runs, "denied"),
-            "ledger_ok": all(_ledger_ok(run) for run in cell.runs),
-            "admissible_pairs": cell.admissible_pairs(),
-            "missed": cell.missed(),
-            "delivery_rate": cell.delivery_rate(),
-            "tracked_admissible": tracked_admissible,
-            "tracked_missed": tracked_missed,
-            "tracked_delivery_rate": delivery_rate(
+        entry = dict(
+            cell.verdict(
+                "cell", "seeds", "faults", "faults_by_stage",
+                "admissible_pairs", "missed", "delivery_rate",
+                "qod_satisfied", "fallback_rate", "clean", "peak",
+            ),
+            budget_spent=_budget_total(cell.runs, "spent"),
+            budget_denied=_budget_total(cell.runs, "denied"),
+            ledger_ok=all(_ledger_ok(run) for run in cell.runs),
+            tracked_admissible=tracked_admissible,
+            tracked_missed=tracked_missed,
+            tracked_delivery_rate=delivery_rate(
                 tracked_admissible, tracked_missed
             ),
-            "qod_satisfied": cell.all_satisfied(),
-            "fallback_rate": round(cell.fallback_rate(), 6),
-            "clean": cell.all_clean(),
-            "peak": cell.peak_summary().as_dict(),
-        }
+        )
         cells.append(entry)
         key = tuple(cell.cell.get(axis) for axis in _PAIR_AXES)
         by_key.setdefault(key, {})[bool(cell.cell.get("blind"))] = entry
@@ -147,10 +141,8 @@ def targeted_payload(
         "fixed": dict(fixed or {}),
         "cells": cells,
         "comparisons": comparisons,
-        "all_clean": sweep.all_clean(),
+        **sweep.verdict("all_clean", "total_faults", "total_faults_by_stage"),
         "all_ledgers_ok": all(entry["ledger_ok"] for entry in cells),
-        "total_faults": sweep.fault_totals(),
-        "total_faults_by_stage": sweep.fault_totals_by_stage(),
         "total_budget_spent": _budget_total(sweep.runs(), "spent"),
     }
 

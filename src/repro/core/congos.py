@@ -233,9 +233,6 @@ class CongosNode(NodeBehavior):
                 )
         self.host.finish_round(round_no)
 
-    def delivered_rumors(self) -> Dict[object, bytes]:
-        return self.coordinator.delivered()
-
     # ------------------------------------------------------------------
     # Instance management
     # ------------------------------------------------------------------

@@ -118,26 +118,21 @@ def profile_payload(records: Sequence[object]) -> Dict[str, object]:
 
 
 def sweep_payload(sweep) -> Dict[str, object]:
-    """Serialize a :class:`~repro.analysis.sweeps.SweepResult`."""
-    cells: List[Dict[str, object]] = []
-    for cell in sweep.cells:
-        peak = cell.peak_summary()
-        total = cell.total_summary()
-        latency = cell.latency_summary()
-        cells.append(
-            {
-                "cell": dict(cell.cell),
-                "seeds": cell.seeds,
-                "peak": peak.as_dict(),
-                "total": total.as_dict(),
-                "latency": latency.as_dict() if latency is not None else None,
-                "fallback_rate": cell.fallback_rate(),
-                "qod_satisfied": cell.all_satisfied(),
-                "clean": cell.all_clean(),
-            }
-        )
+    """Serialize a :class:`~repro.analysis.sweeps.SweepResult`.
+
+    ``fallback_rate`` is the cell's unrounded rate, as this artifact has
+    always carried it (the soaks round theirs to six places).
+    """
     return {
-        "cells": cells,
-        "all_satisfied": sweep.all_satisfied(),
-        "all_clean": sweep.all_clean(),
+        "cells": [
+            dict(
+                cell.verdict(
+                    "cell", "seeds", "peak", "total", "latency",
+                    "qod_satisfied", "clean",
+                ),
+                fallback_rate=cell.fallback_rate(),
+            )
+            for cell in sweep.cells
+        ],
+        **sweep.verdict("all_satisfied", "all_clean"),
     }

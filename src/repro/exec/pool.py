@@ -124,10 +124,14 @@ def run_tasks(
         timed_out: Optional[int] = None
         max_workers = min(resolved_jobs, len(remaining))
         with ProcessPoolExecutor(max_workers=max_workers) as executor:
-            futures = {
-                index: executor.submit(fn, item)
-                for index, item in sorted(remaining.items())
-            }
+            futures = {}
+            try:
+                for index, item in sorted(remaining.items()):
+                    futures[index] = executor.submit(fn, item)
+            except BrokenProcessPool:
+                # A worker died while the rest were being submitted: the
+                # same broken pool as one seen through a result below.
+                broken = True
             for index, future in futures.items():
                 if timed_out is not None:
                     # A task timed out and the workers were killed; only

@@ -4,8 +4,8 @@ Single runs
 -----------
 ``run``
     Run an audited CONGOS scenario (optionally replicated across seeds,
-    in parallel with ``--jobs``) and print its summary.  ``--metrics``
-    appends a telemetry-registry dump.
+    in parallel with ``--jobs``: a one-cell sweep) and print its summary.
+    ``--metrics`` appends a telemetry-registry dump.
 ``trace``
     Run one scenario with full telemetry and stream every event —
     rumor lifecycle stages, proxy crossings, GD fan-out — to a JSONL
@@ -14,13 +14,18 @@ Single runs
 Experiments
 -----------
 Each is one :class:`~repro.harness.experiment.Experiment` declaration
-(:data:`EXPERIMENTS`) run by the one
+(:data:`EXPERIMENTS`), registered by one loop as its command with its
+own flags, and run by the one
 :func:`~repro.harness.experiment.run_experiment`: a cell grid x
 ``--seeds`` on the exec pool (``--jobs``), a resumable result cache,
 ``<name>.txt`` and ``BENCH_<name>.json`` under ``--out`` (``--resume``
 reuses its cache), ``--json`` instead of the table, and one set of exit
 codes — 0 verdict holds, 1 it does not or a fail-fast invariant tripped,
-2 usage, 130 interrupted (rerun with ``--resume``).
+2 usage, 130 interrupted (rerun with ``--resume``).  The sidecar keys
+the reducers share (``seeds``, ``delivery_rate``, ``clean``, the fault
+totals, ...) come from ``CellResult.verdict`` / ``SweepResult.verdict``.
+A two-word command is a suite of the ``perf`` / ``net`` parent, and
+every suite parses only the flags it reads.
 
 ``sweep`` / ``profile-sweep``
     Any scenario family over an ``n`` x ``deadline`` grid; ``sweep``
@@ -88,7 +93,7 @@ import functools
 import inspect
 import json
 import sys
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.analysis.bounds import (
     collusion_lower_bound,
@@ -96,7 +101,7 @@ from repro.analysis.bounds import (
     congos_upper_bound,
     strong_confidentiality_lower_bound,
 )
-from repro.analysis.sweeps import SweepResult, grid
+from repro.analysis.sweeps import SweepResult, grid, sweep_congos
 from repro.chaos.direct import DIRECT_SOAK
 from repro.chaos.soak import CHAOS_SOAK
 from repro.chaos.targeted_soak import TARGETED_SOAK
@@ -104,8 +109,6 @@ from repro.core.config import CongosParams
 from repro.core.congos import build_partition_set
 from repro.api import run_scenario
 from repro.exec.bench_io import sweep_payload
-from repro.exec.pool import run_specs
-from repro.exec.tasks import RunSpec
 from repro.harness.experiment import (
     Experiment,
     Table,
@@ -190,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="round kernel: object (default), or the vectorized array "
         "engine (statistical parity, needs the repro[fast] extra)",
     )
+    run.set_defaults(handler=cmd_run)
 
     trace = sub.add_parser(
         "trace", help="run one scenario with full telemetry, stream JSONL"
@@ -233,137 +237,97 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="sharded backend: worker process count",
     )
+    trace.set_defaults(handler=cmd_trace)
 
-    for experiment in EXPERIMENTS:
-        if experiment.flags is not None:
-            experiment_parser = sub.add_parser(
-                experiment.command, help=experiment.help
-            )
-            experiment.flags(experiment_parser)
-            add_shared_flags(experiment_parser)
+    # ``perf`` and ``net`` are parents: each suite under them is a
+    # subcommand of its own that declares only the flags it reads.
+    suites = {
+        "perf": sub.add_parser(
+            "perf", help="microbenchmarks and n-scaling benches (E17/E17b)"
+        ).add_subparsers(dest="suite", required=True),
+        "net": sub.add_parser(
+            "net",
+            help="sharded multi-process backend: digest verification and "
+            "the E18 scaling bench",
+        ).add_subparsers(dest="suite", required=True),
+    }
 
-    perf = sub.add_parser(
-        "perf",
-        help="microbenchmarks and n-scaling benches (E17/E17b)",
+    micro = suites["perf"].add_parser(
+        "micro", help="best-of-repeats timings of the PerfCase registry"
     )
-    perf.add_argument(
-        "suite",
-        choices=("micro", "scaling", "chaos-scaling"),
-        help="micro = PerfCase registry; scaling = E17 engine scaling; "
-        "chaos-scaling = E17b chaos matrix at larger n",
-    )
-    perf.add_argument(
+    micro.add_argument(
         "--case",
         action="append",
         default=None,
         metavar="KEY",
-        help="micro: run only this case (repeatable; default all)",
+        help="run only this case (repeatable; default all)",
     )
-    perf.add_argument(
-        "--repeats", type=int, default=5, help="micro: timed samples per case"
+    micro.add_argument(
+        "--repeats", type=int, default=5, help="timed samples per case"
     )
-    perf.add_argument(
-        "--warmup",
-        type=int,
-        default=1,
-        help="micro: discarded warmup runs per case",
+    micro.add_argument(
+        "--warmup", type=int, default=1, help="discarded warmup runs per case"
     )
-    perf.add_argument(
+    micro.add_argument(
         "--profile",
         action="store_true",
-        help="micro: attach cProfile hotspot attribution per case",
+        help="attach cProfile hotspot attribution per case",
     )
-    perf.add_argument(
-        "--ns",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="N",
-        help="system sizes (default: 16 64 256 for scaling, 64 256 for "
-        "chaos-scaling)",
-    )
-    perf.add_argument("--rounds", type=int, default=120)
-    perf.add_argument("--deadline", type=int, default=64)
-    perf.add_argument(
-        "--engine",
-        nargs="+",
-        default=None,
-        choices=("object", "array"),
-        metavar="ENGINE",
-        help="scaling: round kernels to time (default object; pass both "
-        "to read the array engine against the object rows in one artifact)",
-    )
-    perf.add_argument(
-        "--drop",
-        type=float,
-        nargs="+",
-        default=[0.0, 0.15, 0.3, 0.5],
-        metavar="P",
-        help="chaos-scaling: drop-probability axis",
-    )
-    perf.add_argument(
-        "--delay",
-        type=float,
-        nargs="+",
-        default=[0.1],
-        metavar="P",
-        help="chaos-scaling: delay-probability axis",
-    )
-    # scaling and chaos-scaling are grid experiments; micro reads --json
-    # too.
-    add_shared_flags(perf)
+    micro.add_argument("--json", action="store_true", help="emit JSON payload")
+    micro.set_defaults(handler=cmd_perf_micro)
 
-    net = sub.add_parser(
-        "net",
-        help="sharded multi-process backend: digest verification and the "
-        "E18 scaling bench",
+    verify = suites["net"].add_parser(
+        "verify",
+        help="run one scenario on both backends and judge them by the path "
+        "contract",
     )
-    net.add_argument(
-        "suite",
-        choices=("verify", "bench"),
-        help="verify = run one scenario on both backends and judge them "
-        "by the path contract; bench = E18 inproc-vs-sharded scaling",
-    )
-    net.add_argument(
+    verify.add_argument(
         "--scenario",
         choices=sorted(SCENARIOS),
         default="steady",
-        help="verify: scenario builder to compare",
+        help="scenario builder to compare",
     )
-    net.add_argument("-n", type=int, default=16, help="verify: process count")
-    net.add_argument("--rounds", type=int, default=96)
-    net.add_argument("--seed", type=int, default=0)
-    net.add_argument("--deadline", type=int, default=64)
-    net.add_argument("--tau", type=_tau, default=1)
-    net.add_argument(
+    verify.add_argument("-n", type=int, default=16, help="process count")
+    verify.add_argument("--rounds", type=int, default=96)
+    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--deadline", type=int, default=64)
+    verify.add_argument("--tau", type=_tau, default=1)
+    verify.add_argument(
         "--lean", action="store_true", help='use the "lean" parameter preset'
     )
-    net.add_argument(
+    verify.add_argument(
         "--workers", type=int, default=2, help="worker process count"
     )
-    net.add_argument(
-        "--ns",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="N",
-        help="bench: system sizes (default: 64 256)",
-    )
-    # bench is a grid experiment; verify reads --json too.
-    add_shared_flags(net)
+    verify.add_argument("--json", action="store_true", help="emit JSON payload")
+    verify.set_defaults(handler=cmd_net_verify)
 
-    sub.add_parser("scenarios", help="list registered scenario builders")
+    for experiment in EXPERIMENTS:
+        *parent, name = experiment.command.split()
+        group = suites[parent[0]] if parent else sub
+        experiment_parser = group.add_parser(name, help=experiment.help)
+        experiment.flags(experiment_parser)
+        add_shared_flags(experiment_parser)
+        experiment_parser.set_defaults(
+            handler=functools.partial(run_experiment, experiment)
+        )
+
+    scenarios = sub.add_parser(
+        "scenarios", help="list registered scenario builders"
+    )
+    scenarios.set_defaults(handler=cmd_scenarios)
 
     partitions = sub.add_parser("partitions", help="inspect a partition family")
     partitions.add_argument("-n", type=int, default=16)
     partitions.add_argument("--tau", type=_tau, default=1)
     partitions.add_argument("--seed", type=int, default=0)
+    partitions.set_defaults(handler=cmd_partitions)
 
     bounds = sub.add_parser("bounds", help="print the paper's bounds")
     bounds.add_argument("-n", type=int, default=64)
     bounds.add_argument("--dmin", type=int, default=128)
     bounds.add_argument("--dmax", type=int, default=128)
     bounds.add_argument("--tau", type=_tau, default=1)
+    bounds.set_defaults(handler=cmd_bounds)
     return parser
 
 
@@ -389,12 +353,11 @@ def _path_kwargs(args: argparse.Namespace) -> Dict[str, object]:
     }
 
 
-def _registry_from_records(records) -> MetricsRegistry:
-    """Aggregate a parent-side registry from RunRecords.
+def _print_registry(records) -> None:
+    """The ``--metrics`` dump of ``run --seeds`` and ``sweep``.
 
     Worker registries do not cross the process boundary; what the pool
-    hands back are slim records, so the sweep-level ``--metrics`` view is
-    rebuilt from those.
+    hands back are slim records, so the registry is rebuilt from those.
     """
     registry = MetricsRegistry()
     for record in records:
@@ -410,7 +373,9 @@ def _registry_from_records(records) -> MetricsRegistry:
         for path, count in sorted(record.paths.items()):
             registry.counter("deliveries.by_path", path=path).inc(count)
         registry.counter("rumors.injected").inc(record.rumors_injected)
-    return registry
+    print()
+    print("Telemetry registry (aggregated from {} records)".format(len(records)))
+    print(registry.render())
 
 
 def _params(args: argparse.Namespace) -> CongosParams:
@@ -476,12 +441,7 @@ def _print_sweep_metrics(
     args: argparse.Namespace, payload: Dict[str, object], sweep: SweepResult
 ) -> None:
     if args.metrics and not args.json:
-        records = sweep.runs()
-        print()
-        print("Telemetry registry (aggregated from {} records)".format(
-            len(records)
-        ))
-        print(_registry_from_records(records).render())
+        _print_registry(sweep.runs())
 
 
 SWEEP = Experiment(
@@ -581,10 +541,9 @@ PROFILE_SWEEP = Experiment(
     epilogue=_print_pool_profile,
 )
 
-# Every grid experiment the CLI runs.  One with ``flags`` gets its own
-# subcommand (plus the shared flags); the ``perf`` ones and ``net bench``
-# ride the hand-built ``perf`` / ``net`` parsers next to ``perf micro``
-# and ``net verify``.
+# Every grid experiment the CLI runs, each registered by one loop in
+# build_parser as its command (nested under ``perf`` / ``net`` when the
+# command has two words) with its own flags plus the shared ones.
 EXPERIMENTS = (
     SWEEP,
     PROFILE_SWEEP,
@@ -657,19 +616,18 @@ def _warn_vacuous_qod(args: argparse.Namespace, rumors: int) -> None:
 def _run_multi_seed(
     args: argparse.Namespace, params: CongosParams, kwargs: Dict[str, object]
 ) -> int:
-    """Replicate one scenario across seeds on the exec pool."""
-    specs = [
-        RunSpec.make(
-            args.scenario,
-            seed=seed,
-            params=params,
-            engine=args.engine,
-            **_path_kwargs(args),
-            **kwargs,
-        )
-        for seed in args.seeds
-    ]
-    records = run_specs(specs, jobs=args.jobs)
+    """Replicate one scenario across seeds: a one-cell sweep."""
+    sweep = sweep_congos(
+        args.scenario,
+        [{}],
+        seeds=args.seeds,
+        jobs=args.jobs,
+        params=params,
+        engine=args.engine,
+        **_path_kwargs(args),
+        **kwargs,
+    )
+    records = sweep.runs()
     if args.json:
         print(json.dumps([record.to_dict() for record in records], indent=2))
     else:
@@ -692,16 +650,11 @@ def _run_multi_seed(
             )
         )
         if args.metrics:
-            print()
-            print("Telemetry registry (aggregated from {} records)".format(
-                len(records)
-            ))
-            print(_registry_from_records(records).render())
+            _print_registry(records)
     _warn_vacuous_qod(
         args, sum(r.rumors_injected for r in records if not r.pairs)
     )
-    ok = all(r.qod_satisfied for r in records) and all(r.clean for r in records)
-    return 0 if ok else 1
+    return 0 if sweep.all_satisfied() and sweep.all_clean() else 1
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -781,7 +734,7 @@ def _builder_kwargs(builder) -> str:
     return ", ".join(parts)
 
 
-def _perf_micro(args: argparse.Namespace) -> int:
+def cmd_perf_micro(args: argparse.Namespace) -> int:
     if args.case:
         cases = [get_case(key) for key in args.case]
     else:
@@ -826,14 +779,7 @@ def _perf_micro(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
-    if args.suite == "micro":
-        return _perf_micro(args)
-    scaling = ENGINE_SCALING if args.suite == "scaling" else CHAOS_SCALING
-    return run_experiment(scaling, args)
-
-
-def _net_verify(args: argparse.Namespace) -> int:
+def cmd_net_verify(args: argparse.Namespace) -> int:
     builder = SCENARIOS[args.scenario]
     base = builder(seed=args.seed, params=_params(args), **_scenario_kwargs(args))
     report = check_path(base, backend="sharded", net={"workers": args.workers})
@@ -874,12 +820,6 @@ def _net_verify(args: argparse.Namespace) -> int:
         rows += [("failure", failure) for failure in report.failures]
         print(format_kv(rows, title="net verify"))
     return 0 if report.passed else 1
-
-
-def cmd_net(args: argparse.Namespace) -> int:
-    if args.suite == "verify":
-        return _net_verify(args)
-    return run_experiment(SHARDED_SCALING, args)
 
 
 def cmd_scenarios(_: argparse.Namespace) -> int:
@@ -945,22 +885,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers: Dict[str, Callable[[argparse.Namespace], int]] = {
-        experiment.command: functools.partial(run_experiment, experiment)
-        for experiment in EXPERIMENTS
-        if experiment.flags is not None
-    }
-    handlers.update({
-        "run": cmd_run,
-        "trace": cmd_trace,
-        "perf": cmd_perf,
-        "net": cmd_net,
-        "scenarios": cmd_scenarios,
-        "partitions": cmd_partitions,
-        "bounds": cmd_bounds,
-    })
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except UnsupportedScenario as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return 2

@@ -109,8 +109,8 @@ class Table:
 class Experiment:
     """What one experiment is, as data; :func:`run_experiment` runs it."""
 
-    # CLI subcommand ("chaos-soak"; "perf chaos-scaling" and "net bench"
-    # ride the hand-built perf / net parsers).
+    # CLI subcommand: "chaos-soak", or "perf chaos-scaling" for a suite
+    # nested under the ``perf`` parent command.
     command: str
     help: str
     # Artifact names under --out: BENCH_<bench>.json and <txt>.txt.
@@ -118,6 +118,8 @@ class Experiment:
     txt: Text
     # Registered scenario builder every cell runs.
     builder: Text
+    # The experiment's own flags; the shared ones are added beside them.
+    flags: Callable[[argparse.ArgumentParser], None]
     # The grid, and the builder kwargs held fixed across it.
     cells: Callable[[Args], List[Dict[str, object]]]
     fixed: Callable[[Args], Dict[str, object]]
@@ -127,8 +129,6 @@ class Experiment:
     payload: Callable[[SweepResult, Dict[str, object]], Payload]
     # Tables printed unless --json; the first is also written to the TXT.
     tables: Sequence[Table]
-    # Experiment-specific flags (None: the parser is built elsewhere).
-    flags: Optional[Callable[[argparse.ArgumentParser], None]] = None
     # Worker processes when --jobs is not given (0 = cpu count).  An
     # experiment whose result is each cell's wall-clock declares 1: cells
     # sharing the CPU would time each other.

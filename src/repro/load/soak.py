@@ -90,40 +90,36 @@ def _cell_entry(cell: CellResult) -> Dict[str, object]:
     shed = sum(run.load.get("shed_total", 0) for run in runs)
     rounds = runs[0].rounds if runs else 0
     wall = sum(run.wall_time for run in runs)
-    return {
-        "cell": dict(cell.cell),
-        "seeds": cell.seeds,
-        "budget": runs[0].load.get("budget") if runs else None,
-        "offered": offered,
-        "admitted": admitted,
-        "shed": shed,
-        "shed_rate": round(shed / offered, 6) if offered else 0.0,
-        "admitted_per_round": (
+    return dict(
+        cell.verdict(
+            "cell", "seeds", "admissible_pairs", "missed", "delivery_rate",
+            "fallback_rate", "qod_satisfied", "clean",
+        ),
+        budget=runs[0].load.get("budget") if runs else None,
+        offered=offered,
+        admitted=admitted,
+        shed=shed,
+        shed_rate=round(shed / offered, 6) if offered else 0.0,
+        admitted_per_round=(
             round(admitted / (len(runs) * rounds), 6) if runs and rounds else 0.0
         ),
-        "queue_depth_max": max(
+        queue_depth_max=max(
             (run.load.get("queue_depth", {}).get("max", 0) or 0 for run in runs),
             default=0,
         ),
-        "wait_p99_max": max(
+        wait_p99_max=max(
             (run.load.get("wait_rounds", {}).get("p99", 0) or 0 for run in runs),
             default=0,
         ),
-        "delivery_latency": _pooled_latency(runs),
-        "e2e_latency_worst_seed": _worst_seed_latency(runs, "e2e_latency"),
-        "admissible_pairs": cell.admissible_pairs(),
-        "missed": cell.missed(),
-        "delivery_rate": cell.delivery_rate(),
-        "fallback_rate": round(cell.fallback_rate(), 6),
-        "qod_satisfied": cell.all_satisfied(),
-        "clean": cell.all_clean(),
-        "shed_leak_free": all(
+        delivery_latency=_pooled_latency(runs),
+        e2e_latency_worst_seed=_worst_seed_latency(runs, "e2e_latency"),
+        shed_leak_free=all(
             run.load.get("shed_leak_free", False) for run in runs
         ),
         # Wall-clock, not simulated time — machine-dependent, see the
         # payload's profile caveat.
-        "rumors_per_sec": round(admitted / wall, 2) if wall > 0 else None,
-    }
+        rumors_per_sec=round(admitted / wall, 2) if wall > 0 else None,
+    )
 
 
 def _knees(entries: List[Dict[str, object]]) -> List[Dict[str, object]]:

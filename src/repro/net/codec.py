@@ -535,13 +535,13 @@ class WireSession:
             ref, pos = _read_uvarint(data, pos)
             if ref > len(payloads):
                 raise CodecError("dangling payload reference {}".format(ref))
-            payload = None if ref == 0 else payloads[ref - 1]
-            try:
-                message = Message(src, dst, service, payload, size, channel)
-            except (TypeError, ValueError) as exc:
+            if src < 0 or dst < 0 or size < 0:
                 raise CodecError(
-                    "decoded Message failed validation: {}".format(exc)
+                    "negative pid or size in a decoded message: src {}, "
+                    "dst {}, size {}".format(src, dst, size)
                 )
+            payload = None if ref == 0 else payloads[ref - 1]
+            message = Message(src, dst, service, payload, size, channel)
             entries.append((tuple(key), message))
         if pos != len(data):
             raise CodecError("trailing bytes after message batch")

@@ -117,17 +117,9 @@ class Histogram:
             "max": self.max,
             "mean": round(self.mean, 6),
         }
-        ordered = sorted(self.samples)
         for q, label in self.QUANTILES:
-            if not ordered:
-                out[label] = None
-                continue
-            position = q * (len(ordered) - 1)
-            lower = int(position)
-            upper = min(lower + 1, len(ordered) - 1)
-            fraction = position - lower
-            value = ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
-            out[label] = round(value, 6)
+            value = self.quantile(q)
+            out[label] = None if value is None else round(value, 6)
         return out
 
 

@@ -70,6 +70,42 @@ def _path(cell: Mapping[str, object]) -> Tuple[str, str]:
     return (str(cell.get("engine", "object")), str(cell.get("backend", "inproc")))
 
 
+def _size_flags(
+    parser: argparse.ArgumentParser, ns: Sequence[int], rounds: int
+) -> None:
+    """The flags all three benches read: the sizes and the cell's clock."""
+    parser.add_argument(
+        "--ns",
+        type=int,
+        nargs="+",
+        default=list(ns),
+        metavar="N",
+        help="system sizes (default: {})".format(" ".join(map(str, ns))),
+    )
+    parser.add_argument("--rounds", type=int, default=rounds)
+    parser.add_argument("--deadline", type=int, default=64)
+
+
+def _engine_flags(parser: argparse.ArgumentParser) -> None:
+    _size_flags(parser, ENGINE_NS, rounds=120)
+    parser.add_argument(
+        "--engine",
+        nargs="+",
+        default=["object"],
+        choices=("object", "array"),
+        metavar="ENGINE",
+        help="round kernels to time (default object; pass both to read "
+        "the array engine against the object rows in one artifact)",
+    )
+
+
+def _sharded_flags(parser: argparse.ArgumentParser) -> None:
+    _size_flags(parser, SHARDED_NS, rounds=96)
+    parser.add_argument(
+        "--workers", type=int, default=2, help="worker process count"
+    )
+
+
 def _scaling_fixed(args: argparse.Namespace) -> Dict[str, object]:
     """The canonical steady cell both benches hold fixed."""
     return {
@@ -197,32 +233,25 @@ _SCALING_COLUMNS = columns(
 )
 
 
-def _engine_names(args: argparse.Namespace) -> Tuple[str, ...]:
-    return tuple(args.engine or ("object",))
-
-
 def _engine_artifact(args: argparse.Namespace) -> str:
     # An invocation without the object engine has no reference row to be
     # read against; it is its own artifact, not a rewrite of the one that
     # has.
-    if "object" in _engine_names(args):
+    if "object" in args.engine:
         return E17_BENCH_NAME
     return E17_BENCH_NAME + "_array"
 
 
-# Both ride hand-built parsers (``perf`` / ``net``) next to commands that
-# are not grid experiments.
 ENGINE_SCALING = Experiment(
     command="perf scaling",
     help="E17 engine scaling: the steady cell per round kernel and n",
     bench=_engine_artifact,
     txt=_engine_artifact,
     builder="steady",
+    flags=_engine_flags,
     jobs=1,
     cells=lambda args: [
-        {"n": n, "engine": engine}
-        for engine in _engine_names(args)
-        for n in (args.ns or ENGINE_NS)
+        {"n": n, "engine": engine} for engine in args.engine for n in args.ns
     ],
     fixed=_scaling_fixed,
     payload=path_scaling_payload,
@@ -240,10 +269,11 @@ SHARDED_SCALING = Experiment(
     bench="e18_sharded_scaling",
     txt="e18_sharded_scaling",
     builder="steady",
+    flags=_sharded_flags,
     jobs=1,
     cells=lambda args: [
         cell
-        for n in (args.ns or SHARDED_NS)
+        for n in args.ns
         for cell in (
             {"n": n},
             {"n": n, "backend": "sharded", "net": {"workers": args.workers}},
@@ -311,11 +341,31 @@ def chaos_scaling_payload(
     }
 
 
+def _chaos_scaling_flags(parser: argparse.ArgumentParser) -> None:
+    _size_flags(parser, CHAOS_NS, rounds=120)
+    parser.add_argument(
+        "--drop",
+        type=float,
+        nargs="+",
+        default=[0.0, 0.15, 0.3, 0.5],
+        metavar="P",
+        help="drop-probability axis",
+    )
+    parser.add_argument(
+        "--delay",
+        type=float,
+        nargs="+",
+        default=[0.1],
+        metavar="P",
+        help="delay-probability axis",
+    )
+
+
 def _chaos_scaling_cells(args: argparse.Namespace) -> List[Dict[str, object]]:
     # n-major, so a resumed run walks the sizes in the order it was cut.
     return [
         dict(cell, n=n)
-        for n in (args.ns or CHAOS_NS)
+        for n in args.ns
         for cell in chaos_cells(args.drop, args.delay)
     ]
 
@@ -349,14 +399,13 @@ def _print_cliffs(
             print("n={}: no cliff on this drop axis".format(n))
 
 
-# Rides the hand-built ``perf`` parser (``perf chaos-scaling``), whose
-# flags it shares with ``perf micro`` / ``perf scaling``.
 CHAOS_SCALING = Experiment(
     command="perf chaos-scaling",
     help="E17b chaos matrix at larger n",
     bench=E17B_BENCH_NAME,
     txt="chaos_scaling",
     builder="chaos",
+    flags=_chaos_scaling_flags,
     cells=_chaos_scaling_cells,
     fixed=_chaos_scaling_fixed,
     payload=chaos_scaling_payload,

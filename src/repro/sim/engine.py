@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.adversary.base import Adversary
 from repro.sim.clock import RoundClock
 from repro.sim.events import (
     CrashEvent,
@@ -43,7 +44,6 @@ from repro.sim.events import (
     InjectEvent,
     MidRoundDecision,
     RestartEvent,
-    RoundDecision,
 )
 from repro.sim.messages import Message
 from repro.sim.metrics import MessageStats
@@ -195,18 +195,6 @@ class AdversaryView:
         return self.engine.behavior(pid)
 
 
-class _NullAdversary:
-    """Fault-free, injection-free adversary used when none is supplied."""
-
-    def round_start(self, view: AdversaryView) -> RoundDecision:
-        return RoundDecision()
-
-    def mid_round(
-        self, view: AdversaryView, outgoing: List[Message]
-    ) -> MidRoundDecision:
-        return MidRoundDecision()
-
-
 class UnsupportedScenario(ValueError):
     """The scenario uses a feature this execution path does not model
     (every path refuses with this one type)."""
@@ -250,7 +238,7 @@ class RoundEngine:
         self.clock = RoundClock(start_round)
         self.stats = MessageStats()
         self.event_log = EventLog()
-        self.adversary = adversary if adversary is not None else _NullAdversary()
+        self.adversary = adversary if adversary is not None else Adversary()
         # The alive set is maintained incrementally (never rebuilt per
         # round): it mutates only on crash/restart.
         self._alive: Set[int] = set(range(n))

@@ -14,7 +14,6 @@ information (pure control traffic) simply do not implement it.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Iterable, Iterator, List, Tuple
 
 __all__ = [
@@ -25,37 +24,7 @@ __all__ = [
     "fragment_atom",
     "reveals_of",
     "total_size",
-    "debug_validation",
-    "set_debug_validation",
 ]
-
-
-# ----------------------------------------------------------------------
-# Debug-flag validation
-# ----------------------------------------------------------------------
-#
-# Messages are the single most-constructed object in a run (one per send,
-# O(n polylog n) per round).  Range validation therefore lives at ONE site
-# — Network.route, which knows ``n`` and rejects negative or out-of-range
-# endpoints for every message that enters the network.  The per-construction
-# checks below are a debugging aid: off by default, re-enabled with
-# ``set_debug_validation(True)`` (or REPRO_DEBUG_VALIDATE=1) to catch a bad
-# message at its construction site instead of at routing time.
-
-_DEBUG_VALIDATE = os.environ.get("REPRO_DEBUG_VALIDATE", "") not in ("", "0")
-
-
-def debug_validation() -> bool:
-    """Whether eager per-construction Message validation is enabled."""
-    return _DEBUG_VALIDATE
-
-
-def set_debug_validation(enabled: bool) -> bool:
-    """Toggle eager Message validation; returns the previous setting."""
-    global _DEBUG_VALIDATE
-    previous = _DEBUG_VALIDATE
-    _DEBUG_VALIDATE = bool(enabled)
-    return previous
 
 
 class ServiceTags:
@@ -116,9 +85,10 @@ class Message:
 
     Implemented as a ``__slots__`` class (not a dataclass): construction is
     on the per-send hot path, and slots cut both per-message memory and
-    attribute-access time.  Endpoint/size ranges are validated once, in
-    :meth:`~repro.sim.network.Network.route`; construction-time checks are
-    behind :func:`debug_validation`.
+    attribute-access time.  Nothing is checked here: endpoints are
+    validated once, in :meth:`~repro.sim.network.Network.route`, and a
+    message read off the wire by :mod:`repro.net.codec`, which refuses
+    negative pids and sizes.
     """
 
     __slots__ = ("src", "dst", "service", "payload", "size", "channel")
@@ -132,11 +102,6 @@ class Message:
         size: int = 1,
         channel: str = "",
     ) -> None:
-        if _DEBUG_VALIDATE:
-            if src < 0 or dst < 0:
-                raise ValueError("process ids must be non-negative")
-            if size < 0:
-                raise ValueError("message size must be non-negative")
         self.src = src
         self.dst = dst
         self.service = service

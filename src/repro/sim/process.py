@@ -10,7 +10,7 @@ code physically cannot smuggle state across a crash.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.sim.messages import Message
 
@@ -47,12 +47,6 @@ class NodeBehavior:
 
     def receive_phase(self, round_no: int, inbox: List[Message]) -> None:
         """Consume this round's delivered messages and finish the round."""
-
-    def delivered_rumors(self) -> Dict[object, bytes]:
-        """Rumor id -> plaintext for every rumor this process has delivered
-        to its user.  Used by the delivery auditor; protocols that deliver
-        rumors must override."""
-        return {}
 
 
 class ProcessShell:

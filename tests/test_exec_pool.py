@@ -6,10 +6,12 @@ workers can unpickle them by qualified name.
 
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.core.config import CongosParams
+from repro.exec import pool
 from repro.exec.pool import (
     TaskTimeoutError,
     WorkerCrashError,
@@ -162,6 +164,26 @@ class TestRetryAccounting:
             [marker, *innocents], _crash_until_marker, jobs=2, retries=1
         )
         assert results == ["survived"] * 7
+
+    def test_a_pool_broken_during_submission_is_retried(self, monkeypatch):
+        # A worker that dies while later tasks are still being submitted
+        # makes ``submit`` itself raise: a broken pool like one seen
+        # through a result, charged to the retry budget, never an escape.
+        calls = []
+        submit = pool.ProcessPoolExecutor.submit
+
+        def breaks_on_the_third_call(executor, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise BrokenProcessPool("a worker died during submission")
+            return submit(executor, *args, **kwargs)
+
+        monkeypatch.setattr(
+            pool.ProcessPoolExecutor, "submit", breaks_on_the_third_call
+        )
+        results = run_tasks(list(range(6)), _square, jobs=2, retries=1)
+        assert results == [0, 1, 4, 9, 16, 25]
+        assert len(calls) > 6  # the unfinished tail went to a rebuilt pool
 
     def test_timeout_error_names_task_and_budget(self):
         with pytest.raises(

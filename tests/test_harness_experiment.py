@@ -6,6 +6,7 @@ sidecar, and the same exits.  The flag-surface pin makes "no knob added
 or removed" a checked property of the parser rather than a promise.
 """
 
+import argparse
 import dataclasses
 import json
 
@@ -214,8 +215,9 @@ def test_sharded_digest_mismatch_exits_1(monkeypatch, capsys):
     assert [run["digest_match"] for run in payload["runs"]] == [None, False]
 
 
-# Option strings (and positionals) per subcommand.  A change here is a
-# change to the CLI's surface: make it on purpose.
+# Option strings (and positionals) per command, a suite nested under
+# ``perf`` / ``net`` by its full command.  A change here is a change to the
+# CLI's surface: make it on purpose.
 SHARED = {"--seeds", "--jobs", "--out", "--resume", "--json"}
 FLAG_SURFACE = {
     "run": {
@@ -253,28 +255,41 @@ FLAG_SURFACE = {
         "--deadline", "--dest-size", "--zipf-groups", "--zipf-s",
         "--queue-cap", "--max-wait", "--per-round",
     },
-    "perf": SHARED | {
-        "suite", "--case", "--repeats", "--warmup", "--profile", "--ns",
-        "--rounds", "--deadline", "--engine", "--drop", "--delay",
+    "perf micro": {"--case", "--repeats", "--warmup", "--profile", "--json"},
+    "perf scaling": SHARED | {"--ns", "--rounds", "--deadline", "--engine"},
+    "perf chaos-scaling": SHARED | {
+        "--ns", "--rounds", "--deadline", "--drop", "--delay",
     },
-    "net": SHARED | {
-        "suite", "--scenario", "-n", "--rounds", "--seed", "--deadline",
-        "--tau", "--lean", "--workers", "--ns",
+    "net verify": {
+        "--scenario", "-n", "--rounds", "--seed", "--deadline", "--tau",
+        "--lean", "--workers", "--json",
     },
+    "net bench": SHARED | {"--ns", "--rounds", "--deadline", "--workers"},
     "scenarios": set(),
     "partitions": {"-n", "--tau", "--seed"},
     "bounds": {"-n", "--dmin", "--dmax", "--tau"},
 }
 
 
-def test_flag_surface_is_pinned():
-    (subparsers,) = [
+def commands(parser, words=()):
+    """Every runnable command's parser, keyed by its full command."""
+    nested = [
         action
-        for action in build_parser()._actions
-        if hasattr(action, "choices") and isinstance(action.choices, dict)
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
     ]
+    if not nested:
+        return {" ".join(words): parser}
+    (subparsers,) = nested
+    leaves = {}
+    for name, child in subparsers.choices.items():
+        leaves.update(commands(child, (*words, name)))
+    return leaves
+
+
+def test_flag_surface_is_pinned():
     surface = {
-        name: {
+        command: {
             *(
                 option
                 for action in parser._actions
@@ -287,6 +302,33 @@ def test_flag_surface_is_pinned():
                 if not action.option_strings
             ),
         }
-        for name, parser in subparsers.choices.items()
+        for command, parser in commands(build_parser()).items()
     }
     assert surface == FLAG_SURFACE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["perf", "micro", "--ns", "16"],
+        ["perf", "micro", "--seeds", "3"],
+        ["perf", "scaling", "--case", "x"],
+        ["perf", "scaling", "--warmup", "9"],
+        ["perf", "scaling", "--drop", "0.5"],
+        ["perf", "chaos-scaling", "--engine", "array"],
+        ["perf", "chaos-scaling", "--profile"],
+        ["net", "verify", "--resume"],
+        ["net", "verify", "--ns", "5"],
+        ["net", "verify", "--out", "d"],
+        ["net", "bench", "--scenario", "churn"],
+        ["net", "bench", "--lean"],
+    ],
+    ids=" ".join,
+)
+def test_a_suite_refuses_another_suites_flags(argv, capsys):
+    # Each perf / net suite parses only the flags it reads: a sibling's
+    # flag is a usage error, not a value silently ignored.
+    with pytest.raises(SystemExit) as exited:
+        build_parser().parse_args(argv)
+    assert exited.value.code == 2
+    assert "unrecognized arguments: {}".format(argv[2]) in capsys.readouterr().err

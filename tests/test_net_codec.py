@@ -506,6 +506,18 @@ def test_malformed_values_raise_codec_error(blob, what):
         decode_value(blob)
 
 
+@pytest.mark.parametrize(
+    "src, dst, size", [(-3, 99, -7), (-1, 0, 1), (0, -1, 1), (0, 1, -1)]
+)
+def test_negative_pid_or_size_raises_codec_error(src, dst, size):
+    # Message itself checks nothing; wire input is validated here.
+    blob = encode_tagged_messages(
+        [((0,), Message(src, dst, "proxy", None, size, "c"))]
+    )
+    with pytest.raises(CodecError, match="negative pid or size"):
+        decode_tagged_messages(blob)
+
+
 def test_forged_references_raise_codec_error():
     item = _item(0, expiry=50)
     entries = [((0, 0), Message(0, 1, "group_gossip", ItemBatch([item]), 1, "c"))]

@@ -5,11 +5,9 @@ import pytest
 from repro.sim.messages import (
     Message,
     ServiceTags,
-    debug_validation,
     fragment_atom,
     plaintext_atom,
     reveals_of,
-    set_debug_validation,
     total_size,
 )
 
@@ -23,35 +21,11 @@ class TestMessage:
         assert message.channel == ""
         assert message.payload is None
 
-    def test_negative_pid_rejected_with_debug_validation(self):
-        previous = set_debug_validation(True)
-        try:
-            with pytest.raises(ValueError):
-                Message(src=-1, dst=0, service="x")
-        finally:
-            set_debug_validation(previous)
-
-    def test_negative_size_rejected_with_debug_validation(self):
-        previous = set_debug_validation(True)
-        try:
-            with pytest.raises(ValueError):
-                Message(src=0, dst=1, service="x", size=-1)
-        finally:
-            set_debug_validation(previous)
-
     def test_validation_deferred_by_default(self):
-        # The per-construction checks are a debug aid; the mandatory
-        # validation site is Network.route (see test_sim_network).
-        assert not debug_validation()
+        # Message checks nothing; the validation sites are Network.route
+        # (see test_sim_network) and the wire codec (test_net_codec).
         message = Message(src=-1, dst=0, service="x", size=-1)
         assert message.src == -1
-
-    def test_set_debug_validation_returns_previous(self):
-        previous = set_debug_validation(True)
-        try:
-            assert set_debug_validation(previous) is True
-        finally:
-            set_debug_validation(previous)
 
     def test_slots_no_dict(self):
         message = Message(src=0, dst=1, service="x")
